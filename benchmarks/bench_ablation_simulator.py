@@ -26,10 +26,9 @@ def long_flat_schedule(dev, samples=4096):
 def naive_unitary(executor, schedule):
     """Per-sample stepping (no run merging) — the ablated variant."""
     model = executor.model
-    drives, channel_names = executor._synthesize_drives(schedule)
+    [drives], channel_names = executor._synthesize_drives_family([schedule])
     total = np.eye(model.dimension, dtype=np.complex128)
-    for k in range(drives.shape[0]):
-        h = executor._run_hamiltonian(drives[k], channel_names)
+    for h in executor._run_hamiltonians_stack(drives, channel_names):
         total = step_propagator(h, model.dt) @ total
     return total
 
@@ -49,7 +48,7 @@ def test_merging_speedup():
     dev = TrappedIonDevice(num_qubits=2, drift_rate=0.0)
     schedule = long_flat_schedule(dev, samples=4096)
     ex = dev.executor
-    drives, _ = ex._synthesize_drives(schedule)
+    [drives], _ = ex._synthesize_drives_family([schedule])
     runs = len(segment_runs(drives))
 
     t0 = time.perf_counter()

@@ -13,9 +13,6 @@ funnels through:
 * **per-slice loop** — the pre-batching shape: one dense ``expm`` per
   constant-drive run, in Python (the same master equation, so the two
   must agree to rounding).
-* **Kraus interleave** — the legacy *physics* (unitary + per-site Kraus
-  splitting): reported for context with its splitting error against
-  the exact Lindblad result; not gated on agreement.
 * **trajectories** — the quantum-jump sampler for large D; reported
   for context.
 
@@ -86,13 +83,10 @@ def run_stack(executor, schedule):
     """The schedule's constant-drive runs as ``(hs, steps)`` stacks."""
     from repro.sim.evolve import segment_runs
 
-    drives, channel_names = executor._synthesize_drives(schedule)
+    [drives], channel_names = executor._synthesize_drives_family([schedule])
     runs = segment_runs(drives)
-    hs = np.stack(
-        [
-            executor._run_hamiltonian(drives[start], channel_names)
-            for start, _ in runs
-        ]
+    hs = executor._run_hamiltonians_stack(
+        drives[[start for start, _ in runs]], channel_names
     )
     steps = np.asarray([length for _, length in runs], dtype=np.int64)
     return hs, steps
@@ -176,21 +170,7 @@ def main() -> None:
         f"{engine.cache.hit_rate:.2f})   max|drho|={err_warm:.2e}"
     )
 
-    # 4. Legacy Kraus interleave: the old physics, for context.
-    kraus_executor = ScheduleExecutor(make_model(), open_system_method="kraus")
-    t_kraus, rho_kraus = best_of(
-        lambda: kraus_executor.execute(
-            schedule, shots=0, initial_state=psi0
-        ).final_state,
-        repeats,
-    )
-    err_kraus = float(np.abs(rho_kraus - rho_loop).max())
-    print(
-        f"kraus interleave      {t_kraus * 1e3:8.2f} ms   "
-        f"(legacy splitting; max|drho|={err_kraus:.2e} vs exact)"
-    )
-
-    # 5. Trajectory sampler: the large-D path, for context.
+    # 4. Trajectory sampler: the large-D path, for context.
     rng = np.random.default_rng(0)
     t_traj, rho_traj = best_of(
         lambda: engine.evolve_trajectories(
@@ -204,7 +184,7 @@ def main() -> None:
         f"(shot-noise max|drho|={err_traj:.2e})"
     )
 
-    # 6. Backend/dtype axis: the batched engine under the repro.xp
+    # 5. Backend/dtype axis: the batched engine under the repro.xp
     #    complex64 policy. Single precision through a D^2 = 81
     #    superpropagator chain accumulates ~1e-4, so the parity gate
     #    here is 1e-3 (the per-propagator 1e-5 contract lives in the
@@ -232,7 +212,6 @@ def main() -> None:
             "wall_loop_s": t_loop,
             "wall_engine_s": t_engine,
             "wall_warm_s": t_warm,
-            "wall_kraus_s": t_kraus,
             "wall_engine_c64_s": t_c64,
             "speedup": speedup,
             "speedup_warm": t_loop / t_warm,
@@ -240,7 +219,6 @@ def main() -> None:
             "max_err": err,
             "max_err_warm": err_warm,
             "max_err_c64": err_c64,
-            "kraus_splitting_err": err_kraus,
         },
     )
 

@@ -15,8 +15,9 @@ this simulator instead. It implements:
 * exact open-system (Lindblad) evolution with finite T1/T2 through the
   batched superoperator engine of :mod:`repro.sim.open_system` (T1
   amplitude damping, T2 pure dephasing; quantum-jump trajectories for
-  large Hilbert spaces; the legacy per-step Kraus splitting kept as
-  ``open_system_method="kraus"``),
+  large Hilbert spaces),
+* one batched execution pipeline in :mod:`repro.sim.executor` — a
+  single schedule runs as a one-member batch,
 * projective measurement with a configurable readout-error model and
   seeded shot sampling,
 * fidelity metrics used by calibration and optimal control.

@@ -86,7 +86,7 @@ def collapse_operators(
     operator's ``sqrt(n)`` matrix elements give level *n* the decay
     rate ``n/T1``); pure dephasing as ``sqrt(gamma_phi/2) * Z`` with
     ``Z = diag(1, -1, ..., -1)`` — levels >= 1 pick up the phase flip,
-    matching the discriminator convention of the legacy Kraus path —
+    matching the discriminator convention (any level >= 1 reads as 1) —
     so coherences to the ground state decay at exactly ``1/T2``.
     """
     if decoherence and len(decoherence) != len(dims):

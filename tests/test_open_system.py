@@ -92,17 +92,6 @@ class TestCPTP:
         DecoherenceSpec(t1=7e-6, t2=14e-6),  # T2 = 2*T1: damping only
     ]
 
-    @pytest.mark.parametrize("levels", [2, 3])
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_kraus_channels_complete(self, levels, spec):
-        """Sum K_i^dag K_i = 1 for the executor's Kraus channels."""
-        model = make_model(levels=levels, decoherence=[spec])
-        ex = ScheduleExecutor(model, open_system_method="kraus")
-        for tau in (1e-9, 50e-9, 5e-6):
-            kraus = ex._kraus_ops(0, spec, tau)
-            total = sum(k.conj().T @ k for k in kraus)
-            assert np.allclose(total, np.eye(levels), atol=1e-12)
-
     @pytest.mark.parametrize("spec", SPECS)
     def test_superoperator_trace_preserving(self, spec):
         cops = collapse_operators((3,), [spec])
@@ -161,8 +150,8 @@ class TestAnalytic:
             assert 2 * rho[0, 1].real == pytest.approx(expected, abs=1e-10)
 
     def test_qutrit_t1_cascade(self):
-        """|2> decays through |1>: the inter-level cascade the legacy
-        per-run Kraus channel could not produce within one run."""
+        """|2> decays through |1>: the inter-level cascade within one
+        constant run."""
         t1 = 5e-6
         eng = OpenSystemEngine(
             (3,), [DecoherenceSpec(t1=t1, t2=2 * t1)], DT
@@ -179,6 +168,27 @@ class TestAnalytic:
         assert rho[2, 2].real == pytest.approx(p2, abs=1e-10)
         assert rho[1, 1].real == pytest.approx(p1, abs=1e-10)
         assert rho[0, 0].real == pytest.approx(1 - p1 - p2, abs=1e-10)
+
+    def test_free_evolution_matches_closed_form_on_qubit(self):
+        """Executor-level free decay of psi = (0.6, 0.8):
+        rho_11 = 0.64 exp(-t/T1) and |rho_01| = 0.48 exp(-t/T2)."""
+        t1, t2 = 15e-6, 9e-6
+        ex = ScheduleExecutor(
+            make_model(decoherence=[DecoherenceSpec(t1=t1, t2=t2)])
+        )
+        psi = np.array([0.6, 0.8], dtype=np.complex128)
+        for samples in (1, 700, 5000):
+            free = PulseSchedule()
+            free.append(Delay(Port.drive(0), samples))
+            rho = ex.execute(free, shots=0, initial_state=psi).final_state
+            t = samples * DT
+            assert rho[1, 1].real == pytest.approx(
+                0.64 * np.exp(-t / t1), abs=1e-10
+            )
+            assert abs(rho[0, 1]) == pytest.approx(
+                0.48 * np.exp(-t / t2), abs=1e-10
+            )
+            assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
 class TestBatchedVsLoop:
@@ -225,57 +235,6 @@ class TestBatchedVsLoop:
             direct = u @ rho @ u.conj().T
             via_super = unvectorize_density(s @ vectorize_density(rho), 3)
             assert np.abs(direct - via_super).max() < 1e-10
-
-    def test_executor_engine_vs_legacy_kraus_interleave(self):
-        """The old unitary+Kraus path is a first-order splitting of the
-        same master equation: on a driven transmon the final states
-        agree to the splitting error, far inside shot noise."""
-        specs = [DecoherenceSpec(t1=40e-6, t2=30e-6)]
-        s = PulseSchedule()
-        p, f = Port.drive(0), drive_frame()
-        s.append(Play(p, f, pi_pulse()))
-        s.append(Delay(p, 2000))
-        s.append(Play(p, f, pi_pulse(0.5)))
-        rho_new = (
-            ScheduleExecutor(make_model(levels=3, decoherence=specs))
-            .execute(s, shots=0)
-            .final_state
-        )
-        rho_old = (
-            ScheduleExecutor(
-                make_model(levels=3, decoherence=specs),
-                open_system_method="kraus",
-            )
-            .execute(s, shots=0)
-            .final_state
-        )
-        assert abs(np.trace(rho_new) - 1.0) < 1e-10
-        assert np.abs(rho_new - rho_old).max() < 1e-3
-
-    def test_free_evolution_matches_kraus_exactly_on_qubit(self):
-        """For a single free qubit the legacy channel *is* the exact
-        master-equation solution — the two paths must agree to 1e-10."""
-        specs = [DecoherenceSpec(t1=15e-6, t2=9e-6)]
-        s = PulseSchedule()
-        p, f = Port.drive(0), drive_frame()
-        s.append(Play(p, f, pi_pulse(0.5)))
-        s.append(Delay(p, 7000))
-        new = ScheduleExecutor(make_model(decoherence=specs))
-        old = ScheduleExecutor(
-            make_model(decoherence=specs), open_system_method="kraus"
-        )
-        rho_new = new.execute(s, shots=0).final_state
-        rho_old = old.execute(s, shots=0).final_state
-        # The pulse window itself differs at the splitting order; the
-        # long free segment must not add any further disagreement.
-        assert np.abs(rho_new - rho_old).max() < 2e-4
-        # Pure free evolution (identical initial state): exact match.
-        free = PulseSchedule()
-        free.append(Delay(p, 5000))
-        psi = np.array([0.6, 0.8], dtype=np.complex128)
-        rho_a = new.execute(free, shots=0, initial_state=psi).final_state
-        rho_b = old.execute(free, shots=0, initial_state=psi).final_state
-        assert np.abs(rho_a - rho_b).max() < 1e-10
 
 
 class TestTrajectories:
@@ -365,29 +324,12 @@ class TestCachesAndValidation:
         assert np.abs(s1 - s2).max() > 1e-6
         assert shared.misses == 2  # two distinct entries, no collision
 
-    def test_kraus_cache_reused_across_runs(self):
-        specs = [DecoherenceSpec(t1=10e-6, t2=9e-6)]
-        ex = ScheduleExecutor(
-            make_model(decoherence=specs), open_system_method="kraus"
-        )
-        s = PulseSchedule()
-        p, f = Port.drive(0), drive_frame()
-        s.append(Play(p, f, pi_pulse()))
-        s.append(Delay(p, 500))
-        ex.execute(s, shots=0)
-        # Two run lengths (pulse, delay) -> two cached entries.
-        assert len(ex._kraus_cache) == 2
-        first = ex._kraus_cache[(0, 500 * DT)]
-        ex.execute(s, shots=0)
-        assert len(ex._kraus_cache) == 2
-        assert ex._kraus_cache[(0, 500 * DT)] is first  # reused, not rebuilt
-        assert not first[0].flags.writeable  # frozen against poisoning
-
     def test_engine_rejects_bad_method(self):
         with pytest.raises(ValidationError):
             OpenSystemEngine((2,), [], DT, method="kraus")
-        with pytest.raises(ValidationError):
-            ScheduleExecutor(make_model(), open_system_method="exact")
+        for method in ("exact", "kraus"):
+            with pytest.raises(ValidationError):
+                ScheduleExecutor(make_model(), open_system_method=method)
 
     def test_batched_expm_dense_fallback_matches(self):
         a = random_hermitian_stack(2, 3, seed=13) * 1j  # skew stack

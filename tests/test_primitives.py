@@ -269,25 +269,6 @@ class TestExecuteBatch:
                 br.final_state, single.final_state, atol=1e-10
             )
 
-    def test_kraus_falls_back_to_loop(self):
-        from repro.sim.executor import ScheduleExecutor
-
-        base = SuperconductingDevice(
-            num_qubits=1,
-            drift_rate=0.0,
-            with_decoherence=True,
-            t1=5e-6,
-            t2=3e-6,
-        )
-        executor = ScheduleExecutor(base.model, open_system_method="kraus")
-        schedules = self._schedules(base, n=2)
-        batch = executor.execute_batch(schedules, shots=0)
-        for schedule, br in zip(schedules, batch):
-            single = executor.execute(schedule, shots=0)
-            np.testing.assert_allclose(
-                br.final_state, single.final_state, atol=1e-12
-            )
-
     def test_empty_and_degenerate(self, sc_device_1q):
         assert sc_device_1q.executor.execute_batch([]) == []
         from repro.core import PulseSchedule

@@ -14,6 +14,8 @@ from repro.core import (
     Port,
     PulseSchedule,
     SetFrequency,
+    SetPhase,
+    ShiftFrequency,
     ShiftPhase,
     constant_waveform,
 )
@@ -289,6 +291,215 @@ class TestSegmentRuns:
         runs = segment_runs(drives)
         assert sum(n for _, n in runs) == 57
         assert runs[0][0] == 0
+
+
+def reference_drives(model, schedule):
+    """Per-sample drive matrix from per-sample frame bookkeeping.
+
+    Walks the schedule one sample at a time: frame events at sample t
+    update their (port, frame) state, every active play adds its
+    envelope modulated by the frame's static phase plus the detuning
+    phase accumulated over samples 0..t-1, and each frame then
+    accumulates its own detuning for sample t.
+    """
+    names = sorted(model.channels)
+    items = schedule.ordered()
+    frames = {}  # (port, frame) -> [frequency, static phase, detuning phase]
+    for item in items:
+        ins = item.instruction
+        if hasattr(ins, "frame") and hasattr(ins, "port"):
+            key = (ins.port.name, ins.frame.name)
+            frames.setdefault(key, [ins.frame.frequency, ins.frame.phase, 0.0])
+    drives = np.zeros((schedule.duration, len(names)), dtype=complex)
+    for t in range(schedule.duration):
+        for item in items:
+            ins = item.instruction
+            if item.t0 != t or isinstance(ins, (Play, Capture, Delay)):
+                continue
+            if not hasattr(ins, "frame"):
+                continue
+            state = frames[(ins.port.name, ins.frame.name)]
+            if isinstance(ins, SetFrequency):
+                state[0] = ins.frequency
+            elif isinstance(ins, ShiftFrequency):
+                state[0] += ins.delta
+            elif isinstance(ins, SetPhase):
+                state[1] = ins.phase
+            elif isinstance(ins, ShiftPhase):
+                state[1] += ins.delta
+            elif isinstance(ins, FrameChange):
+                state[0], state[1] = ins.frequency, ins.phase
+        for item in items:
+            ins = item.instruction
+            if not isinstance(ins, Play) or not item.t0 <= t < item.t1:
+                continue
+            if ins.port.name not in model.channels:
+                continue  # readout stimulus: no Hamiltonian term
+            freq, phase, acc = frames[(ins.port.name, ins.frame.name)]
+            sample = ins.waveform.samples()[t - item.t0]
+            drives[t, names.index(ins.port.name)] += sample * np.exp(
+                1j * (acc + phase)
+            )
+        for (port, _), state in frames.items():
+            if port in model.channels:
+                ref = model.channels[port].reference_frequency
+                state[2] += 2 * np.pi * model.dt * (state[0] - ref)
+    return drives, names
+
+
+def reference_hamiltonian(model, row, names):
+    h = np.array(model.drift, dtype=complex)
+    for a, name in zip(row, names):
+        ch = model.channels[name]
+        if ch.hermitian:
+            h = h + ch.rabi_rate * a.real * ch.operator
+        else:
+            h = h + 0.5 * ch.rabi_rate * (
+                np.conj(a) * ch.operator + a * ch.operator.conj().T
+            )
+    return h
+
+
+def reference_final_state(model, schedule):
+    """``expm`` per sample: a ket, or with T1/T2 a density matrix
+    through a per-sample Lindblad superoperator."""
+    from scipy.linalg import expm
+
+    from repro.sim.open_system import collapse_operators
+
+    dim = model.dimension
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    drives, names = reference_drives(model, schedule)
+    if not model.has_decoherence():
+        for row in drives:
+            h = reference_hamiltonian(model, row, names)
+            psi = expm(-2j * np.pi * h * model.dt) @ psi
+        return psi
+    eye = np.eye(dim)
+    dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for c in collapse_operators(model.dims, model.decoherence):
+        cdc = c.conj().T @ c
+        dissipator += np.kron(c, c.conj())
+        dissipator -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    vec = np.outer(psi, psi.conj()).reshape(-1)
+    for row in drives:
+        h = reference_hamiltonian(model, row, names)
+        generator = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+        vec = expm((generator + dissipator) * model.dt) @ vec
+    return vec.reshape(dim, dim)
+
+
+def mixed_batch(device):
+    """Template clones (not all contiguous) among a stretched variant,
+    a twirled variant, a zero-duration schedule, a schedule with no
+    capture and a play on a readout port."""
+    from dataclasses import replace
+
+    from repro.core import gaussian_waveform
+    from repro.core.stretch import stretch_schedule
+    from repro.qem.twirling import twirl_schedule
+
+    p = device.drive_port(0)
+    f = device.default_frame(p)
+    acq = device.acquire_port(0)
+    ro = device.readout_port(0)
+    base = PulseSchedule("ansatz")
+    base.append(Play(p, f, gaussian_waveform(24, 0.2, 6.0)))
+    detune = base.append(ShiftFrequency(p, f, 7e6))
+    base.append(Delay(p, 20))
+    shift = base.append(ShiftPhase(p, f, 0.0))
+    base.append(Play(p, f, constant_waveform(24, 0.15)))
+    base.append(Capture(acq, device.default_frame(acq), 0))
+
+    def clone(theta, delta=7e6):
+        # Members differ in frame-event values only; a zero detuning
+        # keeps the constant pulse one run, so a family's runs must
+        # split at the union of its members' boundaries.
+        values = {shift: theta, detune: delta}
+        return base.clone_with_items(
+            [
+                replace(it, instruction=replace(it.instruction, delta=values[it]))
+                if it in values
+                else it
+                for it in base._items
+            ]
+        )
+
+    zero = PulseSchedule("virtual-only")
+    zero.append(ShiftPhase(p, f, 0.3))
+    no_capture = PulseSchedule("no-capture")
+    no_capture.append(SetFrequency(p, f, f.frequency - 4e6))
+    no_capture.append(Play(p, f, constant_waveform(15, 0.1)))
+    no_capture.append(FrameChange(p, f, f.frequency, 0.5))
+    no_capture.append(Play(p, f, constant_waveform(10, 0.1)))
+    readout = PulseSchedule("readout-play")
+    readout.append(Play(p, f, constant_waveform(12, 0.12)))
+    readout.append(Play(ro, device.default_frame(ro), constant_waveform(16, 0.3)))
+    readout.append(Capture(acq, device.default_frame(acq), 0))
+    return [
+        clone(0.4),
+        stretch_schedule(base, 1.5),
+        clone(-1.1, 0.0),
+        clone(2.0),
+        twirl_schedule(clone(0.9), [True], device, [0]),
+        zero,
+        clone(0.7),
+        no_capture,
+        readout,
+    ]
+
+
+class TestIndependentReference:
+    """``execute`` and ``execute_batch`` share one pipeline, so each is
+    checked against a test-local per-sample simulation instead."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_mixed_batch_matches_per_sample_reference(self, noisy):
+        from repro.devices import SuperconductingDevice
+
+        kw = {"with_decoherence": True, "t1": 20e-6, "t2": 15e-6} if noisy else {}
+        device = SuperconductingDevice(num_qubits=1, drift_rate=0.0, **kw)
+        model = device.model
+        assert model.has_decoherence() is noisy
+        schedules = mixed_batch(device)
+        ex = ScheduleExecutor(model)
+        ex._MAX_OPEN_BATCH_SLICES = 7  # several flushes, some mid-family
+        batch = ex.execute_batch(schedules, shots=64, seed=3)
+        for schedule, br in zip(schedules, batch):
+            ref = reference_final_state(model, schedule)
+            single = ScheduleExecutor(model).execute(schedule, shots=64, seed=3)
+            for result in (br, single):
+                assert result.final_state.shape == ref.shape
+                assert np.abs(result.final_state - ref).max() < 1e-10
+            probs = np.abs(ref) ** 2 if ref.ndim == 1 else np.real(np.diag(ref))
+            if schedule.instructions_of(Capture):
+                expected = {"0": probs[0], "1": probs[1:].sum()}
+            else:
+                expected = {}
+            assert set(br.ideal_probabilities) <= set(expected)
+            for key, p in expected.items():
+                assert br.ideal_probabilities.get(key, 0.0) == pytest.approx(
+                    p, abs=1e-10
+                )
+            assert br.counts == single.counts
+            assert br.leakage[0] == pytest.approx(probs[2], abs=1e-10)
+
+    def test_execute_rng_draws_like_sample_counts(self):
+        import copy
+
+        from repro.sim import sample_counts
+
+        model = make_model()
+        s = PulseSchedule()
+        s.append(Play(Port.drive(0), drive_frame(), pi_pulse(0.5)))
+        s.append(Capture(Port.acquire(0), Frame("acq", 0.0), 0))
+        g = np.random.default_rng(11)
+        twin = copy.deepcopy(g)
+        ex = ScheduleExecutor(model)
+        for _ in range(2):
+            r = ex.execute(s, shots=300, rng=g)
+            assert r.counts == sample_counts(r.probabilities, 300, twin)
 
 
 class TestUnitaryExtraction:
