@@ -26,7 +26,7 @@ def long_flat_schedule(dev, samples=4096):
 def naive_unitary(executor, schedule):
     """Per-sample stepping (no run merging) — the ablated variant."""
     model = executor.model
-    [drives], channel_names = executor._synthesize_drives_family([schedule])
+    [drives], _, channel_names = executor._synthesize_drives_family([schedule])
     total = np.eye(model.dimension, dtype=np.complex128)
     for h in executor._run_hamiltonians_stack(drives, channel_names):
         total = step_propagator(h, model.dt) @ total
@@ -48,7 +48,7 @@ def test_merging_speedup():
     dev = TrappedIonDevice(num_qubits=2, drift_rate=0.0)
     schedule = long_flat_schedule(dev, samples=4096)
     ex = dev.executor
-    [drives], _ = ex._synthesize_drives_family([schedule])
+    [drives], _, _ = ex._synthesize_drives_family([schedule])
     runs = len(segment_runs(drives))
 
     t0 = time.perf_counter()

@@ -83,7 +83,7 @@ def run_stack(executor, schedule):
     """The schedule's constant-drive runs as ``(hs, steps)`` stacks."""
     from repro.sim.evolve import segment_runs
 
-    [drives], channel_names = executor._synthesize_drives_family([schedule])
+    [drives], _, channel_names = executor._synthesize_drives_family([schedule])
     runs = segment_runs(drives)
     hs = executor._run_hamiltonians_stack(
         drives[[start for start, _ in runs]], channel_names

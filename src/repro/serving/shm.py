@@ -23,12 +23,20 @@ reaped on the next service start from the specs left in the store.
 
 from __future__ import annotations
 
+import threading
 from multiprocessing import resource_tracker, shared_memory
 from typing import Mapping
 
 import numpy as np
 
-__all__ = ["pack_arrays", "load_arrays", "unlink"]
+__all__ = ["pack_arrays", "load_arrays", "segment_alive", "unlink"]
+
+#: Held from every attach to the matching unregister. The resource
+#: tracker books names in a *set*: two threads attaching one segment
+#: register it once but unregister it twice, and the tracker prints a
+#: ``KeyError`` traceback for the second. Serializing each
+#: attach->untrack and attach->unlink pair keeps the books balanced.
+_TRACKER_LOCK = threading.Lock()
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -87,7 +95,9 @@ def load_arrays(spec: Mapping) -> dict[str, np.ndarray]:
                 tuple(entry["shape"]), dtype=np.dtype(entry["dtype"])
             )
         return out
-    shm = shared_memory.SharedMemory(name=segment)
+    with _TRACKER_LOCK:
+        shm = shared_memory.SharedMemory(name=segment)
+        _untrack(shm)
     try:
         for entry in spec["arrays"]:
             view = np.ndarray(
@@ -98,9 +108,23 @@ def load_arrays(spec: Mapping) -> dict[str, np.ndarray]:
             )
             out[entry["name"]] = view.copy()
     finally:
-        _untrack(shm)
         shm.close()
     return out
+
+
+def segment_alive(spec: Mapping) -> bool:
+    """Whether a spec's segment still exists: attaches, copies nothing."""
+    segment = spec.get("segment")
+    if segment is None:
+        return True
+    with _TRACKER_LOCK:
+        try:
+            shm = shared_memory.SharedMemory(name=segment)
+        except FileNotFoundError:
+            return False
+        _untrack(shm)
+    shm.close()
+    return True
 
 
 def unlink(spec: Mapping) -> bool:
@@ -108,16 +132,18 @@ def unlink(spec: Mapping) -> bool:
     segment = spec.get("segment")
     if segment is None:
         return True
-    try:
-        shm = shared_memory.SharedMemory(name=segment)
-    except FileNotFoundError:
-        return False
-    # No _untrack here: attach registered the name (+1) and
-    # ``SharedMemory.unlink`` unregisters it again, so the tracker
-    # books balance without intervention.
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - unlink race
-        return False
+    with _TRACKER_LOCK:
+        try:
+            shm = shared_memory.SharedMemory(name=segment)
+        except FileNotFoundError:
+            return False
+        # No _untrack here: attach registered the name (+1) and
+        # ``SharedMemory.unlink`` unregisters it again, so the tracker
+        # books balance without intervention.
+        shm.close()
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - unlink race
+            _untrack(shm)
+            return False
     return True

@@ -458,13 +458,7 @@ class JobStore:
         released = len(self.reap_expired())
         reexecuted = 0
         for row in self.pending_assembly():
-            spec = json.loads(row["shm"])
-            try:
-                _shm.load_arrays(spec)
-                segment_alive = True
-            except FileNotFoundError:
-                segment_alive = False
-            if segment_alive:
+            if _shm.segment_alive(json.loads(row["shm"])):
                 continue  # segment still alive; normal assembly will run
             now = time.time()
             self._connect().execute(

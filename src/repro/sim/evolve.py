@@ -675,9 +675,12 @@ class PropagatorCache:
     the exact propagators ``exp(-2*pi*i*H*dt*steps)`` as arrays of the
     backend that computed them. Repeated slices — flat-top pulses,
     parameter sweeps re-visiting the same amplitudes, drift segments
-    between pulses — skip the eigendecomposition entirely. Entries
-    namespace on the active :attr:`repro.xp.Active.spec`, so a
-    complex64 scope never serves (or poisons) complex128 results.
+    between pulses — skip the eigendecomposition entirely. Sweeps over
+    frame phase hit as well: the schedule executor hands over
+    phase-free Hamiltonians for phase-covariant channels and applies
+    the phase to the state. Entries namespace on the active
+    :attr:`repro.xp.Active.spec`, so a complex64 scope never serves
+    (or poisons) complex128 results.
     Thread-safe; one instance can be shared across executors.
 
     :meth:`propagator` returns the stored arrays themselves, frozen

@@ -29,7 +29,14 @@ batched pipeline — a single schedule is a one-member batch:
    bounded chunks; for large Hilbert spaces the engine's quantum-jump
    trajectories evolve each schedule with its own RNG instead. The
    propagators then advance every family's state stack with one
-   batched product per run position.
+   batched product per run position. Drive phases are canonicalized
+   before the kernel: on every channel whose phase is a symmetry of
+   the model (a lowering-operator drive; see
+   :meth:`ScheduleExecutor._phase_generators`) a run's amplitude ``a``
+   becomes ``|a|``, and the phase comes back as a diagonal rotation of
+   the state around that run's product, ``e^{i phi} * (P(|a|) @
+   (e^{-i phi} * state))``. Runs that differ only in frame phase
+   (phase sweeps, detuned plays) thus share one propagator.
 5. Measurement — :class:`Capture` instructions define the measured
    sites and classical slots; outcomes include exact probabilities,
    seeded shot counts, and per-site leakage, vectorized over each
@@ -71,9 +78,31 @@ from repro.sim.measurement import (
     sample_counts,
 )
 from repro.sim.model import SystemModel
-from repro.sim.open_system import OpenSystemEngine, vectorize_density
+from repro.sim.open_system import (
+    OpenSystemEngine,
+    collapse_operators,
+    vectorize_density,
+)
 from repro.sim.operators import basis_state, identity
 from repro.xp import active, use_backend
+
+
+def _eigen_commutator(
+    w: np.ndarray, op: np.ndarray, eigenvalue: float | None = None
+) -> bool:
+    """Whether ``[diag(w), op] = lambda * op``, relative to the norms.
+
+    *eigenvalue* pins ``lambda``; ``None`` accepts any scalar (fitted
+    by least squares).
+    """
+    comm = (w[:, None] - w[None, :]) * op
+    scale = float(np.linalg.norm(op))
+    if scale == 0.0:
+        return True
+    if eigenvalue is None:
+        eigenvalue = np.vdot(op, comm) / scale**2
+    residual = float(np.linalg.norm(comm - eigenvalue * op))
+    return residual <= _COVARIANCE_RTOL * (1.0 + float(np.abs(w).max())) * scale
 
 
 def _check_cancel(should_cancel) -> None:
@@ -88,6 +117,11 @@ def _check_cancel(should_cancel) -> None:
         )
 
 _TWO_PI = 2.0 * math.pi
+
+#: Relative tolerance of the phase-covariance checks: the operators
+#: involved are exact ladder/number/projector matrices, so a genuine
+#: symmetry holds to rounding.
+_COVARIANCE_RTOL = 1e-10
 
 
 @dataclass
@@ -175,6 +209,13 @@ class ScheduleExecutor:
         self.model = model
         self.readout = dict(readout or {})
         self._drift_eig = np.linalg.eigh(model.drift)
+        #: Drive-stack column order.
+        self._channel_names = sorted(model.channels)
+        #: ``(C, D)`` diagonal phase generators, one row per channel
+        #: column; all-zero for channels whose phase is not a symmetry
+        #: of the model (see :meth:`_phase_generators`).
+        self._phase_gen = self._phase_generators()
+        self._phase_channels = np.any(self._phase_gen != 0, axis=1)
         #: Shared slice-propagator cache: repeated drive amplitudes
         #: (flat-tops, parameter sweeps) skip the eigendecomposition.
         self.propagator_cache = (
@@ -317,6 +358,46 @@ class ScheduleExecutor:
         )
         return states[0]
 
+    def _phase_generators(self) -> np.ndarray:
+        """Diagonal generators ``W_j`` of the drive-phase symmetries.
+
+        A non-Hermitian channel ``j`` with operator ``A`` qualifies when
+        ``W = Re diag(A^dag A)`` lowers it (``[W, A] = -A``), commutes
+        with the drift and with every other channel operator, and
+        commutes up to a scalar with every collapse operator. Then the
+        Hamiltonian (and the Lindblad generator) at amplitude ``a`` is
+        ``V H(|a|) V^dag`` with ``V = exp(i arg(a) W)``, so a run's
+        propagator is the ``|a|`` one conjugated by a diagonal phase.
+        Hermitian (coupler) channels take the drive's real part, so
+        their phase is never a symmetry.
+        """
+        model = self.model
+        names = self._channel_names
+        ops = [model.channels[n].operator for n in names]
+        collapse = (
+            collapse_operators(model.dims, model.decoherence)
+            if model.has_decoherence()
+            else []
+        )
+        gens = np.zeros((len(names), model.dimension))
+        for j, name in enumerate(names):
+            if model.channels[name].hermitian:
+                continue
+            op = ops[j]
+            w = np.real(np.einsum("ki,ki->i", op.conj(), op))
+            if (
+                _eigen_commutator(w, op, -1.0)
+                and _eigen_commutator(w, model.drift, 0.0)
+                and all(
+                    _eigen_commutator(w, other, 0.0)
+                    for k, other in enumerate(ops)
+                    if k != j
+                )
+                and all(_eigen_commutator(w, c) for c in collapse)
+            ):
+                gens[j] = w
+        return gens
+
     # ---- the pipeline -----------------------------------------------------------
 
     def _run(
@@ -402,8 +483,9 @@ class ScheduleExecutor:
 
     def _synthesize_drives_family(
         self, schedules: Sequence[PulseSchedule]
-    ) -> tuple[np.ndarray, list[str]]:
-        """The ``(K, duration, n_channels)`` drive stack of a family.
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The ``(K, duration, n_channels)`` drive stack of a family,
+        and the ``(duration, n_channels)`` envelope magnitudes.
 
         One vectorized pass over the *shared* item structure: frame
         timelines are ``(K, duration)`` arrays whose events apply to
@@ -411,6 +493,13 @@ class ScheduleExecutor:
         detuning phases are one exclusive cumsum per (port, frame)
         instead of one per play per member, and every play lands on
         the whole stack with one broadcast multiply.
+
+        The magnitudes are the drive's ``|a|`` taken from the envelope
+        before modulation — members share their plays, so one array
+        serves the family, and it is bitwise independent of the frame
+        phase (``abs`` of the modulated sample is not). Samples where
+        two plays overlap on one channel read ``-1``: their sum has no
+        single phase to factor out.
         """
         base = schedules[0]
         k_members = len(schedules)
@@ -475,11 +564,12 @@ class ScheduleExecutor:
                 tl[1][:, t0:] = values(pos, "phase")
 
         # Pass 2: plays, modulated by their frame timeline.
-        channel_names = sorted(model.channels)
+        channel_names = self._channel_names
         col = {name: j for j, name in enumerate(channel_names)}
         drives = np.zeros(
             (k_members, duration, len(channel_names)), dtype=np.complex128
         )
+        envelope = np.zeros((duration, len(channel_names)))
         psis: dict[tuple[str, str, float], np.ndarray] = {}
         for item in base.instructions_of(Play):
             ins = item.instruction
@@ -503,12 +593,13 @@ class ScheduleExecutor:
                 psi -= detuning  # exclusive: phase *before* sample t
                 psi *= _TWO_PI * model.dt
                 psis[psi_key] = psi
-            t0, t1 = item.t0, item.t1
+            t0, t1, c = item.t0, item.t1, col[ins.port.name]
             phase = psi[:, t0:t1] + tl[1][:, t0:t1]
-            drives[:, t0:t1, col[ins.port.name]] += ins.waveform.samples()[
-                None, :
-            ] * np.exp(1j * phase)
-        return drives, channel_names
+            samples = ins.waveform.samples()
+            drives[:, t0:t1, c] += samples[None, :] * np.exp(1j * phase)
+            written = envelope[t0:t1, c]
+            envelope[t0:t1, c] = np.where(written != 0, -1.0, np.abs(samples))
+        return drives, envelope, channel_names
 
     def _run_hamiltonians_stack(
         self, rows: np.ndarray, channel_names: list[str]
@@ -563,9 +654,10 @@ class ScheduleExecutor:
         model = self.model
         use_dm = model.has_decoherence()
         with span("synthesize", points=len(schedules)):
-            plans = []  # (rows (R, K, C), steps (R,)) per family
+            # (rows (R, K, C), magnitudes (R, C), steps (R,)) per family
+            plans = []
             for members in families:
-                drives, channel_names = self._synthesize_drives_family(
+                drives, envelope, channel_names = self._synthesize_drives_family(
                     schedules[members.start : members.stop]
                 )
                 runs = segment_runs(drives.transpose(1, 0, 2))
@@ -573,6 +665,7 @@ class ScheduleExecutor:
                 plans.append(
                     (
                         drives[:, starts].transpose(1, 0, 2),
+                        envelope[starts],
                         np.array([n for _, n in runs], dtype=np.int64),
                     )
                 )
@@ -591,7 +684,7 @@ class ScheduleExecutor:
                 # Large-D fallback: quantum jumps consume each
                 # schedule's own RNG during evolution.
                 finals = []
-                for members, (rows, steps) in zip(families, plans):
+                for members, (rows, _, steps) in zip(families, plans):
                     stack = []
                     for j, i in enumerate(members):
                         _check_cancel(should_cancel)
@@ -616,16 +709,19 @@ class ScheduleExecutor:
 
         # Flat slice table, and kernel chunks of whole run positions,
         # each position a (family, first slice, K) triple.
-        rows = np.concatenate([r.reshape(-1, r.shape[2]) for r, _ in plans])
-        steps = np.concatenate(
-            [np.repeat(st, r.shape[1]) for r, st in plans]
+        rows, phases = self._canonical_rows(
+            np.concatenate([r.reshape(-1, r.shape[2]) for r, _, _ in plans]),
+            np.concatenate([np.repeat(m, r.shape[1], axis=0) for r, m, _ in plans]),
         )
+        # Slices whose state must rotate (a list: cheap per-position any).
+        moving = phases.any(axis=1).tolist()
+        steps = np.concatenate([np.repeat(st, r.shape[1]) for r, _, st in plans])
         limit = self._MAX_OPEN_BATCH_SLICES if use_dm else len(steps)
         chunks: list[list[tuple[int, int, int]]] = []
         chunk: list[tuple[int, int, int]] = []
         offset = 0
         for f, members in enumerate(families):
-            for _ in range(len(plans[f][1])):
+            for _ in range(len(plans[f][2])):
                 chunk.append((f, offset, len(members)))
                 offset += len(members)
                 if offset - chunk[0][1] >= limit:
@@ -655,17 +751,57 @@ class ScheduleExecutor:
                 props = self._closed_propagators(
                     rows[lo:hi], steps[lo:hi], channel_names
                 )
+            if any(moving[lo:hi]):
+                rot, unrot = self._state_rotations(phases[lo:hi], use_dm)
             for f, a, k in chunk:
                 block = props[a - lo : a - lo + k]
-                if states[f].ndim == 2:  # stacked kets / vectorized rhos
-                    states[f] = xp.einsum("kij,kj->ki", block, states[f])
+                state = states[f]
+                # P(a) = V P(|a|) V^dag with V diagonal: rotate the
+                # state into the phase-free frame and back.
+                turn = any(moving[a : a + k])
+                if turn:
+                    out, back = rot[a - lo : a - lo + k], unrot[a - lo : a - lo + k]
+                    if state.ndim == 3:  # operator-valued: V scales rows
+                        out, back = out[:, :, None], back[:, :, None]
+                    state = back * state
+                if state.ndim == 2:  # stacked kets / vectorized rhos
+                    state = xp.einsum("kij,kj->ki", block, state)
                 else:  # stacked matrices (operator-valued initial state)
-                    states[f] = xp.matmul(block, states[f])
+                    state = xp.matmul(block, state)
+                states[f] = out * state if turn else state
         finals = [xp.to_host(s) for s in states]
         if use_dm:
             dim = model.dimension
             finals = [s.reshape(-1, dim, dim) for s in finals]
         return finals
+
+    def _canonical_rows(
+        self, rows: np.ndarray, magnitudes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Phase-free ``(N, C)`` drive rows and their ``(N, D)`` phases.
+
+        Every covariant channel's amplitude ``a`` becomes ``|a|`` (the
+        envelope magnitude, so it is bitwise the same whatever the
+        frame phase), and ``phases[n] = sum_j arg(a_nj) W_j`` is the
+        diagonal of ``V`` that puts the phase back. Runs differing only
+        in frame phase then share one Hamiltonian fingerprint — one
+        cache entry — and other channels keep their value with zero
+        phase.
+        """
+        lifted = self._phase_channels & (magnitudes > 0)
+        phases = np.where(lifted, np.angle(rows), 0.0) @ self._phase_gen
+        return np.where(lifted, magnitudes, rows), phases
+
+    @staticmethod
+    def _state_rotations(phases: np.ndarray, use_dm: bool):
+        """``V`` and ``V^dag`` of ``(n, D)`` phases as diagonals of the
+        state space (``D^2`` entries for a vectorized density matrix),
+        on the active backend."""
+        rot = np.exp(1j * phases)
+        if use_dm:  # row-major vec(V rho V^dag): exp(i (phi_i - phi_k))
+            rot = (rot[:, :, None] * rot.conj()[:, None, :]).reshape(len(rot), -1)
+        xp = active()
+        return tuple(xp.asarray(r, dtype=xp.cdtype) for r in (rot, rot.conj()))
 
     def _closed_propagators(
         self, rows: np.ndarray, steps: np.ndarray, channel_names: list[str]

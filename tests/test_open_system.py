@@ -13,6 +13,7 @@ from repro.core import (
     Play,
     Port,
     PulseSchedule,
+    SetFrequency,
     constant_waveform,
 )
 from repro.errors import ValidationError
@@ -323,6 +324,89 @@ class TestCachesAndValidation:
         s2 = e2.superpropagators(hs, 1000)
         assert np.abs(s1 - s2).max() > 1e-6
         assert shared.misses == 2  # two distinct entries, no collision
+
+    def test_frame_phase_sweeps_reuse_superpropagators(self, monkeypatch):
+        """A frame phase rotates the state, not the propagator: a sweep
+        over phases computes each distinct (|amplitude|, steps) slice
+        once, and a later sweep with fresh phases computes none.
+
+        The cache's miss counter tallies slices (a run of N identical
+        slices reads N), so computed slices are counted at the kernel.
+        """
+        from dataclasses import replace
+
+        from repro.core import Barrier, SampledWaveform, ShiftPhase
+        from repro.devices import SuperconductingDevice
+        from repro.sim import open_system
+
+        computed = []
+        kernel = open_system.batched_superpropagators
+
+        def counting(hs, *args, **kwargs):
+            computed.append(len(hs))
+            return kernel(hs, *args, **kwargs)
+
+        monkeypatch.setattr(open_system, "batched_superpropagators", counting)
+        device = SuperconductingDevice(
+            num_qubits=2, drift_rate=0.0, with_decoherence=True, t1=20e-6, t2=15e-6
+        )
+        p, acq = device.drive_port(0), device.acquire_port(0)
+        f = device.default_frame(p)
+        base = PulseSchedule("ansatz")
+        for k in range(3):  # state prep: raw-sample pulses
+            base.append(Play(p, f, SampledWaveform(np.full(32, 0.05 + 0.01 * k))))
+        shifts = []
+        for k in range(4):  # phase-shifted squares
+            shifts.append(base.append(ShiftPhase(p, f, 0.0)))
+            base.append(Play(p, f, constant_waveform(8, 0.10 + 0.005 * k)))
+        base.append(Barrier(barrier_ports=(p, acq)))
+        base.append(Capture(acq, device.default_frame(acq), 0, duration_samples=8))
+        # 3 prep + 4 square amplitudes + the drift-only capture window.
+        distinct = 3 + 4 + 1
+
+        def sweep(seed, points=16):
+            rng = np.random.default_rng(seed)
+            clones = []
+            for _ in range(points):
+                values = dict(zip(shifts, rng.uniform(-np.pi, np.pi, len(shifts))))
+                clones.append(
+                    base.clone_with_items(
+                        [
+                            replace(it, instruction=replace(it.instruction, delta=v))
+                            if (v := values.get(it)) is not None
+                            else it
+                            for it in base._items
+                        ]
+                    )
+                )
+            return clones
+
+        ex = ScheduleExecutor(device.model)
+        cache = ex.propagator_cache
+        first = sweep(1)
+        ex.execute_batch(first, shots=0)
+        assert sum(computed) == distinct
+        assert len(cache) == distinct
+        misses = cache.misses
+        fresh = sweep(2)
+        batch = ex.execute_batch(fresh, shots=0)
+        assert cache.misses == misses  # fresh phases: zero misses
+        assert sum(computed) == distinct
+        assert len(cache) == distinct
+        cold = ScheduleExecutor(device.model).execute_batch(fresh[:2], shots=0)
+        for a, b in zip(batch, cold):
+            assert np.abs(a.final_state - b.final_state).max() < 1e-12
+
+        # A detuned play: every sample carries its own phase, so the raw
+        # drive is N one-sample runs; they share one superpropagator.
+        computed.clear()
+        detuned = PulseSchedule("detuned")
+        detuned.append(SetFrequency(p, f, f.frequency + 7e6))
+        detuned.append(Play(p, f, constant_waveform(40, 0.12)))
+        fresh_ex = ScheduleExecutor(device.model)
+        fresh_ex.execute(detuned, shots=0)
+        assert computed == [1]
+        assert len(fresh_ex.propagator_cache) == 1
 
     def test_engine_rejects_bad_method(self):
         with pytest.raises(ValidationError):

@@ -139,6 +139,52 @@ class TestSharedMemory:
         with pytest.raises(FileNotFoundError):
             shm_mod.load_arrays(spec)
 
+    def test_concurrent_loads_keep_tracker_books_balanced(self):
+        """Two threads loading one segment (the cluster monitor and an
+        HTTP handler do) must not unregister it twice: the resource
+        tracker would print a KeyError traceback per surplus."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import sys
+            import threading
+
+            import numpy as np
+
+            from repro.serving import shm
+
+            sys.setswitchinterval(1e-6)  # interleave attach and untrack
+            spec = shm.pack_arrays({"a": np.arange(64.0)})
+
+            def load():
+                for _ in range(200):
+                    shm.load_arrays(spec)
+
+            threads = [threading.Thread(target=load) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert shm.segment_alive(spec)
+            assert shm.unlink(spec)
+            assert not shm.segment_alive(spec)
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr
+
     def test_empty_arrays_need_no_segment(self):
         spec = shm_mod.pack_arrays({})
         assert spec["segment"] is None
