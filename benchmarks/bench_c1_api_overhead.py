@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import time
-import warnings
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from repro.core.waveform import ParametricWaveform
 from repro.devices import SuperconductingDevice
 from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.ir import print_module
+from repro.primitives import Observable
 from repro.qpi import (
     PythonicCircuit,
     QCircuit,
@@ -133,7 +133,8 @@ def test_qpi_vqe_outer_loop(benchmark, sc_device):
     def one_iteration(phase: float = 0.1):
         c = build_qpi_kernel(phase=phase)
         exe = repro.compile(c, sc_device)
-        return exe.run(shots=0, seed=1).expectation_z(0)
+        result = exe.run(shots=0, seed=1)
+        return Observable.z(0).expectation(result.probabilities)
 
     value = benchmark(one_iteration)
     assert -1.0 <= value <= 1.0
@@ -216,7 +217,8 @@ def bench_bind_vs_recompile(iterations: int) -> dict:
         executable.bind(_point(1000 + i)).run(shots=0, seed=1)
     bind_s = time.perf_counter() - t0
 
-    # Legacy one-shot API for context (same kernel, same points).
+    # One-shot request API for context (same kernel, same points).
+    from repro.api.core import run_request
     from repro.client import JobRequest, MQSSClient
     from repro.qdmi import QDMIDriver
 
@@ -224,28 +226,28 @@ def bench_bind_vs_recompile(iterations: int) -> dict:
     legacy_device = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
     driver.register_device(legacy_device)
     client = MQSSClient(driver)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        client.submit(
+    run_request(
+        client,
+        JobRequest(
+            text,
+            legacy_device.name,
+            shots=0,
+            seed=1,
+            scalar_args=_point(10_003),
+        ),
+    )
+    t0 = time.perf_counter()
+    for i in range(iterations):
+        run_request(
+            client,
             JobRequest(
                 text,
                 legacy_device.name,
                 shots=0,
                 seed=1,
-                scalar_args=_point(10_003),
-            )
+                scalar_args=_point(2000 + i),
+            ),
         )
-        t0 = time.perf_counter()
-        for i in range(iterations):
-            client.submit(
-                JobRequest(
-                    text,
-                    legacy_device.name,
-                    shots=0,
-                    seed=1,
-                    scalar_args=_point(2000 + i),
-                )
-            )
     legacy_s = time.perf_counter() - t0
 
     # Sanity: both paths produce the same physics at the same point.

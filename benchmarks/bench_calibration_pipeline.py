@@ -168,7 +168,6 @@ def main() -> None:
         step_s=60,
         shots=0,
         seed=1,
-        engine="pipeline",
     )
     tracked = run_drift_campaign(
         SuperconductingDevice(num_qubits=1, seed=17, drift_rate=2e4),

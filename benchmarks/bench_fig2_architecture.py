@@ -7,6 +7,7 @@ per-stage latencies and scheduler throughput.
 
 
 from benchmarks.conftest import report
+from repro.api.core import run_request
 from repro.client import JobRequest
 from repro.qpi import (
     PythonicCircuit,
@@ -47,7 +48,7 @@ def test_adapter_device_matrix(client):
     rows = [("adapter", "device", "duration (samples)", "P('1x')", "stage ms")]
     for adapter_name, program in programs().items():
         for device in ("sc-transmon", "ion-chain", "atom-array"):
-            r = client.submit(JobRequest(program, device, shots=0, seed=3))
+            r = run_request(client, JobRequest(program, device, shots=0, seed=3))
             p_one = sum(v for k, v in r.probabilities.items() if k[0] == "1")
             stages = ", ".join(
                 f"{k}={v*1e3:.1f}" for k, v in r.timings_s.items()
@@ -60,9 +61,11 @@ def test_adapter_device_matrix(client):
 
 
 def test_local_vs_remote_path(client, full_driver):
-    local = client.submit(JobRequest(qpi_program(), "sc-transmon", shots=0, seed=3))
-    remote = client.submit(
-        JobRequest(qpi_program(), "remote:sc-remote", shots=0, seed=3)
+    local = run_request(
+        client, JobRequest(qpi_program(), "sc-transmon", shots=0, seed=3)
+    )
+    remote = run_request(
+        client, JobRequest(qpi_program(), "remote:sc-remote", shots=0, seed=3)
     )
     proxy = full_driver.get_device("remote:sc-remote")
     rows = [
@@ -107,7 +110,7 @@ def test_end_to_end_latency(benchmark, client):
     program = qpi_program()
 
     def submit():
-        return client.submit(JobRequest(program, "sc-transmon", shots=64, seed=1))
+        return run_request(client, JobRequest(program, "sc-transmon", shots=64, seed=1))
 
     result = benchmark(submit)
     assert sum(result.counts.values()) == 64

@@ -6,10 +6,10 @@ segments, the bench_c1 kernel shape) evaluated at >= 64 parameter
 points.
 
 * **Loop path** — what callers wrote before primitives existed:
-  ``repro.compile`` once, then ``bind(point).run(shots=0)`` +
-  ``expectation_z`` per point. Each point pays the bind bookkeeping,
-  a job submission, a solo evolution pass and a solo measurement
-  tail.
+  ``repro.compile`` once, then ``bind(point).run(shots=0)`` and
+  ``Observable.z(0).expectation(result.probabilities)`` per point.
+  Each point pays the bind bookkeeping, a job submission, a solo
+  evolution pass and a solo measurement tail.
 * **Estimator path** — one broadcast PUB: schedules mint through the
   schedule-template fast path, the whole batch evolves through
   :meth:`ScheduleExecutor.execute_batch` (family-vectorized drive
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import time
-import warnings
 
 import numpy as np
 
@@ -81,16 +80,14 @@ def _grid(n_points: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def _loop(executable, grid: dict[str, np.ndarray]) -> np.ndarray:
-    """The per-point bind+run+expectation_z baseline."""
+    """The per-point bind + run + ``<Z>`` baseline."""
     n = len(next(iter(grid.values())))
     out = np.empty(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for i in range(n):
-            point = {k: float(v[i]) for k, v in grid.items()}
-            out[i] = (
-                executable.bind(point).run(shots=0, seed=1).expectation_z(0)
-            )
+    z0 = Observable.z(0)
+    for i in range(n):
+        point = {k: float(v[i]) for k, v in grid.items()}
+        result = executable.bind(point).run(shots=0, seed=1)
+        out[i] = z0.expectation(result.probabilities)
     return out
 
 

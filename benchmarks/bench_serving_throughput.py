@@ -1,10 +1,11 @@
-"""Serving throughput: PulseService / ClusterService vs. serial run_batch.
+"""Serving throughput: PulseService / ClusterService vs. a serial loop.
 
 The serving PR's acceptance experiment: a 4-device mixed workload
 (two transmon devices, an ion chain, an atom array) with the repeat
 traffic a multi-tenant service actually sees — many requests carrying
 the same few programs. The serial baseline executes every request
-individually through ``MQSSClient.run_batch``; the service coalesces
+individually through ``repro.api.core.run_request``, in priority
+order (higher first, then FIFO); the service coalesces
 identical programs per device, serves compiles from the warm
 content-addressed cache, and drains the four device queues with
 concurrent workers. Required: >= 4x throughput with a warm cache.
@@ -36,14 +37,10 @@ from __future__ import annotations
 import argparse
 import os
 import time
-import warnings
 
 from _artifacts import write_artifact
 
-# The serial baseline deliberately measures the deprecated one-shot
-# client surface (that is the point of the comparison); keep the
-# migration warnings out of the benchmark output.
-warnings.simplefilter("ignore", DeprecationWarning)
+from repro.api.core import run_request
 from repro.client import JobRequest, MQSSClient
 from repro.devices import (
     NeutralAtomDevice,
@@ -101,10 +98,12 @@ def bench_serial(per_device: int, shots: int) -> tuple[float, int]:
     driver = make_driver()
     client = MQSSClient(driver)
     for request in unique_requests(shots):  # warm the JIT memo
-        client.submit(request)
+        run_request(client, request)
     requests = workload(per_device, shots)
     t0 = time.perf_counter()
-    results = client.run_batch(requests, raise_on_error=True)
+    # Stable sort: higher priority first, FIFO within a priority.
+    ordered = sorted(requests, key=lambda r: -r.priority)
+    results = [run_request(client, request) for request in ordered]
     wall = time.perf_counter() - t0
     executions = len(results)
     return wall, executions
@@ -214,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     speedup = serial_s / service_s
 
     print(f"\n--- serving throughput ({n_requests} requests, 4 devices) ---")
-    print(f"    serial run_batch : {serial_s:.3f} s  ({serial_execs} executions)")
+    print(f"    serial loop      : {serial_s:.3f} s  ({serial_execs} executions)")
     print(f"    PulseService     : {service_s:.3f} s  ({service_execs} executions)")
     print(f"    speedup          : {speedup:.2f}x")
     print(

@@ -24,7 +24,7 @@ Layering (bottom to top)::
     client      MQSS client, adapters, routing (paper Fig. 2)
     api         the unified two-phase execution API: Program ->
                 Target -> Executable with parameter binding; every
-                legacy entry point routes through its core
+                entry point routes through its core
     primitives  Sampler/Estimator over broadcastable PUBs and the
                 Observable expectation engine — the workload tier
                 batching whole parameter grids through the fast paths
@@ -34,7 +34,7 @@ Layering (bottom to top)::
                 cache, identical-program coalescing with
                 shot-splitting, capability failover, latency metrics
     control     GRAPE, parametric optimization, ctrl-VQE
-    calibration Rabi/Ramsey/DRAG/readout calibration + planning
+    calibration Rabi/Ramsey/DRAG calibration + planning
     pipeline    durable DAG-orchestrated closed-loop calibration:
                 typed task graphs (experiment -> fit -> write-back ->
                 verify), SQLite-WAL run persistence with resume,

@@ -19,10 +19,10 @@ One front door over every front-end and every backend::
   ``sweep(grid)``.
 
 :func:`compile` and :func:`run` are the convenience entry points
-re-exported from the package root; the legacy surfaces (``qExecute``,
-``MQSSClient.submit``/``run_batch``,
-``PulseService.submit``/``submit_sweep``) are deprecation shims over
-this module, so there is exactly one compile/cache/dispatch path.
+re-exported from the package root.  ``qExecute`` (paper Listing 1),
+:func:`repro.api.core.run_request` and the serving layer's
+``PulseService.submit``/``submit_sweep`` route through this module's
+core, so there is exactly one compile/cache/dispatch path.
 """
 
 from __future__ import annotations

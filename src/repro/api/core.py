@@ -1,11 +1,8 @@
 """The single compile/cache/dispatch path under every entry point.
 
-Before this module existed the repo had three independent
-compile-and-run pipelines: ``qExecute`` converted the op buffer and
-submitted straight to the device, ``MQSSClient.submit`` composed
-``compile_request``/``execute_compiled``, and ``PulseService`` workers
-re-implemented the cache lookup inline.  All of them now funnel through
-the two primitives here:
+``qExecute``, :func:`run_request`, ``MQSSClient.compile_request`` and
+the ``PulseService`` workers all funnel through the two primitives
+here:
 
 * :func:`adapter_payload` — front-end program -> compiler payload via
   the client's adapter registry (the only place adapters are invoked);
@@ -95,9 +92,8 @@ def compile_payload(
 def run_request(client: Any, request: Any) -> Any:
     """One-shot submission routed through Program -> Target -> Executable.
 
-    This is what the deprecated ``MQSSClient.submit`` (and therefore
-    ``run_batch``) delegates to: the old single-call surface expressed
-    in terms of the two-phase core.
+    The single-call surface expressed in terms of the two-phase core:
+    coerce, resolve the target through *client*, prepare, run.
     """
     from repro.api.executable import Executable
     from repro.api.program import Program

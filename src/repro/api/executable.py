@@ -585,9 +585,14 @@ class Executable:
                 )
         else:
             self._ensure_compiled()
-        return service._admit_request(
-            self._as_request(shots, seed, metadata), block=block
-        )
+        from repro.serving.service import PulseService
+
+        request = self._as_request(shots, seed, metadata)
+        if isinstance(service, PulseService):
+            # Only the in-process service applies backpressure; the
+            # durable and connected transports admit without waiting.
+            return service.submit(request, block=block)
+        return service.submit(request)
 
     def sweep(
         self,

@@ -12,7 +12,6 @@ back into the device's published defaults:
   fits + the adaptive tracker the paper's reference [4] describes);
 * :mod:`repro.calibration.drag` — DRAG beta tuning against measured
   leakage;
-* :mod:`repro.calibration.readout` — confusion-matrix estimation;
 * :mod:`repro.calibration.campaign` — drift-tracking campaigns: the
   closed loop of drift, measurement and write-back that experiment E9
   scores.
@@ -25,7 +24,6 @@ from repro.calibration.ramsey import (
     track_frequency,
 )
 from repro.calibration.drag import DragResult, calibrate_drag
-from repro.calibration.readout import ReadoutCalibration, measure_confusion
 from repro.calibration.campaign import CampaignResult, run_drift_campaign
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "track_frequency",
     "DragResult",
     "calibrate_drag",
-    "ReadoutCalibration",
-    "measure_confusion",
     "CampaignResult",
     "run_drift_campaign",
 ]

@@ -8,24 +8,21 @@ shape (paper §2.1): untracked error grows like sqrt(t) with the
 platform's drift rate, tracked error stays bounded near the Ramsey
 resolution floor.
 
-Since the pipeline subsystem landed, the campaign is a thin assembly
-over :func:`repro.pipeline.campaign_dag`: each calibration round
-batches *every* site's scan points through one Estimator call (one
-``execute_batch`` evolution pass) instead of the old per-site serial
+The campaign is a thin assembly over
+:func:`repro.pipeline.campaign_dag`: each calibration round batches
+*every* site's scan points through one Estimator call (one
+``execute_batch`` evolution pass) instead of a per-site
 ``track_frequency`` loop, and a campaign handed a durable
 :class:`~repro.pipeline.PipelineStore` resumes mid-flight after a
-crash.  The old serial loop survives behind ``engine="serial"`` for
-comparison, with a :class:`DeprecationWarning`.
+crash.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.calibration.ramsey import track_frequency
 from repro.errors import PipelineError
 
 
@@ -57,7 +54,6 @@ def run_drift_campaign(
     calibration_interval_s: float = 120.0,
     shots: int = 512,
     seed: int = 0,
-    engine: str = "pipeline",
     store=None,
     run_id: str | None = None,
 ) -> CampaignResult:
@@ -67,64 +63,15 @@ def run_drift_campaign(
     frequency calibration runs every *calibration_interval_s* and
     writes corrections back into the published frames.
 
-    ``engine="pipeline"`` (default) runs the campaign as a durable
-    task DAG: all sites of a calibration round measure through one
-    batched Estimator call, per-task seeds derive from one
-    ``SeedSequence`` spawn, and passing a ``store``
-    (:class:`repro.pipeline.PipelineStore`) plus a stable ``run_id``
-    makes the campaign resumable after interruption.
-    ``engine="serial"`` is the deprecated per-site loop.
+    The campaign runs as a durable task DAG: all sites of a
+    calibration round measure through one batched Estimator call,
+    per-task seeds derive from one ``SeedSequence`` spawn, and passing
+    a ``store`` (:class:`repro.pipeline.PipelineStore`) plus a stable
+    ``run_id`` makes the campaign resumable after interruption.
     """
-    n_steps = int(round(duration_s / step_s))
-    n_sites = device.config.num_sites
-    if engine == "pipeline":
-        return _run_pipeline(
-            device,
-            n_steps=n_steps,
-            step_s=step_s,
-            tracked=tracked,
-            calibration_interval_s=calibration_interval_s,
-            shots=shots,
-            seed=seed,
-            store=store,
-            run_id=run_id,
-        )
-    if engine != "serial":
-        raise PipelineError(
-            f"unknown campaign engine {engine!r}; use 'pipeline' or 'serial'"
-        )
-    warnings.warn(
-        "engine='serial' drift campaigns are deprecated: the pipeline "
-        "engine batches all sites per round and supports durable resume",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_serial(
-        device,
-        n_steps=n_steps,
-        step_s=step_s,
-        n_sites=n_sites,
-        tracked=tracked,
-        calibration_interval_s=calibration_interval_s,
-        shots=shots,
-        seed=seed,
-    )
-
-
-def _run_pipeline(
-    device,
-    *,
-    n_steps: int,
-    step_s: float,
-    tracked: bool,
-    calibration_interval_s: float,
-    shots: int,
-    seed: int,
-    store,
-    run_id: str | None,
-) -> CampaignResult:
     from repro.pipeline import PipelineRunner, campaign_dag
 
+    n_steps = int(round(duration_s / step_s))
     n_sites = device.config.num_sites
     dag = campaign_dag(
         n_steps,
@@ -149,57 +96,13 @@ def _run_pipeline(
         device_name=device.name,
         times_s=np.arange(n_steps + 1) * step_s,
         tracking_error_hz=errors,
-        # Parity with the serial engine's accounting: one calibration
-        # per site per round (the round just batches them).
+        # One calibration per site per round (the round just batches
+        # them).
         calibrations_performed=writebacks * n_sites,
         tracked=tracked,
         extras={
-            "engine": "pipeline",
             "run_id": run.run_id,
             "replayed_tasks": len(run.replayed),
             "executed_tasks": len(run.executed),
         },
-    )
-
-
-def _run_serial(
-    device,
-    *,
-    n_steps: int,
-    step_s: float,
-    n_sites: int,
-    tracked: bool,
-    calibration_interval_s: float,
-    shots: int,
-    seed: int,
-) -> CampaignResult:
-    errors = np.zeros((n_steps + 1, n_sites), dtype=np.float64)
-    times = np.arange(n_steps + 1) * step_s
-    calibrations = 0
-    since_cal = 0.0
-    for site in range(n_sites):
-        errors[0, site] = device.tracking_error(site)
-    for k in range(1, n_steps + 1):
-        device.advance_time(step_s)
-        since_cal += step_s
-        if tracked and since_cal >= calibration_interval_s:
-            for site in range(n_sites):
-                track_frequency(
-                    device,
-                    site,
-                    rounds=1,
-                    shots=shots,
-                    seed=seed + 1000 * k + site,
-                )
-            calibrations += n_sites
-            since_cal = 0.0
-        for site in range(n_sites):
-            errors[k, site] = device.tracking_error(site)
-    return CampaignResult(
-        device_name=device.name,
-        times_s=times,
-        tracking_error_hz=errors,
-        calibrations_performed=calibrations,
-        tracked=tracked,
-        extras={"engine": "serial"},
     )

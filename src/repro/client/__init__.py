@@ -24,7 +24,7 @@ from repro.client.adapters import (
     QIRAdapter,
     QPIAdapter,
 )
-from repro.client.client import BatchFailure, ClientResult, JobRequest, MQSSClient
+from repro.client.client import ClientResult, JobRequest, MQSSClient
 from repro.client.remote import RemoteDeviceProxy
 
 __all__ = [
@@ -37,6 +37,5 @@ __all__ = [
     "MQSSClient",
     "JobRequest",
     "ClientResult",
-    "BatchFailure",
     "RemoteDeviceProxy",
 ]

@@ -15,16 +15,15 @@ serving layer (:mod:`repro.serving`) can interpose between them:
 * :meth:`MQSSClient.execute_compiled` — session lease + format routing
   + execution + result assembly.
 
-:meth:`MQSSClient.submit` composes the two; :class:`PulseService`
-workers call them separately to insert caching, request coalescing and
-failover in the middle.
+:func:`repro.api.core.run_request` is the one-shot path over both
+halves; :class:`PulseService` workers call them separately to insert
+caching, request coalescing and failover in the middle.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,42 +62,6 @@ class ClientResult:
     job_id: int
     remote: bool
     qir_size_bytes: int = 0
-
-    def expectation_z(self, slot: int = 0) -> float:
-        """``<Z>`` of the bit at *slot* from exact probabilities.
-
-        Raises :class:`~repro.errors.ValidationError` on an empty
-        distribution or an out-of-range slot.
-
-        .. deprecated::
-            Thin view over the Observable engine; use
-            ``repro.primitives.Observable.z(slot).expectation(...)``
-            (or an :class:`~repro.primitives.Estimator` PUB) directly.
-        """
-        warnings.warn(
-            "ClientResult.expectation_z is deprecated; evaluate "
-            "repro.primitives.Observable.z(slot) (or run an Estimator "
-            "PUB) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.primitives.observables import expectation_z
-
-        return expectation_z(self.probabilities, slot)
-
-
-@dataclass
-class BatchFailure:
-    """A failed entry in :meth:`MQSSClient.run_batch` output.
-
-    Occupies the failed request's slot so the returned list stays
-    aligned with the input order instead of silently dropping (or
-    aborting) completed work.
-    """
-
-    request: JobRequest
-    error: Exception
-    index: int
 
 
 class MQSSClient:
@@ -311,72 +274,3 @@ class MQSSClient:
         finally:
             if close_after:
                 session.close()
-
-    def submit(self, request: JobRequest) -> ClientResult:
-        """Adapter -> JIT -> route -> execute -> result.
-
-        .. deprecated::
-            Superseded by the two-phase API: ``repro.compile(program,
-            target).run(shots=...)`` (see :mod:`repro.api`).  The shim
-            keeps the old signature and routes through the same core.
-        """
-        warnings.warn(
-            "MQSSClient.submit is deprecated; use repro.compile(program, "
-            "Target.from_client(client, device)).run(...) or repro.run(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._submit(request)
-
-    def _submit(self, request: JobRequest) -> ClientResult:
-        """One submission through the unified Program/Target/Executable
-        core (internal, warning-free)."""
-        from repro.api.core import run_request
-
-        return run_request(self, request)
-
-    def run_batch(
-        self, requests: list[JobRequest], *, raise_on_error: bool = False
-    ) -> list[ClientResult | BatchFailure]:
-        """Submit requests in priority order (higher first, then FIFO).
-
-        The returned list is aligned with the input order. A failed
-        submission does not abort the batch or drop earlier results:
-        its slot holds a :class:`BatchFailure` carrying the request and
-        the exception. With ``raise_on_error=True`` an
-        :class:`~repro.errors.ExecutionError` summarizing all failures
-        is raised after every request has been attempted.
-
-        .. deprecated::
-            Superseded by ``Executable.sweep(...)`` / the serving layer
-            (:meth:`PulseService.submit_many`); kept as a shim over the
-            unified core.
-        """
-        warnings.warn(
-            "MQSSClient.run_batch is deprecated; use Executable.sweep(...) "
-            "or PulseService for batch traffic",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        order = sorted(
-            range(len(requests)), key=lambda i: (-requests[i].priority, i)
-        )
-        results: list[ClientResult | BatchFailure] = (
-            [None] * len(requests)  # type: ignore[list-item]
-        )
-        failures: list[BatchFailure] = []
-        for i in order:
-            try:
-                results[i] = self._submit(requests[i])
-            except Exception as exc:
-                failure = BatchFailure(request=requests[i], error=exc, index=i)
-                results[i] = failure
-                failures.append(failure)
-        if failures and raise_on_error:
-            summary = "; ".join(
-                f"[{f.index}] {f.request.device}: {f.error}" for f in failures
-            )
-            raise ExecutionError(
-                f"{len(failures)}/{len(requests)} batch requests failed: {summary}"
-            )
-        return results

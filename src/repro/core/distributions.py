@@ -6,8 +6,7 @@ of bitstrings to probabilities (simulator ``ExecutionResult``, client
 ``MitigatedResult``). The observable arithmetic on those mappings
 lives here so slot validation is enforced once, at every boundary.
 The general diagonal-observable engine built on these kernels is
-:class:`repro.primitives.Observable`; the result types' historical
-``expectation_z`` accessors are deprecation shims over it.
+:class:`repro.primitives.Observable`.
 """
 
 from __future__ import annotations

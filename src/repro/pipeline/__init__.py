@@ -23,7 +23,7 @@ from repro.pipeline.dag import (
     register_task,
     task_type,
 )
-from repro.pipeline.state import MemoryStore, PipelineStore
+from repro.pipeline.state import PipelineStore
 from repro.pipeline.writeback import commit_writeback
 from repro.pipeline.experiments import (
     ARTIFICIAL_DETUNING_HZ,
@@ -49,7 +49,6 @@ __all__ = [
     "DAG",
     "DriftBudgetTrigger",
     "IntervalTrigger",
-    "MemoryStore",
     "PipelineRun",
     "PipelineRunner",
     "PipelineStore",

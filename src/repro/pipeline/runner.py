@@ -21,8 +21,8 @@ one execution surface and drives it to completion:
   the task rows, and are reused on retry *and* on resume, so a
   campaign reproduces bit-for-bit however often it is interrupted.
 * **durability** — run/task state persists through a
-  :class:`~repro.pipeline.state.PipelineStore` (or an ephemeral
-  :class:`~repro.pipeline.state.MemoryStore`).  ``run()`` on an
+  :class:`~repro.pipeline.state.PipelineStore` (by default an
+  ephemeral ``PipelineStore()``).  ``run()`` on an
   existing ``run_id`` resumes: completed tasks replay from their
   recorded results (effectful kinds re-apply their recorded effects
   to the fresh device object), and only the remainder executes.
@@ -44,7 +44,7 @@ from repro.errors import PipelineError
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import span
 from repro.pipeline.dag import DAG, task_type
-from repro.pipeline.state import MemoryStore
+from repro.pipeline.state import PipelineStore
 
 
 def derive_task_seeds(seed: int, order: list[str]) -> dict[str, int]:
@@ -132,7 +132,7 @@ class PipelineRunner:
         device: Any = None,
         extras: Mapping[str, Any] | None = None,
     ) -> None:
-        self.store = store if store is not None else MemoryStore()
+        self.store = store if store is not None else PipelineStore()
         self.extras = dict(extras or {})
         self._service = None  # PulseService for sweep dispatch, if any
         self.client = None

@@ -1,32 +1,31 @@
-"""Durable pipeline run/task state on the serving JobStore pattern.
+"""Durable pipeline run/task state on the shared SQLite store substrate.
 
 :class:`PipelineStore` persists runs and tasks into one SQLite file in
 WAL mode — per-thread connections, ``BEGIN IMMEDIATE`` transactions,
-the same recipe :class:`repro.serving.store.JobStore` uses for cluster
-tickets.  A run row carries the *serialized DAG itself* (every
-:class:`~repro.pipeline.dag.TaskSpec` is JSON by construction), so a
-process that was SIGKILLed mid-run can be replaced by a fresh one that
-rebuilds the DAG from the database, replays the completed tasks
-(:mod:`repro.pipeline.dag` replay semantics) and executes only the
-remainder.
+the :class:`repro.storage.SQLiteStore` recipe the cluster's
+:class:`repro.serving.store.JobStore` uses too.  A run row carries the
+*serialized DAG itself* (every :class:`~repro.pipeline.dag.TaskSpec` is
+JSON by construction), so a process that was SIGKILLed mid-run can be
+replaced by a fresh one that rebuilds the DAG from the database,
+replays the completed tasks (:mod:`repro.pipeline.dag` replay
+semantics) and executes only the remainder.
 
-:class:`MemoryStore` implements the same surface on plain dicts for
-ephemeral runs — trigger-driven recalibrations inside a scheduler, unit
-tests — where durability across processes is not wanted and a SQLite
-file would be noise.
+``PipelineStore()`` without a path is the ephemeral store —
+trigger-driven recalibrations inside a scheduler, unit tests: a private
+temporary file deleted on :meth:`~repro.storage.SQLiteStore.close`,
+running through exactly the same code as a durable store.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import threading
 import time
 from typing import Iterable
 
 from repro.errors import PipelineError
 from repro.pipeline.dag import DAG
+from repro.storage import SQLiteStore
 
 #: Run/task lifecycle states (a subset of the serving ticket walk).
 RUN_STATES = ("pending", "running", "done", "failed")
@@ -62,47 +61,25 @@ CREATE INDEX IF NOT EXISTS tasks_run_state ON tasks (run_id, state);
 """
 
 
-class PipelineStore:
+class PipelineStore(SQLiteStore):
     """One SQLite file of durable pipeline state.
 
     Thread- and process-safe the same way the serving job store is:
     every thread owns its connection, writes go through WAL, and the
     run-creation path uses one ``BEGIN IMMEDIATE`` transaction so a
-    run plus its task rows land atomically.
+    run plus its task rows land atomically.  Without *path* the store
+    is ephemeral (a private temporary file removed on :meth:`close`).
     """
 
-    def __init__(self, path: str, *, busy_timeout_s: float = 30.0) -> None:
-        if not path or path == ":memory:":
+    def __init__(
+        self, path: str | None = None, *, busy_timeout_s: float = 30.0
+    ) -> None:
+        if path in ("", ":memory:"):
             raise PipelineError(
-                "PipelineStore needs a file path; use MemoryStore for "
-                "ephemeral runs"
+                f"PipelineStore needs a file path, got {path!r}; use "
+                "PipelineStore() for an ephemeral store"
             )
-        self.path = os.path.abspath(path)
-        self.busy_timeout_s = busy_timeout_s
-        self._local = threading.local()
-        with self._connect() as conn:
-            conn.executescript(_SCHEMA)
-
-    # ---- connection plumbing ---------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(
-                self.path, timeout=self.busy_timeout_s, isolation_level=None
-            )
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
-            self._local.conn = conn
-        return conn
-
-    def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        super().__init__(path, schema=_SCHEMA, busy_timeout_s=busy_timeout_s)
 
     # ---- runs ------------------------------------------------------------------------
 
@@ -116,25 +93,30 @@ class PipelineStore:
     ) -> None:
         """Persist a new run and one pending row per task, atomically."""
         now = time.time()
-        conn = self._connect()
-        conn.execute("BEGIN IMMEDIATE")
         try:
-            conn.execute(
-                "INSERT INTO runs (id, dag_name, dag_json, state, seed, "
-                "created_at, updated_at) VALUES (?, ?, ?, 'pending', ?, ?, ?)",
-                (run_id, dag.name, dag.to_json(), seed, now, now),
-            )
-            for spec in dag.tasks:
+            with self._transaction() as conn:
                 conn.execute(
-                    "INSERT INTO tasks (run_id, name, kind, state, seed, "
+                    "INSERT INTO runs (id, dag_name, dag_json, state, seed, "
                     "created_at, updated_at) "
                     "VALUES (?, ?, ?, 'pending', ?, ?, ?)",
-                    (run_id, spec.name, spec.kind, task_seeds.get(spec.name), now, now),
+                    (run_id, dag.name, dag.to_json(), seed, now, now),
                 )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+                for spec in dag.tasks:
+                    conn.execute(
+                        "INSERT INTO tasks (run_id, name, kind, state, seed, "
+                        "created_at, updated_at) "
+                        "VALUES (?, ?, ?, 'pending', ?, ?, ?)",
+                        (
+                            run_id,
+                            spec.name,
+                            spec.kind,
+                            task_seeds.get(spec.name),
+                            now,
+                            now,
+                        ),
+                    )
+        except sqlite3.IntegrityError as exc:
+            raise PipelineError(f"run {run_id!r} already exists") from exc
 
     def get_run(self, run_id: str) -> dict | None:
         row = self._connect().execute(
@@ -196,9 +178,7 @@ class PipelineStore:
     def mark_task_running(self, run_id: str, name: str) -> int:
         """pending/failed -> running; returns the new attempt count."""
         now = time.time()
-        conn = self._connect()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as conn:
             conn.execute(
                 "UPDATE tasks SET state = 'running', "
                 "attempts = attempts + 1, updated_at = ? "
@@ -209,29 +189,29 @@ class PipelineStore:
                 "SELECT attempts FROM tasks WHERE run_id = ? AND name = ?",
                 (run_id, name),
             ).fetchone()
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         if row is None:
             raise PipelineError(f"unknown task {name!r} in run {run_id!r}")
         return int(row["attempts"])
 
     def complete_task(self, run_id: str, name: str, result: dict) -> None:
         now = time.time()
-        self._connect().execute(
+        cur = self._connect().execute(
             "UPDATE tasks SET state = 'done', result = ?, error = NULL, "
             "updated_at = ?, completed_at = ? WHERE run_id = ? AND name = ?",
             (json.dumps(result), now, now, run_id, name),
         )
+        if cur.rowcount == 0:
+            raise PipelineError(f"unknown task {name!r} in run {run_id!r}")
 
     def fail_task(self, run_id: str, name: str, error: str) -> None:
         now = time.time()
-        self._connect().execute(
+        cur = self._connect().execute(
             "UPDATE tasks SET state = 'failed', error = ?, updated_at = ?, "
             "completed_at = ? WHERE run_id = ? AND name = ?",
             (error, now, now, run_id, name),
         )
+        if cur.rowcount == 0:
+            raise PipelineError(f"unknown task {name!r} in run {run_id!r}")
 
     def counts_by_state(self, run_id: str) -> dict[str, int]:
         rows = self._connect().execute(
@@ -243,146 +223,3 @@ class PipelineStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PipelineStore({self.path!r})"
-
-
-class MemoryStore:
-    """The :class:`PipelineStore` surface on in-process dicts.
-
-    For ephemeral runs (scheduler-triggered recalibration, tests):
-    same method contract, no durability — a process restart loses the
-    state, which is exactly the point.
-    """
-
-    def __init__(self) -> None:
-        self._runs: dict[str, dict] = {}
-        self._tasks: dict[str, dict[str, dict]] = {}
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        pass
-
-    # ---- runs ------------------------------------------------------------------------
-
-    def create_run(
-        self,
-        run_id: str,
-        dag: DAG,
-        *,
-        seed: int | None,
-        task_seeds: dict[str, int],
-    ) -> None:
-        now = time.time()
-        with self._lock:
-            if run_id in self._runs:
-                raise PipelineError(f"run {run_id!r} already exists")
-            self._runs[run_id] = {
-                "id": run_id,
-                "dag_name": dag.name,
-                "dag_json": dag.to_json(),
-                "state": "pending",
-                "seed": seed,
-                "error": None,
-                "created_at": now,
-                "updated_at": now,
-                "completed_at": None,
-            }
-            self._tasks[run_id] = {
-                spec.name: {
-                    "run_id": run_id,
-                    "name": spec.name,
-                    "kind": spec.kind,
-                    "state": "pending",
-                    "seed": task_seeds.get(spec.name),
-                    "attempts": 0,
-                    "result": None,
-                    "error": None,
-                    "created_at": now,
-                    "updated_at": now,
-                    "completed_at": None,
-                }
-                for spec in dag.tasks
-            }
-
-    def get_run(self, run_id: str) -> dict | None:
-        with self._lock:
-            row = self._runs.get(run_id)
-            return dict(row) if row is not None else None
-
-    def load_dag(self, run_id: str) -> DAG:
-        row = self.get_run(run_id)
-        if row is None:
-            raise PipelineError(f"unknown pipeline run {run_id!r}")
-        return DAG.from_json(row["dag_json"])
-
-    def set_run_state(
-        self, run_id: str, state: str, *, error: str | None = None
-    ) -> None:
-        now = time.time()
-        with self._lock:
-            row = self._runs[run_id]
-            row["state"] = state
-            row["error"] = error
-            row["updated_at"] = now
-            row["completed_at"] = now if state in ("done", "failed") else None
-
-    def runs(self, states: Iterable[str] | None = None) -> list[dict]:
-        with self._lock:
-            rows = [dict(r) for r in self._runs.values()]
-        if states is not None:
-            wanted = set(states)
-            rows = [r for r in rows if r["state"] in wanted]
-        return rows
-
-    def unfinished_runs(self) -> list[str]:
-        return [r["id"] for r in self.runs(("pending", "running"))]
-
-    # ---- tasks -----------------------------------------------------------------------
-
-    def tasks(self, run_id: str) -> dict[str, dict]:
-        with self._lock:
-            return {
-                name: dict(row)
-                for name, row in self._tasks.get(run_id, {}).items()
-            }
-
-    def mark_task_running(self, run_id: str, name: str) -> int:
-        with self._lock:
-            try:
-                row = self._tasks[run_id][name]
-            except KeyError:
-                raise PipelineError(
-                    f"unknown task {name!r} in run {run_id!r}"
-                ) from None
-            row["state"] = "running"
-            row["attempts"] += 1
-            row["updated_at"] = time.time()
-            return int(row["attempts"])
-
-    def complete_task(self, run_id: str, name: str, result: dict) -> None:
-        now = time.time()
-        with self._lock:
-            row = self._tasks[run_id][name]
-            row.update(
-                state="done",
-                result=dict(result),
-                error=None,
-                updated_at=now,
-                completed_at=now,
-            )
-
-    def fail_task(self, run_id: str, name: str, error: str) -> None:
-        now = time.time()
-        with self._lock:
-            row = self._tasks[run_id][name]
-            row.update(
-                state="failed", error=error, updated_at=now, completed_at=now
-            )
-
-    def counts_by_state(self, run_id: str) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for row in self.tasks(run_id).values():
-            out[row["state"]] = out.get(row["state"], 0) + 1
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MemoryStore({len(self._runs)} runs)"

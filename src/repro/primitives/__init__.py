@@ -15,8 +15,7 @@ request through the fastest execution path the target supports
                               # observables broadcast across the points
 
 * :class:`Observable` — Pauli-string algebra; the stack's single
-  expectation engine (the historical per-result ``expectation_z``
-  accessors are deprecation shims over it).
+  expectation engine.
 * :class:`SamplerPub` / :class:`EstimatorPub` — ``(program,
   parameter_values, shots)`` / ``(program, observables,
   parameter_values)`` with NumPy-style broadcasting.

@@ -25,8 +25,8 @@ Evaluation conventions (see :mod:`repro.primitives.observables`):
 diagonal observables on measuring programs evaluate from the exact
 *pre-readout* outcome distribution — bit-for-bit the quantity
 ``Executable.run`` results report (``ClientResult.probabilities`` is
-the ideal distribution; ``ExecutionResult.expectation_z`` differs
-when a readout-error model is configured, since it reads the
+the ideal distribution; ``ExecutionResult.probabilities`` differs
+when a readout-error model is configured, since it is the
 post-readout distribution). Non-diagonal observables (and
 capture-less programs) evaluate from the simulator state through the
 computational-subspace embedding, which is what the variational

@@ -2,10 +2,10 @@
 
 An :class:`Observable` is a weighted sum of Pauli strings over
 measurement *slots* (qubit indices). Every expectation value the stack
-reports — result-type ``expectation_z`` accessors, Estimator PUBs,
-VQE energies, sweep curves — evaluates through this one module, so
+reports — Estimator PUBs, VQE energies, sweep curves, ``<Z>`` of a
+result's ``probabilities`` — evaluates through this one module, so
 slot validation, width checks and qudit-embedding conventions live in
-exactly one place instead of four result dataclasses.
+exactly one place instead of on each result dataclass.
 
 Two evaluation paths, chosen by what the backend can provide:
 
@@ -15,8 +15,8 @@ Two evaluation paths, chosen by what the backend can provide:
   as bit ``1`` by the readout model, so on qudits this path carries
   the *threshold* convention: leakage counts toward the ``-1``
   eigenvalue, exactly like the sampled counts it must stay consistent
-  with. This is the path the deprecated per-result ``expectation_z``
-  shims delegate to.
+  with. ``Observable.z(slot).expectation(result.probabilities)`` is
+  the one way to read ``<Z>`` off any result type.
 * **state path** (:meth:`Observable.expectation_from_state`) — for
   arbitrary observables against an exact simulator state (ket or
   density matrix). The Pauli-string matrix is lifted into the device
@@ -42,31 +42,6 @@ import numpy as np
 
 from repro.core.distributions import distribution_width
 from repro.errors import ValidationError
-
-
-def expectation_z(
-    probabilities: Mapping[str, float],
-    slot: int,
-    *,
-    n_slots: int | None = None,
-    empty_message: str | None = None,
-) -> float:
-    """``<Z>`` of one slot — the engine behind the deprecated accessors.
-
-    The four historical result types (``ExecutionResult``,
-    ``ClientResult``, ``QuantumResult``, ``MitigatedResult``) all
-    delegate their ``expectation_z`` here, and this entry delegates to
-    the one validated kernel in :mod:`repro.core.distributions` — so
-    slot/width validation, error wording and the threshold convention
-    live in exactly one place. (:meth:`Observable.expectation` is the
-    general engine for weighted Pauli sums; for the single-``Z`` case
-    the two compute the identical sum.)
-    """
-    from repro.core.distributions import distribution_expectation_z
-
-    return distribution_expectation_z(
-        probabilities, slot, n_slots=n_slots, empty_message=empty_message
-    )
 
 
 #: Sparse term key: sorted ``((slot, pauli_char), ...)`` with pauli in
@@ -134,7 +109,7 @@ class Observable:
 
     @classmethod
     def z(cls, slot: int = 0, coeff: complex = 1.0) -> "Observable":
-        """``Z`` on one measurement slot — the ``expectation_z`` engine."""
+        """``Z`` on one measurement slot."""
         return cls({((int(slot), "Z"),): coeff})
 
     @classmethod

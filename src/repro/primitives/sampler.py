@@ -7,10 +7,11 @@ every parameter point of every PUB and returns one
 
 * ``counts`` — sampled shot counts after readout error (exactly what
   ``Executable.run`` returns);
-* ``quasi_dists`` — normalized counts, or — with ``mitigation=True``
-  on a direct simulator target — the confusion-inverted readout
-  mitigation of them (:mod:`repro.mitigation.readout`), alongside the
-  per-point ``condition_numbers`` of the inversion;
+* ``quasi_dists`` — normalized counts, or — with
+  ``options=SamplerOptions(mitigation=(...))`` on a direct simulator
+  target — their mitigated distribution (:mod:`repro.qem.engine`),
+  alongside the per-point ``condition_numbers`` of a readout
+  inversion;
 * ``probabilities`` — the exact pre-readout outcome distribution the
   backend reports (shot-noise free);
 * direct simulator targets additionally expose the exact post-readout
@@ -50,11 +51,12 @@ class Sampler(BasePrimitive):
         Shots for PUBs that do not carry their own.
     seed:
         Seed forwarded to every execution (reproducible sampling).
-    mitigation:
-        Apply confusion-matrix readout mitigation to the counts; the
-        mitigated distributions land in ``quasi_dists`` and the
-        inversion's ``condition_numbers`` ride along. Direct simulator
-        targets only (the confusion matrices live on the executor).
+    options:
+        Optional :class:`repro.qem.SamplerOptions`; when set, ``run``
+        routes through the composable mitigation engine (twirling +
+        readout inversion folded into ``quasi_dists``). Direct
+        simulator targets only (the confusion matrices live on the
+        executor).
     """
 
     def __init__(
@@ -64,7 +66,6 @@ class Sampler(BasePrimitive):
         executor: Any = None,
         default_shots: int = 1024,
         seed: int | None = None,
-        mitigation: bool = False,
         backend: str | None = None,
         options: Any = None,
     ) -> None:
@@ -74,28 +75,12 @@ class Sampler(BasePrimitive):
                 f"default_shots must be >= 0, got {default_shots}"
             )
         self.default_shots = int(default_shots)
-        self.mitigation = bool(mitigation)
-        if self.mitigation and self.mode != "direct":
-            raise ValidationError(
-                "readout mitigation needs a direct simulator target "
-                "(the confusion matrices live on the device executor)"
-            )
-        #: Optional :class:`repro.qem.SamplerOptions` — when set,
-        #: ``run`` routes through the composable mitigation engine
-        #: (twirling + readout inversion folded into ``quasi_dists``).
-        #: The legacy ``mitigation=True`` flag is the readout-only
-        #: special case and stays on its original path.
         self.options = options
         if options is not None:
             if not hasattr(options, "mitigation"):
                 raise ValidationError(
                     "options must be a repro.qem.SamplerOptions "
                     f"(got {type(options).__name__})"
-                )
-            if self.mitigation:
-                raise ValidationError(
-                    "pass either mitigation=True (legacy readout-only) "
-                    "or options=SamplerOptions(...), not both"
                 )
             if self.mode != "direct":
                 raise ValidationError(
@@ -159,7 +144,6 @@ class Sampler(BasePrimitive):
         probabilities: list[dict] = []
         noisy: list[dict] = []
         quasi: list[dict] = []
-        conditions: list[float] = []
         leakage: list[float] = []
         direct = self.mode == "direct"
         for r in results:
@@ -175,11 +159,7 @@ class Sampler(BasePrimitive):
                 r_noisy = {}
             counts.append(r_counts)
             probabilities.append(r_probs)
-            if self.mitigation:
-                mitigated, cond = self._mitigate(r, r_counts, r_noisy, shots)
-                quasi.append(mitigated)
-                conditions.append(cond)
-            elif shots > 0 and r_counts:
+            if shots > 0 and r_counts:
                 total = sum(r_counts.values())
                 quasi.append({k: v / total for k, v in r_counts.items()})
             else:
@@ -194,38 +174,13 @@ class Sampler(BasePrimitive):
             fields["leakage"] = np.asarray(leakage, dtype=np.float64).reshape(
                 shape
             )
-        if self.mitigation:
-            fields["condition_numbers"] = np.asarray(
-                conditions, dtype=np.float64
-            ).reshape(shape)
         metadata: dict[str, Any] = {
             "shots": shots,
             "target": self._device_name(),
             "dispatch": self.mode,
-            "mitigated": self.mitigation,
+            "mitigated": False,
         }
         profile = self._batch_profile(results)
         if profile is not None:
             metadata["profile"] = profile
         return PubResult(DataBin(shape=shape, **fields), metadata=metadata)
-
-    def _mitigate(
-        self, result: Any, counts: dict, noisy: dict, shots: int
-    ) -> tuple[dict, float]:
-        """Confusion-invert one point's observed distribution."""
-        from repro.qem.readout import mitigate_distribution
-        from repro.sim.measurement import ReadoutModel
-
-        observed = (
-            {k: v / sum(counts.values()) for k, v in counts.items()}
-            if shots > 0 and counts
-            else dict(noisy)
-        )
-        if not observed:
-            return {}, float("nan")
-        models = [
-            self._executor.readout.get(site, ReadoutModel())
-            for site in result.measured_sites
-        ]
-        mitigated = mitigate_distribution(observed, models)
-        return mitigated.distribution, mitigated.condition_number

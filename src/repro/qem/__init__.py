@@ -7,8 +7,7 @@ The subsystem has two halves:
   primitives route through :mod:`repro.qem.engine`: zero-noise
   extrapolation via pulse stretching (:mod:`repro.qem.zne`), Pauli
   twirling over the measurement frame (:mod:`repro.qem.twirling`) and
-  confusion-matrix readout inversion (:mod:`repro.qem.readout`,
-  absorbed from the deprecated ``repro.mitigation`` package). Each
+  confusion-matrix readout inversion (:mod:`repro.qem.readout`). Each
   mitigator declares its ``overhead`` (circuit multiplier) and the
   declared order is the composition order.
 

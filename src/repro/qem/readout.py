@@ -1,8 +1,6 @@
 """Confusion-matrix readout mitigation and assignment calibration.
 
-Absorbed from ``repro.mitigation.readout`` and
-``repro.calibration.readout`` (both remain as deprecated shims): given
-per-site confusion matrices ``M_i[observed, actual]``, the joint
+Given per-site confusion matrices ``M_i[observed, actual]``, the joint
 confusion matrix is their tensor product; applying its inverse to the
 observed distribution recovers an (unbiased, possibly slightly
 unphysical) estimate of the true distribution, which is then clipped
@@ -22,7 +20,6 @@ the ground truth only a simulator can provide.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -40,28 +37,6 @@ class MitigatedResult:
     distribution: dict[str, float]
     raw_distribution: dict[str, float]
     condition_number: float
-
-    def expectation_z(self, slot: int = 0) -> float:
-        """``<Z>`` of the bit at *slot* from the mitigated distribution.
-
-        Raises :class:`~repro.errors.ValidationError` on an empty
-        distribution or an out-of-range slot.
-
-        .. deprecated::
-            Thin view over the Observable engine; use
-            ``repro.primitives.Observable.z(slot).expectation(...)``
-            directly.
-        """
-        warnings.warn(
-            "MitigatedResult.expectation_z is deprecated; evaluate "
-            "repro.primitives.Observable.z(slot) against the mitigated "
-            "distribution instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.primitives.observables import expectation_z
-
-        return expectation_z(self.distribution, slot)
 
 
 def _joint_confusion(models: Sequence[ReadoutModel]) -> np.ndarray:

@@ -62,30 +62,6 @@ class QuantumResult:
         self.probabilities = probabilities
         self.shots = shots
 
-    def expectation_z(self, slot: int = 0) -> float:
-        """``<Z>`` of the bit at *slot* from exact probabilities.
-
-        Raises :class:`~repro.errors.ValidationError` on an empty
-        distribution or an out-of-range slot.
-
-        .. deprecated::
-            Thin view over the Observable engine; use
-            ``repro.primitives.Observable.z(slot).expectation(...)``
-            (or an :class:`~repro.primitives.Estimator` PUB) directly.
-        """
-        import warnings
-
-        warnings.warn(
-            "QuantumResult.expectation_z is deprecated; evaluate "
-            "repro.primitives.Observable.z(slot) (or run an Estimator "
-            "PUB) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.primitives.observables import expectation_z
-
-        return expectation_z(self.probabilities, slot)
-
 
 _tls = threading.local()
 
@@ -203,22 +179,13 @@ def qExecute(device, circuit: QCircuit, nshots: int, *, seed: int | None = None)
     unified execution core (constraint legalization included), and
     dispatched on the session-free local fast path.
 
-    .. deprecated::
-        Superseded by the two-phase API: ``repro.compile(circuit,
-        device).run(shots=...)`` — see :mod:`repro.api`.  The C-style
-        return-code contract is kept: conversion errors raise
-        :class:`~repro.errors.ValidationError` exactly as before, while
-        compilation and execution failures return ``1`` and leave no
-        result on the handle.
+    This is the paper's Listing 1 surface over the two-phase API
+    (``repro.compile(circuit, device).run(shots=...)``, see
+    :mod:`repro.api`), with the C-style return-code contract:
+    conversion errors raise :class:`~repro.errors.ValidationError`,
+    while compilation and execution failures return ``1`` and leave no
+    result on the handle.
     """
-    import warnings
-
-    warnings.warn(
-        "qExecute is deprecated; use repro.compile(circuit, device)"
-        ".run(shots=...) (two-phase API)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     from repro.api.executable import Executable
     from repro.api.program import Program
     from repro.api.target import Target

@@ -137,11 +137,9 @@ class SecondLevelScheduler:
 
         # Queue everything before the workers start, so each device
         # pool sees the full (priority, arrival) order up front.
-        # Admission goes through the service's internal core (the same
-        # path Executable.run_async uses), not the deprecated shim.
         pairs = []
         for job in queue:
-            ticket = service._admit_request(job.request)
+            ticket = service.submit(job.request)
             jobs_by_ticket[ticket] = job
             pairs.append((job, ticket))
         service.start()

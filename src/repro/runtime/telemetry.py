@@ -12,12 +12,9 @@ Richer aggregation (latency histograms, text exposition) lives in
 :mod:`repro.obs` — call :meth:`Telemetry.register` to publish an
 instance on the global :data:`repro.obs.REGISTRY`.
 
-.. note::
-   :meth:`Telemetry.snapshot` now namespaces counters and timers
-   under distinct keys. The historical flat merge (where a counter
-   literally named ``foo_s`` silently collided with timer ``foo``'s
-   suffixed entry) survives as the deprecated
-   :meth:`Telemetry.flat_snapshot`.
+:meth:`Telemetry.snapshot` namespaces counters and timers under
+distinct keys, so a counter named ``foo_s`` never collides with timer
+``foo``.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import re
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 
 _SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -79,24 +75,6 @@ class Telemetry:
                 "counters": dict(self.counters),
                 "timers": dict(self.timers),
             }
-
-    def flat_snapshot(self) -> dict[str, float]:
-        """Deprecated: the historical flat counter/timer merge.
-
-        Timer names gain an ``_s`` suffix and overwrite any counter
-        of the same suffixed name — the collision :meth:`snapshot`
-        exists to avoid. Kept one release for migration.
-        """
-        warnings.warn(
-            "Telemetry.flat_snapshot() is deprecated; use "
-            "snapshot()['counters'] / snapshot()['timers'] instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self._lock:
-            out = dict(self.counters)
-            out.update({f"{k}_s": v for k, v in self.timers.items()})
-        return out
 
     def register(self, name: str | None = None) -> str:
         """Publish this instance on the global obs registry.

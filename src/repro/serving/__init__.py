@@ -32,7 +32,7 @@ Durable multi-process serving stacks three more tiers on top:
 
 * :mod:`repro.serving.tickets` — the unified :class:`Ticket` protocol
   every transport's handle implements (``status``/``result``/
-  ``cancel``/``to_dict``) plus :func:`ticket_from_dict`;
+  ``cancel``/``to_dict``);
 * :mod:`repro.serving.store` — :class:`JobStore`: a SQLite (WAL) job
   store holding every ticket state transition; tickets survive
   restarts and crashed workers' leases expire back onto the queue;
@@ -56,7 +56,7 @@ from repro.serving.routing import CapabilityRouter
 from repro.serving.service import JobTicket, PulseService
 from repro.serving.store import JobStore
 from repro.serving.sweeps import SweepRequest, SweepTicket
-from repro.serving.tickets import Ticket, TicketState, ticket_from_dict
+from repro.serving.tickets import Ticket, TicketState
 from repro.serving.workers import DevicePool, ServiceEntry
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "JobTicket",
     "Ticket",
     "TicketState",
-    "ticket_from_dict",
     "connect",
     "ServiceClient",
     "InProcessClient",

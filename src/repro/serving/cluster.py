@@ -492,16 +492,9 @@ class ClusterService:
 
     # ---- submission ----------------------------------------------------------------
 
-    def submit(self, request: JobRequest, **_compat) -> ClusterTicket:
+    def submit(self, request: JobRequest) -> ClusterTicket:
         """Admit one request as one durable row; ticket immediately."""
         return self._put_chunk([request])[0]
-
-    # Shared admission core alias: lets ``Executable.run_async`` and
-    # the unified clients treat cluster and in-process services alike.
-    def _admit_request(
-        self, request: JobRequest, *, block: bool = True, timeout=None
-    ) -> ClusterTicket:
-        return self.submit(request)
 
     def submit_many(
         self, requests: Iterable[JobRequest], *, block: bool = True

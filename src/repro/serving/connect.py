@@ -24,8 +24,8 @@ through :mod:`repro.serving.wire`, whose scalar fields are plain JSON
 counts and probabilities whether it executed in-process or behind the
 front-end.
 
-API mapping (all remain supported; ``connect`` is the
-transport-agnostic spelling):
+The service surfaces and their unified-client spelling (``connect``
+is the transport-agnostic one):
 
 ===============================  ======================================
 existing surface                  unified client
@@ -98,18 +98,6 @@ class ServiceClient:
 
     def cancel(self, ticket_or_id) -> bool:
         return self._coerce(ticket_or_id).cancel()
-
-    # Shared admission core alias: Executable.run_async submits through
-    # ``target.service._admit_request``, so any connected client can
-    # stand in for a service on a Target.
-    def _admit_request(
-        self,
-        request: JobRequest,
-        *,
-        block: bool = True,
-        timeout: float | None = None,
-    ) -> Ticket:
-        return self.submit(request)
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -58,10 +58,8 @@ class JobTicket:
     cancel wins, late arrivals are dropped.
     """
 
-    def __init__(
-        self, request: JobRequest | None, *, ticket_id: str | None = None
-    ) -> None:
-        self.id = ticket_id if ticket_id is not None else new_ticket_id()
+    def __init__(self, request: JobRequest | None) -> None:
+        self.id = new_ticket_id()
         self.request = request
         self.state = TicketState.PENDING
         self.device: str | None = None  # device that actually executed
@@ -162,43 +160,6 @@ class JobTicket:
         if self._error is not None:
             data["error"] = wire.encode_error(self._error)
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobTicket":
-        """Rebuild a (detached) ticket from a :meth:`to_dict` snapshot.
-
-        Terminal snapshots re-raise / return exactly what the original
-        ticket carried; non-terminal snapshots are static — they report
-        the snapshot state but never make progress.
-        """
-        from repro.serving import wire
-
-        request = (
-            wire.decode_request(data["request"]) if data.get("request") else None
-        )
-        ticket = cls(request, ticket_id=data.get("id"))
-        state = TicketState(data.get("state", "pending"))
-        if data.get("result") is not None:
-            ticket._finalize(
-                TicketState.DONE, result=wire.decode_result(data["result"])
-            )
-        elif data.get("error") is not None:
-            error = wire.decode_error(data["error"])
-            final = (
-                TicketState.CANCELLED
-                if isinstance(error, CancelledError)
-                else (state if state.terminal else TicketState.FAILED)
-            )
-            ticket._finalize(final, error=error)
-        elif state is TicketState.CANCELLED:
-            ticket._cancelled()
-        else:
-            ticket.state = state
-        if data.get("device"):
-            ticket.device = data["device"]
-        ticket.attempts = int(data.get("attempts", 0))
-        ticket.group_size = int(data.get("group_size", 0))
-        return ticket
 
     # ---- service internals ---------------------------------------------------------
 
@@ -366,24 +327,12 @@ class PulseService:
         Request-level errors (unknown device/adapter…) do not raise:
         they come back on the ticket.
 
-        Equivalent compiled-API spelling (same admission core)::
-
-            repro.compile(program, Target.from_service(service, device)
-                          ).run_async()
-
-        Both remain supported; ``submit`` is the right surface when
-        you already hold a :class:`~repro.client.client.JobRequest`.
+        This is the one admission entry point: ``submit_many``,
+        ``submit_sweep``, ``Executable.run_async`` on a service target
+        (``repro.compile(program, Target.from_service(service,
+        device)).run_async()``) and the second-level scheduler all
+        admit through it.
         """
-        return self._admit_request(request, block=block, timeout=timeout)
-
-    def _admit_request(
-        self,
-        request: JobRequest,
-        *,
-        block: bool = False,
-        timeout: float | None = None,
-    ) -> JobTicket:
-        """Admission control + routing (shared by every submit surface)."""
         ticket = JobTicket(request)
         ticket._cancel_hook = self._on_ticket_cancel
         with self._admit:
@@ -431,7 +380,7 @@ class PulseService:
         self, requests: Iterable[JobRequest], *, block: bool = True
     ) -> list[JobTicket]:
         """Submit a batch in order; blocks for admission by default."""
-        return [self._admit_request(r, block=block) for r in requests]
+        return [self.submit(r, block=block) for r in requests]
 
     def run(
         self, requests: Iterable[JobRequest], *, timeout: float | None = None
@@ -458,8 +407,7 @@ class PulseService:
         :class:`SweepTicket` stays complete and scan-ordered.
 
         Equivalent compiled-API spelling (same fan-out core):
-        ``Executable.sweep(grid)`` on a service target.  Both remain
-        supported.
+        ``Executable.sweep(grid)`` on a service target.
         """
         return self._admit_sweep(sweep, block=block)
 
@@ -473,7 +421,7 @@ class PulseService:
         tickets = []
         for request in requests:
             try:
-                tickets.append(self._admit_request(request, block=block))
+                tickets.append(self.submit(request, block=block))
             except Exception as exc:
                 ticket = JobTicket(request)
                 ticket._fail(exc)

@@ -26,14 +26,12 @@ JSON result header, and publish per-worker counter snapshots into
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
-import threading
 import time
 from typing import Iterable
 
 from repro.errors import ServiceError
 from repro.serving.tickets import TicketState
+from repro.storage import SQLiteStore
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -72,7 +70,7 @@ CREATE TABLE IF NOT EXISTS worker_metrics (
 UNFINISHED = ("pending", "dispatched", "running")
 
 
-class JobStore:
+class JobStore(SQLiteStore):
     """One SQLite file of durable job state, usable from many processes.
 
     Connections are per-thread (SQLite connections are not thread-safe
@@ -86,38 +84,7 @@ class JobStore:
                 "JobStore needs a file path (shared across processes); "
                 "':memory:' stores are invisible to workers"
             )
-        self.path = os.path.abspath(path)
-        self.busy_timeout_s = busy_timeout_s
-        self._local = threading.local()
-        with self._connect() as conn:
-            conn.executescript(_SCHEMA)
-
-    # ---- connection plumbing ---------------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(
-                self.path, timeout=self.busy_timeout_s, isolation_level=None
-            )
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
-            self._local.conn = conn
-        return conn
-
-    def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
-
-    def _txn(self) -> sqlite3.Connection:
-        """One IMMEDIATE transaction; caller commits/rolls back."""
-        conn = self._connect()
-        conn.execute("BEGIN IMMEDIATE")
-        return conn
+        super().__init__(path, schema=_SCHEMA, busy_timeout_s=busy_timeout_s)
 
     # ---- admission -------------------------------------------------------------------
 
@@ -162,14 +129,12 @@ class JobStore:
         plain dict) or None when the backlog is empty.
         """
         now = time.time()
-        conn = self._txn()
-        try:
+        with self._transaction() as conn:
             row = conn.execute(
                 "SELECT * FROM jobs WHERE state = 'pending' AND cancel = 0 "
                 "ORDER BY priority DESC, seq LIMIT 1"
             ).fetchone()
             if row is None:
-                conn.execute("COMMIT")
                 return None
             conn.execute(
                 "UPDATE jobs SET state = 'dispatched', lease_owner = ?, "
@@ -177,10 +142,6 @@ class JobStore:
                 "updated_at = ? WHERE seq = ?",
                 (worker, now + lease_s, now, row["seq"]),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         out = dict(row)
         out["state"] = "dispatched"
         out["attempts"] = row["attempts"] + 1
@@ -281,18 +242,15 @@ class JobStore:
         jobs observe the flag cooperatively).
         """
         now = time.time()
-        conn = self._txn()
-        missing = False
-        try:
+        with self._transaction() as conn:
             row = conn.execute(
                 "SELECT state, size, cancel, cancel_votes FROM jobs "
                 "WHERE id = ?",
                 (job_id,),
             ).fetchone()
             if row is None:
-                missing = True
-                out_state = None
-            elif TicketState(row["state"]).terminal:
+                raise ServiceError(f"unknown job {job_id!r}")
+            if TicketState(row["state"]).terminal:
                 out_state = TicketState(row["state"])
             else:
                 full = index is None or int(row["size"]) <= 1
@@ -321,12 +279,6 @@ class JobStore:
                     "SELECT state FROM jobs WHERE id = ?", (job_id,)
                 ).fetchone()
                 out_state = TicketState(out["state"])
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if missing:
-            raise ServiceError(f"unknown job {job_id!r}")
         return out_state
 
     def cancel_requested(self, job_id: str) -> bool:
@@ -374,8 +326,7 @@ class JobStore:
         a descriptive error.  Returns the ids that were re-leased.
         """
         now = time.time()
-        conn = self._txn()
-        try:
+        with self._transaction() as conn:
             rows = conn.execute(
                 "SELECT seq, id, attempts, max_attempts, lease_owner "
                 "FROM jobs WHERE state IN ('dispatched', 'running') "
@@ -413,10 +364,6 @@ class JobStore:
                         (now, row["seq"]),
                     )
                     releases.append(row["id"])
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         return releases
 
     def attach_result(

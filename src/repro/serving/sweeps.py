@@ -168,14 +168,12 @@ class SweepTicket:
 
     def __init__(
         self,
-        request: SweepRequest | None,
+        request: SweepRequest,
         tickets: list,
-        *,
-        ticket_id: str | None = None,
     ) -> None:
         from repro.serving.tickets import new_ticket_id
 
-        self.id = ticket_id if ticket_id is not None else new_ticket_id()
+        self.id = new_ticket_id()
         self.request = request
         self.tickets = tickets
 
@@ -223,17 +221,6 @@ class SweepTicket:
             "state": self.status().value,
             "tickets": [t.to_dict() for t in self.tickets],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepTicket":
-        """Rebuild a detached sweep handle from a snapshot."""
-        from repro.serving.tickets import ticket_from_dict
-
-        return cls(
-            None,
-            [ticket_from_dict(t) for t in data.get("tickets", [])],
-            ticket_id=data.get("id"),
-        )
 
     @staticmethod
     def _deadline(timeout: float | None):
@@ -293,11 +280,11 @@ class SweepTicket:
         self, slot: int = 0, timeout: float | None = None
     ) -> np.ndarray:
         """``<Z>`` of *slot* across the scan — the 1-D scan curve."""
-        from repro.primitives.observables import expectation_z
+        from repro.core.distributions import distribution_expectation_z
 
         return np.array(
             [
-                expectation_z(r.probabilities, slot)
+                distribution_expectation_z(r.probabilities, slot)
                 for r in self.results(timeout)
             ],
             dtype=np.float64,

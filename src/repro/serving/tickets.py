@@ -69,8 +69,8 @@ class Ticket(Protocol):
     ``result`` blocks up to *timeout* seconds and re-raises the
     failure (or :class:`~repro.errors.CancelledError`) carried by the
     ticket; ``to_dict`` emits a JSON-serializable snapshot suitable
-    for the wire and the durable store, reconstructible with the
-    implementing class's ``from_dict``.
+    for the wire and the durable store (its ``result`` field decodes
+    with :func:`repro.serving.wire.decode_result`).
     """
 
     id: str
@@ -86,24 +86,3 @@ class Ticket(Protocol):
     def cancel(self) -> bool: ...
 
     def to_dict(self) -> dict: ...
-
-
-def ticket_from_dict(data: dict) -> Any:
-    """Rebuild a ticket snapshot from its ``to_dict`` form.
-
-    Dispatches on the ``kind`` field: ``"job"`` snapshots become
-    detached :class:`~repro.serving.service.JobTicket`\\ s, ``"sweep"``
-    snapshots become :class:`~repro.serving.sweeps.SweepTicket`\\ s.
-    """
-    kind = data.get("kind", "job")
-    if kind == "job":
-        from repro.serving.service import JobTicket
-
-        return JobTicket.from_dict(data)
-    if kind == "sweep":
-        from repro.serving.sweeps import SweepTicket
-
-        return SweepTicket.from_dict(data)
-    from repro.errors import ServiceError
-
-    raise ServiceError(f"unknown ticket kind {kind!r}")

@@ -1,7 +1,7 @@
 """Wire codecs: JobRequest / ClientResult / errors <-> plain JSON.
 
 The HTTP front-end (:mod:`repro.serving.http`) and the ticket
-``to_dict``/``from_dict`` surface share one serialization so results
+``to_dict`` snapshots share one serialization so results
 are *bit-identical* across transports: every scalar field is plain
 JSON (Python's ``repr``-based float serialization round-trips
 exactly), and only the program object — which may be any adapter

@@ -46,7 +46,6 @@ batched pipeline — a single schedule is a one-member batch:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -158,32 +157,6 @@ class ExecutionResult:
     duration_seconds: float
     shots: int
     metadata: dict = field(default_factory=dict)
-
-    def expectation_z(self, slot: int = 0) -> float:
-        """``<Z>`` of the bit in *slot* from the exact probabilities.
-
-        .. deprecated::
-            Thin view over the Observable engine; use
-            ``repro.primitives.Observable.z(slot).expectation(...)``
-            (or an :class:`~repro.primitives.Estimator` PUB) directly.
-        """
-        warnings.warn(
-            "ExecutionResult.expectation_z is deprecated; evaluate "
-            "repro.primitives.Observable.z(slot) (or run an Estimator "
-            "PUB) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not self.measured_sites:
-            raise ValidationError(
-                "expectation_z is undefined: the schedule captured no "
-                "measurement (no Capture instructions, empty distribution)"
-            )
-        from repro.primitives.observables import expectation_z
-
-        return expectation_z(
-            self.probabilities, slot, n_slots=len(self.measured_sites)
-        )
 
 
 class ScheduleExecutor:

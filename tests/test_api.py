@@ -3,7 +3,8 @@
 Covers the acceptance surface of the API-redesign PR: front-end
 equivalence through one Target per device family, bind-vs-recompile
 distribution identity, the bound-artifact cache, service dispatch, the
-deprecation shims, and the public-API snapshot.
+entry points that outlived the deprecation layer, and the public-API
+snapshot.
 """
 
 from __future__ import annotations
@@ -404,16 +405,15 @@ class TestServiceTargets:
 
 
 class TestDeprecationShims:
-    """(c) The legacy entry points keep working, warn, and agree with
-    the unified core they now route through."""
+    """(c) The entry points that outlived the deprecation layer —
+    ``qExecute`` (paper Listing 1), ``run_request`` and the service
+    submit surfaces — agree with the unified core and never warn."""
 
-    def test_qexecute_warns_and_matches(self, sc_device):
+    def test_qexecute_matches_unified_core(self, sc_device):
         from repro.qpi import qExecute, qRead
 
         circuit = qpi_flip()
-        with pytest.warns(DeprecationWarning, match="qExecute"):
-            rc = qExecute(sc_device, circuit, 100, seed=1)
-        assert rc == 0
+        assert qExecute(sc_device, circuit, 100, seed=1) == 0
         via_api = repro.run(qpi_flip(), sc_device, shots=100, seed=1)
         assert qRead(circuit).counts == via_api.counts
 
@@ -425,15 +425,15 @@ class TestDeprecationShims:
         handle = qWaveform(np.full(32, 5.0))  # amplitude out of range
         qPlayWaveform("q0-drive-port", handle)
         qCircuitEnd()
-        with pytest.warns(DeprecationWarning):
-            assert qExecute(sc_device, circuit, 10) == 1
+        assert qExecute(sc_device, circuit, 10) == 1
         with pytest.raises(ValidationError):
             qRead(circuit)
 
-    def test_client_submit_warns_and_matches(self, client):
+    def test_run_request_matches_unified_core(self, client):
+        from repro.api.core import run_request
+
         request = JobRequest(qpi_flip(), "sc-transmon", shots=64, seed=9)
-        with pytest.warns(DeprecationWarning, match="MQSSClient.submit"):
-            old = client.submit(request)
+        old = run_request(client, request)
         new = repro.run(
             qpi_flip(),
             repro.Target.from_client(client, "sc-transmon"),
@@ -442,19 +442,6 @@ class TestDeprecationShims:
         )
         assert old.counts == new.counts
         assert set(old.timings_s) == {"adapter", "compile", "execute"}
-
-    def test_run_batch_warns_once(self, client):
-        requests = [
-            JobRequest(qpi_flip(), "sc-transmon", shots=8, seed=1)
-            for _ in range(3)
-        ]
-        with pytest.warns(DeprecationWarning, match="run_batch") as record:
-            results = client.run_batch(requests)
-        assert len(results) == 3
-        batch_warnings = [
-            w for w in record if "run_batch" in str(w.message)
-        ]
-        assert len(batch_warnings) == 1  # items go through the core quietly
 
     def test_service_submit_is_warning_free(self, sc_device):
         # PulseService.submit is first-class on the unified ticket

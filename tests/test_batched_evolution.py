@@ -4,7 +4,8 @@ Covers the acceptance surface of the batched-evolution PR:
 batched-vs-loop equivalence (propagators, Daleckii-Krein kernels,
 GRAPE gradients, robustness scans), the propagator cache (hits,
 within-batch run dedup, LRU bound), the served sweep path, the
-``expectation_z`` error paths, the GRAPE history contract, and a
+``<Z>`` error paths on result distributions, the GRAPE history
+contract, and a
 ``segment_runs`` single-sample boundary edge case.
 """
 
@@ -19,6 +20,7 @@ from repro.control.grape import _expm_and_frechet_basis
 from repro.control.hamiltonians import qubit_subspace_isometry
 from repro.devices import SuperconductingDevice
 from repro.errors import ServiceError, ValidationError
+from repro.primitives import Observable
 from repro.qdmi import QDMIDriver
 from repro.qpi import PythonicCircuit
 from repro.serving import PulseService, SweepRequest
@@ -324,27 +326,34 @@ class TestExpectationZErrors:
             shots=0,
         )
 
+    @staticmethod
+    def z(result, slot=0):
+        return Observable.z(slot).expectation(
+            result.probabilities, n_slots=len(result.measured_sites)
+        )
+
     def test_no_captures_raises(self):
-        r = self.make_result(measured_sites=())
-        with pytest.raises(ValidationError, match="no Capture"):
-            r.expectation_z()
+        # A capture-less schedule yields the width-0 distribution.
+        r = self.make_result(measured_sites=(), probabilities={"": 1.0})
+        with pytest.raises(ValidationError, match="slot 0 out of range"):
+            self.z(r)
 
     def test_empty_distribution_with_sites_raises(self):
         # Sites recorded but nothing captured: still undefined, not 0.0.
         r = self.make_result(measured_sites=(0,), probabilities={})
         with pytest.raises(ValidationError, match="empty distribution"):
-            r.expectation_z()
+            self.z(r)
 
     def test_out_of_range_slot_raises(self):
         r = self.make_result(measured_sites=(0,))
         with pytest.raises(ValidationError, match="slot 1 out of range"):
-            r.expectation_z(1)
-        with pytest.raises(ValidationError, match="slot -1 out of range"):
-            r.expectation_z(-1)
+            self.z(r, 1)
+        with pytest.raises(ValidationError, match="non-negative"):
+            self.z(r, -1)
 
     def test_valid_slot_still_works(self):
         r = self.make_result(probabilities={"0": 0.75, "1": 0.25})
-        assert r.expectation_z(0) == pytest.approx(0.5)
+        assert self.z(r, 0) == pytest.approx(0.5)
 
     def make_client_result(self, probabilities):
         return ClientResult(
@@ -359,17 +368,18 @@ class TestExpectationZErrors:
         )
 
     def test_client_result_validates_like_executor(self):
-        # The served-sweep path reads <Z> through ClientResult, which
-        # must enforce the same contract as ExecutionResult.
+        # The served-sweep path reads <Z> off ClientResult
+        # distributions, which must meet the same contract.
         r = self.make_client_result({"01": 0.25, "10": 0.75})
-        assert r.expectation_z(0) == pytest.approx(-0.5)
+        probs = r.probabilities
+        assert Observable.z(0).expectation(probs) == pytest.approx(-0.5)
         with pytest.raises(ValidationError, match="slot 2 out of range"):
-            r.expectation_z(2)
-        with pytest.raises(ValidationError, match="slot -1 out of range"):
-            r.expectation_z(-1)
+            Observable.z(2).expectation(probs)
+        with pytest.raises(ValidationError, match="non-negative"):
+            Observable.z(-1).expectation(probs)
         empty = self.make_client_result({})
         with pytest.raises(ValidationError, match="empty distribution"):
-            empty.expectation_z()
+            Observable.z(0).expectation(empty.probabilities)
 
 
 class TestSegmentRunsBoundary:
@@ -415,7 +425,7 @@ class TestServedSweeps:
             assert ticket.wait(30.0)
             results = ticket.results()
         assert ticket.done()
-        zs = [r.expectation_z(0) for r in results]
+        zs = [Observable.z(0).expectation(r.probabilities) for r in results]
         for i, z in enumerate(zs):
             assert z == pytest.approx(-1.0 if i % 2 else 1.0, abs=0.2)
         assert service.metrics.get("sweeps") == 1

@@ -7,12 +7,12 @@ from repro.calibration import (
     calibrate_drag,
     calibrate_pi_amplitude,
     estimate_detuning,
-    measure_confusion,
     run_drift_campaign,
     track_frequency,
 )
 from repro.devices import SuperconductingDevice, TrappedIonDevice
 from repro.errors import CalibrationError
+from repro.qem import measure_confusion
 
 
 class TestRabi:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.core import run_request
 from repro.client import (
     CircuitAdapter,
     JobRequest,
@@ -117,19 +118,19 @@ class TestClientRouting:
         ]
         for device in ("sc-transmon", "ion-chain", "atom-array"):
             for prog in programs:
-                r = client.submit(JobRequest(prog, device, shots=100, seed=1))
+                r = run_request(client, JobRequest(prog, device, shots=100, seed=1))
                 assert sum(r.counts.values()) == 100
                 assert not r.remote
                 best = max(r.probabilities, key=r.probabilities.get)
                 assert best[0] == "1"  # x q[0] everywhere
 
     def test_cal_block_qasm_on_transmon(self, client):
-        r = client.submit(JobRequest(QASM, "sc-transmon", shots=100, seed=1))
+        r = run_request(client, JobRequest(QASM, "sc-transmon", shots=100, seed=1))
         assert sum(r.counts.values()) == 100
 
     def test_remote_routing_uses_qir(self, client):
-        r = client.submit(
-            JobRequest(qpi_circuit(), "remote:sc-remote", shots=100, seed=1)
+        r = run_request(
+            client, JobRequest(qpi_circuit(), "remote:sc-remote", shots=100, seed=1)
         )
         assert r.remote
         assert r.qir_size_bytes > 0
@@ -137,7 +138,9 @@ class TestClientRouting:
     def test_remote_telemetry(self, client, driver):
         proxy = driver.get_device("remote:sc-remote")
         before = proxy.telemetry["jobs"]
-        client.submit(JobRequest(qpi_circuit(), "remote:sc-remote", shots=10, seed=1))
+        run_request(
+            client, JobRequest(qpi_circuit(), "remote:sc-remote", shots=10, seed=1)
+        )
         assert proxy.telemetry["jobs"] == before + 1
         assert proxy.telemetry["bytes_sent"] > 0
 
@@ -151,39 +154,33 @@ class TestClientRouting:
 
     def test_unknown_device(self, client):
         with pytest.raises(QDMIError):
-            client.submit(JobRequest(qpi_circuit(), "nope"))
+            run_request(client, JobRequest(qpi_circuit(), "nope"))
 
     def test_unknown_adapter(self, client):
         with pytest.raises(QDMIError):
-            client.submit(JobRequest(qpi_circuit(), "sc-transmon", adapter="nope"))
+            run_request(
+                client, JobRequest(qpi_circuit(), "sc-transmon", adapter="nope")
+            )
 
     def test_no_adapter_for_type(self, client):
         with pytest.raises(QDMIError):
-            client.submit(JobRequest(3.14, "sc-transmon"))
+            run_request(client, JobRequest(3.14, "sc-transmon"))
 
     def test_timings_recorded(self, client):
-        r = client.submit(JobRequest(qpi_circuit(), "sc-transmon", shots=10, seed=1))
+        r = run_request(
+            client, JobRequest(qpi_circuit(), "sc-transmon", shots=10, seed=1)
+        )
         assert set(r.timings_s) == {"adapter", "compile", "execute"}
 
     def test_sessions_closed_after_submit(self, client, driver):
-        client.submit(JobRequest(qpi_circuit(), "sc-transmon", shots=10, seed=1))
+        run_request(client, JobRequest(qpi_circuit(), "sc-transmon", shots=10, seed=1))
         assert driver.open_sessions == []
-
-    def test_batch_priority_order(self, client):
-        reqs = [
-            JobRequest(qpi_circuit(), "sc-transmon", shots=10, priority=0, seed=1),
-            JobRequest(qpi_circuit(), "sc-transmon", shots=10, priority=5, seed=1),
-        ]
-        results = client.run_batch(reqs)
-        assert len(results) == 2
-        # Higher priority executed first -> lower job id.
-        assert results[1].job_id < results[0].job_id
 
     def test_compile_cache_shared_across_submissions(self, client):
         req = JobRequest(qpi_circuit(), "sc-transmon", shots=10, seed=1)
-        client.submit(req)
+        run_request(client, req)
         before = client.compiler.stats["cache_hits"]
-        client.submit(req)
+        run_request(client, req)
         assert client.compiler.stats["cache_hits"] == before + 1
 
 
@@ -264,19 +261,3 @@ class TestTelemetry:
         assert snap["counters"]["jobs"] == 3
         assert "work" in snap["timers"]
         assert t.get_time("work") >= 0.0
-
-    def test_flat_snapshot_deprecated(self):
-        import warnings
-
-        from repro.runtime import Telemetry
-
-        t = Telemetry()
-        t.incr("jobs")
-        t.add_time("work", 0.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            flat = t.flat_snapshot()
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert flat == {"jobs": 1.0, "work_s": 0.5}

@@ -3,12 +3,16 @@ visualization."""
 
 import pytest
 
-from repro.calibration import measure_confusion
 from repro.compiler.transforms import idle_fraction, insert_echo_sequences
 from repro.core import Delay, Frame, Play, PulseSchedule, constant_waveform
 from repro.devices import SuperconductingDevice
 from repro.errors import ValidationError
-from repro.mitigation import mitigate_counts, mitigate_distribution
+from repro.primitives import Observable
+from repro.qem.readout import (
+    measure_confusion,
+    mitigate_counts,
+    mitigate_distribution,
+)
 from repro.sim.measurement import ReadoutModel, apply_readout_error
 from repro.visualization import render_schedule, render_waveform
 
@@ -50,7 +54,8 @@ class TestReadoutMitigation:
             (1.0 if k == "0" else -1.0) * v / 8192 for k, v in r.counts.items()
         )
         mitigated = mitigate_counts(r.counts, models)
-        assert abs(mitigated.expectation_z(0) - (-1.0)) < abs(raw_z - (-1.0))
+        mitigated_z = Observable.z(0).expectation(mitigated.distribution)
+        assert abs(mitigated_z - (-1.0)) < abs(raw_z - (-1.0))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

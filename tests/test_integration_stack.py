@@ -10,6 +10,7 @@ simulated outcome distribution.
 import numpy as np
 import pytest
 
+from repro.api.core import run_request
 from repro.client import JobRequest
 from repro.compiler import JITCompiler, quantum_module_to_schedule
 from repro.mlir.dialects.pulse import SequenceBuilder
@@ -174,7 +175,9 @@ class TestEndToEnd:
         """Adapter -> client -> compiler -> QDMI -> device -> result."""
         cb = CircuitBuilder("walk", 2)
         cb.x(0).cz(0, 1).measure(0, 0).measure(1, 1)
-        r = client.submit(JobRequest(cb.module, "sc-transmon", shots=500, seed=7))
+        r = run_request(
+            client, JobRequest(cb.module, "sc-transmon", shots=500, seed=7)
+        )
         assert sum(r.counts.values()) == 500
         top = max(r.probabilities, key=r.probabilities.get)
         assert top == "10"
@@ -182,11 +185,13 @@ class TestEndToEnd:
     def test_pulse_program_through_client_to_remote(self, client):
         """A pulse-level program travels as QIR to the remote device and
         produces the same distribution as the local twin."""
-        local = client.submit(
-            JobRequest(self._pulse_program(), "sc-transmon", shots=0, seed=1)
+        local = run_request(
+            client,
+            JobRequest(self._pulse_program(), "sc-transmon", shots=0, seed=1),
         )
-        remote = client.submit(
-            JobRequest(self._pulse_program(), "remote:sc-remote", shots=0, seed=1)
+        remote = run_request(
+            client,
+            JobRequest(self._pulse_program(), "remote:sc-remote", shots=0, seed=1),
         )
         keys = set(local.probabilities) | set(remote.probabilities)
         for key in keys:

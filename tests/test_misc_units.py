@@ -113,7 +113,9 @@ class TestQIRPrimitives:
 
 class TestClientResultHelpers:
     def test_expectation_z(self, client):
+        from repro.api.core import run_request
         from repro.client import JobRequest
+        from repro.primitives import Observable
         from repro.qpi import (
             QCircuit,
             qCircuitBegin,
@@ -128,9 +130,10 @@ class TestClientResultHelpers:
         qMeasure(0, 0)
         qMeasure(1, 1)
         qCircuitEnd()
-        r = client.submit(JobRequest(c, "sc-transmon", shots=0, seed=1))
-        assert r.expectation_z(0) < -0.9  # qubit 0 flipped
-        assert r.expectation_z(1) > 0.9  # qubit 1 untouched
+        r = run_request(client, JobRequest(c, "sc-transmon", shots=0, seed=1))
+        z = [Observable.z(slot).expectation(r.probabilities) for slot in (0, 1)]
+        assert z[0] < -0.9  # qubit 0 flipped
+        assert z[1] > 0.9  # qubit 1 untouched
 
 
 class TestEnvelopeParity:

@@ -422,7 +422,7 @@ class TestCachesAndValidation:
         assert np.abs(fast - dense).max() < 1e-10
 
     def test_mitigation_validation_improves_tv(self):
-        from repro.mitigation import validate_readout_mitigation
+        from repro.qem.readout import validate_readout_mitigation
         from repro.sim import ReadoutModel
 
         specs = [DecoherenceSpec(t1=30e-6, t2=40e-6)]

@@ -1,8 +1,8 @@
 """Tests: the repro.pipeline subsystem (durable closed-loop calibration).
 
 Covers the acceptance surface of the pipeline PR: DAG shape validation
-and deterministic ready-set order, the durable SQLite-WAL run store
-(and its in-memory twin), SeedSequence-derived per-task seeds stable
+and deterministic ready-set order, the SQLite-WAL run store (durable
+file and ephemeral temporary file), SeedSequence-derived per-task seeds stable
 under retry and resume, the runner's retry/timeout/failure semantics,
 replay-based resume reconstructing identical device state (including a
 subprocess SIGKILLed mid-campaign), batched-experiment parity with the
@@ -18,6 +18,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -31,7 +32,6 @@ from repro.pipeline import (
     DAG,
     DriftBudgetTrigger,
     IntervalTrigger,
-    MemoryStore,
     PipelineRunner,
     PipelineStore,
     StalenessTrigger,
@@ -184,11 +184,14 @@ class TestSeeds:
 # ---- stores --------------------------------------------------------------------------
 
 
-@pytest.fixture(params=["sqlite", "memory"])
+@pytest.fixture(params=["file", "ephemeral"])
 def store(request, tmp_path):
-    if request.param == "sqlite":
-        return PipelineStore(str(tmp_path / "runs.db"))
-    return MemoryStore()
+    if request.param == "file":
+        store = PipelineStore(str(tmp_path / "runs.db"))
+    else:
+        store = PipelineStore()
+    yield store
+    store.close()
 
 
 class TestStore:
@@ -224,8 +227,10 @@ class TestStore:
 
     def test_duplicate_run_rejected(self, store):
         dag = self.make_run(store)
-        with pytest.raises(Exception):
+        with pytest.raises(PipelineError, match="already exists"):
             store.create_run("r1", dag, seed=7, task_seeds={})
+        # The failed create rolled back: the original rows are intact.
+        assert store.tasks("r1")["a"]["seed"] == 11
 
     def test_unknown_lookups(self, store):
         assert store.get_run("ghost") is None
@@ -234,10 +239,70 @@ class TestStore:
         self.make_run(store)
         with pytest.raises(PipelineError):
             store.mark_task_running("r1", "ghost")
+        with pytest.raises(PipelineError, match="unknown task"):
+            store.complete_task("r1", "ghost", {})
+        with pytest.raises(PipelineError, match="unknown task"):
+            store.fail_task("ghost-run", "a", "boom")
 
-    def test_memory_store_is_required_for_memory_path(self):
-        with pytest.raises(PipelineError, match="MemoryStore"):
+    def test_memory_path_points_to_ephemeral_store(self):
+        with pytest.raises(PipelineError, match=r"PipelineStore\(\)"):
             PipelineStore(":memory:")
+
+    def test_ephemeral_files_removed_on_close(self):
+        store = PipelineStore()
+        self.make_run(store)
+        store.mark_task_running("r1", "a")
+        path = store.path
+        assert os.path.exists(path) and os.path.exists(path + "-wal")
+        store.close()
+        for suffix in ("", "-wal", "-shm"):
+            assert not os.path.exists(path + suffix)
+
+    def test_concurrent_runs_share_one_ephemeral_store(self):
+        store = PipelineStore()
+        dag = DAG("wide")
+        for i in range(6):
+            dag.task(f"t{i}", "echo", params={"i": i})
+        dag.task("join", "echo", after=tuple(f"t{i}" for i in range(6)))
+        runs: dict[str, object] = {}
+        errors: list[BaseException] = []
+        start = threading.Barrier(2)
+
+        def drive(run_id: str) -> None:
+            try:
+                start.wait(10)
+                runs[run_id] = PipelineRunner(sc(), store=store).run(
+                    dag, run_id=run_id, seed=5
+                )
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+            finally:
+                store.close()  # this thread's connection only
+
+        threads = [
+            threading.Thread(target=drive, args=(rid,)) for rid in ("r1", "r2")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert errors == []
+        assert all(runs[rid].ok for rid in ("r1", "r2"))
+        for rid in ("r1", "r2"):
+            assert store.get_run(rid)["state"] == "done"
+            rows = store.tasks(rid)
+            assert len(rows) == 7
+            assert all(
+                r["state"] == "done" and r["attempts"] == 1 for r in rows.values()
+            )
+            assert rows["join"]["result"]["upstream"] == sorted(
+                f"t{i}" for i in range(6)
+            )
+        # Same seed, same DAG: both runs derived identical task seeds.
+        assert {n: r["seed"] for n, r in store.tasks("r1").items()} == {
+            n: r["seed"] for n, r in store.tasks("r2").items()
+        }
+        store.close()
 
 
 # ---- runner --------------------------------------------------------------------------
@@ -585,7 +650,7 @@ class TestBatchingParity:
             assert np.allclose(batched, serial, atol=1e-6)
 
     def test_campaign_engines_agree(self):
-        """Pipeline campaign == deprecated serial loop at shots=0."""
+        """Pipeline campaign == the per-site serial reference at shots=0."""
         from repro.calibration import run_drift_campaign
 
         kwargs = dict(
@@ -598,24 +663,53 @@ class TestBatchingParity:
         )
         dev_serial = sc(num_qubits=2, seed=21, drift_rate=2e4)
         dev_pipe = sc(num_qubits=2, seed=21, drift_rate=2e4)
-        with pytest.warns(DeprecationWarning):
-            serial = run_drift_campaign(dev_serial, engine="serial", **kwargs)
-        pipe = run_drift_campaign(dev_pipe, engine="pipeline", **kwargs)
-        assert pipe.extras["engine"] == "pipeline"
-        assert pipe.calibrations_performed == serial.calibrations_performed
-        assert pipe.tracking_error_hz.shape == serial.tracking_error_hz.shape
+        calibrations, serial = serial_campaign(dev_serial, **kwargs)
+        pipe = run_drift_campaign(dev_pipe, **kwargs)
+        assert pipe.calibrations_performed == calibrations
+        assert pipe.tracking_error_hz.shape == serial.shape
         # Same seed -> identical drift path; exact fits -> near-identical
         # corrections (batched vs single-site schedules differ only at
         # numerical-precision level).
-        assert np.allclose(
-            pipe.tracking_error_hz, serial.tracking_error_hz, atol=5.0
-        )
+        assert np.allclose(pipe.tracking_error_hz, serial, atol=5.0)
 
-    def test_unknown_engine_rejected(self):
-        from repro.calibration import run_drift_campaign
 
-        with pytest.raises(PipelineError, match="unknown campaign engine"):
-            run_drift_campaign(sc(), engine="bogus")
+def serial_campaign(
+    device,
+    *,
+    duration_s: float,
+    step_s: float,
+    tracked: bool,
+    calibration_interval_s: float,
+    shots: int,
+    seed: int,
+) -> tuple[int, np.ndarray]:
+    """Per-site drift-campaign reference on the public ``track_frequency``.
+
+    Drift every *step_s*; every *calibration_interval_s* track each site
+    one at a time.  Returns ``(calibrations, (steps + 1, sites) error)``.
+    """
+    from repro.calibration import track_frequency
+
+    n_steps = int(round(duration_s / step_s))
+    n_sites = device.config.num_sites
+    errors = np.zeros((n_steps + 1, n_sites), dtype=np.float64)
+    calibrations = 0
+    since_cal = 0.0
+    for site in range(n_sites):
+        errors[0, site] = device.tracking_error(site)
+    for k in range(1, n_steps + 1):
+        device.advance_time(step_s)
+        since_cal += step_s
+        if tracked and since_cal >= calibration_interval_s:
+            for site in range(n_sites):
+                track_frequency(
+                    device, site, rounds=1, shots=shots, seed=seed + 1000 * k + site
+                )
+            calibrations += n_sites
+            since_cal = 0.0
+        for site in range(n_sites):
+            errors[k, site] = device.tracking_error(site)
+    return calibrations, errors
 
 
 # ---- write-back + invalidation -------------------------------------------------------

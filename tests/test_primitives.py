@@ -4,14 +4,11 @@ Covers the acceptance surface of the primitives PR: the Observable
 algebra and its two evaluation conventions, PUB broadcasting,
 Sampler/Estimator equivalence with the direct ``Executable.run`` loop
 across all three device families, the noisy Estimator against the
-exact Lindblad distribution (1e-10), the batched executor kernel, the
-deprecation shims over the old per-result accessors, and the
-mixed-width distribution bugfix.
+exact Lindblad distribution (1e-10), the batched executor kernel, and
+the mixed-width distribution bugfix.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from repro.primitives import (
     Sampler,
     SamplerPub,
 )
-from repro.primitives.observables import expectation_z
+from repro.qem import SamplerOptions
 
 
 def parametric_kernel(device, n_params: int = 2, amp: float = 0.2) -> str:
@@ -64,13 +61,11 @@ def loop_expectations(executable, grid: dict[str, np.ndarray]) -> np.ndarray:
     names = list(grid)
     n = len(next(iter(grid.values())))
     out = np.empty(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for i in range(n):
-            point = {k: float(grid[k][i]) for k in names}
-            out[i] = (
-                executable.bind(point).run(shots=0, seed=1).expectation_z(0)
-            )
+    z0 = Observable.z(0)
+    for i in range(n):
+        point = {k: float(grid[k][i]) for k in names}
+        result = executable.bind(point).run(shots=0, seed=1)
+        out[i] = z0.expectation(result.probabilities)
     return out
 
 
@@ -492,7 +487,9 @@ class TestSamplerMitigation:
             repro.Target.from_device(device), default_shots=0
         ).run([(program, grid)])[0].data
         mitigated = Sampler(
-            repro.Target.from_device(device), default_shots=0, mitigation=True
+            repro.Target.from_device(device),
+            default_shots=0,
+            options=SamplerOptions(mitigation=("readout",)),
         ).run([(program, grid)])[0].data
         exact = plain.probabilities[0]
         tv_raw = 0.5 * sum(
@@ -510,11 +507,11 @@ class TestSamplerMitigation:
         with pytest.raises(ValidationError, match="direct simulator"):
             Sampler(
                 repro.Target.from_client(client, "sc-transmon"),
-                mitigation=True,
+                options=SamplerOptions(mitigation=("readout",)),
             )
 
     def test_validate_readout_mitigation_still_scores(self):
-        from repro.mitigation import validate_readout_mitigation
+        from repro.qem.readout import validate_readout_mitigation
         from repro.qpi import qpi_to_schedule
         from repro.qpi.qpi import (
             QCircuit,
@@ -536,69 +533,6 @@ class TestSamplerMitigation:
         )
         assert validation.improvement > 0
         assert validation.condition_number >= 1.0
-
-
-# ---- deprecation shims ---------------------------------------------------------------
-
-
-class TestExpectationZShims:
-    """Satellite: the four wrappers warn and agree with the engine."""
-
-    def test_execution_result_shim(self, sc_device_1q):
-        program = repro.Program.from_mlir(parametric_kernel(sc_device_1q, 1))
-        exe = repro.compile(
-            program, repro.Target.from_device(sc_device_1q)
-        ).bind({"theta0": 0.3})
-        result = sc_device_1q.executor.execute(exe.schedule, shots=0)
-        with pytest.warns(DeprecationWarning, match="ExecutionResult"):
-            value = result.expectation_z(0)
-        assert value == pytest.approx(
-            expectation_z(result.probabilities, 0), abs=1e-14
-        )
-
-    def test_client_result_shim(self, sc_device_1q):
-        program = repro.Program.from_mlir(parametric_kernel(sc_device_1q, 1))
-        result = repro.compile(
-            program, repro.Target.from_device(sc_device_1q)
-        ).bind({"theta0": 0.3}).run(shots=0, seed=1)
-        with pytest.warns(DeprecationWarning, match="ClientResult"):
-            value = result.expectation_z(0)
-        assert value == pytest.approx(
-            Observable.z(0).expectation(result.probabilities), abs=1e-14
-        )
-
-    def test_quantum_result_shim(self):
-        from repro.qpi.qpi import QuantumResult
-
-        result = QuantumResult({}, {"01": 0.25, "11": 0.75}, 64)
-        with pytest.warns(DeprecationWarning, match="QuantumResult"):
-            value = result.expectation_z(0)
-        assert value == pytest.approx(-0.5)
-
-    def test_mitigated_result_shim(self):
-        from repro.mitigation import mitigate_distribution
-        from repro.sim.measurement import ReadoutModel
-
-        mitigated = mitigate_distribution(
-            {"0": 0.8, "1": 0.2}, [ReadoutModel(p01=0.1, p10=0.1)]
-        )
-        with pytest.warns(DeprecationWarning, match="MitigatedResult"):
-            value = mitigated.expectation_z(0)
-        assert value == pytest.approx(
-            Observable.z(0).expectation(mitigated.distribution), abs=1e-14
-        )
-
-    def test_shims_keep_validation_errors(self):
-        from repro.qpi.qpi import QuantumResult
-
-        result = QuantumResult({}, {}, 0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="empty distribution"):
-                result.expectation_z(0)
-            result = QuantumResult({}, {"00": 1.0}, 0)
-            with pytest.raises(ValidationError, match="slot -1 out of range"):
-                result.expectation_z(-1)
 
 
 # ---- consumer rewires ----------------------------------------------------------------

@@ -7,8 +7,8 @@ Covers, per the PR-10 acceptance criteria:
 * ZNE extrapolation recovering exact-Lindblad expectations;
 * Pauli twirling preserving means and cancelling coherent readout
   bias; composition-order semantics of the options stack;
-* bit-for-bit parity of the deprecated `repro.mitigation` /
-  `repro.calibration.readout` shims (plus their warnings);
+* bit-for-bit parity of the readout-only sampler stack with
+  `repro.qem.readout.mitigate_distribution` applied by hand;
 * RB / T1 / T2 / tomography as durable pipeline task kinds, with the
   fitted rates scored against the injected Lindblad rates;
 * SIGKILL-resume of a characterization DAG from `PipelineStore`;
@@ -280,8 +280,8 @@ class TestOptions:
         dev = noisy_device()
         with pytest.raises(ValidationError, match="EstimatorOptions"):
             Estimator(dev, options=object())
-        with pytest.raises(ValidationError, match="not both"):
-            Sampler(dev, mitigation=True, options=SamplerOptions())
+        with pytest.raises(ValidationError, match="SamplerOptions"):
+            Sampler(dev, options=object())
 
 
 # ---- ZNE end to end ------------------------------------------------------------------
@@ -474,20 +474,27 @@ class TestComposition:
 
 class TestMitigatedSampler:
     def test_readout_options_match_legacy_bit_for_bit(self):
+        # The readout-only stack is exactly confusion inversion of the
+        # normalized counts with the executor's per-site readout models.
         dev = noisy_device()
         sched = x_train(dev, 1)
-        legacy = Sampler(dev, default_shots=256, seed=3, mitigation=True).run(
-            [(sched,)]
-        )[0]
+        plain = Sampler(dev, default_shots=256, seed=3).run([(sched,)])[0]
         new = Sampler(
             dev,
             default_shots=256,
             seed=3,
             options=SamplerOptions(mitigation=("readout",)),
         ).run([(sched,)])[0]
-        assert legacy.data.counts[()] == new.data.counts[()]
-        assert legacy.data.quasi_dists[()] == new.data.quasi_dists[()]
-        assert float(legacy.data.condition_numbers[()]) == float(
+        counts = plain.data.counts[()]
+        assert counts == new.data.counts[()]
+        total = sum(counts.values())
+        sites = dev.executor.execute(sched, shots=0).measured_sites
+        reference = qem.mitigate_distribution(
+            {k: v / total for k, v in counts.items()},
+            [dev.executor.readout.get(site, ReadoutModel()) for site in sites],
+        )
+        assert reference.distribution == new.data.quasi_dists[()]
+        assert reference.condition_number == float(
             new.data.condition_numbers[()]
         )
 
@@ -507,56 +514,6 @@ class TestMitigatedSampler:
         tv_noisy = qem.total_variation_distance(noisy, ideal)
         assert tv_mitigated < tv_noisy
         assert res.metadata["qem"]["mitigation"] == ["twirling", "readout"]
-
-
-# ---- shims ---------------------------------------------------------------------------
-
-
-class TestDeprecationShims:
-    def test_mitigation_shim_warns_and_matches(self):
-        from repro.mitigation import readout as legacy
-
-        dist = {"0": 0.6, "1": 0.4}
-        models = [ReadoutModel(p01=0.02, p10=0.05)]
-        with pytest.warns(DeprecationWarning, match="repro.qem"):
-            shimmed = legacy.mitigate_distribution(dist, models)
-        direct = qem.mitigate_distribution(dist, models)
-        assert shimmed.distribution == direct.distribution
-        assert shimmed.condition_number == direct.condition_number
-        assert isinstance(shimmed, qem.MitigatedResult)
-
-    def test_mitigation_package_classes_are_same_objects(self):
-        import repro.mitigation as legacy
-
-        assert legacy.MitigatedResult is qem.MitigatedResult
-        assert legacy.MitigationValidation is qem.MitigationValidation
-
-    def test_calibration_shim_warns_and_matches(self):
-        from repro.calibration import readout as legacy
-
-        dev = noisy_device()
-        with pytest.warns(DeprecationWarning, match="repro.qem"):
-            shimmed = legacy.measure_confusion(dev, 0, shots=512, seed=2)
-        direct = qem.measure_confusion(dev, 0, shots=512, seed=2)
-        assert shimmed.p01 == direct.p01
-        assert shimmed.p10 == direct.p10
-        assert isinstance(shimmed, qem.ReadoutCalibration)
-
-    def test_validate_readout_mitigation_shim(self):
-        from repro.mitigation import validate_readout_mitigation
-
-        dev = noisy_device()
-        sched = x_train(dev, 1)
-        with pytest.warns(DeprecationWarning, match="repro.qem"):
-            legacy = validate_readout_mitigation(
-                dev.executor, sched, shots=0, seed=1
-            )
-        direct = qem.validate_readout_mitigation(
-            dev.executor, sched, shots=0, seed=1
-        )
-        assert legacy.mitigated == direct.mitigated
-        assert legacy.tv_mitigated == direct.tv_mitigated
-        assert legacy.improvement > 0
 
 
 # ---- ground truth helpers ------------------------------------------------------------

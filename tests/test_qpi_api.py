@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.primitives import Observable
 from repro.qpi import (
     PythonicCircuit,
     QCircuit,
@@ -147,7 +148,7 @@ class TestQPIExecution:
         qCircuitEnd()
         qExecute(sc_device, c, 0, seed=0)
         # X|0> = |1> -> <Z> near -1 (softened by readout error).
-        assert qRead(c).expectation_z(0) < -0.9
+        assert Observable.z(0).expectation(qRead(c).probabilities) < -0.9
 
     def test_delay_and_barrier_ops(self, sc_device):
         c = QCircuit()

@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.client import BatchFailure, JobRequest, MQSSClient, RemoteDeviceProxy
+from repro.api.core import run_request
+from repro.client import JobRequest, MQSSClient, RemoteDeviceProxy
 from repro.devices import SuperconductingDevice, TrappedIonDevice
 from repro.errors import (
     BackpressureError,
@@ -180,8 +181,8 @@ class TestCompileCache:
         _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
         client.compile_cache = CompileCache()
         prog = x_program()
-        client.submit(JobRequest(prog, "sc-a", shots=8, seed=1))
-        client.submit(JobRequest(prog, "sc-a", shots=8, seed=1))
+        run_request(client, JobRequest(prog, "sc-a", shots=8, seed=1))
+        run_request(client, JobRequest(prog, "sc-a", shots=8, seed=1))
         assert client.compile_cache.stats["hits"] == 1
         # The compiler's internal memo was bypassed entirely.
         assert client.compiler.stats["cache_hits"] == 0
@@ -361,32 +362,6 @@ class TestFailover:
             "sc-a",
             "remote:sc-cloud",
         ]
-
-
-class TestRunBatchAlignment:
-    def test_failures_keep_slots_and_order(self):
-        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
-        requests = [
-            JobRequest(x_program(), "sc-a", shots=8, seed=1),
-            JobRequest(x_program(), "missing-device", shots=8),
-            JobRequest(x_program(), "sc-a", shots=8, seed=1),
-        ]
-        results = client.run_batch(requests)
-        assert len(results) == 3
-        assert results[0].device == "sc-a"
-        assert isinstance(results[1], BatchFailure)
-        assert results[1].index == 1
-        assert isinstance(results[1].error, QDMIError)
-        assert results[2].device == "sc-a"
-
-    def test_raise_on_error_summarizes_after_completion(self):
-        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
-        requests = [
-            JobRequest(x_program(), "sc-a", shots=8, seed=1),
-            JobRequest(x_program(), "missing-device", shots=8),
-        ]
-        with pytest.raises(ExecutionError, match="missing-device"):
-            client.run_batch(requests, raise_on_error=True)
 
 
 class TestMetrics:

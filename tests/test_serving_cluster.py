@@ -36,7 +36,6 @@ from repro.serving import (
     Ticket,
     TicketState,
     connect,
-    ticket_from_dict,
 )
 from repro.serving import shm as shm_mod
 from repro.serving import wire
@@ -316,11 +315,12 @@ class TestTicketProtocol:
         with PulseService(client) as svc:
             ticket = svc.submit(request(seed=5))
             result = ticket.result(30)
-            data = ticket.to_dict()
-        rebuilt = ticket_from_dict(data)
-        assert rebuilt.id == ticket.id
-        assert rebuilt.status() is TicketState.DONE
-        assert rebuilt.result(0).counts == result.counts
+            data = json.loads(json.dumps(ticket.to_dict()))
+        assert data["id"] == ticket.id
+        assert TicketState(data["state"]) is TicketState.DONE
+        decoded = wire.decode_result(data["result"])
+        assert decoded.counts == result.counts
+        assert decoded.probabilities == result.probabilities
 
     def test_sweep_ticket_aggregates(self):
         from repro.serving import SweepRequest
