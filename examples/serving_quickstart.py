@@ -29,9 +29,10 @@ from repro.serving import PulseService
 class FlakyDevice(SuperconductingDevice):
     """A transmon whose hardware faults on every job (failover demo)."""
 
-    def submit_job(self, job) -> None:
-        job.transition(JobStatus.SUBMITTED)
-        job.fail("cryostat warmed up")
+    def submit_jobs(self, jobs) -> None:
+        for job in jobs:
+            job.transition(JobStatus.SUBMITTED)
+            job.fail("cryostat warmed up")
 
 
 def main() -> None:

@@ -382,17 +382,10 @@ class Executable:
             schedule = template.specialize(self.params)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
-        if self.target.is_remote:
-            from repro.qir.emitter import schedule_to_qir
-
-            qir = schedule_to_qir(schedule)
-        else:
-            qir = ""
         return CompiledProgram(
             device_name=device.name,
             schedule=schedule,
             pulse_module=self.program.module,
-            qir=qir,
             pass_report=None,
             compile_time_s=time.perf_counter() - t0,
             metadata={

@@ -12,8 +12,9 @@ serving layer (:mod:`repro.serving`) can interpose between them:
 * :meth:`MQSSClient.compile_request` — adapter selection + JIT
   compilation (optionally through a shared
   :class:`~repro.serving.cache.CompileCache`);
-* :meth:`MQSSClient.execute_compiled` — session lease + format routing
-  + execution + result assembly.
+* :meth:`MQSSClient.execute_compiled_batch` — session lease + format
+  routing + one batched device submission + result assembly
+  (:meth:`MQSSClient.execute_compiled` is its one-member case).
 
 :func:`repro.api.core.run_request` is the one-shot path over both
 halves; :class:`PulseService` workers call them separately to insert
@@ -25,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.client.adapters import Adapter, default_adapters
 from repro.compiler.jit import CompiledProgram, JITCompiler
@@ -219,58 +220,116 @@ class MQSSClient:
     ) -> ClientResult:
         """Route *program* to a device and execute it.
 
+        The one-member case of :meth:`execute_compiled_batch`.
         *device_name* overrides the request's device (failover path);
         *shots* overrides the request's shot count (coalesced batches).
         *should_cancel* is an optional zero-arg callable the device
         executor polls at chunk boundaries; when it returns True the
         execution aborts with :class:`~repro.errors.CancelledError`.
         """
-        name = device_name or request.device
-        _, _, remote = self.resolve_target(name)
-        session, close_after = self._lease_session(name)
-        try:
-            t0 = time.perf_counter()
-            if remote:
-                fmt, job_payload = ProgramFormat.QIR_PULSE, program.qir
-            else:
-                fmt, job_payload = ProgramFormat.PULSE_SCHEDULE, program.schedule
-            metadata: dict = {}
-            if request.seed is not None:
-                metadata["seed"] = request.seed
-            # Per-request decoherence overrides (noise-parameter
-            # sweeps) ride through to the device executor.
-            decoherence = (request.metadata or {}).get("decoherence")
-            if decoherence is not None:
-                metadata["decoherence"] = decoherence
-            if should_cancel is not None:
-                metadata["should_cancel"] = should_cancel
-            job = session.run(
-                fmt,
-                job_payload,
-                shots=shots if shots is not None else request.shots,
-                metadata=metadata or None,
-            )
-            if timings is not None:
-                timings["execute"] = time.perf_counter() - t0
+        return self.execute_compiled_batch(
+            [request],
+            [program],
+            device_name=device_name,
+            shots=None if shots is None else [shots],
+            timings=timings,
+            should_cancel=should_cancel,
+        )[0]
 
+    def execute_compiled_batch(
+        self,
+        requests: Sequence[JobRequest],
+        programs: Sequence[CompiledProgram],
+        *,
+        device_name: str | None = None,
+        shots: Sequence[int] | None = None,
+        timings: dict[str, float] | None = None,
+        should_cancel: Any | None = None,
+    ) -> list[ClientResult]:
+        """Execute compiled requests, one batched submission per device.
+
+        ``programs[i]`` is request i compiled for its device. Requests
+        bound for one device (*device_name*, else each request's own)
+        become one QDMI job each, submitted together through
+        :meth:`QDMISession.submit_jobs
+        <repro.qdmi.session.QDMISession.submit_jobs>`, which lets a
+        simulated device evolve them in one batched pass; every job
+        keeps its own seed (``request.seed``, else its job id), shots
+        (``shots[i]`` overrides) and decoherence override. The batch
+        aborts with :class:`~repro.errors.CancelledError` only when
+        *should_cancel* returns True, and raises
+        :class:`~repro.errors.ExecutionError` when any job fails.
+        *timings* receives the batch's ``"execute"`` wall time; every
+        result carries a copy.
+        """
+        requests = list(requests)
+        if len(programs) != len(requests) or (
+            shots is not None and len(shots) != len(requests)
+        ):
+            raise ExecutionError(
+                "execute_compiled_batch needs one program (and one shot "
+                "count, when given) per request"
+            )
+        names = [device_name or r.device for r in requests]
+        by_device: dict[str, list[int]] = {}
+        for i, name in enumerate(names):
+            by_device.setdefault(name, []).append(i)
+        jobs: list[Any] = [None] * len(requests)
+        t0 = time.perf_counter()
+        for name, members in by_device.items():
+            _, _, remote = self.resolve_target(name)
+            fmt = ProgramFormat.QIR_PULSE if remote else ProgramFormat.PULSE_SCHEDULE
+            session, close_after = self._lease_session(name)
+            try:
+                batch = []
+                for i in members:
+                    request, program = requests[i], programs[i]
+                    metadata: dict = {}
+                    if request.seed is not None:
+                        metadata["seed"] = request.seed
+                    # Per-request decoherence overrides (noise-parameter
+                    # sweeps) ride through to the device executor.
+                    decoherence = (request.metadata or {}).get("decoherence")
+                    if decoherence is not None:
+                        metadata["decoherence"] = decoherence
+                    if should_cancel is not None:
+                        metadata["should_cancel"] = should_cancel
+                    jobs[i] = session.create_job(
+                        fmt,
+                        program.qir if remote else program.schedule,
+                        shots=request.shots if shots is None else shots[i],
+                        metadata=metadata or None,
+                    )
+                    batch.append(jobs[i])
+                session.submit_jobs(batch)
+            finally:
+                if close_after:
+                    session.close()
+        if timings is not None:
+            timings["execute"] = time.perf_counter() - t0
+        for job, name in zip(jobs, names):
             if job.status is not JobStatus.DONE:
                 raise ExecutionError(
                     f"job {job.job_id} on {name!r} failed: {job.error}"
                 )
+        results = []
+        for job, name, program in zip(jobs, names, programs):
+            remote = job.program_format is ProgramFormat.QIR_PULSE
             result = job.result
-            return ClientResult(
-                device=name,
-                counts=result.counts,
-                probabilities=result.ideal_probabilities,
-                shots=result.shots,
-                duration_samples=result.duration_samples,
-                timings_s=timings if timings is not None else {},
-                job_id=job.job_id,
-                remote=remote,
-                # Serialization cost is only paid (and only meaningful)
-                # on the remote path; the local fast path skips it.
-                qir_size_bytes=len(program.qir.encode()) if remote else 0,
+            results.append(
+                ClientResult(
+                    device=name,
+                    counts=result.counts,
+                    probabilities=result.ideal_probabilities,
+                    shots=result.shots,
+                    duration_samples=result.duration_samples,
+                    timings_s=dict(timings) if timings is not None else {},
+                    job_id=job.job_id,
+                    remote=remote,
+                    # Serialization cost is only paid (and only
+                    # meaningful) on the remote path; the local fast
+                    # path skips it.
+                    qir_size_bytes=len(program.qir.encode()) if remote else 0,
+                )
             )
-        finally:
-            if close_after:
-                session.close()
+        return results

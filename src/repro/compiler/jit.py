@@ -10,8 +10,8 @@ Reproduces the paper's pipeline (§5.5 "Consistency Across the Stack"):
 3. lower gates to pulses through the device's calibrations;
 4. run the pulse pass pipeline — canonicalize, CSE, DCE, and the
    constraint legalization built from the queried constraints;
-5. emit QIR with the Pulse Profile (challenge C4) and/or the executable
-   schedule.
+5. emit the executable schedule, and QIR with the Pulse Profile
+   (challenge C4) when a consumer asks for it.
 
 Compilations are cached: the cache key combines the payload's stable
 fingerprint with the device name and its current calibration state, so
@@ -52,16 +52,28 @@ from repro.qir.emitter import schedule_to_qir
 
 @dataclass
 class CompiledProgram:
-    """Output of one JIT compilation."""
+    """Output of one JIT compilation.
+
+    The QIR text is emitted from :attr:`schedule` on first access of
+    :attr:`qir`: only remote dispatch and QIR size accounting read it,
+    so local execution never pays for it.
+    """
 
     device_name: str
     schedule: PulseSchedule
     pulse_module: Module
-    qir: str
     pass_report: Any
     compile_time_s: float
     cache_hit: bool = False
     metadata: dict = field(default_factory=dict)
+    _qir: str | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def qir(self) -> str:
+        """The schedule as QIR with the Pulse Profile (emitted lazily)."""
+        if self._qir is None:
+            self._qir = schedule_to_qir(self.schedule)
+        return self._qir
 
     @property
     def duration_samples(self) -> int:
@@ -263,14 +275,11 @@ class JITCompiler:
         final_schedule = mlir_pulse_to_schedule(pulse_module, device)
         constraints.validate_schedule(final_schedule)
 
-        # 5. Exchange format.
-        qir = schedule_to_qir(final_schedule)
-
+        # 5. Exchange format: emitted on first use (CompiledProgram.qir).
         program = CompiledProgram(
             device_name=device.name,
             schedule=final_schedule,
             pulse_module=pulse_module,
-            qir=qir,
             pass_report=report,
             compile_time_s=time.perf_counter() - t0,
             metadata={

@@ -464,39 +464,75 @@ class SimulatedDevice(QDMIDevice):
 
     def submit_job(self, job: QDMIJob) -> None:
         """Run *job* synchronously; terminal state is DONE or FAILED."""
-        if job.status is not JobStatus.CREATED:
-            raise JobError(
-                f"job {job.job_id} already submitted (status {job.status.value})"
-            )
-        job.transition(JobStatus.SUBMITTED)
-        if not self.supports_format(job.program_format):
-            job.fail(
-                f"device {self.name!r} does not accept format "
-                f"{job.program_format.value!r}"
-            )
-            return
-        job.transition(JobStatus.QUEUED)
-        self._jobs.append(job)
-        job.transition(JobStatus.RUNNING)
+        self.submit_jobs([job])
+
+    def submit_jobs(self, jobs: Sequence[QDMIJob]) -> None:
+        """Run *jobs* synchronously, batching their evolution.
+
+        Jobs sharing a decoherence override, an array backend and a
+        shot count run through one :meth:`ScheduleExecutor.execute_batch
+        <repro.sim.executor.ScheduleExecutor.execute_batch>`, each on
+        its own seeded stream (``metadata["seed"]``, else the job id),
+        exactly the stream it would draw when submitted alone. Each
+        job then completes or fails individually. A job whose
+        payload does not decode or validate fails alone; an execution
+        fault fails its whole group.
+        """
+        jobs = list(jobs)
+        for job in jobs:
+            if job.status is not JobStatus.CREATED:
+                raise JobError(
+                    f"job {job.job_id} already submitted "
+                    f"(status {job.status.value})"
+                )
+        groups: dict[tuple, tuple[ScheduleExecutor, list]] = {}
+        for job in jobs:
+            job.transition(JobStatus.SUBMITTED)
+            if not self.supports_format(job.program_format):
+                job.fail(
+                    f"device {self.name!r} does not accept format "
+                    f"{job.program_format.value!r}"
+                )
+                continue
+            job.transition(JobStatus.QUEUED)
+            self._jobs.append(job)
+            job.transition(JobStatus.RUNNING)
+            try:
+                schedule = self._payload_to_schedule(job)
+                self.config.constraints.validate_schedule(schedule)
+                executor = self._executor_for(job.metadata.get("decoherence"))
+            except Exception as exc:  # deliberate: device must not crash the stack
+                job.fail(f"{type(exc).__name__}: {exc}")
+                continue
+            backend = job.metadata.get("backend")
+            key = (id(executor), backend, job.shots)
+            groups.setdefault(key, (executor, []))[1].append((job, schedule))
         self._status = DeviceStatus.BUSY
         try:
-            schedule = self._payload_to_schedule(job)
-            self.config.constraints.validate_schedule(schedule)
-            executor = self._executor_for(job.metadata.get("decoherence"))
-            result = executor.execute(
-                schedule,
-                shots=job.shots,
-                seed=job.metadata.get("seed", job.job_id),
-                backend=job.metadata.get("backend"),
-                should_cancel=job.metadata.get("should_cancel"),
-            )
-            job.complete(result)
-        except CancelledError:
-            # Cooperative cancellation is not a device fault: let the
-            # serving layer resolve the tickets CANCELLED.
-            raise
-        except Exception as exc:  # deliberate: device must not crash the stack
-            job.fail(f"{type(exc).__name__}: {exc}")
+            for (_, backend, shots), (executor, members) in groups.items():
+                try:
+                    results = executor.execute_batch(
+                        [schedule for _, schedule in members],
+                        shots=shots,
+                        seed=[
+                            job.metadata.get("seed", job.job_id)
+                            for job, _ in members
+                        ],
+                        backend=backend,
+                        should_cancel=_batch_cancel(
+                            [job.metadata.get("should_cancel") for job, _ in members]
+                        ),
+                    )
+                except CancelledError:
+                    # Cooperative cancellation is not a device fault: let
+                    # the serving layer resolve the tickets CANCELLED.
+                    raise
+                except Exception as exc:  # deliberate: see above
+                    for job, _ in members:
+                        job.fail(f"{type(exc).__name__}: {exc}")
+                    continue
+                for (job, _), result in zip(members, results):
+                    job.complete(result)
         finally:
             self._status = DeviceStatus.IDLE
 
@@ -528,3 +564,13 @@ class SimulatedDevice(QDMIDevice):
     def executed_jobs(self) -> tuple[QDMIJob, ...]:
         """Jobs this device has accepted, in submission order."""
         return tuple(self._jobs)
+
+
+def _batch_cancel(checks: Sequence[Callable[[], bool] | None]):
+    """One cancel poll for a batch: it aborts only when every job asks."""
+    if any(check is None for check in checks):
+        return None
+    distinct = list({id(check): check for check in checks}.values())
+    if len(distinct) == 1:
+        return distinct[0]
+    return lambda: all(check() for check in distinct)

@@ -8,11 +8,12 @@ split into separate tasks:
   ``readout_scan``) build schedules and measure through the
   Estimator/Sampler primitives — *all sites of a scan batch through
   one primitive call* (one ``execute_batch`` evolution pass on direct
-  targets, one admitted sweep per PUB on a served target) instead of
-  the serial per-site × per-point loops of the original calibration
-  module.  Their recorded results carry everything the downstream fit
-  needs (including the believed frequencies at scan time), which makes
-  the fits pure.
+  targets; on a served target one sweep for the whole scan, which the
+  service runs as one batched device execution) instead of the serial
+  per-site × per-point loops of the original calibration module.
+  Their recorded results carry everything the downstream fit needs
+  (including the believed frequencies at scan time), which makes the
+  fits pure.
 * **fit tasks** (``ramsey_fit``, ``rabi_fit``, ``drag_fit``) call the
   shared fitting functions (:func:`~repro.calibration.ramsey.fit_ramsey_fringe`,
   :func:`~repro.calibration.rabi.fit_pi_amplitude`,
@@ -185,8 +186,9 @@ def _ramsey_scan_run(ctx, params, seed, upstream) -> dict:
         for i, tau in enumerate(delays)
     ]
     # One primitive call for the whole (delays x sites) grid: direct
-    # targets stack every schedule into a single execute_batch pass,
-    # served targets admit the PUB sweeps before collecting tickets.
+    # targets stack every schedule into a single execute_batch pass;
+    # served targets admit all 41 PUBs as one sweep, which the service
+    # queues as one entry and evolves in one batched device execution.
     res = ctx.estimator(shots=shots, seed=seed).run(pubs)
     populations = {
         str(site): [float(res[i].data.evs[slot]) for i in range(len(delays))]

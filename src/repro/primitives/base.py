@@ -13,9 +13,11 @@ and owns one dispatch decision for all its PUBs:
   propagator (or Lindblad superpropagator) call instead of a
   per-point ``run()`` loop.
 * **service** — the target dispatches through a
-  :class:`~repro.serving.service.PulseService`: each PUB expands into
-  one sweep (``PulseService`` fan-out, coalescing, failover) and the
-  primitives collect the tickets.
+  :class:`~repro.serving.service.PulseService`: the points of every
+  PUB sharing a shot count form one sweep, which the service queues
+  as one entry and runs as one batched device execution (with
+  admission control and failover), and the primitives collect the
+  tickets. Seeded results equal the direct mode's bit for bit.
 * **client** — anything else (remote QDMI routing): the per-point
   ``Executable`` loop, kept as the correctness baseline.
 
@@ -242,63 +244,68 @@ class BasePrimitive:
 
         *per_pub* entries are ``(pub, point_handles, shots)`` where the
         handles are schedules (direct/service) or executables (client).
-        Direct dispatch batches all pubs sharing a shot count into one
-        :meth:`execute_batch` call; service dispatch admits every sweep
-        before collecting any ticket, so pubs overlap in the worker
-        pools.
+        Direct and service dispatch both batch all points sharing a
+        shot count, across every pub: direct runs each such group
+        through one :meth:`execute_batch` call, service admits it as
+        one sweep — one queue entry, one batched device execution —
+        and admits every sweep before collecting any ticket.
         """
         with span("dispatch", mode=self._mode, pubs=len(per_pub)):
-            if self._mode == _DIRECT:
-                out: list[list[Any]] = [
-                    [None] * len(h) for _, h, _ in per_pub
+            if self._mode == _CLIENT:
+                return [
+                    [
+                        handle.run(
+                            shots=shots,
+                            seed=self._seed,
+                            timeout=timeout,
+                            backend=self._backend,
+                        )
+                        for handle in handles
+                    ]
+                    for _, handles, shots in per_pub
                 ]
-                groups: dict[int, list[tuple[int, int, Any]]] = {}
-                for p, (_, handles, shots) in enumerate(per_pub):
-                    for i, handle in enumerate(handles):
-                        groups.setdefault(shots, []).append((p, i, handle))
-                for shots, entries in groups.items():
-                    results = self._executor.execute_batch(
+            if self._mode == _SERVICE and self._backend is not None:
+                raise ValidationError(
+                    "backend= is not supported on service dispatch: "
+                    "sweep workers own their execution scope; run "
+                    "against a direct target, or scope the service "
+                    "process with repro.xp.use_backend"
+                )
+            groups: dict[int, list[tuple[int, int, Any]]] = {}
+            for p, (_, handles, shots) in enumerate(per_pub):
+                for i, handle in enumerate(handles):
+                    groups.setdefault(shots, []).append((p, i, handle))
+            if self._mode == _DIRECT:
+                batches = [
+                    self._executor.execute_batch(
                         [e[2] for e in entries],
                         shots=shots,
                         seed=self._seed,
                         backend=self._backend,
                     )
-                    for (p, i, _), result in zip(entries, results):
-                        out[p][i] = result
-                return out
-            if self._mode == _SERVICE:
+                    for shots, entries in groups.items()
+                ]
+            else:
                 from repro.serving.sweeps import SweepRequest
 
-                if self._backend is not None:
-                    raise ValidationError(
-                        "backend= is not supported on service dispatch: "
-                        "sweep workers own their execution scope; run "
-                        "against a direct target, or scope the service "
-                        "process with repro.xp.use_backend"
-                    )
                 service = self._target.service
-                tickets = []
-                for _, handles, shots in per_pub:
-                    sweep = SweepRequest.from_programs(
-                        list(handles),
-                        self._target.device_name,
-                        shots=shots,
-                        seed=self._seed,
+                tickets = [
+                    service._admit_sweep(
+                        SweepRequest.from_programs(
+                            [e[2] for e in entries],
+                            self._target.device_name,
+                            shots=shots,
+                            seed=self._seed,
+                        )
                     )
-                    tickets.append(service._admit_sweep(sweep))
-                return [t.results(timeout) for t in tickets]
-            return [
-                [
-                    handle.run(
-                        shots=shots,
-                        seed=self._seed,
-                        timeout=timeout,
-                        backend=self._backend,
-                    )
-                    for handle in handles
+                    for shots, entries in groups.items()
                 ]
-                for _, handles, shots in per_pub
-            ]
+                batches = [t.results(timeout) for t in tickets]
+            out: list[list[Any]] = [[None] * len(h) for _, h, _ in per_pub]
+            for entries, results in zip(groups.values(), batches):
+                for (p, i, _), result in zip(entries, results):
+                    out[p][i] = result
+            return out
 
     # ---- result-shape helpers --------------------------------------------------------
 

@@ -138,6 +138,17 @@ class QDMIDevice(abc.ABC):
         reproduction deterministic while exercising the full FSM.
         """
 
+    def submit_jobs(self, jobs: Sequence[QDMIJob]) -> None:
+        """Accept a batch of jobs; each reaches its own terminal state.
+
+        The default submits them one by one. Devices that can run many
+        programs in one pass (the simulated QPUs batch their
+        evolution) override it, and then :meth:`submit_job` is the
+        one-member batch.
+        """
+        for job in jobs:
+            self.submit_job(job)
+
     def supports_format(self, fmt: ProgramFormat) -> bool:
         """Whether the device accepts *fmt* payloads."""
         return fmt in self.supported_formats()

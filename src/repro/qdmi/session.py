@@ -96,14 +96,20 @@ class QDMISession:
 
     def submit(self, job: QDMIJob) -> QDMIJob:
         """Submit a previously created job to the device."""
+        return self.submit_jobs([job])[0]
+
+    def submit_jobs(self, jobs: Sequence[QDMIJob]) -> list[QDMIJob]:
+        """Submit previously created jobs to the device as one batch."""
         device = self._check()
-        if job.device_name != device.name:
-            raise SessionError(
-                f"job {job.job_id} targets {job.device_name!r}, session is on "
-                f"{device.name!r}"
-            )
-        device.submit_job(job)
-        return job
+        jobs = list(jobs)
+        for job in jobs:
+            if job.device_name != device.name:
+                raise SessionError(
+                    f"job {job.job_id} targets {job.device_name!r}, session "
+                    f"is on {device.name!r}"
+                )
+        device.submit_jobs(jobs)
+        return jobs
 
     def run(
         self,

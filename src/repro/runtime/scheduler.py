@@ -129,7 +129,7 @@ class SecondLevelScheduler:
         hook_lock = threading.Lock()
 
         def hook(entry) -> None:
-            job = jobs_by_ticket[entry.ticket]
+            job = jobs_by_ticket[entry.tickets[0]]
             with hook_lock:
                 self._before_dispatch(job, report)
 

@@ -9,6 +9,10 @@ match, executes the program once with the summed shot count, and
 splits the sampled shots back per request with a multivariate
 hypergeometric draw — statistically identical to each request having
 drawn its own shots from the single execution's distribution.
+
+Only single-request queue entries coalesce. The points of a sweep
+already share one batched execution, and each keeps its own seeded
+stream there, so identical points of one sweep are never merged.
 """
 
 from __future__ import annotations

@@ -213,16 +213,15 @@ def _run_leased_job(
             wire.decode_request(r) for r in json.loads(row["request"])
         ]
         t0 = time.perf_counter()
-        results = []
-        for request in requests:
-            # Compile is content-addressed through the worker-local
-            # cache, so a re-leased job (or a repeat point of a sweep
-            # chunk) skips the pipeline; seeded execution then makes
-            # re-execution reproduce the original result exactly.
-            program = client.compile_request(request)
-            results.append(
-                client.execute_compiled(request, program, should_cancel=should_cancel)
-            )
+        # Compile is content-addressed through the worker-local cache,
+        # so a re-leased job (or a repeat point of a sweep chunk) skips
+        # the pipeline. The whole row then runs as one batched device
+        # submission, each request on its own seeded stream, so
+        # re-execution reproduces the original result exactly.
+        programs = [client.compile_request(request) for request in requests]
+        results = client.execute_compiled_batch(
+            requests, programs, should_cancel=should_cancel
+        )
         counters["execute_seconds"] += time.perf_counter() - t0
         meta, arrays = split_results(results)
         spec = _shm.pack_arrays(arrays)

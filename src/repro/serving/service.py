@@ -7,14 +7,15 @@ submit :class:`~repro.client.client.JobRequest`\\ s, get future-like
 per-device queues concurrently with compile caching, identical-program
 coalescing, and capability failover.
 
-Pipeline per request::
+Pipeline per queue entry (one request, or the points of a sweep)::
 
-    submit ──▶ admission control (bounded in-flight total)
+    submit ──▶ admission control (bounded in-flight requests)
            ──▶ routing (capability candidates, load spill)
            ──▶ device queue (priority + FIFO)
-    worker ──▶ coalesce mates ──▶ compile cache ──▶ execute (serialized
-               per device) ──▶ shot split ──▶ resolve tickets
-    failure ──▶ failover to the next equivalent device, else fail ticket
+    worker ──▶ coalesce mates ──▶ compile cache (per point)
+           ──▶ one batched execution (serialized per device)
+           ──▶ shot split ──▶ resolve tickets
+    failure ──▶ failover to the next equivalent device, else fail tickets
 
 Failure semantics: *flow control* problems (service or device queue
 full and not asked to block) raise
@@ -26,6 +27,7 @@ exhausted) are carried by the ticket and re-raised from
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
@@ -64,7 +66,7 @@ class JobTicket:
         self.state = TicketState.PENDING
         self.device: str | None = None  # device that actually executed
         self.attempts = 0  # failover hops taken
-        self.group_size = 0  # requests sharing the execution (1 = alone)
+        self.group_size = 0  # requests sharing one shot-split execution (1 = alone)
         self.enqueued_at = time.perf_counter()
         self.dispatched_at: float | None = None
         self.completed_at: float | None = None
@@ -327,14 +329,95 @@ class PulseService:
         Request-level errors (unknown device/adapter…) do not raise:
         they come back on the ticket.
 
-        This is the one admission entry point: ``submit_many``,
-        ``submit_sweep``, ``Executable.run_async`` on a service target
+        ``submit_many``, ``Executable.run_async`` on a service target
         (``repro.compile(program, Target.from_service(service,
         device)).run_async()``) and the second-level scheduler all
-        admit through it.
+        admit through it; ``submit_sweep`` admits its points through
+        the same slot reservation and placement, as multi-point
+        entries.
         """
+        ticket = self._new_ticket(request)
+        self._reserve(1, block=block, timeout=timeout)
+        self._enqueue([request], [ticket], block=block, timeout=timeout)
+        return ticket
+
+    def submit_many(
+        self, requests: Iterable[JobRequest], *, block: bool = True
+    ) -> list[JobTicket]:
+        """Submit a batch in order; blocks for admission by default."""
+        return [self.submit(r, block=block) for r in requests]
+
+    def run(
+        self, requests: Iterable[JobRequest], *, timeout: float | None = None
+    ) -> list[JobTicket]:
+        """Submit a batch and wait for all of it (tickets in order)."""
+        tickets = self.submit_many(requests)
+        for t in tickets:
+            t.wait(timeout)
+        return tickets
+
+    def submit_sweep(self, sweep: "SweepRequest", *, block: bool = True):
+        """Admit a parameter sweep as one queue entry.
+
+        Expands *sweep* into one :class:`JobRequest` (and one
+        :class:`JobTicket`) per scan point and returns a
+        :class:`~repro.serving.sweeps.SweepTicket` over them. The
+        points queue as a single entry — split into chunks only when
+        the sweep exceeds the free admission slots (``max_pending``)
+        or the device queue's room (``per_device_pending``) — and a
+        worker runs each chunk as one batched device execution: every
+        point compiles through the shared compile cache, then all of
+        them evolve in one :meth:`ScheduleExecutor.execute_batch
+        <repro.sim.executor.ScheduleExecutor.execute_batch>` pass, each
+        on its own seeded stream, so identical points do not coalesce
+        (see :mod:`repro.serving.sweeps`).
+
+        A point cancelled while its chunk is queued drops out of it;
+        a running chunk aborts only when every point asked to cancel.
+        An admission failure partway through (backpressure with
+        ``block=False``) never orphans the points already admitted:
+        the failed points' tickets carry the error and the returned
+        :class:`SweepTicket` stays complete and scan-ordered.
+        """
+        return self._admit_sweep(sweep, block=block)
+
+    def _admit_sweep(self, sweep: "SweepRequest", *, block: bool = True):
+        """Sweep admission in chunks over :meth:`_reserve` (internal)."""
+        from repro.serving.sweeps import SweepTicket
+
+        requests = sweep.expand()
+        self.metrics.incr("sweeps")
+        self.metrics.incr("sweep_points", len(requests))
+        tickets = [self._new_ticket(r) for r in requests]
+        start = 0
+        while start < len(requests):
+            try:
+                size = self._reserve(len(requests) - start, block=block, timeout=None)
+            except Exception as exc:
+                tickets[start]._fail(exc)
+                start += 1
+                continue
+            room = self._queue_room(requests[start].device)
+            if room is not None and room < size:
+                keep = room if room > 0 else min(size, self.per_device_pending)
+                self._release(size - keep)
+                size = keep
+            stop = start + size
+            try:
+                self._enqueue(requests[start:stop], tickets[start:stop], block=block)
+            except Exception as exc:
+                for ticket in tickets[start:stop]:
+                    ticket._fail(exc)
+            start = stop
+        return SweepTicket(sweep, tickets)
+
+    def _new_ticket(self, request: JobRequest) -> JobTicket:
         ticket = JobTicket(request)
         ticket._cancel_hook = self._on_ticket_cancel
+        return ticket
+
+    def _reserve(self, want: int, *, block: bool, timeout: float | None) -> int:
+        """Take up to *want* admission slots (at least one); the count."""
         with self._admit:
             if self._in_flight >= self.max_pending:
                 if not block:
@@ -360,73 +443,41 @@ class PulseService:
                         f"service still full after {timeout}s "
                         f"(max_pending={self.max_pending})"
                     )
-            self._in_flight += 1
+            granted = min(want, self.max_pending - self._in_flight)
+            self._in_flight += granted
+            return granted
+
+    def _queue_room(self, device_name: str) -> int | None:
+        """Free points in *device_name*'s queue (None when unbounded)."""
+        if self.per_device_pending is None:
+            return None
+        with self._pools_lock:
+            pool = self._pools.get(device_name)
+        return self.per_device_pending - (pool.pending if pool else 0)
+
+    def _enqueue(
+        self,
+        requests: list[JobRequest],
+        tickets: list[JobTicket],
+        *,
+        block: bool,
+        timeout: float | None = None,
+    ) -> None:
+        """Queue admitted points as one entry (slots already reserved)."""
         try:
-            entry = self._build_entry(request, ticket)
+            entry = self._build_entry(requests, tickets)
         except Exception as exc:
-            self._finish_entry()
-            self.metrics.incr("rejected_invalid")
-            ticket._fail(exc)
-            return ticket
+            self._release(len(tickets))
+            self.metrics.incr("rejected_invalid", len(tickets))
+            for ticket in tickets:
+                ticket._fail(exc)
+            return
         try:
             self._place(entry, block=block, timeout=timeout)
         except BaseException:
-            self._finish_entry()
+            self._release(len(tickets))
             raise
-        self.metrics.incr("submitted")
-        return ticket
-
-    def submit_many(
-        self, requests: Iterable[JobRequest], *, block: bool = True
-    ) -> list[JobTicket]:
-        """Submit a batch in order; blocks for admission by default."""
-        return [self.submit(r, block=block) for r in requests]
-
-    def run(
-        self, requests: Iterable[JobRequest], *, timeout: float | None = None
-    ) -> list[JobTicket]:
-        """Submit a batch and wait for all of it (tickets in order)."""
-        tickets = self.submit_many(requests)
-        for t in tickets:
-            t.wait(timeout)
-        return tickets
-
-    def submit_sweep(self, sweep: "SweepRequest", *, block: bool = True):
-        """Admit a parameter sweep: one request, a batch of schedules.
-
-        Expands *sweep* into one :class:`JobRequest` per scan point and
-        returns a :class:`~repro.serving.sweeps.SweepTicket` over the
-        per-point tickets. Every point executes through the device's
-        batched propagator engine and shares its propagator cache, so
-        scans re-visiting amplitudes skip the decompositions (see
-        :mod:`repro.serving.sweeps`).
-
-        An admission failure partway through (backpressure with
-        ``block=False``) never orphans the points already admitted:
-        the failed point's ticket carries the error and the returned
-        :class:`SweepTicket` stays complete and scan-ordered.
-
-        Equivalent compiled-API spelling (same fan-out core):
-        ``Executable.sweep(grid)`` on a service target.
-        """
-        return self._admit_sweep(sweep, block=block)
-
-    def _admit_sweep(self, sweep: "SweepRequest", *, block: bool = True):
-        """Sweep fan-out over :meth:`_admit` (internal, warning-free)."""
-        from repro.serving.sweeps import SweepTicket
-
-        requests = sweep.expand()
-        self.metrics.incr("sweeps")
-        self.metrics.incr("sweep_points", len(requests))
-        tickets = []
-        for request in requests:
-            try:
-                tickets.append(self.submit(request, block=block))
-            except Exception as exc:
-                ticket = JobTicket(request)
-                ticket._fail(exc)
-                tickets.append(ticket)
-        return SweepTicket(sweep, tickets)
+        self.metrics.incr("submitted", len(tickets))
 
     # ---- routing / placement -------------------------------------------------------
 
@@ -445,31 +496,37 @@ class PulseService:
                     pool.start()
             return pool
 
-    def _build_entry(self, request: JobRequest, ticket: JobTicket) -> ServiceEntry:
-        candidates = self.router.candidates(request)
+    def _build_entry(
+        self, requests: list[JobRequest], tickets: list[JobTicket]
+    ) -> ServiceEntry:
         entry = ServiceEntry(
-            request,
-            ticket,
+            requests,
+            tickets,
             arrival=next(self._arrivals),
-            enqueued_at=ticket.enqueued_at,
-            candidates=candidates,
+            enqueued_at=tickets[0].enqueued_at,
+            candidates=self.router.candidates(requests[0]),
         )
         self._prepare_for_device(entry)
         return entry
 
     def _prepare_for_device(self, entry: ServiceEntry) -> None:
-        """(Re)generate the adapter payload for the entry's current device."""
+        """(Re)generate the adapter payloads for the entry's current device."""
         _, target, _ = self.client.resolve_target(entry.device)
-        adapter = self.client.select_adapter(entry.request)
-        entry.payload = adapter.to_payload(entry.request.program, target)
-        entry.fingerprint = self.client.compiler.payload_fingerprint(
-            entry.payload, entry.request.scalar_args or None
-        )
-        decoherence = (entry.request.metadata or {}).get("decoherence")
+        entry.payloads = [
+            self.client.select_adapter(r).to_payload(r.program, target)
+            for r in entry.requests
+        ]
+        if len(entry) > 1:
+            entry.coalesce_key = None
+            return
+        request = entry.request
+        decoherence = (request.metadata or {}).get("decoherence")
         entry.coalesce_key = self.batcher.coalesce_key(
             entry.device,
-            entry.fingerprint,
-            entry.request.seed,
+            self.client.compiler.payload_fingerprint(
+                entry.payloads[0], request.scalar_args or None
+            ),
+            request.seed,
             variant=repr(decoherence) if decoherence is not None else "",
         )
 
@@ -485,10 +542,11 @@ class PulseService:
         # Primary queue saturated: spill to an equivalent device.
         for i in range(entry.attempt + 1, len(entry.candidates)):
             pool = self._pool(entry.candidates[i])
-            if pool.pending >= (pool.max_pending or float("inf")):
+            if not pool.fits(len(entry)):
                 continue
             entry.attempt = i
-            entry.ticket.attempts = i
+            for ticket in entry.tickets:
+                ticket.attempts = i
             try:
                 self._prepare_for_device(entry)
             except Exception:
@@ -511,64 +569,90 @@ class PulseService:
     # ---- cancellation --------------------------------------------------------------
 
     def _on_ticket_cancel(self, _ticket: JobTicket) -> None:
-        """Ticket cancel hook: drop still-queued cancelled entries now."""
+        """Ticket cancel hook: drop still-queued cancelled points now."""
         self._purge_cancelled_entries()
 
     def _purge_cancelled_entries(self) -> None:
-        """Remove cancel-requested entries from every device queue.
+        """Remove cancel-requested points from every device queue.
 
-        Purged tickets resolve ``CANCELLED`` immediately; entries a
+        Purged tickets resolve ``CANCELLED`` immediately; points a
         worker already popped are left to the cooperative flag.
         """
         with self._pools_lock:
             pools = list(self._pools.values())
         for pool in pools:
             purged = pool.purge(
-                lambda e: e.ticket.cancel_requested
-                and not e.ticket.state.terminal
+                lambda t: t.cancel_requested and not t.state.terminal
             )
-            for entry in purged:
-                if entry.ticket._cancelled():
+            for ticket in purged:
+                if ticket._cancelled():
                     self.metrics.incr("cancelled")
-                self._finish_entry()
+                self._release()
 
     # ---- execution (worker threads) ------------------------------------------------
 
     def _execute_group(self, pool: DevicePool, group: list[ServiceEntry]) -> None:
-        live: list[ServiceEntry] = []
+        """Run one popped group as one batched device execution.
+
+        *group* is either one entry (a single request or a sweep
+        chunk: one execution unit per point) or several coalesced
+        single-request entries (one unit, run with the summed shots
+        and split back). Every unit compiles through the shared cache,
+        then all of them execute in one
+        :meth:`MQSSClient.execute_compiled_batch` call under the
+        device's ``exec_lock``.
+        """
         for entry in group:
-            # Entries cancelled between queue and pop never execute.
-            if entry.ticket.state.terminal:
-                self._finish_entry()
-            elif entry.ticket.cancel_requested:
-                if entry.ticket._cancelled():
+            # Points cancelled between queue and pop never execute.
+            for ticket in entry.retain(
+                lambda t: not t.state.terminal and not t.cancel_requested
+            ):
+                if ticket._cancelled():
                     self.metrics.incr("cancelled")
-                self._finish_entry()
-            else:
-                live.append(entry)
-        if not live:
+                self._release()
+        group = [entry for entry in group if len(entry)]
+        if not group:
             return
-        group = live
-        for entry in group:
-            entry.ticket.group_size = len(group)
-            if entry.ticket._mark_dispatched():
+        if len(group) == 1:
+            (entry,) = group
+            units = [
+                (request, payload, request.shots, [ticket])
+                for request, payload, ticket in zip(
+                    entry.requests, entry.payloads, entry.tickets
+                )
+            ]
+        else:
+            head = group[0]
+            units = [
+                (
+                    head.request,
+                    head.payloads[0],
+                    sum(e.request.shots for e in group),
+                    [e.tickets[0] for e in group],
+                )
+            ]
+        tickets = [t for entry in group for t in entry.tickets]
+        for _, _, _, members in units:
+            for ticket in members:
+                ticket.group_size = len(members)
+        for ticket in tickets:
+            if ticket._mark_dispatched():
                 # Only the first dispatch is a queue wait; failover
                 # re-dispatches would inflate the histogram.
                 self.metrics.observe(
-                    "queue_wait", entry.ticket.dispatched_at - entry.enqueued_at
+                    "queue_wait", ticket.dispatched_at - ticket.enqueued_at
                 )
-        head = group[0]
 
         def _group_cancelled() -> bool:
-            # A coalesced execution serves every member; it is only
+            # A batched execution serves every member; it is only
             # abandoned when *all* of them asked to cancel.
-            return all(e.ticket.cancel_requested for e in group)
+            return all(t.cancel_requested for t in tickets)
 
         try:
             with span(
                 "serving.execute",
                 device=pool.device_name,
-                group=len(group),
+                group=len(tickets),
             ):
                 hook = self.before_execute
                 if hook is not None:
@@ -576,72 +660,68 @@ class PulseService:
                         hook(entry)
                 from repro.api.core import compile_payload
 
-                timings: dict[str, float] = {}
                 _, target, _ = self.client.resolve_target(pool.device_name)
-                program = compile_payload(
-                    self.client.compiler,
-                    self.cache,
-                    head.payload,
-                    target,
-                    scalar_args=head.request.scalar_args or None,
-                    timings=timings,
-                )
-                self.metrics.observe("compile", timings["compile"])
-                self.metrics.incr(
-                    "cache_hits" if program.cache_hit else "cache_misses"
-                )
-                total_shots = sum(e.request.shots for e in group)
-                for entry in group:
-                    entry.ticket._mark_running()
-                with pool.exec_lock:
-                    combined = self.client.execute_compiled(
-                        head.request,
-                        program,
-                        device_name=pool.device_name,
-                        shots=total_shots,
+                programs, compile_s = [], []
+                for request, payload, _, _ in units:
+                    timings: dict[str, float] = {}
+                    program = compile_payload(
+                        self.client.compiler,
+                        self.cache,
+                        payload,
+                        target,
+                        scalar_args=request.scalar_args or None,
                         timings=timings,
+                    )
+                    self.metrics.observe("compile", timings["compile"])
+                    self.metrics.incr(
+                        "cache_hits" if program.cache_hit else "cache_misses"
+                    )
+                    programs.append(program)
+                    compile_s.append(timings["compile"])
+                for ticket in tickets:
+                    ticket._mark_running()
+                batch_timings: dict[str, float] = {}
+                with pool.exec_lock:
+                    results = self.client.execute_compiled_batch(
+                        [unit[0] for unit in units],
+                        programs,
+                        device_name=pool.device_name,
+                        shots=[unit[2] for unit in units],
+                        timings=batch_timings,
                         should_cancel=_group_cancelled,
                     )
-                self.metrics.observe("execute", timings["execute"])
-                self._resolve_group(group, combined, timings)
+                self.metrics.observe("execute", batch_timings["execute"])
+                for result, seconds in zip(results, compile_s):
+                    result.timings_s["compile"] = seconds
+                for (_, _, _, members), result in zip(units, results):
+                    self._resolve_unit(members, result)
         except Exception as exc:
             self._handle_failure(group, exc)
 
-    def _resolve_group(
-        self,
-        group: list[ServiceEntry],
-        combined: ClientResult,
-        timings: dict[str, float],
-    ) -> None:
-        if len(group) == 1:
+    def _resolve_unit(self, tickets: list[JobTicket], combined: ClientResult) -> None:
+        """Resolve the tickets one execution unit served."""
+        if len(tickets) == 1:
             results = [combined]
         else:
             self.metrics.incr("coalesced_executions")
-            self.metrics.incr("coalesced_requests", len(group))
+            self.metrics.incr("coalesced_requests", len(tickets))
             splits = self.batcher.split_counts(
-                combined.counts, [e.request.shots for e in group]
+                combined.counts, [t.request.shots for t in tickets]
             )
             results = [
-                ClientResult(
-                    device=combined.device,
+                dataclasses.replace(
+                    combined,
                     counts=counts,
-                    probabilities=combined.probabilities,
-                    shots=entry.request.shots,
-                    duration_samples=combined.duration_samples,
-                    timings_s=dict(timings),
-                    job_id=combined.job_id,
-                    remote=combined.remote,
-                    qir_size_bytes=combined.qir_size_bytes,
+                    shots=ticket.request.shots,
+                    timings_s=dict(combined.timings_s),
                 )
-                for entry, counts in zip(group, splits)
+                for ticket, counts in zip(tickets, splits)
             ]
-        for entry, result in zip(group, results):
-            entry.ticket._resolve(result)
+        for ticket, result in zip(tickets, results):
+            ticket._resolve(result)
             self.metrics.incr("completed")
-            self.metrics.observe(
-                "total", entry.ticket.completed_at - entry.enqueued_at
-            )
-            self._finish_entry()
+            self.metrics.observe("total", ticket.completed_at - ticket.enqueued_at)
+            self._release()
 
     def _handle_failure(self, group: list[ServiceEntry], exc: Exception) -> None:
         if isinstance(exc, CancelledError):
@@ -649,44 +729,47 @@ class PulseService:
             # member CANCELLED (the group only aborts when all asked)
             # and never fail over — the cancel would follow the entry.
             for entry in group:
-                if entry.ticket._cancelled(exc):
-                    self.metrics.incr("cancelled")
-                self._finish_entry()
+                for ticket in entry.tickets:
+                    if ticket._cancelled(exc):
+                        self.metrics.incr("cancelled")
+                    self._release()
             return
         self.metrics.incr("execution_failures")
         for entry in group:
             nxt = entry.attempt + 1
             # No failover while the service is stopping: a re-enqueued
             # entry could land on a pool whose workers already exited
-            # and strand its ticket forever.
+            # and strand its tickets forever.
             if (
                 self.router.allow_failover
                 and nxt < len(entry.candidates)
                 and self._started
             ):
                 entry.attempt = nxt
-                entry.ticket.attempts = nxt
+                for ticket in entry.tickets:
+                    ticket.attempts = nxt
                 try:
                     self._prepare_for_device(entry)
                 except Exception as prep_exc:
-                    entry.ticket._fail(prep_exc)
-                    self.metrics.incr("failed")
-                    self._finish_entry()
+                    self._fail_entry(entry, prep_exc)
                     continue
                 # Entry was already admitted; bypass the queue bound so
                 # failover cannot deadlock on a full fallback queue.
                 if self._pool(entry.device).offer(entry, force=True):
                     self.metrics.incr("failovers")
                 else:  # fallback pool already stopped
-                    entry.ticket._fail(exc)
-                    self.metrics.incr("failed")
-                    self._finish_entry()
+                    self._fail_entry(entry, exc)
             else:
-                entry.ticket._fail(exc)
-                self.metrics.incr("failed")
-                self._finish_entry()
+                self._fail_entry(entry, exc)
 
-    def _finish_entry(self) -> None:
+    def _fail_entry(self, entry: ServiceEntry, exc: Exception) -> None:
+        for ticket in entry.tickets:
+            ticket._fail(exc)
+            self.metrics.incr("failed")
+            self._release()
+
+    def _release(self, slots: int = 1) -> None:
+        """Return admission slots (one per resolved or dropped point)."""
         with self._admit:
-            self._in_flight -= 1
+            self._in_flight -= slots
             self._admit.notify_all()

@@ -7,19 +7,26 @@ identical schedules differing only in a few amplitudes. A
 :class:`SweepRequest` carries a *builder* (parameter set -> program)
 plus the list of parameter sets; :meth:`PulseService.submit_sweep
 <repro.serving.service.PulseService.submit_sweep>` expands it into one
-:class:`~repro.client.client.JobRequest` per point and returns a single
+:class:`~repro.client.client.JobRequest` (and one ticket) per point,
+queues the points as a single entry, and returns a single
 :class:`SweepTicket` aggregating the per-point tickets.
 
 Why this is fast end to end:
 
-* every point on one device runs through the device executor's batched
-  evolution (one ``np.linalg.eigh`` per schedule instead of one per
-  slice), and
+* the whole sweep is one queue entry and one batched device execution:
+  every point compiles through the shared compile cache, then all of
+  them evolve in one :meth:`ScheduleExecutor.execute_batch
+  <repro.sim.executor.ScheduleExecutor.execute_batch>` pass instead of
+  one queue entry, QDMI job submission and evolution per point, and
 * the executor's :class:`~repro.sim.evolve.PropagatorCache` is shared
   across the whole sweep, so points re-visiting the same segment
-  amplitudes (flat-tops, symmetric scans) skip decompositions, and
-* identical points coalesce in the serving layer like any other
-  repeat traffic (compile cache, request batcher).
+  amplitudes (flat-tops, symmetric scans) skip decompositions.
+
+Identical points inside one sweep do not coalesce into a shot-split
+execution: each samples its own seeded stream, exactly as a direct
+``execute_batch`` does, so a served sweep returns the same counts as
+the direct run. Coalescing applies to separately submitted identical
+requests only (:mod:`repro.serving.batching`).
 
 Noise-parameter sweeps — the open-system engine's workload — scan
 T1/T2 instead of (or on top of) pulse amplitudes: the *decoherence*
@@ -273,19 +280,5 @@ class SweepTicket:
             )
         return np.array(
             [obs.expectation(r.probabilities) for r in self.results(timeout)],
-            dtype=np.float64,
-        )
-
-    def expectation_z(
-        self, slot: int = 0, timeout: float | None = None
-    ) -> np.ndarray:
-        """``<Z>`` of *slot* across the scan — the 1-D scan curve."""
-        from repro.core.distributions import distribution_expectation_z
-
-        return np.array(
-            [
-                distribution_expectation_z(r.probabilities, slot)
-                for r in self.results(timeout)
-            ],
             dtype=np.float64,
         )

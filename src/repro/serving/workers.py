@@ -22,13 +22,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 class ServiceEntry:
-    """One admitted request, queued on (or moving between) device pools."""
+    """One queue entry: a single request or a chunk of sweep points.
+
+    The points travel, execute and fail over together; each keeps its
+    own ticket and compiler payload. Only single-point entries
+    carry a ``coalesce_key`` — identical requests coalesce into one
+    shot-split execution, while the points of a sweep each sample
+    their own seeded stream.
+    """
 
     __slots__ = (
-        "request",
-        "ticket",
-        "payload",
-        "fingerprint",
+        "requests",
+        "tickets",
+        "payloads",
         "coalesce_key",
         "arrival",
         "enqueued_at",
@@ -38,27 +44,46 @@ class ServiceEntry:
 
     def __init__(
         self,
-        request: JobRequest,
-        ticket: "JobTicket",
+        requests: list[JobRequest],
+        tickets: list["JobTicket"],
         *,
         arrival: int,
         enqueued_at: float,
         candidates: list[str],
     ) -> None:
-        self.request = request
-        self.ticket = ticket
-        self.payload: Any = None
-        self.fingerprint: str = ""
-        self.coalesce_key: str = ""
+        self.requests = requests
+        self.tickets = tickets
+        self.payloads: list[Any] = []
+        self.coalesce_key: str | None = None
         self.arrival = arrival
         self.enqueued_at = enqueued_at
         self.candidates = candidates
         self.attempt = 0
 
+    def __len__(self) -> int:
+        return len(self.tickets)
+
+    @property
+    def request(self) -> JobRequest:
+        """The head request: it carries the entry's priority and route."""
+        return self.requests[0]
+
     @property
     def device(self) -> str:
         """The device this entry is currently routed to."""
         return self.candidates[self.attempt]
+
+    def retain(self, keep) -> list["JobTicket"]:
+        """Keep the points whose ticket satisfies *keep*; return the rest."""
+        flags = [bool(keep(t)) for t in self.tickets]
+        if all(flags):
+            return []
+        dropped = [t for t, flag in zip(self.tickets, flags) if not flag]
+        for name in ("requests", "tickets", "payloads"):
+            values = getattr(self, name)
+            if values:
+                setattr(self, name, [v for v, flag in zip(values, flags) if flag])
+        return dropped
 
     def sort_key(self) -> tuple[int, int]:
         return (-self.request.priority, self.arrival)
@@ -121,8 +146,23 @@ class DevicePool:
 
     @property
     def pending(self) -> int:
+        """Requests queued here (a sweep entry counts all its points)."""
         with self._cond:
-            return len(self._entries)
+            return self._points_locked()
+
+    def _points_locked(self) -> int:
+        return sum(len(entry) for entry in self._entries)
+
+    def _fits_locked(self, points: int) -> bool:
+        if self.max_pending is None:
+            return True
+        queued = self._points_locked()
+        return queued == 0 or queued + points <= self.max_pending
+
+    def fits(self, points: int) -> bool:
+        """Whether an entry of *points* would be queued without waiting."""
+        with self._cond:
+            return self._fits_locked(points)
 
     # ---- queue ---------------------------------------------------------------------
 
@@ -136,42 +176,45 @@ class DevicePool:
     ) -> bool:
         """Queue *entry*; False when full (unless *force* or *block*).
 
-        Also False once the pool has stopped and no worker is left to
-        drain the queue — accepting then would strand the entry.
+        The queue bound counts points: an entry fits while the queued
+        points plus its own stay within ``max_pending`` (an entry
+        larger than the bound waits for an empty queue). Also False
+        once the pool has stopped and no worker is left to drain the
+        queue — accepting then would strand the entry.
         """
+        size = len(entry)
         with self._cond:
             if self._stopping and not any(t.is_alive() for t in self._threads):
                 return False
             if not force and self.max_pending is not None:
                 if block:
                     ok = self._cond.wait_for(
-                        lambda: len(self._entries) < self.max_pending
-                        or self._stopping,
-                        timeout,
+                        lambda: self._fits_locked(size) or self._stopping, timeout
                     )
                     if not ok or self._stopping:
                         return False
-                elif len(self._entries) >= self.max_pending:
+                elif not self._fits_locked(size):
                     return False
             heapq.heappush(self._entries, entry)
             self._cond.notify_all()
             return True
 
-    def purge(self, predicate) -> list[ServiceEntry]:
-        """Remove and return still-queued entries matching *predicate*.
+    def purge(self, predicate) -> list["JobTicket"]:
+        """Drop still-queued points whose ticket matches *predicate*.
 
-        Used by ticket cancellation: a cancelled entry that has not
+        Used by ticket cancellation: a cancelled point that has not
         been popped by a worker yet is dropped here, so it never
-        executes. Entries already popped are beyond the queue's reach
-        (the cooperative cancel flag covers them).
+        executes; an entry left without points leaves the queue.
+        Points already popped are beyond the queue's reach (the
+        cooperative cancel flag covers them). Returns the dropped
+        tickets.
         """
         with self._cond:
-            keep: list[ServiceEntry] = []
-            removed: list[ServiceEntry] = []
+            removed: list["JobTicket"] = []
             for entry in self._entries:
-                (removed if predicate(entry) else keep).append(entry)
+                removed += entry.retain(lambda t: not predicate(t))
             if removed:
-                self._entries[:] = keep
+                self._entries[:] = [e for e in self._entries if len(e)]
                 heapq.heapify(self._entries)
                 self._cond.notify_all()  # queue space freed
             return removed
@@ -181,7 +224,7 @@ class DevicePool:
         head = heapq.heappop(self._entries)
         group = [head]
         batcher = self.service.batcher
-        if batcher.enabled and self._entries:
+        if batcher.enabled and self._entries and head.coalesce_key is not None:
             mates: list[ServiceEntry] = []
             rest: list[ServiceEntry] = []
             for entry in self._entries:

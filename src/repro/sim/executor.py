@@ -165,6 +165,11 @@ class ScheduleExecutor:
     #: Superoperator slices materialized at once by an open-system
     #: flush (a (D^2, D^2) slice is D^2 times a unitary's footprint).
     _MAX_OPEN_BATCH_SLICES = 512
+    #: Matrix entries of a closed-system kernel chunk: small models run
+    #: a whole batch as one chunk, large ones (D = 3^5 = 243) flush
+    #: every few slices so the stacked Hamiltonians and their
+    #: eigendecompositions stay cache-sized.
+    _MAX_CLOSED_BATCH_ENTRIES = 1 << 18
 
     def __init__(
         self,
@@ -254,7 +259,7 @@ class ScheduleExecutor:
         schedules: Sequence[PulseSchedule],
         *,
         shots: int = 1024,
-        seed: int | None = None,
+        seed: int | Sequence[int | None] | None = None,
         initial_state: np.ndarray | None = None,
         backend: str | None = None,
         should_cancel=None,
@@ -276,7 +281,10 @@ class ScheduleExecutor:
         for s in schedules]``: each schedule's trajectory sampling (if
         any) and measurement tail draw from a fresh
         ``default_rng(seed)``, so seeded runs reproduce the per-point
-        loop exactly.
+        loop exactly. *seed* may also list one seed per schedule; the
+        batch then equals ``[execute(s, shots=shots, seed=s_i) ...]``,
+        which is how a device serves many jobs, each on its own
+        stream, in one pass.
 
         With profiling enabled (:func:`repro.obs.enable_profiling`)
         every result carries a shared ``metadata["profile"]`` summary
@@ -297,6 +305,14 @@ class ScheduleExecutor:
         schedules = list(schedules)
         if not schedules:
             return []
+        if seed is None or isinstance(seed, (int, np.integer)):
+            seeds = [seed] * len(schedules)
+        else:
+            seeds = list(seed)
+            if len(seeds) != len(schedules):
+                raise ValidationError(
+                    f"got {len(seeds)} seeds for {len(schedules)} schedules"
+                )
         profiling = _profile.profiling_enabled()
         with span(
             "execute_batch", schedules=len(schedules), shots=shots
@@ -305,7 +321,7 @@ class ScheduleExecutor:
             try:
                 results = self._run(
                     schedules,
-                    [np.random.default_rng(seed) for _ in schedules],
+                    [np.random.default_rng(s) for s in seeds],
                     shots,
                     initial_state,
                     backend,
@@ -580,7 +596,8 @@ class ScheduleExecutor:
         """Total Hamiltonians (Hz) of a ``(N, C)`` stack of drive rows.
 
         Channel terms apply through masked broadcast multiplies, one
-        channel at a time; drift-only rows come out as the drift.
+        channel at a time (in place when every row drives the channel);
+        drift-only rows come out as the drift.
         """
         model = self.model
         n = rows.shape[0]
@@ -590,16 +607,18 @@ class ScheduleExecutor:
             nz = a != 0
             if not np.any(nz):
                 continue
+            rows_on = slice(None) if nz.all() else nz
+            a = a[rows_on]
             ch = model.channels[name]
             if ch.hermitian:
-                hs[nz] += (ch.rabi_rate * a[nz].real)[:, None, None] * (
+                hs[rows_on] += (ch.rabi_rate * a.real)[:, None, None] * (
                     ch.operator
                 )
             else:
                 half = 0.5 * ch.rabi_rate
-                hs[nz] += half * (
-                    np.conj(a[nz])[:, None, None] * ch.operator
-                    + a[nz][:, None, None] * ch.adjoint_operator()
+                hs[rows_on] += half * (
+                    np.conj(a)[:, None, None] * ch.operator
+                    + a[:, None, None] * ch.adjoint_operator()
                 )
         return hs
 
@@ -689,7 +708,10 @@ class ScheduleExecutor:
         # Slices whose state must rotate (a list: cheap per-position any).
         moving = phases.any(axis=1).tolist()
         steps = np.concatenate([np.repeat(st, r.shape[1]) for r, _, st in plans])
-        limit = self._MAX_OPEN_BATCH_SLICES if use_dm else len(steps)
+        if use_dm:
+            limit = self._MAX_OPEN_BATCH_SLICES
+        else:
+            limit = max(1, self._MAX_CLOSED_BATCH_ENTRIES // model.dimension**2)
         chunks: list[list[tuple[int, int, int]]] = []
         chunk: list[tuple[int, int, int]] = []
         offset = 0

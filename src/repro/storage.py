@@ -9,9 +9,10 @@ atomic across threads and processes.  This module holds that recipe
 once.
 
 A store opened without a path lives in a private temporary file that
-:meth:`SQLiteStore.close` (or garbage collection, or interpreter exit)
-removes together with its ``-wal``/``-shm`` companions, so ephemeral
-state runs through exactly the same code as durable state.
+:meth:`SQLiteStore.close` on the creating thread (or garbage
+collection, or interpreter exit) removes together with its
+``-wal``/``-shm`` companions, so ephemeral state runs through exactly
+the same code as durable state.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class SQLiteStore:
     """Per-thread WAL connections and immediate transactions on one file.
 
     *path* ``None`` opens a private temporary database that is deleted
-    on :meth:`close`.  Subclasses validate their own path rules before
-    calling this constructor and pass the *schema* script to apply.
+    when the thread that opened it calls :meth:`close`.  Subclasses
+    validate their own path rules before calling this constructor and
+    pass the *schema* script to apply.
     """
 
     def __init__(
@@ -64,6 +66,7 @@ class SQLiteStore:
             )
         self.path = os.path.abspath(path)
         self.busy_timeout_s = busy_timeout_s
+        self._owner_thread = threading.get_ident()
         self._local = threading.local()
         with self._connect() as conn:
             conn.executescript(schema)
@@ -95,11 +98,16 @@ class SQLiteStore:
             raise
 
     def close(self) -> None:
-        """Close this thread's connection; an ephemeral store also
-        deletes its files."""
+        """Close this thread's connection; on the creating thread an
+        ephemeral store also deletes its files.
+
+        Worker threads sharing the store close only their own
+        connection, so one of them finishing first cannot delete the
+        database under the others.
+        """
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             conn.close()
             self._local.conn = None
-        if self.ephemeral:
+        if self.ephemeral and threading.get_ident() == self._owner_thread:
             self._cleanup()

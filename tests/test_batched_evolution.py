@@ -442,7 +442,9 @@ class TestServedSweeps:
             seed=3,
         )
         with self.make_service() as service:
-            curve = service.submit_sweep(sweep).expectation_z(0, timeout=30.0)
+            curve = service.submit_sweep(sweep).expectations(
+                Observable.z(0), timeout=30.0
+            )
         assert curve.shape == (2,)
         assert curve[0] > 0.8 and curve[1] < -0.8
 

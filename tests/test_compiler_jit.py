@@ -126,6 +126,37 @@ class TestJITCompiler:
         assert 'qir_profiles"="pulse"' in prog.qir.replace(" ", "")
         assert prog.pass_report.ran
 
+    def test_qir_is_emitted_lazily(self, sc_device, monkeypatch):
+        import repro.compiler.jit as jit_module
+        from repro.qir import schedule_to_qir
+
+        calls = []
+
+        def counting(schedule):
+            calls.append(schedule)
+            return schedule_to_qir(schedule)
+
+        monkeypatch.setattr(jit_module, "schedule_to_qir", counting)
+        prog = JITCompiler().compile(bell_module(), sc_device)
+        assert calls == []  # a cold compile no longer emits QIR
+        assert prog.qir == schedule_to_qir(prog.schedule)
+        assert prog.qir is prog.qir
+        assert len(calls) == 1
+
+    def test_remote_dispatch_ships_the_schedule_qir(self, client):
+        from repro.client import JobRequest
+        from repro.qir import schedule_to_qir
+
+        request = JobRequest(bell_module(), "remote:sc-remote", shots=16, seed=1)
+        program = client.compile_request(request)
+        result = client.execute_compiled(request, program)
+        proxy = client.driver.get_device("remote:sc-remote")
+        job = proxy.inner.executed_jobs[-1]
+        expected = schedule_to_qir(program.schedule)
+        assert job.payload == expected
+        assert result.remote
+        assert result.qir_size_bytes == len(expected.encode())
+
     def test_cache_hit_and_invalidation(self, sc_device):
         jit = JITCompiler()
         m = bell_module()

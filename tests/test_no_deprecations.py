@@ -41,10 +41,16 @@ def test_shim_surfaces_are_gone():
     from repro.qem.readout import MitigatedResult
     from repro.qpi.qpi import QuantumResult
     from repro.runtime import Telemetry
-    from repro.serving import ClusterService, PulseService, ServiceClient
+    from repro.serving import ClusterService, PulseService, ServiceClient, SweepTicket
     from repro.sim.executor import ExecutionResult
 
-    for result_type in (ExecutionResult, ClientResult, QuantumResult, MitigatedResult):
+    for result_type in (
+        ExecutionResult,
+        ClientResult,
+        QuantumResult,
+        MitigatedResult,
+        SweepTicket,
+    ):
         assert not hasattr(result_type, "expectation_z")
     assert not hasattr(MQSSClient, "submit")
     assert not hasattr(MQSSClient, "run_batch")

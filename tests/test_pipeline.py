@@ -759,15 +759,15 @@ def x_request(shots: int = 256, device: str = "sc-a") -> JobRequest:
 
 
 class SlowDevice(SuperconductingDevice):
-    """A transmon with an artificial per-job latency (execution-side)."""
+    """A transmon with an artificial per-submission latency (execution-side)."""
 
     def __init__(self, name: str, delay_s: float, **kwargs) -> None:
         super().__init__(name, **kwargs)
         self.delay_s = delay_s
 
-    def submit_job(self, job) -> None:
+    def submit_jobs(self, jobs) -> None:
         time.sleep(self.delay_s)
-        super().submit_job(job)
+        super().submit_jobs(jobs)
 
 
 def ones_fraction(counts: dict) -> float:

@@ -594,8 +594,13 @@ class TestSweepTicketExpectations:
                 schedules, device.name, shots=0, seed=1
             )
             ticket = service._admit_sweep(sweep)
-            z = ticket.expectation_z(0, timeout=30.0)
+            z = ticket.expectations(Observable.z(0), timeout=30.0)
             ez = ticket.expectations("Z", timeout=30.0)
         client.close()
-        np.testing.assert_allclose(z, ez, atol=1e-12)
+        np.testing.assert_array_equal(z, ez)
         assert len(z) == 3
+        # The scan curve is the Estimator's <Z> on each point.
+        direct = Estimator(sc_device_1q, shots=0).run(
+            [(repro.Program.from_schedule(s), Observable.z(0)) for s in schedules]
+        )
+        np.testing.assert_allclose(z, [float(r.data.evs) for r in direct], atol=1e-12)

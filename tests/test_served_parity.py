@@ -1,0 +1,204 @@
+"""Differential tests: a PulseService target equals a direct target.
+
+A served primitive run queues each shot group as one sweep entry and
+executes it as one batched device execution, every point on its own
+seeded stream — the same batch a direct target hands to
+``ScheduleExecutor.execute_batch``. So the two must agree exactly, not
+within a tolerance: bitwise-equal expectation values at ``shots=0``
+and equal seeded counts on generated schedules (the frame-event and
+play strategies of ``test_phase_covariance``), equal task results for
+a full calibration DAG, and equal results for a cluster sweep chunk.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_phase_covariance import PROFILE, SC, Case, build_schedule, programs
+
+import repro
+from repro.client import JobRequest, MQSSClient
+from repro.core import PulseSchedule
+from repro.devices import SuperconductingDevice
+from repro.pipeline import PipelineRunner, full_calibration_dag
+from repro.primitives import Estimator, Observable, Sampler
+from repro.qdmi import QDMIDriver
+from repro.qpi import PythonicCircuit
+from repro.serving import ClusterService, PulseService, SweepRequest
+
+
+def transmons(num_qubits: int, **kwargs):
+    return lambda: SuperconductingDevice(
+        "dev", num_qubits=num_qubits, drift_rate=0.0, **kwargs
+    )
+
+
+#: Transmon devices: they accept the raw sampled envelopes the
+#: strategies draw (the ion and atom families legalize them away).
+DEVICES = {
+    "sc1-closed": transmons(1),
+    "sc2-closed": transmons(2),
+    "sc2-lindblad": transmons(2, with_decoherence=True, t1=20e-6, t2=15e-6),
+}
+
+
+def measured_schedules(data, device, k=3):
+    """k generated frame-event/play schedules, every site measured."""
+    case = Case("served", None, **SC)
+    n = min(2, device.config.num_sites)
+    ports = [
+        (device.drive_port(q), device.default_frame(device.drive_port(q)))
+        for q in range(n)
+    ]
+    schedules = []
+    for _ in range(k):
+        steps = data.draw(programs(n, case.max_len))
+        schedule = build_schedule(ports, steps, case)
+        for slot in range(n):
+            device.calibrations.get("measure", (slot,)).apply(schedule, [slot])
+        schedules.append(schedule)
+    return schedules
+
+
+def served(device):
+    """A started PulseService over a client that owns only *device*."""
+    driver = QDMIDriver()
+    driver.register_device(device)
+    client = MQSSClient(driver, persistent_sessions=True)
+    return client, PulseService(client)
+
+
+def observables(device):
+    n = min(2, device.config.num_sites)
+    return [Observable.z(slot) for slot in range(n)] + ["Z" * n]
+
+
+@pytest.mark.parametrize("name", sorted(DEVICES))
+@PROFILE
+@given(data=st.data())
+def test_estimator_evs_are_bitwise_equal(name, data):
+    direct_device, served_device = DEVICES[name](), DEVICES[name]()
+    schedules = measured_schedules(data, direct_device)
+    pubs = [
+        (repro.Program.from_schedule(s), observables(direct_device))
+        for s in schedules
+    ]
+    direct = Estimator(repro.Target.from_device(direct_device), shots=0).run(pubs)
+    client, service = served(served_device)
+    try:
+        target = repro.Target.from_service(service, served_device.name)
+        remote = Estimator(target, shots=0).run(pubs)
+        # One sweep for the whole run: a single batched device execution.
+        assert service.metrics.snapshot()["execute_count"] == 1
+    finally:
+        service.stop()
+        client.close()
+    for a, b in zip(direct, remote):
+        np.testing.assert_array_equal(a.data.evs, b.data.evs)
+
+
+@pytest.mark.parametrize("name", ["sc2-closed", "sc2-lindblad"])
+@PROFILE
+@given(data=st.data())
+def test_seeded_sampler_counts_are_equal(name, data):
+    direct_device, served_device = DEVICES[name](), DEVICES[name]()
+    schedules = measured_schedules(data, direct_device)
+    pubs = [repro.Program.from_schedule(s) for s in schedules]
+    direct = Sampler(repro.Target.from_device(direct_device), seed=11).run(
+        pubs, shots=64
+    )
+    client, service = served(served_device)
+    try:
+        target = repro.Target.from_service(service, served_device.name)
+        remote = Sampler(target, seed=11).run(pubs, shots=64)
+    finally:
+        service.stop()
+        client.close()
+    for a, b in zip(direct, remote):
+        assert list(a.data.counts.flat) == list(b.data.counts.flat)
+        assert list(a.data.probabilities.flat) == list(b.data.probabilities.flat)
+
+
+def x_schedule(device):
+    schedule = PulseSchedule("x")
+    device.calibrations.get("x", (0,)).apply(schedule, [])
+    device.calibrations.get("measure", (0,)).apply(schedule, [0])
+    return schedule
+
+
+def test_identical_points_sample_their_own_streams():
+    """Identical points of one run no longer coalesce into a shot split:
+    each samples its own seeded stream, exactly as direct dispatch."""
+    direct_device, served_device = DEVICES["sc1-closed"](), DEVICES["sc1-closed"]()
+    pubs = [repro.Program.from_schedule(x_schedule(direct_device))] * 4
+    direct = Sampler(repro.Target.from_device(direct_device), seed=3).run(
+        pubs, shots=100
+    )
+    client, service = served(served_device)
+    try:
+        target = repro.Target.from_service(service, served_device.name)
+        remote = Sampler(target, seed=3).run(pubs, shots=100)
+    finally:
+        service.stop()
+        client.close()
+    assert service.metrics.get("coalesced_executions") == 0
+    for a, b in zip(direct, remote):
+        assert a.data.counts.flat[0] == b.data.counts.flat[0]
+        assert sum(b.data.counts.flat[0].values()) == 100
+
+
+def test_full_calibration_dag_served_equals_direct():
+    def drifted():
+        device = SuperconductingDevice("sc-cal", num_qubits=1, seed=3, drift_rate=2e4)
+        device.advance_time(60.0)
+        return device
+
+    dag = full_calibration_dag(include_drag=False)
+    direct_device = drifted()
+    direct = PipelineRunner(direct_device).run(dag, run_id="direct", seed=5)
+    served_device = drifted()
+    client, service = served(served_device)
+    try:
+        runner = PipelineRunner(service, device=served_device)
+        assert runner.dispatch == "service"
+        remote = runner.run(dag, run_id="served", seed=5)
+    finally:
+        service.stop()
+        client.close()
+    assert direct.ok and remote.ok
+    assert remote.results == direct.results
+    assert served_device.believed_frequency(0) == direct_device.believed_frequency(0)
+
+
+def make_cluster_client() -> MQSSClient:
+    driver = QDMIDriver()
+    driver.register_device(SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0))
+    return MQSSClient(driver, persistent_sessions=True)
+
+
+def rotation(angle):
+    c = PythonicCircuit(2, 2).sx(0).rz(0, angle).sx(0)
+    c.sx(1).rz(1, 2 * angle).sx(1)
+    return c.measure(0, 0).measure(1, 1)
+
+
+def test_cluster_sweep_chunk_equals_direct(tmp_path):
+    angles = [0.3, 0.9, 1.7]
+    client = make_cluster_client()
+    requests = [JobRequest(rotation(a), "sc-a", shots=64, seed=9) for a in angles]
+    direct = [client.execute_compiled(r, client.compile_request(r)) for r in requests]
+    sweep = SweepRequest(
+        build=rotation, parameters=angles, device="sc-a", shots=64, seed=9
+    )
+    with ClusterService(
+        make_cluster_client,
+        str(tmp_path / "jobs.sqlite3"),
+        num_workers=1,
+        chunk_size=len(angles),
+    ) as svc:
+        results = svc.submit_sweep(sweep).results(60)
+    for a, b in zip(direct, results):
+        assert b.counts == a.counts
+        assert b.probabilities == a.probabilities

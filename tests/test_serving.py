@@ -44,23 +44,24 @@ def x_program(width: int = 2):
 
 
 class SlowDevice(SuperconductingDevice):
-    """A transmon device with an artificial per-job latency."""
+    """A transmon device with an artificial per-submission latency."""
 
     def __init__(self, name: str, delay_s: float, **kwargs) -> None:
         super().__init__(name, **kwargs)
         self.delay_s = delay_s
 
-    def submit_job(self, job) -> None:
+    def submit_jobs(self, jobs) -> None:
         time.sleep(self.delay_s)
-        super().submit_job(job)
+        super().submit_jobs(jobs)
 
 
 class FailingDevice(SuperconductingDevice):
     """A device whose hardware faults on every job."""
 
-    def submit_job(self, job) -> None:
-        job.transition(JobStatus.SUBMITTED)
-        job.fail("synthetic hardware fault")
+    def submit_jobs(self, jobs) -> None:
+        for job in jobs:
+            job.transition(JobStatus.SUBMITTED)
+            job.fail("synthetic hardware fault")
 
 
 def make_stack(*devices):
@@ -443,3 +444,223 @@ class TestSchedulerWaitRegression:
         report = sched.drain()
         assert report.completed == 2
         assert report.total_wall_s < 2 * delay * 0.9
+
+
+class CancellingDevice(SuperconductingDevice):
+    """Runs a hook (the test's cancels) as each batch reaches the device."""
+
+    on_submit = None
+
+    def submit_jobs(self, jobs) -> None:
+        if self.on_submit is not None:
+            self.on_submit()
+        super().submit_jobs(jobs)
+
+
+def angle_sweep(device: str = "sc-a", n: int = 6, **kwargs):
+    from repro.serving import SweepRequest
+
+    def build(i):
+        c = PythonicCircuit(2, 2).sx(0).rz(0, 0.3 * i).sx(0)
+        return c.measure(0, 0).measure(1, 1)
+
+    return SweepRequest(build=build, parameters=list(range(n)), device=device, **kwargs)
+
+
+class TestBatchedSweeps:
+    """A sweep is one queue entry and one batched device execution."""
+
+    def test_sweep_is_one_execution(self):
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        with PulseService(client) as svc:
+            ticket = svc.submit_sweep(angle_sweep(shots=32, seed=4))
+            results = ticket.results(30)
+        assert len(results) == 6
+        assert svc.metrics.snapshot()["execute_count"] == 1
+        assert svc.metrics.get("submitted") == 6
+        assert svc.metrics.get("completed") == 6
+        # Every point is its own device job with its own seeded stream.
+        assert len(device.executed_jobs) == 6
+        assert all(job.metadata["seed"] == 4 for job in device.executed_jobs)
+
+    def test_primitive_run_is_one_execution_per_shot_group(self):
+        import repro
+        from repro.primitives import Sampler
+
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        programs = [
+            repro.Program.from_circuit(x_program()),
+            repro.Program.from_circuit(PythonicCircuit(2, 2).measure(0, 0)),
+        ]
+        with PulseService(client) as svc:
+            sampler = Sampler(repro.Target.from_service(svc, "sc-a"), seed=1)
+            sampler.run(programs + programs, shots=16)
+            assert svc.metrics.snapshot()["execute_count"] == 1
+            sampler.run([(p, None, 8) for p in programs] + programs, shots=16)
+            assert svc.metrics.snapshot()["execute_count"] == 3
+        assert svc.metrics.get("sweeps") == 3
+
+    def test_partly_cancelled_sweep(self):
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        svc = PulseService(client, start=False)
+        ticket = svc.submit_sweep(angle_sweep(shots=16, seed=2))
+        for i in (1, 4):
+            assert ticket.tickets[i].cancel()
+        # Queued points drop out of their entry at once.
+        assert ticket.tickets[1].status() is TicketState.CANCELLED
+        assert svc.pending == 4
+        svc.start()
+        assert svc.flush(timeout=30)
+        svc.stop()
+        states = [t.status() for t in ticket.tickets]
+        assert states == [
+            TicketState.CANCELLED if i in (1, 4) else TicketState.DONE
+            for i in range(6)
+        ]
+        assert ticket.status() is TicketState.CANCELLED
+        assert len(device.executed_jobs) == 4
+
+    def test_fully_cancelled_sweep_never_executes(self):
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        svc = PulseService(client, start=False)
+        ticket = svc.submit_sweep(angle_sweep(shots=16, seed=2))
+        assert ticket.cancel()
+        svc.start()
+        assert svc.flush(timeout=30)
+        svc.stop()
+        assert all(t.status() is TicketState.CANCELLED for t in ticket.tickets)
+        assert device.executed_jobs == ()
+        assert svc.metrics.get("cancelled") == 6
+
+    def test_running_sweep_aborts_only_when_every_point_cancels(self):
+        device = CancellingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+
+        def run(cancel):
+            svc = PulseService(client, start=False)
+            ticket = svc.submit_sweep(angle_sweep(shots=16, seed=2))
+            device.on_submit = lambda: cancel(ticket)
+            svc.start()
+            assert svc.flush(timeout=30)
+            svc.stop()
+            return [t.status() for t in ticket.tickets]
+
+        # One vote is not enough: the batch runs, every point resolves.
+        assert run(lambda t: t.tickets[0].cancel()) == [TicketState.DONE] * 6
+        # Every point voted: the batch aborts at its next chunk boundary.
+        assert run(lambda t: t.cancel()) == [TicketState.CANCELLED] * 6
+
+    def test_sweep_larger_than_max_pending_completes(self):
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        with PulseService(client, max_pending=4) as svc:
+            ticket = svc.submit_sweep(angle_sweep(n=10, shots=16, seed=2))
+            results = ticket.results(60)
+        assert len(results) == 10
+        assert all(sum(r.counts.values()) == 16 for r in results)
+        # Admitted in chunks of at most max_pending points.
+        assert svc.metrics.snapshot()["execute_count"] >= 3
+
+    def test_device_queue_bound_counts_points(self):
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        svc = PulseService(client, per_device_pending=4, start=False)
+        ticket = svc.submit_sweep(angle_sweep(n=4, shots=16, seed=2))
+        assert svc.pending == 4
+        with pytest.raises(BackpressureError):
+            svc.submit(JobRequest(x_program(), "sc-a", shots=8), block=False)
+        svc.start()
+        assert len(ticket.results(30)) == 4
+        svc.stop()
+
+    def test_sweep_chunks_to_the_device_queue_room(self):
+        device = SuperconductingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        with PulseService(client, per_device_pending=2) as svc:
+            results = svc.submit_sweep(angle_sweep(n=5, shots=16, seed=2)).results(60)
+        assert len(results) == 5
+        assert svc.metrics.snapshot()["execute_count"] == 3
+
+    def test_concurrent_sweeps_and_cancels_balance_admission(self):
+        import sys
+
+        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
+        svc = PulseService(client, max_pending=8, workers_per_device=3)
+        sweeps = []
+        lock = threading.Lock()
+
+        def drive(k):
+            for j in range(3):
+                sweep = svc.submit_sweep(angle_sweep(n=5, shots=8, seed=k))
+                sweep.tickets[j].cancel()
+                with lock:
+                    sweeps.append(sweep)
+
+        threads = [threading.Thread(target=drive, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            assert svc.flush(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop()
+        # Every point released exactly one admission slot.
+        assert svc.pending == 0
+        assert len(sweeps) == 12
+        for sweep in sweeps:
+            assert all(t.status().terminal for t in sweep.tickets)
+
+    def test_noise_grid_points_keep_their_decoherence(self):
+        from repro.serving import SweepRequest
+        from repro.sim.model import DecoherenceSpec
+
+        device = SuperconductingDevice("sc-a", num_qubits=1)
+        _, client = make_stack(device)
+        program = PythonicCircuit(1, 1).x(0).measure(0, 0)
+        grid = [(5e-6, 5e-6), (20e-6, 10e-6), (80e-6, 40e-6)]
+        sweep = SweepRequest.noise_grid(
+            program,
+            "sc-a",
+            t1_values=[t1 for t1, _ in grid],
+            t2_values=sorted({t2 for _, t2 in grid}),
+            n_sites=1,
+            shots=0,
+            seed=3,
+        )
+        with PulseService(client) as svc:
+            results = svc.submit_sweep(sweep).results(60)
+        assert svc.metrics.snapshot()["execute_count"] == 1
+        schedule = client.compile_request(JobRequest(program, "sc-a")).schedule
+        for point, result in zip(sweep.parameters, results):
+            spec = (DecoherenceSpec(t1=point[0], t2=point[1]),)
+            expected = device._executor_for(spec).execute(schedule, shots=0)
+            assert result.probabilities == expected.ideal_probabilities
+        assert len({r.probabilities["1"] for r in results}) == len(results)
+
+    def test_sweep_entry_fails_over_with_its_live_points(self):
+        _, client = make_stack(
+            FailingDevice("sc-bad", num_qubits=2),
+            SuperconductingDevice("sc-good", num_qubits=2),
+        )
+        svc = PulseService(client, start=False)
+        ticket = svc.submit_sweep(angle_sweep("sc-bad", shots=16, seed=2))
+        ticket.tickets[2].cancel()
+        svc.start()
+        assert svc.flush(timeout=30)
+        svc.stop()
+        assert svc.metrics.get("failovers") == 1
+        for i, t in enumerate(ticket.tickets):
+            if i == 2:
+                assert t.status() is TicketState.CANCELLED
+            else:
+                assert t.result().device == "sc-good"
+                assert t.attempts == 1

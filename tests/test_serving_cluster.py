@@ -60,23 +60,24 @@ def make_client(*, delay_s: float = 0.0, name: str = "sc-a") -> MQSSClient:
 
 
 class SlowDevice(SuperconductingDevice):
-    """A transmon device with an artificial per-job latency."""
+    """A transmon device with an artificial per-submission latency."""
 
     def __init__(self, name: str, delay_s: float, **kwargs) -> None:
         super().__init__(name, **kwargs)
         self.delay_s = delay_s
 
-    def submit_job(self, job) -> None:
+    def submit_jobs(self, jobs) -> None:
         time.sleep(self.delay_s)
-        super().submit_job(job)
+        super().submit_jobs(jobs)
 
 
 class FailingDevice(SuperconductingDevice):
     """A device whose hardware faults on every job."""
 
-    def submit_job(self, job) -> None:
-        job.transition(JobStatus.SUBMITTED)
-        job.fail("synthetic hardware fault")
+    def submit_jobs(self, jobs) -> None:
+        for job in jobs:
+            job.transition(JobStatus.SUBMITTED)
+            job.fail("synthetic hardware fault")
 
 
 def request(seed: int = 1, shots: int = 32, device: str = "sc-a") -> JobRequest:

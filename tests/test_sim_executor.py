@@ -19,7 +19,7 @@ from repro.core import (
     ShiftPhase,
     constant_waveform,
 )
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ValidationError
 from repro.sim import DecoherenceSpec, ReadoutModel, ScheduleExecutor
 from repro.sim.evolve import segment_runs
 from repro.sim.model import transmon_model
@@ -484,6 +484,36 @@ class TestIndependentReference:
                 )
             assert br.counts == single.counts
             assert br.leakage[0] == pytest.approx(probs[2], abs=1e-10)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_per_schedule_seeds_match_execute_loop(self, noisy):
+        """One seed per schedule: the batch is the ``execute(seed=s_i)``
+        loop — each member samples the stream its own seed gives, which
+        is how a device serves many jobs in one pass."""
+        from repro.devices import SuperconductingDevice
+
+        kw = {"with_decoherence": True, "t1": 20e-6, "t2": 15e-6} if noisy else {}
+        device = SuperconductingDevice(num_qubits=1, drift_rate=0.0, **kw)
+        schedules = mixed_batch(device)
+        seeds = [11 * i + 1 for i in range(len(schedules))]
+        seeds[3] = None  # unseeded members draw fresh entropy
+        batch = ScheduleExecutor(device.model).execute_batch(
+            schedules, shots=256, seed=seeds
+        )
+        for schedule, seed, br in zip(schedules, seeds, batch):
+            single = ScheduleExecutor(device.model).execute(
+                schedule, shots=256, seed=seed
+            )
+            np.testing.assert_allclose(
+                br.final_state, single.final_state, rtol=0, atol=1e-12
+            )
+            assert br.ideal_probabilities.keys() == single.ideal_probabilities.keys()
+            for key, p in single.ideal_probabilities.items():
+                assert br.ideal_probabilities[key] == pytest.approx(p, abs=1e-12)
+            if seed is not None:
+                assert br.counts == single.counts
+        with pytest.raises(ValidationError, match="seeds"):
+            ScheduleExecutor(device.model).execute_batch(schedules, seed=[1, 2])
 
     def test_execute_rng_draws_like_sample_counts(self):
         import copy
