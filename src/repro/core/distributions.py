@@ -3,10 +3,9 @@
 Every layer of the stack hands measurement outcomes back as a mapping
 of bitstrings to probabilities (simulator ``ExecutionResult``, client
 ``ClientResult``, QPI ``QuantumResult``, mitigation
-``MitigatedResult``). The observable arithmetic on those mappings
-lives here so slot validation is enforced once, at every boundary.
-The general diagonal-observable engine built on these kernels is
-:class:`repro.primitives.Observable`.
+``MitigatedResult``). Their width validation lives here so it is
+enforced once, at every boundary. The diagonal-observable engine
+built on it is :class:`repro.primitives.Observable`.
 """
 
 from __future__ import annotations
@@ -47,31 +46,3 @@ def distribution_width(
             )
     assert width is not None
     return width
-
-
-def distribution_expectation_z(
-    probabilities: Mapping[str, float],
-    slot: int,
-    *,
-    n_slots: int | None = None,
-    empty_message: str | None = None,
-) -> float:
-    """``<Z>`` of the bit at *slot* of a bitstring distribution.
-
-    Validates *slot* against the bitstring width (or *n_slots* when
-    the caller knows the measured layout), rejects an empty
-    distribution instead of silently returning 0.0, and rejects
-    mixed-width keys instead of letting ``key[slot]`` read a garbage
-    position or raise a bare ``IndexError``.
-    """
-    width = distribution_width(
-        probabilities, n_slots=n_slots, empty_message=empty_message
-    )
-    if not 0 <= slot < width:
-        raise ValidationError(
-            f"slot {slot} out of range: result has {width} measured slot(s)"
-        )
-    total = 0.0
-    for key, p in probabilities.items():
-        total += p * (1.0 if key[slot] == "0" else -1.0)
-    return total

@@ -142,11 +142,12 @@ class PipelineRunner:
             self.device_name = surface.name
             return
         from repro.serving.connect import connect
+        from repro.serving.service import PulseService
 
         self.client = connect(surface)
         inner = getattr(self.client, "service", None)
-        if inner is not None and hasattr(inner, "_admit_sweep"):
-            self._service = inner  # PulseService: primitives sweep path
+        if isinstance(inner, PulseService):
+            self._service = inner  # primitives sweep path
         if device_name is None:
             names = self.client.devices()
             if len(names) != 1:

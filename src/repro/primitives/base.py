@@ -290,7 +290,7 @@ class BasePrimitive:
 
                 service = self._target.service
                 tickets = [
-                    service._admit_sweep(
+                    service.submit_sweep(
                         SweepRequest.from_programs(
                             [e[2] for e in entries],
                             self._target.device_name,

@@ -31,17 +31,18 @@ synchronous client stack into that service:
 Durable multi-process serving stacks three more tiers on top:
 
 * :mod:`repro.serving.tickets` — the unified :class:`Ticket` protocol
-  every transport's handle implements (``status``/``result``/
-  ``cancel``/``to_dict``);
+  (``status``/``result``/``cancel``/``to_dict``): :class:`JobTicket`
+  is its one concrete in-process ticket, handed out by both services;
 * :mod:`repro.serving.store` — :class:`JobStore`: a SQLite (WAL) job
   store holding every ticket state transition; tickets survive
   restarts and crashed workers' leases expire back onto the queue;
 * :mod:`repro.serving.cluster` — :class:`ClusterService`: a process
   worker pool leasing jobs from the store and shipping stacked result
-  arrays back through ``multiprocessing.shared_memory``;
+  arrays back through ``multiprocessing.shared_memory``; workers
+  report on per-worker pipes, so completions wake their waiters;
 * :mod:`repro.serving.http` — :class:`HttpFrontend` /
   :class:`HttpServiceClient`: a stdlib HTTP tier over the same
-  surface;
+  surface, whose :class:`~repro.serving.http.HttpTicket` long-polls;
 * :mod:`repro.serving.connect` — :func:`connect`: one
   :class:`ServiceClient` over all three transports, bit-identical
   results in-process and over the wire.
@@ -49,7 +50,7 @@ Durable multi-process serving stacks three more tiers on top:
 
 from repro.serving.batching import RequestBatcher
 from repro.serving.cache import CompileCache
-from repro.serving.cluster import ClusterService, ClusterTicket
+from repro.serving.cluster import ClusterService
 from repro.serving.connect import InProcessClient, ServiceClient, connect
 from repro.serving.metrics import LatencyHistogram, ServingMetrics
 from repro.serving.routing import CapabilityRouter
@@ -68,7 +69,6 @@ __all__ = [
     "ServiceClient",
     "InProcessClient",
     "ClusterService",
-    "ClusterTicket",
     "JobStore",
     "SweepRequest",
     "SweepTicket",

@@ -6,28 +6,36 @@ is CPU-bound numerics, so threads share one GIL; here every worker is
 a full OS process with its own interpreter, its own
 :class:`~repro.client.client.MQSSClient` (built by the caller's
 ``client_factory``), and its own content-addressed compile cache.
+Both services hand out the same :class:`~repro.serving.service.JobTicket`.
 
 Architecture::
 
-    submit ──▶ JobStore (SQLite, WAL)  ◀── lease ── worker process 0
-                  │    ▲                ◀── lease ── worker process 1
-                  │    │ complete(meta, shm spec)        ...
-                  ▼    │
-            monitor thread ──▶ assemble shm ──▶ durable result blob
-                  │
-                  └──▶ reap expired leases, respawn dead workers,
-                       aggregate worker metrics
+    submit ──▶ JobStore (SQLite, WAL) ◀── lease ── worker processes
+       └──▶ semaphore, one permit per row ── wake ──▶ idle workers
+    monitor thread ◀── (row id, state) ── one pipe per worker
+       ├─▶ assemble shm into the durable result blob
+       ├─▶ resolve the row's JobTickets (wakes every waiter)
+       └─▶ lease tick: reap expired leases, reconcile live tickets
+           with their rows, respawn dead workers
+
+Completion is pushed, not polled: ``ticket.wait``, an HTTP long-poll
+and :meth:`ClusterService.flush` wake on an event or condition, and
+idle workers block on a semaphore released once per admitted row.  The
+lease tick is the only timer.  Pipes and a semaphore leave no shared
+lock a SIGKILLed worker could die holding.
 
 Durability model — everything lives in the store:
 
 * tickets survive restarts: a restarted service ``recover()``\\ s the
   store, drains exactly the unfinished backlog, and *replays* finished
-  tickets from their persisted result blobs without re-execution;
+  tickets from their persisted result blobs without re-execution
+  (:meth:`ClusterService.ticket` re-attaches a ticket to its row);
 * a worker killed mid-job (SIGKILL, OOM) stops heartbeating; the
   monitor re-leases its jobs after the lease deadline.  Re-execution
   is idempotent: compilation is content-addressed (the same cache key
   the in-process service uses) and execution is seeded, so the re-run
-  reproduces the same result;
+  reproduces the same result.  The lease tick catches up a report
+  lost with a killed worker from its row;
 * results return over :mod:`multiprocessing.shared_memory` — the
   stacked probability/count arrays of a whole job chunk ride one
   segment, never pickled per job — and the parent persists the
@@ -50,6 +58,7 @@ import threading
 import time
 import uuid
 import weakref
+from multiprocessing import connection
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.client.client import ClientResult, JobRequest
@@ -57,12 +66,13 @@ from repro.errors import CancelledError, ServiceError
 from repro.obs.metrics import REGISTRY
 from repro.serving import shm as _shm
 from repro.serving import wire
+from repro.serving.service import JobTicket
 from repro.serving.store import JobStore
 from repro.serving.tickets import TicketState, new_ticket_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.client.client import MQSSClient
-    from repro.serving.sweeps import SweepRequest
+    from repro.serving.sweeps import SweepRequest, SweepTicket
 
 
 # ---- result <-> (meta, arrays) split ------------------------------------------------
@@ -140,10 +150,12 @@ def _worker_main(
     client_factory: Callable[[], "MQSSClient"],
     label: str,
     lease_s: float,
-    poll_s: float,
-    stop_event,
+    wake,
+    stopping,
+    conn,
 ) -> None:
-    """Worker loop: lease -> compile -> execute -> shm -> complete."""
+    """Worker loop: lease -> compile -> execute -> shm -> complete ->
+    report on *conn*; an empty backlog blocks on the *wake* semaphore."""
     worker_id = f"{label}-{uuid.uuid4().hex[:8]}"
     store = JobStore(store_path)
     client = client_factory()
@@ -170,6 +182,12 @@ def _worker_main(
     hb = threading.Thread(target=heartbeat, daemon=True)
     hb.start()
 
+    def report(job_id: str, state: TicketState) -> None:
+        try:
+            conn.send((job_id, state.value))
+        except OSError:
+            pass  # the service stopped listening; the row is durable
+
     def publish() -> None:
         try:
             store.publish_worker_metrics(worker_id, counters)
@@ -178,21 +196,19 @@ def _worker_main(
 
     publish()
     try:
-        while not stop_event.is_set():
-            try:
-                row = store.lease(worker_id, lease_s)
-            except Exception:
-                time.sleep(poll_s)
-                continue
+        while not stopping.value:
+            # A store error ends the worker; the lease tick respawns it.
+            row = store.lease(worker_id, lease_s)
             if row is None:
-                stop_event.wait(poll_s)
+                wake.acquire()  # a submit, recovery, re-lease or stop
                 continue
-            _run_leased_job(store, client, worker_id, row, lease_s, counters)
+            _run_leased_job(store, client, worker_id, row, lease_s, counters, report)
             publish()
     finally:
         hb_stop.set()
         publish()
         store.close()
+        conn.close()
 
 
 def _run_leased_job(
@@ -202,13 +218,15 @@ def _run_leased_job(
     row: dict,
     lease_s: float,
     counters: dict,
+    report: Callable[[str, TicketState], None],
 ) -> None:
     job_id = row["id"]
     should_cancel = _throttled_cancel_check(store, job_id)
     try:
         if should_cancel():
             raise CancelledError(f"job {job_id} cancelled before start")
-        store.mark_running(job_id, worker_id, lease_s)
+        if store.mark_running(job_id, worker_id, lease_s):
+            report(job_id, TicketState.RUNNING)
         requests = [
             wire.decode_request(r) for r in json.loads(row["request"])
         ]
@@ -230,129 +248,22 @@ def _run_leased_job(
         ):
             counters["jobs_done"] += 1
             counters["requests_done"] += len(results)
+            report(job_id, TicketState.DONE)
         else:
             # Lease lost (we were presumed dead and the job was
             # re-leased): drop our segment, the other execution wins.
             _shm.unlink(spec)
     except CancelledError:
         counters["jobs_cancelled"] += 1
-        store.mark_cancelled(job_id, worker_id)
+        if store.mark_cancelled(job_id, worker_id):
+            report(job_id, TicketState.CANCELLED)
     except Exception as exc:
         counters["jobs_failed"] += 1
         try:
-            store.fail(job_id, worker_id, json.dumps(wire.encode_error(exc)))
+            if store.fail(job_id, worker_id, json.dumps(wire.encode_error(exc))):
+                report(job_id, TicketState.FAILED)
         except Exception:
             pass
-
-
-# ---- tickets ------------------------------------------------------------------------
-
-
-class ClusterTicket:
-    """Store-backed ticket: one member of one durable job row.
-
-    Implements the unified :class:`repro.serving.tickets.Ticket`
-    protocol by polling the job store, so the handle works from any
-    process that can open the store — including a service restarted
-    after the submitting process died.
-    """
-
-    kind = "job"
-
-    def __init__(
-        self,
-        service: "ClusterService",
-        row_id: str,
-        index: int = 0,
-        size: int = 1,
-    ) -> None:
-        self._service = service
-        self.row_id = row_id
-        self.index = index
-        self.size = size
-        self.id = row_id if size <= 1 else f"{row_id}#{index}"
-
-    # ---- protocol ------------------------------------------------------------------
-
-    def status(self) -> TicketState:
-        return self._service.store.state(self.row_id)
-
-    def done(self) -> bool:
-        return self.status().terminal
-
-    def wait(self, timeout: float | None = None) -> bool:
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        pause = 0.002
-        while True:
-            if self.status().terminal:
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(pause)
-            pause = min(pause * 2.0, 0.05)
-
-    def result(self, timeout: float | None = None) -> ClientResult:
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        pause = 0.002
-        while True:
-            row = self._service.store.get(self.row_id)
-            state = TicketState(row["state"])
-            if state is TicketState.DONE:
-                encoded = self._service._materialize(row)
-                return wire.decode_result(encoded[self.index])
-            if state is TicketState.FAILED:
-                raise wire.decode_error(json.loads(row["error"] or "{}"))
-            if state is TicketState.CANCELLED:
-                raise CancelledError(f"ticket {self.id} was cancelled")
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(f"ticket {self.id} not done within {timeout}s")
-            time.sleep(pause)
-            pause = min(pause * 2.0, 0.05)
-
-    def exception(self, timeout: float | None = None) -> Exception | None:
-        try:
-            self.result(timeout)
-            return None
-        except ServiceError as exc:
-            if not self.status().terminal:
-                raise  # genuine wait timeout
-            return exc
-        except Exception as exc:
-            return exc
-
-    def cancel(self) -> bool:
-        """Request cancellation through the store.
-
-        Pending rows cancel immediately; running rows set the flag the
-        worker polls at chunk boundaries.  Members of a chunk row vote
-        — the chunk aborts only when every member has cancelled (it
-        executes as a unit, like an in-process coalesced group).
-        """
-        state = self.status()
-        if state.terminal:
-            return False
-        self._service.store.request_cancel(
-            self.row_id, index=self.index if self.size > 1 else None
-        )
-        return True
-
-    def to_dict(self) -> dict:
-        data = {
-            "kind": "job",
-            "id": self.id,
-            "row_id": self.row_id,
-            "index": self.index,
-            "size": self.size,
-            "state": self.status().value,
-        }
-        row = self._service.store.get(self.row_id)
-        if row["state"] == "done" and row["result"] is not None:
-            encoded = json.loads(row["result"])
-            data["result"] = encoded[self.index]
-        if row["error"]:
-            data["error"] = json.loads(row["error"])
-        data["device"] = row["device"] or None
-        return data
 
 
 # ---- the service --------------------------------------------------------------------
@@ -390,7 +301,6 @@ class ClusterService:
         *,
         num_workers: int = 2,
         lease_s: float = 5.0,
-        poll_s: float = 0.02,
         chunk_size: int = 8,
         max_attempts: int = 3,
         name: str | None = None,
@@ -402,17 +312,24 @@ class ClusterService:
         self.store = JobStore(store_path)
         self.num_workers = num_workers
         self.lease_s = float(lease_s)
-        self.poll_s = float(poll_s)
         self.chunk_size = max(1, int(chunk_size))
         self.max_attempts = int(max_attempts)
         self.name = name or REGISTRY.autoname("cluster")
         self._ctx = multiprocessing.get_context()
-        self._stop_event = self._ctx.Event()
+        #: One permit per admitted row wakes one idle worker.
+        self._wake = self._ctx.Semaphore(0)
+        #: Lock-free stop flag the workers read after each wake.
+        self._stopping = self._ctx.RawValue("b", 0)
         self._processes: list = []
+        self._conns: list = []  # read ends of the workers' report pipes
         self._monitor: threading.Thread | None = None
         self._monitor_stop = threading.Event()
         self._lock = threading.RLock()
         self._started = False
+        #: Row id -> [(member index, ticket)] still waiting on the row.
+        self._live: dict[str, list[tuple[int, JobTicket]]] = {}
+        #: Guards ``_live``; notified whenever a row settles (flush).
+        self._settled = threading.Condition()
         self._register_metrics()
         if start:
             self.start()
@@ -425,9 +342,11 @@ class ClusterService:
             if self._started:
                 return self
             self._started = True
-            self._stop_event.clear()
+            self._stopping.value = 0
             self._monitor_stop.clear()
             self.store.recover()
+            for _ in range(self.store.counts_by_state().get("pending", 0)):
+                self._wake.release()
             # Fork before starting the monitor thread: forking a
             # multi-threaded parent risks inheriting held locks.
             for i in range(self.num_workers):
@@ -441,6 +360,7 @@ class ClusterService:
         return self
 
     def _spawn(self, slot: int) -> None:
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -448,13 +368,17 @@ class ClusterService:
                 self.client_factory,
                 f"{self.name}-w{slot}",
                 self.lease_s,
-                self.poll_s,
-                self._stop_event,
+                self._wake,
+                self._stopping,
+                writer,
             ),
             name=f"{self.name}-w{slot}",
             daemon=True,
         )
         proc.start()
+        # The worker holds the only write end, so its exit reads as EOF.
+        writer.close()
+        self._conns.append(reader)
         if len(self._processes) <= slot:
             self._processes.extend([None] * (slot + 1 - len(self._processes)))
         self._processes[slot] = proc
@@ -465,13 +389,13 @@ class ClusterService:
             if not self._started:
                 return
             self._started = False
-            self._stop_event.set()
+            self._stopping.value = 1
             self._monitor_stop.set()
-            monitor, self._monitor = self._monitor, None
             processes = [p for p in self._processes if p is not None]
+            for _ in processes:
+                self._wake.release()
+            monitor, self._monitor = self._monitor, None
             self._processes = []
-        if monitor is not None:
-            monitor.join(timeout=timeout)
         deadline = time.monotonic() + timeout
         for proc in processes:
             if wait:
@@ -479,9 +403,13 @@ class ClusterService:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        # One final assembly pass so nothing durable is left pinned to
-        # shared memory by our own exit.
-        self._assemble_pending()
+        # The monitor drains the workers' last reports, then exits on
+        # their pipes' EOF.
+        if monitor is not None:
+            monitor.join(timeout=timeout)
+        # One final pass settles what went unreported and leaves nothing
+        # durable pinned to shared memory by our own exit.
+        self._reconcile()
 
     def __enter__(self) -> "ClusterService":
         return self.start()
@@ -491,75 +419,102 @@ class ClusterService:
 
     # ---- submission ----------------------------------------------------------------
 
-    def submit(self, request: JobRequest) -> ClusterTicket:
+    def submit(self, request: JobRequest) -> JobTicket:
         """Admit one request as one durable row; ticket immediately."""
         return self._put_chunk([request])[0]
 
-    def submit_many(
-        self, requests: Iterable[JobRequest], *, block: bool = True
-    ) -> list[ClusterTicket]:
+    def submit_many(self, requests: Iterable[JobRequest]) -> list[JobTicket]:
         """Admit a batch, chunked into durable rows of ``chunk_size``.
 
         Each chunk executes on one worker as a unit and its stacked
         result arrays return through one shared-memory segment.
         """
         requests = list(requests)
-        tickets: list[ClusterTicket] = []
+        tickets: list[JobTicket] = []
         for i in range(0, len(requests), self.chunk_size):
             tickets.extend(self._put_chunk(requests[i : i + self.chunk_size]))
         return tickets
 
     def run(
         self, requests: Iterable[JobRequest], *, timeout: float | None = None
-    ) -> list[ClusterTicket]:
+    ) -> list[JobTicket]:
         """Submit a batch and wait for all of it (tickets in order)."""
         tickets = self.submit_many(requests)
         for t in tickets:
             t.wait(timeout)
         return tickets
 
-    def submit_sweep(self, sweep: "SweepRequest", *, block: bool = True):
+    def submit_sweep(self, sweep: "SweepRequest") -> "SweepTicket":
         """Admit a parameter sweep; points chunk onto the workers.
 
         Returns a :class:`~repro.serving.sweeps.SweepTicket` over
-        per-point cluster tickets, scan-ordered.
+        per-point tickets, scan-ordered.
         """
         from repro.serving.sweeps import SweepTicket
 
-        tickets = self.submit_many(sweep.expand(), block=block)
-        return SweepTicket(sweep, tickets)
+        return SweepTicket(sweep, self.submit_many(sweep.expand()))
 
-    def _put_chunk(self, requests: list[JobRequest]) -> list[ClusterTicket]:
+    def _put_chunk(self, requests: list[JobRequest]) -> list[JobTicket]:
         if not requests:
             return []
         row_id = new_ticket_id()
-        blob = json.dumps([wire.encode_request(r) for r in requests]).encode()
-        self.store.put(
-            row_id,
-            blob,
-            kind="chunk" if len(requests) > 1 else "job",
-            device=requests[0].device,
-            priority=max(r.priority for r in requests),
-            size=len(requests),
-            max_attempts=self.max_attempts,
-        )
-        return [
-            ClusterTicket(self, row_id, index=i, size=len(requests))
-            for i in range(len(requests))
+        size = len(requests)
+        # Attach before the row exists, so its report finds the tickets.
+        tickets = [
+            self._attach(row_id, i, size, request)
+            for i, request in enumerate(requests)
         ]
+        blob = json.dumps([wire.encode_request(r) for r in requests]).encode()
+        try:
+            self.store.put(
+                row_id,
+                blob,
+                kind="chunk" if size > 1 else "job",
+                device=requests[0].device,
+                priority=max(r.priority for r in requests),
+                size=size,
+                max_attempts=self.max_attempts,
+            )
+        except BaseException:
+            with self._settled:
+                self._live.pop(row_id, None)
+            raise
+        self._wake.release()
+        return tickets
 
-    # ---- ticket lookup (restart / HTTP surface) ------------------------------------
+    # ---- tickets -------------------------------------------------------------------
 
-    def ticket(self, ticket_id: str) -> ClusterTicket:
+    def _attach(
+        self, row_id: str, index: int, size: int, request: JobRequest | None = None
+    ) -> JobTicket:
+        """A ticket for member *index* of row *row_id*, resolved by the
+        monitor when the row settles."""
+        ticket = JobTicket(request)
+        ticket.id = row_id if size <= 1 else f"{row_id}#{index}"
+        vote = index if size > 1 else None
+        ticket._cancel_hook = lambda _ticket: self._cancel(row_id, vote)
+        with self._settled:
+            self._live.setdefault(row_id, []).append((index, ticket))
+        return ticket
+
+    def ticket(self, ticket_id: str) -> JobTicket:
         """Re-attach to a durable ticket by id (survives restarts)."""
         row_id, _, index = ticket_id.partition("#")
         row = self.store.get(row_id)  # raises ServiceError when unknown
-        return ClusterTicket(
-            self,
-            row_id,
-            index=int(index) if index else 0,
-            size=int(row["size"]),
-        )
+        ticket = self._attach(row_id, int(index or 0), int(row["size"]))
+        self._settle(row_id)  # a finished row resolves it at once
+        return ticket
+
+    def _cancel(self, row_id: str, vote: int | None) -> None:
+        """Ticket cancel hook: record the request (or chunk vote).
+
+        Pending rows cancel immediately; running rows set the flag the
+        worker polls at chunk boundaries.  Members of a chunk row vote
+        — the chunk aborts only when every member has cancelled (it
+        executes as a unit, like an in-process coalesced group).
+        """
+        if self.store.request_cancel(row_id, index=vote).terminal:
+            self._settle(row_id)
 
     def backlog(self) -> list[str]:
         """Ids of rows still unfinished (what a restart will drain)."""
@@ -574,28 +529,69 @@ class ClusterService:
 
     def flush(self, timeout: float | None = None) -> bool:
         """Block until the backlog is drained and results assembled."""
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        pause = 0.005
-        while True:
-            if self.store.unfinished() == 0 and not self.store.pending_assembly():
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(pause)
-            pause = min(pause * 2.0, 0.05)
+        with self._settled:
+            return self._settled.wait_for(self._drained, timeout)
+
+    def _drained(self) -> bool:
+        return self.store.unfinished() == 0 and not self.store.pending_assembly()
 
     # ---- monitor -------------------------------------------------------------------
 
     def _monitor_loop(self) -> None:
         tick = min(max(self.lease_s / 3.0, 0.02), 0.25)
-        while not self._monitor_stop.wait(tick):
+        next_tick = time.monotonic()
+        while True:
+            with self._lock:
+                conns = list(self._conns)
+            if not conns and self._monitor_stop.is_set():
+                return
+            timeout = max(0.0, next_tick - time.monotonic())
             try:
-                self.store.reap_expired()
-                self._assemble_pending()
-                self._respawn_dead()
+                ready = connection.wait(conns, timeout=timeout)
+                for conn in ready:
+                    self._on_report(conn)
+                if self._monitor_stop.is_set() and not ready:
+                    return  # stop() reconciles anything still unreported
+                if time.monotonic() >= next_tick:
+                    next_tick = time.monotonic() + tick
+                    for _ in self.store.reap_expired():
+                        self._wake.release()
+                    self._reconcile()
+                    self._respawn_dead()
             except Exception:
-                # The monitor must survive transient store contention.
+                # The monitor must survive transient store contention;
+                # the next lease tick reconciles whatever was missed.
                 pass
+
+    def _on_report(self, conn) -> None:
+        """Apply one worker report: mark RUNNING, or settle the row."""
+        try:
+            row_id, state = conn.recv()
+        except (EOFError, OSError):  # the worker exited
+            with self._lock:
+                self._conns.remove(conn)
+            conn.close()
+            return
+        if state != TicketState.RUNNING.value:
+            self._settle(row_id)
+            return
+        with self._settled:
+            members = list(self._live.get(row_id, ()))
+        for _, ticket in members:
+            ticket._mark_running()
+
+    def _reconcile(self) -> None:
+        """Settle live tickets whose rows finished unreported, and
+        assemble results whose report was lost."""
+        with self._settled:
+            rows = list(self._live)
+        for row_id in rows:
+            if self.store.state(row_id).terminal:
+                self._settle(row_id)
+        for row in self.store.pending_assembly():
+            self._assemble(row)
+        with self._settled:
+            self._settled.notify_all()
 
     def _respawn_dead(self) -> None:
         with self._lock:
@@ -605,43 +601,52 @@ class ClusterService:
                 if proc is not None and not proc.is_alive():
                     self._spawn(slot)
 
-    def _assemble_pending(self) -> int:
-        """Move finished results from shared memory into durable blobs."""
-        n = 0
-        for row in self.store.pending_assembly():
-            if self._assemble_row(row):
-                n += 1
-        return n
+    def _settle(self, row_id: str) -> None:
+        """Finalize a terminal row: assemble it, resolve its tickets.
 
-    def _assemble_row(self, row: dict) -> bool:
+        Every store read comes first: should one fail, the tickets stay
+        live and the next lease tick settles them.
+        """
+        row = self.store.get(row_id)
+        state = TicketState(row["state"])
+        if not state.terminal:
+            return
+        if state is TicketState.DONE and row["shm"] is not None:
+            self._assemble(row)
+            row = self.store.get(row_id)
+        encoded = json.loads(row["result"]) if row["result"] is not None else None
+        with self._settled:
+            members = self._live.pop(row_id, [])
+            self._settled.notify_all()
+        for index, ticket in members:
+            if state is TicketState.CANCELLED:
+                ticket._cancelled()
+            elif state is TicketState.FAILED:
+                ticket._fail(wire.decode_error(json.loads(row["error"] or "{}")))
+            elif encoded is None:
+                ticket._fail(
+                    ServiceError(
+                        f"job {row_id} finished but its result is not "
+                        "recoverable (shared memory lost before assembly); "
+                        "restart the service to re-execute it"
+                    )
+                )
+            else:
+                ticket._resolve(wire.decode_result(encoded[index]))
+
+    def _assemble(self, row: dict) -> None:
+        """Move a done row's arrays from shared memory into its blob."""
         spec = json.loads(row["shm"])
-        meta = json.loads(row["result_meta"])
         try:
             arrays = _shm.load_arrays(spec)
         except FileNotFoundError:
             # Segment died with its creator before assembly: recover()
             # on the next start re-executes the row.
-            return False
-        blob = json.dumps(join_results(meta, arrays)).encode()
-        if self.store.attach_result(row["id"], blob, expected_shm=row["shm"]):
+            return
+        blob = json.dumps(join_results(json.loads(row["result_meta"]), arrays))
+        if self.store.attach_result(row["id"], blob.encode(), expected_shm=row["shm"]):
             # We won the assembly claim, so the unlink is ours.
             _shm.unlink(spec)
-            return True
-        return False
-
-    def _materialize(self, row: dict) -> list[dict]:
-        """The encoded result list of a done row, assembling if needed."""
-        if row["result"] is not None:
-            return json.loads(row["result"])
-        self._assemble_row(row)
-        row = self.store.get(row["id"])
-        if row["result"] is None:
-            raise ServiceError(
-                f"job {row['id']} finished but its result is not "
-                "recoverable (shared memory lost before assembly); "
-                "restart the service to re-execute it"
-            )
-        return json.loads(row["result"])
 
     # ---- metrics -------------------------------------------------------------------
 

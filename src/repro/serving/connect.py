@@ -18,6 +18,10 @@ whose surface is identical across all three::
     client.cancel(ticket_or_id)           # -> bool
     client.devices(), client.metrics_text()
 
+In-process tickets are :class:`~repro.serving.service.JobTicket`\\ s,
+remote ones :class:`~repro.serving.http.HttpTicket` proxies; both
+block on a completion event rather than a polling loop.
+
 Results are bit-identical across transports: the HTTP path serializes
 through :mod:`repro.serving.wire`, whose scalar fields are plain JSON
 (exact float round-trip), so the same seeded request returns the same
@@ -111,10 +115,11 @@ class InProcessClient(ServiceClient):
 
     Works for both :class:`~repro.serving.service.PulseService`
     (thread pool) and :class:`~repro.serving.cluster.ClusterService`
-    (process pool + durable store); tickets the service hands out are
-    kept in a registry so :meth:`ticket` resolves ids — cluster ids
-    additionally resolve straight from the durable store, surviving
-    registry loss across restarts.
+    (process pool + durable store); both hand out
+    :class:`~repro.serving.service.JobTicket`\\ s, which are kept in a
+    registry so :meth:`ticket` resolves ids — cluster ids additionally
+    re-attach straight from the durable store, surviving registry loss
+    across restarts.
     """
 
     def __init__(self, service: Any) -> None:

@@ -12,7 +12,8 @@ Endpoints::
     POST /v1/jobs               encoded JobRequest -> {"id", "state"}
     POST /v1/jobs/batch         {"requests": [...]} -> {"ids": [...]}
     GET  /v1/jobs/<id>          ticket snapshot {"id", "state", ...}
-    GET  /v1/jobs/<id>/result   long-poll (?timeout=s); 200 when
+    GET  /v1/jobs/<id>/result   long-poll (?timeout=s): blocks on the
+                                ticket's completion event; 200 when
                                 terminal, 202 while in flight
     POST /v1/jobs/<id>/cancel   -> {"cancelled": bool}
     GET  /v1/devices            -> {"devices": [...]}
@@ -21,9 +22,9 @@ Endpoints::
 
 The matching client is :class:`HttpServiceClient` — construct it
 directly or via ``repro.serving.connect("http://host:port")`` — whose
-tickets (:class:`HttpTicket`) implement the same
-:class:`~repro.serving.tickets.Ticket` protocol as every other
-transport.
+tickets (:class:`HttpTicket`, the one proxy ticket) implement the
+same :class:`~repro.serving.tickets.Ticket` protocol as the
+:class:`~repro.serving.service.JobTicket` they stand for.
 """
 
 from __future__ import annotations
@@ -212,32 +213,17 @@ class HttpFrontend:
         return data
 
     def _result(self, ticket_id: str, query) -> tuple[int, dict]:
+        """Long-poll: 200 once the ticket settles, 202 on timeout."""
         ticket = self.client.ticket(ticket_id)
         timeout = float(query.get("timeout", ["0"])[0])
-        ticket.wait(min(max(timeout, 0.0), _MAX_POLL_S))
-        state = ticket.status()
-        if not state.terminal:
-            return 202, {"id": ticket_id, "state": state.value}
-        if state is TicketState.DONE:
-            return 200, {
-                "id": ticket_id,
-                "state": state.value,
-                "result": wire.encode_result(ticket.result(0)),
-            }
+        if not ticket.wait(min(max(timeout, 0.0), _MAX_POLL_S)):
+            return 202, {"id": ticket_id, "state": ticket.status().value}
+        payload = {"id": ticket_id, "state": ticket.status().value}
         try:
-            ticket.result(0)
+            payload["result"] = wire.encode_result(ticket.result(0))
         except Exception as exc:
-            return 200, {
-                "id": ticket_id,
-                "state": state.value,
-                "error": wire.encode_error(exc),
-            }
-        # result() unexpectedly succeeded (state raced to DONE).
-        return 200, {
-            "id": ticket_id,
-            "state": TicketState.DONE.value,
-            "result": wire.encode_result(ticket.result(0)),
-        }
+            payload["error"] = wire.encode_error(exc)
+        return 200, payload
 
 
 def serve_http(service: Any, host: str = "127.0.0.1", port: int = 0) -> HttpFrontend:
@@ -249,7 +235,8 @@ def serve_http(service: Any, host: str = "127.0.0.1", port: int = 0) -> HttpFron
 
 
 class HttpTicket:
-    """Wire-level ticket: the unified protocol over HTTP polling."""
+    """Wire-level proxy of a server-side ticket: the unified protocol
+    over HTTP long-polls."""
 
     kind = "job"
 
@@ -265,7 +252,9 @@ class HttpTicket:
     def done(self) -> bool:
         return self.status().terminal
 
-    def wait(self, timeout: float | None = None) -> bool:
+    def _long_poll(self, timeout: float | None) -> dict | None:
+        """The terminal payload, or None when *timeout* ran out first;
+        each request blocks server-side on the ticket's event."""
         deadline = None if timeout is None else time.monotonic() + float(timeout)
         while True:
             budget = (
@@ -275,30 +264,25 @@ class HttpTicket:
             )
             status, payload = self._client._poll_result(self.id, budget)
             if status == 200:
-                return True
+                return payload
             if deadline is not None and time.monotonic() >= deadline:
-                return False
+                return None
+
+    def wait(self, timeout: float | None = None) -> bool:
+        return self._long_poll(timeout) is not None
 
     def result(self, timeout: float | None = None) -> ClientResult:
-        deadline = None if timeout is None else time.monotonic() + float(timeout)
-        while True:
-            budget = (
-                _MAX_POLL_S
-                if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            status, payload = self._client._poll_result(self.id, budget)
-            if status == 200:
-                if "result" in payload:
-                    return wire.decode_result(payload["result"])
-                error = wire.decode_error(payload.get("error") or {})
-                if payload.get("state") == "cancelled" and not isinstance(
-                    error, CancelledError
-                ):
-                    error = CancelledError(f"ticket {self.id} was cancelled")
-                raise error
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(f"ticket {self.id} not done within {timeout}s")
+        payload = self._long_poll(timeout)
+        if payload is None:
+            raise ServiceError(f"ticket {self.id} not done within {timeout}s")
+        if "result" in payload:
+            return wire.decode_result(payload["result"])
+        error = wire.decode_error(payload.get("error") or {})
+        if payload.get("state") == "cancelled" and not isinstance(
+            error, CancelledError
+        ):
+            error = CancelledError(f"ticket {self.id} was cancelled")
+        raise error
 
     def cancel(self) -> bool:
         payload = self._client._post_json(

@@ -50,14 +50,16 @@ __all__ = ["JobTicket", "PulseService", "TicketState"]
 
 
 class JobTicket:
-    """Future-like handle for one request accepted by the service.
+    """Future-like handle for one request accepted by a service.
 
-    Implements the :class:`repro.serving.tickets.Ticket` protocol: the
-    same ``id``/``status``/``result``/``cancel``/``to_dict`` surface
-    the cluster and HTTP tickets expose, so callers stay
-    transport-agnostic.  All terminal transitions go through one
-    idempotent :meth:`_finalize` — exactly one of resolve / fail /
-    cancel wins, late arrivals are dropped.
+    The one concrete in-process :class:`repro.serving.tickets.Ticket`:
+    :class:`PulseService` and
+    :class:`~repro.serving.cluster.ClusterService` both hand it out,
+    and :class:`~repro.serving.http.HttpTicket` proxies it over the
+    wire.  The owning service resolves it and sets ``_cancel_hook``.
+    All terminal transitions go through one idempotent
+    :meth:`_finalize` — exactly one of resolve / fail / cancel wins,
+    late arrivals are dropped — which wakes every waiter at once.
     """
 
     def __init__(self, request: JobRequest | None) -> None:
@@ -379,10 +381,6 @@ class PulseService:
         the failed points' tickets carry the error and the returned
         :class:`SweepTicket` stays complete and scan-ordered.
         """
-        return self._admit_sweep(sweep, block=block)
-
-    def _admit_sweep(self, sweep: "SweepRequest", *, block: bool = True):
-        """Sweep admission in chunks over :meth:`_reserve` (internal)."""
         from repro.serving.sweeps import SweepTicket
 
         requests = sweep.expand()

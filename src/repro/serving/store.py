@@ -372,8 +372,8 @@ class JobStore(SQLiteStore):
         """Persist the assembled result blob, claiming the shm unlink.
 
         The ``WHERE shm IS ?`` guard makes assembly race-free between
-        the service monitor and a polling ticket: exactly one caller
-        wins (and must unlink the segment); the loser re-reads the
+        the service monitor and a caller re-attaching a ticket: exactly
+        one wins (and must unlink the segment); the loser re-reads the
         blob the winner stored.
         """
         cur = self._connect().execute(

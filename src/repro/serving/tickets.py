@@ -1,11 +1,11 @@
 """The unified ticket surface shared by every serving transport.
 
-One serializable protocol — :class:`Ticket` — is implemented by the
-in-process :class:`~repro.serving.service.JobTicket`, the aggregated
-:class:`~repro.serving.sweeps.SweepTicket`, the store-backed
-:class:`~repro.serving.cluster.ClusterTicket`, and the wire-level
-:class:`~repro.serving.http.HttpTicket`.  Callers write against the
-protocol and stay transport-agnostic::
+One serializable protocol — :class:`Ticket` — has one concrete
+in-process ticket, :class:`~repro.serving.service.JobTicket`, handed
+out by the thread and the process services alike; the wire-level
+:class:`~repro.serving.http.HttpTicket` proxies it and
+:class:`~repro.serving.sweeps.SweepTicket` aggregates a sweep's.
+Callers write against the protocol and stay transport-agnostic::
 
     client = repro.serving.connect(service_or_url)
     ticket = client.submit(request)          # any transport

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.distributions import distribution_expectation_z
 from repro.core.waveform import ParametricWaveform
 from repro.devices import SuperconductingDevice
 from repro.errors import ValidationError
@@ -151,16 +150,16 @@ class TestDistributionWidthBugfix:
         # Before the fix: key shorter than the first key's width hit a
         # bare IndexError (or was silently mis-read).
         with pytest.raises(ValidationError, match="inconsistent"):
-            distribution_expectation_z({"10": 0.5, "0": 0.5}, 1)
+            Observable.z(1).expectation({"10": 0.5, "0": 0.5})
 
     def test_mixed_width_raises_even_when_slot_in_range(self):
         # Before the fix: slot 0 exists in every key, so the mixed
         # widths passed silently.
         with pytest.raises(ValidationError, match="inconsistent"):
-            distribution_expectation_z({"0": 0.5, "10": 0.5}, 0)
+            Observable.z(0).expectation({"0": 0.5, "10": 0.5})
 
     def test_consistent_width_still_works(self):
-        assert distribution_expectation_z({"01": 0.75, "11": 0.25}, 0) == (
+        assert Observable.z(0).expectation({"01": 0.75, "11": 0.25}) == (
             pytest.approx(0.5)
         )
 
@@ -593,7 +592,7 @@ class TestSweepTicketExpectations:
             sweep = SweepRequest.from_programs(
                 schedules, device.name, shots=0, seed=1
             )
-            ticket = service._admit_sweep(sweep)
+            ticket = service.submit_sweep(sweep)
             z = ticket.expectations(Observable.z(0), timeout=30.0)
             ez = ticket.expectations("Z", timeout=30.0)
         client.close()

@@ -8,6 +8,10 @@ within a tolerance: bitwise-equal expectation values at ``shots=0``
 and equal seeded counts on generated schedules (the frame-event and
 play strategies of ``test_phase_covariance``), equal task results for
 a full calibration DAG, and equal results for a cluster sweep chunk.
+The ``served_http_cluster`` topology (an HTTP front-end over a
+``ClusterService``) returns results bitwise equal to a direct client
+and carries cancellation, typed errors and re-attachment after a
+restart end to end.
 """
 
 from __future__ import annotations
@@ -17,16 +21,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_phase_covariance import PROFILE, SC, Case, build_schedule, programs
+from test_serving_cluster import FailingDevice
 
 import repro
 from repro.client import JobRequest, MQSSClient
 from repro.core import PulseSchedule
 from repro.devices import SuperconductingDevice
+from repro.errors import CancelledError, ExecutionError
 from repro.pipeline import PipelineRunner, full_calibration_dag
 from repro.primitives import Estimator, Observable, Sampler
 from repro.qdmi import QDMIDriver
 from repro.qpi import PythonicCircuit
-from repro.serving import ClusterService, PulseService, SweepRequest
+from repro.serving import (
+    ClusterService,
+    PulseService,
+    SweepRequest,
+    TicketState,
+    connect,
+    serve_http,
+)
 
 
 def transmons(num_qubits: int, **kwargs):
@@ -202,3 +215,106 @@ def test_cluster_sweep_chunk_equals_direct(tmp_path):
     for a, b in zip(direct, results):
         assert b.counts == a.counts
         assert b.probabilities == a.probabilities
+
+
+# ---- served_http_cluster: HTTP front-end over a 1-worker cluster ---------------------
+
+
+def make_http_cluster_client() -> MQSSClient:
+    client = make_cluster_client()
+    client.driver.register_device(FailingDevice("sc-bad", num_qubits=2))
+    return client
+
+
+@pytest.fixture(scope="module")
+def http_cluster(tmp_path_factory):
+    """``(HTTP client, direct client)`` over one started 1-worker cluster."""
+    store = str(tmp_path_factory.mktemp("http-cluster") / "jobs.sqlite3")
+    direct = make_cluster_client()
+    with ClusterService(make_http_cluster_client, store, num_workers=1) as svc:
+        frontend = serve_http(svc)
+        try:
+            yield connect(frontend.address), direct
+        finally:
+            frontend.stop()
+    direct.close()
+
+
+@PROFILE
+@given(data=st.data())
+def test_http_cluster_results_equal_direct(http_cluster, data):
+    http, direct = http_cluster
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    requests = [
+        JobRequest(
+            schedule,
+            "sc-a",
+            shots=data.draw(st.integers(1, 256)),
+            seed=data.draw(st.integers(0, 2**31 - 1)),
+        )
+        for schedule in measured_schedules(data, device, k=2)
+    ]
+    tickets = [http.submit(r) for r in requests]
+    for request, ticket in zip(requests, tickets):
+        want = direct.execute_compiled(request, direct.compile_request(request))
+        got = ticket.result(60)
+        assert got.counts == want.counts
+        assert got.probabilities == want.probabilities
+
+
+def test_http_cluster_failure_raises_typed_error(http_cluster):
+    http, _ = http_cluster
+    ticket = http.submit(JobRequest(rotation(0.4), "sc-bad", shots=16, seed=1))
+    with pytest.raises(ExecutionError, match="synthetic hardware fault"):
+        ticket.result(60)
+    assert ticket.status() is TicketState.FAILED
+
+
+def test_http_cluster_cancel_before_start(tmp_path):
+    svc = ClusterService(
+        make_cluster_client, str(tmp_path / "jobs.sqlite3"), num_workers=1, start=False
+    )
+    frontend = serve_http(svc)
+    try:
+        ticket = connect(frontend.address).submit(
+            JobRequest(rotation(0.4), "sc-a", shots=16, seed=1)
+        )
+        assert ticket.cancel() is True
+        assert ticket.status() is TicketState.CANCELLED
+        with pytest.raises(CancelledError):
+            ticket.result(10)
+    finally:
+        frontend.stop()
+
+
+def test_http_cluster_ticket_reattaches_after_restart(tmp_path):
+    store = str(tmp_path / "jobs.sqlite3")
+    requests = [JobRequest(rotation(a), "sc-a", shots=64, seed=3) for a in (0.2, 1.3)]
+    svc = ClusterService(make_cluster_client, store, num_workers=1)
+    frontend = serve_http(svc)
+    try:
+        http = connect(frontend.address)
+        done = http.submit(requests[0])
+        first = done.result(60)
+    finally:
+        frontend.stop()
+        svc.stop()
+    # A second row is admitted while no worker runs: the restart drains it.
+    staging = ClusterService(make_cluster_client, store, num_workers=1, start=False)
+    queued = staging.submit(requests[1])
+    with ClusterService(make_cluster_client, store, num_workers=1) as restarted:
+        frontend = serve_http(restarted)
+        try:
+            http = connect(frontend.address)
+            replay = http.result(done.id, 60)
+            drained = http.result(queued.id, 60)
+        finally:
+            frontend.stop()
+    assert replay.counts == first.counts
+    assert replay.probabilities == first.probabilities
+    assert restarted.store.get(done.id)["attempts"] == 1  # replayed, not re-run
+    direct = make_cluster_client()
+    want = direct.execute_compiled(requests[1], direct.compile_request(requests[1]))
+    direct.close()
+    assert drained.counts == want.counts
+    assert drained.probabilities == want.probabilities

@@ -469,7 +469,6 @@ class TestDurability:
             store_path,
             num_workers=1,
             lease_s=0.6,
-            poll_s=0.01,
         )
         try:
             ticket = svc.submit(request(seed=9, shots=16))
@@ -486,7 +485,7 @@ class TestDurability:
             # the job and a respawned worker completes it.
             result = ticket.result(40)
             assert sum(result.counts.values()) == 16
-            assert svc.store.get(ticket.row_id)["attempts"] >= 2
+            assert svc.store.get(ticket.id)["attempts"] >= 2
         finally:
             svc.stop()
 
@@ -507,7 +506,7 @@ class TestDurability:
             ticket = svc.submit(request(seed=21, shots=64))
             first = ticket.result(60)
             svc.flush(30)
-            row_id = ticket.row_id
+            row_id = ticket.id
         finally:
             svc.stop()
         attempts_before = JobStore(store_path).get(row_id)["attempts"]
@@ -520,6 +519,33 @@ class TestDurability:
             assert row["attempts"] == attempts_before  # no re-execution
         finally:
             restarted.stop()
+
+
+class TestWakeups:
+    def test_waiters_wake_without_sleeping(self, store_path, monkeypatch):
+        """Completion reaches a direct waiter, an HTTP long-poll and
+        ``flush`` by wake-up: ``time.sleep`` raises in this process."""
+        parent = os.getpid()
+        real_sleep = time.sleep
+
+        def no_sleep(seconds: float) -> None:
+            if os.getpid() == parent:
+                raise AssertionError("a waiter polled with time.sleep")
+            real_sleep(seconds)
+
+        # Patched before the workers fork, so they inherit it as well.
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        with ClusterService(make_client, store_path, num_workers=1) as svc:
+            fe = serve_http(svc)
+            try:
+                direct = svc.submit(request(seed=5)).result(30)
+                via_http = connect(fe.address).submit(request(seed=5)).result(30)
+                svc.submit_many([request(seed=s) for s in (6, 7)])
+                assert svc.flush(30)
+            finally:
+                fe.stop()
+        assert via_http.counts == direct.counts
+        assert via_http.probabilities == direct.probabilities
 
 
 # ---- connect() + HTTP ----------------------------------------------------------------
