@@ -49,7 +49,7 @@ from repro.devices import (
 )
 from repro.qdmi import QDMIDriver
 from repro.qpi import PythonicCircuit
-from repro.serving import CompileCache, PulseService
+from repro.serving import PulseService
 
 DEVICES = ("sc-a", "sc-b", "ion-chain", "atom-array")
 
@@ -111,14 +111,13 @@ def bench_serial(per_device: int, shots: int) -> tuple[float, int]:
 
 def bench_service(per_device: int, shots: int):
     driver = make_driver()
-    cache = CompileCache()
     client = MQSSClient(driver, persistent_sessions=True)
-    with PulseService(client, compile_cache=cache) as warmup:
+    with PulseService(client) as warmup:
         for ticket in warmup.run(unique_requests(shots), timeout=120):
             ticket.result()
 
     requests = workload(per_device, shots)
-    service = PulseService(client, compile_cache=cache, start=False)
+    service = PulseService(client, start=False)
     t0 = time.perf_counter()
     tickets = service.submit_many(requests)
     service.start()
@@ -216,10 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"    serial loop      : {serial_s:.3f} s  ({serial_execs} executions)")
     print(f"    PulseService     : {service_s:.3f} s  ({service_execs} executions)")
     print(f"    speedup          : {speedup:.2f}x")
+    cache = service.client.compiler.stats()
+    hit_rate = cache["hits"] / max(1, cache["hits"] + cache["misses"])
     print(
-        f"    cache hit rate   : {service.cache.hit_rate:.2f}  "
-        f"(hits={service.cache.stats['hits']}, "
-        f"misses={service.cache.stats['misses']})"
+        f"    cache hit rate   : {hit_rate:.2f}  "
+        f"(hits={cache['hits']}, misses={cache['misses']})"
     )
     print(
         f"    latency p50/p99  : "
@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         "serial_executions": serial_execs,
         "service_executions": service_execs,
         "speedup": speedup,
-        "cache_hit_rate": service.cache.hit_rate,
+        "cache_hit_rate": hit_rate,
     }
 
     cores = os.cpu_count() or 1

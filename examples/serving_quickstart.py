@@ -67,9 +67,7 @@ def main() -> None:
         # (a paused service queues the whole batch first, so all six
         # requests are guaranteed to be in the coalescing window)
         print("\n== coalescing: 6 identical requests, one execution ==")
-        batch_service = PulseService(
-            client, compile_cache=service.cache, start=False
-        )
+        batch_service = PulseService(client, start=False)
         batch = batch_service.submit_many(
             [JobRequest(program, "sc-a", shots=100, seed=7) for _ in range(6)]
         )
@@ -80,12 +78,14 @@ def main() -> None:
         print(f"  group sizes: {sizes}, per-request shots all 100:",
               all(sum(t.result().counts.values()) == 100 for t in batch))
 
-        # --- the warm compile cache skips adapter+JIT entirely ---
+        # --- the client's warm compile cache skips the JIT pipeline ---
+        # (both services compile through the same client compiler)
         print("\n== compile cache ==")
+        cache = client.compiler.stats()
+        hit_rate = cache["hits"] / max(1, cache["hits"] + cache["misses"])
         print(
-            f"  entries={len(service.cache)} hits={service.cache.stats['hits']}"
-            f" misses={service.cache.stats['misses']}"
-            f" hit_rate={service.cache.hit_rate:.2f}"
+            f"  entries={cache['size']} hits={cache['hits']}"
+            f" misses={cache['misses']} hit_rate={hit_rate:.2f}"
         )
 
         # --- failover: a faulting device retries on an equivalent ---

@@ -7,9 +7,8 @@ here:
 * :func:`adapter_payload` — front-end program -> compiler payload via
   the client's adapter registry (the only place adapters are invoked);
 * :func:`compile_payload` — payload -> :class:`CompiledProgram` through
-  the shared content-addressed cache when one is configured, the JIT
-  compiler's internal memo otherwise (the only place compilation is
-  triggered).
+  the JIT compiler and its content-addressed memo (the only place
+  compilation is triggered).
 
 Dispatch stays :meth:`MQSSClient.execute_compiled` (sessions, format
 routing, result assembly); :class:`repro.api.executable.Executable`
@@ -58,31 +57,21 @@ def adapter_payload(
 
 def compile_payload(
     compiler: Any,
-    cache: Any,
     payload: Any,
     device: Any,
     *,
     scalar_args: Mapping[str, float] | None = None,
     timings: dict[str, float] | None = None,
 ) -> Any:
-    """Compile *payload* for *device* through the configured cache.
+    """Compile *payload* for *device* through *compiler*'s memo.
 
-    *cache* is a :class:`repro.serving.cache.CompileCache` (shared,
-    bounded, thread-safe) or ``None``, in which case the compiler's
-    internal memo provides the caching.  Every compilation in the stack
-    — client submissions, serving workers, ``Executable`` binds —
-    passes through this function.
+    Every compilation in the stack — client submissions, serving
+    workers, ``Executable`` binds — passes through this function, so
+    they all share the client's one compile cache.
     """
     t0 = time.perf_counter()
     with span("compile", device=device.name) as sp:
-        if cache is not None:
-            program = cache.get_or_compile(
-                compiler, payload, device, scalar_args=scalar_args
-            )
-        else:
-            program = compiler.compile(
-                payload, device, scalar_args=scalar_args
-            )
+        program = compiler.compile(payload, device, scalar_args=scalar_args)
         sp.annotate(cache_hit=program.cache_hit)
     if timings is not None:
         timings["compile"] = time.perf_counter() - t0

@@ -322,7 +322,6 @@ class Executable:
             )
         self.compiled = compile_payload(
             self.target.compiler,
-            self.target.cache,
             self._payload,
             self.target.compile_device,
             scalar_args=self.params or None,
@@ -337,17 +336,12 @@ class Executable:
             return self.compiled
         self._ensure_payload()
         compiler = self.target.compiler
-        cache = self.target.cache
         device = self.target.compile_device
         t0 = time.perf_counter()
         key = self._cache_key()
         with span("compile", bound=True) as sp:
             with span("cache.lookup", cache="artifact") as lsp:
-                cached = (
-                    cache.lookup(key)
-                    if cache is not None
-                    else compiler.lookup(key)
-                )
+                cached = compiler.lookup(key)
                 lsp.annotate(hit=cached is not None)
             if cached is not None:
                 self.compiled = cached
@@ -358,10 +352,7 @@ class Executable:
             if template is not None:
                 compiled = self._specialize(template, compiler, device, t0)
                 if compiled is not None:
-                    if cache is not None:
-                        cache.store(key, compiled)
-                    else:
-                        compiler.store(key, compiled)
+                    compiler.store(key, compiled)
                     self.compiled = compiled
                     self._timings["compile"] = time.perf_counter() - t0
                     sp.annotate(path="template")
@@ -556,8 +547,8 @@ class Executable:
     ) -> Any:
         """Submit through the target's service; returns the JobTicket.
 
-        The bound artifact is already in the service's compile cache,
-        so the worker's compile step is a cache hit.
+        The bound artifact is already in the compile cache of the
+        service's client, so the worker's compile step is a cache hit.
         """
         service = self.target.service
         if service is None:

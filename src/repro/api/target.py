@@ -15,13 +15,13 @@ calibration state across the three execution surfaces the stack has:
   QIR); dispatch via :meth:`MQSSClient.execute_compiled`;
 * **a running service** (:meth:`Target.from_service`) — asynchronous
   dispatch through the :class:`~repro.serving.service.PulseService`
-  queues (tickets, coalescing, failover), sharing the service's
-  compile cache.
+  queues (tickets, coalescing, failover), sharing the compile cache
+  of the service's client.
 
 The target owns the *compile identity* of the device: its
 :meth:`calibration_key` combines the device name with the believed
 frame frequencies, so a recalibration invalidates every cached
-executable — the same invalidation rule the serving cache uses.
+executable — the same invalidation rule the JIT compile cache uses.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class Target:
         :func:`repro.serving.connect`).  Transports without a local
         client (cluster, HTTP) produce a *detached* target: requests
         carry the raw program and scalar args, and compilation happens
-        service-side against the service's own compile cache.
+        service-side against the service's own compiler.
         """
         if isinstance(service, str):
             from repro.serving.connect import connect
@@ -194,13 +194,6 @@ class Target:
     @property
     def compiler(self) -> Any:
         return self._require_client("compilation").compiler
-
-    @property
-    def cache(self) -> Any | None:
-        """The compile cache this target's executables share."""
-        if self.service is not None:
-            return getattr(self.service, "cache", None)
-        return self.client.compile_cache
 
     # ---- capabilities / calibration state -------------------------------------------
 

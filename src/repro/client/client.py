@@ -10,15 +10,14 @@ The submission pipeline is split into two reusable halves so the
 serving layer (:mod:`repro.serving`) can interpose between them:
 
 * :meth:`MQSSClient.compile_request` — adapter selection + JIT
-  compilation (optionally through a shared
-  :class:`~repro.serving.cache.CompileCache`);
+  compilation through the client compiler's memo;
 * :meth:`MQSSClient.execute_compiled_batch` — session lease + format
   routing + one batched device submission + result assembly
   (:meth:`MQSSClient.execute_compiled` is its one-member case).
 
 :func:`repro.api.core.run_request` is the one-shot path over both
 halves; :class:`PulseService` workers call them separately to insert
-caching, request coalescing and failover in the middle.
+request coalescing and failover in the middle.
 """
 
 from __future__ import annotations
@@ -73,11 +72,8 @@ class MQSSClient:
     driver:
         The QDMI driver owning the device registry.
     compiler:
-        JIT compiler instance; a fresh one when omitted.
-    compile_cache:
-        Optional :class:`repro.serving.cache.CompileCache`. When set,
-        compilation goes through the shared content-addressed cache
-        (thread-safe, bounded) instead of the compiler's internal one.
+        JIT compiler instance; a fresh one when omitted. Its memo is
+        the compile cache every path over this client shares.
     persistent_sessions:
         When true, the client keeps one QDMI session open per device
         and reuses it across submissions instead of opening and
@@ -92,13 +88,11 @@ class MQSSClient:
         *,
         compiler: JITCompiler | None = None,
         client_name: str = "mqss-client",
-        compile_cache: Any | None = None,
         persistent_sessions: bool = False,
     ) -> None:
         self.driver = driver
         self.compiler = compiler if compiler is not None else JITCompiler()
         self.client_name = client_name
-        self.compile_cache = compile_cache
         self.persistent_sessions = persistent_sessions
         self._adapters: dict[str, Adapter] = {}
         self._session_pool: dict[str, QDMISession] = {}
@@ -201,7 +195,6 @@ class MQSSClient:
         )
         return compile_payload(
             self.compiler,
-            self.compile_cache,
             payload,
             target,
             scalar_args=request.scalar_args or None,

@@ -13,16 +13,17 @@ Reproduces the paper's pipeline (§5.5 "Consistency Across the Stack"):
 5. emit the executable schedule, and QIR with the Pulse Profile
    (challenge C4) when a consumer asks for it.
 
-Compilations are cached: the cache key combines the payload's stable
-fingerprint with the device name and its current calibration state, so
-a re-calibrated device (new frame frequencies) correctly invalidates
-old compilations — the behaviour automated calibration (paper §2.1)
-depends on.
+Compilations are cached in one memo per compiler: the cache key
+combines the payload's stable fingerprint with the device name and its
+current calibration state, so a re-calibrated device (new frame
+frequencies) correctly invalidates old compilations — the behaviour
+automated calibration (paper §2.1) depends on.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -83,13 +84,18 @@ class CompiledProgram:
 class JITCompiler:
     """Compiles adapter payloads for a concrete QDMI device.
 
-    The internal memo is a bounded LRU: parameter-binding hot loops
-    (``Executable.bind`` with a fresh point per iteration) and long
-    scalar-argument sweeps insert one artifact per distinct binding, so
-    an unbounded dict would grow for the life of the process.  Shared
-    multi-tenant traffic should use the serving layer's
-    :class:`~repro.serving.cache.CompileCache` instead, which is
-    additionally thread-safe and instrumented.
+    The memo is the stack's one compile cache: direct executables,
+    ``MQSSClient.compile_request`` and the serving workers all share
+    their client's compiler, so a program compiled on one path is a
+    hit on the others.  It is a bounded LRU: parameter-binding hot
+    loops (``Executable.bind`` with a fresh point per iteration) and
+    long scalar-argument sweeps insert one artifact per distinct
+    binding, so an unbounded dict would grow for the life of the
+    process.  The memo is thread-safe, and cold compiles are
+    serialized: the MLIR context and pass pipeline are shared mutable
+    state, so a thread that waited for another's compile of the same
+    key gets that artifact as a hit.  ``stats`` counts ``hits``,
+    ``misses`` (cold compiles) and ``evictions``.
     """
 
     def __init__(
@@ -105,16 +111,13 @@ class JITCompiler:
         self.context = context if context is not None else default_context()
         self.max_cache_entries = max_cache_entries
         self._cache: OrderedDict[str, CompiledProgram] = OrderedDict()
-        # CacheStats keeps the historical key names (``compilations``,
-        # ``cache_hits``) for dict access while ``stats()`` maps them
-        # onto the uniform hits/misses/evictions shape shared with
-        # CompileCache and PropagatorCache.
+        self._lock = threading.Lock()
+        self._compile_lock = threading.Lock()
         self.stats = CacheStats(
             lambda: len(self._cache),
             lambda: self.max_cache_entries,
-            aliases={"hits": "cache_hits", "misses": "compilations"},
-            compilations=0,
-            cache_hits=0,
+            hits=0,
+            misses=0,
             evictions=0,
         )
         REGISTRY.register_cache(
@@ -179,9 +182,8 @@ class JITCompiler:
     ) -> str:
         """Content-addressed compilation key: payload x device state.
 
-        This is the public cache-key surface consumed by
-        :class:`repro.serving.cache.CompileCache`; two requests with
-        equal keys are guaranteed to compile to the same program.
+        The key of the compiler's memo; two requests with equal keys
+        are guaranteed to compile to the same program.
         *backend* namespaces the key by array backend/dtype spec
         (``"numpy/complex64"``) when execution is scoped to one — an
         artifact compiled for one numeric policy never answers for
@@ -224,7 +226,6 @@ class JITCompiler:
         device: Any,
         *,
         scalar_args: Mapping[str, float] | None = None,
-        use_cache: bool = True,
     ) -> CompiledProgram:
         """Compile *payload* for *device*; returns a CompiledProgram.
 
@@ -232,26 +233,29 @@ class JITCompiler:
         a pulse MLIR module or its text, or a :class:`PulseSchedule`.
         """
         key = self.cache_key(payload, device, scalar_args)
-        if use_cache:
+        cached = self.lookup(key)
+        if cached is not None:
+            return cached
+        with self._compile_lock:
+            # Another thread may have compiled the same key while this
+            # one waited on the lock.
             cached = self.lookup(key)
             if cached is not None:
                 return cached
-
-        with span("compile.jit", device=device.name):
-            return self._compile_cold(
-                payload, device, scalar_args, key, use_cache
-            )
+            with span("compile.jit", device=device.name):
+                program = self._compile_cold(payload, device, scalar_args)
+            self.store(key, program)
+            return program
 
     def _compile_cold(
         self,
         payload: Any,
         device: Any,
         scalar_args: Mapping[str, float] | None,
-        key: str,
-        use_cache: bool,
     ) -> CompiledProgram:
         t0 = time.perf_counter()
-        self.stats["compilations"] += 1
+        with self._lock:
+            self.stats["misses"] += 1
 
         # 1-3. Front-end: get to a schedule, through the calibrations.
         schedule = self._to_schedule(payload, device, scalar_args)
@@ -276,7 +280,7 @@ class JITCompiler:
         constraints.validate_schedule(final_schedule)
 
         # 5. Exchange format: emitted on first use (CompiledProgram.qir).
-        program = CompiledProgram(
+        return CompiledProgram(
             device_name=device.name,
             schedule=final_schedule,
             pulse_module=pulse_module,
@@ -287,9 +291,6 @@ class JITCompiler:
                 "dt": constraints.dt,
             },
         )
-        if use_cache:
-            self.store(key, program)
-        return program
 
     def _to_schedule(
         self, payload: Any, device: Any, scalar_args: Mapping | None
@@ -316,23 +317,26 @@ class JITCompiler:
         API: misses are silent so callers can probe before deciding how
         to produce the artifact.
         """
-        cached = self._cache.get(key)
-        if cached is None:
-            return None
-        self._cache.move_to_end(key)
-        self.stats["cache_hits"] += 1
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is None:
+                return None
+            self._cache.move_to_end(key)
+            self.stats["hits"] += 1
         return replace(cached, cache_hit=True, metadata=dict(cached.metadata))
 
     def store(self, key: str, program: CompiledProgram) -> None:
         """Remember *program* under *key* (bound-template artifacts use
         this to make revisited parameter points cache hits), evicting
         the least-recently-used entries beyond the memo bound."""
-        self._cache[key] = program
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.max_cache_entries:
-            self._cache.popitem(last=False)
-            self.stats["evictions"] += 1
+        with self._lock:
+            self._cache[key] = program
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.max_cache_entries:
+                self._cache.popitem(last=False)
+                self.stats["evictions"] += 1
 
     def clear_cache(self) -> None:
         """Drop all cached compilations."""
-        self._cache.clear()
+        with self._lock:
+            self._cache.clear()

@@ -4,9 +4,8 @@ A :class:`MetricsRegistry` owns metric *families* (one name, one
 type, one help string) holding one instrument per distinct label
 set. The module-level :data:`REGISTRY` is the process default; the
 serving layer, the runtime telemetry, and every cache
-(:class:`~repro.sim.evolve.PropagatorCache`,
-:class:`~repro.serving.cache.CompileCache`, the JIT artifact LRU,
-the primitives template memo) report into it, so a single
+(:class:`~repro.sim.evolve.PropagatorCache`, the JIT compiler's
+artifact memo, the primitives template memo) report into it, so a single
 :func:`exposition` call emits one Prometheus text page for the
 whole process.
 
@@ -526,35 +525,30 @@ class MetricsRegistry:
 class CacheStats(dict):
     """Mutable hit/miss/eviction counters that double as ``stats()``.
 
-    Subclasses ``dict`` so existing ``cache.stats["hits"]`` access
-    keeps working, while *calling* it yields the uniform shape
-    shared by every cache in the process::
+    Subclasses ``dict`` so a cache bumps ``stats["hits"]`` in place,
+    while *calling* it yields the uniform shape shared by every cache
+    in the process::
 
         {"hits": int, "misses": int, "evictions": int,
          "size": int, "capacity": int | None}
-
-    ``aliases`` maps the uniform keys onto legacy dict keys (the
-    JIT compiler counts ``compilations``/``cache_hits``).
     """
 
-    __slots__ = ("_size_fn", "_capacity_fn", "_aliases")
+    __slots__ = ("_size_fn", "_capacity_fn")
 
     def __init__(
         self,
         size_fn: Callable[[], int],
         capacity_fn: Callable[[], int | None],
-        aliases: Mapping[str, str] | None = None,
         **counters: int,
     ) -> None:
         super().__init__(counters)
         self._size_fn = size_fn
         self._capacity_fn = capacity_fn
-        self._aliases = dict(aliases or {})
 
     def __call__(self) -> dict[str, int | None]:
-        out: dict[str, int | None] = {}
-        for key in ("hits", "misses", "evictions"):
-            out[key] = int(self.get(self._aliases.get(key, key), 0))
+        out: dict[str, int | None] = {
+            key: int(self.get(key, 0)) for key in ("hits", "misses", "evictions")
+        }
         out["size"] = int(self._size_fn())
         capacity = self._capacity_fn()
         out["capacity"] = None if capacity is None else int(capacity)

@@ -9,12 +9,12 @@ synchronous client stack into that service:
 * :mod:`repro.serving.service` — :class:`PulseService`: accepts
   :class:`~repro.client.client.JobRequest`\\ s, returns future-like
   :class:`JobTicket`\\ s, enforces bounded admission (backpressure);
+  workers compile through the client's JIT compiler, whose
+  content-addressed memo (payload x device calibration state) lets
+  repeat programs skip the pass pipeline;
 * :mod:`repro.serving.workers` — per-device worker pools so
   independent devices execute in parallel while each device's queue
   drains FIFO-within-priority;
-* :mod:`repro.serving.cache` — a content-addressed
-  :class:`CompileCache` keyed on payload x device calibration state,
-  letting repeat programs skip the adapter+JIT pipeline;
 * :mod:`repro.serving.routing` — :class:`CapabilityRouter`: failover
   and load-spill onto capability-equivalent devices;
 * :mod:`repro.serving.batching` — :class:`RequestBatcher`: coalesces
@@ -49,7 +49,6 @@ Durable multi-process serving stacks three more tiers on top:
 """
 
 from repro.serving.batching import RequestBatcher
-from repro.serving.cache import CompileCache
 from repro.serving.cluster import ClusterService
 from repro.serving.connect import InProcessClient, ServiceClient, connect
 from repro.serving.metrics import LatencyHistogram, ServingMetrics
@@ -74,7 +73,6 @@ __all__ = [
     "SweepTicket",
     "DevicePool",
     "ServiceEntry",
-    "CompileCache",
     "CapabilityRouter",
     "RequestBatcher",
     "ServingMetrics",

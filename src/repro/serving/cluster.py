@@ -5,7 +5,7 @@ thread-based :class:`~repro.serving.service.PulseService`.  Simulation
 is CPU-bound numerics, so threads share one GIL; here every worker is
 a full OS process with its own interpreter, its own
 :class:`~repro.client.client.MQSSClient` (built by the caller's
-``client_factory``), and its own content-addressed compile cache.
+``client_factory``), whose JIT compiler memo is its compile cache.
 Both services hand out the same :class:`~repro.serving.service.JobTicket`.
 
 Architecture::
@@ -32,10 +32,10 @@ Durability model — everything lives in the store:
   (:meth:`ClusterService.ticket` re-attaches a ticket to its row);
 * a worker killed mid-job (SIGKILL, OOM) stops heartbeating; the
   monitor re-leases its jobs after the lease deadline.  Re-execution
-  is idempotent: compilation is content-addressed (the same cache key
-  the in-process service uses) and execution is seeded, so the re-run
-  reproduces the same result.  The lease tick catches up a report
-  lost with a killed worker from its row;
+  is idempotent because the worker's compiler is content-addressed
+  and execution is seeded, so the re-run reproduces the same result.
+  The lease tick catches up a report lost with a killed worker from
+  its row;
 * results return over :mod:`multiprocessing.shared_memory` — the
   stacked probability/count arrays of a whole job chunk ride one
   segment, never pickled per job — and the parent persists the
@@ -231,7 +231,7 @@ def _run_leased_job(
             wire.decode_request(r) for r in json.loads(row["request"])
         ]
         t0 = time.perf_counter()
-        # Compile is content-addressed through the worker-local cache,
+        # Compile is content-addressed through the worker's compiler,
         # so a re-leased job (or a repeat point of a sweep chunk) skips
         # the pipeline. The whole row then runs as one batched device
         # submission, each request on its own seeded stream, so

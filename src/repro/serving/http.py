@@ -304,8 +304,14 @@ class HttpServiceClient(ServiceClient):
     # ---- transport -----------------------------------------------------------------
 
     def _request(
-        self, method: str, path: str, body: dict | None = None
+        self,
+        method: str,
+        path: str,
+        body: dict | None = None,
+        *,
+        timeout_s: float | None = None,
     ) -> tuple[int, Any]:
+        """One round trip; *timeout_s* overrides the socket timeout."""
         data = json.dumps(body).encode() if body is not None else None
         req = urllib.request.Request(
             self.base_url + path,
@@ -314,7 +320,9 @@ class HttpServiceClient(ServiceClient):
             headers={"Content-Type": "application/json"},
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
+            with urllib.request.urlopen(
+                req, timeout=timeout_s or self.timeout_s
+            ) as resp:
                 raw = resp.read()
                 ctype = resp.headers.get("Content-Type", "")
                 status = resp.status
@@ -334,6 +342,10 @@ class HttpServiceClient(ServiceClient):
                 f"cannot reach serving front-end at {self.base_url}: "
                 f"{exc.reason}"
             ) from exc
+        except OSError as exc:  # socket timeouts, resets mid-response
+            raise ServiceError(
+                f"{method} {path} to {self.base_url} failed: {exc!r}"
+            ) from exc
         if ctype.startswith("application/json"):
             return status, json.loads(raw)
         return status, raw.decode()
@@ -346,10 +358,13 @@ class HttpServiceClient(ServiceClient):
 
     def _poll_result(self, ticket_id: str, budget_s: float) -> tuple[int, dict]:
         poll = min(max(budget_s, 0.0), _MAX_POLL_S)
+        # The server may hold the request for *poll* seconds, so the
+        # socket must outlive that block by the usual transport budget.
         return self._request(
             "GET",
             f"/v1/jobs/{urllib.parse.quote(ticket_id)}/result"
             f"?timeout={poll:.3f}",
+            timeout_s=poll + self.timeout_s,
         )
 
     # ---- unified surface -----------------------------------------------------------

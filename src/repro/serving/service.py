@@ -37,7 +37,6 @@ from repro.client.client import ClientResult, JobRequest, MQSSClient
 from repro.errors import BackpressureError, CancelledError, ServiceError
 from repro.obs.tracing import span
 from repro.serving.batching import RequestBatcher
-from repro.serving.cache import CompileCache
 from repro.serving.metrics import ServingMetrics
 from repro.serving.routing import CapabilityRouter
 from repro.serving.tickets import TicketState, new_ticket_id
@@ -223,9 +222,11 @@ class PulseService:
         The client whose compile/execute halves do the actual work.
         Give it ``persistent_sessions=True`` to avoid per-job session
         churn under load.
-    router / compile_cache / batcher / metrics:
-        Policy objects; sensible defaults are constructed when omitted
-        (the client's own ``compile_cache`` is adopted if it has one).
+    router / batcher / metrics:
+        Policy objects; sensible defaults are constructed when omitted.
+        Compilation goes through ``client.compiler``, whose memo is
+        the compile cache the workers share with every other path
+        over the client.
     max_pending:
         Bound on requests in flight service-wide — admission control.
     per_device_pending:
@@ -246,7 +247,6 @@ class PulseService:
         client: MQSSClient,
         *,
         router: CapabilityRouter | None = None,
-        compile_cache: CompileCache | None = None,
         batcher: RequestBatcher | None = None,
         metrics: ServingMetrics | None = None,
         max_pending: int = 1024,
@@ -258,9 +258,6 @@ class PulseService:
             raise ServiceError(f"max_pending must be >= 1, got {max_pending}")
         self.client = client
         self.router = router if router is not None else CapabilityRouter(client.driver)
-        if compile_cache is None:
-            compile_cache = client.compile_cache or CompileCache()
-        self.cache = compile_cache
         self.batcher = batcher if batcher is not None else RequestBatcher()
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.max_pending = max_pending
@@ -664,7 +661,6 @@ class PulseService:
                     timings: dict[str, float] = {}
                     program = compile_payload(
                         self.client.compiler,
-                        self.cache,
                         payload,
                         target,
                         scalar_args=request.scalar_args or None,

@@ -13,9 +13,9 @@ serving layer needs without a new dependency:
   never executed twice concurrently;
 * **crash recovery** — leases carry a heartbeat deadline; a worker
   that dies mid-job (SIGKILL, OOM) simply stops heartbeating and the
-  reaper re-leases its jobs.  Re-execution is safe because compilation
-  is content-addressed (the row records the compile-cache fingerprint)
-  and execution is seeded, so a re-run reproduces the same result.
+  reaper re-leases its jobs.  Re-execution is idempotent because the
+  worker's compiler is content-addressed and execution is seeded, so
+  a re-run reproduces the same result.
 
 The store is also the cluster's result and metrics channel: workers
 record a per-job shared-memory spec (:mod:`repro.serving.shm`) plus a
@@ -41,7 +41,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     state          TEXT NOT NULL DEFAULT 'pending',
     device         TEXT NOT NULL DEFAULT '',
     priority       INTEGER NOT NULL DEFAULT 0,
-    fingerprint    TEXT NOT NULL DEFAULT '',
     request        BLOB,
     result         BLOB,
     result_meta    TEXT,
@@ -96,21 +95,19 @@ class JobStore(SQLiteStore):
         kind: str = "job",
         device: str = "",
         priority: int = 0,
-        fingerprint: str = "",
         size: int = 1,
         max_attempts: int = 3,
     ) -> None:
         now = time.time()
         self._connect().execute(
             "INSERT INTO jobs (id, kind, state, device, priority, "
-            "fingerprint, request, size, max_attempts, created_at, "
-            "updated_at) VALUES (?, ?, 'pending', ?, ?, ?, ?, ?, ?, ?, ?)",
+            "request, size, max_attempts, created_at, updated_at) "
+            "VALUES (?, ?, 'pending', ?, ?, ?, ?, ?, ?, ?)",
             (
                 job_id,
                 kind,
                 device,
                 priority,
-                fingerprint,
                 request_blob,
                 size,
                 max_attempts,

@@ -691,8 +691,7 @@ class PropagatorCache:
     :class:`~repro.obs.CacheStats` whose every mutation happens under
     the cache lock (concurrent ``compute=`` overrides used to race the
     bare integer attributes); ``stats()`` returns the same dict shape
-    as :class:`~repro.serving.cache.CompileCache` and
-    :class:`~repro.compiler.jit.JITCompiler`, and each instance
+    as :class:`~repro.compiler.jit.JITCompiler`, and each instance
     self-registers on the global obs registry.
     """
 

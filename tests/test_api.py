@@ -27,7 +27,7 @@ from repro.qpi import (
     qX,
     qpi_to_schedule,
 )
-from repro.serving import CompileCache, PulseService
+from repro.serving import PulseService
 
 
 def qpi_flip() -> QCircuit:
@@ -372,8 +372,7 @@ class TestServiceTargets:
         driver = QDMIDriver()
         driver.register_device(sc_device_1q)
         client = MQSSClient(driver, persistent_sessions=True)
-        cache = CompileCache()
-        with PulseService(client, compile_cache=cache) as service:
+        with PulseService(client) as service:
             target = repro.Target.from_service(service, sc_device_1q.name)
             assert target.is_async
             executable = repro.compile(
@@ -384,8 +383,8 @@ class TestServiceTargets:
             ticket = bound.run_async(shots=64, seed=7)
             result = ticket.result(30)
             assert sum(result.counts.values()) == 64
-            # The bound artifact was pre-warmed into the service cache.
-            assert cache.stats["hits"] >= 1
+            # The bound artifact was pre-warmed into the client's memo.
+            assert client.compiler.stats()["hits"] >= 1
             grid = [{"theta0": 0.1 * i, "theta1": 0.0} for i in range(3)]
             swept = executable.sweep(grid, shots=0, seed=2, timeout=30)
             assert len(swept) == 3

@@ -179,9 +179,9 @@ class TestClientRouting:
     def test_compile_cache_shared_across_submissions(self, client):
         req = JobRequest(qpi_circuit(), "sc-transmon", shots=10, seed=1)
         run_request(client, req)
-        before = client.compiler.stats["cache_hits"]
+        before = client.compiler.stats["hits"]
         run_request(client, req)
-        assert client.compiler.stats["cache_hits"] == before + 1
+        assert client.compiler.stats["hits"] == before + 1
 
 
 class TestScheduler:

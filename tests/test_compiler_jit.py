@@ -1,5 +1,8 @@
 """Tests: lowering conversions and the JIT compiler (claims C2/C3)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -167,8 +170,54 @@ class TestJITCompiler:
         sc_device.set_frame_frequency(0, 5.0001e9)
         p3 = jit.compile(m, sc_device)
         assert not p3.cache_hit
-        assert jit.stats["compilations"] == 2
-        assert jit.stats["cache_hits"] == 1
+        assert jit.stats["misses"] == 2
+        assert jit.stats["hits"] == 1
+
+    def test_concurrent_compiles_share_one_memo(self, sc_device):
+        """Threads racing on the same keys compile each payload once;
+        every other call is a hit on that one artifact."""
+        payloads = []
+        for i in range(4):
+            cb = CircuitBuilder(f"c{i}", 2)
+            cb.x(0).rz(1, 0.1 * (i + 1)).measure(0, 0).measure(1, 1)
+            payloads.append(cb.module)
+        jit = JITCompiler()
+        rounds, n_threads = 6, 8
+        seen = [set() for _ in payloads]
+        lock = threading.Lock()
+        errors: list[BaseException] = []
+
+        def work(offset: int) -> None:
+            try:
+                for r in range(rounds):
+                    for j in range(len(payloads)):
+                        k = (j + offset + r) % len(payloads)
+                        program = jit.compile(payloads[k], sc_device)
+                        with lock:
+                            seen[k].add(program.schedule.fingerprint())
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        calls = rounds * n_threads * len(payloads)
+        stats = jit.stats()
+        assert stats["misses"] == len(payloads)
+        assert stats["hits"] == calls - len(payloads)
+        assert stats["size"] == len(payloads)
+        assert all(len(fps) == 1 for fps in seen)
 
     def test_compiled_schedule_satisfies_constraints(self, all_devices):
         jit = JITCompiler()

@@ -28,7 +28,10 @@ def test_no_deprecation_warning_in_src():
     assert offenders == []
 
 
-@pytest.mark.parametrize("module", ["repro.mitigation", "repro.calibration.readout"])
+@pytest.mark.parametrize(
+    "module",
+    ["repro.mitigation", "repro.calibration.readout", "repro.serving.cache"],
+)
 def test_shim_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
@@ -60,3 +63,18 @@ def test_shim_surfaces_are_gone():
     assert not hasattr(repro.pipeline, "MemoryStore")
     assert "engine" not in inspect.signature(run_drift_campaign).parameters
     assert "mitigation" not in inspect.signature(Sampler).parameters
+
+
+def test_one_compile_cache():
+    from repro.api.core import compile_payload
+    from repro.api.target import Target
+    from repro.client import MQSSClient
+    from repro.compiler import JITCompiler
+    from repro.serving import PulseService
+
+    assert "compile_cache" not in inspect.signature(MQSSClient).parameters
+    assert "compile_cache" not in inspect.signature(PulseService).parameters
+    assert "use_cache" not in inspect.signature(JITCompiler.compile).parameters
+    assert "cache" not in inspect.signature(compile_payload).parameters
+    assert not hasattr(Target, "cache")
+    assert not hasattr(repro.serving, "CompileCache")

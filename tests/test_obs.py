@@ -339,12 +339,11 @@ class TestRegistry:
         stats = CacheStats(
             lambda: 5,
             lambda: 100,
-            aliases={"hits": "cache_hits", "misses": "compilations"},
-            cache_hits=3,
-            compilations=4,
+            hits=3,
+            misses=4,
             evictions=0,
         )
-        stats["cache_hits"] += 1  # legacy dict mutation keeps working
+        stats["hits"] += 1  # dict mutation shows in the called shape
         assert stats() == {
             "hits": 4,
             "misses": 4,
@@ -360,11 +359,9 @@ class TestRegistry:
 class TestCacheIntegration:
     def test_uniform_stats_shape_across_all_caches(self):
         from repro.compiler.jit import JITCompiler
-        from repro.serving.cache import CompileCache
         from repro.sim.evolve import PropagatorCache
 
         caches = [
-            CompileCache(max_entries=4),
             JITCompiler(max_cache_entries=4),
             PropagatorCache(max_entries=4),
             Estimator(SuperconductingDevice(num_qubits=1)),
@@ -383,16 +380,16 @@ class TestCacheIntegration:
             )
 
     def test_all_cache_kinds_in_one_exposition(self):
-        from repro.serving.cache import CompileCache
+        from repro.compiler.jit import JITCompiler
         from repro.sim.evolve import PropagatorCache
 
-        compile_cache = CompileCache(max_entries=4)
+        compiler = JITCompiler(max_cache_entries=4)
         prop_cache = PropagatorCache(max_entries=4)
         estimator = Estimator(SuperconductingDevice(num_qubits=1))
         text = exposition()
-        for kind in ("compile", "jit-artifact", "propagator", "template"):
+        for kind in ("jit-artifact", "propagator", "template"):
             assert f'kind="{kind}"' in text, kind
-        del compile_cache, prop_cache, estimator
+        del compiler, prop_cache, estimator
 
     def test_propagator_cache_concurrent_stats(self):
         from repro.sim.evolve import PropagatorCache

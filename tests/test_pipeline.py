@@ -789,13 +789,13 @@ class TestStalenessEndToEnd:
             # Warm the cache and pin the old-state behavior.
             warm = svc.submit(x_request()).result(30)
             assert ones_fraction(warm.counts) > 0.85  # resonant X
-            misses0 = svc.cache.stats["misses"]
-            hits0 = svc.cache.stats["hits"]
+            misses0 = client.compiler.stats()["misses"]
+            hits0 = client.compiler.stats()["hits"]
 
             # Identical program: served from cache (hit, no recompile).
             again = svc.submit(x_request()).result(30)
-            assert svc.cache.stats["hits"] == hits0 + 1
-            assert svc.cache.stats["misses"] == misses0
+            assert client.compiler.stats()["hits"] == hits0 + 1
+            assert client.compiler.stats()["misses"] == misses0
             assert ones_fraction(again.counts) > 0.85
 
             # In-flight job: compiled (old state), now RUNNING...
@@ -816,9 +816,9 @@ class TestStalenessEndToEnd:
 
             # New submission: the epoch-bumped state key MISSES the
             # cache and recompiles against the detuned frame.
-            misses1 = svc.cache.stats["misses"]
+            misses1 = client.compiler.stats()["misses"]
             stale = svc.submit(x_request()).result(30)
-            assert svc.cache.stats["misses"] == misses1 + 1
+            assert client.compiler.stats()["misses"] == misses1 + 1
             # 50 MHz detuning at a 50 MHz Rabi rate caps P1 at ~0.5 —
             # the result visibly reflects the NEW device state.
             assert ones_fraction(stale.counts) < 0.7

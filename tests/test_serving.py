@@ -13,8 +13,10 @@ import time
 
 import pytest
 
+import repro
 from repro.api.core import run_request
 from repro.client import JobRequest, MQSSClient, RemoteDeviceProxy
+from repro.compiler import JITCompiler
 from repro.devices import SuperconductingDevice, TrappedIonDevice
 from repro.errors import (
     BackpressureError,
@@ -28,7 +30,6 @@ from repro.qpi import PythonicCircuit
 from repro.runtime import SecondLevelScheduler
 from repro.serving import (
     CapabilityRouter,
-    CompileCache,
     PulseService,
     RequestBatcher,
     ServingMetrics,
@@ -149,11 +150,11 @@ class TestCompileCache:
         prog = x_program()
         with PulseService(client) as svc:
             svc.submit(JobRequest(prog, "sc-a", shots=8, seed=1)).result(30)
-            compilations = client.compiler.stats["compilations"]
+            misses = client.compiler.stats()["misses"]
             second = svc.submit(JobRequest(prog, "sc-a", shots=8, seed=1))
             second.result(30)
-            assert client.compiler.stats["compilations"] == compilations
-            assert svc.cache.stats["hits"] >= 1
+            assert client.compiler.stats()["misses"] == misses
+            assert client.compiler.stats()["hits"] >= 1
             assert svc.metrics.get("cache_hits") >= 1
 
     def test_recalibration_invalidates_cache(self):
@@ -166,27 +167,47 @@ class TestCompileCache:
             # the device-state half of the cache key changes.
             device.set_frame_frequency(0, device.believed_frequency(0) + 1e6)
             svc.submit(JobRequest(prog, "sc-a", shots=8, seed=1)).result(30)
-        assert svc.cache.stats["misses"] >= 2
+        assert client.compiler.stats()["misses"] >= 2
 
     def test_lru_eviction_is_bounded(self):
-        device = SuperconductingDevice("sc-a", num_qubits=2)
-        _, client = make_stack(device)
-        cache = CompileCache(max_entries=1)
-        with PulseService(client, compile_cache=cache) as svc:
+        driver = QDMIDriver()
+        driver.register_device(SuperconductingDevice("sc-a", num_qubits=2))
+        client = MQSSClient(
+            driver,
+            compiler=JITCompiler(max_cache_entries=1),
+            persistent_sessions=True,
+        )
+        with PulseService(client) as svc:
             svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1)).result(30)
             svc.submit(JobRequest(x_program(1), "sc-a", shots=8, seed=1)).result(30)
-        assert len(cache) == 1
-        assert cache.stats["evictions"] == 1
+        stats = client.compiler.stats()
+        assert stats["size"] == 1
+        assert stats["evictions"] == 1
 
-    def test_client_compile_cache_hook(self):
+    def test_repeat_run_request_is_one_memo_hit(self):
         _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
-        client.compile_cache = CompileCache()
         prog = x_program()
         run_request(client, JobRequest(prog, "sc-a", shots=8, seed=1))
+        before = client.compiler.stats()
         run_request(client, JobRequest(prog, "sc-a", shots=8, seed=1))
-        assert client.compile_cache.stats["hits"] == 1
-        # The compiler's internal memo was bypassed entirely.
-        assert client.compiler.stats["cache_hits"] == 0
+        after = client.compiler.stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
+    def test_direct_compile_is_a_hit_for_the_service(self):
+        """A program compiled on a direct target is served from the
+        same memo when a service over the same client runs it."""
+        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
+        prog = x_program()
+        target = repro.Target.from_client(client, "sc-a")
+        repro.compile(repro.Program.coerce(prog), target).run(shots=8, seed=1)
+        misses = client.compiler.stats()["misses"]
+        hits = client.compiler.stats()["hits"]
+        with PulseService(client) as svc:
+            svc.submit(JobRequest(prog, "sc-a", shots=8, seed=1)).result(30)
+        assert client.compiler.stats()["misses"] == misses
+        assert client.compiler.stats()["hits"] == hits + 1
+        assert svc.metrics.get("cache_hits") == 1
 
 
 class TestBatching:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import time
 
 import numpy as np
@@ -629,6 +630,29 @@ class TestHttpTier:
         http = connect(fe.address)
         with pytest.raises(ServiceError):
             http.status("no-such-ticket")
+
+    def test_long_poll_outlives_the_socket_timeout(self):
+        """The server may hold a result poll longer than the client's
+        transport timeout; the poll's socket must wait that long."""
+        client = make_client(delay_s=1.5)
+        with PulseService(client) as svc:
+            fe = serve_http(svc)
+            try:
+                http = HttpServiceClient(fe.address, timeout_s=0.5)
+                result = http.submit(request(shots=16)).result(10)
+                assert sum(result.counts.values()) == 16
+            finally:
+                fe.stop()
+        client.close()
+
+    def test_unanswered_request_is_service_error(self):
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            host, port = server.getsockname()
+            http = HttpServiceClient(f"http://{host}:{port}", timeout_s=0.2)
+            with pytest.raises(ServiceError):
+                http.status("t")
 
     def test_failure_propagates_typed_error(self):
         driver = QDMIDriver()
