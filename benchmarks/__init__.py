@@ -1,1 +1,3 @@
-"""Benchmark harness: one module per paper artifact (DESIGN.md index)."""
+"""Benchmarks: the ``python -m benchmarks.harness`` workloads, two CI
+smokes no harness workload covers (serving coalescing, disabled
+instrumentation overhead) and the backend-purity check."""

@@ -4,8 +4,8 @@ The :mod:`repro.obs` layer instruments the whole
 compile -> dispatch -> simulate pipeline with spans and profile
 records. Disabled (the default), each call site costs one
 module-global flag check plus a no-op context enter/exit — this bench
-measures that cost against the ``bench_primitives`` Estimator
-workload and fails when the *disabled* instrumentation accounts for
+measures that cost against an Estimator PUB over a phase-parametric
+ansatz and fails when the *disabled* instrumentation accounts for
 more than 2% of end-to-end wall time.
 
 Method:
@@ -34,10 +34,13 @@ import argparse
 import statistics
 import time
 
-from bench_primitives import _grid, ansatz_text
+import numpy as np
 
 import repro
+from repro.core.waveform import ParametricWaveform, SampledWaveform
 from repro.devices import SuperconductingDevice
+from repro.mlir.dialects.pulse import SequenceBuilder
+from repro.mlir.ir import print_module
 from repro.obs import (
     disable_profiling,
     enable_profiling,
@@ -53,6 +56,39 @@ from repro.primitives import Estimator
 MAX_DISABLED_OVERHEAD_PCT = 2.0
 
 _CALIBRATION_ITERS = 200_000
+
+N_PREP_SEGMENTS = 12
+PREP_SAMPLES = 32
+N_SEGMENTS = 8
+SEGMENT_SAMPLES = 8
+
+
+def ansatz_text(device) -> str:
+    """Raw-sample state prep + a phase-parametric tail (MLIR text)."""
+    sb = SequenceBuilder("obs_ansatz")
+    drive = sb.add_mixed_frame_arg("f0", device.drive_port(0).name)
+    acquire = sb.add_mixed_frame_arg("a0", device.acquire_port(0).name)
+    thetas = [sb.add_scalar_arg(f"theta{i}") for i in range(N_SEGMENTS)]
+    for p in range(N_PREP_SEGMENTS):
+        samples = np.full(PREP_SAMPLES, 0.05 + 0.01 * p)
+        sb.play(drive, sb.waveform(SampledWaveform(samples)))
+    for k, theta in enumerate(thetas):
+        wave = sb.waveform(
+            ParametricWaveform("square", SEGMENT_SAMPLES, {"amp": 0.10 + 0.005 * k})
+        )
+        sb.shift_phase(drive, theta)
+        sb.play(drive, wave)
+    sb.barrier(drive, acquire)
+    sb.capture(acquire, 0, SEGMENT_SAMPLES)
+    sb.ret()
+    return print_module(sb.module)
+
+
+def _grid(n_points: int, seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {
+        f"theta{i}": rng.uniform(-np.pi, np.pi, n_points) for i in range(N_SEGMENTS)
+    }
 
 
 def _workload(n_points: int):
@@ -127,8 +163,6 @@ def bench_overhead(n_points: int, repeats: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from _artifacts import write_artifact
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="small smoke workload (CI)"
@@ -160,7 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(informational)"
     )
 
-    write_artifact("obs_overhead", {"quick": args.quick, **result})
     if result["disabled_overhead_pct"] >= MAX_DISABLED_OVERHEAD_PCT:
         print(
             f"FAIL: disabled instrumentation overhead "

@@ -41,8 +41,8 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
 ]
 
-# Log-spaced 2 µs .. ~268 s; shared with the serving layer's
-# LatencyHistogram (formerly serving.metrics.BUCKET_BOUNDS_S).
+# Log-spaced 2 µs .. ~134 s (powers of four); the serving stage
+# histograms use these too.
 DEFAULT_TIME_BUCKETS_S = tuple(2e-6 * 4**i for i in range(14))
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

@@ -18,8 +18,9 @@ Export formats:
 
 Cost model: when tracing is disabled (the default) :func:`span`
 returns a shared no-op singleton, so an instrumented call site costs
-one global-flag check plus a trivial ``with`` enter/exit — gated
-below 2% end-to-end by ``benchmarks/bench_obs_overhead.py``.
+one global-flag check plus a trivial ``with`` enter/exit. The CI smoke
+``benchmarks/bench_obs_overhead.py --quick`` fails when that exceeds
+2% of end-to-end wall time.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ Durable multi-process serving stacks three more tiers on top:
 from repro.serving.batching import RequestBatcher
 from repro.serving.cluster import ClusterService
 from repro.serving.connect import InProcessClient, ServiceClient, connect
-from repro.serving.metrics import LatencyHistogram, ServingMetrics
+from repro.serving.metrics import ServingMetrics
 from repro.serving.routing import CapabilityRouter
 from repro.serving.service import JobTicket, PulseService
 from repro.serving.store import JobStore
@@ -76,7 +76,6 @@ __all__ = [
     "CapabilityRouter",
     "RequestBatcher",
     "ServingMetrics",
-    "LatencyHistogram",
 ]
 
 

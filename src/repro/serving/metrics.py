@@ -7,15 +7,12 @@ counters every worker thread emits plus a latency histogram per
 pipeline stage (queue wait, compile, execute, end-to-end), and renders
 a Prometheus-style text exposition for scrapers and humans alike.
 
-Since the :mod:`repro.obs` unification this module is a thin
-compatibility shim: :class:`LatencyHistogram` is the registry
-histogram (:class:`repro.obs.Histogram`) with its historical
-seconds-flavoured accessors, and every :class:`ServingMetrics`
-instance self-registers on the global :data:`repro.obs.REGISTRY`
-so ``repro.obs.exposition()`` includes the serving series
-(``repro_serving_*``) alongside caches and sim kernels. The
-legacy per-service :meth:`ServingMetrics.render_text` format is
-unchanged.
+Each stage histogram is a plain registry :class:`repro.obs.Histogram`
+on the default time buckets (2 us to ~134 s, plus the ``+Inf``
+overflow bucket), and every :class:`ServingMetrics` instance
+self-registers on the global :data:`repro.obs.REGISTRY` so
+``repro.obs.exposition()`` includes the serving series
+(``repro_serving_*``) alongside caches and sim kernels.
 """
 
 from __future__ import annotations
@@ -25,55 +22,8 @@ import time
 import weakref
 from contextlib import contextmanager
 
-from repro.obs.metrics import DEFAULT_TIME_BUCKETS_S, REGISTRY, Histogram
+from repro.obs.metrics import REGISTRY, Histogram
 from repro.runtime.telemetry import Telemetry
-
-#: Histogram bucket upper bounds in seconds: log-spaced from 2 us to
-#: ~134 s (powers of four), plus the implicit +Inf overflow bucket.
-#: (Now the registry-wide default, re-exported for compatibility.)
-BUCKET_BOUNDS_S: tuple[float, ...] = DEFAULT_TIME_BUCKETS_S
-
-
-class LatencyHistogram(Histogram):
-    """A fixed-bucket latency histogram (thread-safe).
-
-    The registry :class:`~repro.obs.Histogram` specialised to the
-    serving bucket layout, keeping the original seconds-flavoured
-    accessors (``sum_s``/``max_s``/``mean_s``) and quantile
-    semantics (overflow quantiles report the observed max).
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(BUCKET_BOUNDS_S)
-
-    @property
-    def sum_s(self) -> float:
-        return self.sum_value
-
-    @property
-    def max_s(self) -> float:
-        return self.max_value
-
-    def mean_s(self) -> float:
-        return self.mean()
-
-    def quantile(self, q: float) -> float:
-        """Approximate *q*-quantile (bucket upper bound), q in [0, 1]."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self._count == 0:
-                return 0.0
-            target = q * self._count
-            running = 0
-            for bound, n in zip(self.bounds, self._counts):
-                running += n
-                if running >= target:
-                    return bound
-            return self._max
-
 
 class ServingMetrics:
     """Counters + per-stage latency histograms for a :class:`PulseService`."""
@@ -81,7 +31,7 @@ class ServingMetrics:
     def __init__(self, name: str | None = None) -> None:
         self.telemetry = Telemetry()
         self._lock = threading.Lock()
-        self._histograms: dict[str, LatencyHistogram] = {}
+        self._histograms: dict[str, Histogram] = {}
         self.name = name or REGISTRY.autoname("serving")
         self._register()
 
@@ -138,12 +88,12 @@ class ServingMetrics:
     def get(self, name: str) -> float:
         return self.telemetry.get(name)
 
-    def histogram(self, stage: str) -> LatencyHistogram:
+    def histogram(self, stage: str) -> Histogram:
         """The histogram for *stage*, created on first use."""
         with self._lock:
             hist = self._histograms.get(stage)
             if hist is None:
-                hist = self._histograms[stage] = LatencyHistogram()
+                hist = self._histograms[stage] = Histogram()
             return hist
 
     def observe(self, stage: str, seconds: float) -> None:
@@ -195,6 +145,6 @@ class ServingMetrics:
                 lines.append(
                     f'{metric}_bucket{{stage="{stage}",le="{le}"}} {cumulative}'
                 )
-            lines.append(f'{metric}_sum{{stage="{stage}"}} {hist.sum_s:.9g}')
+            lines.append(f'{metric}_sum{{stage="{stage}"}} {hist.sum_value:.9g}')
             lines.append(f'{metric}_count{{stage="{stage}"}} {hist.count}')
         return "\n".join(lines) + "\n"

@@ -6,8 +6,9 @@ helpers here construct that twin — the executor's
 :class:`~repro.sim.model.SystemModel` with its Lindblad decoherence
 specs stripped and no readout-error models — and evaluate exact
 distributions/expectations on it. ``repro.qem`` scores every mitigated
-estimate against these references, and ``benchmarks/bench_qem.py``
-gates the error-reduction floor with them.
+estimate against these references, and ``tests/test_qem.py`` holds
+the full mitigation stack to a 2x error reduction and a 0.01 absolute
+error with them.
 """
 
 from __future__ import annotations

@@ -191,6 +191,24 @@ class TestBind:
         for state, p in r_fresh.probabilities.items():
             assert r_bound.probabilities[state] == pytest.approx(p, abs=1e-12)
 
+    def test_bind_loop_is_one_cold_compile(self, sc_device_1q):
+        """Compile once, bind cheaply: a loop of fresh parameter points
+        over one compiled executable runs the JIT pipeline once."""
+        target = repro.Target.from_device(sc_device_1q)
+        executable = repro.compile(
+            repro.Program.from_mlir(parametric_kernel(sc_device_1q)),
+            target,
+            params={"theta0": 0.0, "theta1": 0.0},
+        )
+        assert target.compiler.stats()["misses"] == 1
+        paths = []
+        for i in range(8):
+            bound = executable.bind(theta0=0.1 * i, theta1=-0.2 * i - 0.1)
+            bound.run(shots=0, seed=1)
+            paths.append(bound.compiled.metadata.get("bound_template"))
+        assert target.compiler.stats()["misses"] == 1
+        assert paths == [True] * 8
+
     def test_rebind_is_cache_hit(self, sc_device_1q):
         target = repro.Target.from_device(sc_device_1q)
         executable = repro.compile(

@@ -215,6 +215,57 @@ class TestPropagatorCache:
         batch[0, 0, 0] = 0.0
 
 
+def count_batched_calls(monkeypatch) -> list[int]:
+    """Record the stack size of every ``batched_propagators`` call."""
+    import repro.sim.evolve as evolve
+
+    sizes: list[int] = []
+    real = evolve.batched_propagators
+
+    def spy(hamiltonians, *args, **kwargs):
+        sizes.append(len(hamiltonians))
+        return real(hamiltonians, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "batched_propagators", spy)
+    return sizes
+
+
+class TestEngineCounts:
+    """What the engine computes, counted instead of timed."""
+
+    def test_segment_ansatz_computes_one_propagator_per_segment(self, monkeypatch):
+        drift, ops, _, _ = transmon_problem()
+        values = np.random.default_rng(7).normal(scale=20e6, size=(6, len(ops)))
+        controls = np.repeat(values, 10, axis=0)  # 6 segments x 10 samples
+        sizes = count_batched_calls(monkeypatch)
+        cache = PropagatorCache()
+        us = propagator_sequence(drift, ops, controls, DT, cache=cache)
+        assert sizes == [6]
+        assert len(cache) == 6
+        for k in range(controls.shape[0]):
+            h = drift + sum(controls[k, j] * op for j, op in enumerate(ops))
+            assert np.abs(us[k] - step_propagator(h, DT)).max() < 1e-10
+
+    def test_distinct_slices_are_one_batched_call(self, monkeypatch):
+        drift, ops, _, _ = transmon_problem()
+        controls = np.random.default_rng(3).normal(scale=30e6, size=(31, len(ops)))
+        sizes = count_batched_calls(monkeypatch)
+        assert len(propagator_sequence(drift, ops, controls, DT)) == 31
+        assert sizes == [31]
+
+    def test_complex64_propagators_stay_complex64(self):
+        from repro.xp import use_backend
+
+        drift, ops, _, _ = transmon_problem()
+        controls = np.random.default_rng(4).normal(scale=30e6, size=(9, len(ops)))
+        reference = propagator_sequence(drift, ops, controls, DT)
+        with use_backend(dtype="complex64") as xp:
+            low = propagator_sequence(drift, ops, controls, DT, cache=PropagatorCache())
+            atol = xp.atol
+        assert {u.dtype for u in low} == {np.dtype(np.complex64)}
+        assert max(np.abs(a - b).max() for a, b in zip(low, reference)) < atol
+
+
 class TestBatchedFrechet:
     def test_matches_single_matrix_kernel(self):
         hs = random_hermitian_stack(7, 6, seed=12)

@@ -69,6 +69,30 @@ class TestRamsey:
         after = dev.tracking_error(0)
         assert after < max(before / 3, 20e3)
 
+    def test_tracking_restores_clock_sequence_population(self):
+        """Free-evolution phase errors accumulate: sx - 1 us - sx ends in
+        |1> only when the frame tracks the drifted qubit."""
+        from repro.core import Delay, PulseSchedule
+        from repro.sim.operators import basis_state
+
+        dev = SuperconductingDevice(num_qubits=1, seed=2, drift_rate=5e3)
+        dev.advance_time(3600)  # a few hundred kHz of drift
+
+        def p1_clock():
+            s = PulseSchedule()
+            dev.calibrations.get("sx", (0,)).apply(s, [])
+            s.append(Delay(dev.drive_port(0), 1000))
+            dev.calibrations.get("sx", (0,)).apply(s, [])
+            r = dev.executor.execute(s, shots=0)
+            one = basis_state([1], dev.model.dims)
+            return abs(np.vdot(one, r.final_state)) ** 2
+
+        before = p1_clock()
+        track_frequency(dev, 0, rounds=2, shots=0, seed=2)
+        after = p1_clock()
+        assert after > before
+        assert after > 0.99
+
     def test_track_without_write_back(self):
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
         dev.set_frame_frequency(0, dev.true_frequency(0) + 200e3)
@@ -138,6 +162,25 @@ class TestCampaign:
         assert tracked.calibrations_performed > 0
         assert untracked.calibrations_performed == 0
         assert tracked.final_mean_error_hz < untracked.final_mean_error_hz
+
+    def test_tracked_error_stays_near_the_estimator_floor(self):
+        """The closed-loop bound: tracked error stays under 2 kHz while
+        the untracked twin drifts more than 10x further."""
+        kwargs = dict(duration_s=360, step_s=60, shots=0, seed=1)
+        tracked = run_drift_campaign(
+            SuperconductingDevice(num_qubits=1, seed=17, drift_rate=2e4),
+            tracked=True,
+            calibration_interval_s=120,
+            **kwargs,
+        )
+        untracked = run_drift_campaign(
+            SuperconductingDevice(num_qubits=1, seed=17, drift_rate=2e4),
+            tracked=False,
+            **kwargs,
+        )
+        assert tracked.final_mean_error_hz < 2e3
+        assert tracked.max_mean_error_hz < untracked.max_mean_error_hz
+        assert untracked.final_mean_error_hz > 10 * tracked.final_mean_error_hz
 
     def test_campaign_shapes(self):
         dev = SuperconductingDevice(num_qubits=2, seed=1, drift_rate=1e4)

@@ -123,6 +123,8 @@ class TestClientRouting:
                 assert not r.remote
                 best = max(r.probabilities, key=r.probabilities.get)
                 assert best[0] == "1"  # x q[0] everywhere
+                p_one = sum(p for k, p in r.probabilities.items() if k[0] == "1")
+                assert p_one > 0.9
 
     def test_cal_block_qasm_on_transmon(self, client):
         r = run_request(client, JobRequest(QASM, "sc-transmon", shots=100, seed=1))
@@ -237,6 +239,31 @@ class TestScheduler:
         assert report.completed == 8
         assert report.calibrations >= 1
         assert calibrated
+
+    def test_faster_drift_earns_more_calibrations(self):
+        """Resource-aware planning: over the same 16 jobs a device
+        drifting at 5e4 Hz/sqrt(s) is recalibrated more often than one
+        drifting at 1e3."""
+        from repro.qdmi import QDMIDriver
+
+        calibrations = {}
+        for rate in (1e3, 5e4):
+            driver = QDMIDriver()
+            dev = SuperconductingDevice("d", num_qubits=2, seed=4, drift_rate=rate)
+            driver.register_device(dev)
+
+            def calibrate(name):
+                d = driver.get_device(name)
+                for site in range(d.config.num_sites):
+                    d.set_frame_frequency(site, d.true_frequency(site))
+
+            sched = CalibrationAwareScheduler(
+                MQSSClient(driver), calibrate, error_budget_hz=150e3, job_seconds=30.0
+            )
+            for i in range(16):
+                sched.enqueue(JobRequest(qpi_circuit(), "d", shots=16, seed=i))
+            calibrations[rate] = sched.drain().calibrations
+        assert calibrations[5e4] > calibrations[1e3]
 
     def test_calibration_not_triggered_without_drift(self, client):
         sched = CalibrationAwareScheduler(

@@ -79,6 +79,49 @@ class TestGateLowering:
         s = quantum_module_to_schedule(cb.module, sc_device)
         assert len(s.instructions_of(Play)) == 1
 
+    def test_grape_designed_gate_compiles_and_exchanges(self, sc_device):
+        """Paper footnote 2 end to end: a GRAPE-designed X pulse,
+        registered as a gate, lowers through the JIT, flips the qubit
+        and survives the QIR exchange round trip."""
+        from repro.control import GrapeOptimizer
+        from repro.control.hamiltonians import qubit_subspace_isometry
+        from repro.qir import link_qir_to_schedule
+        from repro.sim.operators import destroy_on, number_on, pauli
+
+        dims = (3,)
+        a = destroy_on(0, dims)
+        n = number_on(0, dims)
+        opt = GrapeOptimizer(
+            -300e6 * 0.5 * (n @ n - n),
+            [0.5 * (a + a.conj().T), 0.5j * (a - a.conj().T)],
+            pauli("x"),
+            n_steps=24,
+            dt=sc_device.config.constraints.dt,
+            max_control=45e6,
+            subspace=qubit_subspace_isometry(dims),
+        )
+        design = opt.optimize(maxiter=250, seed=5)
+        assert design.fidelity > 0.999
+        # H = rabi/2 (a* A + a A+) realizes u_x C_x - u_y C_y for the
+        # drive a = (u_x + i u_y) / rabi: the y quadrature conjugates.
+        rabi = 50e6
+        samples = (design.controls[:, 0] - 1j * design.controls[:, 1]) / rabi
+        port = sc_device.drive_port(0)
+        sc_device.calibrations.register_custom_gate(
+            "grape_x",
+            (0,),
+            port,
+            sc_device.default_frame(port),
+            SampledWaveform(samples),
+        )
+        cb = CircuitBuilder("custom", 1)
+        cb.gate("grape_x", [0]).measure(0, 0)
+        prog = JITCompiler().compile(cb.module, sc_device)
+        result = sc_device.executor.execute(prog.schedule, shots=0)
+        assert result.ideal_probabilities.get("1", 0.0) > 0.999
+        linked = link_qir_to_schedule(prog.qir, sc_device)
+        assert linked.equivalent_to(prog.schedule)
+
     def test_two_circuits_ambiguous(self, sc_device):
         m = bell_module()
         CircuitBuilder("other", 2, module=m)
@@ -244,6 +287,44 @@ class TestJITCompiler:
         jit = JITCompiler()
         with pytest.raises((PassError, CompilationError, Exception)):
             jit.compile(s, ion_device)
+
+    def test_foreign_envelope_sampled_or_rejected_per_device(self, all_devices):
+        """A 'sech' envelope is native nowhere: raw-sample devices get it
+        sampled, the parametric-only ion chain rejects it."""
+        from repro.core import ParametricWaveform
+
+        jit = JITCompiler()
+        outcomes = {}
+        for dev in all_devices:
+            g = dev.config.constraints.granularity
+            s = PulseSchedule("sech")
+            p = dev.drive_port(0)
+            wf = ParametricWaveform("sech", 8 * g, {"amp": 0.3, "sigma": float(g)})
+            s.append(Play(p, dev.default_frame(p), wf))
+            try:
+                prog = jit.compile(s, dev)
+            except (PassError, CompilationError):
+                outcomes[dev.name] = "rejected"
+                continue
+            attrs = prog.pulse_module.ops_of("pulse.waveform")[0].attributes
+            outcomes[dev.name] = "sampled" if "samples" in attrs else "parametric"
+        assert outcomes == {
+            "sc-transmon": "sampled",
+            "ion-chain": "rejected",
+            "atom-array": "sampled",
+        }
+
+    def test_over_amplitude_rejected_on_every_device(self, all_devices):
+        jit = JITCompiler()
+        for dev in all_devices:
+            g = dev.config.constraints.granularity
+            s = PulseSchedule("hot")
+            p = dev.drive_port(0)
+            s.append(
+                Play(p, dev.default_frame(p), SampledWaveform(np.full(4 * g, 1.7)))
+            )
+            with pytest.raises((PassError, CompilationError)):
+                jit.compile(s, dev)
 
     def test_schedule_payload_accepted(self, sc_device):
         s = quantum_module_to_schedule(bell_module(), sc_device)

@@ -25,6 +25,13 @@ from repro.errors import OptimizationError, ValidationError
 from repro.sim.operators import destroy_on, number_on, pauli
 
 
+def square_pulse(n_steps, dt=1e-9):
+    """The naive pi pulse: constant x drive of area 1/2 over n_steps."""
+    u = np.zeros((n_steps, 2))
+    u[:, 0] = 0.5 / (n_steps * dt)
+    return u
+
+
 def qutrit_controls():
     dims = (3,)
     a = destroy_on(0, dims)
@@ -108,6 +115,8 @@ class TestGrape:
         assert res.fidelity > 0.9999
         assert res.converged or res.fidelity > 0.9999
         assert res.final_unitary is not None
+        # The leakage-limited square pi pulse of the same length loses.
+        assert res.fidelity > g.fidelity(square_pulse(20))
 
     def test_bounds_respected(self):
         drift, ops, iso = qutrit_controls()
@@ -148,7 +157,7 @@ class TestGrape:
             drift, ops, pauli("x"), n_steps=20, dt=1e-9, max_control=60e6, subspace=iso
         )
         res = g.optimize(maxiter=100, seed=3)
-        assert res.infidelity_history[-1] < res.infidelity_history[0]
+        assert res.infidelity_history[-1] < 1e-2 * res.infidelity_history[0]
 
 
 class TestParametricOptimizer:
@@ -173,7 +182,7 @@ class TestVQE:
     def test_gate_vqe_reaches_reasonable_energy(self, sc_device):
         vqe = GateVQE(sc_device, h2_hamiltonian(), layers=1)
         res = vqe.run(maxiter=120, seed=2)
-        assert res.error < 0.15
+        assert res.error < 0.1
         assert res.schedule_duration_samples > 0
 
     def test_gate_vqe_parameter_count(self, sc_device):
@@ -197,6 +206,25 @@ class TestVQE:
         cv = CtrlVQE(sc_device, h2_hamiltonian(), segments=3, segment_samples=16)
         cv.energy(np.zeros(cv.num_parameters))
         assert cv._last_duration < gv._last_duration
+        # Against the two-layer ansatz the pulse ansatz is under half.
+        gv2 = GateVQE(sc_device, h2_hamiltonian(), layers=2)
+        gv2.energy(np.zeros(gv2.num_parameters))
+        assert cv._last_duration < gv2._last_duration / 2
+
+    def test_ctrl_vqe_converges_and_segments_trade_duration(self, sc_device):
+        """ctrl-VQE on H2 reaches chemical-scale error with bounded
+        leakage; more segments buy lower energy at longer duration."""
+        two, four = (
+            CtrlVQE(
+                sc_device, h2_hamiltonian(), segments=segments, segment_samples=16
+            ).run(maxiter=maxiter, seed=1)
+            for segments, maxiter in ((2, 200), (4, 300))
+        )
+        assert four.error < 0.1
+        assert four.final_leakage < 0.05
+        assert min(four.history) < four.history[0]
+        assert four.energy <= two.energy + 0.05
+        assert four.schedule_duration_samples > two.schedule_duration_samples
 
     def test_ctrl_vqe_respects_amplitude_bound(self, sc_device):
         cv = CtrlVQE(
@@ -237,6 +265,18 @@ class TestRobustness:
         )
         assert fids[1] == max(fids)
         assert fids[1] > 0.999
+        square = detuning_scan(
+            drift,
+            ops,
+            square_pulse(20),
+            1e-9,
+            pauli("x"),
+            n_op,
+            offsets,
+            subspace=iso,
+        )
+        assert fids.mean() > square.mean()
+        assert fids[1] > square[1]
 
     def test_amplitude_scan_peak_at_one(self):
         drift, ops, iso, controls = self._grape_pulse()
@@ -245,6 +285,10 @@ class TestRobustness:
             drift, ops, controls, 1e-9, pauli("x"), scales, subspace=iso
         )
         assert fids[1] == max(fids)
+        square = amplitude_scan(
+            drift, ops, square_pulse(20), 1e-9, pauli("x"), scales, subspace=iso
+        )
+        assert fids.mean() > square.mean()
 
     def test_scan_shapes(self):
         drift, ops, iso, controls = self._grape_pulse()

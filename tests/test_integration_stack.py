@@ -17,7 +17,12 @@ from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.dialects.quantum import CircuitBuilder
 from repro.mlir.interp import module_to_schedule
 from repro.core import SampledWaveform
-from repro.qir import link_qir_to_schedule, schedule_to_qir
+from repro.qir import (
+    link_qir_to_schedule,
+    parse_qir,
+    schedule_to_qir,
+    validate_profile,
+)
 from repro.qpi import (
     QCircuit,
     qCircuitBegin,
@@ -120,13 +125,42 @@ class TestListingEquivalence:
         keys = set().union(*results)
         for key in keys:
             vals = [r.get(key, 0.0) for r in results]
-            assert max(vals) - min(vals) < 1e-9
+            assert max(vals) - min(vals) < 1e-12
 
     def test_fingerprints_match(self, sc_device):
         assert (
             listing1_qpi(sc_device).fingerprint()
             == listing2_mlir(sc_device).fingerprint()
         )
+
+
+class TestTopDownFlow:
+    """Fig. 1: algorithm -> circuit -> pulse IR -> waveforms."""
+
+    def test_ladder_expands_toward_the_hardware(self, sc_device):
+        from repro.compiler import schedule_to_pulse_module
+        from repro.core import Play
+
+        params = np.linspace(0.1, 1.2, 12)
+        cb = CircuitBuilder("vqe-ansatz", 2)
+        for layer in range(2):
+            for q in (0, 1):
+                a, b, c = params[6 * layer + 3 * q : 6 * layer + 3 * q + 3]
+                cb.rz(q, a).sx(q).rz(q, b).sx(q).rz(q, c)
+            cb.cz(0, 1)
+        cb.measure(0, 0).measure(1, 1)
+        n_gates = sum(
+            1
+            for op in cb.module.walk()
+            if op.dialect == "quantum" and op.opname != "circuit"
+        )
+        schedule = quantum_module_to_schedule(cb.module, sc_device)
+        pulse_module = schedule_to_pulse_module(schedule)
+        n_pulse_ops = sum(1 for op in pulse_module.walk() if op.dialect == "pulse")
+        samples = sum(
+            it.instruction.waveform.duration for it in schedule.instructions_of(Play)
+        )
+        assert len(params) < n_gates < n_pulse_ops < samples
 
 
 class TestCrossPlatformPortability:
@@ -152,7 +186,9 @@ class TestCrossPlatformPortability:
         jit = JITCompiler()
         for dev in all_devices:
             prog = jit.compile(self.bell(), dev)
-            linked = link_qir_to_schedule(prog.qir, dev)
+            module = parse_qir(prog.qir)
+            assert validate_profile(module).valid
+            linked = link_qir_to_schedule(module, dev)
             assert linked.equivalent_to(prog.schedule)
 
     def test_distributions_agree_across_platforms(self, all_devices):

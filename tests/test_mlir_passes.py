@@ -41,6 +41,37 @@ class TestPassManager:
         report2 = pm.run(pulse)
         assert report2.ran == ["pulse-canonicalize"]
 
+    def test_full_pipeline_on_a_lowered_deep_circuit(self, sc_device):
+        """One four-pass pipeline: skipped wholesale on a gate-only
+        module; on a lowered 6-layer circuit it runs every pass, never
+        grows the waveform table and keeps the schedule's meaning."""
+        from repro.compiler import (
+            mlir_pulse_to_schedule,
+            quantum_module_to_schedule,
+            schedule_to_pulse_module,
+        )
+
+        pm = (
+            PassManager(default_context())
+            .add(PulseCanonicalizePass())
+            .add(WaveformCSEPass())
+            .add(DeadWaveformEliminationPass())
+            .add(PulseLegalizationPass(sc_device.config.constraints))
+        )
+        gate_report = pm.run(CircuitBuilder("g", 2).x(0).module)
+        assert gate_report.skipped and not gate_report.ran
+        cb = CircuitBuilder("deep", 2)
+        for _ in range(6):
+            cb.x(0).x(1).cz(0, 1)
+        cb.measure(0, 0).measure(1, 1)
+        source = quantum_module_to_schedule(cb.module, sc_device)
+        module = schedule_to_pulse_module(source)
+        before = len(module.ops_of("pulse.waveform"))
+        report = pm.run(module)
+        assert len(report.ran) == 4 and not report.skipped
+        assert len(module.ops_of("pulse.waveform")) <= before
+        assert source.equivalent_to(mlir_pulse_to_schedule(module, sc_device))
+
     def test_mixed_module_runs_both(self):
         class GateCounter(Pass):
             name = "gate-counter"

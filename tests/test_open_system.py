@@ -308,6 +308,51 @@ class TestCachesAndValidation:
         eng.superpropagators(hs, [4, 4, 4])
         assert eng.cache.hits == 3
 
+    def test_echo_runs_compute_one_superpropagator_each(self, monkeypatch):
+        """A repeated pulse/delay echo train exponentiates each distinct
+        (H, steps) run once, in one batched call."""
+        import repro.sim.open_system as open_system
+
+        sizes = []
+        real = open_system.batched_superpropagators
+
+        def spy(hamiltonians, *args, **kwargs):
+            sizes.append(len(hamiltonians))
+            return real(hamiltonians, *args, **kwargs)
+
+        monkeypatch.setattr(open_system, "batched_superpropagators", spy)
+        eng = OpenSystemEngine((3,), [DecoherenceSpec(t1=20e-6, t2=15e-6)], DT)
+        pulse, delay = random_hermitian_stack(2, 3, seed=13)
+        hs = np.stack([pulse, delay, pulse, delay, pulse, delay])
+        steps = [16, 48, 16, 48, 16, 48]
+        psi0 = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
+        rho = eng.evolve_density_matrix(hs, steps, psi0)
+        assert sizes == [2]
+        assert len(eng.cache) == 2
+        vec = vectorize_density(np.outer(psi0, psi0.conj()))
+        for s in superop_loop(hs, eng.collapse_ops, DT, steps):
+            vec = s @ vec
+        assert np.abs(rho - unvectorize_density(vec, 3)).max() < 1e-10
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+        # A warm re-run computes nothing and returns the same state.
+        assert np.array_equal(eng.evolve_density_matrix(hs, steps, psi0), rho)
+        assert sizes == [2]
+
+    def test_complex64_superpropagators_stay_complex64(self):
+        from repro.xp import use_backend
+
+        eng = OpenSystemEngine((3,), [DecoherenceSpec(t1=20e-6, t2=15e-6)], DT)
+        hs = random_hermitian_stack(4, 3, seed=14)
+        steps = [3, 40, 7, 12]
+        psi0 = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
+        reference = eng.evolve_density_matrix(hs, steps, psi0)
+        with use_backend(dtype="complex64") as xp:
+            props = eng.superpropagators(hs, steps)
+            rho = eng.evolve_density_matrix(hs, steps, psi0)
+            atol = xp.atol
+        assert props.dtype == np.complex64
+        assert np.abs(rho - reference).max() < atol
+
     def test_cache_keys_distinguish_dissipators(self):
         """Same Hamiltonian, different T1 must not share entries."""
         from repro.sim.evolve import PropagatorCache

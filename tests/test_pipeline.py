@@ -649,6 +649,51 @@ class TestBatchingParity:
             batched = np.asarray(scan["populations"][str(site)])
             assert np.allclose(batched, serial, atol=1e-6)
 
+    def test_served_rabi_scan_is_one_sweep_matching_serial_pubs(self):
+        """All sites x amplitudes of a ``rabi_scan`` reach the service as
+        one sweep (one batched execution), with the populations of the
+        per-site, per-amplitude PUB loop."""
+        from repro.api import Target
+        from repro.core import Play, PulseSchedule, constant_waveform
+        from repro.pipeline.experiments import _p1, _program
+        from repro.primitives import Estimator
+
+        driver = QDMIDriver()
+        device = SuperconductingDevice("rabi", num_qubits=2, seed=5)
+        driver.register_device(device)
+        client = MQSSClient(driver, persistent_sessions=True)
+        amps = [0.1, 0.4, 0.7, 1.0]
+        with PulseService(client) as svc:
+            runner = PipelineRunner(svc)
+            assert runner.dispatch == "service"
+            dag = DAG("rabi")
+            dag.task(
+                "scan",
+                "rabi_scan",
+                {"shots": 0, "duration": 160, "amplitudes": amps},
+            )
+            run = runner.run(dag, seed=0)
+            assert run.ok, run.error
+            assert svc.metrics.snapshot()["execute_count"] == 1
+            estimator = Estimator(Target.from_service(svc, "rabi"), shots=0)
+            for site in range(2):
+                drive = device.drive_port(site)
+                serial = []
+                for amp in amps:
+                    sched = PulseSchedule("serial-rabi")
+                    sched.append(
+                        Play(
+                            drive,
+                            device.default_frame(drive),
+                            constant_waveform(160, amp),
+                        )
+                    )
+                    device.calibrations.get("measure", (site,)).apply(sched, [0])
+                    res = estimator.run([(_program(sched), [_p1(0)])])
+                    serial.append(float(res[0].data.evs[0]))
+                batched = run.result("scan")["populations"][str(site)]
+                assert np.allclose(batched, serial, atol=1e-6)
+
     def test_campaign_engines_agree(self):
         """Pipeline campaign == the per-site serial reference at shots=0."""
         from repro.calibration import run_drift_campaign

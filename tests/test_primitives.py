@@ -292,6 +292,26 @@ class TestEquivalenceAcrossFamilies:
             expected = loop_expectations(repro.compile(program, target), grid)
             np.testing.assert_allclose(evs, expected, atol=1e-10)
 
+    def test_pub_is_one_execute_batch_and_no_compile(self, sc_device_1q, monkeypatch):
+        """A 16-point PUB mints every schedule from the template (no
+        JIT compile) and evolves them in one ``execute_batch``."""
+        executor = sc_device_1q.executor
+        sizes = []
+        real = executor.execute_batch
+
+        def spy(schedules, *args, **kwargs):
+            sizes.append(len(schedules))
+            return real(schedules, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_batch", spy)
+        target = repro.Target.from_device(sc_device_1q)
+        program = repro.Program.from_mlir(parametric_kernel(sc_device_1q, 2))
+        grid = grid_for(program, 16)
+        evs = Estimator(target).run([(program, "Z", grid)])[0].data.evs
+        assert evs.shape == (16,)
+        assert sizes == [16]
+        assert target.compiler.stats()["misses"] == 0
+
     def test_sampler_matches_run_counts(self, all_devices):
         for device in all_devices:
             target = repro.Target.from_device(device)

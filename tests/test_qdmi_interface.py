@@ -123,6 +123,8 @@ class TestDriverAndSessions:
         assert m["sc-transmon"]["technology"] == "superconducting"
         assert m["sc-transmon"]["num_ports"] > 0
         assert m["calibration-db"]["pulse_support"] == "none"
+        for qpu in ("sc-transmon", "ion-chain", "atom-array"):
+            assert m[qpu]["pulse_support"] == "port"
 
     def test_session_wrong_device_job(self, driver, sc_device):
         s_ion = driver.open_session("ion-chain", "c")

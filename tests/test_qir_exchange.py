@@ -7,10 +7,8 @@ import pytest
 from repro.core import (
     Capture,
     Delay,
-    Frame,
     FrameChange,
     Play,
-    Port,
     PulseSchedule,
     SampledWaveform,
     constant_waveform,
@@ -247,3 +245,18 @@ class TestLinking:
         s2 = PulseSchedule("b")
         s2.append(Play(p, f, SampledWaveform(w.samples())))
         assert len(schedule_to_qir(s2)) > 3 * len(schedule_to_qir(s1))
+
+    def test_parametric_payload_is_duration_independent(self, sc_device):
+        """A parametric pulse ships the same few attributes at any
+        length; a sampled one ships every sample."""
+        p = sc_device.drive_port(0)
+        f = sc_device.default_frame(p)
+
+        def qir_bytes(n, sampled):
+            w = gaussian_waveform(n, 0.3, n / 8)
+            s = PulseSchedule("p")
+            s.append(Play(p, f, SampledWaveform(w.samples()) if sampled else w))
+            return len(schedule_to_qir(s))
+
+        assert qir_bytes(1024, False) < 1.2 * qir_bytes(64, False)
+        assert qir_bytes(1024, True) > 5 * qir_bytes(64, True)

@@ -199,6 +199,7 @@ class TestPythonicBaseline:
         qCircuitEnd()
         sched_qpi = qpi_to_schedule(c, sc_device)
         assert sched_py.equivalent_to(sched_qpi)
+        assert len(c.ops) == len(pc.instructions) == 6
 
     def test_validation_is_eager(self):
         pc = PythonicCircuit(2)

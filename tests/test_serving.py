@@ -395,7 +395,22 @@ class TestMetrics:
         assert hist.count == 4
         assert hist.quantile(0.5) >= 0.001
         assert hist.quantile(1.0) >= 0.1
-        assert abs(hist.sum_s - 0.107) < 1e-9
+        assert abs(hist.sum_value - 0.107) < 1e-9
+
+    def test_overflow_quantile_reports_last_finite_bound(self):
+        """A stage histogram is a plain ``repro.obs.Histogram``: a
+        quantile in the +Inf overflow bucket gives the last finite
+        bound (~134 s), not the observed max."""
+        from repro.obs import Histogram
+        from repro.obs.metrics import DEFAULT_TIME_BUCKETS_S
+
+        metrics = ServingMetrics()
+        metrics.observe("stage", 500.0)
+        hist = metrics.histogram("stage")
+        assert type(hist) is Histogram
+        assert hist.max_value == 500.0
+        assert hist.quantile(0.99) == DEFAULT_TIME_BUCKETS_S[-1]
+        assert metrics.snapshot()["stage_p99_s"] == DEFAULT_TIME_BUCKETS_S[-1]
 
     def test_render_text_exposition(self):
         metrics = ServingMetrics()

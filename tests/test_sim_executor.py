@@ -292,6 +292,36 @@ class TestSegmentRuns:
         assert sum(n for _, n in runs) == 57
         assert runs[0][0] == 0
 
+    @staticmethod
+    def ion_flat_top(samples):
+        from repro.devices import TrappedIonDevice
+
+        dev = TrappedIonDevice(num_qubits=2, drift_rate=0.0)
+        port = dev.drive_port(0)
+        amp = 0.5 / (125e3 * samples * dev.config.constraints.dt)
+        sched = PulseSchedule("flat")
+        sched.append(
+            Play(port, dev.default_frame(port), constant_waveform(samples, amp))
+        )
+        return dev.executor, sched
+
+    def test_long_flat_pulse_is_one_run(self):
+        """A 4096-sample ion flat-top costs one propagator, not 4096."""
+        executor, sched = self.ion_flat_top(4096)
+        [drives], _, _ = executor._synthesize_drives_family([sched])
+        assert drives.shape[0] == 4096
+        assert segment_runs(drives) == [(0, 4096)]
+
+    def test_run_merging_matches_per_sample_stepping(self):
+        from repro.sim.evolve import step_propagator
+
+        executor, sched = self.ion_flat_top(1024)
+        [drives], _, names = executor._synthesize_drives_family([sched])
+        naive = np.eye(executor.model.dimension, dtype=np.complex128)
+        for h in executor._run_hamiltonians_stack(drives, names):
+            naive = step_propagator(h, executor.model.dt) @ naive
+        assert np.abs(executor.unitary(sched) - naive).max() < 1e-8
+
 
 def reference_drives(model, schedule):
     """Per-sample drive matrix from per-sample frame bookkeeping.
