@@ -100,8 +100,9 @@ def main() -> None:
 
         # --- the operator's view ---
         print("\n== metrics exposition (excerpt) ==")
-        for line in service.metrics.render_text().splitlines():
-            if line.startswith("serving_") and "bucket" not in line:
+        label = f'service="{service.metrics.name}"'
+        for line in repro.obs.exposition().splitlines():
+            if label in line and "_bucket" not in line:
                 print(" ", line)
 
     client.close()

@@ -174,15 +174,9 @@ class Executable:
         target: Target,
         *,
         params: Mapping[str, float] | None = None,
-        backend: str | None = None,
     ) -> None:
         self.program = program
         self.target = target
-        #: Array backend/dtype spec ("numpy/complex64", ...) executions
-        #: of this artifact run under; None keeps the device's ambient
-        #: repro.xp scope. Part of the compilation cache key so one
-        #: numeric policy's artifacts never answer for another's.
-        self.backend = backend
         # Coerce to float exactly like bind() does, so compile-time and
         # bind-time keys for the same logical point agree (1 vs 1.0).
         self.params: dict[str, float] = {
@@ -305,7 +299,6 @@ class Executable:
             self._payload_fingerprint(),
             self.target.compile_device,
             self.params or None,
-            backend=self.backend,
         )
 
     def _ensure_compiled(self) -> Any:
@@ -472,15 +465,11 @@ class Executable:
         if self.target.is_detached:
             # Bindings ride the request's scalar_args; the serving
             # side compiles (and caches) the bound point.
-            return Executable(
-                self.program, self.target, params=merged, backend=self.backend
-            )
+            return Executable(self.program, self.target, params=merged)
         self._ensure_payload()
         if self.program.is_parametric:
             self._ensure_template()  # built once, shared by every bind
-        bound = Executable(
-            self.program, self.target, params=merged, backend=self.backend
-        )
+        bound = Executable(self.program, self.target, params=merged)
         bound._payload = self._payload
         bound._payload_fp = self._payload_fp
         bound._template = self._template
@@ -497,25 +486,14 @@ class Executable:
         seed: int | None = None,
         metadata: Mapping[str, Any] | None = None,
         timeout: float | None = None,
-        backend: str | None = None,
     ) -> Any:
         """Execute and return a :class:`~repro.client.client.ClientResult`.
 
         Service targets submit asynchronously and block on the ticket
-        (bounded by *timeout*); everything else dispatches inline.
-        *backend* overrides the executable's array backend/dtype spec
-        for this call (local direct targets only — the spec rides the
-        job metadata down to the device executor).
+        (bounded by *timeout*); everything else dispatches inline, so
+        direct and client runs evolve under the caller's
+        :func:`repro.xp.use_backend` scope.
         """
-        spec = backend if backend is not None else self.backend
-        if spec is not None and not (
-            self.target.direct and not self.target.is_remote
-        ):
-            raise ValidationError(
-                "backend= needs a local direct target (the array-backend "
-                "spec travels as job metadata to the device executor); "
-                "scope remote/service processes with repro.xp.use_backend"
-            )
         with span(
             "run", device=self.target.device_name, shots=shots
         ):
@@ -529,7 +507,7 @@ class Executable:
             if self.target.direct and not self.target.is_remote:
                 with span("dispatch", mode="direct"):
                     return self._run_direct(
-                        compiled, shots, seed, metadata, timings, backend=spec
+                        compiled, shots, seed, metadata, timings
                     )
             request = self._as_request(shots, seed, metadata)
             with span("dispatch", mode="client"):
@@ -632,7 +610,6 @@ class Executable:
         seed: int | None,
         metadata: Mapping[str, Any] | None,
         timings: dict[str, float],
-        backend: str | None = None,
     ) -> Any:
         """Session-free dispatch straight to the device (local targets)."""
         from repro.client.client import ClientResult
@@ -642,8 +619,6 @@ class Executable:
         job_metadata: dict[str, Any] = {}
         if seed is not None:
             job_metadata["seed"] = seed
-        if backend is not None:
-            job_metadata["backend"] = backend
         if metadata and metadata.get("decoherence") is not None:
             job_metadata["decoherence"] = metadata["decoherence"]
         device = self.target.device

@@ -32,6 +32,7 @@ from typing import Any
 from repro.core.schedule import PulseSchedule
 from repro.errors import ValidationError
 from repro.mlir.ir import F64, Module
+from repro.qir.parser import looks_like_qir
 from repro.qpi.pythonic import PythonicCircuit
 from repro.qpi.qpi import QCircuit
 
@@ -44,13 +45,6 @@ _KIND_ADAPTERS = {
     "mlir": "pulse-ir",
     "qasm3": "qasm3",
 }
-
-
-def _looks_like_qir(text: str) -> bool:
-    # Keep in sync with QIRAdapter.accepts in repro/client/adapters.py
-    # (the registry's source of truth for autodetection).
-    head = text.lstrip()
-    return head.startswith("; ModuleID") or "__quantum__" in text
 
 
 class Program:
@@ -121,7 +115,7 @@ class Program:
     @classmethod
     def from_qir(cls, text: str, *, name: str | None = None) -> "Program":
         """A program from QIR text carrying the Pulse Profile."""
-        if not isinstance(text, str) or not _looks_like_qir(text):
+        if not isinstance(text, str) or not looks_like_qir(text):
             raise ValidationError("from_qir expects QIR text")
         return cls(text, "qir", name=name)
 
@@ -176,7 +170,7 @@ class Program:
             head = obj.lstrip()
             if head.startswith("OPENQASM"):
                 program = cls(obj, "qasm3")
-            elif _looks_like_qir(obj):
+            elif looks_like_qir(obj):
                 program = cls(obj, "qir")
             elif "pulse.sequence" in obj:
                 program = cls(obj, "mlir")

@@ -17,6 +17,7 @@ from repro.core.schedule import PulseSchedule
 from repro.core.waveform import ParametricWaveform
 from repro.errors import ParseError
 from repro.mlir.ir import Module
+from repro.qir.parser import looks_like_qir
 from repro.qpi.compile import qpi_to_schedule
 from repro.qpi.pythonic import PythonicCircuit
 from repro.qpi.qpi import QCircuit
@@ -259,14 +260,7 @@ class QIRAdapter(Adapter):
     name = "qir"
 
     def accepts(self, program: Any) -> bool:
-        # Keep in sync with _looks_like_qir in repro/api/program.py
-        # (Program.coerce's fast-path classification).
-        if not isinstance(program, str):
-            return False
-        return (
-            program.lstrip().startswith("; ModuleID")
-            or "__quantum__" in program
-        )
+        return isinstance(program, str) and looks_like_qir(program)
 
     def to_payload(self, program: str, device: Any) -> PulseSchedule:
         from repro.qir.linker import link_qir_to_schedule

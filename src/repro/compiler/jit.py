@@ -177,23 +177,16 @@ class JITCompiler:
         payload: Any,
         device: Any,
         scalar_args: Mapping | None = None,
-        *,
-        backend: str | None = None,
     ) -> str:
         """Content-addressed compilation key: payload x device state.
 
         The key of the compiler's memo; two requests with equal keys
-        are guaranteed to compile to the same program.
-        *backend* namespaces the key by array backend/dtype spec
-        (``"numpy/complex64"``) when execution is scoped to one — an
-        artifact compiled for one numeric policy never answers for
-        another.
+        are guaranteed to compile to the same program. Compiled
+        artifacts do not depend on the array backend or dtype, so
+        neither is part of the key.
         """
         return self.compose_cache_key(
-            self.payload_fingerprint(payload),
-            device,
-            scalar_args,
-            backend=backend,
+            self.payload_fingerprint(payload), device, scalar_args
         )
 
     def compose_cache_key(
@@ -201,8 +194,6 @@ class JITCompiler:
         payload_fingerprint: str,
         device: Any,
         scalar_args: Mapping | None = None,
-        *,
-        backend: str | None = None,
     ) -> str:
         """:meth:`cache_key` from a precomputed payload fingerprint.
 
@@ -213,10 +204,7 @@ class JITCompiler:
         base = payload_fingerprint
         if scalar_args:
             base += self._scalar_suffix(scalar_args)
-        key = f"{base}@{self.device_state_key(device)}"
-        if backend:
-            key += f"#{backend}"
-        return key
+        return f"{base}@{self.device_state_key(device)}"
 
     # ---- compilation -----------------------------------------------------------------
 

@@ -469,8 +469,8 @@ class SimulatedDevice(QDMIDevice):
     def submit_jobs(self, jobs: Sequence[QDMIJob]) -> None:
         """Run *jobs* synchronously, batching their evolution.
 
-        Jobs sharing a decoherence override, an array backend and a
-        shot count run through one :meth:`ScheduleExecutor.execute_batch
+        Jobs sharing a decoherence override and a shot count run
+        through one :meth:`ScheduleExecutor.execute_batch
         <repro.sim.executor.ScheduleExecutor.execute_batch>`, each on
         its own seeded stream (``metadata["seed"]``, else the job id),
         exactly the stream it would draw when submitted alone. Each
@@ -504,12 +504,11 @@ class SimulatedDevice(QDMIDevice):
             except Exception as exc:  # deliberate: device must not crash the stack
                 job.fail(f"{type(exc).__name__}: {exc}")
                 continue
-            backend = job.metadata.get("backend")
-            key = (id(executor), backend, job.shots)
+            key = (id(executor), job.shots)
             groups.setdefault(key, (executor, []))[1].append((job, schedule))
         self._status = DeviceStatus.BUSY
         try:
-            for (_, backend, shots), (executor, members) in groups.items():
+            for (_, shots), (executor, members) in groups.items():
                 try:
                     results = executor.execute_batch(
                         [schedule for _, schedule in members],
@@ -518,7 +517,6 @@ class SimulatedDevice(QDMIDevice):
                             job.metadata.get("seed", job.job_id)
                             for job, _ in members
                         ],
-                        backend=backend,
                         should_cancel=_batch_cancel(
                             [job.metadata.get("should_cancel") for job, _ in members]
                         ),

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` owns metric *families* (one name, one
 type, one help string) holding one instrument per distinct label
 set. The module-level :data:`REGISTRY` is the process default; the
-serving layer, the runtime telemetry, and every cache
+serving layer, the worker cluster, and every cache
 (:class:`~repro.sim.evolve.PropagatorCache`, the JIT compiler's
 artifact memo, the primitives template memo) report into it, so a single
 :func:`exposition` call emits one Prometheus text page for the
@@ -253,16 +253,18 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` get-or-create an
     instrument for (name, labels); re-registering a name with a
-    different type raises. Collectors are callables returning
-    ``(name, type, labels, value)`` sample tuples evaluated at
-    exposition time — used for wrapping pre-existing stat holders
-    (caches, Telemetry, ServingMetrics) without double bookkeeping.
+    different type raises. Collectors are evaluated at exposition
+    time over an owner they hold by weak reference, so an object
+    whose numbers live elsewhere (a cache's ``stats()``, a
+    :class:`~repro.serving.metrics.ServingMetrics`' instruments, a
+    cluster's SQLite store) publishes them without a second copy, and
+    its series leave the page when it is garbage-collected.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._families: dict[str, _Family] = {}
-        self._collectors: list[Callable[[], Any]] = []
+        self._collectors: list[tuple[weakref.ref, Callable]] = []
         self._autonames: dict[str, int] = {}
         self._prune_at = 64
 
@@ -336,33 +338,23 @@ class MetricsRegistry:
 
     # -- collectors ------------------------------------------------------
 
-    def register_collector(self, fn: Callable[[], Any]) -> None:
-        """Add a callable yielding ``(name, type, labels, value)``.
+    def register_collector(
+        self, owner: Any, fn: Callable[[Any], Iterable[tuple]]
+    ) -> None:
+        """Publish ``fn(owner)`` samples while *owner* is alive.
 
-        A collector returning ``None`` is treated as dead and
-        dropped (used by the weakref cache collectors).
+        *fn* yields ``(name, type, labels, value)`` tuples at
+        exposition time. The registry holds *owner* by weak
+        reference only (so *fn* must not capture it) and drops the
+        collector once *owner* is garbage-collected.
         """
         with self._lock:
-            self._collectors.append(fn)
+            self._collectors.append((weakref.ref(owner), fn))
             if len(self._collectors) > self._prune_at:
-                self._prune_locked()
-
-    def unregister_collector(self, fn: Callable[[], Any]) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(fn)
-            except ValueError:
-                pass
-
-    def _prune_locked(self) -> None:
-        alive = []
-        for fn in self._collectors:
-            probe = getattr(fn, "_obs_alive", None)
-            if probe is not None and not probe():
-                continue
-            alive.append(fn)
-        self._collectors = alive
-        self._prune_at = max(64, 2 * len(alive))
+                self._collectors = [
+                    c for c in self._collectors if c[0]() is not None
+                ]
+                self._prune_at = max(64, 2 * len(self._collectors))
 
     def autoname(self, kind: str) -> str:
         """Process-unique default instance name like ``compile-2``."""
@@ -382,50 +374,33 @@ class MetricsRegistry:
         ``repro_cache_entries`` / ``repro_cache_capacity``, all
         labelled ``{cache=name, kind=kind}``.
         """
-        ref = weakref.ref(cache)
         labels = {"cache": name}
         if kind:
             labels["kind"] = kind
 
-        def collect() -> list[tuple[str, str, dict[str, str], float]] | None:
-            obj = ref()
-            if obj is None:
-                return None
+        def collect(obj: Any) -> list[tuple[str, str, dict[str, str], float]]:
             stats = obj.stats() if callable(obj.stats) else dict(obj.stats)
-            out = []
-            for key in ("hits", "misses", "evictions"):
-                if key in stats:
-                    out.append(
-                        (
-                            f"repro_cache_{key}_total",
-                            "counter",
-                            labels,
-                            float(stats[key]),
-                        )
-                    )
+            out = [
+                (f"repro_cache_{key}_total", "counter", labels, float(stats[key]))
+                for key in ("hits", "misses", "evictions")
+                if key in stats
+            ]
             if stats.get("size") is not None:
                 out.append(
-                    (
-                        "repro_cache_entries",
-                        "gauge",
-                        labels,
-                        float(stats["size"]),
-                    )
+                    ("repro_cache_entries", "gauge", labels, float(stats["size"]))
                 )
-            capacity = stats.get("capacity")
-            if capacity is not None:
+            if stats.get("capacity") is not None:
                 out.append(
                     (
                         "repro_cache_capacity",
                         "gauge",
                         labels,
-                        float(capacity) if capacity != math.inf else math.inf,
+                        float(stats["capacity"]),
                     )
                 )
             return out
 
-        collect._obs_alive = lambda: ref() is not None  # type: ignore[attr-defined]
-        self.register_collector(collect)
+        self.register_collector(cache, collect)
         return name
 
     # -- exposition ------------------------------------------------------
@@ -458,20 +433,16 @@ class MetricsRegistry:
                 else:
                     children[key] = inst.value
             out[fam.name] = (fam.type, fam.help, children)
-        dead = []
-        for fn in collectors:
-            samples = fn()
-            if samples is None:
-                dead.append(fn)
+        for ref, fn in collectors:
+            owner = ref()
+            if owner is None:
                 continue
-            for name, type_, labels, value in samples:
+            for name, type_, labels, value in fn(owner):
                 entry = out.get(name)
                 if entry is None:
                     help_ = self._HELP_FOR_COLLECTED.get(name, "")
                     entry = out[name] = (type_, help_, {})
                 entry[2][_label_key(labels)] = value
-        for fn in dead:
-            self.unregister_collector(fn)
         return out
 
     def exposition(self) -> str:

@@ -320,12 +320,8 @@ register_task("rabi_fit", "fit")(_rabi_fit_run)
 
 
 def _drag_scan_run(ctx, params, seed, upstream) -> dict:
+    _require_direct(ctx, "drag_scan")
     device = ctx.device
-    if ctx.runner.dispatch != "direct":
-        raise PipelineError(
-            "drag_scan needs a direct simulator target: leakage is only "
-            "reported by in-process execution results"
-        )
     for attr in ("X_DURATION", "X_SIGMA", "_pi_amp"):
         if not hasattr(device, attr):
             raise PipelineError(
@@ -436,6 +432,17 @@ register_task("readout_scan", "experiment")(_readout_scan_run)
 
 
 # ---- shared helpers ------------------------------------------------------------------
+
+
+def _require_direct(ctx, kind: str) -> None:
+    """Fail unless *ctx* runs in process: leakage, exact distributions
+    and simulator state only come back from direct execution."""
+    if ctx.runner.dispatch != "direct":
+        raise PipelineError(
+            f"{kind} needs a direct simulator runner (leakage, exact "
+            "distributions and simulator state are only reported by "
+            f"in-process execution); got dispatch {ctx.runner.dispatch!r}"
+        )
 
 
 def _single_upstream(upstream: Mapping, kind: str, marker: str) -> Mapping:

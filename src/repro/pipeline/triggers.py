@@ -70,11 +70,11 @@ class IntervalTrigger:
 class DriftBudgetTrigger:
     """Fire when predicted drift error crosses *error_budget_hz*.
 
-    Tracks per-device elapsed seconds in :attr:`clock` (a plain dict —
-    the scheduler exposes it as its legacy ``_drift_clock``) and
-    forecasts the tracking error of a device with configured
-    ``drift_rate`` as ``rate * sqrt(elapsed)``, the RMS displacement
-    of the Wiener drift process.
+    Tracks per-device elapsed seconds in :attr:`clock` (a plain dict,
+    which :class:`~repro.runtime.scheduler.CalibrationAwareScheduler`
+    reads as ``trigger.clock``) and forecasts the tracking error of a
+    device with configured ``drift_rate`` as ``rate * sqrt(elapsed)``,
+    the RMS displacement of the Wiener drift process.
     """
 
     def __init__(self, error_budget_hz: float) -> None:

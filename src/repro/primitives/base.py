@@ -59,13 +59,8 @@ class BasePrimitive:
         *,
         executor: Any = None,
         seed: int | None = None,
-        backend: str | None = None,
     ) -> None:
         self._seed = seed
-        #: Array backend/dtype spec ("numpy/complex64", "cupy", ...)
-        #: every dispatch runs its evolution under; None keeps the
-        #: ambient repro.xp scope.
-        self._backend = backend
         self._executor = None
         self._target: Target | None = None
         self._executables: OrderedDict[Any, Executable] = OrderedDict()
@@ -254,23 +249,11 @@ class BasePrimitive:
             if self._mode == _CLIENT:
                 return [
                     [
-                        handle.run(
-                            shots=shots,
-                            seed=self._seed,
-                            timeout=timeout,
-                            backend=self._backend,
-                        )
+                        handle.run(shots=shots, seed=self._seed, timeout=timeout)
                         for handle in handles
                     ]
                     for _, handles, shots in per_pub
                 ]
-            if self._mode == _SERVICE and self._backend is not None:
-                raise ValidationError(
-                    "backend= is not supported on service dispatch: "
-                    "sweep workers own their execution scope; run "
-                    "against a direct target, or scope the service "
-                    "process with repro.xp.use_backend"
-                )
             groups: dict[int, list[tuple[int, int, Any]]] = {}
             for p, (_, handles, shots) in enumerate(per_pub):
                 for i, handle in enumerate(handles):
@@ -278,10 +261,7 @@ class BasePrimitive:
             if self._mode == _DIRECT:
                 batches = [
                     self._executor.execute_batch(
-                        [e[2] for e in entries],
-                        shots=shots,
-                        seed=self._seed,
-                        backend=self._backend,
+                        [e[2] for e in entries], shots=shots, seed=self._seed
                     )
                     for shots, entries in groups.items()
                 ]

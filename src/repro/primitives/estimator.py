@@ -68,10 +68,9 @@ class Estimator(BasePrimitive):
         executor: Any = None,
         seed: int | None = None,
         shots: int = 0,
-        backend: str | None = None,
         options: Any = None,
     ) -> None:
-        super().__init__(target, executor=executor, seed=seed, backend=backend)
+        super().__init__(target, executor=executor, seed=seed)
         if shots < 0:
             raise ValidationError(f"shots must be >= 0, got {shots}")
         self.shots = int(shots)

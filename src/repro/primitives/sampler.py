@@ -66,10 +66,9 @@ class Sampler(BasePrimitive):
         executor: Any = None,
         default_shots: int = 1024,
         seed: int | None = None,
-        backend: str | None = None,
         options: Any = None,
     ) -> None:
-        super().__init__(target, executor=executor, seed=seed, backend=backend)
+        super().__init__(target, executor=executor, seed=seed)
         if default_shots < 0:
             raise ValidationError(
                 f"default_shots must be >= 0, got {default_shots}"

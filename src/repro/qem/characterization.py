@@ -49,6 +49,12 @@ from repro.core.instructions import Delay, Play
 from repro.core.schedule import PulseSchedule
 from repro.errors import PipelineError, ValidationError
 from repro.pipeline.dag import DAG, register_task
+from repro.pipeline.experiments import (
+    _p1,
+    _program,
+    _require_direct,
+    _single_upstream,
+)
 
 __all__ = [
     "CLIFFORD_COUNT",
@@ -165,33 +171,11 @@ def clifford_word_schedule(
 # ---- shared helpers ------------------------------------------------------------------
 
 
-def _require_direct(ctx, kind: str) -> None:
-    if ctx.runner.dispatch != "direct":
-        raise PipelineError(
-            f"{kind} needs a direct simulator runner (exact "
-            "distributions / simulator state); got dispatch "
-            f"{ctx.runner.dispatch!r}"
-        )
-
-
 def _survival(slot: int = 0):
     """P(0) on one measurement slot: ``(1 + Z)/2``."""
     from repro.primitives import Observable
 
     return Observable.identity(0.5) + Observable.z(slot, 0.5)
-
-
-def _population(slot: int = 0):
-    """P(1) on one measurement slot: ``(1 - Z)/2``."""
-    from repro.primitives import Observable
-
-    return Observable.identity(0.5) - Observable.z(slot, 0.5)
-
-
-def _program(schedule: PulseSchedule):
-    from repro.api.program import Program
-
-    return Program.from_schedule(schedule)
 
 
 def _measure(device, site: int, schedule: PulseSchedule) -> None:
@@ -206,18 +190,6 @@ def _site_coherence(device, site: int) -> dict[str, float]:
         "t1": float(device.query_site_property(Site(site), SiteProperty.T1)),
         "t2": float(device.query_site_property(Site(site), SiteProperty.T2)),
     }
-
-
-def _single_upstream(upstream: Mapping, kind: str, marker: str) -> Mapping:
-    matches = [
-        r for r in upstream.values() if isinstance(r, Mapping) and marker in r
-    ]
-    if len(matches) != 1:
-        raise PipelineError(
-            f"{kind} needs exactly one upstream result with {marker!r}, "
-            f"found {len(matches)}"
-        )
-    return matches[0]
 
 
 # ---- randomized benchmarking ---------------------------------------------------------
@@ -422,7 +394,7 @@ def _coherence_scan_run(ctx, params, seed, upstream) -> dict:
                     device, site, kind, tau, detuning, f"{kind}-{site}-{i}"
                 )
             ),
-            _population(),
+            _p1(0),
         )
         for i, tau in enumerate(delays)
     ]

@@ -33,6 +33,15 @@ _QUBIT_PTR_RE = re.compile(
 )
 
 
+def looks_like_qir(text: str) -> bool:
+    """Whether *text* is QIR: a module header or a QIR intrinsic.
+
+    The one QIR autodetection rule, shared by ``Program.coerce`` and
+    the client's QIR adapter.
+    """
+    return text.lstrip().startswith("; ModuleID") or "__quantum__" in text
+
+
 def _unescape_c_string(payload: str) -> str:
     out = []
     i = 0

@@ -9,8 +9,9 @@ Infrastructure).
   §2.1's "resource-aware calibration planning": it watches each
   device's drift budget and interleaves calibration runs with user
   jobs.
-* :mod:`repro.runtime.telemetry` — thread-safe counters and wall-clock
-  timers used across the runtime benchmarks and the serving metrics.
+
+Drain outcomes are reported in :class:`SchedulerReport`; process-wide
+metrics live in :mod:`repro.obs`.
 """
 
 from repro.runtime.scheduler import (
@@ -19,12 +20,10 @@ from repro.runtime.scheduler import (
     SchedulerReport,
     SecondLevelScheduler,
 )
-from repro.runtime.telemetry import Telemetry
 
 __all__ = [
     "SecondLevelScheduler",
     "CalibrationAwareScheduler",
     "ScheduledJob",
     "SchedulerReport",
-    "Telemetry",
 ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.client.client import ClientResult, JobRequest, MQSSClient
-from repro.runtime.telemetry import Telemetry
 
 
 @dataclass(order=True)
@@ -68,8 +67,6 @@ class SecondLevelScheduler:
 
     def __init__(self, client: MQSSClient) -> None:
         self.client = client
-        self.telemetry = Telemetry()
-        self.telemetry.register("scheduler")
         self._queue: list[ScheduledJob] = []
         self._arrivals = 0
 
@@ -82,7 +79,6 @@ class SecondLevelScheduler:
         )
         self._arrivals += 1
         self._queue.append(job)
-        self.telemetry.incr("enqueued")
         return job
 
     @property
@@ -153,17 +149,14 @@ class SecondLevelScheduler:
                     report.per_device_jobs[dev] = (
                         report.per_device_jobs.get(dev, 0) + 1
                     )
-                    self.telemetry.incr("completed")
                 else:
                     report.failed += 1
-                    self.telemetry.incr("failures")
                 if ticket.dispatched_at is not None:
                     job.wait_s = max(0.0, ticket.dispatched_at - job.enqueued_at)
         finally:
             service.stop()
 
         report.total_wall_s = time.perf_counter() - t_start
-        self.telemetry.add_time("drain", report.total_wall_s)
         waits = [j.wait_s for j in queue]
         report.mean_wait_s = sum(waits) / len(waits) if waits else 0.0
         return report
@@ -172,12 +165,12 @@ class SecondLevelScheduler:
 class CalibrationAwareScheduler(SecondLevelScheduler):
     """Interleaves calibrations when a device's drift budget is spent.
 
-    A thin shim over the pipeline subsystem since PR 9: the
-    drift-budget arithmetic lives in
+    A thin layer over the pipeline subsystem: the drift-budget
+    arithmetic lives in
     :class:`repro.pipeline.triggers.DriftBudgetTrigger` (exposed here
-    as :attr:`trigger`; its per-device clock *is* the legacy
-    ``_drift_clock`` dict), and each firing executes the calibration
-    callback as a one-task pipeline DAG through
+    as :attr:`trigger`, whose ``clock`` holds each device's seconds
+    since its last calibration), and each firing executes the
+    calibration callback as a one-task pipeline DAG through
     :class:`~repro.pipeline.runner.PipelineRunner` — so interleaved
     recalibrations appear in the same ``repro_pipeline_*`` metrics and
     trace spans as any other scheduled calibration workload.
@@ -213,9 +206,6 @@ class CalibrationAwareScheduler(SecondLevelScheduler):
         self.error_budget_hz = error_budget_hz
         self.job_seconds = job_seconds
         self.trigger = DriftBudgetTrigger(error_budget_hz)
-        # Legacy alias: the trigger's clock is the drift clock (shared
-        # dict, not a copy — existing introspection keeps working).
-        self._drift_clock = self.trigger.clock
 
     def _run_calibration(self, name: str) -> None:
         """Execute the calibration callback as a pipeline DAG run."""
@@ -250,8 +240,6 @@ class CalibrationAwareScheduler(SecondLevelScheduler):
         # Device time passes (drift accumulates) between jobs.
         device.advance_time(self.job_seconds)
         if self.trigger.note_elapsed(name, device, self.job_seconds):
-            with self.telemetry.timer("calibration"):
-                self._run_calibration(name)
+            self._run_calibration(name)
             report.calibrations += 1
-            self.telemetry.incr("calibrations")
             self.trigger.reset(name)

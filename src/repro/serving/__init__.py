@@ -21,8 +21,8 @@ synchronous client stack into that service:
   identical-program requests into one execution and splits the
   sampled shots back per request;
 * :mod:`repro.serving.metrics` — :class:`ServingMetrics`: thread-safe
-  counters + per-stage latency histograms with a Prometheus-style
-  text exposition;
+  counters + per-stage latency histograms, published in
+  ``repro.obs.exposition()``;
 * :mod:`repro.serving.sweeps` — :class:`SweepRequest` /
   :class:`SweepTicket`: one request fanning out into a batch of
   parameterized schedules, evaluated through the simulator's batched

@@ -57,7 +57,6 @@ import os
 import threading
 import time
 import uuid
-import weakref
 from multiprocessing import connection
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -330,7 +329,7 @@ class ClusterService:
         self._live: dict[str, list[tuple[int, JobTicket]]] = {}
         #: Guards ``_live``; notified whenever a row settles (flush).
         self._settled = threading.Condition()
-        self._register_metrics()
+        REGISTRY.register_collector(self, ClusterService._metric_samples)
         if start:
             self.start()
 
@@ -650,66 +649,46 @@ class ClusterService:
 
     # ---- metrics -------------------------------------------------------------------
 
-    def _register_metrics(self) -> None:
-        """Publish pool-wide series on the global obs registry.
+    def _metric_samples(self) -> list[tuple]:
+        """Pool-wide series for the global obs registry.
 
         Worker processes cannot touch the parent's registry, so their
         counter snapshots flow through the store's metrics channel and
         are re-emitted here with a ``worker`` label — one exposition
         reflects the whole pool.
         """
-        ref = weakref.ref(self)
         service = self.name
-
-        def collect():
-            obj = ref()
-            if obj is None:
-                return None
-            samples = []
-            try:
-                by_state = obj.store.counts_by_state()
-                worker_metrics = obj.store.worker_metrics()
-            except Exception:
-                return []
-            for state, count in sorted(by_state.items()):
+        try:
+            by_state = self.store.counts_by_state()
+            worker_metrics = self.store.worker_metrics()
+        except Exception:
+            return []
+        samples = [
+            (
+                "repro_cluster_jobs",
+                "gauge",
+                {"service": service, "state": state},
+                float(count),
+            )
+            for state, count in sorted(by_state.items())
+        ]
+        for worker, counters in sorted(worker_metrics.items()):
+            for key, value in sorted(counters.items()):
+                if key == "pid":
+                    continue
                 samples.append(
                     (
-                        "repro_cluster_jobs",
-                        "gauge",
-                        {"service": service, "state": state},
-                        float(count),
+                        "repro_cluster_worker_events_total",
+                        "counter",
+                        {"service": service, "worker": worker, "name": key},
+                        float(value),
                     )
                 )
-            for worker, counters in sorted(worker_metrics.items()):
-                for key, value in sorted(counters.items()):
-                    if key == "pid":
-                        continue
-                    samples.append(
-                        (
-                            "repro_cluster_worker_events_total",
-                            "counter",
-                            {
-                                "service": service,
-                                "worker": worker,
-                                "name": key,
-                            },
-                            float(value),
-                        )
-                    )
-            samples.append(
-                (
-                    "repro_cluster_workers",
-                    "gauge",
-                    {"service": service},
-                    float(
-                        sum(1 for p in obj._processes if p is not None and p.is_alive())
-                    ),
-                )
-            )
-            return samples
-
-        collect._obs_alive = lambda: ref() is not None
-        REGISTRY.register_collector(collect)
+        alive = sum(1 for p in self._processes if p is not None and p.is_alive())
+        samples.append(
+            ("repro_cluster_workers", "gauge", {"service": service}, float(alive))
+        )
+        return samples
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,105 +1,89 @@
-"""Thread-safe serving telemetry: per-stage latency histograms.
+"""Thread-safe serving telemetry: event counters and stage latencies.
 
 The paper's calibration use case assumes HPC centers operating QC
 services under sustained multi-tenant demand (§2.1); operating such a
 service requires observability. :class:`ServingMetrics` aggregates the
 counters every worker thread emits plus a latency histogram per
-pipeline stage (queue wait, compile, execute, end-to-end), and renders
-a Prometheus-style text exposition for scrapers and humans alike.
+pipeline stage (queue wait, compile, execute, end-to-end).
 
-Each stage histogram is a plain registry :class:`repro.obs.Histogram`
-on the default time buckets (2 us to ~134 s, plus the ``+Inf``
-overflow bucket), and every :class:`ServingMetrics` instance
-self-registers on the global :data:`repro.obs.REGISTRY` so
-``repro.obs.exposition()`` includes the serving series
-(``repro_serving_*``) alongside caches and sim kernels.
+Each event is a plain registry :class:`repro.obs.Counter` and each
+stage a :class:`repro.obs.Histogram` on the default time buckets (2 us
+to ~134 s, plus the ``+Inf`` overflow bucket). Every instance
+publishes them on the global :data:`repro.obs.REGISTRY`, so
+``repro.obs.exposition()`` renders the serving series
+(``repro_serving_events_total`` and ``repro_serving_latency_seconds``,
+labelled by ``service``) alongside caches and sim kernels.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import weakref
 from contextlib import contextmanager
 
-from repro.obs.metrics import REGISTRY, Histogram
-from repro.runtime.telemetry import Telemetry
+from repro.obs.metrics import REGISTRY, Counter, Histogram
+
 
 class ServingMetrics:
     """Counters + per-stage latency histograms for a :class:`PulseService`."""
 
     def __init__(self, name: str | None = None) -> None:
-        self.telemetry = Telemetry()
         self._lock = threading.Lock()
+        self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self.name = name or REGISTRY.autoname("serving")
-        self._register()
+        REGISTRY.register_collector(self, ServingMetrics._metric_samples)
 
-    def _register(self) -> None:
-        """Publish this instance's series on the global registry."""
-        ref = weakref.ref(self)
+    def _instruments(self) -> tuple[dict[str, Counter], dict[str, Histogram]]:
+        with self._lock:
+            return dict(self._counters), dict(self._histograms)
+
+    def _metric_samples(self) -> list[tuple]:
+        """This instance's series for the global obs registry."""
+        counters, stages = self._instruments()
         service = self.name
-
-        def collect():
-            obj = ref()
-            if obj is None:
-                return None
-            snap = obj.telemetry.snapshot()
-            samples = []
-            for key, value in snap["counters"].items():
-                samples.append(
-                    (
-                        "repro_serving_events_total",
-                        "counter",
-                        {"service": service, "name": key},
-                        value,
-                    )
-                )
-            for key, value in snap["timers"].items():
-                samples.append(
-                    (
-                        "repro_serving_stage_seconds_total",
-                        "counter",
-                        {"service": service, "stage": key},
-                        value,
-                    )
-                )
-            with obj._lock:
-                stages = dict(obj._histograms)
-            for stage, hist in stages.items():
-                samples.append(
-                    (
-                        "repro_serving_latency_seconds",
-                        "histogram",
-                        {"service": service, "stage": stage},
-                        hist,
-                    )
-                )
-            return samples
-
-        collect._obs_alive = lambda: ref() is not None
-        REGISTRY.register_collector(collect)
+        return [
+            (
+                "repro_serving_events_total",
+                "counter",
+                {"service": service, "name": key},
+                counter.value,
+            )
+            for key, counter in counters.items()
+        ] + [
+            (
+                "repro_serving_latency_seconds",
+                "histogram",
+                {"service": service, "stage": stage},
+                hist,
+            )
+            for stage, hist in stages.items()
+        ]
 
     # ---- recording -----------------------------------------------------------------
 
     def incr(self, name: str, amount: float = 1.0) -> None:
-        self.telemetry.incr(name, amount)
+        counter = self._counters.get(name)
+        if counter is None:
+            with self._lock:
+                counter = self._counters.setdefault(name, Counter())
+        counter.inc(amount)
 
     def get(self, name: str) -> float:
-        return self.telemetry.get(name)
+        counter = self._counters.get(name)
+        return 0.0 if counter is None else counter.value
 
     def histogram(self, stage: str) -> Histogram:
         """The histogram for *stage*, created on first use."""
-        with self._lock:
-            hist = self._histograms.get(stage)
-            if hist is None:
-                hist = self._histograms[stage] = Histogram()
-            return hist
+        hist = self._histograms.get(stage)
+        if hist is None:
+            with self._lock:
+                hist = self._histograms.setdefault(stage, Histogram())
+        return hist
 
     def observe(self, stage: str, seconds: float) -> None:
-        """Record a latency sample for *stage* (histogram + timer sum)."""
+        """Record a latency sample for *stage*."""
         self.histogram(stage).observe(seconds)
-        self.telemetry.add_time(stage, seconds)
 
     @contextmanager
     def timer(self, stage: str):
@@ -112,39 +96,14 @@ class ServingMetrics:
 
     # ---- export --------------------------------------------------------------------
 
-    def _flat_telemetry(self) -> dict[str, float]:
-        """Counters plus ``_s``-suffixed timers (legacy key layout)."""
-        snap = self.telemetry.snapshot()
-        out = dict(snap["counters"])
-        out.update({f"{k}_s": v for k, v in snap["timers"].items()})
-        return out
-
     def snapshot(self) -> dict[str, float]:
-        """Counters/timers plus ``<stage>_p50_s``/``_p99_s``/``_count``."""
-        out = self._flat_telemetry()
-        with self._lock:
-            stages = dict(self._histograms)
+        """Counters, then per observed stage ``<stage>_s`` (summed
+        seconds), ``<stage>_count`` and ``_p50_s``/``_p99_s``."""
+        counters, stages = self._instruments()
+        out = {key: counter.value for key, counter in counters.items()}
+        out.update({f"{k}_s": h.sum_value for k, h in stages.items() if h.count})
         for stage, hist in stages.items():
             out[f"{stage}_count"] = float(hist.count)
             out[f"{stage}_p50_s"] = hist.quantile(0.5)
             out[f"{stage}_p99_s"] = hist.quantile(0.99)
         return out
-
-    def render_text(self) -> str:
-        """Prometheus-style text exposition of counters and histograms."""
-        lines: list[str] = []
-        snap = self._flat_telemetry()
-        for name in sorted(snap):
-            lines.append(f"serving_{name} {snap[name]:.9g}")
-        with self._lock:
-            stages = sorted(self._histograms.items())
-        for stage, hist in stages:
-            metric = "serving_latency_seconds"
-            for bound, cumulative in hist.cumulative_buckets():
-                le = "+Inf" if bound == float("inf") else f"{bound:.9g}"
-                lines.append(
-                    f'{metric}_bucket{{stage="{stage}",le="{le}"}} {cumulative}'
-                )
-            lines.append(f'{metric}_sum{{stage="{stage}"}} {hist.sum_value:.9g}')
-            lines.append(f'{metric}_count{{stage="{stage}"}} {hist.count}')
-        return "\n".join(lines) + "\n"

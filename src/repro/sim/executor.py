@@ -83,7 +83,7 @@ from repro.sim.open_system import (
     vectorize_density,
 )
 from repro.sim.operators import basis_state, identity
-from repro.xp import active, use_backend
+from repro.xp import active
 
 
 def _eigen_commutator(
@@ -228,7 +228,6 @@ class ScheduleExecutor:
         rng: np.random.Generator | None = None,
         seed: int | None = None,
         initial_state: np.ndarray | None = None,
-        backend: str | None = None,
         should_cancel=None,
     ) -> ExecutionResult:
         """Run *schedule* and sample *shots* measurement outcomes.
@@ -237,10 +236,9 @@ class ScheduleExecutor:
         when omitted) drives the schedule's trajectory sampling, if
         any, and then its shot sampling.
 
-        *backend* scopes the evolution to an array backend/dtype spec
-        (``"numpy/complex64"``, ``"cupy"``, ...; see
-        :func:`repro.xp.use_backend`); ``None`` keeps the ambient
-        scope. Measurement always runs on the host.
+        The evolution runs on the ambient array backend/dtype scope
+        (:func:`repro.xp.use_backend`); measurement always runs on the
+        host.
 
         *should_cancel* (zero-arg callable) enables cooperative
         cancellation: it is polled at chunk boundaries — before the
@@ -251,7 +249,7 @@ class ScheduleExecutor:
         if rng is None:
             rng = np.random.default_rng(seed)
         return self._run(
-            [schedule], [rng], shots, initial_state, backend, should_cancel
+            [schedule], [rng], shots, initial_state, should_cancel
         )[0]
 
     def execute_batch(
@@ -261,7 +259,6 @@ class ScheduleExecutor:
         shots: int = 1024,
         seed: int | Sequence[int | None] | None = None,
         initial_state: np.ndarray | None = None,
-        backend: str | None = None,
         should_cancel=None,
     ) -> list[ExecutionResult]:
         """Run many schedules through one batched evolution pass.
@@ -291,10 +288,10 @@ class ScheduleExecutor:
         of the batch: stack sizes, Hilbert dimension, squaring levels,
         cache dedup ratio, and GEMM wall-time.
 
-        *backend* scopes every evolution kernel of the batch to an
-        array backend/dtype spec (see :func:`repro.xp.use_backend`);
-        the batch's stacks then stay on that backend until the
-        measurement tail pulls the final states to the host.
+        Every evolution kernel of the batch runs on the ambient array
+        backend/dtype scope (:func:`repro.xp.use_backend`); the batch's
+        stacks stay on that backend until the measurement tail pulls
+        the final states to the host.
 
         *should_cancel* enables cooperative cancellation, polled at
         the batch's chunk boundaries: before the evolution, before
@@ -324,7 +321,6 @@ class ScheduleExecutor:
                     [np.random.default_rng(s) for s in seeds],
                     shots,
                     initial_state,
-                    backend,
                     should_cancel,
                 )
             finally:
@@ -395,16 +391,14 @@ class ScheduleExecutor:
         rngs: list[np.random.Generator],
         shots: int,
         initial_state: np.ndarray | None,
-        backend: str | None,
         should_cancel,
     ) -> list[ExecutionResult]:
         """Evolve and measure *schedules*, ``rngs[i]`` driving schedule i."""
         _check_cancel(should_cancel)
         families = self._families(schedules)
-        with use_backend(backend):
-            finals = self._final_states(
-                schedules, families, rngs, initial_state, should_cancel
-            )
+        finals = self._final_states(
+            schedules, families, rngs, initial_state, should_cancel
+        )
         _check_cancel(should_cancel)
         results: list[ExecutionResult] = []
         with span("measurement", points=len(schedules)):

@@ -76,7 +76,7 @@ class TestDriftBudget:
         report = sched.drain()
         assert report.completed == 7
         assert report.calibrations == 2
-        assert sched._drift_clock["drifty"] == pytest.approx(JOB_S)
+        assert sched.trigger.clock["drifty"] == pytest.approx(JOB_S)
 
     def test_clock_persists_across_drains(self):
         budget = RATE * (2 * JOB_S) ** 0.5 - 1.0
@@ -115,4 +115,4 @@ class TestDriftBudget:
         report = SchedulerReport()
         sched._before_dispatch(job, report)
         assert report.calibrations == 0
-        assert sched._drift_clock == {}
+        assert sched.trigger.clock == {}

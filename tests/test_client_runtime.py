@@ -273,18 +273,3 @@ class TestScheduler:
         report = sched.drain()
         assert report.calibrations == 0  # fixture device has drift_rate=0
 
-
-class TestTelemetry:
-    def test_counters_and_timers(self):
-        from repro.runtime import Telemetry
-
-        t = Telemetry()
-        t.incr("jobs")
-        t.incr("jobs", 2)
-        assert t.get("jobs") == 3
-        with t.timer("work"):
-            pass
-        snap = t.snapshot()
-        assert snap["counters"]["jobs"] == 3
-        assert "work" in snap["timers"]
-        assert t.get_time("work") >= 0.0

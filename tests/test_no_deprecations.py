@@ -30,7 +30,12 @@ def test_no_deprecation_warning_in_src():
 
 @pytest.mark.parametrize(
     "module",
-    ["repro.mitigation", "repro.calibration.readout", "repro.serving.cache"],
+    [
+        "repro.mitigation",
+        "repro.calibration.readout",
+        "repro.serving.cache",
+        "repro.runtime.telemetry",
+    ],
 )
 def test_shim_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
@@ -43,7 +48,6 @@ def test_shim_surfaces_are_gone():
     from repro.primitives import Sampler
     from repro.qem.readout import MitigatedResult
     from repro.qpi.qpi import QuantumResult
-    from repro.runtime import Telemetry
     from repro.serving import ClusterService, PulseService, ServiceClient, SweepTicket
     from repro.sim.executor import ExecutionResult
 
@@ -57,7 +61,6 @@ def test_shim_surfaces_are_gone():
         assert not hasattr(result_type, "expectation_z")
     assert not hasattr(MQSSClient, "submit")
     assert not hasattr(MQSSClient, "run_batch")
-    assert not hasattr(Telemetry, "flat_snapshot")
     for service in (PulseService, ClusterService, ServiceClient):
         assert not hasattr(service, "_admit_request")
     assert not hasattr(repro.pipeline, "MemoryStore")

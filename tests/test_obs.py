@@ -6,9 +6,8 @@ stages exportable as valid Chrome trace-event JSON), the metrics
 registry and its Prometheus text exposition (escaping, stable
 ordering, histogram cumulative-bucket invariants, concurrent-writer
 exactness), the uniform ``stats()`` shape and auto-registration of
-every cache in the stack, the namespaced Telemetry snapshot, the
-registry-backed ServingMetrics shim, and the profiling hooks that
-surface ``metadata["profile"]``.
+every cache in the stack, the registry-backed ServingMetrics, and the
+profiling hooks that surface ``metadata["profile"]``.
 """
 
 from __future__ import annotations
@@ -329,6 +328,17 @@ class TestRegistry:
         gc.collect()
         assert "dummy-0" not in reg.exposition()
 
+        from repro.serving.metrics import ServingMetrics
+
+        metrics = ServingMetrics()
+        metrics.incr("executed")
+        metrics.observe("compile", 0.004)
+        label = f'service="{metrics.name}"'
+        assert label in exposition()
+        del metrics
+        gc.collect()
+        assert label not in exposition()
+
     def test_autoname_is_unique(self):
         reg = MetricsRegistry()
         assert reg.autoname("x") == "x-0"
@@ -429,28 +439,10 @@ class TestCacheIntegration:
         assert len(cache) == 2
 
 
-# ---- telemetry + serving shims -------------------------------------------------------
+# ---- serving metrics -----------------------------------------------------------------
 
 
 class TestTelemetryExposition:
-    def test_register_publishes_namespaced_series(self):
-        from repro.runtime.telemetry import Telemetry
-
-        t = Telemetry()
-        label = t.register("unit")
-        assert label.startswith("unit-")
-        t.incr("jobs", 2)
-        t.add_time("work", 0.25)
-        text = exposition()
-        assert (
-            f'repro_telemetry_counter_total{{instance="{label}",name="jobs"}} 2'
-            in text
-        )
-        assert (
-            f'repro_telemetry_timer_seconds_total{{instance="{label}",'
-            f'name="work"}} 0.25' in text
-        )
-
     def test_serving_metrics_in_global_exposition(self):
         from repro.serving.metrics import ServingMetrics
 
@@ -467,10 +459,10 @@ class TestTelemetryExposition:
             f'repro_serving_latency_seconds_bucket{{service="{svc}",'
             f'stage="compile",' in text
         )
-        # The legacy per-service text format is unchanged.
-        legacy = metrics.render_text()
-        assert "serving_executed 1" in legacy
-        assert 'serving_latency_seconds_count{stage="compile"} 1' in legacy
+        assert (
+            f'repro_serving_latency_seconds_sum{{service="{svc}",'
+            f'stage="compile"}} 0.004' in text
+        )
 
 
 # ---- profiling -----------------------------------------------------------------------

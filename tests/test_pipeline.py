@@ -926,12 +926,3 @@ class TestTriggers:
         trig = IntervalTrigger(1.0)
         trig.note_elapsed(2.0)
         assert counter.value == before + 1
-
-    def test_scheduler_shim_shares_the_trigger_clock(self):
-        from repro.runtime.scheduler import CalibrationAwareScheduler
-
-        driver = QDMIDriver()
-        driver.register_device(SuperconductingDevice("sc-a", num_qubits=1))
-        client = MQSSClient(driver, persistent_sessions=True)
-        sched = CalibrationAwareScheduler(client, lambda name: None)
-        assert sched._drift_clock is sched.trigger.clock

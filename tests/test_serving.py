@@ -412,30 +412,40 @@ class TestMetrics:
         assert hist.quantile(0.99) == DEFAULT_TIME_BUCKETS_S[-1]
         assert metrics.snapshot()["stage_p99_s"] == DEFAULT_TIME_BUCKETS_S[-1]
 
-    def test_render_text_exposition(self):
+    def test_serving_metrics_is_thread_safe(self):
         metrics = ServingMetrics()
-        metrics.incr("completed", 3)
-        metrics.observe("execute", 0.01)
-        text = metrics.render_text()
-        assert "serving_completed 3" in text
-        assert 'serving_latency_seconds_bucket{stage="execute",le="+Inf"} 1' in text
-        assert 'serving_latency_seconds_count{stage="execute"} 1' in text
-
-    def test_telemetry_is_thread_safe(self):
-        from repro.runtime import Telemetry
-
-        telemetry = Telemetry()
 
         def spin():
             for _ in range(500):
-                telemetry.incr("n")
+                metrics.incr("n")
+                metrics.observe("stage", 0.001)
 
         threads = [threading.Thread(target=spin) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert telemetry.get("n") == 4000
+        assert metrics.get("n") == 4000
+        assert metrics.histogram("stage").count == 4000
+        assert metrics.snapshot()["stage_count"] == 4000
+
+    def test_snapshot_sums_each_stage_once(self):
+        metrics = ServingMetrics()
+        metrics.incr("done", 2)
+        metrics.observe("execute", 0.5)
+        metrics.observe("execute", 0.25)
+        metrics.histogram("idle")  # created, never observed
+        hist = metrics.histogram("execute")
+        assert metrics.snapshot() == {
+            "done": 2.0,
+            "execute_s": 0.75,
+            "execute_count": 2.0,
+            "execute_p50_s": hist.quantile(0.5),
+            "execute_p99_s": hist.quantile(0.99),
+            "idle_count": 0.0,
+            "idle_p50_s": 0.0,
+            "idle_p99_s": 0.0,
+        }
 
     def test_service_snapshot_has_stage_percentiles(self):
         _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
@@ -444,6 +454,30 @@ class TestMetrics:
         snap = svc.metrics.snapshot()
         assert snap["execute_count"] == 1
         assert snap["execute_p50_s"] > 0
+
+    def test_served_request_is_one_series_set_in_exposition(self):
+        from repro.obs import exposition
+
+        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
+        with PulseService(client) as svc:
+            svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1)).result(30)
+        text = exposition()
+        label = f'service="{svc.metrics.name}"'
+        mine = [line for line in text.splitlines() if label in line]
+        assert 'repro_serving_events_total{name="completed",' + label in text
+        families = {line.split("{")[0] for line in mine}
+        assert families == {
+            "repro_serving_events_total",
+            "repro_serving_latency_seconds_bucket",
+            "repro_serving_latency_seconds_sum",
+            "repro_serving_latency_seconds_count",
+        }
+        for family in ("repro_serving_events_total", "repro_serving_latency_seconds"):
+            assert text.count(f"# TYPE {family} ") == 1
+        series = [line.rsplit(" ", 1)[0] for line in mine]
+        assert len(series) == len(set(series))
+        assert "repro_serving_stage_seconds_total" not in text
+        assert "repro_telemetry_" not in text
 
 
 class TestSchedulerWaitRegression:

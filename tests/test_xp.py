@@ -6,8 +6,8 @@ semantics, the protocol-enforcing ``Active`` proxy, NumPy/complex128
 bitwise identity through the engine, the complex64 policy's own parity
 gate (1e-5), the StrictBackend seam proof, dtype-aware propagator-cache
 keys (the fingerprint regression), the dense-expm downcast guards, and
-the ``backend=`` plumbing through primitives/executables down to
-``execute_batch``.
+the ``use_backend`` scope reaching the evolution through primitives
+and executables.
 """
 
 from __future__ import annotations
@@ -292,26 +292,18 @@ class TestBackendPlumbing:
         program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
         pub = (program, Observable.z(0))
         evs = Estimator(target).run([pub])[0].data["evs"]
-        evs64 = (
-            Estimator(target, backend="numpy/complex64")
-            .run([pub])[0]
-            .data["evs"]
-        )
+        with use_backend("numpy/complex64"):
+            evs64 = Estimator(target).run([pub])[0].data["evs"]
         assert evs64 == pytest.approx(evs, abs=1e-5)
         assert not np.array_equal(evs64, evs)  # it really ran in c64
 
     def test_sampler_backend_kwarg(self, sc_device_1q):
         target = repro.Target.from_device(sc_device_1q)
         program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
-        probs = (
-            Sampler(target, default_shots=0).run([program])[0]
-            .data["probabilities"][()]
-        )
-        probs64 = (
-            Sampler(target, default_shots=0, backend="numpy/complex64")
-            .run([program])[0]
-            .data["probabilities"][()]
-        )
+        sampler = Sampler(target, default_shots=0)
+        probs = sampler.run([program])[0].data["probabilities"][()]
+        with use_backend("numpy/complex64"):
+            probs64 = sampler.run([program])[0].data["probabilities"][()]
         assert set(probs) == set(probs64)
         for key, p in probs.items():
             assert probs64[key] == pytest.approx(p, abs=1e-5)
@@ -321,32 +313,10 @@ class TestBackendPlumbing:
         program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
         exe = repro.compile(program, target)
         r = exe.run(shots=0)
-        r64 = exe.run(shots=0, backend="numpy/complex64")
+        with use_backend("numpy/complex64"):
+            r64 = exe.run(shots=0)
         for key, p in r.probabilities.items():
             assert r64.probabilities[key] == pytest.approx(p, abs=1e-5)
-
-    def test_executable_cache_key_namespaced(self, sc_device_1q):
-        from repro.api.executable import Executable
-
-        target = repro.Target.from_device(sc_device_1q)
-        program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
-        plain = Executable(program, target)
-        scoped = Executable(program, target, backend="numpy/complex64")
-        assert plain.cache_key != scoped.cache_key
-        assert scoped.cache_key.endswith("#numpy/complex64")
-        # bind() propagates the spec to the bound copy
-        assert scoped.bind({}).backend == "numpy/complex64"
-
-    def test_remote_target_rejects_backend(self, client, sc_device_1q):
-        from repro.api.executable import Executable
-
-        # the spec cannot travel across a remote boundary: run() must
-        # refuse it before compiling anything
-        program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
-        target = repro.Target.from_client(client, "remote:sc-remote")
-        exe = Executable(program, target)
-        with pytest.raises(ValidationError, match="local direct target"):
-            exe.run(shots=16, backend="numpy/complex64")
 
     def test_kernel_metrics_carry_backend_label(self):
         from repro.obs import profile as prof
