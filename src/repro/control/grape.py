@@ -33,26 +33,6 @@ from repro.errors import OptimizationError
 from repro.sim.evolve import batched_expm_and_frechet, build_hamiltonians
 from repro.sim.open_system import OpenSystemEngine
 
-_TWO_PI = 2.0 * np.pi
-
-
-def _expm_and_frechet_basis(
-    h: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose *h* and build the Daleckii-Krein kernel.
-
-    Single-matrix convenience over
-    :func:`~repro.sim.evolve.batched_expm_and_frechet`. Returns
-    ``(U, V, gamma)`` where ``U = exp(-2*pi*i*h*dt)``, *V* is the
-    eigenvector matrix and ``gamma[a, b]`` is the divided-difference
-    kernel such that the derivative of U in direction E equals
-    ``V (gamma ∘ (V† E V)) V†``.
-    """
-    us, vecs, gamma = batched_expm_and_frechet(
-        np.asarray(h, dtype=np.complex128)[None], dt
-    )
-    return us[0], vecs[0], gamma[0]
-
 
 @dataclass
 class GrapeResult:
@@ -221,7 +201,6 @@ class GrapeOptimizer:
                 [],
                 self.dt,
                 collapse_ops=collapse_ops,
-                method="superoperator",
             )
             self._noisy_engines[key] = engine
             while len(self._noisy_engines) > 4:

@@ -14,8 +14,11 @@ this simulator instead. It implements:
   :class:`~repro.core.frame.FrameState`),
 * exact open-system (Lindblad) evolution with finite T1/T2 through the
   batched superoperator engine of :mod:`repro.sim.open_system` (T1
-  amplitude damping, T2 pure dephasing; quantum-jump trajectories for
-  large Hilbert spaces),
+  amplitude damping, T2 pure dephasing; the Hilbert dimension decides
+  when quantum-jump trajectories replace superoperators),
+* one matrix-exponential routine in :mod:`repro.sim.evolve` for
+  propagators and superpropagators, which picks each slice's route
+  (batched matmuls, ``eigh`` or Pade) from the slice itself,
 * one batched execution pipeline in :mod:`repro.sim.executor` — a
   single schedule runs as a one-member batch,
 * projective measurement with a configurable readout-error model and

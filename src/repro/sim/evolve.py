@@ -12,13 +12,16 @@ Two complementary strategies keep the Python overhead off the hot path:
   ``(n, D, D)`` array and exponentiated with a handful of *batched*
   BLAS/LAPACK calls instead of ``n`` Python-level round trips. Entry
   points: :func:`build_hamiltonians`, :func:`batched_propagators`, and
-  :func:`propagator_sequence` (which composes the two). Two batched
-  methods are implemented: a stacked ``eigh`` (exact, and the basis
-  the Daleckii-Krein kernels need), and the default
-  scaling-and-squaring Paterson-Stockmeyer Taylor evaluation, which is
-  pure batched matmuls — on a single core the LAPACK per-matrix
-  overhead of small-``D`` eigendecompositions makes the matmul route
-  decisively faster, while agreeing with ``eigh`` to ~1e-13.
+  :func:`propagator_sequence` (which composes the two). One routine
+  serves both the Hermitian propagators and the general
+  (superoperator) exponentials of :func:`batched_expm`: a
+  scaling-and-squaring Paterson-Stockmeyer Taylor evaluation, pure
+  batched matmuls — on a single core the LAPACK per-matrix overhead
+  of small-``D`` eigendecompositions makes it decisively faster, while
+  agreeing with ``eigh`` to ~1e-13. Each slice whose estimated
+  squaring level is too high for it goes to an exact per-matrix route
+  instead: a stacked ``eigh`` for Hamiltonians, scipy's Pade for
+  general matrices. The route is always worked out from the slice.
 * **Caching** — :class:`PropagatorCache` memoizes propagators keyed on
   ``(backend/dtype, H fingerprint, dt, steps)``, so repeated slices
   (flat-top pulses, sweeps re-visiting the same amplitudes, drift
@@ -31,7 +34,7 @@ Every device-array operation routes through the active
 numpy/complex128 default is bitwise-identical to direct ``np.`` calls,
 while ``use_backend(..., dtype="complex64")`` (or a GPU backend) runs
 the same code at a different precision/placement. Host-side metadata
-work (segment bookkeeping, fingerprints, scipy fallbacks) deliberately
+work (segment bookkeeping, fingerprints, scipy Pade) deliberately
 stays on :data:`repro.xp.hostnp`; the
 ``benchmarks/check_backend_purity.py`` lint gate enforces the split.
 
@@ -154,15 +157,13 @@ _PS_COEFFS = hnp.array(
     [[1.0 / math.factorial(4 * j + k) for k in range(4)] for j in range(3)]
 )
 _PS_SCALE_THRESHOLD = 0.7
-# "auto" hands stacks needing more squaring levels than this to eigh:
-# 2^14 levels of rounding amplification keep the expm route under
-# ~4e-12, comfortably inside the 1e-10 equivalence contract.
-# (batched_expm — non-Hermitian superoperators with no eigh route —
-# still uses this as its dense-fallback bound.)
+# batched_expm hands slices needing more squaring levels than this to
+# scipy's Pade: 2^14 levels of rounding amplification keep the matmul
+# route under ~4e-12, comfortably inside the 1e-10 equivalence contract.
 _EXPM_MAX_LEVELS = 14
 
-# Hermitian "auto" slices whose estimated squaring level reaches this
-# route to eigh instead: past ~9 levels one exact per-matrix LAPACK
+# Hermitian slices whose estimated squaring level reaches this go to
+# eigh instead: past ~9 levels one exact per-matrix LAPACK
 # decomposition is cheaper than (6 + s) batched squaring matmuls.
 _EIGH_LEVELS = 9
 
@@ -291,12 +292,122 @@ def _expm_skew_batched(xp: Active, hs, coeff, shift, out) -> int:
     return s
 
 
-def batched_propagators(hamiltonians, dt: float, steps=1, *, method: str = "auto"):
+def _as_stack(xp: Active, matrices):
+    """*matrices* as an ``(n, D, D)`` stack on the active backend."""
+    a = xp.asarray(matrices, dtype=xp.cdtype)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValidationError(f"stack must have shape (n, D, D), got {a.shape}")
+    return a
+
+
+def _per_slice(value, n: int, name: str):
+    """*value* as a host scalar or length-*n* array."""
+    arr = hnp.asarray(value)
+    if arr.ndim not in (0, 1) or (arr.ndim == 1 and arr.shape[0] != n):
+        raise ValidationError(
+            f"{name} must be a scalar or length-{n} array, got shape {arr.shape}"
+        )
+    return arr
+
+
+def _expm_stack(xp: Active, a, coeff, mu, far_level: int, far, kernel: str):
+    """``exp(coeff_k * A_k)`` for an ``(n, m, m)`` stack, routed per slice.
+
+    *mu* holds the per-slice traces ``tr(A_k) / m``. Each slice's
+    squaring level is estimated from the cheap radius bound
+    ``|coeff_k| * (||A_k||_inf + |mu_k|)``; slices at or past
+    *far_level* go to the caller's exact per-matrix route
+    ``far(idx)`` (profiled under ``far.__name__``). The rest run the
+    batched Paterson-Stockmeyer evaluation on ``coeff_k * (A_k - mu_k
+    I)``, with the trace shift restored as a scalar phase — it halves
+    the spectral radius of the lopsided spectra seen here (transmon
+    anharmonicity ladders), saving squarings.
+
+    The squaring level is shared across a chunk (the largest slice's
+    ``s`` applies to every matrix in it), so a heterogeneous stack —
+    many short pulse samples mixed with a few long constant runs, the
+    shape every batched Ramsey/delay sweep produces — would pay the
+    worst slice's squarings on the whole chunk. Slices are therefore
+    grouped by estimated level first, and results scatter back in
+    input order; a homogeneous stack is the plain chunked loop.
+    """
+    n, m = a.shape[0], a.shape[1]
+    if n == 0:
+        return xp.copy(a)
+    row_sums = xp.to_host(xp.amax(xp.sum(xp.abs(a), axis=2), axis=1))
+    radius = hnp.abs(xp.to_host(coeff)) * (row_sums + hnp.abs(xp.to_host(mu)))
+    levels = hnp.maximum(
+        0,
+        hnp.ceil(
+            hnp.log2(hnp.maximum(radius, 1e-300) / _PS_SCALE_THRESHOLD)
+        ).astype(int),
+    )
+    routed = levels >= far_level
+    out = xp.empty_like(a)
+    if routed.any():
+        t0 = time.perf_counter()
+        idx = hnp.nonzero(routed)[0]
+        out[idx] = far(idx)
+        _profile.kernel(
+            kernel,
+            n=idx.size,
+            dim=m,
+            seconds=time.perf_counter() - t0,
+            method=far.__name__,
+            backend=xp.spec,
+        )
+        if routed.all():
+            return out
+    t0 = time.perf_counter()
+    shift = coeff * mu
+    top = 0
+    chunk = _expm_chunk(m)
+    for level in hnp.unique(levels[~routed]):
+        sel = hnp.nonzero(levels == level)[0]
+        for lo in range(0, sel.size, chunk):
+            idx = sel[lo : lo + chunk]
+            whole = idx.size == n  # one homogeneous chunk: no gather
+            shift_chunk = shift if whole else shift[idx]
+            out_chunk = out if whole else xp.empty_like(a[idx])
+            s = _expm_skew_batched(
+                xp,
+                a if whole else a[idx],
+                coeff if coeff.ndim == 0 else coeff[idx],
+                shift_chunk,
+                out_chunk,
+            )
+            out_chunk *= xp.exp(shift_chunk)[:, None, None]
+            if not whole:
+                out[idx] = out_chunk
+            top = max(top, s)
+    _profile.kernel(
+        kernel,
+        n=n - int(routed.sum()),
+        dim=m,
+        seconds=time.perf_counter() - t0,
+        levels=top,
+        method="expm",
+        backend=xp.spec,
+    )
+    return out
+
+
+def batched_propagators(hamiltonians, dt: float, steps=1):
     """Exact propagators for a stack of constant Hamiltonians.
 
     ``U_k = exp(-2*pi*i * H_k * dt * steps_k)`` for the whole
     ``(n, D, D)`` stack in a handful of batched array operations on
     the active backend/dtype (:func:`repro.xp.use_backend`).
+
+    Each slice takes the cheaper exact route for its length: the
+    batched Paterson-Stockmeyer matmuls for typical sample durations,
+    and one stacked Hermitian eigendecomposition ``V exp(-2*pi*i E dt
+    s) V†`` once its squaring level reaches ``_EIGH_LEVELS``. Past
+    that level one LAPACK decomposition costs less than the ``6 + s``
+    squaring matmuls, and each level also doubles the rounding, so long
+    constant runs (Ramsey delays, flat-top Rabi pulses) are cheaper and
+    exact through ``eigh``. Mixed stacks split per slice and recombine
+    in input order.
 
     Parameters
     ----------
@@ -304,174 +415,44 @@ def batched_propagators(hamiltonians, dt: float, steps=1, *, method: str = "auto
         Hermitian stack of shape ``(n, D, D)`` in Hz.
     steps:
         Scalar or length-``n`` integer array of segment lengths.
-    method:
-        ``"expm"`` — scaling-and-squaring Paterson-Stockmeyer Taylor
-        after a per-matrix trace shift; pure batched matmuls, the
-        fastest route for the small dimensions simulated here.
-        ``"eigh"`` — one stacked Hermitian eigendecomposition then
-        broadcast phase application ``V exp(-2*pi*i E dt s) V†``;
-        exact to machine precision but pays LAPACK's per-matrix
-        overhead.
-        ``"auto"`` (default) selects ``"expm"`` for typical slice
-        durations (where the two agree to ~1e-13) and falls back to
-        ``"eigh"`` when any slice's phase radius would need so many
-        squaring levels that amplified rounding could breach the
-        engine's 1e-10 equivalence contract (very long constant runs).
 
     Returns
     -------
     Complex array of shape ``(n, D, D)``.
     """
     xp = active()
-    hs = xp.asarray(hamiltonians, dtype=xp.cdtype)
-    if hs.ndim != 3 or hs.shape[1] != hs.shape[2]:
-        raise ValidationError(
-            f"Hamiltonian stack must have shape (n, D, D), got {hs.shape}"
-        )
+    hs = _as_stack(xp, hamiltonians)
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    steps_arr = hnp.asarray(steps)
-    if steps_arr.ndim not in (0, 1) or (
-        steps_arr.ndim == 1 and steps_arr.shape[0] != hs.shape[0]
-    ):
-        raise ValidationError(
-            f"steps must be a scalar or length-{hs.shape[0]} array, "
-            f"got shape {steps_arr.shape}"
-        )
+    steps_arr = _per_slice(steps, hs.shape[0], "steps")
     if hnp.any(steps_arr < 1):
         raise ValidationError("steps must be >= 1")
-    if method not in ("auto", "expm", "eigh"):
-        raise ValidationError(
-            f"method must be 'auto', 'expm' or 'eigh', got {method!r}"
-        )
-    n, dim = hs.shape[0], hs.shape[1]
-    if n == 0:
-        return xp.copy(hs)
     durations = dt * steps_arr.astype(hnp.float64)
 
-    # Cheap per-slice radius bound: |coeff| * inf-norm of the
-    # trace-shifted Hamiltonian. Drives both the auto method choice
-    # and the level-grouped chunking of the expm route below.
-    mu_est = xp.to_host(xp.real(xp.trace(hs, axis1=1, axis2=2))) / dim
-    row_sums = xp.to_host(xp.amax(xp.sum(xp.abs(hs), axis=2), axis=1))
-    radius = _TWO_PI * durations * (row_sums + hnp.abs(mu_est))
-    est_levels = hnp.maximum(
-        0,
-        hnp.ceil(
-            hnp.log2(hnp.maximum(radius, 1e-300) / _PS_SCALE_THRESHOLD)
-        ).astype(int),
-    )
-
-    if method == "auto":
-        # Per-slice cost model: the expm route pays ~(6 + s) batched
-        # matmuls per slice, the eigh route a fixed ~9-matmul-equivalent
-        # LAPACK decomposition — so long constant runs (Ramsey delays,
-        # flat-top Rabi pulses; s >= _EIGH_LEVELS) are cheaper AND exact
-        # through eigh, while the short pulse samples that dominate
-        # waveform slices stay on the batched-matmul expm path. Mixed
-        # stacks split per slice and recombine in input order. Each
-        # squaring level also amplifies rounding by ~2x, so routing
-        # high-level slices to eigh keeps the expm route comfortably
-        # inside the engine's 1e-10 equivalence contract.
-        eigh_mask = est_levels >= _EIGH_LEVELS
-        if bool(eigh_mask.all()):
-            method = "eigh"
-        elif not bool(eigh_mask.any()):
-            method = "expm"
-        else:
-            split = xp.empty_like(hs)
-            for mask, route in ((eigh_mask, "eigh"), (~eigh_mask, "expm")):
-                idx = hnp.nonzero(mask)[0]
-                sub_steps = (
-                    steps_arr if steps_arr.ndim == 0 else steps_arr[idx]
-                )
-                split[idx] = batched_propagators(
-                    hs[idx], dt, sub_steps, method=route
-                )
-            return split
-
-    if method == "eigh":
-        t0 = time.perf_counter()
-        evals, evecs = xp.eigh(hs)  # (n, D), (n, D, D)
-        if durations.ndim == 1:
-            durations = durations[:, None]
+    def eigh(idx):
+        evals, evecs = xp.eigh(hs[idx])  # (k, D), (k, D, D)
+        length = durations if durations.ndim == 0 else durations[idx, None]
         phases = xp.exp(
             xp.asarray(
-                -1j * _TWO_PI * xp.to_host(evals) * durations, dtype=xp.cdtype
+                -1j * _TWO_PI * xp.to_host(evals) * length, dtype=xp.cdtype
             )
         )
-        us = xp.matmul(evecs * phases[:, None, :], xp.adjoint(evecs))
-        _profile.kernel(
-            "propagators",
-            n=n,
-            dim=dim,
-            seconds=time.perf_counter() - t0,
-            method="eigh",
-            backend=xp.spec,
-        )
-        return us
+        return xp.matmul(evecs * phases[:, None, :], xp.adjoint(evecs))
 
-    # expm route: theta_k = -2*pi*i * dt * steps_k * (H_k - mu_k I),
-    # with the trace shift mu_k = tr(H_k)/D peeled off as a scalar
-    # phase — it halves the spectral radius for the lopsided spectra
-    # (transmon anharmonicity ladders) seen here, saving squarings.
-    t0 = time.perf_counter()
-    coeff = xp.asarray(
-        hnp.asarray(-1j * _TWO_PI * durations), dtype=xp.cdtype
-    )  # scalar or (n,)
-    mu = xp.real(xp.trace(hs, axis1=1, axis2=2)) / dim
-    shift = coeff * mu
-    out = xp.empty_like(hs)
-    levels = 0
-    # The squaring level is shared across a chunk (the largest slice's
-    # s applies to every matrix in it), so a heterogeneous stack — many
-    # short pulse samples mixed with a few long constant runs, the
-    # shape every batched Ramsey/delay sweep produces — would pay the
-    # worst slice's 2^s squaring matmuls on the *whole* chunk. Group
-    # slices by their estimated level first: each group squares only as
-    # much as its own members need, and results scatter back in input
-    # order. A homogeneous stack degenerates to the plain chunked loop.
-    chunk = _expm_chunk(dim)
-    for level in hnp.unique(est_levels):
-        sel = hnp.nonzero(est_levels == level)[0]
-        for a in range(0, sel.size, chunk):
-            idx = sel[a : a + chunk]
-            contiguous = idx.size == n  # single homogeneous group
-            hs_chunk = hs if contiguous else hs[idx]
-            shift_chunk = shift if contiguous else shift[idx]
-            out_chunk = out if contiguous else xp.empty_like(hs_chunk)
-            c = coeff if coeff.ndim == 0 else coeff[idx]
-            s = _expm_skew_batched(xp, hs_chunk, c, shift_chunk, out_chunk)
-            if not contiguous:
-                out[idx] = out_chunk
-            if s > levels:
-                levels = s
-    out *= xp.exp(shift)[:, None, None]
-    _profile.kernel(
-        "propagators",
-        n=n,
-        dim=dim,
-        seconds=time.perf_counter() - t0,
-        levels=levels,
-        method="expm",
-        backend=xp.spec,
-    )
-    return out
+    coeff = xp.asarray(hnp.asarray(-1j * _TWO_PI * durations), dtype=xp.cdtype)
+    mu = xp.real(xp.trace(hs, axis1=1, axis2=2)) / hs.shape[1]
+    return _expm_stack(xp, hs, coeff, mu, _EIGH_LEVELS, eigh, "propagators")
 
 
-def batched_expm(matrices, *, scale=1.0, method: str = "auto"):
+def batched_expm(matrices, *, scale=1.0):
     """``exp(scale_k * A_k)`` for a stack of *general* square matrices.
 
     The open-system engine exponentiates Lindblad superoperators —
     non-Hermitian, so the ``eigh`` route of
     :func:`batched_propagators` does not apply — through the same
-    scaling-and-squaring Paterson-Stockmeyer evaluation: pure batched
-    matmuls after a per-matrix trace shift. Unlike the Hermitian case
-    there is no spectral fallback, so ``method="dense"`` hands the
-    stack to ``scipy.linalg.expm`` (Pade) one matrix at a time — the
-    accurate route when a slice's scaled norm would need excessive
-    squaring. ``"auto"`` picks ``"expm"`` below the squaring-level
-    bound and ``"dense"`` above it.
+    scaling-and-squaring Paterson-Stockmeyer evaluation. A slice whose
+    scaled norm would need more than ``_EXPM_MAX_LEVELS`` squarings
+    goes to ``scipy.linalg.expm`` (Pade) instead, one matrix at a time.
 
     Parameters
     ----------
@@ -483,74 +464,17 @@ def batched_expm(matrices, *, scale=1.0, method: str = "auto"):
         rates are per-second).
     """
     xp = active()
-    a = xp.asarray(matrices, dtype=xp.cdtype)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValidationError(
-            f"matrix stack must have shape (n, m, m), got {a.shape}"
+    a = _as_stack(xp, matrices)
+    coeff = xp.asarray(_per_slice(scale, a.shape[0], "scale"), dtype=xp.cdtype)
+
+    def dense(idx):
+        c = coeff if coeff.ndim == 0 else coeff[idx]
+        return xp.asarray(
+            _dense_expm(xp.to_host(a[idx]), xp.to_host(c)), dtype=xp.cdtype
         )
-    if method not in ("auto", "expm", "dense"):
-        raise ValidationError(
-            f"method must be 'auto', 'expm' or 'dense', got {method!r}"
-        )
-    n, m = a.shape[0], a.shape[1]
-    if n == 0:
-        return xp.copy(a)
-    scale_arr = hnp.asarray(scale)
-    if scale_arr.ndim not in (0, 1) or (
-        scale_arr.ndim == 1 and scale_arr.shape[0] != n
-    ):
-        raise ValidationError(
-            f"scale must be a scalar or length-{n} array, got shape "
-            f"{scale_arr.shape}"
-        )
-    coeff = xp.asarray(scale_arr, dtype=xp.cdtype)
-    mu = xp.trace(a, axis1=1, axis2=2) / m
-    if method == "auto":
-        row_sums = xp.to_host(xp.amax(xp.sum(xp.abs(a), axis=2), axis=1))
-        radius = hnp.abs(xp.to_host(coeff)) * (
-            row_sums + hnp.abs(xp.to_host(mu))
-        )
-        method = (
-            "dense"
-            if radius.max() > _PS_SCALE_THRESHOLD * 2.0**_EXPM_MAX_LEVELS
-            else "expm"
-        )
-    if method == "dense":
-        t0 = time.perf_counter()
-        dense = xp.asarray(
-            _dense_expm(xp.to_host(a), xp.to_host(coeff)), dtype=xp.cdtype
-        )
-        _profile.kernel(
-            "expm",
-            n=n,
-            dim=m,
-            seconds=time.perf_counter() - t0,
-            method="dense",
-            backend=xp.spec,
-        )
-        return dense
-    t0 = time.perf_counter()
-    shift = xp.broadcast_to(coeff * mu, (n,))  # mu is (n,), so shift is too
-    out = xp.empty_like(a)
-    levels = 0
-    chunk = _expm_chunk(m)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        c = coeff if coeff.ndim == 0 else coeff[lo:hi]
-        s = _expm_skew_batched(xp, a[lo:hi], c, shift[lo:hi], out[lo:hi])
-        if s > levels:
-            levels = s
-    out *= xp.exp(shift)[:, None, None]
-    _profile.kernel(
-        "expm",
-        n=n,
-        dim=m,
-        seconds=time.perf_counter() - t0,
-        levels=levels,
-        method="expm",
-        backend=xp.spec,
-    )
-    return out
+
+    mu = xp.trace(a, axis1=1, axis2=2) / a.shape[1]
+    return _expm_stack(xp, a, coeff, mu, _EXPM_MAX_LEVELS + 1, dense, "expm")
 
 
 def _coerce_expm_result(r, stack_dtype):
@@ -585,37 +509,16 @@ def _coerce_expm_result(r, stack_dtype):
 
 
 def _dense_expm(a, coeff):
-    """Per-matrix dense exponential fallback (scipy Pade when present).
+    """Per-matrix scipy Pade exponential of ``coeff_k * a_k``.
 
     Host-resident by design: scipy has no device-array path, so the
     caller moves the stack to the host first and re-wraps the result.
     """
+    from scipy.linalg import expm
+
     scaled = a * hnp.broadcast_to(coeff, (a.shape[0],))[:, None, None]
-    try:
-        from scipy.linalg import expm as _scipy_expm
-    except ImportError:  # scipy is optional at runtime: diagonalize instead
-        out = hnp.empty_like(scaled)
-        for k in range(scaled.shape[0]):
-            evals, vecs = hnp.linalg.eig(scaled[k])
-            # Non-normal matrices can be near-defective; eig+inv then
-            # returns garbage silently. Fail loud instead: scipy's Pade
-            # route is the supported path for these inputs.
-            cond = hnp.linalg.cond(vecs)
-            if not hnp.isfinite(cond) or cond > 1e12:
-                raise ValidationError(
-                    "dense expm fallback: eigenvector matrix is "
-                    f"ill-conditioned (cond ~ {cond:.1e}); install scipy "
-                    "for the Pade route"
-                )
-            out[k] = _coerce_expm_result(
-                (vecs * hnp.exp(evals)) @ hnp.linalg.inv(vecs), scaled.dtype
-            )
-        return out
     return hnp.stack(
-        [
-            _coerce_expm_result(_scipy_expm(scaled[k]), scaled.dtype)
-            for k in range(scaled.shape[0])
-        ]
+        [_coerce_expm_result(expm(x), scaled.dtype) for x in scaled]
     )
 
 
@@ -631,11 +534,7 @@ def batched_expm_and_frechet(hamiltonians, dt: float):
     construction is a handful of broadcast operations.
     """
     xp = active()
-    hs = xp.asarray(hamiltonians, dtype=xp.cdtype)
-    if hs.ndim != 3 or hs.shape[1] != hs.shape[2]:
-        raise ValidationError(
-            f"Hamiltonian stack must have shape (n, D, D), got {hs.shape}"
-        )
+    hs = _as_stack(xp, hamiltonians)
     evals, vecs = xp.eigh(hs)  # (n, D), (n, D, D)
     f = xp.exp(
         xp.asarray(-1j * _TWO_PI * xp.to_host(evals) * dt, dtype=xp.cdtype)
@@ -682,10 +581,8 @@ class PropagatorCache:
     :attr:`repro.xp.Active.spec`, so a complex64 scope never serves
     (or poisons) complex128 results.
     Thread-safe; one instance can be shared across executors.
-
-    :meth:`propagator` returns the stored arrays themselves, frozen
-    read-only (``.copy()`` before mutating); :meth:`propagators`
-    returns a freshly assembled, writable stack.
+    Entries are stored frozen read-only; :meth:`propagators` returns a
+    freshly assembled, writable stack.
 
     Hit/miss/eviction accounting lives in a
     :class:`~repro.obs.CacheStats` whose every mutation happens under
@@ -734,59 +631,6 @@ class PropagatorCache:
         with self._lock:
             return self.stats["misses"]
 
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.stats["hits"] + self.stats["misses"]
-            return self.stats["hits"] / total if total else 0.0
-
-    def _key(
-        self,
-        fingerprint: bytes,
-        dt: float,
-        steps: int,
-        tag: str = "",
-        spec: str | None = None,
-    ) -> tuple:
-        # Non-integral steps would compute one propagator but file it
-        # under the truncated key, poisoning later integer lookups.
-        if steps != int(steps):
-            raise ValidationError(f"steps must be integral, got {steps}")
-        # The tag namespaces entries produced by different compute
-        # functions (e.g. Lindblad superoperator propagators keyed on
-        # the same Hamiltonian fingerprints) so they cannot collide
-        # with plain unitary propagators in a shared cache; the
-        # backend/dtype spec namespaces entries per working precision
-        # and device placement.
-        if spec is None:
-            spec = active().spec
-        return (tag, spec, fingerprint, float(dt), int(steps))
-
-    def propagator(
-        self,
-        hamiltonian,
-        dt: float,
-        steps: int = 1,
-        *,
-        fingerprint: bytes | None = None,
-    ):
-        """Cached equivalent of :func:`step_propagator`."""
-        xp = active()
-        h = xp.asarray(hamiltonian, dtype=xp.cdtype)
-        if fingerprint is None:
-            fingerprint = hamiltonian_fingerprint(h)
-        key = self._key(fingerprint, dt, steps, spec=xp.spec)
-        with self._lock:
-            u = self._entries.get(key)
-            if u is not None:
-                self._entries.move_to_end(key)
-                self.stats["hits"] += 1
-                return u
-            self.stats["misses"] += 1
-        u = step_propagator(h, dt, steps)
-        self._store(key, xp.freeze(u))
-        return u
-
     def propagators(
         self,
         hamiltonians,
@@ -811,11 +655,7 @@ class PropagatorCache:
         which is cheaper to hash than the ``D^2 x D^2`` superoperator).
         """
         xp = active()
-        hs = xp.asarray(hamiltonians, dtype=xp.cdtype)
-        if hs.ndim != 3 or hs.shape[1] != hs.shape[2]:
-            raise ValidationError(
-                f"Hamiltonian stack must have shape (n, D, D), got {hs.shape}"
-            )
+        hs = _as_stack(xp, hamiltonians)
         n = hs.shape[0]
         if n == 0:
             return xp.copy(hs)
@@ -828,6 +668,12 @@ class PropagatorCache:
         # a single vectorized comparison pass; non-adjacent repeats
         # collapse through the shared cache key. Only representatives
         # are hashed, and the results scatter back with one gather.
+        # The key's tag namespaces entries produced by different compute
+        # functions (e.g. Lindblad superoperator propagators keyed on
+        # the same Hamiltonian fingerprints) so they cannot collide
+        # with plain unitary propagators in a shared cache; the
+        # backend/dtype spec namespaces entries per working precision
+        # and device placement.
         changed = xp.to_host(xp.any(hs[1:] != hs[:-1], axis=(1, 2))) | (
             steps_arr[1:] != steps_arr[:-1]
         )
@@ -835,12 +681,12 @@ class PropagatorCache:
         reps = hnp.concatenate(([0], hnp.nonzero(changed)[0] + 1))
         run_sizes = hnp.diff(hnp.concatenate((reps, [n])))
         keys = [
-            self._key(
-                hamiltonian_fingerprint(hs[k]),
-                dt,
-                steps_arr[k],
+            (
                 tag,
-                spec=xp.spec,
+                xp.spec,
+                hamiltonian_fingerprint(hs[k]),
+                float(dt),
+                int(steps_arr[k]),
             )
             for k in reps
         ]
@@ -886,10 +732,9 @@ class PropagatorCache:
             return xp.stack(run_props)[inverse]
 
     def _store(self, key: tuple, u) -> None:
-        # Lookups hand out the stored array itself (no copy on the hot
-        # path); the caller freezes it first (where the backend supports
-        # it) so an accidental in-place edit becomes an immediate error
-        # instead of silent cache poisoning.
+        # The caller freezes *u* first (where the backend supports it),
+        # so an accidental in-place edit of a stored entry becomes an
+        # immediate error instead of silent cache poisoning.
         with self._lock:
             self._entries[key] = u
             self._entries.move_to_end(key)

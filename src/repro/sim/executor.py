@@ -165,6 +165,10 @@ class ScheduleExecutor:
     #: Superoperator slices materialized at once by an open-system
     #: flush (a (D^2, D^2) slice is D^2 times a unitary's footprint).
     _MAX_OPEN_BATCH_SLICES = 512
+    #: Largest Hilbert dimension whose Lindblad evolution materializes
+    #: (D^2, D^2) superoperators (32 -> 1024^2 complex entries per run,
+    #: ~16 MiB); larger models sample quantum-jump trajectories.
+    _MAX_SUPEROP_DIM = 32
     #: Matrix entries of a closed-system kernel chunk: small models run
     #: a whole batch as one chunk, large ones (D = 3^5 = 243) flush
     #: every few slices so the stacked Hamiltonians and their
@@ -177,13 +181,7 @@ class ScheduleExecutor:
         readout: Mapping[int, ReadoutModel] | None = None,
         *,
         propagator_cache: PropagatorCache | None = None,
-        open_system_method: str = "auto",
     ) -> None:
-        if open_system_method not in ("auto", "superoperator", "trajectories"):
-            raise ValidationError(
-                "open_system_method must be 'auto', 'superoperator' or "
-                f"'trajectories', got {open_system_method!r}"
-            )
         self.model = model
         self.readout = dict(readout or {})
         self._drift_eig = np.linalg.eigh(model.drift)
@@ -199,8 +197,6 @@ class ScheduleExecutor:
         self.propagator_cache = (
             propagator_cache if propagator_cache is not None else PropagatorCache()
         )
-        #: How density-matrix evolution runs (see module docstring).
-        self.open_system_method = open_system_method
         self._open_engine: "OpenSystemEngine | None" = None
 
     @property
@@ -212,9 +208,7 @@ class ScheduleExecutor:
             # colliding, and sweeps/serving then hold one bounded
             # cache instead of one per engine.
             self._open_engine = OpenSystemEngine.from_model(
-                self.model,
-                method=self.open_system_method,
-                cache=self.propagator_cache,
+                self.model, cache=self.propagator_cache
             )
         return self._open_engine
 
@@ -659,14 +653,7 @@ class ScheduleExecutor:
 
         if use_dm:
             engine = self.open_system
-            method = self.open_system_method
-            if method == "auto":
-                method = (
-                    "superoperator"
-                    if engine.dim <= engine.max_superop_dim
-                    else "trajectories"
-                )
-            if method == "trajectories":
+            if engine.dim > self._MAX_SUPEROP_DIM:
                 # Large-D fallback: quantum jumps consume each
                 # schedule's own RNG during evolution.
                 finals = []
@@ -681,12 +668,8 @@ class ScheduleExecutor:
                             rows[:, j], channel_names
                         )
                         stack.append(
-                            engine.evolve(
-                                hs,
-                                steps,
-                                state0,
-                                rng=rngs[i],
-                                method="trajectories",
+                            engine.evolve_trajectories(
+                                hs, steps, state0, rng=rngs[i]
                             )
                         )
                     finals.append(np.stack(stack))

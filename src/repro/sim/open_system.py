@@ -18,8 +18,8 @@ and the whole schedule into a stack of them — which this module
 exponentiates exactly the way :mod:`repro.sim.evolve` exponentiates
 unitary slices: assemble the ``(n, D^2, D^2)`` stack in a handful of
 broadcast operations, push it through the batched scaling-and-squaring
-Paterson-Stockmeyer :func:`~repro.sim.evolve.batched_expm` (dense
-per-matrix fallback when a slice would need excessive squaring), and
+Paterson-Stockmeyer :func:`~repro.sim.evolve.batched_expm` (scipy's
+Pade for any slice that would need excessive squaring), and
 memoize through the shared :class:`~repro.sim.evolve.PropagatorCache`
 keyed on the *Hamiltonian* fingerprint under a dissipator-specific
 namespace tag — repeated drive amplitudes (flat-tops, echo trains,
@@ -35,8 +35,9 @@ squared norm crosses a pre-drawn uniform threshold. Memory is
 ``O(n_traj * D)`` and the average converges to the Lindblad result at
 the ``1/sqrt(n_traj)`` shot rate.
 
-:class:`OpenSystemEngine` picks between the two automatically:
-superoperators up to :attr:`~OpenSystemEngine.max_superop_dim`,
+The Hilbert dimension picks between the two: the schedule executor
+(:class:`~repro.sim.executor.ScheduleExecutor`) materializes
+superoperators up to its ``_MAX_SUPEROP_DIM`` and samples
 trajectories beyond.
 
 Backend split: superoperator assembly and the vectorized evolution
@@ -54,7 +55,7 @@ import hashlib
 from typing import Sequence
 
 from repro.errors import ValidationError
-from repro.sim.evolve import PropagatorCache, batched_expm
+from repro.sim.evolve import PropagatorCache, _as_stack, batched_expm
 from repro.sim.model import DecoherenceSpec, SystemModel
 from repro.sim.operators import annihilation, embed
 from repro.xp import active
@@ -182,11 +183,7 @@ def dissipator_superoperator(
 def hamiltonian_superoperators(hamiltonians) -> hnp.ndarray:
     """``-2*pi*i (H kron I - I kron H^T)`` for a ``(n, D, D)`` stack."""
     xp = active()
-    hs = xp.asarray(hamiltonians, dtype=xp.cdtype)
-    if hs.ndim != 3 or hs.shape[1] != hs.shape[2]:
-        raise ValidationError(
-            f"Hamiltonian stack must have shape (n, D, D), got {hs.shape}"
-        )
+    hs = _as_stack(xp, hamiltonians)
     n, dim = hs.shape[0], hs.shape[1]
     eye = xp.eye(dim, dtype=xp.cdtype)
     # Row-major composite index (i, j), (k, l):
@@ -224,7 +221,6 @@ def batched_superpropagators(
     dt: float,
     steps=1,
     *,
-    method: str = "auto",
     dissipator: hnp.ndarray | None = None,
 ) -> hnp.ndarray:
     """``exp(L_k * dt * steps_k)`` for a stack of constant-drive runs.
@@ -232,8 +228,8 @@ def batched_superpropagators(
     The open-system analogue of
     :func:`~repro.sim.evolve.batched_propagators`: one
     ``(n, D^2, D^2)`` stack of completely positive trace-preserving
-    maps, evaluated with batched matmuls (*method* as in
-    :func:`~repro.sim.evolve.batched_expm`) on the active backend.
+    maps, evaluated by :func:`~repro.sim.evolve.batched_expm` on the
+    active backend.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
@@ -243,9 +239,7 @@ def batched_superpropagators(
     ls = lindblad_superoperators(
         hamiltonians, collapse_ops, dissipator=dissipator
     )
-    return batched_expm(
-        ls, scale=dt * steps_arr.astype(hnp.float64), method=method
-    )
+    return batched_expm(ls, scale=dt * steps_arr.astype(hnp.float64))
 
 
 class OpenSystemEngine:
@@ -265,17 +259,6 @@ class OpenSystemEngine:
     cache:
         Optional shared propagator cache (a private one is created
         otherwise).
-    method:
-        ``"superoperator"`` — exact ``(D^2, D^2)`` propagators;
-        ``"trajectories"`` — quantum-jump sampling, memory ``O(D)``;
-        ``"auto"`` (default) — superoperators up to
-        ``max_superop_dim``, trajectories beyond.
-    trajectories:
-        Trajectory count for the sampling path.
-    max_superop_dim:
-        Largest Hilbert dimension the auto policy still materializes
-        ``D^2 x D^2`` superoperators for (32 -> 1024^2 complex entries
-        per run, ~16 MiB — past that, trajectories win).
     collapse_ops:
         Explicit collapse operators overriding the per-site T1/T2
         construction — for engines over hand-built noise models (e.g.
@@ -289,28 +272,13 @@ class OpenSystemEngine:
         dt: float,
         *,
         cache: PropagatorCache | None = None,
-        method: str = "auto",
-        trajectories: int = 512,
-        max_superop_dim: int = 32,
         collapse_ops: Sequence[hnp.ndarray] | None = None,
     ) -> None:
-        if method not in ("auto", "superoperator", "trajectories"):
-            raise ValidationError(
-                "method must be 'auto', 'superoperator' or "
-                f"'trajectories', got {method!r}"
-            )
         if dt <= 0:
             raise ValidationError(f"dt must be > 0, got {dt}")
-        if trajectories < 1:
-            raise ValidationError(
-                f"trajectories must be >= 1, got {trajectories}"
-            )
         self.dims = tuple(int(d) for d in dims)
         self.dim = int(hnp.prod(self.dims))
         self.dt = float(dt)
-        self.method = method
-        self.trajectories = int(trajectories)
-        self.max_superop_dim = int(max_superop_dim)
         if collapse_ops is not None:
             self.collapse_ops = [
                 hnp.asarray(c, dtype=hnp.complex128) for c in collapse_ops
@@ -366,7 +334,7 @@ class OpenSystemEngine:
         the host.
         """
         xp = active()
-        rho = self._as_density(rho)
+        rho = as_density(rho, self.dim)
         props = self.superpropagators(hamiltonians, steps)
         vec = xp.asarray(vectorize_density(rho), dtype=xp.cdtype)
         for s in props:
@@ -381,7 +349,7 @@ class OpenSystemEngine:
         steps,
         state,
         *,
-        n_trajectories: int | None = None,
+        n_trajectories: int = 512,
         rng: hnp.random.Generator | None = None,
     ) -> hnp.ndarray:
         """Quantum-jump estimate of the final density matrix.
@@ -411,7 +379,7 @@ class OpenSystemEngine:
         )
         if hnp.any(steps_arr < 1):
             raise ValidationError("steps must be >= 1")
-        m = int(n_trajectories or self.trajectories)
+        m = int(n_trajectories)
         if m < 1:
             raise ValidationError(f"n_trajectories must be >= 1, got {m}")
         if rng is None:
@@ -464,45 +432,9 @@ class OpenSystemEngine:
                 )
             psi = state / hnp.linalg.norm(state)
             return hnp.tile(psi, (m, 1))
-        rho = self._as_density(state)
+        rho = as_density(state, self.dim)
         evals, evecs = hnp.linalg.eigh(rho)
         evals = hnp.clip(evals.real, 0.0, None)
         evals /= evals.sum()
         picks = rng.choice(self.dim, size=m, p=evals)
         return evecs.T[picks].astype(hnp.complex128)
-
-    # ---- dispatch ----------------------------------------------------------------
-
-    def evolve(
-        self,
-        hamiltonians,
-        steps,
-        state,
-        *,
-        rng: hnp.random.Generator | None = None,
-        method: str | None = None,
-    ) -> hnp.ndarray:
-        """Evolve *state* (ket or density matrix) through the runs.
-
-        Returns a density matrix either way. *method* overrides the
-        engine default for this call.
-        """
-        method = method or self.method
-        if method == "auto":
-            method = (
-                "superoperator"
-                if self.dim <= self.max_superop_dim
-                else "trajectories"
-            )
-        if method == "trajectories":
-            return self.evolve_trajectories(
-                hamiltonians, steps, state, rng=rng
-            )
-        if method != "superoperator":
-            raise ValidationError(f"unknown open-system method {method!r}")
-        return self.evolve_density_matrix(
-            hamiltonians, steps, self._as_density(state)
-        )
-
-    def _as_density(self, state: hnp.ndarray) -> hnp.ndarray:
-        return as_density(state, self.dim)

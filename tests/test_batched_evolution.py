@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
 from repro.client import ClientResult, MQSSClient
 from repro.control import GrapeOptimizer, amplitude_scan, detuning_scan
-from repro.control.grape import _expm_and_frechet_basis
 from repro.control.hamiltonians import qubit_subspace_isometry
 from repro.devices import SuperconductingDevice
 from repro.errors import ServiceError, ValidationError
+from repro.obs import profile
 from repro.primitives import Observable
 from repro.qdmi import QDMIDriver
 from repro.qpi import PythonicCircuit
@@ -56,14 +57,47 @@ def transmon_problem():
     return drift, controls, n, qubit_subspace_isometry(dims)
 
 
+def kernel_routes(fn, *args, **kwargs):
+    """``(result, {route: slices})`` of the kernel calls made by *fn*."""
+    profile.enable_profiling()
+    prev = profile.begin_collect()
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        profile.disable_profiling()
+        records = profile.end_collect(prev)
+    routes: dict[str, int] = {}
+    for r in records:
+        if r["kind"] == "kernel":
+            routes[r["method"]] = routes.get(r["method"], 0) + r["n"]
+    return result, routes
+
+
+#: Run lengths on each side of the eigh cutoff for these stacks: one
+#: sample stays on the matmul route, 10 us of constant drive goes to
+#: eigh (its squaring level is far past ``_EIGH_LEVELS``).
+ROUTE_STEPS = {"expm": 1, "eigh": 10_000}
+
+
 class TestBatchedPropagators:
-    @pytest.mark.parametrize("method", ["expm", "eigh"])
+    @pytest.mark.parametrize("route", ["expm", "eigh"])
     @pytest.mark.parametrize("dim", [2, 8, 9])
-    def test_matches_per_slice_loop(self, method, dim):
+    def test_matches_per_slice_loop(self, route, dim):
         hs = random_hermitian_stack(23, dim, seed=dim)
-        us = batched_propagators(hs, DT, method=method)
+        steps = ROUTE_STEPS[route]
+        us, routes = kernel_routes(batched_propagators, hs, DT, steps)
+        assert routes == {route: 23}
         for k in range(hs.shape[0]):
-            ref = step_propagator(hs[k], DT)
+            ref = step_propagator(hs[k], DT, steps)
+            assert np.abs(us[k] - ref).max() < 1e-10
+
+    def test_mixed_steps_stack_routes_per_slice(self):
+        hs = random_hermitian_stack(20, 6, seed=4)
+        steps = np.tile([ROUTE_STEPS["expm"], ROUTE_STEPS["eigh"]], 10)
+        us, routes = kernel_routes(batched_propagators, hs, DT, steps)
+        assert routes == {"expm": 10, "eigh": 10}
+        for k in range(20):
+            ref = step_propagator(hs[k], DT, steps=int(steps[k]))
             assert np.abs(us[k] - ref).max() < 1e-10
 
     def test_per_slice_steps_array(self):
@@ -90,17 +124,18 @@ class TestBatchedPropagators:
             assert np.abs(us[k] - ref).max() < 1e-10
 
     def test_very_long_runs_stay_exact(self):
-        # Squaring amplifies rounding ~2x per level, so "auto" must
-        # hand very long constant runs (10 us+ flat-tops) to eigh to
-        # hold the 1e-10 contract.
+        # Squaring amplifies rounding ~2x per level, so very long
+        # constant runs (10 us+ flat-tops) must go to eigh to hold the
+        # 1e-10 contract.
         hs = random_hermitian_stack(2, 8, scale=2.5e9, seed=21)
         for steps in (10_000, 1_000_000):
-            auto = batched_propagators(hs, DT, steps=steps)
-            exact = batched_propagators(hs, DT, steps=steps, method="eigh")
-            assert np.abs(auto - exact).max() < 1e-10
-            eye = np.eye(8)
-            for u in auto:
-                assert np.abs(u @ u.conj().T - eye).max() < 1e-10
+            us, routes = kernel_routes(batched_propagators, hs, DT, steps)
+            assert routes == {"eigh": 2}
+            for u in us:
+                assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-10
+        for h, u in zip(hs, batched_propagators(hs, DT, 10_000)):
+            exact = step_propagator(h, DT, steps=10_000)
+            assert np.abs(u - exact).max() < 1e-10
 
     def test_empty_stack(self):
         hs = np.zeros((0, 4, 4), dtype=complex)
@@ -116,8 +151,6 @@ class TestBatchedPropagators:
             batched_propagators(hs, DT, steps=0)
         with pytest.raises(ValidationError):
             batched_propagators(hs, DT, steps=np.array([1, 2]))
-        with pytest.raises(ValidationError):
-            batched_propagators(hs, DT, method="pade")
 
     def test_build_hamiltonians_matches_manual(self):
         drift, ops, _, _ = transmon_problem()
@@ -154,6 +187,10 @@ class TestPropagatorCache:
         assert cache.hits == 10
         assert np.abs(first - second).max() == 0.0
         assert np.abs(first - batched_propagators(hs, DT)).max() < 1e-12
+        # The returned stack is the caller's: editing it leaves the
+        # stored (frozen) entries intact.
+        second[:] = 0.0
+        assert np.array_equal(cache.propagators(hs, DT), first)
 
     def test_flat_top_runs_dedup_within_batch(self):
         cache = PropagatorCache()
@@ -170,8 +207,8 @@ class TestPropagatorCache:
     def test_distinct_steps_are_distinct_entries(self):
         cache = PropagatorCache()
         h = random_hermitian_stack(1, 3, seed=9)[0]
-        u1 = cache.propagator(h, DT, steps=1)
-        u2 = cache.propagator(h, DT, steps=2)
+        u1 = cache.propagators(h[None], DT, 1)[0]
+        u2 = cache.propagators(h[None], DT, 2)[0]
         assert len(cache) == 2
         assert np.abs(u2 - u1 @ u1).max() < 1e-10
 
@@ -181,38 +218,16 @@ class TestPropagatorCache:
         cache.propagators(hs, DT)
         assert len(cache) == 4
 
-    def test_hit_rate(self):
-        cache = PropagatorCache()
-        assert cache.hit_rate == 0.0
-        hs = random_hermitian_stack(4, 3, seed=11)
-        cache.propagators(hs, DT)
-        cache.propagators(hs, DT)
-        assert cache.hit_rate == pytest.approx(0.5)
-
     def test_fractional_steps_rejected(self):
         # A truncated key with an untruncated value would poison later
         # integer-steps lookups.
         cache = PropagatorCache()
         h = random_hermitian_stack(1, 3, seed=12)[0]
         with pytest.raises(ValidationError, match="integral"):
-            cache.propagator(h, DT, steps=2.5)
+            cache.propagators(h[None], DT, steps=2.5)
         with pytest.raises(ValidationError, match="integral"):
             cache.propagators(h[None], DT, steps=np.array([2.5]))
         assert len(cache) == 0
-
-    def test_single_lookup_entries_are_frozen(self):
-        # propagator() hands out the stored array itself; mutating it
-        # must fail loudly rather than silently corrupt the cache.
-        cache = PropagatorCache()
-        h = random_hermitian_stack(1, 3, seed=13)[0]
-        u = cache.propagator(h, DT)
-        with pytest.raises(ValueError):
-            u *= 2.0
-        hit = cache.propagator(h, DT)
-        assert np.abs(hit - step_propagator(h, DT)).max() < 1e-10
-        # The batched path returns a writable stack.
-        batch = cache.propagators(h[None], DT)
-        batch[0, 0, 0] = 0.0
 
 
 def count_batched_calls(monkeypatch) -> list[int]:
@@ -268,13 +283,19 @@ class TestEngineCounts:
 
 class TestBatchedFrechet:
     def test_matches_single_matrix_kernel(self):
+        # Independent reference: scipy's Frechet derivative of expm at
+        # A = -2*pi*i*dt*H in direction -2*pi*i*dt*E.
         hs = random_hermitian_stack(7, 6, seed=12)
+        directions = random_hermitian_stack(7, 6, seed=13)
         us, vs, gammas = batched_expm_and_frechet(hs, DT)
         for k in range(7):
-            u, v, g = _expm_and_frechet_basis(hs[k], DT)
+            u, du = expm_frechet(
+                -2j * np.pi * DT * hs[k], -2j * np.pi * DT * directions[k]
+            )
+            v = vs[k]
+            kernel = v @ (gammas[k] * (v.conj().T @ directions[k] @ v)) @ v.conj().T
             assert np.abs(us[k] - u).max() < 1e-12
-            assert np.abs(vs[k] - v).max() < 1e-12
-            assert np.abs(gammas[k] - g).max() < 1e-12
+            assert np.abs(kernel - du).max() < 1e-9 * np.abs(du).max()
 
     def test_grape_gradient_matches_finite_differences(self):
         drift, ops, _, iso = transmon_problem()

@@ -414,7 +414,7 @@ class TestCacheIntegration:
 
         def work():
             for i in range(n_iter):
-                cache.propagator(hams[i % len(hams)], dt=0.1)
+                cache.propagators(hams[i % len(hams)][None], dt=0.1)
 
         threads = [threading.Thread(target=work) for _ in range(n_threads)]
         for t in threads:
@@ -434,7 +434,7 @@ class TestCacheIntegration:
         cache = PropagatorCache(max_entries=2)
         for k in range(4):
             ham = np.diag([0.0, float(k + 1)])
-            cache.propagator(ham, dt=0.1)
+            cache.propagators(ham[None], dt=0.1)
         assert cache.stats()["evictions"] == 2
         assert len(cache) == 2
 

@@ -5,7 +5,11 @@ calibration and mitigation layers build on these behaviours."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import repro.sim.evolve as evolve
 from repro.core import (
     Capture,
     Delay,
@@ -16,7 +20,6 @@ from repro.core import (
     SetFrequency,
     constant_waveform,
 )
-from repro.errors import ValidationError
 from repro.sim import DecoherenceSpec, ScheduleExecutor
 from repro.sim.evolve import batched_expm, batched_propagators
 from repro.sim.model import transmon_model
@@ -111,6 +114,34 @@ class TestCPTP:
         for s in props:
             choi = choi_matrix(s, 4)
             assert np.allclose(choi, choi.conj().T, atol=1e-10)
+            assert np.linalg.eigvalsh(choi).min() > -1e-10
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3]),
+        drive=st.floats(1e7, 5e7),
+        t1=st.floats(1e-6, 1e-4),
+        t2_ratio=st.floats(0.1, 2.0),
+        steps=st.lists(
+            st.sampled_from([1, 7, 40, 2000, 100_000]), min_size=1, max_size=5
+        ),
+    )
+    def test_generated_channels_are_cptp(
+        self, seed, dim, drive, t1, t2_ratio, steps
+    ):
+        # 100000-sample runs are past the Pade bound, so generated
+        # stacks cover both routes of the shared exponential routine.
+        cops = collapse_operators(
+            (dim,), [DecoherenceSpec(t1=t1, t2=t2_ratio * t1)]
+        )
+        hs = random_hermitian_stack(len(steps), dim, scale=drive, seed=seed)
+        props = batched_superpropagators(hs, cops, DT, steps)
+        vec_eye = np.eye(dim, dtype=np.complex128).reshape(-1)
+        for s in props:
+            assert np.abs(vec_eye @ s - vec_eye).max() < 1e-10
+            choi = choi_matrix(s, dim)
+            assert np.abs(choi - choi.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(choi).min() > -1e-10
 
     def test_dissipator_annihilates_identity_trace(self):
@@ -217,7 +248,7 @@ class TestBatchedVsLoop:
         steps = [2, 40, 7, 40, 11]
         psi0 = np.zeros(3, dtype=np.complex128)
         psi0[1] = 1.0
-        rho_engine = eng.evolve(hs, steps, psi0)
+        rho_engine = eng.evolve_density_matrix(hs, steps, psi0)
         loop = superop_loop(hs, eng.collapse_ops, DT, steps)
         vec = vectorize_density(np.outer(psi0, psi0.conj()))
         for s in loop:
@@ -268,7 +299,7 @@ class TestTrajectories:
         )
         assert np.abs(traj - exact).max() < 0.05
 
-    def test_executor_trajectory_method(self):
+    def test_executor_trajectory_method(self, monkeypatch):
         specs = [DecoherenceSpec(t1=10e-6, t2=12e-6)]
         s = PulseSchedule()
         p, f = Port.drive(0), drive_frame()
@@ -278,10 +309,11 @@ class TestTrajectories:
         exact = ScheduleExecutor(make_model(decoherence=specs)).execute(
             s, shots=0
         )
-        sampled = ScheduleExecutor(
-            make_model(decoherence=specs),
-            open_system_method="trajectories",
-        ).execute(s, shots=0, seed=9)
+        # Past the superoperator bound the executor samples trajectories.
+        monkeypatch.setattr(ScheduleExecutor, "_MAX_SUPEROP_DIM", 1)
+        sampled = ScheduleExecutor(make_model(decoherence=specs)).execute(
+            s, shots=0, seed=9
+        )
         p1_exact = exact.ideal_probabilities["1"]
         p1_traj = sampled.ideal_probabilities["1"]
         assert p1_traj == pytest.approx(p1_exact, abs=0.06)
@@ -453,18 +485,23 @@ class TestCachesAndValidation:
         assert computed == [1]
         assert len(fresh_ex.propagator_cache) == 1
 
-    def test_engine_rejects_bad_method(self):
-        with pytest.raises(ValidationError):
-            OpenSystemEngine((2,), [], DT, method="kraus")
-        for method in ("exact", "kraus"):
-            with pytest.raises(ValidationError):
-                ScheduleExecutor(make_model(), open_system_method=method)
+    def test_batched_expm_dense_fallback_matches(self, monkeypatch):
+        dense_slices = []
+        real = evolve._dense_expm
 
-    def test_batched_expm_dense_fallback_matches(self):
-        a = random_hermitian_stack(2, 3, seed=13) * 1j  # skew stack
-        fast = batched_expm(a, scale=1e-8)
-        dense = batched_expm(a, scale=1e-8, method="dense")
-        assert np.abs(fast - dense).max() < 1e-10
+        def spy(a, coeff):
+            dense_slices.append(len(a))
+            return real(a, coeff)
+
+        monkeypatch.setattr(evolve, "_dense_expm", spy)
+        a = random_hermitian_stack(3, 3, seed=13) * 1j  # skew stack
+        # The middle slice's scaled norm is past the Pade bound; the
+        # others stay on the batched matmuls.
+        scale = np.array([1e-8, 1e-3, 2e-8])
+        out = batched_expm(a, scale=scale)
+        assert dense_slices == [1]
+        for k in range(3):
+            assert np.abs(out[k] - expm(a[k] * scale[k])).max() < 1e-10
 
     def test_mitigation_validation_improves_tv(self):
         from repro.qem.readout import validate_readout_mitigation

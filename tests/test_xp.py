@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.sim.evolve as evolve
 from repro.core.waveform import ParametricWaveform
 from repro.errors import ValidationError
 from repro.mlir.dialects.pulse import SequenceBuilder
@@ -161,17 +162,17 @@ class TestUseBackend:
 class TestNumpyParity:
     def test_c128_is_bitwise_reference(self):
         hs = hermitian_stack()
-        baseline = batched_propagators(hs, DT, method="expm")
+        baseline = batched_propagators(hs, DT)
         with use_backend("numpy", dtype="complex128"):
-            scoped = batched_propagators(hs, DT, method="expm")
+            scoped = batched_propagators(hs, DT)
         assert np.array_equal(baseline, scoped)
 
     def test_strict_backend_is_bitwise_and_seam_tight(self):
         hs = hermitian_stack()
-        baseline = batched_propagators(hs, DT, method="expm")
+        baseline = batched_propagators(hs, DT)
         strict = StrictBackend()
         with use_backend(strict):
-            out = batched_propagators(hs, DT, method="expm")
+            out = batched_propagators(hs, DT)
         assert np.array_equal(baseline, out)
         used = strict.ops_used()
         assert used  # the engine really ran through the seam
@@ -186,9 +187,9 @@ class TestNumpyParity:
 class TestComplex64Policy:
     def test_propagators_at_policy_tolerance(self):
         hs = hermitian_stack()
-        reference = batched_propagators(hs, DT, method="expm")
+        reference = batched_propagators(hs, DT)
         with use_backend(dtype="complex64") as xp:
-            low = batched_propagators(hs, DT, method="expm")
+            low = batched_propagators(hs, DT)
             atol = xp.atol
         assert low.dtype == np.complex64
         assert np.abs(low - reference).max() < atol
@@ -197,18 +198,29 @@ class TestComplex64Policy:
         for u in low:
             assert np.abs(u @ u.conj().T - eye).max() < 1e-5
 
-    def test_eigh_route_at_policy_tolerance(self):
+    def test_eigh_route_at_policy_tolerance(self, monkeypatch):
+        monkeypatch.setattr(evolve, "_EIGH_LEVELS", 0)  # every slice to eigh
         hs = hermitian_stack(n=3)
-        reference = batched_propagators(hs, DT, method="eigh")
+        reference = batched_propagators(hs, DT)
         with use_backend(dtype="c64"):
-            low = batched_propagators(hs, DT, method="eigh")
+            low = batched_propagators(hs, DT)
         assert low.dtype == np.complex64
         assert np.abs(low - reference).max() < 1e-5
 
-    def test_expm_dense_route_coerces_to_policy(self):
+    def test_expm_dense_route_coerces_to_policy(self, monkeypatch):
+        dense_slices = []
+        real = evolve._dense_expm
+
+        def spy(a, coeff):
+            dense_slices.append(len(a))
+            return real(a, coeff)
+
+        monkeypatch.setattr(evolve, "_dense_expm", spy)
         mats = hermitian_stack(n=2, dim=6, scale=1e9) * (-2j * np.pi * DT)
         with use_backend(dtype="complex64"):
-            out = batched_expm(mats, method="expm")
+            # 1e4 x a unit-scale exponent is past the Pade bound.
+            out = batched_expm(mats, scale=1e4)
+        assert dense_slices == [2]
         assert out.dtype == np.complex64
 
 
@@ -226,29 +238,29 @@ class TestDtypeAwareCache:
     def test_cache_namespaces_per_policy(self):
         h = hermitian_stack(n=1)[0]
         cache = PropagatorCache()
-        u128 = cache.propagator(h, DT)
+        u128 = cache.propagators(h[None], DT)[0]
         assert cache.misses == 1
         with use_backend(dtype="complex64"):
-            u64 = cache.propagator(h, DT)
+            u64 = cache.propagators(h[None], DT)[0]
         # the c64 scope must not be served the c128 entry
         assert cache.misses == 2
         assert len(cache) == 2
         assert u128.dtype == np.complex128
         assert u64.dtype == np.complex64
         # both scopes hit their own entries on revisit
-        assert np.array_equal(cache.propagator(h, DT), u128)
+        assert np.array_equal(cache.propagators(h[None], DT)[0], u128)
         with use_backend(dtype="c64"):
-            assert np.array_equal(cache.propagator(h, DT), u64)
+            assert np.array_equal(cache.propagators(h[None], DT)[0], u64)
         assert cache.hits == 2
 
     def test_float64_drift_still_hits_complex_entry(self):
-        # propagator() coerces to the active complex dtype before
+        # propagators() coerces to the active complex dtype before
         # fingerprinting, so real-valued drift inputs keep hitting the
         # same entry as their complex-cast twins.
         h = np.diag([0.0, 1e9, 2.1e9])
         cache = PropagatorCache()
-        cache.propagator(h, DT)
-        cache.propagator(h.astype(np.complex128), DT)
+        cache.propagators(h[None], DT)
+        cache.propagators(h.astype(np.complex128)[None], DT)
         assert cache.hits == 1
         assert len(cache) == 1
 
@@ -326,7 +338,7 @@ class TestBackendPlumbing:
         try:
             hs = hermitian_stack(n=2)
             with use_backend(dtype="complex64"):
-                batched_propagators(hs, DT, method="expm")
+                batched_propagators(hs, DT)
         finally:
             prof.disable_profiling()
             records = prof.end_collect(prev)
