@@ -1,3 +1,3 @@
-"""Benchmarks: the ``python -m benchmarks.harness`` workloads, two CI
+"""Benchmarks: the ``python -m benchmarks.harness`` workloads and two CI
 smokes no harness workload covers (serving coalescing, disabled
-instrumentation overhead) and the backend-purity check."""
+instrumentation overhead)."""

@@ -492,7 +492,7 @@ class Executable:
         Service targets submit asynchronously and block on the ticket
         (bounded by *timeout*); everything else dispatches inline, so
         direct and client runs evolve under the caller's
-        :func:`repro.xp.use_backend` scope.
+        :func:`repro.sim.precision.use_dtype` scope.
         """
         with span(
             "run", device=self.target.device_name, shots=shots

@@ -182,8 +182,8 @@ class JITCompiler:
 
         The key of the compiler's memo; two requests with equal keys
         are guaranteed to compile to the same program. Compiled
-        artifacts do not depend on the array backend or dtype, so
-        neither is part of the key.
+        artifacts do not depend on the simulator's dtype policy, so it
+        is not part of the key.
         """
         return self.compose_cache_key(
             self.payload_fingerprint(payload), device, scalar_args
@@ -323,8 +323,3 @@ class JITCompiler:
             while len(self._cache) > self.max_cache_entries:
                 self._cache.popitem(last=False)
                 self.stats["evictions"] += 1
-
-    def clear_cache(self) -> None:
-        """Drop all cached compilations."""
-        with self._lock:
-            self._cache.clear()

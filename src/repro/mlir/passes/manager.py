@@ -62,10 +62,6 @@ class PipelineReport:
     results: list[PassResult] = field(default_factory=list)
 
     @property
-    def any_changed(self) -> bool:
-        return any(r.changed for r in self.results)
-
-    @property
     def ran(self) -> list[str]:
         return [r.name for r in self.results if not r.skipped]
 

@@ -61,12 +61,10 @@ def profiling_enabled() -> bool:
     return _enabled
 
 
-def _observe_kernel(
-    name: str, n: int, seconds: float, backend: str = ""
-) -> None:
+def _observe_kernel(name: str, n: int, seconds: float, dtype: str = "") -> None:
     labels = {"kernel": name}
-    if backend:
-        labels["backend"] = backend
+    if dtype:
+        labels["dtype"] = dtype
     REGISTRY.histogram(
         "repro_sim_kernel_seconds",
         "Wall time of one batched sim kernel call.",
@@ -92,15 +90,15 @@ def kernel(
     seconds: float,
     levels: int = 0,
     method: str = "",
-    backend: str = "",
+    dtype: str = "",
 ) -> None:
     """Report one batched-kernel invocation (always feeds REGISTRY).
 
-    *backend* is the array-backend spec (``"numpy/complex128"``) the
-    kernel ran on; it becomes a metric label and a record field so
-    profiles from different backend/dtype scopes stay separable.
+    *dtype* is the dtype policy name (``"complex128"``) the kernel ran
+    in; it becomes a metric label and a record field so profiles from
+    different precision scopes stay separable.
     """
-    _observe_kernel(name, n, seconds, backend)
+    _observe_kernel(name, n, seconds, dtype)
     if not _enabled:
         return
     sink = _sink()
@@ -114,7 +112,7 @@ def kernel(
                 "seconds": float(seconds),
                 "levels": int(levels),
                 "method": method,
-                "backend": backend,
+                "dtype": dtype,
             }
         )
 

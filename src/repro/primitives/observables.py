@@ -411,16 +411,3 @@ class Observable:
 
         value = expectation(state, self.matrix(dims, sites))
         return value
-
-    def variance_from_state(
-        self,
-        state: np.ndarray,
-        dims: Sequence[int],
-        sites: Sequence[int] | None = None,
-    ) -> float:
-        """``<O^2> - <O>^2`` in the full device space."""
-        from repro.control.hamiltonians import expectation
-
-        op = self.matrix(dims, sites)
-        mean = expectation(state, op)
-        return max(0.0, expectation(state, op @ op) - mean * mean)

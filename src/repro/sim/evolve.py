@@ -23,20 +23,15 @@ Two complementary strategies keep the Python overhead off the hot path:
   instead: a stacked ``eigh`` for Hamiltonians, scipy's Pade for
   general matrices. The route is always worked out from the slice.
 * **Caching** — :class:`PropagatorCache` memoizes propagators keyed on
-  ``(backend/dtype, H fingerprint, dt, steps)``, so repeated slices
+  ``(dtype policy, H fingerprint, dt, steps)``, so repeated slices
   (flat-top pulses, sweeps re-visiting the same amplitudes, drift
   segments) skip the decomposition entirely.
   :meth:`PropagatorCache.propagators` combines both: cache misses are
   deduplicated *within* the batch and diagonalized together.
 
-Every device-array operation routes through the active
-:class:`repro.xp.Active` backend (see :mod:`repro.xp.backend`): the
-numpy/complex128 default is bitwise-identical to direct ``np.`` calls,
-while ``use_backend(..., dtype="complex64")`` (or a GPU backend) runs
-the same code at a different precision/placement. Host-side metadata
-work (segment bookkeeping, fingerprints, scipy Pade) deliberately
-stays on :data:`repro.xp.hostnp`; the
-``benchmarks/check_backend_purity.py`` lint gate enforces the split.
+Every stack is computed in the complex dtype of the active
+:class:`~repro.sim.precision.DtypePolicy`: complex128 by default, or
+complex64 inside a :func:`~repro.sim.precision.use_dtype` scope.
 
 Identical consecutive samples (flat-top pulses, delays) are still
 collapsed into a single propagator with the phase factor raised to the
@@ -57,14 +52,24 @@ import time
 from collections import OrderedDict
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.obs import profile as _profile
 from repro.obs.metrics import REGISTRY, CacheStats
 from repro.obs.tracing import span
-from repro.xp import Active, active
-from repro.xp import hostnp as hnp
+from repro.sim.precision import DtypePolicy, active_dtype
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _adjoint(a):
+    """Conjugate transpose over the last two axes.
+
+    Conjugate first, then a stride-swapped view: the layout BLAS sees
+    in the following matmul, and so its bitwise result, depends on it.
+    """
+    return np.swapaxes(np.conj(a), -1, -2)
 
 
 def step_propagator(hamiltonian, dt: float, steps: int = 1):
@@ -72,43 +77,39 @@ def step_propagator(hamiltonian, dt: float, steps: int = 1):
 
     ``U = exp(-2*pi*i * H * dt * steps)`` with *H* Hermitian, in Hz.
     """
-    xp = active()
-    h = xp.asarray(hamiltonian, dtype=xp.cdtype)
+    policy = active_dtype()
+    h = np.asarray(hamiltonian, dtype=policy.cdtype)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"Hamiltonian must be square, got shape {h.shape}")
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    evals, evecs = xp.eigh(h)
-    phases = xp.exp(
-        xp.asarray(-1j * _TWO_PI * xp.to_host(evals) * dt * steps, dtype=xp.cdtype)
-    )
-    return xp.matmul(evecs * phases, xp.adjoint(evecs))
+    evals, evecs = np.linalg.eigh(h)
+    phases = np.exp(np.asarray(-1j * _TWO_PI * evals * dt * steps, dtype=policy.cdtype))
+    return np.matmul(evecs * phases, _adjoint(evecs))
 
 
 def free_propagator(drift_eig: tuple, dt: float, steps: int):
     """Propagator for the drift alone, from its cached eigendecomposition.
 
-    *drift_eig* is the (host) ``(evals, evecs)`` pair from ``eigh``.
+    *drift_eig* is the ``(evals, evecs)`` pair from ``eigh``.
     """
-    xp = active()
+    policy = active_dtype()
     evals, evecs = drift_eig
-    evecs = xp.asarray(evecs, dtype=xp.cdtype)
-    phases = xp.exp(
-        xp.asarray(-1j * _TWO_PI * evals * dt * steps, dtype=xp.cdtype)
-    )
-    return xp.matmul(evecs * phases, xp.adjoint(evecs))
+    evecs = np.asarray(evecs, dtype=policy.cdtype)
+    phases = np.exp(np.asarray(-1j * _TWO_PI * evals * dt * steps, dtype=policy.cdtype))
+    return np.matmul(evecs * phases, _adjoint(evecs))
 
 
 def evolve_unitary(unitary, state):
     """Apply *unitary* to a ket (1-D) or density matrix (2-D)."""
-    xp = active()
-    state = xp.asarray(state, dtype=xp.cdtype)
+    policy = active_dtype()
+    state = np.asarray(state, dtype=policy.cdtype)
     if state.ndim == 1:
-        return xp.matmul(unitary, state)
+        return np.matmul(unitary, state)
     if state.ndim == 2:
-        return xp.matmul(xp.matmul(unitary, state), xp.adjoint(unitary))
+        return np.matmul(np.matmul(unitary, state), _adjoint(unitary))
     raise ValidationError(f"state must be 1-D or 2-D, got ndim={state.ndim}")
 
 
@@ -125,26 +126,24 @@ def build_hamiltonians(drift, control_ops: Sequence, controls):
 
     Returns
     -------
-    Complex array of shape ``(n_steps, D, D)`` on the active backend.
+    Complex array of shape ``(n_steps, D, D)`` in the active dtype.
     """
-    xp = active()
-    controls = hnp.asarray(controls, dtype=hnp.float64)
+    policy = active_dtype()
+    controls = np.asarray(controls, dtype=np.float64)
     if controls.ndim != 2 or controls.shape[1] != len(control_ops):
         raise ValidationError(
             f"controls shape {controls.shape} does not match "
             f"{len(control_ops)} control operators"
         )
-    drift = xp.asarray(drift, dtype=xp.cdtype)
+    drift = np.asarray(drift, dtype=policy.cdtype)
     if not control_ops:
-        return xp.ascontiguousarray(
-            xp.broadcast_to(drift, (controls.shape[0],) + tuple(drift.shape))
+        return np.ascontiguousarray(
+            np.broadcast_to(drift, (controls.shape[0],) + tuple(drift.shape))
         )
     # One GEMM builds every slice: (n, j) @ (j, D*D) -> (n, D*D).
-    ops = xp.stack([xp.asarray(c, dtype=xp.cdtype) for c in control_ops])
+    ops = np.stack([np.asarray(c, dtype=policy.cdtype) for c in control_ops])
     j, d = ops.shape[0], ops.shape[1]
-    flat = xp.matmul(
-        xp.asarray(controls, dtype=xp.cdtype), ops.reshape(j, d * d)
-    )
+    flat = np.matmul(np.asarray(controls, dtype=policy.cdtype), ops.reshape(j, d * d))
     return flat.reshape(-1, d, d) + drift
 
 
@@ -153,7 +152,7 @@ def build_hamiltonians(drift, control_ops: Sequence, controls):
 # Degree 12 at the scaled radius 0.7 leaves a truncation error below
 # 0.7^13 / 13! ~ 2e-12 per factor — two orders under the engine's
 # 1e-10 equivalence contract even after squaring amplification.
-_PS_COEFFS = hnp.array(
+_PS_COEFFS = np.array(
     [[1.0 / math.factorial(4 * j + k) for k in range(4)] for j in range(3)]
 )
 _PS_SCALE_THRESHOLD = 0.7
@@ -184,18 +183,18 @@ def _expm_chunk(dim: int) -> int:
 # multi-megabyte allocation per call costs more in first-touch page
 # faults than the matmuls that fill it; the hot paths (GRAPE line
 # searches, schedule sweeps) call with identical shapes thousands of
-# times, so the buffers are keyed by (backend/dtype, tag) and recycled
+# times, so the buffers are keyed by (dtype policy, tag) and recycled
 # per thread — a complex64 scope and the complex128 default never
 # alias one another's storage.
 _SCRATCH = threading.local()
 
 
 def _scratch(
-    xp: Active, tag: str, shape: tuple[int, ...], dtype=None
+    policy: DtypePolicy, tag: str, shape: tuple[int, ...], dtype=None
 ) -> tuple:
     """``(buffer, fresh)`` — a recycled work array for *tag*.
 
-    One flat allocation per (backend/dtype, tag), grown to the largest
+    One flat allocation per (dtype policy, tag), grown to the largest
     capacity seen and viewed at the requested shape — varying chunk
     shapes reuse the same storage instead of accumulating per-shape
     buffers. ``fresh`` is True whenever the returned view does not
@@ -203,24 +202,24 @@ def _scratch(
     shape change).
     """
     if dtype is None:
-        dtype = xp.cdtype
+        dtype = policy.cdtype
     pool = getattr(_SCRATCH, "pool", None)
     if pool is None:
         pool = _SCRATCH.pool = {}
     size = math.prod(shape)
-    key = (xp.spec, tag)
+    key = (policy.name, tag)
     entry = pool.get(key)
     if entry is not None:
         flat, last_shape = entry
         if flat.shape[0] >= size and flat.dtype == dtype:
             pool[key] = (flat, shape)
             return flat[:size].reshape(shape), last_shape != shape
-    flat = xp.empty(size, dtype=dtype)
+    flat = np.empty(size, dtype=dtype)
     pool[key] = (flat, shape)
     return flat.reshape(shape), True
 
 
-def _expm_skew_batched(xp: Active, hs, coeff, shift, out) -> int:
+def _expm_skew_batched(policy: DtypePolicy, hs, coeff, shift, out) -> int:
     """``out = exp(coeff * hs - diag(shift))`` for a Hermitian stack.
 
     Returns the squaring level ``s`` used for this chunk (profiling
@@ -240,22 +239,22 @@ def _expm_skew_batched(xp: Active, hs, coeff, shift, out) -> int:
     *out* (the caller's array) is written.
     """
     n, dim = hs.shape[0], hs.shape[1]
-    powers, fresh = _scratch(xp, "powers", (5, n, dim, dim))
+    powers, fresh = _scratch(policy, "powers", (5, n, dim, dim))
     if fresh:
-        powers[0] = xp.eye(dim)
+        powers[0] = np.eye(dim)
     theta = powers[1]
-    xp.multiply(
+    np.multiply(
         hs, coeff if coeff.ndim == 0 else coeff[:, None, None], out=theta
     )
-    idx = hnp.arange(dim)
+    idx = np.arange(dim)
     theta[:, idx, idx] -= shift[:, None]
-    xp.matmul(theta, theta, out=powers[2])  # theta^2
-    xp.matmul(powers[2], theta, out=powers[3])  # theta^3
-    xp.matmul(powers[2], powers[2], out=powers[4])  # theta^4
-    absbuf, _ = _scratch(xp, "abs", (n, dim, dim), xp.rdtype)
-    xp.abs(powers[4], out=absbuf)
-    rho = float(xp.to_host(xp.amax(xp.sum(absbuf, axis=2)))) ** 0.25
-    s = max(0, int(hnp.ceil(hnp.log2(max(rho, 1e-300) / _PS_SCALE_THRESHOLD))))
+    np.matmul(theta, theta, out=powers[2])  # theta^2
+    np.matmul(powers[2], theta, out=powers[3])  # theta^3
+    np.matmul(powers[2], powers[2], out=powers[4])  # theta^4
+    absbuf, _ = _scratch(policy, "abs", (n, dim, dim), policy.rdtype)
+    np.abs(powers[4], out=absbuf)
+    rho = float(np.max(np.sum(absbuf, axis=2))) ** 0.25
+    s = max(0, int(np.ceil(np.log2(max(rho, 1e-300) / _PS_SCALE_THRESHOLD))))
     # Squaring doubles the truncation error per level, so the norm-based
     # scale alone degrades linearly in 2^s for long constant runs (large
     # steps). Keep adding levels until the accumulated bound
@@ -264,22 +263,22 @@ def _expm_skew_batched(xp: Active, hs, coeff, shift, out) -> int:
         s += 1
     sc = 2.0**-s
     # Blocks B0..B2 in one GEMM; B3 = I/12! contributes F12 * x^4 to B2.
-    coeffs = hnp.zeros((3, 5), dtype=hnp.complex128)
-    coeffs[:, :4] = _PS_COEFFS * sc ** hnp.arange(4)
+    coeffs = np.zeros((3, 5), dtype=np.complex128)
+    coeffs[:, :4] = _PS_COEFFS * sc ** np.arange(4)
     coeffs[2, 4] = sc**4 / math.factorial(12)
-    blocks, _ = _scratch(xp, "blocks", (3, n, dim, dim))
-    xp.matmul(
-        xp.asarray(coeffs, dtype=xp.cdtype),
+    blocks, _ = _scratch(policy, "blocks", (3, n, dim, dim))
+    np.matmul(
+        np.asarray(coeffs, dtype=policy.cdtype),
         powers.reshape(5, -1),
         out=blocks.reshape(3, -1),
     )
     b0, b1, b2 = blocks
     x4 = powers[4]
     x4 *= sc**4
-    t1, _ = _scratch(xp, "horner", (n, dim, dim))
-    xp.matmul(b2, x4, out=t1)
+    t1, _ = _scratch(policy, "horner", (n, dim, dim))
+    np.matmul(b2, x4, out=t1)
     t1 += b1
-    u = xp.matmul(t1, x4, out=b2)
+    u = np.matmul(t1, x4, out=b2)
     u += b0
     if s == 0:
         out[...] = u
@@ -287,22 +286,22 @@ def _expm_skew_batched(xp: Active, hs, coeff, shift, out) -> int:
     scratch = t1
     for i in range(s):
         out_buf = out if i == s - 1 else scratch
-        xp.matmul(u, u, out=out_buf)
+        np.matmul(u, u, out=out_buf)
         u, scratch = out_buf, u
     return s
 
 
-def _as_stack(xp: Active, matrices):
-    """*matrices* as an ``(n, D, D)`` stack on the active backend."""
-    a = xp.asarray(matrices, dtype=xp.cdtype)
+def _as_stack(policy: DtypePolicy, matrices):
+    """*matrices* as an ``(n, D, D)`` stack in the policy's complex dtype."""
+    a = np.asarray(matrices, dtype=policy.cdtype)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValidationError(f"stack must have shape (n, D, D), got {a.shape}")
     return a
 
 
 def _per_slice(value, n: int, name: str):
-    """*value* as a host scalar or length-*n* array."""
-    arr = hnp.asarray(value)
+    """*value* as a scalar or length-*n* array."""
+    arr = np.asarray(value)
     if arr.ndim not in (0, 1) or (arr.ndim == 1 and arr.shape[0] != n):
         raise ValidationError(
             f"{name} must be a scalar or length-{n} array, got shape {arr.shape}"
@@ -310,7 +309,7 @@ def _per_slice(value, n: int, name: str):
     return arr
 
 
-def _expm_stack(xp: Active, a, coeff, mu, far_level: int, far, kernel: str):
+def _expm_stack(policy: DtypePolicy, a, coeff, mu, far_level: int, far, kernel: str):
     """``exp(coeff_k * A_k)`` for an ``(n, m, m)`` stack, routed per slice.
 
     *mu* holds the per-slice traces ``tr(A_k) / m``. Each slice's
@@ -333,20 +332,20 @@ def _expm_stack(xp: Active, a, coeff, mu, far_level: int, far, kernel: str):
     """
     n, m = a.shape[0], a.shape[1]
     if n == 0:
-        return xp.copy(a)
-    row_sums = xp.to_host(xp.amax(xp.sum(xp.abs(a), axis=2), axis=1))
-    radius = hnp.abs(xp.to_host(coeff)) * (row_sums + hnp.abs(xp.to_host(mu)))
-    levels = hnp.maximum(
+        return np.copy(a)
+    row_sums = np.max(np.sum(np.abs(a), axis=2), axis=1)
+    radius = np.abs(coeff) * (row_sums + np.abs(mu))
+    levels = np.maximum(
         0,
-        hnp.ceil(
-            hnp.log2(hnp.maximum(radius, 1e-300) / _PS_SCALE_THRESHOLD)
+        np.ceil(
+            np.log2(np.maximum(radius, 1e-300) / _PS_SCALE_THRESHOLD)
         ).astype(int),
     )
     routed = levels >= far_level
-    out = xp.empty_like(a)
+    out = np.empty_like(a)
     if routed.any():
         t0 = time.perf_counter()
-        idx = hnp.nonzero(routed)[0]
+        idx = np.nonzero(routed)[0]
         out[idx] = far(idx)
         _profile.kernel(
             kernel,
@@ -354,7 +353,7 @@ def _expm_stack(xp: Active, a, coeff, mu, far_level: int, far, kernel: str):
             dim=m,
             seconds=time.perf_counter() - t0,
             method=far.__name__,
-            backend=xp.spec,
+            dtype=policy.name,
         )
         if routed.all():
             return out
@@ -362,21 +361,21 @@ def _expm_stack(xp: Active, a, coeff, mu, far_level: int, far, kernel: str):
     shift = coeff * mu
     top = 0
     chunk = _expm_chunk(m)
-    for level in hnp.unique(levels[~routed]):
-        sel = hnp.nonzero(levels == level)[0]
+    for level in np.unique(levels[~routed]):
+        sel = np.nonzero(levels == level)[0]
         for lo in range(0, sel.size, chunk):
             idx = sel[lo : lo + chunk]
             whole = idx.size == n  # one homogeneous chunk: no gather
             shift_chunk = shift if whole else shift[idx]
-            out_chunk = out if whole else xp.empty_like(a[idx])
+            out_chunk = out if whole else np.empty_like(a[idx])
             s = _expm_skew_batched(
-                xp,
+                policy,
                 a if whole else a[idx],
                 coeff if coeff.ndim == 0 else coeff[idx],
                 shift_chunk,
                 out_chunk,
             )
-            out_chunk *= xp.exp(shift_chunk)[:, None, None]
+            out_chunk *= np.exp(shift_chunk)[:, None, None]
             if not whole:
                 out[idx] = out_chunk
             top = max(top, s)
@@ -387,7 +386,7 @@ def _expm_stack(xp: Active, a, coeff, mu, far_level: int, far, kernel: str):
         seconds=time.perf_counter() - t0,
         levels=top,
         method="expm",
-        backend=xp.spec,
+        dtype=policy.name,
     )
     return out
 
@@ -396,8 +395,8 @@ def batched_propagators(hamiltonians, dt: float, steps=1):
     """Exact propagators for a stack of constant Hamiltonians.
 
     ``U_k = exp(-2*pi*i * H_k * dt * steps_k)`` for the whole
-    ``(n, D, D)`` stack in a handful of batched array operations on
-    the active backend/dtype (:func:`repro.xp.use_backend`).
+    ``(n, D, D)`` stack in a handful of batched array operations in
+    the active dtype (:func:`~repro.sim.precision.use_dtype`).
 
     Each slice takes the cheaper exact route for its length: the
     batched Paterson-Stockmeyer matmuls for typical sample durations,
@@ -420,28 +419,24 @@ def batched_propagators(hamiltonians, dt: float, steps=1):
     -------
     Complex array of shape ``(n, D, D)``.
     """
-    xp = active()
-    hs = _as_stack(xp, hamiltonians)
+    policy = active_dtype()
+    hs = _as_stack(policy, hamiltonians)
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
     steps_arr = _per_slice(steps, hs.shape[0], "steps")
-    if hnp.any(steps_arr < 1):
+    if np.any(steps_arr < 1):
         raise ValidationError("steps must be >= 1")
-    durations = dt * steps_arr.astype(hnp.float64)
+    durations = dt * steps_arr.astype(np.float64)
 
     def eigh(idx):
-        evals, evecs = xp.eigh(hs[idx])  # (k, D), (k, D, D)
+        evals, evecs = np.linalg.eigh(hs[idx])  # (k, D), (k, D, D)
         length = durations if durations.ndim == 0 else durations[idx, None]
-        phases = xp.exp(
-            xp.asarray(
-                -1j * _TWO_PI * xp.to_host(evals) * length, dtype=xp.cdtype
-            )
-        )
-        return xp.matmul(evecs * phases[:, None, :], xp.adjoint(evecs))
+        phases = np.exp(np.asarray(-1j * _TWO_PI * evals * length, dtype=policy.cdtype))
+        return np.matmul(evecs * phases[:, None, :], _adjoint(evecs))
 
-    coeff = xp.asarray(hnp.asarray(-1j * _TWO_PI * durations), dtype=xp.cdtype)
-    mu = xp.real(xp.trace(hs, axis1=1, axis2=2)) / hs.shape[1]
-    return _expm_stack(xp, hs, coeff, mu, _EIGH_LEVELS, eigh, "propagators")
+    coeff = np.asarray(-1j * _TWO_PI * durations, dtype=policy.cdtype)
+    mu = np.real(np.trace(hs, axis1=1, axis2=2)) / hs.shape[1]
+    return _expm_stack(policy, hs, coeff, mu, _EIGH_LEVELS, eigh, "propagators")
 
 
 def batched_expm(matrices, *, scale=1.0):
@@ -463,18 +458,16 @@ def batched_expm(matrices, *, scale=1.0):
         (e.g. ``dt * steps`` in seconds for superoperator stacks whose
         rates are per-second).
     """
-    xp = active()
-    a = _as_stack(xp, matrices)
-    coeff = xp.asarray(_per_slice(scale, a.shape[0], "scale"), dtype=xp.cdtype)
+    policy = active_dtype()
+    a = _as_stack(policy, matrices)
+    coeff = np.asarray(_per_slice(scale, a.shape[0], "scale"), dtype=policy.cdtype)
 
     def dense(idx):
         c = coeff if coeff.ndim == 0 else coeff[idx]
-        return xp.asarray(
-            _dense_expm(xp.to_host(a[idx]), xp.to_host(c)), dtype=xp.cdtype
-        )
+        return np.asarray(_dense_expm(a[idx], c), dtype=policy.cdtype)
 
-    mu = xp.trace(a, axis1=1, axis2=2) / a.shape[1]
-    return _expm_stack(xp, a, coeff, mu, _EXPM_MAX_LEVELS + 1, dense, "expm")
+    mu = np.trace(a, axis1=1, axis2=2) / a.shape[1]
+    return _expm_stack(policy, a, coeff, mu, _EXPM_MAX_LEVELS + 1, dense, "expm")
 
 
 def _coerce_expm_result(r, stack_dtype):
@@ -487,19 +480,19 @@ def _coerce_expm_result(r, stack_dtype):
     overflows — and kind-changing results (complex -> real would drop
     the imaginary part) are rejected outright.
     """
-    r = hnp.asarray(r)
+    r = np.asarray(r)
     if r.dtype == stack_dtype:
         return r
-    if not hnp.can_cast(r.dtype, stack_dtype, casting="same_kind"):
+    if not np.can_cast(r.dtype, stack_dtype, casting="same_kind"):
         raise ValidationError(
             f"dense expm returned dtype {r.dtype}, which cannot be "
             f"coerced to the stack dtype {stack_dtype} without silently "
             "dropping components"
         )
-    with hnp.errstate(over="ignore"):  # overflow is checked explicitly below
+    with np.errstate(over="ignore"):  # overflow is checked explicitly below
         coerced = r.astype(stack_dtype)
-    if not bool(hnp.all(hnp.isfinite(coerced))) and bool(
-        hnp.all(hnp.isfinite(r))
+    if not bool(np.all(np.isfinite(coerced))) and bool(
+        np.all(np.isfinite(r))
     ):
         raise ValidationError(
             f"dense expm result overflowed while downcasting from "
@@ -509,15 +502,11 @@ def _coerce_expm_result(r, stack_dtype):
 
 
 def _dense_expm(a, coeff):
-    """Per-matrix scipy Pade exponential of ``coeff_k * a_k``.
-
-    Host-resident by design: scipy has no device-array path, so the
-    caller moves the stack to the host first and re-wraps the result.
-    """
+    """Per-matrix scipy Pade exponential of ``coeff_k * a_k``."""
     from scipy.linalg import expm
 
-    scaled = a * hnp.broadcast_to(coeff, (a.shape[0],))[:, None, None]
-    return hnp.stack(
+    scaled = a * np.broadcast_to(coeff, (a.shape[0],))[:, None, None]
+    return np.stack(
         [_coerce_expm_result(expm(x), scaled.dtype) for x in scaled]
     )
 
@@ -533,21 +522,19 @@ def batched_expm_and_frechet(hamiltonians, dt: float):
     kernel is elementwise on the stacked eigenbasis, so the whole
     construction is a handful of broadcast operations.
     """
-    xp = active()
-    hs = _as_stack(xp, hamiltonians)
-    evals, vecs = xp.eigh(hs)  # (n, D), (n, D, D)
-    f = xp.exp(
-        xp.asarray(-1j * _TWO_PI * xp.to_host(evals) * dt, dtype=xp.cdtype)
-    )  # (n, D)
-    us = xp.matmul(vecs * f[:, None, :], xp.adjoint(vecs))
+    policy = active_dtype()
+    hs = _as_stack(policy, hamiltonians)
+    evals, vecs = np.linalg.eigh(hs)  # (n, D), (n, D, D)
+    f = np.exp(np.asarray(-1j * _TWO_PI * evals * dt, dtype=policy.cdtype))  # (n, D)
+    us = np.matmul(vecs * f[:, None, :], _adjoint(vecs))
     lam = evals[:, :, None] - evals[:, None, :]  # (n, D, D)
     df = f[:, :, None] - f[:, None, :]
-    with xp.errstate(divide="ignore", invalid="ignore"):
-        gamma = xp.where(xp.abs(lam) > 1e-12, df / lam, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(np.abs(lam) > 1e-12, df / lam, 0.0)
     # Fill the (near-)degenerate entries with the derivative f'(lambda).
     diag = -1j * _TWO_PI * dt * f
-    near = xp.abs(lam) <= 1e-12
-    gamma = xp.where(
+    near = np.abs(lam) <= 1e-12
+    gamma = np.where(
         near, 0.5 * (diag[:, :, None] + diag[:, None, :]), gamma
     )
     return us, vecs, gamma
@@ -560,7 +547,7 @@ def hamiltonian_fingerprint(hamiltonian) -> bytes:
     complex64 and a complex128 Hamiltonian never alias to one cache
     entry, even where truncated byte prefixes would collide.
     """
-    h = hnp.ascontiguousarray(active().to_host(hamiltonian))
+    h = np.ascontiguousarray(hamiltonian)
     digest = hashlib.blake2b(h.tobytes(), digest_size=16)
     digest.update(str(h.shape).encode())
     digest.update(str(h.dtype).encode())
@@ -570,16 +557,16 @@ def hamiltonian_fingerprint(hamiltonian) -> bytes:
 class PropagatorCache:
     """Bounded LRU cache of slice propagators.
 
-    Keys are ``(backend/dtype, H fingerprint, dt, steps)``; values are
-    the exact propagators ``exp(-2*pi*i*H*dt*steps)`` as arrays of the
-    backend that computed them. Repeated slices — flat-top pulses,
+    Keys are ``(dtype policy, H fingerprint, dt, steps)``; values are
+    the exact propagators ``exp(-2*pi*i*H*dt*steps)`` in that policy's
+    complex dtype. Repeated slices — flat-top pulses,
     parameter sweeps re-visiting the same amplitudes, drift segments
     between pulses — skip the eigendecomposition entirely. Sweeps over
     frame phase hit as well: the schedule executor hands over
     phase-free Hamiltonians for phase-covariant channels and applies
     the phase to the state. Entries namespace on the active
-    :attr:`repro.xp.Active.spec`, so a complex64 scope never serves
-    (or poisons) complex128 results.
+    :class:`~repro.sim.precision.DtypePolicy` name, so a complex64
+    scope never serves (or poisons) complex128 results.
     Thread-safe; one instance can be shared across executors.
     Entries are stored frozen read-only; :meth:`propagators` returns a
     freshly assembled, writable stack.
@@ -642,7 +629,7 @@ class PropagatorCache:
     ):
         """Cached equivalent of :func:`batched_propagators`.
 
-        Looks every slice up by ``(backend/dtype, fingerprint, dt,
+        Looks every slice up by ``(dtype policy, fingerprint, dt,
         steps)``; the misses are deduplicated within the batch,
         diagonalized with a single batched call, and inserted.
 
@@ -654,15 +641,15 @@ class PropagatorCache:
         those entries (the key stays the *Hamiltonian* fingerprint,
         which is cheaper to hash than the ``D^2 x D^2`` superoperator).
         """
-        xp = active()
-        hs = _as_stack(xp, hamiltonians)
+        policy = active_dtype()
+        hs = _as_stack(policy, hamiltonians)
         n = hs.shape[0]
         if n == 0:
-            return xp.copy(hs)
-        steps_in = hnp.asarray(steps)
-        if hnp.any(steps_in != steps_in.astype(hnp.int64)):
+            return np.copy(hs)
+        steps_in = np.asarray(steps)
+        if np.any(steps_in != steps_in.astype(np.int64)):
             raise ValidationError(f"steps must be integral, got {steps}")
-        steps_arr = hnp.broadcast_to(steps_in.astype(hnp.int64), (n,))
+        steps_arr = np.broadcast_to(steps_in.astype(np.int64), (n,))
         # Consecutive identical (H, steps) slices — flat-top pulses,
         # segment ansatzes — collapse to one representative per run in
         # a single vectorized comparison pass; non-adjacent repeats
@@ -672,18 +659,17 @@ class PropagatorCache:
         # functions (e.g. Lindblad superoperator propagators keyed on
         # the same Hamiltonian fingerprints) so they cannot collide
         # with plain unitary propagators in a shared cache; the
-        # backend/dtype spec namespaces entries per working precision
-        # and device placement.
-        changed = xp.to_host(xp.any(hs[1:] != hs[:-1], axis=(1, 2))) | (
+        # dtype policy name namespaces entries per working precision.
+        changed = np.any(hs[1:] != hs[:-1], axis=(1, 2)) | (
             steps_arr[1:] != steps_arr[:-1]
         )
-        inverse = hnp.concatenate(([0], hnp.cumsum(changed)))
-        reps = hnp.concatenate(([0], hnp.nonzero(changed)[0] + 1))
-        run_sizes = hnp.diff(hnp.concatenate((reps, [n])))
+        inverse = np.concatenate(([0], np.cumsum(changed)))
+        reps = np.concatenate(([0], np.nonzero(changed)[0] + 1))
+        run_sizes = np.diff(np.concatenate((reps, [n])))
         keys = [
             (
                 tag,
-                xp.spec,
+                policy.name,
                 hamiltonian_fingerprint(hs[k]),
                 float(dt),
                 int(steps_arr[k]),
@@ -725,16 +711,17 @@ class PropagatorCache:
                     # Copy before storing: a row view would pin the whole
                     # (n_miss, D, D) batch in memory for the entry's LRU
                     # lifetime.
-                    u = xp.freeze(xp.copy(u))
+                    u = np.copy(u)
+                    u.flags.writeable = False
                     for i in runs:
                         run_props[i] = u
                     self._store(keys[runs[0]], u)
-            return xp.stack(run_props)[inverse]
+            return np.stack(run_props)[inverse]
 
     def _store(self, key: tuple, u) -> None:
-        # The caller freezes *u* first (where the backend supports it),
-        # so an accidental in-place edit of a stored entry becomes an
-        # immediate error instead of silent cache poisoning.
+        # The caller freezes *u* first, so an accidental in-place edit
+        # of a stored entry becomes an immediate error instead of silent
+        # cache poisoning.
         with self._lock:
             self._entries[key] = u
             self._entries.move_to_end(key)
@@ -790,24 +777,21 @@ def evolve_piecewise(
     When *state* is given, the propagators are applied to it step by
     step (cheaper than accumulating the full unitary for large D).
     """
-    xp = active()
+    policy = active_dtype()
     steps = propagator_sequence(drift, control_ops, controls, dt, cache=cache)
     if state is not None:
-        psi = xp.asarray(state, dtype=xp.cdtype)
+        psi = np.asarray(state, dtype=policy.cdtype)
         for u in steps:
             psi = evolve_unitary(u, psi)
         return psi
-    total = xp.eye(hnp.asarray(drift).shape[0], dtype=xp.cdtype)
+    total = np.eye(np.asarray(drift).shape[0], dtype=policy.cdtype)
     for u in steps:
-        total = xp.matmul(u, total)
+        total = np.matmul(u, total)
     return total
 
 
 def segment_runs(samples, decimals: int = 12) -> list[tuple[int, int]]:
     """Split a per-sample drive matrix into runs of identical rows.
-
-    Host-resident metadata pass (the drive matrices are synthesized on
-    the host; only run representatives reach the device backend).
 
     Parameters
     ----------
@@ -822,10 +806,10 @@ def segment_runs(samples, decimals: int = 12) -> list[tuple[int, int]]:
     n = samples.shape[0]
     if n == 0:
         return []
-    rounded = hnp.round(samples, decimals)
-    changed = hnp.any(
+    rounded = np.round(samples, decimals)
+    changed = np.any(
         rounded[1:] != rounded[:-1], axis=tuple(range(1, rounded.ndim))
     )
-    starts = hnp.concatenate(([0], hnp.nonzero(changed)[0] + 1))
-    ends = hnp.concatenate((starts[1:], [n]))
+    starts = np.concatenate(([0], np.nonzero(changed)[0] + 1))
+    ends = np.concatenate((starts[1:], [n]))
     return [(int(s), int(e - s)) for s, e in zip(starts, ends)]

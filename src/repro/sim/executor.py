@@ -83,7 +83,7 @@ from repro.sim.open_system import (
     vectorize_density,
 )
 from repro.sim.operators import basis_state, identity
-from repro.xp import active
+from repro.sim.precision import active_dtype
 
 
 def _eigen_commutator(
@@ -230,9 +230,8 @@ class ScheduleExecutor:
         when omitted) drives the schedule's trajectory sampling, if
         any, and then its shot sampling.
 
-        The evolution runs on the ambient array backend/dtype scope
-        (:func:`repro.xp.use_backend`); measurement always runs on the
-        host.
+        The evolution runs in the ambient dtype policy
+        (:func:`repro.sim.precision.use_dtype`).
 
         *should_cancel* (zero-arg callable) enables cooperative
         cancellation: it is polled at chunk boundaries — before the
@@ -282,10 +281,8 @@ class ScheduleExecutor:
         of the batch: stack sizes, Hilbert dimension, squaring levels,
         cache dedup ratio, and GEMM wall-time.
 
-        Every evolution kernel of the batch runs on the ambient array
-        backend/dtype scope (:func:`repro.xp.use_backend`); the batch's
-        stacks stay on that backend until the measurement tail pulls
-        the final states to the host.
+        Every evolution kernel of the batch runs in the ambient dtype
+        policy (:func:`repro.sim.precision.use_dtype`).
 
         *should_cancel* enables cooperative cancellation, polled at
         the batch's chunk boundaries: before the evolution, before
@@ -618,7 +615,7 @@ class ScheduleExecutor:
         initial_state: np.ndarray | None,
         should_cancel=None,
     ) -> list[np.ndarray]:
-        """Final ``(K, ...)`` state stack of every family, on the host.
+        """Final ``(K, ...)`` state stack of every family.
 
         Kets for a closed system (matrices for an operator-valued
         initial state), density matrices with decoherence.
@@ -702,11 +699,10 @@ class ScheduleExecutor:
         if chunk:
             chunks.append(chunk)
 
-        xp = active()
+        cdtype = active_dtype().cdtype
         states = [
-            xp.asarray(
-                np.repeat(state0[None], len(members), axis=0),
-                dtype=xp.cdtype,
+            np.asarray(
+                np.repeat(state0[None], len(members), axis=0), dtype=cdtype
             )
             for members in families
         ]
@@ -737,15 +733,14 @@ class ScheduleExecutor:
                         out, back = out[:, :, None], back[:, :, None]
                     state = back * state
                 if state.ndim == 2:  # stacked kets / vectorized rhos
-                    state = xp.einsum("kij,kj->ki", block, state)
+                    state = np.einsum("kij,kj->ki", block, state)
                 else:  # stacked matrices (operator-valued initial state)
-                    state = xp.matmul(block, state)
+                    state = np.matmul(block, state)
                 states[f] = out * state if turn else state
-        finals = [xp.to_host(s) for s in states]
         if use_dm:
             dim = model.dimension
-            finals = [s.reshape(-1, dim, dim) for s in finals]
-        return finals
+            return [s.reshape(-1, dim, dim) for s in states]
+        return states
 
     def _canonical_rows(
         self, rows: np.ndarray, magnitudes: np.ndarray
@@ -768,21 +763,20 @@ class ScheduleExecutor:
     def _state_rotations(phases: np.ndarray, use_dm: bool):
         """``V`` and ``V^dag`` of ``(n, D)`` phases as diagonals of the
         state space (``D^2`` entries for a vectorized density matrix),
-        on the active backend."""
+        in the active dtype."""
         rot = np.exp(1j * phases)
         if use_dm:  # row-major vec(V rho V^dag): exp(i (phi_i - phi_k))
             rot = (rot[:, :, None] * rot.conj()[:, None, :]).reshape(len(rot), -1)
-        xp = active()
-        return tuple(xp.asarray(r, dtype=xp.cdtype) for r in (rot, rot.conj()))
+        cdtype = active_dtype().cdtype
+        return tuple(np.asarray(r, dtype=cdtype) for r in (rot, rot.conj()))
 
     def _closed_propagators(
         self, rows: np.ndarray, steps: np.ndarray, channel_names: list[str]
     ):
         """Unitary run propagators: one cached batched call for the
         driven runs, the drift eigendecomposition for drift-only runs."""
-        xp = active()
         dim = self.model.dimension
-        us = xp.empty((len(steps), dim, dim), dtype=xp.cdtype)
+        us = np.empty((len(steps), dim, dim), dtype=active_dtype().cdtype)
         drift = ~np.any(rows != 0, axis=1)
         driven = ~drift
         if np.any(driven):

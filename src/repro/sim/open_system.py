@@ -40,13 +40,9 @@ The Hilbert dimension picks between the two: the schedule executor
 superoperators up to its ``_MAX_SUPEROP_DIM`` and samples
 trajectories beyond.
 
-Backend split: superoperator assembly and the vectorized evolution
-loop run on the active array backend (:mod:`repro.xp`) — they are the
-batched-GEMM hot path. Trajectory sampling, collapse-operator
-construction, and density-matrix plumbing are host-resident
-(:data:`repro.xp.hostnp`): they are RNG-driven, per-element control
-flow where the host is the right place — only the batched no-jump
-exponential runs on the backend.
+Superoperator assembly and the vectorized evolution loop run in the
+active dtype policy (:mod:`repro.sim.precision`). The collapse
+operators, the dissipator and the trajectory kets stay complex128.
 """
 
 from __future__ import annotations
@@ -54,14 +50,15 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.sim.evolve import PropagatorCache, _as_stack, batched_expm
 from repro.sim.model import DecoherenceSpec, SystemModel
 from repro.sim.operators import annihilation, embed
-from repro.xp import active
-from repro.xp import hostnp as hnp
+from repro.sim.precision import active_dtype
 
-_TWO_PI = 2.0 * hnp.pi
+_TWO_PI = 2.0 * np.pi
 
 #: Pure-dephasing rates below this (1/s) are treated as zero — matching
 #: the physicality tolerance of :class:`DecoherenceSpec` (T2 = 2*T1).
@@ -71,16 +68,16 @@ _RATE_FLOOR = 1e-15
 def dephasing_rate(spec: DecoherenceSpec) -> float:
     """Pure-dephasing rate ``gamma_phi = 1/T2 - 1/(2*T1)`` in 1/s."""
     rate = 0.0
-    if hnp.isfinite(spec.t2):
+    if np.isfinite(spec.t2):
         rate = 1.0 / spec.t2 - (
-            0.5 / spec.t1 if hnp.isfinite(spec.t1) else 0.0
+            0.5 / spec.t1 if np.isfinite(spec.t1) else 0.0
         )
     return max(0.0, rate)
 
 
 def collapse_operators(
     dims: Sequence[int], decoherence: Sequence[DecoherenceSpec]
-) -> list[hnp.ndarray]:
+) -> list[np.ndarray]:
     """Per-site T1/T2 collapse operators, embedded in the full space.
 
     Amplitude damping enters as ``sqrt(1/T1) * a`` (the ladder
@@ -94,40 +91,40 @@ def collapse_operators(
         raise ValidationError(
             "decoherence must list one spec per site when provided"
         )
-    ops: list[hnp.ndarray] = []
+    ops: list[np.ndarray] = []
     for site, spec in enumerate(decoherence):
         if not spec.has_decoherence:
             continue
         d = dims[site]
-        if hnp.isfinite(spec.t1):
+        if np.isfinite(spec.t1):
             ops.append(
-                embed(annihilation(d) / hnp.sqrt(spec.t1), site, dims)
+                embed(annihilation(d) / np.sqrt(spec.t1), site, dims)
             )
         rate_phi = dephasing_rate(spec)
         if rate_phi > _RATE_FLOOR:
-            z = -hnp.eye(d, dtype=hnp.complex128)
+            z = -np.eye(d, dtype=np.complex128)
             z[0, 0] = 1.0
-            ops.append(embed(hnp.sqrt(0.5 * rate_phi) * z, site, dims))
+            ops.append(embed(np.sqrt(0.5 * rate_phi) * z, site, dims))
     return ops
 
 
-def as_density(state: hnp.ndarray, dim: int) -> hnp.ndarray:
+def as_density(state: np.ndarray, dim: int) -> np.ndarray:
     """Coerce a ket or density matrix to a ``(dim, dim)`` density matrix.
 
     Kets are normalized first, so unnormalized initial states behave
     the same on every open-system entry point.
     """
-    state = hnp.asarray(state, dtype=hnp.complex128)
+    state = np.asarray(state, dtype=np.complex128)
     if state.ndim == 1:
         if state.shape != (dim,):
             raise ValidationError(
                 f"ket length {state.shape[0]} does not match D={dim}"
             )
-        norm = hnp.linalg.norm(state)
+        norm = np.linalg.norm(state)
         if norm == 0:
             raise ValidationError("cannot evolve a zero state")
         psi = state / norm
-        return hnp.outer(psi, psi.conj())
+        return np.outer(psi, psi.conj())
     if state.ndim != 2 or state.shape != (dim, dim):
         raise ValidationError(
             f"state shape {state.shape} does not match D={dim}"
@@ -135,9 +132,9 @@ def as_density(state: hnp.ndarray, dim: int) -> hnp.ndarray:
     return state
 
 
-def vectorize_density(rho: hnp.ndarray) -> hnp.ndarray:
+def vectorize_density(rho: np.ndarray) -> np.ndarray:
     """Row-major ``vec(rho)`` of a ``(D, D)`` density matrix."""
-    rho = hnp.asarray(rho, dtype=hnp.complex128)
+    rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(
             f"density matrix must be square, got shape {rho.shape}"
@@ -145,9 +142,9 @@ def vectorize_density(rho: hnp.ndarray) -> hnp.ndarray:
     return rho.reshape(-1)
 
 
-def unvectorize_density(vec: hnp.ndarray, dim: int) -> hnp.ndarray:
+def unvectorize_density(vec: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vectorize_density`."""
-    vec = hnp.asarray(vec, dtype=hnp.complex128)
+    vec = np.asarray(vec, dtype=np.complex128)
     if vec.shape != (dim * dim,):
         raise ValidationError(
             f"vectorized state has shape {vec.shape}, want ({dim * dim},)"
@@ -156,90 +153,90 @@ def unvectorize_density(vec: hnp.ndarray, dim: int) -> hnp.ndarray:
 
 
 def dissipator_superoperator(
-    collapse_ops: Sequence[hnp.ndarray], dim: int
-) -> hnp.ndarray:
+    collapse_ops: Sequence[np.ndarray], dim: int
+) -> np.ndarray:
     """The drive-independent dissipator ``sum_j D[C_j]`` as a matrix.
 
     Row-major vectorization: ``D[C] = C kron conj(C)
     - 1/2 (C^dag C kron I + I kron (C^dag C)^T)``. Rates are carried by
     the operators themselves (1/s), so the result is in 1/s — no
-    ``2*pi``. Built once per noise model on the host (a small
-    per-operator kron loop, not a batched hot path).
+    ``2*pi``. Built once per noise model (a small per-operator kron
+    loop, not a batched hot path).
     """
-    eye = hnp.eye(dim, dtype=hnp.complex128)
-    out = hnp.zeros((dim * dim, dim * dim), dtype=hnp.complex128)
+    eye = np.eye(dim, dtype=np.complex128)
+    out = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     for c in collapse_ops:
-        c = hnp.asarray(c, dtype=hnp.complex128)
+        c = np.asarray(c, dtype=np.complex128)
         if c.shape != (dim, dim):
             raise ValidationError(
                 f"collapse operator shape {c.shape} does not match D={dim}"
             )
         cdc = c.conj().T @ c
-        out += hnp.kron(c, c.conj())
-        out -= 0.5 * (hnp.kron(cdc, eye) + hnp.kron(eye, cdc.T))
+        out += np.kron(c, c.conj())
+        out -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
     return out
 
 
-def hamiltonian_superoperators(hamiltonians) -> hnp.ndarray:
+def hamiltonian_superoperators(hamiltonians) -> np.ndarray:
     """``-2*pi*i (H kron I - I kron H^T)`` for a ``(n, D, D)`` stack."""
-    xp = active()
-    hs = _as_stack(xp, hamiltonians)
+    policy = active_dtype()
+    hs = _as_stack(policy, hamiltonians)
     n, dim = hs.shape[0], hs.shape[1]
-    eye = xp.eye(dim, dtype=xp.cdtype)
+    eye = np.eye(dim, dtype=policy.cdtype)
     # Row-major composite index (i, j), (k, l):
     #   (H kron I)[ij, kl]   = H[i, k] * I[j, l]
     #   (I kron H^T)[ij, kl] = I[i, k] * H[l, j]
-    left = xp.einsum("nik,jl->nijkl", hs, eye)
-    right = xp.einsum("ik,nlj->nijkl", eye, hs)
+    left = np.einsum("nik,jl->nijkl", hs, eye)
+    right = np.einsum("ik,nlj->nijkl", eye, hs)
     return (-1j * _TWO_PI) * (left - right).reshape(n, dim * dim, dim * dim)
 
 
 def lindblad_superoperators(
     hamiltonians,
-    collapse_ops: Sequence[hnp.ndarray],
+    collapse_ops: Sequence[np.ndarray],
     *,
-    dissipator: hnp.ndarray | None = None,
-) -> hnp.ndarray:
+    dissipator: np.ndarray | None = None,
+) -> np.ndarray:
     """Full Lindblad generator stack ``(n, D^2, D^2)`` in 1/s.
 
     *dissipator* short-circuits the (drive-independent) dissipator
     assembly when the caller has it precomputed.
     """
-    xp = active()
+    policy = active_dtype()
     ls = hamiltonian_superoperators(hamiltonians)
     if dissipator is None:
         dissipator = dissipator_superoperator(
-            collapse_ops, hnp.asarray(hamiltonians).shape[1]
+            collapse_ops, np.asarray(hamiltonians).shape[1]
         )
-    ls += xp.asarray(dissipator, dtype=xp.cdtype)
+    ls += np.asarray(dissipator, dtype=policy.cdtype)
     return ls
 
 
 def batched_superpropagators(
     hamiltonians,
-    collapse_ops: Sequence[hnp.ndarray],
+    collapse_ops: Sequence[np.ndarray],
     dt: float,
     steps=1,
     *,
-    dissipator: hnp.ndarray | None = None,
-) -> hnp.ndarray:
+    dissipator: np.ndarray | None = None,
+) -> np.ndarray:
     """``exp(L_k * dt * steps_k)`` for a stack of constant-drive runs.
 
     The open-system analogue of
     :func:`~repro.sim.evolve.batched_propagators`: one
     ``(n, D^2, D^2)`` stack of completely positive trace-preserving
-    maps, evaluated by :func:`~repro.sim.evolve.batched_expm` on the
-    active backend.
+    maps, evaluated by :func:`~repro.sim.evolve.batched_expm` in the
+    active dtype.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    steps_arr = hnp.asarray(steps)
-    if hnp.any(steps_arr < 1):
+    steps_arr = np.asarray(steps)
+    if np.any(steps_arr < 1):
         raise ValidationError("steps must be >= 1")
     ls = lindblad_superoperators(
         hamiltonians, collapse_ops, dissipator=dissipator
     )
-    return batched_expm(ls, scale=dt * steps_arr.astype(hnp.float64))
+    return batched_expm(ls, scale=dt * steps_arr.astype(np.float64))
 
 
 class OpenSystemEngine:
@@ -272,16 +269,16 @@ class OpenSystemEngine:
         dt: float,
         *,
         cache: PropagatorCache | None = None,
-        collapse_ops: Sequence[hnp.ndarray] | None = None,
+        collapse_ops: Sequence[np.ndarray] | None = None,
     ) -> None:
         if dt <= 0:
             raise ValidationError(f"dt must be > 0, got {dt}")
         self.dims = tuple(int(d) for d in dims)
-        self.dim = int(hnp.prod(self.dims))
+        self.dim = int(np.prod(self.dims))
         self.dt = float(dt)
         if collapse_ops is not None:
             self.collapse_ops = [
-                hnp.asarray(c, dtype=hnp.complex128) for c in collapse_ops
+                np.asarray(c, dtype=np.complex128) for c in collapse_ops
             ]
         else:
             self.collapse_ops = collapse_operators(self.dims, decoherence)
@@ -292,12 +289,12 @@ class OpenSystemEngine:
         # Hamiltonian on the trajectory path, and the jump weights.
         self._jump_rates = sum(
             (c.conj().T @ c for c in self.collapse_ops),
-            hnp.zeros((self.dim, self.dim), dtype=hnp.complex128),
+            np.zeros((self.dim, self.dim), dtype=np.complex128),
         )
         # Cache namespace: same Hamiltonian, different T1/T2 must not
         # share superpropagators.
         digest = hashlib.blake2b(digest_size=8)
-        digest.update(hnp.ascontiguousarray(self._dissipator).tobytes())
+        digest.update(np.ascontiguousarray(self._dissipator).tobytes())
         self._tag = "lindblad:" + digest.hexdigest()
         self.cache = cache if cache is not None else PropagatorCache()
 
@@ -326,20 +323,19 @@ class OpenSystemEngine:
 
     def evolve_density_matrix(
         self, hamiltonians, steps, rho
-    ) -> hnp.ndarray:
+    ) -> np.ndarray:
         """Exact Lindblad evolution of *rho* through the run stack.
 
-        The vectorized state stays on the active backend across the
-        whole run loop; only the final density matrix comes back to
-        the host.
+        The vectorized state stays in the active dtype across the
+        whole run loop; the final density matrix is complex128.
         """
-        xp = active()
+        policy = active_dtype()
         rho = as_density(rho, self.dim)
         props = self.superpropagators(hamiltonians, steps)
-        vec = xp.asarray(vectorize_density(rho), dtype=xp.cdtype)
+        vec = np.asarray(vectorize_density(rho), dtype=policy.cdtype)
         for s in props:
-            vec = xp.matmul(s, vec)
-        return unvectorize_density(xp.to_host(vec), self.dim)
+            vec = np.matmul(s, vec)
+        return unvectorize_density(vec, self.dim)
 
     # ---- trajectory path ---------------------------------------------------------
 
@@ -350,8 +346,8 @@ class OpenSystemEngine:
         state,
         *,
         n_trajectories: int = 512,
-        rng: hnp.random.Generator | None = None,
-    ) -> hnp.ndarray:
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
         """Quantum-jump estimate of the final density matrix.
 
         Every trajectory evolves under the per-run non-unitary
@@ -362,79 +358,73 @@ class OpenSystemEngine:
         norm falls below a pre-drawn uniform threshold. Jump timing is
         resolved to one sample, so the estimate carries an ``O(dt)``
         bias on top of the ``1/sqrt(n_traj)`` statistical error.
-
-        Host-resident except the batched no-jump exponential: the
-        per-sample threshold checks and RNG-driven jumps are scalar
-        control flow, the opposite of the backend's batched-GEMM sweet
-        spot, so the ket ensemble stays on the host.
         """
-        hs = hnp.asarray(hamiltonians, dtype=hnp.complex128)
+        hs = np.asarray(hamiltonians, dtype=np.complex128)
         if hs.ndim != 3 or hs.shape[1:] != (self.dim, self.dim):
             raise ValidationError(
                 f"Hamiltonian stack shape {hs.shape} does not match "
                 f"(n, {self.dim}, {self.dim})"
             )
-        steps_arr = hnp.broadcast_to(
-            hnp.asarray(steps, dtype=hnp.int64), (hs.shape[0],)
+        steps_arr = np.broadcast_to(
+            np.asarray(steps, dtype=np.int64), (hs.shape[0],)
         )
-        if hnp.any(steps_arr < 1):
+        if np.any(steps_arr < 1):
             raise ValidationError("steps must be >= 1")
         m = int(n_trajectories)
         if m < 1:
             raise ValidationError(f"n_trajectories must be >= 1, got {m}")
         if rng is None:
-            rng = hnp.random.default_rng()
-        # One no-jump propagator per run, one dt substep each — the
-        # only batched kernel on this path, so it runs on the backend
-        # and the resulting small (n, D, D) stack moves to the host.
+            rng = np.random.default_rng()
+        # One no-jump propagator per run, one dt substep each: the
+        # only batched kernel on this path.
         generators = -1j * _TWO_PI * hs - 0.5 * self._jump_rates[None]
-        no_jump = active().to_host(batched_expm(generators, scale=self.dt))
+        no_jump = batched_expm(generators, scale=self.dt)
         psis = self._initial_trajectories(state, m, rng)
         thresholds = rng.uniform(size=m)
         for k in range(hs.shape[0]):
             u_t = no_jump[k].T.copy()
             for _ in range(int(steps_arr[k])):
                 psis = psis @ u_t
-                norms2 = hnp.einsum("ti,ti->t", psis.conj(), psis).real
-                jumped = hnp.nonzero(norms2 <= thresholds)[0]
+                norms2 = np.einsum("ti,ti->t", psis.conj(), psis).real
+                jumped = np.nonzero(norms2 <= thresholds)[0]
                 for t in jumped:
                     psis[t] = self._apply_jump(psis[t], rng)
                     thresholds[t] = rng.uniform()
-        norms2 = hnp.einsum("ti,ti->t", psis.conj(), psis).real
-        weighted = psis / hnp.sqrt(hnp.maximum(norms2, 1e-300))[:, None]
-        return hnp.einsum("ti,tj->ij", weighted, weighted.conj()) / m
+        norms2 = np.einsum("ti,ti->t", psis.conj(), psis).real
+        weighted = psis / np.sqrt(np.maximum(norms2, 1e-300))[:, None]
+        return np.einsum("ti,tj->ij", weighted, weighted.conj()) / m
 
     def _apply_jump(
-        self, psi: hnp.ndarray, rng: hnp.random.Generator
-    ) -> hnp.ndarray:
+        self, psi: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         """Collapse *psi* through one jump channel; returns unit norm."""
-        weights = hnp.array(
-            [hnp.linalg.norm(c @ psi) ** 2 for c in self.collapse_ops]
+        weights = np.array(
+            [np.linalg.norm(c @ psi) ** 2 for c in self.collapse_ops]
         )
         total = weights.sum()
         if total <= 0:
             # Numerically no channel applies (norm decayed through the
             # threshold by rounding alone): keep the renormalized state.
-            return psi / hnp.linalg.norm(psi)
+            return psi / np.linalg.norm(psi)
         choice = rng.choice(len(self.collapse_ops), p=weights / total)
         jumped = self.collapse_ops[choice] @ psi
-        return jumped / hnp.linalg.norm(jumped)
+        return jumped / np.linalg.norm(jumped)
 
     def _initial_trajectories(
-        self, state: hnp.ndarray, m: int, rng: hnp.random.Generator
-    ) -> hnp.ndarray:
+        self, state: np.ndarray, m: int, rng: np.random.Generator
+    ) -> np.ndarray:
         """``(m, D)`` start kets; mixed states sample their eigenbasis."""
-        state = hnp.asarray(state, dtype=hnp.complex128)
+        state = np.asarray(state, dtype=np.complex128)
         if state.ndim == 1:
             if state.shape != (self.dim,):
                 raise ValidationError(
                     f"ket length {state.shape[0]} does not match D={self.dim}"
                 )
-            psi = state / hnp.linalg.norm(state)
-            return hnp.tile(psi, (m, 1))
+            psi = state / np.linalg.norm(state)
+            return np.tile(psi, (m, 1))
         rho = as_density(state, self.dim)
-        evals, evecs = hnp.linalg.eigh(rho)
-        evals = hnp.clip(evals.real, 0.0, None)
+        evals, evecs = np.linalg.eigh(rho)
+        evals = np.clip(evals.real, 0.0, None)
         evals /= evals.sum()
         picks = rng.choice(self.dim, size=m, p=evals)
-        return evecs.T[picks].astype(hnp.complex128)
+        return evecs.T[picks].astype(np.complex128)

@@ -7,8 +7,6 @@ construction is cheap (<10 ms) and isolation bugs are expensive.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -77,20 +75,3 @@ def rng() -> np.random.Generator:
     """A seeded generator for test determinism."""
     return np.random.default_rng(12345)
 
-
-@pytest.fixture(autouse=os.environ.get("REPRO_XP_STRICT") == "1")
-def _strict_backend_scope():
-    """Run every test under a seam-enforcing array backend.
-
-    Activated by ``REPRO_XP_STRICT=1`` (the CI "strict-backend seam
-    proof" step): the whole test body executes inside
-    ``use_backend(StrictBackend())``, whose ``__getattr__`` raises on
-    any array op outside the :data:`repro.xp.PROTOCOL_OPS` surface.
-    Results are bitwise-identical to plain NumPy, so the parity suites
-    double as a runtime proof that the engines never bypass the seam.
-    """
-    from repro.xp import use_backend
-    from repro.xp.testing import StrictBackend
-
-    with use_backend(StrictBackend()):
-        yield

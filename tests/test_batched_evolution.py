@@ -269,14 +269,14 @@ class TestEngineCounts:
         assert sizes == [31]
 
     def test_complex64_propagators_stay_complex64(self):
-        from repro.xp import use_backend
+        from repro.sim.precision import use_dtype
 
         drift, ops, _, _ = transmon_problem()
         controls = np.random.default_rng(4).normal(scale=30e6, size=(9, len(ops)))
         reference = propagator_sequence(drift, ops, controls, DT)
-        with use_backend(dtype="complex64") as xp:
+        with use_dtype("complex64") as policy:
             low = propagator_sequence(drift, ops, controls, DT, cache=PropagatorCache())
-            atol = xp.atol
+            atol = policy.atol
         assert {u.dtype for u in low} == {np.dtype(np.complex64)}
         assert max(np.abs(a - b).max() for a, b in zip(low, reference)) < atol
 

@@ -371,17 +371,17 @@ class TestCachesAndValidation:
         assert sizes == [2]
 
     def test_complex64_superpropagators_stay_complex64(self):
-        from repro.xp import use_backend
+        from repro.sim.precision import use_dtype
 
         eng = OpenSystemEngine((3,), [DecoherenceSpec(t1=20e-6, t2=15e-6)], DT)
         hs = random_hermitian_stack(4, 3, seed=14)
         steps = [3, 40, 7, 12]
         psi0 = np.array([0.0, 1.0, 0.0], dtype=np.complex128)
         reference = eng.evolve_density_matrix(hs, steps, psi0)
-        with use_backend(dtype="complex64") as xp:
+        with use_dtype("complex64") as policy:
             props = eng.superpropagators(hs, steps)
             rho = eng.evolve_density_matrix(hs, steps, psi0)
-            atol = xp.atol
+            atol = policy.atol
         assert props.dtype == np.complex64
         assert np.abs(rho - reference).max() < atol
 

@@ -38,7 +38,7 @@ from repro.core import (
 from repro.devices import SuperconductingDevice, TrappedIonDevice
 from repro.sim import ScheduleExecutor
 from repro.sim.model import transmon_model
-from repro.xp import use_backend
+from repro.sim.precision import use_dtype
 
 #: Derandomized, so tier-1 runs the same examples every time.
 PROFILE = settings(derandomize=True, max_examples=6, deadline=None, database=None)
@@ -282,7 +282,7 @@ def test_complex64_within_policy_atol(data):
     case = CASES[3]
     model, ports = case.build()
     family = draw_family(data, case, ports)
-    with use_backend("numpy/complex64") as scope:
+    with use_dtype("complex64") as scope:
         results = ScheduleExecutor(model).execute_batch(family, shots=0)
         atol = scope.atol
     assert_matches_reference(model, family, results, tol=atol)

@@ -1,13 +1,11 @@
-"""Tests: the repro.xp array-backend seam (backend x dtype).
+"""Tests: the simulator's working precision (``repro.sim.precision``).
 
-Covers the acceptance surface of the backend-seam PR: policy/registry
-resolution and the lazy cupy/torch factories, ``use_backend`` scoping
-semantics, the protocol-enforcing ``Active`` proxy, NumPy/complex128
-bitwise identity through the engine, the complex64 policy's own parity
-gate (1e-5), the StrictBackend seam proof, dtype-aware propagator-cache
-keys (the fingerprint regression), the dense-expm downcast guards, and
-the ``use_backend`` scope reaching the evolution through primitives
-and executables.
+Covers the two dtype policies and their tolerances, ``use_dtype``
+scoping, complex128 as the bitwise reference, the complex64 policy's
+own parity gate (1e-5) on every exponential route, dtype-aware
+propagator-cache keys and fingerprints, the dense-expm downcast
+guards, and the scope reaching the evolution through primitives and
+executables but not through service workers.
 """
 
 from __future__ import annotations
@@ -17,11 +15,14 @@ import pytest
 
 import repro
 import repro.sim.evolve as evolve
+from repro.client import JobRequest, MQSSClient
 from repro.core.waveform import ParametricWaveform
 from repro.errors import ValidationError
 from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.ir import print_module
 from repro.primitives import Estimator, Observable, Sampler
+from repro.qdmi import QDMIDriver
+from repro.serving import PulseService
 from repro.sim.evolve import (
     PropagatorCache,
     _coerce_expm_result,
@@ -29,19 +30,7 @@ from repro.sim.evolve import (
     batched_propagators,
     hamiltonian_fingerprint,
 )
-from repro.xp import (
-    PROTOCOL_OPS,
-    Active,
-    DtypePolicy,
-    NumpyBackend,
-    active,
-    available_backends,
-    register_backend,
-    resolve_backend,
-    resolve_policy,
-    use_backend,
-)
-from repro.xp.testing import StrictBackend
+from repro.sim.precision import POLICIES, active_dtype, use_dtype
 
 
 def hermitian_stack(n=4, dim=3, seed=0, scale=2e8):
@@ -54,145 +43,62 @@ DT = 1e-9
 
 
 class TestPolicies:
-    def test_aliases_resolve(self):
-        assert resolve_policy("c64").cname == "complex64"
-        assert resolve_policy("single").cname == "complex64"
-        assert resolve_policy("c128").cname == "complex128"
-        assert resolve_policy("double").cname == "complex128"
-        assert resolve_policy(None).cname == "complex128"
-
-    def test_policy_passthrough_and_tolerances(self):
-        p64 = resolve_policy("complex64")
-        assert resolve_policy(p64) is p64
+    def test_policies_and_tolerances(self):
+        assert sorted(POLICIES) == ["complex128", "complex64"]
+        p64, p128 = POLICIES["complex64"], POLICIES["complex128"]
+        assert (p64.cdtype, p64.rdtype) == (np.dtype("complex64"), np.float32)
+        assert (p128.cdtype, p128.rdtype) == (np.dtype("complex128"), np.float64)
         assert p64.atol == pytest.approx(1e-5)
-        assert resolve_policy("complex128").atol == pytest.approx(1e-10)
+        assert p128.atol == pytest.approx(1e-10)
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ValidationError, match="complex128"):
-            resolve_policy("float16")
-
-    def test_custom_policy(self):
-        p = DtypePolicy(
-            name="loose64", cname="complex64", rname="float32", atol=1e-3
-        )
-        with use_backend(dtype=p) as xp:
-            assert xp.atol == pytest.approx(1e-3)
-            assert xp.spec == "numpy/loose64"
+            with use_dtype("float16"):
+                pass
+        with pytest.raises(ValidationError):
+            with use_dtype("c64"):  # no aliases
+                pass
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert {"numpy", "cupy", "torch"} <= set(names)
+class TestUseDtype:
+    def test_default_is_complex128(self):
+        assert active_dtype() is POLICIES["complex128"]
+        assert active_dtype().cdtype == np.dtype(np.complex128)
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValidationError, match="unknown array backend"):
-            resolve_backend("tpu")
-
-    @pytest.mark.parametrize("name", ["cupy", "torch"])
-    def test_missing_library_fails_at_resolution(self, name):
-        pytest.importorskip
-        try:
-            __import__(name)
-        except ImportError:
-            with pytest.raises(ValidationError, match=name):
-                resolve_backend(name)
-        else:  # pragma: no cover - library present in this env
-            assert resolve_backend(name) is not None
-
-    def test_register_callable_factory(self):
-        register_backend("strict-test", StrictBackend)
-        try:
-            backend = resolve_backend("strict-test")
-            assert backend.name == "strict-numpy"
-            # resolution memoizes the instance
-            assert resolve_backend("strict-test") is backend
-        finally:
-            import repro.xp.backend as _b
-
-            with _b._REGISTRY_LOCK:
-                _b._FACTORIES.pop("strict-test", None)
-                _b._INSTANCES.pop("strict-test", None)
-
-    def test_instance_passthrough(self):
-        backend = StrictBackend()
-        assert resolve_backend(backend) is backend
-
-    def test_unresolvable_object_raises(self):
-        with pytest.raises(ValidationError, match="cannot resolve"):
-            resolve_backend(3.14)
-
-
-class TestUseBackend:
-    def test_default_is_numpy_complex128(self):
-        xp = active()
-        assert xp.spec == "numpy/complex128"
-        assert xp.cdtype == np.dtype(np.complex128)
-
-    def test_spec_string_and_nesting(self):
-        with use_backend("numpy/complex64") as outer:
-            assert outer.spec == "numpy/complex64"
-            assert active().cdtype == np.dtype(np.complex64)
-            with use_backend(dtype="complex128") as inner:
-                assert inner.spec == "numpy/complex128"
-            assert active().spec == "numpy/complex64"
-        assert active().spec == "numpy/complex128"
-
-    def test_dtype_overrides_spec_suffix(self):
-        with use_backend("numpy/complex128", dtype="c64") as xp:
-            assert xp.policy.cname == "complex64"
+    def test_nesting(self):
+        with use_dtype("complex64") as outer:
+            assert outer is POLICIES["complex64"]
+            assert active_dtype().cdtype == np.dtype(np.complex64)
+            with use_dtype("complex128") as inner:
+                assert inner.name == "complex128"
+                assert active_dtype() is inner
+            assert active_dtype().name == "complex64"
+        assert active_dtype().name == "complex128"
 
     def test_restored_across_exceptions(self):
         with pytest.raises(RuntimeError):
-            with use_backend(dtype="complex64"):
+            with use_dtype("complex64"):
                 raise RuntimeError("boom")
-        assert active().spec == "numpy/complex128"
-
-    def test_active_rejects_non_protocol_ops(self):
-        xp = Active(NumpyBackend(), resolve_policy("complex128"))
-        with pytest.raises(AttributeError, match="not part of the"):
-            xp.linalg
-        with pytest.raises(AttributeError):
-            xp.tensordot
-        # protocol ops resolve and are cached onto the instance
-        assert xp.matmul is xp.matmul
-        assert "matmul" in xp.__dict__
+        assert active_dtype().name == "complex128"
 
 
-class TestNumpyParity:
+class TestComplex128Reference:
     def test_c128_is_bitwise_reference(self):
         hs = hermitian_stack()
         baseline = batched_propagators(hs, DT)
-        with use_backend("numpy", dtype="complex128"):
+        with use_dtype("complex128"):
             scoped = batched_propagators(hs, DT)
         assert np.array_equal(baseline, scoped)
-
-    def test_strict_backend_is_bitwise_and_seam_tight(self):
-        hs = hermitian_stack()
-        baseline = batched_propagators(hs, DT)
-        strict = StrictBackend()
-        with use_backend(strict):
-            out = batched_propagators(hs, DT)
-        assert np.array_equal(baseline, out)
-        used = strict.ops_used()
-        assert used  # the engine really ran through the seam
-        assert used <= PROTOCOL_OPS
-
-    def test_strict_backend_rejects_bypass(self):
-        strict = StrictBackend()
-        with pytest.raises(AttributeError, match="bypassed the backend seam"):
-            strict.fft
 
 
 class TestComplex64Policy:
     def test_propagators_at_policy_tolerance(self):
         hs = hermitian_stack()
         reference = batched_propagators(hs, DT)
-        with use_backend(dtype="complex64") as xp:
+        with use_dtype("complex64") as policy:
             low = batched_propagators(hs, DT)
-            atol = xp.atol
         assert low.dtype == np.complex64
-        assert np.abs(low - reference).max() < atol
+        assert np.abs(low - reference).max() < policy.atol
         # still unitary at single precision
         eye = np.eye(hs.shape[-1])
         for u in low:
@@ -202,7 +108,7 @@ class TestComplex64Policy:
         monkeypatch.setattr(evolve, "_EIGH_LEVELS", 0)  # every slice to eigh
         hs = hermitian_stack(n=3)
         reference = batched_propagators(hs, DT)
-        with use_backend(dtype="c64"):
+        with use_dtype("complex64"):
             low = batched_propagators(hs, DT)
         assert low.dtype == np.complex64
         assert np.abs(low - reference).max() < 1e-5
@@ -217,7 +123,7 @@ class TestComplex64Policy:
 
         monkeypatch.setattr(evolve, "_dense_expm", spy)
         mats = hermitian_stack(n=2, dim=6, scale=1e9) * (-2j * np.pi * DT)
-        with use_backend(dtype="complex64"):
+        with use_dtype("complex64"):
             # 1e4 x a unit-scale exponent is past the Pade bound.
             out = batched_expm(mats, scale=1e4)
         assert dense_slices == [2]
@@ -240,7 +146,7 @@ class TestDtypeAwareCache:
         cache = PropagatorCache()
         u128 = cache.propagators(h[None], DT)[0]
         assert cache.misses == 1
-        with use_backend(dtype="complex64"):
+        with use_dtype("complex64"):
             u64 = cache.propagators(h[None], DT)[0]
         # the c64 scope must not be served the c128 entry
         assert cache.misses == 2
@@ -249,7 +155,7 @@ class TestDtypeAwareCache:
         assert u64.dtype == np.complex64
         # both scopes hit their own entries on revisit
         assert np.array_equal(cache.propagators(h[None], DT)[0], u128)
-        with use_backend(dtype="c64"):
+        with use_dtype("complex64"):
             assert np.array_equal(cache.propagators(h[None], DT)[0], u64)
         assert cache.hits == 2
 
@@ -287,7 +193,7 @@ class TestDenseExpmCoercion:
 
 
 def measuring_kernel(device) -> str:
-    sb = SequenceBuilder("seam")
+    sb = SequenceBuilder("precision")
     drive = sb.add_mixed_frame_arg("f0", device.drive_port(0).name)
     acquire = sb.add_mixed_frame_arg("a0", device.acquire_port(0).name)
     wave = sb.waveform(ParametricWaveform("square", 16, {"amp": 0.2}))
@@ -298,50 +204,81 @@ def measuring_kernel(device) -> str:
     return print_module(sb.module)
 
 
-class TestBackendPlumbing:
-    def test_estimator_backend_kwarg(self, sc_device_1q):
+class TestDtypePlumbing:
+    def test_estimator_under_dtype_scope(self, sc_device_1q):
         target = repro.Target.from_device(sc_device_1q)
         program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
         pub = (program, Observable.z(0))
         evs = Estimator(target).run([pub])[0].data["evs"]
-        with use_backend("numpy/complex64"):
+        with use_dtype("complex64"):
             evs64 = Estimator(target).run([pub])[0].data["evs"]
         assert evs64 == pytest.approx(evs, abs=1e-5)
         assert not np.array_equal(evs64, evs)  # it really ran in c64
 
-    def test_sampler_backend_kwarg(self, sc_device_1q):
+    def test_sampler_under_dtype_scope(self, sc_device_1q):
         target = repro.Target.from_device(sc_device_1q)
         program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
         sampler = Sampler(target, default_shots=0)
         probs = sampler.run([program])[0].data["probabilities"][()]
-        with use_backend("numpy/complex64"):
+        with use_dtype("complex64"):
             probs64 = sampler.run([program])[0].data["probabilities"][()]
         assert set(probs) == set(probs64)
         for key, p in probs.items():
             assert probs64[key] == pytest.approx(p, abs=1e-5)
 
-    def test_executable_run_backend_override(self, sc_device_1q):
+    def test_executable_run_under_dtype_scope(self, sc_device_1q):
         target = repro.Target.from_device(sc_device_1q)
         program = repro.Program.from_mlir(measuring_kernel(sc_device_1q))
         exe = repro.compile(program, target)
         r = exe.run(shots=0)
-        with use_backend("numpy/complex64"):
+        with use_dtype("complex64"):
             r64 = exe.run(shots=0)
         for key, p in r.probabilities.items():
             assert r64.probabilities[key] == pytest.approx(p, abs=1e-5)
 
-    def test_kernel_metrics_carry_backend_label(self):
+    def test_kernel_metrics_carry_dtype_label(self):
         from repro.obs import profile as prof
 
         prof.enable_profiling()
         prev = prof.begin_collect()
         try:
             hs = hermitian_stack(n=2)
-            with use_backend(dtype="complex64"):
+            with use_dtype("complex64"):
                 batched_propagators(hs, DT)
         finally:
             prof.disable_profiling()
             records = prof.end_collect(prev)
         kernels = [r for r in records if r["kind"] == "kernel"]
         assert kernels
-        assert all(r["backend"] == "numpy/complex64" for r in kernels)
+        assert all(r["dtype"] == "complex64" for r in kernels)
+
+    def test_scope_does_not_reach_service_workers(self, sc_device_1q):
+        """Service workers run on their own threads with the default
+        policy: a scope opened around ``submit`` leaves the served
+        result bitwise equal to an unscoped one."""
+        program = measuring_kernel(sc_device_1q)
+        direct = repro.compile(
+            repro.Program.from_mlir(program),
+            repro.Target.from_device(sc_device_1q),
+        )
+        with use_dtype("complex64"):
+            inline64 = direct.run(shots=0).probabilities
+        driver = QDMIDriver()
+        driver.register_device(sc_device_1q)
+        client = MQSSClient(driver)
+        service = PulseService(client)
+        try:
+            request = JobRequest(program, sc_device_1q.name, shots=0)
+            plain = service.submit(request).result(30).probabilities
+            with use_dtype("complex64"):
+                ticket = service.submit(request)
+            scoped = ticket.result(30).probabilities
+            with use_dtype("complex64"):
+                scoped_wait = service.submit(request).result(30).probabilities
+        finally:
+            service.stop()
+            client.close()
+        assert scoped == plain
+        assert scoped_wait == plain
+        # An inline run in the same scope does switch precision.
+        assert inline64 != plain
