@@ -2,38 +2,30 @@
 
 "Calibration is the systematic, continuous, and iterative process of
 measuring and compensating for various sources of physical and control
-errors." These routines run real pulse experiments on the simulated
-devices through the standard execution path and write their findings
-back into the device's published defaults:
+errors." The experiments themselves are pipeline task kinds
+(:mod:`repro.pipeline.experiments`: ``ramsey_scan``, ``rabi_scan``,
+``drag_scan``, ``readout_scan``), measured through the primitives and
+batched across sites. This package holds what those tasks share and
+what is built on them:
 
-* :mod:`repro.calibration.rabi` — amplitude calibration (pi-amplitude
-  from a Rabi sweep);
-* :mod:`repro.calibration.ramsey` — frequency tracking (Ramsey fringe
-  fits + the adaptive tracker the paper's reference [4] describes);
-* :mod:`repro.calibration.drag` — DRAG beta tuning against measured
-  leakage;
+* :mod:`repro.calibration.rabi` — the pi-amplitude fit of a Rabi sweep;
+* :mod:`repro.calibration.ramsey` — the Ramsey fringe fit behind
+  frequency tracking;
+* :mod:`repro.calibration.drag` — the parabolic DRAG beta refinement;
 * :mod:`repro.calibration.campaign` — drift-tracking campaigns: the
   closed loop of drift, measurement and write-back that experiment E9
   scores.
 """
 
-from repro.calibration.rabi import RabiResult, calibrate_pi_amplitude
-from repro.calibration.ramsey import (
-    RamseyResult,
-    estimate_detuning,
-    track_frequency,
-)
-from repro.calibration.drag import DragResult, calibrate_drag
+from repro.calibration.rabi import fit_pi_amplitude
+from repro.calibration.ramsey import fit_ramsey_fringe
+from repro.calibration.drag import refine_beta
 from repro.calibration.campaign import CampaignResult, run_drift_campaign
 
 __all__ = [
-    "RabiResult",
-    "calibrate_pi_amplitude",
-    "RamseyResult",
-    "estimate_detuning",
-    "track_frequency",
-    "DragResult",
-    "calibrate_drag",
+    "fit_pi_amplitude",
+    "fit_ramsey_fringe",
+    "refine_beta",
     "CampaignResult",
     "run_drift_campaign",
 ]

@@ -11,8 +11,7 @@ resolution floor.
 The campaign is a thin assembly over
 :func:`repro.pipeline.campaign_dag`: each calibration round batches
 *every* site's scan points through one Estimator call (one
-``execute_batch`` evolution pass) instead of a per-site
-``track_frequency`` loop, and a campaign handed a durable
+``execute_batch`` evolution pass), and a campaign handed a durable
 :class:`~repro.pipeline.PipelineStore` resumes mid-flight after a
 crash.
 """

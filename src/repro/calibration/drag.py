@@ -1,34 +1,16 @@
-"""DRAG coefficient calibration.
+"""DRAG coefficient fitting.
 
 The DRAG quadrature correction suppresses leakage to the transmon's
-|2> level. This routine sweeps the beta coefficient, measures the
-leakage population after a leakage-amplifying pulse train (repeated X
-gates), fits a parabola near the minimum, and optionally writes the
-best beta back into the device's X/SX calibrations.
+|2> level. The ``drag_scan`` task of :mod:`repro.pipeline.experiments`
+sweeps the beta coefficient and measures the leakage population after
+a leakage-amplifying pulse train (repeated X gates); :func:`refine_beta`
+fits a parabola near the minimum, and a downstream ``writeback`` task
+commits the best beta into the device's X/SX calibrations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.core.instructions import Play
-from repro.core.schedule import PulseSchedule
-from repro.core.waveform import drag_waveform
-from repro.errors import CalibrationError
-
-
-@dataclass
-class DragResult:
-    """Outcome of a DRAG beta sweep."""
-
-    site: int
-    betas: np.ndarray
-    leakage: np.ndarray
-    best_beta: float
-    best_leakage: float
-    written_back: bool = False
 
 
 def refine_beta(
@@ -36,8 +18,8 @@ def refine_beta(
 ) -> tuple[float, float]:
     """Parabolic refinement around the coarse leakage minimum.
 
-    The pure-fit half of :func:`calibrate_drag`, shared with the
-    pipeline's ``drag_fit`` task; returns ``(best_beta, coarse_min)``.
+    The pipeline's ``drag_fit`` task calls this on a recorded
+    ``drag_scan``; returns ``(best_beta, coarse_min)``.
     """
     betas = np.asarray(betas, dtype=np.float64)
     leakage = np.asarray(leakage, dtype=np.float64)
@@ -53,56 +35,3 @@ def refine_beta(
     else:
         best = float(betas[k])
     return best, float(leakage[k])
-
-
-def calibrate_drag(
-    device,
-    site: int,
-    *,
-    betas: np.ndarray | None = None,
-    repetitions: int = 4,
-    write_back: bool = True,
-) -> DragResult:
-    """Sweep DRAG beta on *site*, minimizing measured leakage.
-
-    Requires a device whose model has a third level (the
-    superconducting device); two-level devices have no leakage and
-    raise :class:`CalibrationError`.
-    """
-    dims = device.model.dims
-    if dims[site] < 3:
-        raise CalibrationError(
-            f"site {site} has only {dims[site]} levels; DRAG calibration "
-            "needs a leakage level"
-        )
-    if betas is None:
-        betas = np.linspace(-2.0, 2.0, 17)
-    drive = device.drive_port(site)
-    duration = device.X_DURATION
-    sigma = device.X_SIGMA
-    amp = device._pi_amp(1.0)
-
-    leakage = np.empty(len(betas), dtype=np.float64)
-    for i, beta in enumerate(betas):
-        sched = PulseSchedule(f"drag-{site}-{i}")
-        frame = device.default_frame(drive)
-        wf = drag_waveform(duration, amp, sigma, float(beta))
-        for _ in range(repetitions):
-            sched.append(Play(drive, frame, wf))
-        result = device.executor.execute(sched, shots=0)
-        leakage[i] = result.leakage[site]
-
-    best, coarse_min = refine_beta(betas, leakage)
-
-    written = False
-    if write_back and hasattr(device, "set_drag_beta"):
-        device.set_drag_beta(best)
-        written = True
-    return DragResult(
-        site=site,
-        betas=np.asarray(betas, dtype=np.float64),
-        leakage=leakage,
-        best_beta=best,
-        best_leakage=coarse_min,
-        written_back=written,
-    )

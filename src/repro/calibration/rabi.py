@@ -1,38 +1,20 @@
-"""Rabi amplitude calibration.
+"""Rabi amplitude fitting.
 
-Sweep the amplitude of a fixed-length drive pulse and fit the resulting
-excited-state oscillation ``P1(amp) = 0.5 - 0.5 cos(pi * amp/amp_pi)``;
-the fit's ``amp_pi`` is the calibrated X-gate amplitude, and the
-implied Rabi rate is reported alongside for cross-checking the device's
-published ``RABI_RATE`` site property.
+The ``rabi_scan`` task of :mod:`repro.pipeline.experiments` sweeps the
+amplitude of a fixed-length drive pulse; :func:`fit_pi_amplitude` fits
+the resulting excited-state oscillation
+``P1(amp) = 0.5 - 0.5 cos(pi * amp/amp_pi)``. The fit's ``amp_pi`` is
+the calibrated X-gate amplitude, and the ``rabi_fit`` task reports the
+implied Rabi rate alongside for cross-checking the device's published
+``RABI_RATE`` site property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.optimize import curve_fit
 
-from repro.core.instructions import Play
-from repro.core.schedule import PulseSchedule
-from repro.core.waveform import constant_waveform
 from repro.errors import CalibrationError
-
-
-@dataclass
-class RabiResult:
-    """Outcome of a Rabi amplitude sweep."""
-
-    site: int
-    amplitudes: np.ndarray
-    populations: np.ndarray
-    pi_amplitude: float
-    implied_rabi_rate_hz: float
-    duration_samples: int
-    fit_residual: float = 0.0
-    shots: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def _p1_model(amp: np.ndarray, amp_pi: float, visibility: float, offset: float):
@@ -44,8 +26,8 @@ def fit_pi_amplitude(
 ) -> tuple[float, float]:
     """Fit one Rabi oscillation; ``(pi_amplitude, residual)``.
 
-    The pure-fit half of :func:`calibrate_pi_amplitude`, shared with
-    the pipeline's ``rabi_fit`` task.
+    The pipeline's ``rabi_fit`` task calls this on a recorded
+    ``rabi_scan``.
     """
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     populations = np.asarray(populations, dtype=np.float64)
@@ -70,54 +52,3 @@ def fit_pi_amplitude(
         np.sqrt(np.mean((_p1_model(amplitudes, *popt) - populations) ** 2))
     )
     return amp_pi, residual
-
-
-def calibrate_pi_amplitude(
-    device,
-    site: int,
-    *,
-    duration: int = 40,
-    amplitudes: np.ndarray | None = None,
-    shots: int = 512,
-    seed: int = 0,
-) -> RabiResult:
-    """Run a Rabi sweep on *site* and fit the pi amplitude.
-
-    *duration* must satisfy the device granularity; the sweep uses
-    constant (flat) pulses so the pulse area is ``amp * duration * dt``.
-    """
-    constraints = device.config.constraints
-    if duration % constraints.granularity != 0:
-        raise CalibrationError(
-            f"duration {duration} violates granularity {constraints.granularity}"
-        )
-    if amplitudes is None:
-        amplitudes = np.linspace(0.05, min(1.0, constraints.max_amplitude), 16)
-    rng = np.random.default_rng(seed)
-    drive = device.drive_port(site)
-    populations = np.empty(len(amplitudes), dtype=np.float64)
-    for i, amp in enumerate(amplitudes):
-        sched = PulseSchedule(f"rabi-{site}-{i}")
-        frame = device.default_frame(drive)
-        sched.append(Play(drive, frame, constant_waveform(duration, float(amp))))
-        device.calibrations.get("measure", (site,)).apply(sched, [0])
-        result = device.executor.execute(sched, shots=shots, rng=rng)
-        if shots > 0:
-            ones = sum(c for k, c in result.counts.items() if k[0] == "1")
-            populations[i] = ones / max(1, sum(result.counts.values()))
-        else:
-            populations[i] = result.ideal_probabilities.get("1", 0.0)
-
-    amp_pi, residual = fit_pi_amplitude(amplitudes, populations)
-    dt = constraints.dt
-    implied_rabi = 0.5 / (amp_pi * duration * dt)
-    return RabiResult(
-        site=site,
-        amplitudes=np.asarray(amplitudes, dtype=np.float64),
-        populations=populations,
-        pi_amplitude=amp_pi,
-        implied_rabi_rate_hz=implied_rabi,
-        duration_samples=duration,
-        fit_residual=residual,
-        shots=shots,
-    )

@@ -1,92 +1,23 @@
-"""Ramsey frequency estimation and tracking.
+"""Ramsey fringe fitting for frequency tracking.
 
 Superconducting qubit frequencies "drift on timescales of minutes to
 hours, therefore requiring continuous real-time tracking via
 Ramsey-based feedback loops" (paper §2.1, citing Berritta et al.).
 
-:func:`estimate_detuning` runs the textbook sequence — pi/2, free
-evolution tau, pi/2, measure — with the frame deliberately offset by an
-*artificial detuning* so the fringe frequency resolves both magnitude
-and sign of the tracking error. :func:`track_frequency` closes the
-loop: estimate, write the corrected frequency back into the device's
-published default frame, optionally repeat with longer delays for
-refinement (the binary-search flavor of ref. [4]).
+The measurement is the ``ramsey_scan`` task of
+:mod:`repro.pipeline.experiments` (pi/2, free evolution tau, pi/2,
+measure, with the frame offset by an artificial detuning); the closed
+loop of scan, fit and write-back is
+:func:`~repro.pipeline.experiments.frequency_tracking_dag`. This module
+holds the pure fit those tasks share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import curve_fit
 
-from repro.core.frame import Frame
-from repro.core.instructions import Delay, Play
-from repro.core.schedule import PulseSchedule
-from repro.core.waveform import constant_waveform
 from repro.errors import CalibrationError
-
-
-@dataclass
-class RamseyResult:
-    """Outcome of one Ramsey detuning estimate."""
-
-    site: int
-    delays_samples: np.ndarray
-    populations: np.ndarray
-    fringe_frequency_hz: float
-    detuning_hz: float  # believed - true (signed)
-    estimated_frequency_hz: float
-    artificial_detuning_hz: float
-    fit_residual: float = 0.0
-
-
-def _half_pi_pulse(device, site: int):
-    """A pi/2 flat pulse built from the device's published Rabi rate."""
-    from repro.qdmi.properties import SiteProperty
-    from repro.qdmi.types import Site
-
-    rabi = device.query_site_property(Site(site), SiteProperty.RABI_RATE)
-    dt = device.config.constraints.dt
-    granularity = device.config.constraints.granularity
-    # Quarter rotation: amp * duration * dt * rabi = 1/4.
-    duration = max(
-        granularity, int(round(0.25 / (0.8 * rabi * dt) / granularity)) * granularity
-    )
-    amp = 0.25 / (rabi * duration * dt)
-    return constant_waveform(duration, amp)
-
-
-def ramsey_populations(
-    device,
-    site: int,
-    delays_samples: np.ndarray,
-    artificial_detuning_hz: float,
-    *,
-    shots: int = 512,
-    seed: int = 0,
-) -> np.ndarray:
-    """Measured P1 for each Ramsey delay."""
-    rng = np.random.default_rng(seed)
-    drive = device.drive_port(site)
-    base = device.default_frame(drive)
-    frame = Frame(base.name, base.frequency + artificial_detuning_hz, base.phase)
-    half = _half_pi_pulse(device, site)
-    out = np.empty(len(delays_samples), dtype=np.float64)
-    for i, tau in enumerate(delays_samples):
-        sched = PulseSchedule(f"ramsey-{site}-{i}")
-        sched.append(Play(drive, frame, half))
-        if tau > 0:
-            sched.append(Delay(drive, int(tau)))
-        sched.append(Play(drive, frame, half))
-        device.calibrations.get("measure", (site,)).apply(sched, [0])
-        result = device.executor.execute(sched, shots=shots, rng=rng)
-        if shots > 0:
-            ones = sum(c for k, c in result.counts.items() if k[0] == "1")
-            out[i] = ones / max(1, sum(result.counts.values()))
-        else:
-            out[i] = result.ideal_probabilities.get("1", 0.0)
-    return out
 
 
 def _fringe_model(tau_s, freq, amp, phase, offset):
@@ -101,9 +32,12 @@ def fit_ramsey_fringe(
 ) -> tuple[float, float, float]:
     """Fit one Ramsey fringe; ``(fringe_hz, detuning_hz, residual)``.
 
-    The pure-fit half of :func:`estimate_detuning`, shared with the
-    pipeline's ``ramsey_fit`` task so measurement (experiment tasks)
-    and fitting (fit tasks) can run — and retry — independently.
+    The fringe oscillates at ``|artificial + (believed - true)|``; with
+    ``artificial`` chosen much larger than the expected drift the sign
+    ambiguity disappears and ``detuning = fringe - artificial``. The
+    pipeline's ``ramsey_fit`` task calls this on a recorded
+    ``ramsey_scan``, so measurement and fitting run — and retry —
+    independently.
     """
     delays_samples = np.asarray(delays_samples, dtype=np.float64)
     populations = np.asarray(populations, dtype=np.float64)
@@ -131,77 +65,3 @@ def fit_ramsey_fringe(
         np.sqrt(np.mean((_fringe_model(tau_s, *popt) - populations) ** 2))
     )
     return fringe, fringe - artificial_detuning_hz, residual
-
-
-def estimate_detuning(
-    device,
-    site: int,
-    *,
-    artificial_detuning_hz: float = 2e6,
-    max_delay_samples: int = 2048,
-    points: int = 41,
-    shots: int = 512,
-    seed: int = 0,
-) -> RamseyResult:
-    """One Ramsey experiment: fit the fringe, solve for the detuning.
-
-    The fringe oscillates at ``|artificial + (believed - true)|``; with
-    ``artificial`` chosen much larger than the expected drift the sign
-    ambiguity disappears and ``detuning = fringe - artificial``.
-    """
-    constraints = device.config.constraints
-    g = constraints.granularity
-    delays = np.unique(
-        (np.linspace(0, max_delay_samples, points) / g).astype(int) * g
-    )
-    populations = ramsey_populations(
-        device, site, delays, artificial_detuning_hz, shots=shots, seed=seed
-    )
-    fringe, detuning, residual = fit_ramsey_fringe(
-        delays, populations, constraints.dt, artificial_detuning_hz
-    )
-    believed = device.believed_frequency(site)
-    return RamseyResult(
-        site=site,
-        delays_samples=delays,
-        populations=populations,
-        fringe_frequency_hz=fringe,
-        detuning_hz=detuning,
-        estimated_frequency_hz=believed - detuning,
-        artificial_detuning_hz=artificial_detuning_hz,
-        fit_residual=residual,
-    )
-
-
-def track_frequency(
-    device,
-    site: int,
-    *,
-    artificial_detuning_hz: float = 2e6,
-    rounds: int = 2,
-    shots: int = 512,
-    seed: int = 0,
-    write_back: bool = True,
-) -> RamseyResult:
-    """Closed-loop tracking: estimate, write back, refine.
-
-    Each round doubles the maximum delay (halving the frequency
-    resolution limit), the adaptive schedule of Berritta et al. [4].
-    Returns the final round's result.
-    """
-    result: RamseyResult | None = None
-    max_delay = 1024
-    for r in range(rounds):
-        result = estimate_detuning(
-            device,
-            site,
-            artificial_detuning_hz=artificial_detuning_hz,
-            max_delay_samples=max_delay,
-            shots=shots,
-            seed=seed + r,
-        )
-        if write_back:
-            device.set_frame_frequency(site, result.estimated_frequency_hz)
-        max_delay *= 2
-    assert result is not None
-    return result

@@ -1,21 +1,21 @@
-"""Calibration experiments as pipeline task kinds.
+"""Calibration experiments as pipeline task kinds (paper §2.1).
 
-Every routine from :mod:`repro.calibration` appears here restructured
-for DAG execution, with the measurement half and the fitting half
-split into separate tasks:
+This module is the one implementation of the calibration scans; the
+measurement half and the fitting half of each experiment are separate
+tasks:
 
 * **experiment tasks** (``ramsey_scan``, ``rabi_scan``, ``drag_scan``,
   ``readout_scan``) build schedules and measure through the
   Estimator/Sampler primitives — *all sites of a scan batch through
   one primitive call* (one ``execute_batch`` evolution pass on direct
   targets; on a served target one sweep for the whole scan, which the
-  service runs as one batched device execution) instead of the serial
-  per-site × per-point loops of the original calibration module.
+  service runs as one batched device execution).
   Their recorded results carry everything the downstream fit needs
   (including the believed frequencies at scan time), which makes the
   fits pure.
 * **fit tasks** (``ramsey_fit``, ``rabi_fit``, ``drag_fit``) call the
-  shared fitting functions (:func:`~repro.calibration.ramsey.fit_ramsey_fringe`,
+  fitting functions of :mod:`repro.calibration`
+  (:func:`~repro.calibration.ramsey.fit_ramsey_fringe`,
   :func:`~repro.calibration.rabi.fit_pi_amplitude`,
   :func:`~repro.calibration.drag.refine_beta`) on recorded scan data —
   no device access, trivially replayable, retryable without
@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.frame import Frame
 from repro.core.instructions import Delay, Play
 from repro.core.schedule import PulseSchedule
+from repro.core.waveform import constant_waveform, drag_waveform
 from repro.errors import CalibrationError, PipelineError
 from repro.pipeline.dag import DAG, register_task
 
@@ -140,6 +141,22 @@ def _ramsey_delays(device, max_delay_samples: int, points: int) -> np.ndarray:
     )
 
 
+def _half_pi_pulse(device, site: int):
+    """A pi/2 flat pulse built from the device's published Rabi rate."""
+    from repro.qdmi.properties import SiteProperty
+    from repro.qdmi.types import Site
+
+    rabi = device.query_site_property(Site(site), SiteProperty.RABI_RATE)
+    dt = device.config.constraints.dt
+    granularity = device.config.constraints.granularity
+    # Quarter rotation: amp * duration * dt * rabi = 1/4.
+    duration = max(
+        granularity, int(round(0.25 / (0.8 * rabi * dt) / granularity)) * granularity
+    )
+    amp = 0.25 / (rabi * duration * dt)
+    return constant_waveform(duration, amp)
+
+
 def _ramsey_schedule(
     device, sites: Sequence[int], tau: int, artificial_detuning_hz: float, tag: str
 ) -> PulseSchedule:
@@ -150,8 +167,6 @@ def _ramsey_schedule(
     joint evolution factorizes and each slot's marginal equals the
     single-site Ramsey population.
     """
-    from repro.calibration.ramsey import _half_pi_pulse
-
     sched = PulseSchedule(tag)
     for slot, site in enumerate(sites):
         drive = device.drive_port(site)
@@ -168,6 +183,13 @@ def _ramsey_schedule(
 
 
 def _ramsey_scan_run(ctx, params, seed, upstream) -> dict:
+    """Ramsey fringe populations: pi/2, free evolution tau, pi/2.
+
+    The frame is offset by an artificial detuning, so the fringe
+    frequency resolves both magnitude and sign of the tracking error.
+    Populations are the Estimator's exact expectation values: *shots*
+    only sets their recorded standard errors, not the values.
+    """
     device = ctx.device
     sites = _sites(device, params)
     artificial = float(params.get("artificial_detuning_hz", ARTIFICIAL_DETUNING_HZ))
@@ -244,19 +266,26 @@ register_task("ramsey_fit", "fit")(_ramsey_fit_run)
 
 
 def _rabi_scan_run(ctx, params, seed, upstream) -> dict:
+    """Rabi oscillation populations over flat pulses of fixed length.
+
+    The pulse area is ``amp * duration * dt``, so *duration* must be a
+    multiple of the device granularity. Populations are the
+    Estimator's exact expectation values: *shots* only sets their
+    recorded standard errors, not the values.
+    """
     device = ctx.device
     sites = _sites(device, params)
     constraints = device.config.constraints
-    g = constraints.granularity
     duration = int(params.get("duration", 40))
-    duration = max(g, int(round(duration / g)) * g)
+    if duration % constraints.granularity != 0:
+        raise CalibrationError(
+            f"duration {duration} violates granularity {constraints.granularity}"
+        )
     amps = params.get("amplitudes")
     if amps is None:
         amps = np.linspace(0.05, min(1.0, constraints.max_amplitude), 16)
     amps = np.asarray(amps, dtype=np.float64)
     shots = int(params.get("shots", 0))
-    from repro.core.waveform import constant_waveform
-
     observables = [_p1(slot) for slot in range(len(sites))]
     pubs = []
     for i, amp in enumerate(amps):
@@ -322,11 +351,6 @@ register_task("rabi_fit", "fit")(_rabi_fit_run)
 def _drag_scan_run(ctx, params, seed, upstream) -> dict:
     _require_direct(ctx, "drag_scan")
     device = ctx.device
-    for attr in ("X_DURATION", "X_SIGMA", "_pi_amp"):
-        if not hasattr(device, attr):
-            raise PipelineError(
-                f"device {device.name!r} has no DRAG pulse parameters"
-            )
     sites = _sites(device, params)
     dims = device.model.dims
     for site in sites:
@@ -335,12 +359,16 @@ def _drag_scan_run(ctx, params, seed, upstream) -> dict:
                 f"site {site} has only {dims[site]} levels; DRAG "
                 "calibration needs a leakage level"
             )
+    for attr in ("X_DURATION", "X_SIGMA", "_pi_amp"):
+        if not hasattr(device, attr):
+            raise PipelineError(
+                f"device {device.name!r} has no DRAG pulse parameters"
+            )
     betas = params.get("betas")
     if betas is None:
         betas = np.linspace(-2.0, 2.0, 17)
     betas = np.asarray(betas, dtype=np.float64)
     repetitions = int(params.get("repetitions", 4))
-    from repro.core.waveform import drag_waveform
     from repro.primitives import Observable
 
     amp = device._pi_amp(1.0)
@@ -474,9 +502,10 @@ def frequency_tracking_dag(
 ) -> DAG:
     """Closed-loop Ramsey tracking: (scan -> fit -> write-back) x rounds.
 
-    Each round doubles the maximum delay — the adaptive refinement of
-    :func:`~repro.calibration.ramsey.track_frequency` — and a final
-    ``verify_calibration`` task scores the result against ground truth.
+    Each round doubles the maximum delay, halving the frequency
+    resolution limit (the adaptive schedule of Berritta et al., the
+    paper's reference [4]), and a final ``verify_calibration`` task
+    scores the result against ground truth.
     """
     dag = DAG(name)
     site_list = None if sites is None else [int(s) for s in sites]

@@ -39,8 +39,6 @@ from repro.qem.options import (
 from repro.qem.readout import (
     MitigatedResult,
     MitigationValidation,
-    ReadoutCalibration,
-    measure_confusion,
     mitigate_counts,
     mitigate_distribution,
     total_variation_distance,
@@ -61,7 +59,6 @@ __all__ = [
     "EstimatorOptions",
     "MitigatedResult",
     "MitigationValidation",
-    "ReadoutCalibration",
     "ReadoutOptions",
     "SamplerOptions",
     "TwirlingOptions",
@@ -72,7 +69,6 @@ __all__ = [
     "exact_distribution",
     "exact_expectation",
     "extrapolate_to_zero",
-    "measure_confusion",
     "mitigate_counts",
     "mitigate_distribution",
     "noiseless_twin",

@@ -50,6 +50,7 @@ from repro.core.schedule import PulseSchedule
 from repro.errors import PipelineError, ValidationError
 from repro.pipeline.dag import DAG, register_task
 from repro.pipeline.experiments import (
+    _half_pi_pulse,
     _p1,
     _program,
     _require_direct,
@@ -346,8 +347,6 @@ def _coherence_delays(device, params) -> list[int]:
 def _coherence_schedule(
     device, site: int, kind: str, tau: int, detuning_hz: float, tag: str
 ) -> PulseSchedule:
-    from repro.calibration.ramsey import _half_pi_pulse
-
     sched = PulseSchedule(tag)
     drive = device.drive_port(site)
     if kind == "t1":

@@ -1,4 +1,4 @@
-"""Confusion-matrix readout mitigation and assignment calibration.
+"""Confusion-matrix readout mitigation.
 
 Given per-site confusion matrices ``M_i[observed, actual]``, the joint
 confusion matrix is their tensor product; applying its inverse to the
@@ -6,7 +6,9 @@ observed distribution recovers an (unbiased, possibly slightly
 unphysical) estimate of the true distribution, which is then clipped
 and renormalized — the textbook "matrix-free measurement mitigation"
 baseline. Exact for the independent-error model the simulator uses;
-statistical noise shrinks at the shot rate.
+statistical noise shrinks at the shot rate. The per-site assignment
+errors themselves are measured by the ``readout_scan`` task of
+:mod:`repro.pipeline.experiments`.
 
 :func:`validate_readout_mitigation` closes the loop end to end through
 the composable options stack: a
@@ -25,7 +27,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.schedule import PulseSchedule
 from repro.errors import ValidationError
 from repro.sim.measurement import ReadoutModel
 
@@ -107,48 +108,6 @@ def total_variation_distance(
     if not keys:
         raise ValidationError("cannot compare two empty distributions")
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-# ---- assignment calibration ----------------------------------------------------------
-
-
-@dataclass
-class ReadoutCalibration:
-    """Estimated assignment errors for one site."""
-
-    site: int
-    p01: float  # P(read 1 | prepared 0)
-    p10: float  # P(read 0 | prepared 1)
-    shots: int
-
-    def confusion_matrix(self) -> np.ndarray:
-        """2x2 ``M[observed, actual]`` from the estimates."""
-        return np.array(
-            [[1 - self.p01, self.p10], [self.p01, 1 - self.p10]], dtype=np.float64
-        )
-
-
-def measure_confusion(
-    device, site: int, *, shots: int = 2048, seed: int = 0
-) -> ReadoutCalibration:
-    """Estimate the confusion matrix of *site* from prepared states."""
-    rng = np.random.default_rng(seed)
-
-    def run(prepare_one: bool) -> float:
-        sched = PulseSchedule("readout-cal")
-        if prepare_one:
-            device.calibrations.get("x", (site,)).apply(sched, [])
-        device.calibrations.get("measure", (site,)).apply(sched, [0])
-        result = device.executor.execute(sched, shots=shots, rng=rng)
-        total = sum(result.counts.values())
-        ones = sum(c for k, c in result.counts.items() if k[0] == "1")
-        return ones / max(1, total)
-
-    p1_given_0 = run(prepare_one=False)
-    p1_given_1 = run(prepare_one=True)
-    return ReadoutCalibration(
-        site=site, p01=p1_given_0, p10=1.0 - p1_given_1, shots=shots
-    )
 
 
 # ---- end-to-end validation -----------------------------------------------------------

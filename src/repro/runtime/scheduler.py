@@ -181,9 +181,9 @@ class CalibrationAwareScheduler(SecondLevelScheduler):
         The MQSS client used for execution.
     calibrate:
         Callback ``calibrate(device_name) -> None`` that runs the
-        calibration routine (typically
-        :func:`repro.calibration.ramsey.track_frequency` + frame
-        write-back).
+        calibration routine (typically a
+        :func:`repro.pipeline.frequency_tracking_dag` run, whose
+        ``writeback`` tasks commit the corrected frames).
     error_budget_hz:
         Predicted frequency error at which calibration is triggered.
     job_seconds:

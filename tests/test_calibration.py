@@ -1,71 +1,112 @@
-"""Tests: calibration routines (paper §2.1 automated calibration)."""
+"""Tests: calibration experiments (paper §2.1 automated calibration).
+
+Every experiment runs as a pipeline DAG: a scan task measures through
+the primitives, a fit task calls the pure fit of
+:mod:`repro.calibration`, and an optional ``writeback`` task commits
+the result into the device.
+"""
 
 import numpy as np
 import pytest
 
-from repro.calibration import (
-    calibrate_drag,
-    calibrate_pi_amplitude,
-    estimate_detuning,
-    run_drift_campaign,
-    track_frequency,
-)
+from repro.calibration import fit_pi_amplitude, run_drift_campaign
 from repro.devices import SuperconductingDevice, TrappedIonDevice
-from repro.errors import CalibrationError
-from repro.qem import measure_confusion
+from repro.pipeline import DAG, PipelineRunner, frequency_tracking_dag
+from repro.sim.measurement import ReadoutModel
+
+
+def run_experiment(device, scan, params, fit=None, *, writeback=False, seed=0):
+    """Run a scan -> fit (-> writeback) DAG on site 0 of *device*."""
+    dag = DAG(scan)
+    dag.task("scan", scan, {"sites": [0], **params})
+    last = "scan"
+    if fit is not None:
+        dag.task("fit", fit, after=("scan",))
+        last = "fit"
+    if writeback:
+        dag.task("writeback", "writeback", after=(last,))
+    return PipelineRunner(device).run(dag, seed=seed)
+
+
+def rabi_rate(run) -> float:
+    return run.result("fit")["implied_rabi_rate_hz"]["0"]
 
 
 class TestRabi:
     def test_recovers_rabi_rate(self, sc_device_1q):
-        r = calibrate_pi_amplitude(sc_device_1q, 0, shots=1024, seed=1)
-        assert r.implied_rabi_rate_hz == pytest.approx(50e6, rel=0.05)
-        assert r.pi_amplitude == pytest.approx(0.25, rel=0.05)
+        """Binomially resampled populations (1024 shots) still fit."""
+        run = run_experiment(sc_device_1q, "rabi_scan", {"shots": 0})
+        assert run.ok, run.error
+        scan = run.result("scan")
+        exact = np.asarray(scan["populations"]["0"])
+        rng = np.random.default_rng(1)
+        sampled = rng.binomial(1024, exact) / 1024
+        amp_pi, _ = fit_pi_amplitude(scan["amplitudes"], sampled)
+        implied = 0.5 / (amp_pi * scan["duration_samples"] * scan["dt"])
+        assert implied == pytest.approx(50e6, rel=0.05)
+        assert amp_pi == pytest.approx(0.25, rel=0.05)
 
     def test_shotless_is_exact(self, sc_device_1q):
-        r = calibrate_pi_amplitude(sc_device_1q, 0, shots=0)
-        assert r.implied_rabi_rate_hz == pytest.approx(50e6, rel=0.01)
+        run = run_experiment(sc_device_1q, "rabi_scan", {"shots": 0}, "rabi_fit")
+        assert run.ok, run.error
+        assert rabi_rate(run) == pytest.approx(50e6, rel=0.01)
 
     def test_duration_granularity_enforced(self, sc_device_1q):
-        with pytest.raises(CalibrationError):
-            calibrate_pi_amplitude(sc_device_1q, 0, duration=13)
+        run = run_experiment(sc_device_1q, "rabi_scan", {"duration": 13})
+        assert not run.ok
+        assert "CalibrationError" in run.error
+        assert "granularity" in run.error
 
     def test_populations_oscillate(self, sc_device_1q):
-        r = calibrate_pi_amplitude(sc_device_1q, 0, shots=0)
-        assert r.populations.min() < 0.2
-        assert r.populations.max() > 0.8
+        run = run_experiment(sc_device_1q, "rabi_scan", {"shots": 0})
+        populations = np.asarray(run.result("scan")["populations"]["0"])
+        assert populations.min() < 0.2
+        assert populations.max() > 0.8
 
     def test_works_on_ion_platform(self):
         dev = TrappedIonDevice(num_qubits=1, drift_rate=0.0)
-        r = calibrate_pi_amplitude(dev, 0, duration=512, shots=0)
-        assert r.implied_rabi_rate_hz == pytest.approx(125e3, rel=0.05)
+        run = run_experiment(
+            dev, "rabi_scan", {"duration": 512, "shots": 0}, "rabi_fit"
+        )
+        assert run.ok, run.error
+        assert rabi_rate(run) == pytest.approx(125e3, rel=0.05)
 
 
 class TestRamsey:
+    # The longest delay of a single Ramsey estimate at full resolution.
+    SCAN = {"shots": 0, "max_delay_samples": 2048}
+
     def test_zero_detuning_when_calibrated(self, sc_device_1q):
-        r = estimate_detuning(sc_device_1q, 0, shots=0, seed=1)
-        assert abs(r.detuning_hz) < 30e3  # resolution floor
+        run = run_experiment(sc_device_1q, "ramsey_scan", self.SCAN, "ramsey_fit")
+        assert run.ok, run.error
+        assert abs(run.result("fit")["detuning_hz"]["0"]) < 30e3  # resolution floor
 
     def test_detects_induced_detuning(self):
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
         # Manually mis-calibrate by 300 kHz.
         dev.set_frame_frequency(0, dev.true_frequency(0) + 300e3)
-        r = estimate_detuning(dev, 0, shots=0)
-        assert r.detuning_hz == pytest.approx(300e3, rel=0.15)
-        assert r.estimated_frequency_hz == pytest.approx(
+        fit = run_experiment(dev, "ramsey_scan", self.SCAN, "ramsey_fit").result(
+            "fit"
+        )
+        assert fit["detuning_hz"]["0"] == pytest.approx(300e3, rel=0.15)
+        assert fit["estimated_frequency_hz"]["0"] == pytest.approx(
             dev.true_frequency(0), abs=50e3
         )
 
     def test_sign_resolved(self):
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
         dev.set_frame_frequency(0, dev.true_frequency(0) - 300e3)
-        r = estimate_detuning(dev, 0, shots=0)
-        assert r.detuning_hz == pytest.approx(-300e3, rel=0.15)
+        fit = run_experiment(dev, "ramsey_scan", self.SCAN, "ramsey_fit").result(
+            "fit"
+        )
+        assert fit["detuning_hz"]["0"] == pytest.approx(-300e3, rel=0.15)
 
     def test_track_frequency_reduces_error(self):
         dev = SuperconductingDevice(num_qubits=1, seed=4, drift_rate=5e3)
         dev.advance_time(3600)
         before = dev.tracking_error(0)
-        track_frequency(dev, 0, rounds=2, shots=0, seed=3)
+        run = PipelineRunner(dev).run(frequency_tracking_dag(rounds=2), seed=3)
+        assert run.ok, run.error
         after = dev.tracking_error(0)
         assert after < max(before / 3, 20e3)
 
@@ -88,7 +129,8 @@ class TestRamsey:
             return abs(np.vdot(one, r.final_state)) ** 2
 
         before = p1_clock()
-        track_frequency(dev, 0, rounds=2, shots=0, seed=2)
+        run = PipelineRunner(dev).run(frequency_tracking_dag(rounds=2), seed=2)
+        assert run.ok, run.error
         after = p1_clock()
         assert after > before
         assert after > 0.99
@@ -97,31 +139,39 @@ class TestRamsey:
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
         dev.set_frame_frequency(0, dev.true_frequency(0) + 200e3)
         before = dev.tracking_error(0)
-        track_frequency(dev, 0, rounds=1, shots=0, write_back=False)
+        run = run_experiment(dev, "ramsey_scan", {"shots": 0}, "ramsey_fit")
+        assert run.ok, run.error
         assert dev.tracking_error(0) == before
 
 
 class TestDrag:
     def test_finds_leakage_minimum(self):
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
-        r = calibrate_drag(dev, 0, write_back=False)
-        mid = len(r.betas) // 2
-        assert r.best_leakage <= r.leakage[mid]  # beats beta=0
-        assert r.betas[0] <= r.best_beta <= r.betas[-1]
+        run = run_experiment(dev, "drag_scan", {}, "drag_fit")
+        assert run.ok, run.error
+        betas = run.result("scan")["betas"]
+        leakage = run.result("scan")["leakage"]["0"]
+        fit = run.result("fit")
+        mid = len(betas) // 2
+        assert fit["coarse_min_leakage"] <= leakage[mid]  # beats beta=0
+        assert betas[0] <= fit["drag_beta"] <= betas[-1]
 
     def test_write_back_updates_calibration(self):
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
-        r = calibrate_drag(dev, 0, write_back=True)
-        assert r.written_back
-        assert dev._drag_beta == pytest.approx(r.best_beta)
+        run = run_experiment(dev, "drag_scan", {}, "drag_fit", writeback=True)
+        assert run.ok, run.error
+        best = run.result("fit")["drag_beta"]
+        assert run.result("writeback")["drag_beta"] == pytest.approx(best)
+        assert dev._drag_beta == pytest.approx(best)
         # The new X calibration carries the beta.
         wf = dev.x_waveform()
-        assert wf.parameters["beta"] == pytest.approx(r.best_beta)
+        assert wf.parameters["beta"] == pytest.approx(best)
 
     def test_rejects_two_level_device(self):
         dev = TrappedIonDevice(num_qubits=1)
-        with pytest.raises(CalibrationError):
-            calibrate_drag(dev, 0)
+        run = run_experiment(dev, "drag_scan", {}, "drag_fit")
+        assert not run.ok
+        assert "CalibrationError" in run.error
 
     def test_calibrated_beta_reduces_leakage_in_use(self):
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
@@ -134,17 +184,20 @@ class TestDrag:
             return dev.executor.execute(s, shots=0).leakage[0]
 
         before = x_leak()
-        calibrate_drag(dev, 0, write_back=True)
+        run = run_experiment(dev, "drag_scan", {}, "drag_fit", writeback=True)
+        assert run.ok, run.error
         after = x_leak()
         assert after <= before
 
 
 class TestReadout:
     def test_confusion_estimates_converge(self, sc_device_1q):
-        cal = measure_confusion(sc_device_1q, 0, shots=8192, seed=2)
-        assert cal.p01 == pytest.approx(0.01, abs=0.01)
-        assert cal.p10 == pytest.approx(0.02, abs=0.012)
-        m = cal.confusion_matrix()
+        run = run_experiment(sc_device_1q, "readout_scan", {"shots": 8192}, seed=2)
+        assert run.ok, run.error
+        cal = run.result("scan")["confusion"]["0"]
+        assert cal["p01"] == pytest.approx(0.01, abs=0.01)
+        assert cal["p10"] == pytest.approx(0.02, abs=0.012)
+        m = ReadoutModel(p01=cal["p01"], p10=cal["p10"]).confusion_matrix()
         assert np.allclose(m.sum(axis=0), 1.0)
 
 

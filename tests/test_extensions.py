@@ -7,12 +7,9 @@ from repro.compiler.transforms import idle_fraction, insert_echo_sequences
 from repro.core import Delay, Frame, Play, PulseSchedule, constant_waveform
 from repro.devices import SuperconductingDevice
 from repro.errors import ValidationError
+from repro.pipeline import DAG, PipelineRunner
 from repro.primitives import Observable
-from repro.qem.readout import (
-    measure_confusion,
-    mitigate_counts,
-    mitigate_distribution,
-)
+from repro.qem.readout import mitigate_counts, mitigate_distribution
 from repro.sim.measurement import ReadoutModel, apply_readout_error
 from repro.visualization import render_schedule, render_waveform
 
@@ -44,8 +41,12 @@ class TestReadoutMitigation:
         """End-to-end: calibrate confusion on the device, mitigate a
         measured X-state distribution; <Z> moves toward the ideal -1."""
         dev = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
-        cal = measure_confusion(dev, 0, shots=8192, seed=3)
-        models = [ReadoutModel(p01=cal.p01, p10=cal.p10)]
+        dag = DAG("readout")
+        dag.task("scan", "readout_scan", {"sites": [0], "shots": 8192})
+        run = PipelineRunner(dev).run(dag, seed=3)
+        assert run.ok, run.error
+        cal = run.result("scan")["confusion"]["0"]
+        models = [ReadoutModel(p01=cal["p01"], p10=cal["p10"])]
         sched = PulseSchedule()
         dev.calibrations.get("x", (0,)).apply(sched, [])
         dev.calibrations.get("measure", (0,)).apply(sched, [0])

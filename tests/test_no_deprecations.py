@@ -7,6 +7,7 @@ accessors the old layer consisted of stay gone.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -81,3 +82,71 @@ def test_one_compile_cache():
     assert "cache" not in inspect.signature(compile_payload).parameters
     assert not hasattr(Target, "cache")
     assert not hasattr(repro.serving, "CompileCache")
+
+
+def test_one_calibration_experiment_path():
+    import repro.calibration
+    import repro.qem
+
+    for name in (
+        "ramsey_populations",
+        "estimate_detuning",
+        "track_frequency",
+        "RamseyResult",
+        "calibrate_pi_amplitude",
+        "RabiResult",
+        "calibrate_drag",
+        "DragResult",
+    ):
+        assert not hasattr(repro.calibration, name)
+        for module in ("ramsey", "rabi", "drag"):
+            assert not hasattr(getattr(repro.calibration, module), name)
+    for name in ("measure_confusion", "ReadoutCalibration"):
+        assert not hasattr(repro.qem, name)
+        assert not hasattr(repro.qem.readout, name)
+
+
+# Packages that may run a schedule on a simulator executor directly:
+# the simulator itself, the devices that own one, and the optimal-control
+# energy callbacks.  Everything else measures through the primitives.
+EXECUTOR_OWNERS = ("sim", "devices", "control")
+
+
+def _executor_execute_calls(tree) -> list[int]:
+    """Line numbers of ``<...>executor.execute(...)`` calls in *tree*."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "execute"
+        ):
+            continue
+        receiver = node.func.value
+        if isinstance(receiver, ast.Attribute):
+            name = receiver.attr
+        elif isinstance(receiver, ast.Name):
+            name = receiver.id
+        else:
+            continue
+        if name.lstrip("_") == "executor":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_executor_execute_stays_in_the_simulator_layers():
+    calls = {
+        path.relative_to(SRC): _executor_execute_calls(ast.parse(path.read_text()))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    offenders = [
+        f"{path}:{lineno}"
+        for path, lines in calls.items()
+        if path.parts[0] not in EXECUTOR_OWNERS
+        for lineno in lines
+    ]
+    assert offenders == []
+    # The matcher does see the owners' own calls (plain and private
+    # ``executor`` receivers alike), so an empty list means something.
+    owners = {str(path) for path, lines in calls.items() if lines}
+    assert {"sim/ground_truth.py", "control/vqe.py"} <= owners

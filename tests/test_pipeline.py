@@ -6,7 +6,7 @@ file and ephemeral temporary file), SeedSequence-derived per-task seeds stable
 under retry and resume, the runner's retry/timeout/failure semantics,
 replay-based resume reconstructing identical device state (including a
 subprocess SIGKILLed mid-campaign), batched-experiment parity with the
-serial calibration routines, calibration-epoch cache invalidation with
+single-site reference runs, calibration-epoch cache invalidation with
 an end-to-end staleness check through a live PulseService, and the
 trigger policies (interval, drift budget, staleness).
 """
@@ -626,9 +626,10 @@ class TestSigkillResume:
 
 class TestBatchingParity:
     def test_batched_ramsey_scan_matches_serial_populations(self):
-        """One multi-site batched schedule per delay == the serial
-        per-site loop (couplers are driven-only: exact factorization)."""
-        from repro.calibration.ramsey import ramsey_populations
+        """One multi-site batched schedule per delay == single-site
+        schedules run one by one on the scalar executor path (couplers
+        are driven-only: exact factorization)."""
+        from repro.pipeline.experiments import _ramsey_schedule
 
         device = sc(num_qubits=2, seed=11)
         device.advance_time(300)
@@ -637,15 +638,14 @@ class TestBatchingParity:
         run = PipelineRunner(device).run(dag, seed=0)
         assert run.ok
         scan = run.result("scan")
-        delays = np.asarray(scan["delays_samples"], dtype=np.float64)
         for site in range(2):
-            serial = ramsey_populations(
-                device,
-                site,
-                delays.astype(int),
-                scan["artificial_detuning_hz"],
-                shots=0,
-            )
+            serial = []
+            for tau in scan["delays_samples"]:
+                sched = _ramsey_schedule(
+                    device, [site], tau, scan["artificial_detuning_hz"], "serial"
+                )
+                result = device.executor.execute(sched, shots=0)
+                serial.append(result.ideal_probabilities.get("1", 0.0))
             batched = np.asarray(scan["populations"][str(site)])
             assert np.allclose(batched, serial, atol=1e-6)
 
@@ -728,13 +728,12 @@ def serial_campaign(
     shots: int,
     seed: int,
 ) -> tuple[int, np.ndarray]:
-    """Per-site drift-campaign reference on the public ``track_frequency``.
+    """Per-site drift-campaign reference: one single-site tracking DAG
+    per site and round.
 
     Drift every *step_s*; every *calibration_interval_s* track each site
     one at a time.  Returns ``(calibrations, (steps + 1, sites) error)``.
     """
-    from repro.calibration import track_frequency
-
     n_steps = int(round(duration_s / step_s))
     n_sites = device.config.num_sites
     errors = np.zeros((n_steps + 1, n_sites), dtype=np.float64)
@@ -747,9 +746,9 @@ def serial_campaign(
         since_cal += step_s
         if tracked and since_cal >= calibration_interval_s:
             for site in range(n_sites):
-                track_frequency(
-                    device, site, rounds=1, shots=shots, seed=seed + 1000 * k + site
-                )
+                dag = frequency_tracking_dag([site], rounds=1, shots=shots)
+                run = PipelineRunner(device).run(dag, seed=seed + 1000 * k + site)
+                assert run.ok, run.error
             calibrations += n_sites
             since_cal = 0.0
         for site in range(n_sites):
