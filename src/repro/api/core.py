@@ -62,16 +62,20 @@ def compile_payload(
     *,
     scalar_args: Mapping[str, float] | None = None,
     timings: dict[str, float] | None = None,
+    key: str | None = None,
 ) -> Any:
     """Compile *payload* for *device* through *compiler*'s memo.
 
     Every compilation in the stack — client submissions, serving
     workers, ``Executable`` binds — passes through this function, so
-    they all share the client's one compile cache.
+    they all share the client's one compile cache. *key* is the memo
+    key when the caller has already composed it.
     """
     t0 = time.perf_counter()
     with span("compile", device=device.name) as sp:
-        program = compiler.compile(payload, device, scalar_args=scalar_args)
+        program = compiler.compile(
+            payload, device, scalar_args=scalar_args, key=key
+        )
         sp.annotate(cache_hit=program.cache_hit)
     if timings is not None:
         timings["compile"] = time.perf_counter() - t0

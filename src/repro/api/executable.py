@@ -209,6 +209,7 @@ class Executable:
         """
         executable = cls(program, target, params=params)
         if not target.is_detached:
+            executable._refresh_if_recalibrated()
             executable._ensure_payload()
         return executable
 
@@ -223,17 +224,17 @@ class Executable:
         """
         if self.target.is_detached:
             return self
-        self._ensure_payload()
-        missing = set(self.program.parameters) - set(self.params)
-        if missing:
-            self._ensure_template()
-        else:
+        if self.is_bound:
             self._ensure_compiled()
+        else:
+            self._refresh_if_recalibrated()
+            self._ensure_payload()
+            self._ensure_template()
         return self
 
     # ---- internal plumbing -----------------------------------------------------------
 
-    def _refresh_if_recalibrated(self) -> None:
+    def _refresh_if_recalibrated(self) -> str | None:
         """Drop device-bound state after a calibration write-back.
 
         Adapter payloads, schedule templates, and compiled artifacts
@@ -242,23 +243,27 @@ class Executable:
         compile cache), everything device-bound is rebuilt on demand —
         matching what the per-call APIs always did by re-running the
         adapter per submission.
+
+        Returns the current state key (``None`` for detached targets).
+        Each entry point checks once and hands the key down, so the
+        internal steps, including the compile-cache key, never hash the
+        calibration state again.
         """
         if self.target.is_detached:
-            return  # no local calibration view; service-side cache rules
+            return None  # no local calibration view; service-side cache rules
         state = self.target.compiler.device_state_key(
             self.target.compile_device
         )
-        if self._state_key is None:
-            self._state_key = state
-        elif state != self._state_key:
-            self._state_key = state
+        if self._state_key is not None and state != self._state_key:
             self._payload = None
             self._payload_fp = None
             self._template = None
             self.compiled = None
+        self._state_key = state
+        return state
 
     def _ensure_payload(self) -> Any:
-        self._refresh_if_recalibrated()
+        """The adapter payload (callers check freshness first)."""
         if self._payload is None:
             self._payload = adapter_payload(
                 self.target.client,
@@ -294,16 +299,22 @@ class Executable:
             self._template = template if template is not None else False
         return self._template or None
 
-    def _cache_key(self) -> str:
+    def _cache_key(self, state: str | None) -> str:
         return self.target.compiler.compose_cache_key(
             self._payload_fingerprint(),
             self.target.compile_device,
             self.params or None,
+            state_key=state,
         )
 
-    def _ensure_compiled(self) -> Any:
-        """The full compile path (adapter payload -> JIT -> cache)."""
-        self._refresh_if_recalibrated()
+    def _ensure_compiled(self, state: str | None = None) -> Any:
+        """The full compile path (adapter payload -> JIT -> cache).
+
+        *state* is the key a caller's freshness check just returned;
+        without one, this checks freshness itself.
+        """
+        if state is None:
+            state = self._refresh_if_recalibrated()
         if self.compiled is not None:
             return self.compiled
         self._ensure_payload()
@@ -319,19 +330,21 @@ class Executable:
             self.target.compile_device,
             scalar_args=self.params or None,
             timings=self._timings,
+            key=self._cache_key(state),
         )
         return self.compiled
 
-    def _compile_bound(self) -> Any:
-        """The bind-time compile: cache probe, then template, then JIT."""
-        self._refresh_if_recalibrated()
-        if self.compiled is not None:
-            return self.compiled
+    def _compile_bound(self, state: str | None) -> Any:
+        """The bind-time compile: cache probe, then template, then JIT.
+
+        *state* is the calibration state key the binding executable
+        checked this bind against.
+        """
         self._ensure_payload()
         compiler = self.target.compiler
         device = self.target.compile_device
         t0 = time.perf_counter()
-        key = self._cache_key()
+        key = self._cache_key(state)
         with span("compile", bound=True) as sp:
             with span("cache.lookup", cache="artifact") as lsp:
                 cached = compiler.lookup(key)
@@ -351,12 +364,18 @@ class Executable:
                     sp.annotate(path="template")
                     return compiled
             sp.annotate(path="jit")
-            return self._ensure_compiled()
+            return self._ensure_compiled(state)
 
     def _specialize(
         self, template: _ScheduleTemplate, compiler: Any, device: Any, t0: float
     ) -> Any | None:
-        """Bind the schedule template; ``None`` defers to the compiler."""
+        """Bind the schedule template; ``None`` defers to the compiler.
+
+        The bound schedule is legal by construction (the template's
+        static structure was validated, the frequency slots are range
+        checked here), so it becomes an artifact the way a legal
+        schedule payload does in the JIT.
+        """
         from repro.compiler.jit import CompiledProgram
 
         try:
@@ -366,18 +385,14 @@ class Executable:
             schedule = template.specialize(self.params)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
-        return CompiledProgram(
-            device_name=device.name,
-            schedule=schedule,
-            pulse_module=self.program.module,
-            pass_report=None,
-            compile_time_s=time.perf_counter() - t0,
-            metadata={
-                "granularity": self.target.constraints.granularity,
-                "dt": self.target.constraints.dt,
-                "bound_template": True,
-                "parameters": dict(self.params),
-            },
+        return CompiledProgram.from_schedule(
+            device.name,
+            schedule,
+            constraints,
+            started=t0,
+            context=compiler.context,
+            bound_template=True,
+            parameters=dict(self.params),
         )
 
     # ---- the two-phase hot loop ------------------------------------------------------
@@ -420,6 +435,7 @@ class Executable:
             stretch = coerce_stretch_factor(stretch)
         if not self.program.is_parametric or self.target.is_detached:
             return None
+        self._refresh_if_recalibrated()
         self._ensure_payload()
         template = self._ensure_template()
         if template is None:
@@ -466,6 +482,7 @@ class Executable:
             # Bindings ride the request's scalar_args; the serving
             # side compiles (and caches) the bound point.
             return Executable(self.program, self.target, params=merged)
+        state = self._refresh_if_recalibrated()
         self._ensure_payload()
         if self.program.is_parametric:
             self._ensure_template()  # built once, shared by every bind
@@ -476,7 +493,7 @@ class Executable:
         bound._timings = dict(self._timings)
         bound._state_key = self._state_key
         if bound.is_bound:
-            bound._compile_bound()
+            bound._compile_bound(state)
         return bound
 
     def run(
@@ -658,8 +675,9 @@ class Executable:
     @property
     def cache_key(self) -> str:
         """The content-addressed key of this (bound) compilation."""
+        state = self._refresh_if_recalibrated()
         self._ensure_payload()
-        return self._cache_key()
+        return self._cache_key(state)
 
     @property
     def schedule(self) -> PulseSchedule | None:

@@ -9,7 +9,11 @@ Reproduces the paper's pipeline (§5.5 "Consistency Across the Stack"):
    compilation);
 3. lower gates to pulses through the device's calibrations;
 4. run the pulse pass pipeline — canonicalize, CSE, DCE, and the
-   constraint legalization built from the queried constraints;
+   constraint legalization built from the queried constraints. A
+   schedule payload that already meets the constraints, and that the
+   pipeline would hand back unchanged, skips it: it is validated and
+   used as is, and its pulse-MLIR module and pass report are built
+   only when something reads them;
 5. emit the executable schedule, and QIR with the Pulse Profile
    (challenge C4) when a consumer asks for it.
 
@@ -29,8 +33,19 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.core.constraints import PulseConstraints
+from repro.core.frame import Frame
+from repro.core.instructions import (
+    Barrier,
+    Delay,
+    Play,
+    SetFrequency,
+    SetPhase,
+    ShiftFrequency,
+    ShiftPhase,
+)
 from repro.core.schedule import PulseSchedule
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ConstraintError, ReproError
 from repro.compiler.lowering import (
     mlir_pulse_to_schedule,
     quantum_module_to_schedule,
@@ -47,27 +62,169 @@ from repro.mlir.passes import (
     PulseLegalizationPass,
     WaveformCSEPass,
 )
+from repro.mlir.passes.manager import PipelineReport
 from repro.qdmi.properties import DeviceProperty
 from repro.qir.emitter import schedule_to_qir
+
+
+def _pulse_pipeline(
+    schedule: PulseSchedule,
+    constraints: PulseConstraints,
+    context: MLIRContext,
+) -> tuple[Module, PipelineReport]:
+    """Lift *schedule* to pulse-MLIR and run the pass pipeline on it:
+    canonicalize, CSE, DCE, and legalization against *constraints*."""
+    module = schedule_to_pulse_module(schedule)
+    report = (
+        PassManager(context)
+        .add(PulseCanonicalizePass())
+        .add(WaveformCSEPass())
+        .add(DeadWaveformEliminationPass())
+        .add(PulseLegalizationPass(constraints))
+        .run(module)
+    )
+    return module, report
+
+
+def _pipeline_keeps(
+    schedule: PulseSchedule, constraints: PulseConstraints, device: Any
+) -> bool:
+    """True when the pass pipeline would hand *schedule* back unchanged.
+
+    Call it only on a schedule that passed ``validate_schedule``:
+    legalization then has nothing to pad, align or reject. What is
+    left is what the passes and the lift/interpret round trip rewrite:
+
+    * a parametric envelope the device must receive as samples;
+    * a zero-delta shift, or a ``set_frequency`` directly followed by a
+      ``set_phase``/``set_frequency`` on its mixed frame (canonicalize
+      drops or fuses them);
+    * a delay that outlasts every event (the lift keeps only the
+      delays that pin an event's start time);
+    * two frames sharing one (port, name) pair, or a port the device
+      does not resolve to itself (the interpreter rebinds both by name).
+    """
+    try:
+        if any(device.port(p.name) != p for p in schedule.ports()):
+            return False
+    except ReproError:
+        return False
+    frames: dict[tuple[str, str], Frame] = {}
+    last_event_end = 0
+    delay_end = 0
+    previous = None
+    for item in schedule.ordered():
+        ins = item.instruction
+        if isinstance(ins, Delay):
+            delay_end = max(delay_end, item.t1)
+            continue
+        if isinstance(ins, Barrier):
+            continue
+        last_event_end = max(last_event_end, item.t1)
+        if isinstance(ins, Play) and constraints.requires_sampling(ins.waveform):
+            return False
+        if isinstance(ins, (ShiftPhase, ShiftFrequency)) and ins.delta == 0.0:
+            return False
+        if (
+            isinstance(previous, SetFrequency)
+            and isinstance(ins, (SetPhase, SetFrequency))
+            and (previous.port, previous.frame) == (ins.port, ins.frame)
+        ):
+            return False
+        frame = getattr(ins, "frame", None)
+        if frame is not None:
+            known = frames.setdefault((ins.port.name, frame.name), frame)
+            if known != frame:
+                return False
+        previous = ins
+    return delay_end <= last_event_end
 
 
 @dataclass
 class CompiledProgram:
     """Output of one JIT compilation.
 
-    The QIR text is emitted from :attr:`schedule` on first access of
-    :attr:`qir`: only remote dispatch and QIR size accounting read it,
-    so local execution never pays for it.
+    :attr:`schedule` is the legal program the device executes. The
+    other views of it are built on first access and then cached:
+
+    * :attr:`qir` — QIR with the Pulse Profile; only remote dispatch
+      and QIR size accounting read it;
+    * :attr:`pulse_module` and :attr:`pass_report` — the schedule as a
+      pulse-MLIR module after the pass pipeline, and that run's report.
+      A compile that ran the pipeline keeps both from that run; an
+      artifact built from an already legal schedule (a schedule payload
+      the pipeline would not change, a bound schedule template) lifts
+      its schedule and runs the pipeline when one of them is first
+      read. Nothing on the execution path reads either.
+
+    Build one with :meth:`from_schedule`.
     """
 
     device_name: str
     schedule: PulseSchedule
-    pulse_module: Module
-    pass_report: Any
     compile_time_s: float
+    #: The device constraints the schedule was compiled against.
+    constraints: PulseConstraints = field(repr=False, compare=False)
     cache_hit: bool = False
     metadata: dict = field(default_factory=dict)
+    _context: MLIRContext | None = field(default=None, repr=False, compare=False)
+    _lowered: tuple[Module, PipelineReport] | None = field(
+        default=None, repr=False, compare=False
+    )
     _qir: str | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_schedule(
+        cls,
+        device_name: str,
+        schedule: PulseSchedule,
+        constraints: PulseConstraints,
+        *,
+        started: float,
+        context: MLIRContext | None = None,
+        lowered: tuple[Module, PipelineReport] | None = None,
+        **metadata: Any,
+    ) -> "CompiledProgram":
+        """The artifact of *schedule*, which meets *constraints*.
+
+        *started* is the ``time.perf_counter()`` reading the compile
+        began at; *lowered* is the ``(module, report)`` of a pipeline
+        run that produced *schedule*, when there was one. *metadata*
+        extends the ``granularity``/``dt`` entries every artifact
+        carries.
+        """
+        return cls(
+            device_name=device_name,
+            schedule=schedule,
+            compile_time_s=time.perf_counter() - started,
+            metadata={
+                "granularity": constraints.granularity,
+                "dt": constraints.dt,
+                **metadata,
+            },
+            constraints=constraints,
+            _context=context,
+            _lowered=lowered,
+        )
+
+    @property
+    def pulse_module(self) -> Module:
+        """The schedule as pulse-MLIR after the pass pipeline (lazy)."""
+        return self._lower()[0]
+
+    @property
+    def pass_report(self) -> PipelineReport:
+        """The report of the pipeline run behind :attr:`pulse_module`."""
+        return self._lower()[1]
+
+    def _lower(self) -> tuple[Module, PipelineReport]:
+        if self._lowered is None:
+            self._lowered = _pulse_pipeline(
+                self.schedule,
+                self.constraints,
+                self._context or default_context(),
+            )
+        return self._lowered
 
     @property
     def qir(self) -> str:
@@ -194,17 +351,24 @@ class JITCompiler:
         payload_fingerprint: str,
         device: Any,
         scalar_args: Mapping | None = None,
+        *,
+        state_key: str | None = None,
     ) -> str:
         """:meth:`cache_key` from a precomputed payload fingerprint.
 
         Hot loops (``Executable.bind``) fingerprint the payload once
         and recompose the key per parameter binding; the result is
-        byte-identical to :meth:`cache_key` on the same inputs.
+        byte-identical to :meth:`cache_key` on the same inputs. A
+        caller that has just read :meth:`device_state_key` for its own
+        freshness check passes it as *state_key* instead of having it
+        hashed again.
         """
         base = payload_fingerprint
         if scalar_args:
             base += self._scalar_suffix(scalar_args)
-        return f"{base}@{self.device_state_key(device)}"
+        if state_key is None:
+            state_key = self.device_state_key(device)
+        return f"{base}@{state_key}"
 
     # ---- compilation -----------------------------------------------------------------
 
@@ -214,13 +378,18 @@ class JITCompiler:
         device: Any,
         *,
         scalar_args: Mapping[str, float] | None = None,
+        key: str | None = None,
     ) -> CompiledProgram:
         """Compile *payload* for *device*; returns a CompiledProgram.
 
         Payload kinds: a gate-level MLIR module (``quantum.circuit``),
         a pulse MLIR module or its text, or a :class:`PulseSchedule`.
+        *key*, when given, must be the :meth:`cache_key` of the same
+        inputs (``Executable`` composes it from its cached payload
+        fingerprint).
         """
-        key = self.cache_key(payload, device, scalar_args)
+        if key is None:
+            key = self.cache_key(payload, device, scalar_args)
         cached = self.lookup(key)
         if cached is not None:
             return cached
@@ -244,40 +413,49 @@ class JITCompiler:
         t0 = time.perf_counter()
         with self._lock:
             self.stats["misses"] += 1
+        constraints = device.query_device_property(
+            DeviceProperty.PULSE_CONSTRAINTS
+        )
+
+        # A schedule payload the pipeline would not change is the
+        # compiled program as it stands (a copy: the caller's schedule
+        # stays theirs to mutate).
+        if isinstance(payload, PulseSchedule):
+            try:
+                constraints.validate_schedule(payload)
+                legal = _pipeline_keeps(payload, constraints, device)
+            except ConstraintError:
+                legal = False
+            if legal:
+                return CompiledProgram.from_schedule(
+                    device.name,
+                    payload.copy(),
+                    constraints,
+                    started=t0,
+                    context=self.context,
+                )
 
         # 1-3. Front-end: get to a schedule, through the calibrations.
         schedule = self._to_schedule(payload, device, scalar_args)
 
         # 4. Pulse-level pass pipeline on the lifted module, informed by
         #    the constraints queried over QDMI.
-        constraints = device.query_device_property(
-            DeviceProperty.PULSE_CONSTRAINTS
+        pulse_module, report = _pulse_pipeline(
+            schedule, constraints, self.context
         )
-        pulse_module = schedule_to_pulse_module(schedule)
-        pm = (
-            PassManager(self.context)
-            .add(PulseCanonicalizePass())
-            .add(WaveformCSEPass())
-            .add(DeadWaveformEliminationPass())
-            .add(PulseLegalizationPass(constraints))
-        )
-        report = pm.run(pulse_module)
 
         # Re-extract the (legalized) schedule and hard-check constraints.
         final_schedule = mlir_pulse_to_schedule(pulse_module, device)
         constraints.validate_schedule(final_schedule)
 
         # 5. Exchange format: emitted on first use (CompiledProgram.qir).
-        return CompiledProgram(
-            device_name=device.name,
-            schedule=final_schedule,
-            pulse_module=pulse_module,
-            pass_report=report,
-            compile_time_s=time.perf_counter() - t0,
-            metadata={
-                "granularity": constraints.granularity,
-                "dt": constraints.dt,
-            },
+        return CompiledProgram.from_schedule(
+            device.name,
+            final_schedule,
+            constraints,
+            started=t0,
+            context=self.context,
+            lowered=(pulse_module, report),
         )
 
     def _to_schedule(

@@ -25,7 +25,7 @@ calibration experiment (E9 in DESIGN.md) physically meaningful.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -44,7 +44,7 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.qdmi.device import QDMIDevice
-from repro.qdmi.job import QDMIJob
+from repro.qdmi.job import JOB_HISTORY, QDMIJob
 from repro.qdmi.properties import (
     DeviceProperty,
     DeviceStatus,
@@ -128,7 +128,7 @@ class SimulatedDevice(QDMIDevice):
         self._noisy_executors: OrderedDict[
             tuple[DecoherenceSpec, ...], ScheduleExecutor
         ] = OrderedDict()
-        self._jobs: list[QDMIJob] = []
+        self._jobs: deque[QDMIJob] = deque(maxlen=JOB_HISTORY)
         self.elapsed_seconds = 0.0
         #: Monotonic calibration generation. Every committed write-back
         #: (frame frequency, DRAG beta, readout refresh) bumps it, and
@@ -560,7 +560,8 @@ class SimulatedDevice(QDMIDevice):
 
     @property
     def executed_jobs(self) -> tuple[QDMIJob, ...]:
-        """Jobs this device has accepted, in submission order."""
+        """The last ``JOB_HISTORY`` jobs this device accepted, in
+        submission order."""
         return tuple(self._jobs)
 
 

@@ -182,7 +182,8 @@ class BasePrimitive:
             self.stats["misses"] += 1
             with span("compile", program=pub.program.name):
                 executable = Executable.prepare(pub.program, self._target)
-                executable.compile()
+                if pub.program.is_parametric:
+                    executable.compile()  # the schedule template
             self._executables[pub.program] = executable
             while len(self._executables) > self._MAX_EXECUTABLE_MEMO:
                 self._executables.popitem(last=False)

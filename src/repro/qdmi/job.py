@@ -11,6 +11,11 @@ from repro.qdmi.properties import JobStatus, ProgramFormat
 
 _job_ids = itertools.count(1)
 
+#: How many recent jobs a device and a session keep for inspection.
+#: Each job holds its payload and result, so an unbounded history would
+#: grow for the life of a long-running service.
+JOB_HISTORY = 256
+
 #: Legal transitions of the job FSM.
 _TRANSITIONS: dict[JobStatus, frozenset[JobStatus]] = {
     JobStatus.CREATED: frozenset({JobStatus.SUBMITTED, JobStatus.CANCELLED}),

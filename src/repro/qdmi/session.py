@@ -9,13 +9,14 @@ job submissions, and refuses everything once closed.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Sequence
 
 from repro.core.frame import Frame
 from repro.core.port import Port
 from repro.errors import SessionError
 from repro.qdmi.device import QDMIDevice
-from repro.qdmi.job import QDMIJob
+from repro.qdmi.job import JOB_HISTORY, QDMIJob
 from repro.qdmi.properties import (
     DeviceProperty,
     FrameProperty,
@@ -37,7 +38,7 @@ class QDMISession:
         self.client_name = client_name
         self._device = device
         self._open = True
-        self._jobs: list[QDMIJob] = []
+        self._jobs: deque[QDMIJob] = deque(maxlen=JOB_HISTORY)
 
     # ---- lifecycle ------------------------------------------------------------------
 
@@ -123,5 +124,5 @@ class QDMISession:
 
     @property
     def jobs(self) -> tuple[QDMIJob, ...]:
-        """Jobs created through this session."""
+        """The last ``JOB_HISTORY`` jobs created through this session."""
         return tuple(self._jobs)

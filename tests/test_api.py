@@ -302,6 +302,54 @@ class TestBind:
         }
         assert 5.0002e9 in drive_frequencies
 
+    def test_bound_artifact_lowers_its_own_schedule(self, sc_device_1q):
+        target = repro.Target.from_device(sc_device_1q)
+        executable = repro.compile(
+            repro.Program.from_mlir(parametric_kernel(sc_device_1q)), target
+        )
+        compiled = executable.bind(theta0=0.125, theta1=-0.375).compiled
+        assert compiled.metadata == {
+            "granularity": 8,
+            "dt": 1e-9,
+            "bound_template": True,
+            "parameters": {"theta0": 0.125, "theta1": -0.375},
+        }
+        # The lazy module is the bound schedule, not the parametric one.
+        text = print_module(compiled.pulse_module)
+        assert "{delta = 0.125}" in text and "{delta = -0.375}" in text
+        assert "theta" not in text
+        assert "pulse-legalize" in compiled.pass_report.ran
+
+    def test_calibration_state_hashed_once_per_check(
+        self, sc_device, monkeypatch
+    ):
+        """prepare + compile hash the calibration state twice: prepare
+        records it, compile checks it and reuses the answer as the JIT
+        key. Each later entry point checks once."""
+        from repro.api.executable import Executable
+        from repro.compiler import JITCompiler
+        from repro.primitives import Estimator, Observable
+
+        calls = []
+        state_key = JITCompiler.device_state_key
+
+        def counting(self, device):
+            calls.append(device)
+            return state_key(self, device)
+
+        monkeypatch.setattr(JITCompiler, "device_state_key", counting)
+        target = repro.Target.from_device(sc_device)
+        program = repro.Program.coerce(qpi_to_schedule(qpi_flip(), sc_device))
+        executable = Executable.prepare(program, target).compile()
+        assert len(calls) == 2
+        assert not executable.compiled.cache_hit
+        executable.run(shots=0)
+        assert len(calls) == 3
+        # A primitive over a fresh program: prepare, then one compile.
+        calls.clear()
+        Estimator(target).run([(program, Observable.z(0))])
+        assert len(calls) == 2
+
     def test_sweep_matches_loop(self, sc_device_1q):
         target = repro.Target.from_device(sc_device_1q)
         executable = repro.compile(

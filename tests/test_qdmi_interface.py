@@ -142,6 +142,24 @@ class TestDriverAndSessions:
         assert sum(job.result.counts.values()) == 100
         assert job in s.jobs
 
+    def test_job_histories_are_bounded(self, driver, sc_device):
+        """A session and a device keep only their last JOB_HISTORY
+        jobs, so a long-running service does not hold every payload
+        and result it ever ran."""
+        from repro.qdmi.job import JOB_HISTORY
+
+        s = driver.open_session("sc-transmon", "c")
+        sched = PulseSchedule()
+        sc_device.calibrations.get("measure", (0,)).apply(sched, [0])
+        jobs = [
+            s.create_job(ProgramFormat.PULSE_SCHEDULE, sched, shots=0)
+            for _ in range(JOB_HISTORY + 3)
+        ]
+        s.submit_jobs(jobs)
+        assert all(job.status is JobStatus.DONE for job in jobs)
+        assert s.jobs == tuple(jobs[3:])
+        assert sc_device.executed_jobs == tuple(jobs[3:])
+
 
 class TestQueryInterface:
     def test_device_properties(self, sc_device):
