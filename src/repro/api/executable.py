@@ -14,6 +14,9 @@ happens once, and the hot-loop operations are cheap:
   so revisited parameter points are cache hits.  This is the
   FWDA-style amortization the paper's Listing-1 VQE loop needs:
   factorize once, solve per query.
+* :meth:`Executable.bind_many` — bind a whole ``(K, P)`` sweep at once
+  into a :class:`~repro.core.schedule.ScheduleFamily` (the template
+  plus the value matrix) for the simulator to synthesize as arrays.
 * :meth:`Executable.run` — execute and return a
   :class:`~repro.client.client.ClientResult`; local device targets
   dispatch straight to ``device.submit_job`` (the QPI-parity fast
@@ -41,10 +44,12 @@ import math
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.api.core import adapter_payload, compile_payload
 from repro.api.program import Program
 from repro.api.target import Target
-from repro.core.schedule import PulseSchedule
+from repro.core.schedule import PulseSchedule, ScheduleFamily
 from repro.errors import ExecutionError, ReproError, ValidationError
 from repro.obs.tracing import span
 
@@ -53,58 +58,57 @@ _SCALAR_FIELDS = ("frequency", "phase", "delta")
 
 
 class _ScheduleTemplate:
-    """A compiled schedule with recorded scalar-parameter slots."""
+    """A compiled schedule with recorded scalar-parameter slots.
 
-    __slots__ = ("base", "by_index", "frequency_params")
+    Slots are ``(item index, field, column)``, the column indexing
+    *names* (the program's parameter order), so a ``(K, P)`` matrix of
+    points binds as one :class:`~repro.core.schedule.ScheduleFamily`.
+    """
+
+    __slots__ = ("base", "names", "slots", "frequency_columns")
 
     def __init__(
         self,
         base: PulseSchedule,
+        names: Sequence[str],
         slots: list[tuple[int, str, str]],
     ) -> None:
         self.base = base
-        grouped: dict[int, list[tuple[str, str]]] = {}
-        for idx, fld, name in slots:
-            grouped.setdefault(idx, []).append((fld, name))
-        self.by_index = tuple(
-            (idx, tuple(pairs)) for idx, pairs in sorted(grouped.items())
+        self.names = tuple(names)
+        column = {name: j for j, name in enumerate(self.names)}
+        self.slots = tuple((idx, fld, column[name]) for idx, fld, name in slots)
+        #: Columns that land in carrier-frequency fields get the same
+        #: range check legalization would apply.
+        self.frequency_columns = tuple(
+            sorted({col for _, fld, col in self.slots if fld == "frequency"})
         )
-        #: Parameters that land in carrier-frequency fields get the
-        #: same range check legalization would apply.
-        self.frequency_params = tuple(
-            sorted({name for _, fld, name in slots if fld == "frequency"})
-        )
+
+    @property
+    def frequency_params(self) -> tuple[str, ...]:
+        return tuple(self.names[col] for col in self.frequency_columns)
+
+    def family(self, values: np.ndarray) -> ScheduleFamily:
+        """The ``(K, P)`` points *values* bound as one family."""
+        return ScheduleFamily(self.base, self.slots, values)
 
     def specialize(self, params: Mapping[str, float]) -> PulseSchedule:
-        """A schedule with every scalar slot bound from *params*.
+        """A schedule with every scalar slot bound from *params*: the
+        one member of a one-point family.
 
-        Hot path of every per-point bind: the slotted (frozen
-        dataclass) items are shallow-copied field-for-field instead of
-        going through :func:`dataclasses.replace`, whose per-call field
-        introspection dominated sweep-sized binds. The only
-        ``__post_init__`` check this skips is scalar finiteness, which
-        is re-applied explicitly (range checks for frequency slots
-        happen in the callers, exactly as before).
+        Scalar finiteness (the ``__post_init__`` check the family's
+        field-for-field copy skips) is checked here; range checks for
+        frequency slots happen in the callers.
         """
-        base = self.base
-        items = list(base._items)
-        for idx, pairs in self.by_index:
-            item = items[idx]
-            ins = item.instruction
-            new_ins = object.__new__(type(ins))
-            new_ins.__dict__.update(ins.__dict__)
-            for fld, name in pairs:
-                value = float(params[name])
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"parameter {name!r} must be finite, got {value!r}"
-                    )
-                new_ins.__dict__[fld] = value
-            new_item = object.__new__(type(item))
-            new_item.__dict__.update(item.__dict__)
-            new_item.__dict__["instruction"] = new_ins
-            items[idx] = new_item
-        return base.clone_with_items(items)
+        row = np.zeros((1, len(self.names)))
+        for _, _, col in self.slots:
+            name = self.names[col]
+            value = float(params[name])
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"parameter {name!r} must be finite, got {value!r}"
+                )
+            row[0, col] = value
+        return self.family(row).member(0)
 
 
 def _build_template(
@@ -149,7 +153,7 @@ def _build_template(
                     slots.append((idx, fld, name))
         if not slots:
             return None
-        template = _ScheduleTemplate(sched_a, slots)
+        template = _ScheduleTemplate(sched_a, names, slots)
         # Validate the *static* structure once (timing grid, waveform
         # durations/amplitudes) with neutral, in-range scalar values;
         # a failure means legalization has real work to do, so the
@@ -408,8 +412,9 @@ class Executable:
         Merges *params* over the executable's bindings and specializes
         the pre-compiled schedule template — no artifact construction,
         no cache write; the primitives tier uses this to mint one
-        schedule per PUB point at clone-and-swap cost before handing
-        the whole batch to the device executor. Returns ``None``
+        schedule per PUB point at clone-and-swap cost where a point
+        needs its own schedule (service targets, ZNE stretch variants,
+        a sweep :meth:`bind_many` rejects). Returns ``None``
         whenever the fast path is unavailable (non-parametric program,
         no template, out-of-range frequency, incomplete bindings) —
         callers then fall back to :meth:`bind`, whose semantics this
@@ -461,6 +466,44 @@ class Executable:
                 schedule, stretch, constraints=self.target.constraints
             )
         return schedule
+
+    def bind_many(self, values: np.ndarray) -> ScheduleFamily | None:
+        """A whole sweep bound through the template fast path at once.
+
+        *values* holds one point per row, one column per program
+        parameter in :attr:`Program.parameters
+        <repro.api.program.Program.parameters>` order (what
+        :meth:`BindingsArray.values
+        <repro.primitives.pubs.BindingsArray.values>` gives). The
+        result is one :class:`~repro.core.schedule.ScheduleFamily`: the
+        template schedule, its slots and the ``(K, P)`` matrix — no
+        per-point schedule. The checks :meth:`specialize` makes per
+        point run once over the matrix: calibration freshness,
+        finiteness and the carrier-frequency range of every frequency
+        column. Returns ``None`` when the template is unavailable or
+        any point fails a check; callers then bind point by point,
+        which raises wherever it always did.
+        """
+        if not self.program.is_parametric or self.target.is_detached:
+            return None
+        self._refresh_if_recalibrated()
+        self._ensure_payload()
+        template = self._ensure_template()
+        if template is None:
+            return None
+        values = np.asarray(values, dtype=np.float64).reshape(
+            -1, len(template.names)
+        )
+        if not np.isfinite(values).all():
+            return None
+        try:
+            constraints = self.target.constraints
+            for col in template.frequency_columns:
+                for frequency in values[:, col].tolist():
+                    constraints.validate_frequency(frequency)
+        except ReproError:
+            return None
+        return template.family(values)
 
     def bind(
         self, params: Mapping[str, float] | None = None, **kwargs: float

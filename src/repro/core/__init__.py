@@ -38,7 +38,7 @@ from repro.core.instructions import (
     ShiftPhase,
 )
 from repro.core.port import Port, PortDirection, PortKind
-from repro.core.schedule import PulseSchedule, ScheduledInstruction
+from repro.core.schedule import PulseSchedule, ScheduledInstruction, ScheduleFamily
 from repro.core.timing import (
     align_down,
     align_up,
@@ -85,6 +85,7 @@ __all__ = [
     "ShiftPhase",
     "FrameChange",
     "PulseSchedule",
+    "ScheduleFamily",
     "ScheduledInstruction",
     "PulseConstraints",
     "align_up",

@@ -22,8 +22,12 @@ denote the same physical program.
 from __future__ import annotations
 
 import hashlib
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.core.frame import Frame
 from repro.core.instructions import (
@@ -310,6 +314,112 @@ class PulseSchedule:
             f"PulseSchedule({self.name!r}, n={len(self._items)}, "
             f"duration={self.duration}, ports={len(self.ports())})"
         )
+
+
+#: The scalar fields of each frame-event type: the only fields in which
+#: the members of a :class:`ScheduleFamily` may differ.
+FRAME_EVENT_FIELDS: dict[type, tuple[str, ...]] = {
+    SetFrequency: ("frequency",),
+    ShiftFrequency: ("delta",),
+    SetPhase: ("phase",),
+    ShiftPhase: ("delta",),
+    FrameChange: ("frequency", "phase"),
+}
+
+
+class ScheduleFamily(Sequence):
+    """K one-point schedules of one template, held as a value matrix.
+
+    *base* is the template schedule. Each slot ``(item index, field,
+    column)`` says that the field of ``base``'s item at that index
+    takes ``values[k, column]`` in member ``k``; everything else is
+    ``base``'s (the same timing, waveforms and ``Play`` objects). This
+    is what binding a parameter sweep produces: the pulse dialect has
+    no scalar arithmetic, so a parameter lands verbatim in frame-event
+    fields. A consumer that reads the slots (the simulator's drive
+    synthesis) never needs the K schedules; :meth:`member` builds one
+    when something asks for it.
+    """
+
+    __slots__ = ("base", "slots", "values", "_by_index")
+
+    def __init__(
+        self,
+        base: PulseSchedule,
+        slots: Iterable[tuple[int, str, int]],
+        values: np.ndarray,
+    ) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ScheduleError(
+                f"family values must be a (K, P) matrix, got shape {values.shape}"
+            )
+        self.base = base
+        self.slots = tuple((int(i), str(f), int(c)) for i, f, c in slots)
+        self.values = values
+        grouped: dict[int, list[tuple[str, int]]] = {}
+        for idx, fld, col in self.slots:
+            grouped.setdefault(idx, []).append((fld, col))
+        self._by_index = tuple(
+            (idx, tuple(pairs)) for idx, pairs in sorted(grouped.items())
+        )
+
+    @classmethod
+    def gather(cls, members: Sequence[PulseSchedule]) -> "ScheduleFamily":
+        """The family of *members*, structural clones of ``members[0]``.
+
+        Every frame-event position where some member carries its own
+        item becomes a slot per field, and the column holds each
+        member's value. The caller guarantees the clone structure (the
+        simulator checks it with ``ScheduleExecutor._is_clone``).
+        """
+        base = members[0]
+        slots: list[tuple[int, str, int]] = []
+        columns: list[list[float]] = []
+        others = members[1:]
+        for pos, item0 in enumerate(base._items if others else ()):
+            if all(s._items[pos] is item0 for s in others):
+                continue
+            for fld in FRAME_EVENT_FIELDS[type(item0.instruction)]:
+                slots.append((pos, fld, len(columns)))
+                columns.append(
+                    [getattr(s._items[pos].instruction, fld) for s in members]
+                )
+        values = np.array(columns, dtype=np.float64).T.reshape(
+            len(members), len(columns)
+        )
+        return cls(base, slots, values)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, k: int) -> PulseSchedule:  # type: ignore[override]
+        return self.member(k)
+
+    def member(self, k: int) -> PulseSchedule:
+        """Member *k* as a schedule: ``base`` with its slots swapped.
+
+        The slotted (frozen dataclass) items are shallow-copied
+        field-for-field instead of going through
+        :func:`dataclasses.replace`, whose per-call field introspection
+        dominated sweep-sized binds; the values are trusted (binders
+        check finiteness and frequency range first).
+        """
+        row = self.values[operator.index(k)]
+        base = self.base
+        items = list(base._items)
+        for idx, pairs in self._by_index:
+            item = items[idx]
+            ins = item.instruction
+            new_ins = object.__new__(type(ins))
+            new_ins.__dict__.update(ins.__dict__)
+            for fld, col in pairs:
+                new_ins.__dict__[fld] = float(row[col])
+            new_item = object.__new__(type(item))
+            new_item.__dict__.update(item.__dict__)
+            new_item.__dict__["instruction"] = new_ins
+            items[idx] = new_item
+        return base.clone_with_items(items)
 
 
 def merge_schedules(

@@ -21,11 +21,17 @@ and owns one dispatch decision for all its PUBs:
 * **client** — anything else (remote QDMI routing): the per-point
   ``Executable`` loop, kept as the correctness baseline.
 
-Schedules for parametric programs are minted through
-:meth:`Executable.specialize <repro.api.executable.Executable.specialize>`
-— the PR-4 template fast path — falling back to :meth:`Executable.bind`
-when the template is unavailable, so PUB evaluation never recompiles
-the front-end per point.
+On a direct target a parametric PUB binds as one
+:class:`~repro.core.schedule.ScheduleFamily` through
+:meth:`Executable.bind_many <repro.api.executable.Executable.bind_many>`:
+the compiled schedule template plus the PUB's ``(K, P)`` value matrix,
+which the executor writes straight into its frame timelines — no
+schedule per point. Service targets, stretched (ZNE) binds and PUBs
+that fail a bind check mint one schedule per point through
+:meth:`Executable.specialize <repro.api.executable.Executable.specialize>`,
+falling back to :meth:`Executable.bind` when the template is
+unavailable, so PUB evaluation never recompiles the front-end per
+point and every bind error surfaces where the per-point bind raises it.
 """
 
 from __future__ import annotations
@@ -136,12 +142,17 @@ class BasePrimitive:
 
     # ---- schedule minting ------------------------------------------------------------
 
-    def _point_schedules(self, pub, *, stretch: float | None = None) -> list[Any]:
+    def _point_schedules(self, pub, *, stretch: float | None = None) -> Sequence[Any]:
         """One concrete schedule per *unique* binding point of *pub*.
 
         Compiles the PUB's program once (template for parametric
-        programs), then specializes per point through the fast path.
-        In executor mode the program must already be a schedule.
+        programs). On a direct target an unstretched parametric PUB
+        binds as one :class:`~repro.core.schedule.ScheduleFamily`
+        (:meth:`Executable.bind_many
+        <repro.api.executable.Executable.bind_many>`), a sequence whose
+        members are built only on access; otherwise, or when a point
+        fails a bind check, it specializes per point through the fast
+        path. In executor mode the program must already be a schedule.
 
         *stretch* dilates every minted schedule by a ZNE stretch factor
         (:mod:`repro.core.stretch`). The template fast path stretches
@@ -211,6 +222,10 @@ class BasePrimitive:
             return [schedule] * n_points
         schedules: list[Any] = []
         with span("specialize", points=n_points):
+            if self._mode == _DIRECT and stretch is None:
+                family = executable.bind_many(bindings.values())
+                if family is not None:
+                    return family
             for i in range(n_points):
                 point = bindings.point(i)
                 if self._mode == _CLIENT:
@@ -239,12 +254,15 @@ class BasePrimitive:
         """Execute every pub's points; returns per-pub result lists.
 
         *per_pub* entries are ``(pub, point_handles, shots)`` where the
-        handles are schedules (direct/service) or executables (client).
-        Direct and service dispatch both batch all points sharing a
-        shot count, across every pub: direct runs each such group
-        through one :meth:`execute_batch` call, service admits it as
-        one sweep — one queue entry, one batched device execution —
-        and admits every sweep before collecting any ticket.
+        handles are schedules (direct/service), a schedule family
+        (direct) or executables (client). Direct and service dispatch
+        both batch all points sharing a shot count, across every pub:
+        direct runs each such group through one :meth:`execute_batch`
+        call, service admits it as one sweep — one queue entry, one
+        batched device execution — and admits every sweep before
+        collecting any ticket. A pub alone in its direct group gets the
+        batch itself back (a family's results stay arrays); pubs that
+        share a group get their slice of it.
         """
         with span("dispatch", mode=self._mode, pubs=len(per_pub)):
             if self._mode == _CLIENT:
@@ -255,16 +273,21 @@ class BasePrimitive:
                     ]
                     for _, handles, shots in per_pub
                 ]
-            groups: dict[int, list[tuple[int, int, Any]]] = {}
-            for p, (_, handles, shots) in enumerate(per_pub):
-                for i, handle in enumerate(handles):
-                    groups.setdefault(shots, []).append((p, i, handle))
+            groups: dict[int, list[int]] = {}
+            for p, (_, _, shots) in enumerate(per_pub):
+                groups.setdefault(shots, []).append(p)
+
+            def handles(members: list[int]) -> Sequence[Any]:
+                if len(members) == 1:
+                    return per_pub[members[0]][1]
+                return [h for p in members for h in per_pub[p][1]]
+
             if self._mode == _DIRECT:
                 batches = [
                     self._executor.execute_batch(
-                        [e[2] for e in entries], shots=shots, seed=self._seed
+                        handles(members), shots=shots, seed=self._seed
                     )
-                    for shots, entries in groups.items()
+                    for shots, members in groups.items()
                 ]
             else:
                 from repro.serving.sweeps import SweepRequest
@@ -273,19 +296,22 @@ class BasePrimitive:
                 tickets = [
                     service.submit_sweep(
                         SweepRequest.from_programs(
-                            [e[2] for e in entries],
+                            handles(members),
                             self._target.device_name,
                             shots=shots,
                             seed=self._seed,
                         )
                     )
-                    for shots, entries in groups.items()
+                    for shots, members in groups.items()
                 ]
                 batches = [t.results(timeout) for t in tickets]
-            out: list[list[Any]] = [[None] * len(h) for _, h, _ in per_pub]
-            for entries, results in zip(groups.values(), batches):
-                for (p, i, _), result in zip(entries, results):
-                    out[p][i] = result
+            out: list[Sequence[Any]] = [[] for _ in per_pub]
+            for members, results in zip(groups.values(), batches):
+                start = 0
+                for p in members:
+                    stop = start + len(per_pub[p][1])
+                    out[p] = results if len(members) == 1 else results[start:stop]
+                    start = stop
             return out
 
     # ---- result-shape helpers --------------------------------------------------------
@@ -295,13 +321,16 @@ class BasePrimitive:
         """The shared ``metadata["profile"]`` of a result batch, if any.
 
         Present on direct-dispatch results when profiling is enabled
-        (:func:`repro.obs.enable_profiling`); every result of a batch
-        carries the same summary object, so the first one wins.
+        (:func:`repro.obs.enable_profiling`). A whole
+        :class:`~repro.sim.executor.BatchResult` carries it on the
+        batch, so reading it builds no result view; in a slice every
+        result carries the same summary object, so the first one wins.
         """
-        for result in results:
-            meta = getattr(result, "metadata", None)
-            if isinstance(meta, dict) and "profile" in meta:
-                return meta["profile"]
+        meta = getattr(results, "metadata", None)
+        if meta is None and len(results):
+            meta = getattr(results[0], "metadata", None)
+        if isinstance(meta, dict):
+            return meta.get("profile")
         return None
 
     @staticmethod

@@ -23,7 +23,9 @@ targets, a served sweep on service targets, or the per-point
 
 Evaluation conventions (see :mod:`repro.primitives.observables`):
 diagonal observables on measuring programs evaluate from the exact
-*pre-readout* outcome distribution — bit-for-bit the quantity
+*pre-readout* outcome distribution (one product of the points'
+``(K, 2**m)`` distribution table with the observable's per-outcome
+values) — bit-for-bit the quantity
 ``Executable.run`` results report (``ClientResult.probabilities`` is
 the ideal distribution; ``ExecutionResult.probabilities`` differs
 when a readout-error model is configured, since it is the
@@ -40,6 +42,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.distributions import distribution_width
 from repro.errors import ValidationError
 from repro.obs.tracing import span
 from repro.primitives.base import BasePrimitive
@@ -132,41 +135,71 @@ class Estimator(BasePrimitive):
     def _assemble(self, pub: EstimatorPub, results: Sequence[Any]) -> PubResult:
         shape = pub.shape
         size = pub.size
-        bind_idx = pub.binding_indices().reshape(-1) if shape else None
-        obs_idx = pub.observable_indices().reshape(-1) if shape else None
-        observables = pub.observables.flat()
+        if shape:
+            bind_idx = pub.binding_indices().reshape(-1)
+            obs_idx = pub.observable_indices().reshape(-1)
+        else:
+            bind_idx = obs_idx = np.zeros(1, dtype=np.intp)
         direct = self.mode == "direct"
+        # A PUB bound as one family comes back as that family's arrays.
+        families = getattr(results, "families", ())
+        family = families[0] if len(families) == 1 else None
+        sites = None
+        if direct and size:
+            sites = (
+                family.measured_sites
+                if family is not None
+                else results[0].measured_sites
+            )
         evs = np.empty(size, dtype=np.float64)
-        variances = np.empty(size, dtype=np.float64)
-        leakage = np.empty(size, dtype=np.float64) if direct else None
-        # Each (binding, observable) pair evaluates once even when the
-        # broadcast repeats it (e.g. a degenerate axis), and the lifted
-        # observable matrices of the state path build once per
-        # (observable, site-mapping) instead of once per point.
-        memo: dict[tuple[int, int], tuple[float, float]] = {}
-        matrices: dict[tuple[int, tuple[int, ...] | None], list] = {}
-        for flat in range(size):
-            b = int(bind_idx[flat]) if bind_idx is not None else 0
-            o = int(obs_idx[flat]) if obs_idx is not None else 0
-            key = (b, o)
-            if key not in memo:
-                memo[key] = self._evaluate(
-                    observables[o], results[b], o, matrices
+        variances = np.zeros(size, dtype=np.float64)
+        table: np.ndarray | None = None
+        states = None
+        # Each observable evaluates once per unique binding point and
+        # fans out over the broadcast (e.g. a degenerate axis).
+        for o, observable in enumerate(pub.observables.flat()):
+            points = np.flatnonzero(obs_idx == o)
+            if not points.size:
+                continue
+            bound = bind_idx[points]
+            if direct and not (observable.is_diagonal and sites):
+                if states is None:
+                    states = (
+                        family.final_states
+                        if family is not None
+                        else [r.final_state for r in results]
+                    )
+                evs[points], variances[points] = self._state_moments(
+                    observable, states, sites, bound
                 )
-            evs[flat], variances[flat] = memo[key]
-            if leakage is not None:
-                leakage[flat] = float(sum(results[b].leakage.values()))
-        stds = (
-            np.sqrt(variances / self.shots)
-            if self.shots > 0
-            else np.zeros(size, dtype=np.float64)
-        )
+                continue
+            if not direct and not observable.is_diagonal:
+                raise ValidationError(
+                    "non-diagonal observables need a direct simulator target "
+                    "(only the measured outcome distribution crosses the "
+                    f"{self.mode!r} boundary)"
+                )
+            if table is None:
+                table, width = self._distributions(results, family)
+            values = observable.outcome_values(width)
+            means = table @ values
+            evs[points] = means[bound]
+            if self.shots > 0:
+                var = np.maximum(0.0, table @ (values * values) - means * means)
+                variances[points] = var[bound]
+        stds = np.sqrt(variances / self.shots) if self.shots > 0 else variances
         fields: dict[str, Any] = {
             "evs": evs.reshape(shape),
             "stds": stds.reshape(shape),
         }
-        if leakage is not None:
-            fields["leakage"] = leakage.reshape(shape)
+        if direct:
+            if family is not None:
+                leakage = family.leakage.sum(axis=0)
+            else:
+                leakage = np.array(
+                    [sum(r.leakage.values()) for r in results], dtype=np.float64
+                )
+            fields["leakage"] = leakage[bind_idx].reshape(shape)
         metadata: dict[str, Any] = {
             "shots": self.shots,
             "target": self._device_name(),
@@ -177,53 +210,46 @@ class Estimator(BasePrimitive):
             metadata["profile"] = profile
         return PubResult(DataBin(shape=shape, **fields), metadata=metadata)
 
-    def _evaluate(
-        self,
-        observable,
-        result,
-        obs_index: int = 0,
-        matrices: dict | None = None,
-    ) -> tuple[float, float]:
-        """``(expectation, variance)`` of one observable at one point."""
-        if self.mode == "direct":  # ExecutionResult: state available
-            sites = result.measured_sites
-            if observable.is_diagonal and sites:
-                return self._distribution_moments(
-                    observable, result.ideal_probabilities, len(sites)
-                )
-            from repro.control.hamiltonians import expectation
+    def _distributions(self, results, family) -> tuple[np.ndarray, int]:
+        """The ``(K, 2**m)`` exact outcome distributions of the points
+        (pre-readout on direct targets), in binary outcome order, and
+        their width ``m``."""
+        if family is not None:
+            return family.ideal_probabilities, len(family.measured_sites)
+        if self.mode == "direct":
+            dists = [r.ideal_probabilities for r in results]
+            width = len(results[0].measured_sites)
+        else:
+            dists = [r.probabilities for r in results]
+            width = distribution_width(dists[0])
+        table = np.zeros((len(dists), 1 << width))
+        for k, dist in enumerate(dists):
+            distribution_width(dist, n_slots=width)
+            for key, p in dist.items():
+                table[k, int(key, 2)] = p
+        return table, width
 
-            dims = self._dims()
-            state = result.final_state
-            site_map = sites if sites else None
-            matrix_key = (obs_index, site_map)
-            entry = None if matrices is None else matrices.get(matrix_key)
-            if entry is None:
-                # [O, O^2]; the square materializes lazily (first
-                # shot-budgeted evaluation) and is then shared by every
-                # point of the PUB.
-                entry = [observable.matrix(dims, site_map), None]
-                if matrices is not None:
-                    matrices[matrix_key] = entry
-            op = entry[0]
-            ev = expectation(state, op)
-            if self.shots > 0:
-                if entry[1] is None:
-                    entry[1] = op @ op
-                var = max(0.0, expectation(state, entry[1]) - ev * ev)
-            else:
-                var = 0.0
-            return float(ev), var
-        # ClientResult: only the exact outcome distribution travels.
-        if not observable.is_diagonal:
-            raise ValidationError(
-                "non-diagonal observables need a direct simulator target "
-                "(only the measured outcome distribution crosses the "
-                f"{self.mode!r} boundary)"
-            )
-        return self._distribution_moments(
-            observable, result.probabilities, None
-        )
+    def _state_moments(
+        self, observable, states, sites, bound: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(means, variances)`` of *observable* at the binding points
+        *bound*, from their simulator states (direct targets)."""
+        from repro.control.hamiltonians import expectation
+
+        op = observable.matrix(self._dims(), sites if sites else None)
+        square = op @ op if self.shots > 0 else None
+        memo: dict[int, tuple[float, float]] = {}
+        for b in bound.tolist():
+            if b not in memo:
+                ev = expectation(states[b], op)
+                var = (
+                    max(0.0, expectation(states[b], square) - ev * ev)
+                    if square is not None
+                    else 0.0
+                )
+                memo[b] = (float(ev), var)
+        moments = np.array([memo[b] for b in bound.tolist()]).reshape(-1, 2)
+        return moments[:, 0], moments[:, 1]
 
     def _distribution_moments(
         self, observable, probabilities, n_slots: int | None

@@ -296,31 +296,52 @@ class Observable:
         non-empty, the key widths are consistent, and every touched
         slot exists; the returned arrays align outcome-for-outcome.
         """
+        self._require_diagonal()
+        width = distribution_width(probabilities, n_slots=n_slots)
+        self._require_slots(width)
+        keys = list(probabilities)
+        probs = np.array([probabilities[k] for k in keys], dtype=np.float64)
+        bit_signs = np.array(
+            [[1.0 if ch == "0" else -1.0 for ch in k] for k in keys],
+            dtype=np.float64,
+        )
+        return self._signed_values(bit_signs), probs
+
+    def outcome_values(self, width: int) -> np.ndarray:
+        """The (real part of the) observable on every *width*-bit
+        outcome, in binary order: ``values[i]`` belongs to
+        ``format(i, f"0{width}b")``. Diagonal only, validated and
+        computed like :meth:`values_per_outcome`.
+        """
+        self._require_diagonal()
+        self._require_slots(width)
+        bits = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+        return self._signed_values(1.0 - 2.0 * bits).real
+
+    def _signed_values(self, signs: np.ndarray) -> np.ndarray:
+        """The observable on each row of an ``(outcome, slot)`` table of
+        ``+1`` (bit 0) / ``-1`` (bit 1) signs: each term reduces over
+        its touched slots instead of re-walking every outcome."""
+        values = np.zeros(len(signs), dtype=np.complex128)
+        for term, coeff in self._terms.items():
+            slots = [s for s, _ in term]
+            values += coeff * signs[:, slots].prod(axis=1)
+        return values
+
+    def _require_diagonal(self) -> None:
         if not self.is_diagonal:
             raise ValidationError(
                 "observable has X/Y factors and cannot be evaluated from "
                 "a Z-basis outcome distribution; evaluate it from the "
                 "state (direct simulator targets) instead"
             )
-        width = distribution_width(probabilities, n_slots=n_slots)
+
+    def _require_slots(self, width: int) -> None:
         if self.num_slots > width:
             raise ValidationError(
                 f"slot {self.num_slots - 1} out of range: result has "
                 f"{width} measured slot(s)"
             )
-        keys = list(probabilities)
-        probs = np.array([probabilities[k] for k in keys], dtype=np.float64)
-        # (outcome, slot) sign table built once; each term then reduces
-        # over its touched slots instead of re-walking every key.
-        bit_signs = np.array(
-            [[1.0 if ch == "0" else -1.0 for ch in k] for k in keys],
-            dtype=np.float64,
-        )
-        values = np.zeros(len(keys), dtype=np.complex128)
-        for term, coeff in self._terms.items():
-            slots = [s for s, _ in term]
-            values += coeff * bit_signs[:, slots].prod(axis=1)
-        return values, probs
 
     def expectation(
         self, probabilities: Mapping[str, float], *, n_slots: int | None = None

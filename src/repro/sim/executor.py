@@ -6,14 +6,22 @@ a pulse job reaches it. It interprets a
 :class:`~repro.sim.model.SystemModel`. Every schedule runs through one
 batched pipeline — a single schedule is a one-member batch:
 
-1. Families — the batch is grouped into maximal runs of consecutive
-   structural clones (what the execution API's schedule-template bind
-   produces for a parameter sweep); a schedule that clones nothing is
-   a family of one.
+1. Families — the unit of work is a
+   :class:`~repro.core.schedule.ScheduleFamily`: a template schedule
+   plus a ``(K, P)`` value matrix whose columns feed the template's
+   frame-event fields (frequencies, phases, shift deltas). A bound
+   parameter sweep arrives as one family
+   (:meth:`Executable.bind_many
+   <repro.api.executable.Executable.bind_many>`); a schedule list is
+   grouped once into maximal runs of consecutive structural clones,
+   each run's differing fields gathered into columns, and a schedule
+   that clones nothing is a family of one.
 2. Drive synthesis — per family, frame timelines (carrier frequency
    and static phase per sample, with phase-continuous frequency
    updates matching :class:`~repro.core.frame.FrameState` semantics)
-   and every :class:`Play`'s modulated envelope land on one
+   are ``(K, duration)`` arrays: each frame event writes its value
+   column (or the template's scalar) for all members at once. Every
+   :class:`Play`'s modulated envelope then lands on one
    ``(K, duration, n_channels)`` complex drive stack.
 3. Segmentation — each family's stack is split into runs of constant
    value (:func:`~repro.sim.evolve.segment_runs`) at the union of its
@@ -38,14 +46,23 @@ batched pipeline — a single schedule is a one-member batch:
    (e^{-i phi} * state))``. Runs that differ only in frame phase
    (phase sweeps, detuned plays) thus share one propagator.
 5. Measurement — :class:`Capture` instructions define the measured
-   sites and classical slots; outcomes include exact probabilities,
-   seeded shot counts, and per-site leakage, vectorized over each
-   family.
+   sites and classical slots. Each family's tail is one array pass
+   (:class:`FamilyOutcome`): ``(K, 2**m)`` exact probabilities before
+   and after readout confusion (the kron'd joint confusion matrix
+   applied to every member at once), ``(n_sites, K)`` leakage, and
+   seeded shot counts, with a member's RNG built only when it draws
+   shots or samples trajectories. :meth:`ScheduleExecutor.execute_batch`
+   returns a :class:`BatchResult` whose per-schedule
+   :class:`ExecutionResult` views are built on first access, so a
+   consumer of the arrays builds none.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -62,7 +79,7 @@ from repro.core.instructions import (
     ShiftPhase,
 )
 from repro.core.port import Port, PortKind
-from repro.core.schedule import PulseSchedule
+from repro.core.schedule import FRAME_EVENT_FIELDS, PulseSchedule, ScheduleFamily
 from repro.errors import CancelledError, ExecutionError, ValidationError
 from repro.obs import profile as _profile
 from repro.obs.tracing import span
@@ -71,11 +88,7 @@ from repro.sim.evolve import (
     free_propagator,
     segment_runs,
 )
-from repro.sim.measurement import (
-    ReadoutModel,
-    apply_readout_error,
-    sample_counts,
-)
+from repro.sim.measurement import ReadoutModel, joint_confusion, sample_counts
 from repro.sim.model import SystemModel
 from repro.sim.open_system import (
     OpenSystemEngine,
@@ -159,6 +172,112 @@ class ExecutionResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _stream(streams: list, i: int) -> np.random.Generator:
+    """Member *i*'s RNG: built from its seed on first use, then kept.
+
+    *streams* holds one seed (or a caller's generator) per member, so a
+    member that draws no shots and samples no trajectory never builds
+    one.
+    """
+    rng = streams[i]
+    if not isinstance(rng, np.random.Generator):
+        rng = streams[i] = np.random.default_rng(rng)
+    return rng
+
+
+def _outcome_dict(row: np.ndarray, m: int) -> dict[str, float]:
+    """The non-zero outcomes of one ``(2**m,)`` distribution row."""
+    return {
+        format(i, f"0{m}b"): p for i, p in enumerate(row.tolist()) if p > 0.0
+    }
+
+
+@dataclass(eq=False)
+class FamilyOutcome:
+    """The measurement tail of one schedule family, as arrays.
+
+    Row ``k`` is member ``k``. Outcome columns are the bitstrings over
+    the measured slots in binary order (slot 0 is the leftmost,
+    most significant bit); a family that measures nothing has zero
+    columns.
+    """
+
+    measured_sites: tuple[int, ...]
+    #: ``(K, 2**m)`` exact outcome distributions before readout error.
+    ideal_probabilities: np.ndarray
+    #: ``(K, 2**m)`` exact outcome distributions after readout error.
+    probabilities: np.ndarray
+    #: ``(K, ...)`` final kets or density matrices.
+    final_states: np.ndarray
+    #: ``(n_sites, K)`` population of levels >= 2.
+    leakage: np.ndarray
+    #: Sampled counts per member; ``None`` when no shot was drawn.
+    counts: list[dict[str, int]] | None
+    duration_samples: int
+    duration_seconds: float
+    shots: int
+
+    def __len__(self) -> int:
+        return len(self.final_states)
+
+    def result(self, k: int, metadata: dict) -> ExecutionResult:
+        """Member *k* as an :class:`ExecutionResult`."""
+        m = len(self.measured_sites)
+        return ExecutionResult(
+            counts=self.counts[k] if self.counts is not None else {},
+            probabilities=_outcome_dict(self.probabilities[k], m),
+            ideal_probabilities=_outcome_dict(self.ideal_probabilities[k], m),
+            final_state=self.final_states[k],
+            measured_sites=self.measured_sites,
+            leakage=dict(enumerate(self.leakage[:, k].tolist())),
+            duration_samples=self.duration_samples,
+            duration_seconds=self.duration_seconds,
+            shots=self.shots,
+            metadata=metadata,
+        )
+
+
+class BatchResult(_Sequence):
+    """The results of one :meth:`ScheduleExecutor.execute_batch` call.
+
+    A sequence of :class:`ExecutionResult`, one per schedule in input
+    order. Each is a view built on first access from the arrays of its
+    family: :attr:`families` holds one :class:`FamilyOutcome` per
+    family (exactly one for a
+    :class:`~repro.core.schedule.ScheduleFamily` input), so a consumer
+    that reads the arrays builds no per-point result at all.
+    :attr:`metadata` belongs to the batch (the profile summary); every
+    view carries its own copy.
+    """
+
+    __slots__ = ("families", "metadata", "_starts", "_views")
+
+    def __init__(self, families: Sequence[FamilyOutcome], metadata: dict) -> None:
+        self.families = tuple(families)
+        self.metadata = metadata
+        self._starts: list[int] = []
+        total = 0
+        for family in self.families:
+            self._starts.append(total)
+            total += len(family)
+        self._views: list[ExecutionResult | None] = [None] * total
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self._views))[index]
+        view = self._views[i]
+        if view is None:
+            f = bisect_right(self._starts, i) - 1
+            view = self._views[i] = self.families[f].result(
+                i - self._starts[f], dict(self.metadata)
+            )
+        return view
+
+
 class ScheduleExecutor:
     """Executes pulse schedules against one :class:`SystemModel`."""
 
@@ -227,8 +346,8 @@ class ScheduleExecutor:
         """Run *schedule* and sample *shots* measurement outcomes.
 
         A one-member :meth:`execute_batch`: *rng* (``default_rng(seed)``
-        when omitted) drives the schedule's trajectory sampling, if
-        any, and then its shot sampling.
+        when omitted, built only if it is used) drives the schedule's
+        trajectory sampling, if any, and then its shot sampling.
 
         The evolution runs in the ambient dtype policy
         (:func:`repro.sim.precision.use_dtype`).
@@ -239,22 +358,32 @@ class ScheduleExecutor:
         tail — and a True return raises
         :class:`~repro.errors.CancelledError`.
         """
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return self._run(
-            [schedule], [rng], shots, initial_state, should_cancel
-        )[0]
+        [outcome] = self._run(
+            [schedule],
+            [rng if rng is not None else seed],
+            shots,
+            initial_state,
+            should_cancel,
+        )
+        return outcome.result(0, {})
 
     def execute_batch(
         self,
-        schedules: Sequence[PulseSchedule],
+        schedules: ScheduleFamily | Sequence[PulseSchedule],
         *,
         shots: int = 1024,
         seed: int | Sequence[int | None] | None = None,
         initial_state: np.ndarray | None = None,
         should_cancel=None,
-    ) -> list[ExecutionResult]:
+    ) -> Sequence[ExecutionResult]:
         """Run many schedules through one batched evolution pass.
+
+        *schedules* is a list of schedules or one
+        :class:`~repro.core.schedule.ScheduleFamily` (a template plus a
+        ``(K, P)`` value matrix, what :meth:`Executable.bind_many
+        <repro.api.executable.Executable.bind_many>` gives): a family's
+        value columns are written straight into the drive synthesis'
+        frame timelines, with no per-point schedule.
 
         The whole batch's constant-drive runs are stacked and
         exponentiated together — one
@@ -274,12 +403,17 @@ class ScheduleExecutor:
         loop exactly. *seed* may also list one seed per schedule; the
         batch then equals ``[execute(s, shots=shots, seed=s_i) ...]``,
         which is how a device serves many jobs, each on its own
-        stream, in one pass.
+        stream, in one pass. A generator is built only for a schedule
+        that draws shots or samples trajectories.
+
+        The return value is a :class:`BatchResult`: a sequence of
+        :class:`ExecutionResult` views built on first access, with the
+        arrays of each family in :attr:`BatchResult.families`.
 
         With profiling enabled (:func:`repro.obs.enable_profiling`)
-        every result carries a shared ``metadata["profile"]`` summary
-        of the batch: stack sizes, Hilbert dimension, squaring levels,
-        cache dedup ratio, and GEMM wall-time.
+        the batch's ``metadata["profile"]`` (and every result's) is a
+        summary of the batch: stack sizes, Hilbert dimension, squaring
+        levels, cache dedup ratio, and GEMM wall-time.
 
         Every evolution kernel of the batch runs in the ambient dtype
         policy (:func:`repro.sim.precision.use_dtype`).
@@ -290,37 +424,32 @@ class ScheduleExecutor:
         ``_MAX_OPEN_BATCH_SLICES`` superoperator slices, each
         trajectory-sampled schedule), and before the measurement tail.
         """
-        schedules = list(schedules)
-        if not schedules:
+        if not isinstance(schedules, ScheduleFamily):
+            schedules = list(schedules)
+        n = len(schedules)
+        if not n:
             return []
         if seed is None or isinstance(seed, (int, np.integer)):
-            seeds = [seed] * len(schedules)
+            streams = [seed] * n
         else:
-            seeds = list(seed)
-            if len(seeds) != len(schedules):
+            streams = list(seed)
+            if len(streams) != n:
                 raise ValidationError(
-                    f"got {len(seeds)} seeds for {len(schedules)} schedules"
+                    f"got {len(streams)} seeds for {n} schedules"
                 )
         profiling = _profile.profiling_enabled()
-        with span(
-            "execute_batch", schedules=len(schedules), shots=shots
-        ):
+        with span("execute_batch", schedules=n, shots=shots):
             prev = _profile.begin_collect() if profiling else None
             try:
-                results = self._run(
-                    schedules,
-                    [np.random.default_rng(s) for s in seeds],
-                    shots,
-                    initial_state,
-                    should_cancel,
+                outcomes = self._run(
+                    schedules, streams, shots, initial_state, should_cancel
                 )
             finally:
                 records = _profile.end_collect(prev) if profiling else None
+        metadata = {}
         if records is not None:
-            summary = _profile.summarize(records, batch=len(schedules))
-            for result in results:
-                result.metadata["profile"] = summary
-        return results
+            metadata["profile"] = _profile.summarize(records, batch=n)
+        return BatchResult(outcomes, metadata)
 
     def unitary(self, schedule: PulseSchedule) -> np.ndarray:
         """Total propagator of *schedule* (requires no decoherence).
@@ -330,7 +459,7 @@ class ScheduleExecutor:
         if self.model.has_decoherence():
             raise ExecutionError("unitary() is undefined with decoherence enabled")
         [states] = self._final_states(
-            [schedule], [range(1)], [None], identity(self.model.dimension)
+            self._families([schedule]), [None], identity(self.model.dimension)
         )
         return states[0]
 
@@ -378,50 +507,48 @@ class ScheduleExecutor:
 
     def _run(
         self,
-        schedules: list[PulseSchedule],
-        rngs: list[np.random.Generator],
+        batch: ScheduleFamily | list[PulseSchedule],
+        streams: list,
         shots: int,
         initial_state: np.ndarray | None,
         should_cancel,
-    ) -> list[ExecutionResult]:
-        """Evolve and measure *schedules*, ``rngs[i]`` driving schedule i."""
+    ) -> list[FamilyOutcome]:
+        """Evolve and measure *batch*, member i drawing from
+        ``_stream(streams, i)``."""
         _check_cancel(should_cancel)
-        families = self._families(schedules)
+        if isinstance(batch, ScheduleFamily):
+            families = [batch]
+        else:
+            families = self._families(batch)
         finals = self._final_states(
-            schedules, families, rngs, initial_state, should_cancel
+            families, streams, initial_state, should_cancel
         )
         _check_cancel(should_cancel)
-        results: list[ExecutionResult] = []
-        with span("measurement", points=len(schedules)):
-            for members, states in zip(families, finals):
-                results += self._finalize(
-                    schedules[members.start],
-                    states,
-                    shots,
-                    rngs[members.start : members.stop],
-                )
-        return results
-
-    # A schedule *family*: structural clones differing only in scalar
-    # fields of virtual frame instructions — exactly what the execution
-    # API's schedule-template bind produces for a parameter sweep.
-    _FAMILY_EVENT_TYPES = (
-        SetFrequency,
-        ShiftFrequency,
-        SetPhase,
-        ShiftPhase,
-        FrameChange,
-    )
-
-    def _families(self, schedules: Sequence[PulseSchedule]) -> list[range]:
-        """The batch as maximal runs of consecutive structural clones."""
-        families: list[range] = []
+        outcomes: list[FamilyOutcome] = []
         start = 0
-        for i in range(1, len(schedules)):
-            if not self._is_clone(schedules[start], schedules[i]):
-                families.append(range(start, i))
+        with span("measurement", points=len(streams)):
+            for family, states in zip(families, finals):
+                stop = start + len(family)
+                outcomes.append(
+                    self._finalize(
+                        family.base, states, shots, streams[start:stop]
+                    )
+                )
+                start = stop
+        return outcomes
+
+    def _families(self, schedules: Sequence[PulseSchedule]) -> list[ScheduleFamily]:
+        """The batch as maximal runs of consecutive structural clones,
+        each gathered into one family (a schedule that clones nothing
+        is a family of one)."""
+        families: list[ScheduleFamily] = []
+        start = 0
+        for i in range(1, len(schedules) + 1):
+            if i == len(schedules) or not self._is_clone(
+                schedules[start], schedules[i]
+            ):
+                families.append(ScheduleFamily.gather(schedules[start:i]))
                 start = i
-        families.append(range(start, len(schedules)))
         return families
 
     def _is_clone(self, base: PulseSchedule, other: PulseSchedule) -> bool:
@@ -448,7 +575,7 @@ class ScheduleExecutor:
                 a.t0 != b.t0
                 or a.seq != b.seq
                 or type(ia) is not type(ib)
-                or not isinstance(ia, self._FAMILY_EVENT_TYPES)
+                or type(ia) not in FRAME_EVENT_FIELDS
                 or ia.port.name != ib.port.name
                 or ia.frame.name != ib.frame.name
             ):
@@ -456,17 +583,18 @@ class ScheduleExecutor:
         return True
 
     def _synthesize_drives_family(
-        self, schedules: Sequence[PulseSchedule]
+        self, family: ScheduleFamily
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """The ``(K, duration, n_channels)`` drive stack of a family,
         and the ``(duration, n_channels)`` envelope magnitudes.
 
-        One vectorized pass over the *shared* item structure: frame
-        timelines are ``(K, duration)`` arrays whose events apply to
-        all members at once (gathering the per-member scalar values),
-        detuning phases are one exclusive cumsum per (port, frame)
-        instead of one per play per member, and every play lands on
-        the whole stack with one broadcast multiply.
+        One vectorized pass over the base schedule: frame timelines are
+        ``(K, duration)`` arrays whose events apply to all members at
+        once — a slotted field writes its ``values[:, column]``, any
+        other the base's scalar — detuning phases are one exclusive
+        cumsum per (port, frame) instead of one per play per member,
+        and every play lands on the whole stack with one broadcast
+        multiply.
 
         The magnitudes are the drive's ``|a|`` taken from the envelope
         before modulation — members share their plays, so one array
@@ -475,11 +603,15 @@ class ScheduleExecutor:
         two plays overlap on one channel read ``-1``: their sum has no
         single phase to factor out.
         """
-        base = schedules[0]
-        k_members = len(schedules)
+        base = family.base
+        k_members = len(family)
         duration = base.duration
         model = self.model
         timelines: dict[tuple[str, str], list[np.ndarray]] = {}
+        columns = {
+            (pos, fld): family.values[:, col, None]
+            for pos, fld, col in family.slots
+        }
 
         def timeline(port: Port, frame: Frame) -> list[np.ndarray]:
             key = (port.name, frame.name)
@@ -501,17 +633,11 @@ class ScheduleExecutor:
                 timelines[key] = tl
             return tl
 
-        def values(pos: int, fld: str) -> np.ndarray:
-            item0 = base._items[pos]
-            column = np.empty(k_members, dtype=np.float64)
-            for k, s in enumerate(schedules):
-                item = s._items[pos]
-                column[k] = (
-                    getattr(item0.instruction, fld)
-                    if item is item0
-                    else getattr(item.instruction, fld)
-                )
-            return column[:, None]
+        def value(pos: int, fld: str):
+            column = columns.get((pos, fld))
+            if column is None:
+                return getattr(base._items[pos].instruction, fld)
+            return column
 
         # Pass 1: frame events, in time order.
         order = sorted(
@@ -523,19 +649,17 @@ class ScheduleExecutor:
             ins = item.instruction
             t0 = item.t0
             if isinstance(ins, SetFrequency):
-                timeline(ins.port, ins.frame)[0][:, t0:] = values(
-                    pos, "frequency"
-                )
+                timeline(ins.port, ins.frame)[0][:, t0:] = value(pos, "frequency")
             elif isinstance(ins, ShiftFrequency):
-                timeline(ins.port, ins.frame)[0][:, t0:] += values(pos, "delta")
+                timeline(ins.port, ins.frame)[0][:, t0:] += value(pos, "delta")
             elif isinstance(ins, SetPhase):
-                timeline(ins.port, ins.frame)[1][:, t0:] = values(pos, "phase")
+                timeline(ins.port, ins.frame)[1][:, t0:] = value(pos, "phase")
             elif isinstance(ins, ShiftPhase):
-                timeline(ins.port, ins.frame)[1][:, t0:] += values(pos, "delta")
+                timeline(ins.port, ins.frame)[1][:, t0:] += value(pos, "delta")
             elif isinstance(ins, FrameChange):
                 tl = timeline(ins.port, ins.frame)
-                tl[0][:, t0:] = values(pos, "frequency")
-                tl[1][:, t0:] = values(pos, "phase")
+                tl[0][:, t0:] = value(pos, "frequency")
+                tl[1][:, t0:] = value(pos, "phase")
 
         # Pass 2: plays, modulated by their frame timeline.
         channel_names = self._channel_names
@@ -609,9 +733,8 @@ class ScheduleExecutor:
 
     def _final_states(
         self,
-        schedules: Sequence[PulseSchedule],
-        families: list[range],
-        rngs: Sequence[np.random.Generator | None],
+        families: list[ScheduleFamily],
+        streams: list,
         initial_state: np.ndarray | None,
         should_cancel=None,
     ) -> list[np.ndarray]:
@@ -630,12 +753,12 @@ class ScheduleExecutor:
         """
         model = self.model
         use_dm = model.has_decoherence()
-        with span("synthesize", points=len(schedules)):
+        with span("synthesize", points=len(streams)):
             # (rows (R, K, C), magnitudes (R, C), steps (R,)) per family
             plans = []
-            for members in families:
+            for family in families:
                 drives, envelope, channel_names = self._synthesize_drives_family(
-                    schedules[members.start : members.stop]
+                    family
                 )
                 runs = segment_runs(drives.transpose(1, 0, 2))
                 starts = [start for start, _ in runs]
@@ -654,9 +777,10 @@ class ScheduleExecutor:
                 # Large-D fallback: quantum jumps consume each
                 # schedule's own RNG during evolution.
                 finals = []
-                for members, (rows, _, steps) in zip(families, plans):
+                start = 0
+                for family, (rows, _, steps) in zip(families, plans):
                     stack = []
-                    for j, i in enumerate(members):
+                    for j in range(len(family)):
                         _check_cancel(should_cancel)
                         if not len(steps):
                             stack.append(state0)
@@ -666,10 +790,11 @@ class ScheduleExecutor:
                         )
                         stack.append(
                             engine.evolve_trajectories(
-                                hs, steps, state0, rng=rngs[i]
+                                hs, steps, state0, rng=_stream(streams, start + j)
                             )
                         )
                     finals.append(np.stack(stack))
+                    start += len(family)
                 return finals
             state0 = vectorize_density(state0)
 
@@ -689,10 +814,10 @@ class ScheduleExecutor:
         chunks: list[list[tuple[int, int, int]]] = []
         chunk: list[tuple[int, int, int]] = []
         offset = 0
-        for f, members in enumerate(families):
+        for f, family in enumerate(families):
             for _ in range(len(plans[f][2])):
-                chunk.append((f, offset, len(members)))
-                offset += len(members)
+                chunk.append((f, offset, len(family)))
+                offset += len(family)
                 if offset - chunk[0][1] >= limit:
                     chunks.append(chunk)
                     chunk = []
@@ -702,9 +827,9 @@ class ScheduleExecutor:
         cdtype = active_dtype().cdtype
         states = [
             np.asarray(
-                np.repeat(state0[None], len(members), axis=0), dtype=cdtype
+                np.repeat(state0[None], len(family), axis=0), dtype=cdtype
             )
-            for members in families
+            for family in families
         ]
         for chunk in chunks:
             lo = chunk[0][1]
@@ -796,15 +921,15 @@ class ScheduleExecutor:
         base: PulseSchedule,
         states: np.ndarray,
         shots: int,
-        rngs: Sequence[np.random.Generator],
-    ) -> list[ExecutionResult]:
-        """Measurement tail of one family, sharing the vector work.
+        streams: list,
+    ) -> FamilyOutcome:
+        """Measurement tail of one family, as arrays over its members.
 
-        The family members share capture structure, so site resolution
-        and the level-to-bit outcome mapping happen once; the exact
-        probabilities and leakage of all members marginalize in one
-        pass. Readout corruption and shot sampling stay per member,
-        ``rngs[k]`` drawing member k's shots.
+        The members share capture structure, so site resolution and
+        the level-to-bit outcome mapping happen once. Exact
+        probabilities, readout corruption and leakage are array
+        expressions over the whole family; only shot sampling runs per
+        member, drawing from ``_stream(streams, k)``.
         """
         model = self.model
         dims = model.dims
@@ -828,63 +953,59 @@ class ScheduleExecutor:
         probs /= norms[:, None]
         full = probs.reshape((k_members,) + tuple(dims))
 
-        # Per-member exact distributions over the measured sites: any
-        # level >= 1 reads as bit 1 (one vector pass for the family).
-        ideals: list[dict[str, float]] = [dict() for _ in range(k_members)]
-        if measured_sites:
-            keep = list(measured_sites)
-            others = [s + 1 for s in range(len(dims)) if s not in keep]
+        # (K, 2**m) exact distributions over the measured sites: any
+        # level >= 1 reads as bit 1, and each outcome sums its level
+        # labels in ascending label order.
+        m = len(measured_sites)
+        ideal = np.zeros((k_members, 1 << m if m else 0))
+        if m:
+            others = [s + 1 for s in range(len(dims)) if s not in measured_sites]
             marg = full.sum(axis=tuple(others)) if others else full
-            sorted_keep = sorted(keep)
-            for labels in np.ndindex(*[dims[s] for s in sorted_keep]):
-                bits = {
-                    site: ("1" if lbl >= 1 else "0")
+            sorted_keep = sorted(measured_sites)
+            weight = {
+                site: 1 << (m - 1 - slot) for slot, site in enumerate(measured_sites)
+            }
+            for labels in itertools.product(*[range(dims[s]) for s in sorted_keep]):
+                column = sum(
+                    weight[site]
                     for site, lbl in zip(sorted_keep, labels)
-                }
-                key = "".join(bits[s] for s in keep)
-                column = marg[(slice(None),) + labels]
-                for k in range(k_members):
-                    p = float(column[k])
-                    if p != 0.0:
-                        ideals[k][key] = ideals[k].get(key, 0.0) + p
-        # Per-site leakage, one marginal per site for the whole family.
-        site_leakage: list[np.ndarray] = []
-        for site, d in enumerate(dims):
-            if d <= 2:
-                site_leakage.append(np.zeros(k_members))
-                continue
-            axes = tuple(a + 1 for a in range(len(dims)) if a != site)
-            marginal = full.sum(axis=axes)
-            site_leakage.append(marginal[:, 2:].sum(axis=1))
-
-        models = [
-            self.readout.get(site, ReadoutModel()) for site in measured_sites
-        ]
-        results: list[ExecutionResult] = []
-        for k in range(k_members):
-            ideal = ideals[k]
-            if measured_sites:
-                noisy = apply_readout_error(ideal, models)
-                counts = sample_counts(noisy, shots, rngs[k])
-            else:
-                noisy, counts = {}, {}
-            results.append(
-                ExecutionResult(
-                    counts=counts,
-                    probabilities=noisy,
-                    ideal_probabilities=ideal,
-                    final_state=states[k],
-                    measured_sites=measured_sites,
-                    leakage={
-                        site: float(site_leakage[site][k])
-                        for site in range(len(dims))
-                    },
-                    duration_samples=duration,
-                    duration_seconds=duration * model.dt,
-                    shots=shots if measured_sites else 0,
+                    if lbl >= 1
                 )
+                ideal[:, column] += marg[(slice(None),) + labels]
+            confusion = joint_confusion(
+                [self.readout.get(site, ReadoutModel()) for site in measured_sites]
             )
-        return results
+            # One matrix-vector product per member (a stacked matmul),
+            # bitwise what a single member's readout gives.
+            noisy = np.matmul(confusion, ideal[:, :, None])[:, :, 0]
+        else:
+            noisy = ideal
+        # (n_sites, K) leakage, one marginal per site for the family.
+        leakage = np.zeros((len(dims), k_members))
+        for site, d in enumerate(dims):
+            if d > 2:
+                axes = tuple(a + 1 for a in range(len(dims)) if a != site)
+                leakage[site] = full.sum(axis=axes)[:, 2:].sum(axis=1)
+
+        counts = None
+        if m and shots:
+            counts = [
+                sample_counts(
+                    _outcome_dict(noisy[k], m), shots, _stream(streams, k)
+                )
+                for k in range(k_members)
+            ]
+        return FamilyOutcome(
+            measured_sites=measured_sites,
+            ideal_probabilities=ideal,
+            probabilities=noisy,
+            final_states=states,
+            leakage=leakage,
+            counts=counts,
+            duration_samples=duration,
+            duration_seconds=duration * model.dt,
+            shots=shots if measured_sites else 0,
+        )
 
     # The benchmark harness times the tail under both of its former names.
     _finalize_family = _finalize

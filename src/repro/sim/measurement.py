@@ -113,6 +113,15 @@ def measured_bit_distribution(
     }
 
 
+def joint_confusion(models: Sequence[ReadoutModel]) -> np.ndarray:
+    """``M[observed, actual]`` over bitstrings: the kron of the per-site
+    confusion matrices, the first model's bit most significant."""
+    joint = models[0].confusion_matrix()
+    for model in models[1:]:
+        joint = np.kron(joint, model.confusion_matrix())
+    return joint
+
+
 def apply_readout_error(
     distribution: Mapping[str, float],
     models: Sequence[ReadoutModel],
@@ -128,13 +137,9 @@ def apply_readout_error(
         raise ValidationError(
             f"{len(models)} readout models for {n_bits}-bit outcomes"
         )
-    # Joint confusion operator: kron over sites, leftmost bit most
-    # significant. One (2^n, 2^n) matvec replaces the per-string
-    # enumeration — tiny for the bit counts seen here and O(4^n)
-    # either way.
-    joint = models[0].confusion_matrix()
-    for model in models[1:]:
-        joint = np.kron(joint, model.confusion_matrix())
+    # One (2^n, 2^n) matvec replaces the per-string enumeration — tiny
+    # for the bit counts seen here and O(4^n) either way.
+    joint = joint_confusion(models)
     actual_vec = np.zeros(2**n_bits, dtype=np.float64)
     for actual, p in distribution.items():
         if len(actual) != n_bits:

@@ -312,6 +312,58 @@ class TestEquivalenceAcrossFamilies:
         assert sizes == [16]
         assert target.compiler.stats()["misses"] == 0
 
+    def test_direct_pub_builds_no_schedule_or_rng_per_point(
+        self, sc_device_1q, monkeypatch
+    ):
+        """A ``shots=0`` 64-point PUB on a direct target binds as one
+        schedule family: no schedule is built or cloned, no point is
+        specialized, no clone walk runs and no RNG is built, and the
+        executor sees one 64-member ``execute_batch``."""
+        import collections
+
+        from repro.api.executable import Executable
+        from repro.core import PulseSchedule
+        from repro.sim import ScheduleExecutor
+
+        executor = sc_device_1q.executor
+        target = repro.Target.from_device(sc_device_1q)
+        program = repro.Program.from_mlir(parametric_kernel(sc_device_1q, 2))
+        estimator = Estimator(target)
+        estimator.run([(program, "Z", grid_for(program, 2))])  # template
+        grid = grid_for(program, 64, scale=0.5)
+        calls: collections.Counter = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        watched = [
+            (PulseSchedule, "clone_with_items"),
+            (PulseSchedule, "__init__"),
+            (Executable, "specialize"),
+            (ScheduleExecutor, "_is_clone"),
+            (np.random, "default_rng"),
+        ]
+        for owner, name in watched:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        sizes = []
+        real_batch = executor.execute_batch
+
+        def spy(schedules, *args, **kwargs):
+            sizes.append(len(schedules))
+            return real_batch(schedules, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_batch", spy)
+        evs = estimator.run([(program, "Z", grid)])[0].data.evs
+        assert evs.shape == (64,)
+        assert sizes == [64]
+        assert {name: calls[name] for _, name in watched} == {
+            name: 0 for _, name in watched
+        }
+
     def test_sampler_matches_run_counts(self, all_devices):
         for device in all_devices:
             target = repro.Target.from_device(device)

@@ -13,6 +13,7 @@ from repro.core import (
     Play,
     Port,
     PulseSchedule,
+    ScheduleFamily,
     SetFrequency,
     SetPhase,
     ShiftFrequency,
@@ -308,7 +309,9 @@ class TestSegmentRuns:
     def test_long_flat_pulse_is_one_run(self):
         """A 4096-sample ion flat-top costs one propagator, not 4096."""
         executor, sched = self.ion_flat_top(4096)
-        [drives], _, _ = executor._synthesize_drives_family([sched])
+        [drives], _, _ = executor._synthesize_drives_family(
+            ScheduleFamily.gather([sched])
+        )
         assert drives.shape[0] == 4096
         assert segment_runs(drives) == [(0, 4096)]
 
@@ -316,7 +319,9 @@ class TestSegmentRuns:
         from repro.sim.evolve import step_propagator
 
         executor, sched = self.ion_flat_top(1024)
-        [drives], _, names = executor._synthesize_drives_family([sched])
+        [drives], _, names = executor._synthesize_drives_family(
+            ScheduleFamily.gather([sched])
+        )
         naive = np.eye(executor.model.dimension, dtype=np.complex128)
         for h in executor._run_hamiltonians_stack(drives, names):
             naive = step_propagator(h, executor.model.dt) @ naive
