@@ -402,10 +402,7 @@ class Executable:
     # ---- the two-phase hot loop ------------------------------------------------------
 
     def specialize(
-        self,
-        params: Mapping[str, float] | None = None,
-        *,
-        stretch: float | None = None,
+        self, params: Mapping[str, float] | None = None
     ) -> PulseSchedule | None:
         """The bound schedule via the template fast path *only*.
 
@@ -413,31 +410,14 @@ class Executable:
         the pre-compiled schedule template — no artifact construction,
         no cache write; the primitives tier uses this to mint one
         schedule per PUB point at clone-and-swap cost where a point
-        needs its own schedule (service targets, ZNE stretch variants,
-        a sweep :meth:`bind_many` rejects). Returns ``None``
-        whenever the fast path is unavailable (non-parametric program,
-        no template, out-of-range frequency, incomplete bindings) —
-        callers then fall back to :meth:`bind`, whose semantics this
-        path matches exactly (the same frequency-range check
-        legalization would apply).
-
-        *stretch* dilates the specialized schedule by a ZNE stretch
-        factor (:func:`repro.core.stretch.stretch_schedule`): durations
-        scale by the factor, amplitudes rescale to preserve every
-        pulse's area. An invalid factor — or one that dilates a pulse
-        past the target's constraints — raises
-        :class:`~repro.errors.ValidationError` rather than returning
-        ``None``: a broken stretch must fail loudly, never silently
-        hand back an un-stretched schedule. When the template is
-        unavailable the fallback contract is the caller's
-        ``bind(params)`` *followed by* an explicit
-        ``stretch_schedule`` on the bound schedule (what
-        ``BasePrimitive._point_schedules`` does).
+        needs its own schedule (service targets, a sweep
+        :meth:`bind_many` rejects). Returns ``None`` whenever the fast
+        path is unavailable (non-parametric program, no template,
+        out-of-range frequency, incomplete bindings) — callers then
+        fall back to :meth:`bind`, whose semantics this path matches
+        exactly (the same frequency-range check legalization would
+        apply).
         """
-        if stretch is not None:
-            from repro.core.stretch import coerce_stretch_factor
-
-            stretch = coerce_stretch_factor(stretch)
         if not self.program.is_parametric or self.target.is_detached:
             return None
         self._refresh_if_recalibrated()
@@ -454,18 +434,9 @@ class Executable:
             constraints = self.target.constraints
             for name in template.frequency_params:
                 constraints.validate_frequency(float(merged[name]))
-            schedule = template.specialize(merged)
+            return template.specialize(merged)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
-        if stretch is not None and stretch != 1.0:
-            from repro.core.stretch import stretch_schedule
-
-            # ValidationError propagates: stretching past the target's
-            # constraints is a caller error, not a fast-path miss.
-            schedule = stretch_schedule(
-                schedule, stretch, constraints=self.target.constraints
-            )
-        return schedule
 
     def bind_many(self, values: np.ndarray) -> ScheduleFamily | None:
         """A whole sweep bound through the template fast path at once.

@@ -38,7 +38,12 @@ from repro.core.instructions import (
     ShiftPhase,
 )
 from repro.core.port import Port, PortDirection, PortKind
-from repro.core.schedule import PulseSchedule, ScheduledInstruction, ScheduleFamily
+from repro.core.schedule import (
+    FamilyBatch,
+    PulseSchedule,
+    ScheduledInstruction,
+    ScheduleFamily,
+)
 from repro.core.timing import (
     align_down,
     align_up,
@@ -86,6 +91,7 @@ __all__ = [
     "FrameChange",
     "PulseSchedule",
     "ScheduleFamily",
+    "FamilyBatch",
     "ScheduledInstruction",
     "PulseConstraints",
     "align_up",

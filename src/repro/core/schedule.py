@@ -390,6 +390,32 @@ class ScheduleFamily(Sequence):
         )
         return cls(base, slots, values)
 
+    def derive(
+        self, schedule: PulseSchedule, rows: Sequence[int] | None = None
+    ) -> "ScheduleFamily":
+        """The family over *schedule*, a transform of :attr:`base`.
+
+        A transform that re-inserts every slotted instruction object
+        unchanged and never reads a frame scalar (pulse stretching,
+        measurement twirling) commutes with binding: each slot follows
+        its instruction object to its position in *schedule*, and the
+        values stay. *rows* keeps only those members.
+        """
+        where: dict[int, list[int]] = {}
+        for pos, item in enumerate(schedule._items):
+            where.setdefault(id(item.instruction), []).append(pos)
+        slots = []
+        for idx, fld, col in self.slots:
+            found = where.get(id(self.base._items[idx].instruction), [])
+            if len(found) != 1:
+                raise ScheduleError(
+                    f"slotted item {idx} occurs {len(found)} times in the "
+                    "derived schedule"
+                )
+            slots.append((found[0], fld, col))
+        values = self.values if rows is None else self.values[np.asarray(rows)]
+        return ScheduleFamily(schedule, slots, values)
+
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -420,6 +446,29 @@ class ScheduleFamily(Sequence):
             new_item.__dict__["instruction"] = new_ins
             items[idx] = new_item
         return base.clone_with_items(items)
+
+
+class FamilyBatch(Sequence):
+    """Schedule families run as one batch.
+
+    A sequence of every family's members in family order, so its
+    length is the member count; the simulator reads :attr:`families`
+    and builds no member.
+    """
+
+    __slots__ = ("families", "_starts")
+
+    def __init__(self, families: Iterable[ScheduleFamily]) -> None:
+        self.families = tuple(families)
+        self._starts = np.cumsum([0] + [len(f) for f in self.families])
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, i: int) -> PulseSchedule:  # type: ignore[override]
+        i = range(len(self))[operator.index(i)]
+        f = int(np.searchsorted(self._starts, i, side="right")) - 1
+        return self.families[f].member(i - int(self._starts[f]))
 
 
 def merge_schedules(

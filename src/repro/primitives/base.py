@@ -26,8 +26,8 @@ On a direct target a parametric PUB binds as one
 :meth:`Executable.bind_many <repro.api.executable.Executable.bind_many>`:
 the compiled schedule template plus the PUB's ``(K, P)`` value matrix,
 which the executor writes straight into its frame timelines — no
-schedule per point. Service targets, stretched (ZNE) binds and PUBs
-that fail a bind check mint one schedule per point through
+schedule per point. Service targets and PUBs that fail a bind check
+mint one schedule per point through
 :meth:`Executable.specialize <repro.api.executable.Executable.specialize>`,
 falling back to :meth:`Executable.bind` when the template is
 unavailable, so PUB evaluation never recompiles the front-end per
@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.api.executable import Executable
 from repro.api.target import Target
+from repro.core.schedule import FamilyBatch, ScheduleFamily
 from repro.errors import ValidationError
 from repro.obs.metrics import REGISTRY, CacheStats
 from repro.obs.tracing import span
@@ -142,33 +143,20 @@ class BasePrimitive:
 
     # ---- schedule minting ------------------------------------------------------------
 
-    def _point_schedules(self, pub, *, stretch: float | None = None) -> Sequence[Any]:
+    def _point_schedules(self, pub) -> Sequence[Any]:
         """One concrete schedule per *unique* binding point of *pub*.
 
         Compiles the PUB's program once (template for parametric
-        programs). On a direct target an unstretched parametric PUB
-        binds as one :class:`~repro.core.schedule.ScheduleFamily`
+        programs). On a direct target a parametric PUB binds as one
+        :class:`~repro.core.schedule.ScheduleFamily`
         (:meth:`Executable.bind_many
         <repro.api.executable.Executable.bind_many>`), a sequence whose
         members are built only on access; otherwise, or when a point
         fails a bind check, it specializes per point through the fast
-        path. In executor mode the program must already be a schedule.
-
-        *stretch* dilates every minted schedule by a ZNE stretch factor
-        (:mod:`repro.core.stretch`). The template fast path stretches
-        inside :meth:`Executable.specialize
-        <repro.api.executable.Executable.specialize>`; when the
-        template is unavailable the fallback binds through the full JIT
-        and stretches the bound schedule *explicitly* — an impossible
-        stretch raises :class:`~repro.errors.ValidationError`, it never
-        silently returns an un-stretched bind.
+        path. A program without parameters is one schedule repeated
+        per point. In executor mode the program must already be a
+        schedule.
         """
-        from repro.core.stretch import coerce_stretch_factor, stretch_schedule
-
-        if stretch is not None:
-            stretch = coerce_stretch_factor(stretch)
-            if stretch == 1.0:
-                stretch = None
         bindings = pub.bindings
         n_points = bindings.size
         if self._executor is not None and self._target is None:
@@ -184,10 +172,7 @@ class BasePrimitive:
                     "an executor-backed primitive cannot bind parametric "
                     "programs; construct it from a Target instead"
                 )
-            source = pub.program.source
-            if stretch is not None:
-                source = stretch_schedule(source, stretch)
-            return [source] * n_points
+            return [pub.program.source] * n_points
         executable = self._executables.get(pub.program)
         if executable is None:
             self.stats["misses"] += 1
@@ -202,27 +187,13 @@ class BasePrimitive:
         else:
             self.stats["hits"] += 1
             self._executables.move_to_end(pub.program)
-        if self._mode == _CLIENT and stretch is not None:
-            raise ValidationError(
-                "pulse stretching needs a locally minted schedule; "
-                f"{self._mode!r} dispatch hands executables to the remote "
-                "side — run ZNE against a direct or service target"
-            )
-        constraints = (
-            self._target.constraints if self._mode != _CLIENT else None
-        )
         if not pub.program.is_parametric:
             if self._mode == _CLIENT:
                 return [executable] * n_points
-            schedule = executable._ensure_compiled().schedule
-            if stretch is not None:
-                schedule = stretch_schedule(
-                    schedule, stretch, constraints=constraints
-                )
-            return [schedule] * n_points
+            return [executable._ensure_compiled().schedule] * n_points
         schedules: list[Any] = []
         with span("specialize", points=n_points):
-            if self._mode == _DIRECT and stretch is None:
+            if self._mode == _DIRECT:
                 family = executable.bind_many(bindings.values())
                 if family is not None:
                     return family
@@ -231,15 +202,9 @@ class BasePrimitive:
                 if self._mode == _CLIENT:
                     schedules.append(executable.bind(point))
                     continue
-                schedule = executable.specialize(point, stretch=stretch)
+                schedule = executable.specialize(point)
                 if schedule is None:  # template unavailable: full bind
                     schedule = executable.bind(point).schedule
-                    if stretch is not None:
-                        # the fallback stretches explicitly — a silent
-                        # un-stretched bind would corrupt the ZNE sweep
-                        schedule = stretch_schedule(
-                            schedule, stretch, constraints=constraints
-                        )
                 schedules.append(schedule)
         return schedules
 
@@ -254,15 +219,19 @@ class BasePrimitive:
         """Execute every pub's points; returns per-pub result lists.
 
         *per_pub* entries are ``(pub, point_handles, shots)`` where the
-        handles are schedules (direct/service), a schedule family
-        (direct) or executables (client). Direct and service dispatch
+        handles are schedules (direct/service), a schedule family or
+        a :class:`~repro.core.schedule.FamilyBatch` (direct) or
+        executables (client). Direct and service dispatch
         both batch all points sharing a shot count, across every pub:
         direct runs each such group through one :meth:`execute_batch`
         call, service admits it as one sweep — one queue entry, one
         batched device execution — and admits every sweep before
         collecting any ticket. A pub alone in its direct group gets the
         batch itself back (a family's results stay arrays); pubs that
-        share a group get their slice of it.
+        share a group get their slice of it, and when every one of them
+        is bound as families the group runs as one
+        :class:`~repro.core.schedule.FamilyBatch`, so the slices stay
+        arrays too.
         """
         with span("dispatch", mode=self._mode, pubs=len(per_pub)):
             if self._mode == _CLIENT:
@@ -280,7 +249,14 @@ class BasePrimitive:
             def handles(members: list[int]) -> Sequence[Any]:
                 if len(members) == 1:
                     return per_pub[members[0]][1]
-                return [h for p in members for h in per_pub[p][1]]
+                parts = [per_pub[p][1] for p in members]
+                if self._mode == _DIRECT and all(
+                    isinstance(h, (ScheduleFamily, FamilyBatch)) for h in parts
+                ):
+                    return FamilyBatch(
+                        f for h in parts for f in getattr(h, "families", (h,))
+                    )
+                return [h for part in parts for h in part]
 
             if self._mode == _DIRECT:
                 batches = [

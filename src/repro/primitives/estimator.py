@@ -250,19 +250,3 @@ class Estimator(BasePrimitive):
                 memo[b] = (float(ev), var)
         moments = np.array([memo[b] for b in bound.tolist()]).reshape(-1, 2)
         return moments[:, 0], moments[:, 1]
-
-    def _distribution_moments(
-        self, observable, probabilities, n_slots: int | None
-    ) -> tuple[float, float]:
-        """``(mean, variance)`` from one per-outcome pass."""
-        values, probs = observable.values_per_outcome(
-            probabilities, n_slots=n_slots
-        )
-        values = values.real
-        mean = float(np.dot(values, probs))
-        var = (
-            max(0.0, float(np.dot(values * values, probs)) - mean * mean)
-            if self.shots > 0
-            else 0.0
-        )
-        return mean, var

@@ -5,13 +5,25 @@ When an :class:`~repro.primitives.estimator.Estimator` (or
 :class:`~repro.qem.options.EstimatorOptions` /
 :class:`~repro.qem.options.SamplerOptions`, its ``run`` routes here.
 The engine expands every PUB point into a grid of circuit variants —
-one per (stretch factor x twirl randomization), minted through the
-``Executable.specialize`` template fast path so a whole ZNE sweep is
-one broadcast PUB batch — executes the entire grid in a single
-batched dispatch, and folds the results back in reverse declared
-order: confusion-invert each variant's distribution, average the
-twirls (with the observable sign-tracked through the flip frame), and
-extrapolate the stretch factors to zero noise.
+one per (stretch factor x twirl randomization) — without building a
+schedule per variant. The PUB binds once into its template family
+(:meth:`Executable.bind_many
+<repro.api.executable.Executable.bind_many>`). Stretching and twirling
+re-insert every frame-event instruction unchanged and never read a
+frame scalar, so they commute with binding: the template is stretched
+once per factor and twirled once per distinct mask (masks are still
+drawn per point), and the points carrying each (factor, mask) run as
+the members of one derived family
+(:meth:`~repro.core.schedule.ScheduleFamily.derive`). A PUB the
+template cannot take, or a plain schedule, expands the same way from
+one-member or slot-free families. All families of all PUBs run in one
+batched dispatch, and the results fold back in reverse declared order
+as arrays: one confusion inversion per family's ``(K, 2**m)``
+post-readout table, the twirl frame as a gather of the observable's
+outcome values (``values[outcome ^ flips]``), one product per row for
+the variant means, then per point the twirl average and the
+extrapolation of the stretch factors to zero noise. The Sampler's
+quasi-distributions fold per point from the same grouped batch.
 
 Mitigated evaluation reads the **post-readout** distribution
 (``ExecutionResult.probabilities``) — the noisy quantity mitigation
@@ -23,28 +35,37 @@ unmitigated noisy baseline over the same convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.schedule import FamilyBatch, ScheduleFamily
 from repro.errors import ValidationError
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import span
 from repro.primitives.containers import DataBin, PrimitiveResult, PubResult
 from repro.qem import twirling as _twirling
-from repro.qem.readout import mitigate_distribution
+from repro.qem.readout import invert_readout, mitigate_distribution
 from repro.qem.zne import extrapolate_to_zero, stretch_schedule
-from repro.sim.measurement import ReadoutModel
+from repro.sim.measurement import ReadoutModel, joint_confusion
 
 
 class _Variant:
-    """One executed circuit variant of one PUB point."""
+    """One executed circuit variant of one PUB point: member *index* of
+    the batch family *family*.
 
-    __slots__ = ("schedule", "factor_index", "twirl_index", "mask", "is_base")
+    While a PUB expands, *family* is the ``(source, key)`` pair naming
+    the derived family and *index* the point's row in its source
+    family; :func:`_group` turns both into the final family and member.
+    """
 
-    def __init__(self, schedule, factor_index, twirl_index, mask, is_base=False):
-        self.schedule = schedule
+    __slots__ = ("family", "index", "factor_index", "twirl_index", "mask", "is_base")
+
+    def __init__(self, family, index, factor_index, twirl_index, mask, is_base=False):
+        self.family = family
+        self.index = index
         self.factor_index = factor_index
         self.twirl_index = twirl_index
         self.mask = mask
@@ -86,26 +107,71 @@ def _readout_models(primitive, options, result) -> list[ReadoutModel]:
     ]
 
 
-def _variant_distribution(primitive, options, result, cache, index):
-    """The (optionally confusion-inverted) distribution of one variant."""
-    if index in cache:
-        return cache[index]
-    if not result.measured_sites:
+def _point_families(primitive, pub) -> list[ScheduleFamily]:
+    """The PUB's binding points as schedule families, in point order.
+
+    A PUB bound through the template is its one family; a program
+    without parameters is one schedule repeated, a family with no
+    slots; per-point schedules (a bind the template could not take)
+    are one-member families.
+    """
+    points = primitive._point_schedules(pub)
+    if isinstance(points, ScheduleFamily):
+        return [points]
+    if not len(points):
+        return []
+    if all(s is points[0] for s in points):
+        return [ScheduleFamily(points[0], (), np.zeros((len(points), 0)))]
+    return [ScheduleFamily(s, (), np.zeros((1, 0))) for s in points]
+
+
+def _twirl_sites(schedule) -> list[int]:
+    """The measured site of each slot of *schedule*, for twirling."""
+    slots = _twirling.measured_slots(schedule)
+    if not slots:
         raise ValidationError(
-            "mitigated evaluation needs measuring programs (the schedule "
-            "captured nothing)"
+            "twirling needs measuring programs (the schedule captured nothing)"
         )
-    dist = dict(result.probabilities)
-    if "readout" in options.mitigation:
-        dist = mitigate_distribution(
-            dist, _readout_models(primitive, options, result)
-        ).distribution
-    cache[index] = dist
-    return dist
+    return [site for _, site in slots]
+
+
+def _group(plans, sources, derive) -> None:
+    """Gather the variants of *plans* into their derived families.
+
+    Every variant still names ``(source, key)`` and its source row;
+    each distinct pair becomes ``sources[source].derive(derive(source,
+    key), rows)`` over the rows that carry it, in first-use order, and
+    each variant then names that family and its member.
+    """
+    rows: dict[tuple, list[int]] = {}
+    for point in plans:
+        for v in point:
+            members = rows.setdefault(v.family, [])
+            members.append(v.index)
+            v.index = len(members) - 1
+    families = {
+        pair: sources[pair[0]].derive(derive(*pair), members)
+        for pair, members in rows.items()
+    }
+    for point in plans:
+        for v in point:
+            v.family = families[v.family]
+
+
+def _batch_order(plans) -> list[ScheduleFamily]:
+    """The distinct families of *plans* in first-use order: the order
+    they run in, one batch per PUB."""
+    return list(dict.fromkeys(v.family for point in plans for v in point))
 
 
 def _expand_pub(est, pub, options, rng, n_points) -> list[list[_Variant]]:
-    """The variant grid of one Estimator PUB, per binding point."""
+    """The variant grid of one Estimator PUB, per binding point.
+
+    The points' source families are stretched once per factor and
+    twirled once per distinct mask (in declared order); the variants
+    sharing a (factor, mask) then run as members of one derived family.
+    Masks are drawn per point, in point order.
+    """
     stack = options.mitigation
     zne_opt = options.zne if "zne" in stack else None
     tw_opt = options.twirling if "twirling" in stack else None
@@ -119,113 +185,55 @@ def _expand_pub(est, pub, options, rng, n_points) -> list[list[_Variant]]:
         est.target.constraints if est.target is not None else None
     )
     device = _twirl_device(est) if tw_opt is not None else None
-    base = est._point_schedules(pub)
-    per_factor = {0: base}
-    if zne_opt is not None and zne_outer:
-        # Each stretch factor mints through the specialize template fast
-        # path; the whole factor sweep is one broadcast PUB batch.
-        for fi, f in enumerate(factors):
-            if fi:
-                per_factor[fi] = est._point_schedules(pub, stretch=f)
+    sources = _point_families(est, pub)
+    sites = [
+        _twirl_sites(family.base) if tw_opt is not None else None
+        for family in sources
+    ]
     plans: list[list[_Variant]] = []
-    for b in range(n_points):
-        if tw_opt is not None:
-            slots = _twirling.measured_slots(base[b])
-            if not slots:
-                raise ValidationError(
-                    "twirling needs measuring programs (the schedule "
-                    "captured nothing)"
-                )
-            sites = [site for _, site in slots]
-            masks = _twirling.twirl_masks(len(slots), tw_opt, rng)
-        else:
-            masks = [None]
-        variants: list[_Variant] = []
-        if zne_outer:
-            for fi in range(len(factors)):
-                sched = per_factor[fi][b]
-                for ri, mask in enumerate(masks):
-                    s = (
-                        sched
-                        if mask is None or not any(mask)
-                        else _twirling.twirl_schedule(sched, mask, device, sites)
-                    )
-                    variants.append(_Variant(s, fi, ri, mask))
-        else:  # twirling declared first: stretch the twirled circuits
-            for ri, mask in enumerate(masks):
-                s0 = (
-                    base[b]
-                    if mask is None or not any(mask)
-                    else _twirling.twirl_schedule(base[b], mask, device, sites)
-                )
-                for fi, f in enumerate(factors):
-                    s = (
-                        s0
-                        if f == 1.0
-                        else stretch_schedule(s0, f, constraints=constraints)
-                    )
-                    variants.append(_Variant(s, fi, ri, mask))
-        plans.append(variants)
-    return plans
-
-
-def _fold_estimate(
-    est, options, observable, variants, results, dist_cache
-) -> tuple[float, float]:
-    """``(value, variance)`` of one observable at one binding point."""
-    if not observable.is_diagonal:
-        raise ValidationError(
-            "mitigated estimation evaluates from measured outcome "
-            "distributions; only diagonal (Z-basis) observables compose "
-            "with the mitigation stack"
-        )
-    stack = options.mitigation
-    zne_opt = options.zne if "zne" in stack else None
-    factors = zne_opt.stretch_factors if zne_opt is not None else (1.0,)
-    n_factors = len(factors)
-    n_twirls = len(variants) // n_factors
-    grid = np.empty((n_factors, n_twirls), dtype=np.float64)
-    variance = 0.0
-    for index, variant in enumerate(variants):
-        result = results[index]
-        dist = _variant_distribution(est, options, result, dist_cache, index)
-        adjusted = (
-            observable
-            if variant.mask is None
-            else _twirling.conjugate_by_x(observable, variant.mask)
-        )
-        mean, var = est._distribution_moments(
-            adjusted, dist, len(result.measured_sites)
-        )
-        grid[variant.factor_index, variant.twirl_index] = mean
-        if variant.factor_index == 0 and variant.twirl_index == 0:
-            variance = var
-    if zne_opt is None:
-        return float(grid[0].mean()), variance
-    zne_outer = (
-        "twirling" not in stack
-        or stack.index("zne") < stack.index("twirling")
-    )
-    if zne_outer:
-        # fold right-to-left: twirl-average within each factor, then
-        # extrapolate the per-factor means to c = 0
-        value = extrapolate_to_zero(
-            factors, grid.mean(axis=1), zne_opt.extrapolation
-        )
-    else:
-        # twirling declared first: extrapolate within each
-        # randomization, then average the extrapolated values
-        value = float(
-            np.mean(
+    for s, family in enumerate(sources):
+        for row in range(len(family)):
+            masks = (
+                _twirling.twirl_masks(len(sites[s]), tw_opt, rng)
+                if tw_opt is not None
+                else [None]
+            )
+            grid = list(itertools.product(range(len(factors)), range(len(masks))))
+            if not zne_outer:  # twirling declared first
+                grid.sort(key=lambda pair: pair[1])
+            plans.append(
                 [
-                    extrapolate_to_zero(
-                        factors, grid[:, ri], zne_opt.extrapolation
-                    )
-                    for ri in range(n_twirls)
+                    _Variant((s, (fi, masks[ri])), row, fi, ri, masks[ri])
+                    for fi, ri in grid
                 ]
             )
-        )
-    return value, variance
+
+    def stretched(schedule, fi):
+        if factors[fi] == 1.0:
+            return schedule
+        return stretch_schedule(schedule, factors[fi], constraints=constraints)
+
+    def twirled(schedule, mask, s):
+        if mask is None or not any(mask):
+            return schedule
+        return _twirling.twirl_schedule(schedule, mask, device, sites[s])
+
+    # _group derives each (source, key) once; the inner step is shared
+    # by the keys of one factor (zne first) or one mask (twirl first).
+    inner: dict[tuple, Any] = {}
+
+    def derive(s, key):
+        fi, mask = key
+        if zne_outer:
+            if (s, fi) not in inner:
+                inner[s, fi] = stretched(sources[s].base, fi)
+            return twirled(inner[s, fi], mask, s)
+        if (s, mask) not in inner:
+            inner[s, mask] = twirled(sources[s].base, mask, s)
+        return stretched(inner[s, mask], fi)
+
+    _group(plans, sources, derive)
+    return plans
 
 
 def _qem_metadata(options, plans) -> dict[str, Any]:
@@ -254,7 +262,7 @@ def run_mitigated_estimator(est, pubs, *, timeout=None) -> PrimitiveResult:
             for pub in pubs
         ]
     per_pub = [
-        (pub, [v.schedule for point in plans for v in point], 0)
+        (pub, FamilyBatch(_batch_order(plans)), 0)
         for pub, plans in zip(pubs, all_plans)
     ]
     total = sum(len(h) for _, h, _ in per_pub)
@@ -279,6 +287,86 @@ def run_mitigated_estimator(est, pubs, *, timeout=None) -> PrimitiveResult:
     )
 
 
+def _variant_means(est, options, observables, plans, results):
+    """``(means, variances)`` of every observable on every variant.
+
+    *means* is ``(observables, points, factors, twirls)``; *variances*
+    ``(observables, points)`` comes from each point's first variant.
+    Per batch family: one confusion inversion of its ``(K, 2**m)``
+    post-readout table, then per observable the twirl frame as a
+    gather of its outcome values and one product with the table.
+    """
+    n_points = len(plans)
+    n_factors = 1 + max((v.factor_index for v in plans[0]), default=0)
+    n_twirls = len(plans[0]) // n_factors
+    means = np.empty((len(observables), n_points, n_factors, n_twirls))
+    variances = np.zeros((len(observables), n_points))
+    members: dict[Any, list[tuple[int, _Variant]]] = {}
+    for b, point in enumerate(plans):
+        for v in point:
+            members.setdefault(v.family, []).append((b, v))
+    confusions: dict[tuple[int, ...], np.ndarray] = {}
+    for family, outcome in zip(_batch_order(plans), results.families):
+        m = len(outcome.measured_sites)
+        if not m:
+            raise ValidationError(
+                "mitigated evaluation needs measuring programs (the schedule "
+                "captured nothing)"
+            )
+        table = outcome.probabilities
+        if "readout" in options.mitigation:
+            sites = outcome.measured_sites
+            if sites not in confusions:
+                confusions[sites] = joint_confusion(
+                    _readout_models(est, options, outcome)
+                )
+            table = invert_readout(table, confusions[sites])
+        # Members were numbered in point order, so this is row order.
+        rows = members[family]
+        mask = rows[0][1].mask or ()
+        b = np.array([b for b, _ in rows])
+        fi = np.array([v.factor_index for _, v in rows])
+        ri = np.array([v.twirl_index for _, v in rows])
+        first = (fi == 0) & (ri == 0)
+        # The twirl frame: a flipped slot reads the other outcome.
+        flip = sum(1 << (m - 1 - slot) for slot, bit in enumerate(mask) if bit)
+        outcomes = np.arange(1 << m) ^ flip
+        for o, observable in enumerate(observables):
+            values = observable.outcome_values(m)[outcomes]
+            mean = table @ values
+            means[o, b, fi, ri] = mean
+            if est.shots > 0 and first.any():
+                sq = table[first] @ (values * values)
+                variances[o, b[first]] = np.maximum(
+                    0.0, sq - mean[first] * mean[first]
+                )
+    return means, variances
+
+
+def _extrapolate(options, grid: np.ndarray) -> float:
+    """The mitigated value of one point from its ``(factors, twirls)``
+    grid of variant means."""
+    stack = options.mitigation
+    zne_opt = options.zne if "zne" in stack else None
+    if zne_opt is None:
+        return float(grid[0].mean())
+    factors = zne_opt.stretch_factors
+    if "twirling" not in stack or stack.index("zne") < stack.index("twirling"):
+        # fold right-to-left: twirl-average within each factor, then
+        # extrapolate the per-factor means to c = 0
+        return extrapolate_to_zero(factors, grid.mean(axis=1), zne_opt.extrapolation)
+    # twirling declared first: extrapolate within each randomization,
+    # then average the extrapolated values
+    return float(
+        np.mean(
+            [
+                extrapolate_to_zero(factors, grid[:, ri], zne_opt.extrapolation)
+                for ri in range(grid.shape[1])
+            ]
+        )
+    )
+
+
 def _assemble_estimator(
     est, options, pub, plans, results: Sequence[Any]
 ) -> PubResult:
@@ -287,25 +375,27 @@ def _assemble_estimator(
     bind_idx = pub.binding_indices().reshape(-1) if shape else None
     obs_idx = pub.observable_indices().reshape(-1) if shape else None
     observables = pub.observables.flat()
-    stride = len(plans[0]) if plans else 1
+    for observable in observables:
+        if not observable.is_diagonal:
+            raise ValidationError(
+                "mitigated estimation evaluates from measured outcome "
+                "distributions; only diagonal (Z-basis) observables compose "
+                "with the mitigation stack"
+            )
     evs = np.empty(size, dtype=np.float64)
     variances = np.empty(size, dtype=np.float64)
-    memo: dict[tuple[int, int], tuple[float, float]] = {}
-    dist_caches: dict[int, dict] = {}
+    if plans:
+        means, point_variances = _variant_means(
+            est, options, observables, plans, results
+        )
+    memo: dict[tuple[int, int], float] = {}
     for flat in range(size):
         b = int(bind_idx[flat]) if bind_idx is not None else 0
         o = int(obs_idx[flat]) if obs_idx is not None else 0
-        key = (b, o)
-        if key not in memo:
-            memo[key] = _fold_estimate(
-                est,
-                options,
-                observables[o],
-                plans[b],
-                results[b * stride : (b + 1) * stride],
-                dist_caches.setdefault(b, {}),
-            )
-        evs[flat], variances[flat] = memo[key]
+        if (b, o) not in memo:
+            memo[b, o] = _extrapolate(options, means[o, b])
+        evs[flat] = memo[b, o]
+        variances[flat] = point_variances[o, b]
     stds = (
         np.sqrt(variances / est.shots)
         if est.shots > 0
@@ -329,34 +419,38 @@ def _assemble_estimator(
 # ---- sampler -------------------------------------------------------------------------
 
 
-def _expand_sampler_pub(sampler, pub, options, rng, n_points):
+def _expand_sampler_pub(sampler, pub, options, rng):
     """Variant grid of one Sampler PUB: the raw base execution first
     (it keeps reporting ``counts``/``probabilities``), then the twirl
-    randomizations the quasi-distribution folds over."""
+    randomizations the quasi-distribution folds over. The base
+    variants run as their source family, each distinct mask as one
+    twirled family."""
     tw_opt = options.twirling if "twirling" in options.mitigation else None
     device = _twirl_device(sampler) if tw_opt is not None else None
-    base = sampler._point_schedules(pub)
+    sources = _point_families(sampler, pub)
+    sites = [
+        _twirl_sites(family.base) if tw_opt is not None else None
+        for family in sources
+    ]
     plans: list[list[_Variant]] = []
-    for b in range(n_points):
-        variants = [_Variant(base[b], 0, 0, None, is_base=True)]
-        if tw_opt is not None:
-            slots = _twirling.measured_slots(base[b])
-            if not slots:
-                raise ValidationError(
-                    "twirling needs measuring programs (the schedule "
-                    "captured nothing)"
-                )
-            sites = [site for _, site in slots]
-            for ri, mask in enumerate(
-                _twirling.twirl_masks(len(slots), tw_opt, rng)
-            ):
-                s = (
-                    base[b]
-                    if not any(mask)
-                    else _twirling.twirl_schedule(base[b], mask, device, sites)
-                )
-                variants.append(_Variant(s, 0, ri, mask))
-        plans.append(variants)
+    for s, family in enumerate(sources):
+        for row in range(len(family)):
+            variants = [_Variant((s, None), row, 0, 0, None, is_base=True)]
+            if tw_opt is not None:
+                masks = _twirling.twirl_masks(len(sites[s]), tw_opt, rng)
+                variants += [
+                    _Variant((s, mask), row, 0, ri, mask)
+                    for ri, mask in enumerate(masks)
+                ]
+            plans.append(variants)
+
+    def derive(s, mask):
+        base = sources[s].base
+        if mask is None or not any(mask):
+            return base
+        return _twirling.twirl_schedule(base, mask, device, sites[s])
+
+    _group(plans, sources, derive)
     return plans
 
 
@@ -370,11 +464,11 @@ def run_mitigated_sampler(sampler, specs, *, timeout=None) -> PrimitiveResult:
     stack = ",".join(options.mitigation) or "none"
     with span("qem.expand", pubs=len(specs), stack=stack):
         all_plans = [
-            _expand_sampler_pub(sampler, pub, options, rng, pub.bindings.size)
+            _expand_sampler_pub(sampler, pub, options, rng)
             for pub, _ in specs
         ]
     per_pub = [
-        (pub, [v.schedule for point in plans for v in point], shots)
+        (pub, FamilyBatch(_batch_order(plans)), shots)
         for (pub, shots), plans in zip(specs, all_plans)
     ]
     REGISTRY.counter(
@@ -444,15 +538,19 @@ def _assemble_sampler(
     sampler, options, pub, shots, plans, results: Sequence[Any]
 ) -> PubResult:
     shape = pub.shape
-    stride = len(plans[0]) if plans else 1
+    start: dict[Any, int] = {}
+    total = 0
+    for family in _batch_order(plans):
+        start[family] = total
+        total += len(family)
     counts: list[dict] = []
     probabilities: list[dict] = []
     noisy: list[dict] = []
     quasi: list[dict] = []
     conditions: list[float] = []
     leakage: list[float] = []
-    for b, variants in enumerate(plans):
-        point_results = results[b * stride : (b + 1) * stride]
+    for variants in plans:
+        point_results = [results[start[v.family] + v.index] for v in variants]
         base = point_results[0]
         counts.append(dict(base.counts))
         probabilities.append(dict(base.ideal_probabilities))

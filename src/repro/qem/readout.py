@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.sim.measurement import ReadoutModel
+from repro.sim.measurement import ReadoutModel, joint_confusion
 
 
 @dataclass
@@ -40,11 +40,28 @@ class MitigatedResult:
     condition_number: float
 
 
-def _joint_confusion(models: Sequence[ReadoutModel]) -> np.ndarray:
-    out = np.array([[1.0]])
-    for m in models:
-        out = np.kron(out, m.confusion_matrix())
-    return out
+def invert_readout(table: np.ndarray, confusion: np.ndarray) -> np.ndarray:
+    """Confusion-invert every row of a ``(K, 2**m)`` distribution table.
+
+    Columns are the outcomes in binary order; *confusion* is the joint
+    matrix over them (:func:`~repro.sim.measurement.joint_confusion`).
+    Each row is one single-right-hand-side solve (stacked, so a row
+    comes out bitwise as it would alone), clipped at zero and
+    renormalized; entries at or below ``1e-15`` read as zero. A row
+    left with no mass raises :class:`~repro.errors.ValidationError`.
+    """
+    recovered = np.linalg.solve(
+        np.broadcast_to(confusion, (len(table),) + confusion.shape),
+        table[:, :, None],
+    )[:, :, 0]
+    # Clip tiny negative leakage from inversion noise; renormalize.
+    recovered = np.clip(recovered, 0.0, None)
+    totals = recovered.sum(axis=1)
+    if np.any(totals <= 0):
+        raise ValidationError("mitigation produced a degenerate distribution")
+    recovered /= totals[:, None]
+    recovered[recovered <= 1e-15] = 0.0
+    return recovered
 
 
 def mitigate_distribution(
@@ -64,27 +81,20 @@ def mitigate_distribution(
         raise ValidationError(
             f"{len(models)} readout models for {n_bits}-bit outcomes"
         )
-    confusion = _joint_confusion(models)
-    cond = float(np.linalg.cond(confusion))
-    observed = np.zeros(2**n_bits, dtype=np.float64)
+    confusion = joint_confusion(models)
+    observed = np.zeros((1, 2**n_bits), dtype=np.float64)
     for key, p in distribution.items():
-        observed[int(key, 2)] = p
-    recovered = np.linalg.solve(confusion, observed)
-    # Clip tiny negative leakage from inversion noise; renormalize.
-    recovered = np.clip(recovered, 0.0, None)
-    total = recovered.sum()
-    if total <= 0:
-        raise ValidationError("mitigation produced a degenerate distribution")
-    recovered /= total
+        observed[0, int(key, 2)] = p
+    recovered = invert_readout(observed, confusion)[0]
     mitigated = {
         format(i, f"0{n_bits}b"): float(v)
         for i, v in enumerate(recovered)
-        if v > 1e-15
+        if v > 0.0
     }
     return MitigatedResult(
         distribution=mitigated,
         raw_distribution=dict(distribution),
-        condition_number=cond,
+        condition_number=float(np.linalg.cond(confusion)),
     )
 
 

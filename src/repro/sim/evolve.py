@@ -540,17 +540,22 @@ def batched_expm_and_frechet(hamiltonians, dt: float):
     return us, vecs, gamma
 
 
-def hamiltonian_fingerprint(hamiltonian) -> bytes:
+def _layout(h: np.ndarray) -> bytes:
+    """The shape and dtype of *h*, as fingerprint bytes."""
+    return f"{h.shape}{h.dtype.str}".encode()
+
+
+def hamiltonian_fingerprint(hamiltonian, layout: bytes | None = None) -> bytes:
     """Content digest of a Hamiltonian, for propagator-cache keys.
 
     The digest covers the raw bytes, the shape, **and the dtype**: a
     complex64 and a complex128 Hamiltonian never alias to one cache
-    entry, even where truncated byte prefixes would collide.
+    entry, even where truncated byte prefixes would collide. A caller
+    hashing a stack's slices passes their shared *layout* once.
     """
     h = np.ascontiguousarray(hamiltonian)
-    digest = hashlib.blake2b(h.tobytes(), digest_size=16)
-    digest.update(str(h.shape).encode())
-    digest.update(str(h.dtype).encode())
+    digest = hashlib.blake2b(h, digest_size=16)  # the buffer, not a copy
+    digest.update(layout if layout is not None else _layout(h))
     return digest.digest()
 
 
@@ -666,11 +671,12 @@ class PropagatorCache:
         inverse = np.concatenate(([0], np.cumsum(changed)))
         reps = np.concatenate(([0], np.nonzero(changed)[0] + 1))
         run_sizes = np.diff(np.concatenate((reps, [n])))
+        layout = _layout(hs[0])
         keys = [
             (
                 tag,
                 policy.name,
-                hamiltonian_fingerprint(hs[k]),
+                hamiltonian_fingerprint(hs[k], layout),
                 float(dt),
                 int(steps_arr[k]),
             )

@@ -12,10 +12,12 @@ batched pipeline — a single schedule is a one-member batch:
    frame-event fields (frequencies, phases, shift deltas). A bound
    parameter sweep arrives as one family
    (:meth:`Executable.bind_many
-   <repro.api.executable.Executable.bind_many>`); a schedule list is
-   grouped once into maximal runs of consecutive structural clones,
-   each run's differing fields gathered into columns, and a schedule
-   that clones nothing is a family of one.
+   <repro.api.executable.Executable.bind_many>`), the mitigated
+   variants of a PUB as a :class:`~repro.core.schedule.FamilyBatch` of
+   families; a schedule list is grouped once into maximal runs of
+   consecutive structural clones, each run's differing fields gathered
+   into columns, and a schedule that clones nothing is a family of
+   one.
 2. Drive synthesis — per family, frame timelines (carrier frequency
    and static phase per sample, with phase-continuous frequency
    updates matching :class:`~repro.core.frame.FrameState` semantics)
@@ -59,6 +61,7 @@ batched pipeline — a single schedule is a one-member batch:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from bisect import bisect_right
@@ -79,7 +82,12 @@ from repro.core.instructions import (
     ShiftPhase,
 )
 from repro.core.port import Port, PortKind
-from repro.core.schedule import FRAME_EVENT_FIELDS, PulseSchedule, ScheduleFamily
+from repro.core.schedule import (
+    FRAME_EVENT_FIELDS,
+    FamilyBatch,
+    PulseSchedule,
+    ScheduleFamily,
+)
 from repro.errors import CancelledError, ExecutionError, ValidationError
 from repro.obs import profile as _profile
 from repro.obs.tracing import span
@@ -220,6 +228,17 @@ class FamilyOutcome:
     def __len__(self) -> int:
         return len(self.final_states)
 
+    def rows(self, start: int, stop: int) -> "FamilyOutcome":
+        """Members ``start:stop`` as their own outcome."""
+        return dataclasses.replace(
+            self,
+            ideal_probabilities=self.ideal_probabilities[start:stop],
+            probabilities=self.probabilities[start:stop],
+            final_states=self.final_states[start:stop],
+            leakage=self.leakage[:, start:stop],
+            counts=None if self.counts is None else self.counts[start:stop],
+        )
+
     def result(self, k: int, metadata: dict) -> ExecutionResult:
         """Member *k* as an :class:`ExecutionResult`."""
         m = len(self.measured_sites)
@@ -243,11 +262,13 @@ class BatchResult(_Sequence):
     A sequence of :class:`ExecutionResult`, one per schedule in input
     order. Each is a view built on first access from the arrays of its
     family: :attr:`families` holds one :class:`FamilyOutcome` per
-    family (exactly one for a
-    :class:`~repro.core.schedule.ScheduleFamily` input), so a consumer
-    that reads the arrays builds no per-point result at all.
-    :attr:`metadata` belongs to the batch (the profile summary); every
-    view carries its own copy.
+    family (one per family of a
+    :class:`~repro.core.schedule.ScheduleFamily` or
+    :class:`~repro.core.schedule.FamilyBatch` input), so a consumer
+    that reads the arrays builds no per-point result at all. A
+    contiguous slice is again a :class:`BatchResult`, over the rows of
+    the families it covers. :attr:`metadata` belongs to the batch (the
+    profile summary); every view carries its own copy.
     """
 
     __slots__ = ("families", "metadata", "_starts", "_views")
@@ -267,7 +288,17 @@ class BatchResult(_Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            parts = []
+            for family, first in zip(self.families, self._starts):
+                a = max(start - first, 0)
+                b = min(stop - first, len(family))
+                if a < b:
+                    whole = a == 0 and b == len(family)
+                    parts.append(family if whole else family.rows(a, b))
+            return BatchResult(parts, self.metadata)
         i = range(len(self._views))[index]
         view = self._views[i]
         if view is None:
@@ -369,7 +400,7 @@ class ScheduleExecutor:
 
     def execute_batch(
         self,
-        schedules: ScheduleFamily | Sequence[PulseSchedule],
+        schedules: ScheduleFamily | FamilyBatch | Sequence[PulseSchedule],
         *,
         shots: int = 1024,
         seed: int | Sequence[int | None] | None = None,
@@ -378,12 +409,15 @@ class ScheduleExecutor:
     ) -> Sequence[ExecutionResult]:
         """Run many schedules through one batched evolution pass.
 
-        *schedules* is a list of schedules or one
+        *schedules* is a list of schedules, one
         :class:`~repro.core.schedule.ScheduleFamily` (a template plus a
         ``(K, P)`` value matrix, what :meth:`Executable.bind_many
-        <repro.api.executable.Executable.bind_many>` gives): a family's
-        value columns are written straight into the drive synthesis'
-        frame timelines, with no per-point schedule.
+        <repro.api.executable.Executable.bind_many>` gives) or a
+        :class:`~repro.core.schedule.FamilyBatch` of families (what the
+        mitigation engine sends: one family per stretch factor and
+        twirl mask). A family's value columns are written straight into
+        the drive synthesis' frame timelines, with no per-point
+        schedule.
 
         The whole batch's constant-drive runs are stacked and
         exponentiated together — one
@@ -424,7 +458,7 @@ class ScheduleExecutor:
         ``_MAX_OPEN_BATCH_SLICES`` superoperator slices, each
         trajectory-sampled schedule), and before the measurement tail.
         """
-        if not isinstance(schedules, ScheduleFamily):
+        if not isinstance(schedules, (ScheduleFamily, FamilyBatch)):
             schedules = list(schedules)
         n = len(schedules)
         if not n:
@@ -507,7 +541,7 @@ class ScheduleExecutor:
 
     def _run(
         self,
-        batch: ScheduleFamily | list[PulseSchedule],
+        batch: ScheduleFamily | FamilyBatch | list[PulseSchedule],
         streams: list,
         shots: int,
         initial_state: np.ndarray | None,
@@ -518,6 +552,8 @@ class ScheduleExecutor:
         _check_cancel(should_cancel)
         if isinstance(batch, ScheduleFamily):
             families = [batch]
+        elif isinstance(batch, FamilyBatch):
+            families = list(batch.families)
         else:
             families = self._families(batch)
         finals = self._final_states(

@@ -2,8 +2,8 @@
 
 Covers, per the PR-10 acceptance criteria:
 
-* pulse-stretch scaling (`repro.core.stretch`) through the template
-  specialize fast path *and* the explicit-stretch bind fallback;
+* pulse-stretch scaling (`repro.core.stretch`) of the PUB's template
+  family *and* of the per-point bind fallback;
 * ZNE extrapolation recovering exact-Lindblad expectations;
 * Pauli twirling preserving means and cancelling coherent readout
   bias; composition-order semantics of the options stack;
@@ -50,7 +50,6 @@ from repro.devices import SuperconductingDevice
 from repro.errors import PipelineError, ValidationError
 from repro.pipeline import PipelineRunner, PipelineStore
 from repro.primitives import Estimator, Observable, Sampler
-from repro.primitives.pubs import EstimatorPub
 from repro.qem import (
     EstimatorOptions,
     SamplerOptions,
@@ -101,7 +100,7 @@ def x_train(device, n: int = 5) -> PulseSchedule:
     return sched
 
 
-def parametric_program(device):
+def parametric_program(device, samples: int = 16, amp: float = 0.2):
     """A phase-parametrized measuring kernel (template-friendly)."""
     from repro.core.waveform import ParametricWaveform
     from repro.mlir.dialects.pulse import SequenceBuilder
@@ -111,7 +110,7 @@ def parametric_program(device):
     drive = sb.add_mixed_frame_arg("f0", device.drive_port(0).name)
     acquire = sb.add_mixed_frame_arg("a0", device.acquire_port(0).name)
     theta = sb.add_scalar_arg("theta0")
-    wave = sb.waveform(ParametricWaveform("square", 16, {"amp": 0.2}))
+    wave = sb.waveform(ParametricWaveform("square", samples, {"amp": amp}))
     sb.shift_phase(drive, theta)
     sb.play(drive, wave)
     sb.barrier(drive, acquire)
@@ -200,21 +199,69 @@ class TestStretch:
             stretch_schedule(sched, 1.5, constraints=constraints)
 
 
-class TestSpecializeStretch:
-    def test_template_path_stretches(self):
-        dev = noisy_device()
-        exe = repro.compile(parametric_program(dev), repro.Target.resolve(dev))
-        plain = exe.specialize({"theta0": 0.3})
-        stretched = exe.specialize({"theta0": 0.3}, stretch=1.5)
-        assert plain is not None and stretched is not None
-        assert stretched.duration > plain.duration
-        assert stretched.name.endswith("@x1.5")
+def batch_spy(monkeypatch):
+    """The families of every ``execute_batch`` call, in call order."""
+    from repro.sim.executor import ScheduleExecutor
 
-    def test_bad_factor_raises_not_none(self):
+    seen = []
+    original = ScheduleExecutor.execute_batch
+
+    def spy(self, schedules, **kwargs):
+        seen.append(list(getattr(schedules, "families", [schedules])))
+        return original(self, schedules, **kwargs)
+
+    monkeypatch.setattr(ScheduleExecutor, "execute_batch", spy)
+    return seen
+
+
+class TestStretchedVariants:
+    """ZNE variants are stretched once per factor, from the PUB's
+    template family, and run as bound families."""
+
+    def test_stretched_variants_run_as_template_families(self, monkeypatch):
         dev = noisy_device()
-        exe = repro.compile(parametric_program(dev), repro.Target.resolve(dev))
+        seen = batch_spy(monkeypatch)
+        opts = EstimatorOptions(
+            mitigation=("zne",), zne=ZNEOptions(stretch_factors=(1.0, 1.5))
+        )
+        Estimator(dev, options=opts).run(
+            [(parametric_program(dev), Observable.z(0), {"theta0": [0.3, 0.6]})]
+        )
+        [(plain, stretched)] = seen
+        assert len(plain) == len(stretched) == 2
+        assert plain.slots and stretched.slots
+        assert stretched.base.duration > plain.base.duration
+        assert stretched.base.name.endswith("@x1.5")
+
+    def test_bad_factor_raises(self):
+        dev = noisy_device()
         with pytest.raises(ValidationError):
-            exe.specialize({"theta0": 0.3}, stretch=0.25)
+            ZNEOptions(stretch_factors=(1.0, 0.25))
+        opts = EstimatorOptions(mitigation=("zne",))
+        # past the options' own check, the stretch still refuses it
+        object.__setattr__(opts.zne, "stretch_factors", (1.0, 0.25))
+        with pytest.raises(ValidationError, match="stretch factor"):
+            Estimator(dev, options=opts).run(
+                [(parametric_program(dev), Observable.z(0), {"theta0": [0.3]})]
+            )
+
+    def test_stretch_past_max_pulse_duration_raises(self):
+        dev = noisy_device()
+        limit = repro.Target.resolve(dev).constraints.max_pulse_duration
+        samples = -(-int(limit // 1.5 + 16) // 16) * 16
+        opts = EstimatorOptions(
+            mitigation=("zne",), zne=ZNEOptions(stretch_factors=(1.0, 1.5))
+        )
+        with pytest.raises(ValidationError, match="max_pulse_duration"):
+            Estimator(dev, options=opts).run(
+                [
+                    (
+                        parametric_program(dev, samples=samples, amp=0.001),
+                        Observable.z(0),
+                        {"theta0": [0.3]},
+                    )
+                ]
+            )
 
     def test_zne_variants_mint_without_jit(self):
         """Every (point, stretch factor) variant of a ZNE sweep is minted
@@ -228,23 +275,31 @@ class TestSpecializeStretch:
         assert res[0].metadata["qem"]["overhead"] == 3
         assert est.target.compiler.stats()["misses"] == 0
 
-    def test_fallback_bind_stretches_explicitly(self):
+    def test_template_miss_fallback_stretches(self, monkeypatch):
         dev = noisy_device()
         program = parametric_program(dev)
-        exe = repro.compile(program, repro.Target.resolve(dev))
-        reference = exe.specialize({"theta0": 0.3}, stretch=1.5)
-        exe._template = False  # force the template-miss path
-        assert exe.specialize({"theta0": 0.3}, stretch=1.5) is None
-        est = Estimator(dev)
-        est._executables[program] = exe
-        pub = EstimatorPub.coerce(
-            (program, Observable.z(0), {"theta0": np.array([0.3])})
+        opts = EstimatorOptions(
+            mitigation=("zne",), zne=ZNEOptions(stretch_factors=(1.0, 1.5))
         )
-        (sched,) = est._point_schedules(pub, stretch=1.5)
-        # The fallback must hand back a *stretched* bind, identical to
-        # what the template path would have produced.
-        assert sched.duration == reference.duration
-        assert sched.name.endswith("@x1.5")
+        pub = (program, Observable.z(0), {"theta0": [0.3, 0.6]})
+        seen = batch_spy(monkeypatch)
+        templated = Estimator(dev, options=opts).run([pub])[0].data.evs
+        exe = repro.compile(program, repro.Target.resolve(dev))
+        exe._template = False  # force the template-miss path
+        est = Estimator(dev, options=opts)
+        est._executables[program] = exe
+        fallback = est.run([pub])[0].data.evs
+        [(_, template_stretched), families] = seen
+        # One bound schedule per point, each its own family, stretched
+        # explicitly: never handed back un-stretched.
+        assert [len(f) for f in families] == [1, 1, 1, 1]
+        assert not any(f.slots for f in families)
+        stretched = [f for f in families if f.base.name.endswith("@x1.5")]
+        assert len(stretched) == 2
+        assert all(
+            f.base.duration == template_stretched.base.duration for f in stretched
+        )
+        np.testing.assert_allclose(fallback, templated, rtol=0, atol=1e-12)
 
 
 # ---- extrapolation -------------------------------------------------------------------
@@ -358,13 +413,10 @@ class TestZNE:
 
     def test_remote_dispatch_rejects_stretch(self):
         dev = noisy_device()
-        est = Estimator(dev)
+        est = Estimator(dev, options=EstimatorOptions(mitigation=("zne",)))
         est._mode = "client"  # simulate remote dispatch
-        pub = EstimatorPub.coerce(
-            (parametric_program(dev), Observable.z(0), {"theta0": [0.1]})
-        )
-        with pytest.raises(ValidationError, match="locally minted"):
-            est._point_schedules(pub, stretch=1.5)
+        with pytest.raises(ValidationError, match="direct simulator target"):
+            est.run([(parametric_program(dev), Observable.z(0), {"theta0": [0.1]})])
 
 
 # ---- twirling ------------------------------------------------------------------------
