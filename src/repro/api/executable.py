@@ -28,10 +28,13 @@ happens once, and the hot-loop operations are cheap:
 
 The schedule-template trick is sound because the pulse dialect has no
 scalar arithmetic: an ``f64`` block argument flows *verbatim* into
-instruction fields (frame frequencies, phases, shift deltas).  Binding
-therefore cannot change timing, waveforms, or instruction count — only
-those scalar fields — which the template records by interpreting the
-sequence twice with distinct sentinel values and diffing the results.
+instruction fields (frame frequencies, phases, shift deltas, a
+waveform's amplitude, a delay's length).  Binding therefore cannot
+change instruction count or waveform shapes — only those fields, and
+through a delay's length the start of the items after it — which the
+template records by interpreting the sequence with distinct in-range
+sentinel values and diffing the results (a third trace proves a delay
+length moves later items as one idle insertion).
 Anything that breaks the assumptions (multiple sequences, constraint
 violations in the static structure, scalar-dependent divergence)
 disables the fast path and binds fall back to the full compiler, so
@@ -49,7 +52,16 @@ import numpy as np
 from repro.api.core import adapter_payload, compile_payload
 from repro.api.program import Program
 from repro.api.target import Target
-from repro.core.schedule import PulseSchedule, ScheduleFamily
+from repro.core.instructions import Delay, Play
+from repro.core.schedule import (
+    DURATION,
+    FRAME_EVENT_FIELDS,
+    SCALE,
+    IdleSlot,
+    PulseSchedule,
+    ScheduleFamily,
+)
+from repro.core.waveform import ScaledWaveform
 from repro.errors import ExecutionError, ReproError, ValidationError
 from repro.obs.tracing import span
 
@@ -63,41 +75,57 @@ class _ScheduleTemplate:
     Slots are ``(item index, field, column)``, the column indexing
     *names* (the program's parameter order), so a ``(K, P)`` matrix of
     points binds as one :class:`~repro.core.schedule.ScheduleFamily`.
+    The base holds neutral in-range values, so it is itself a legal
+    schedule.
     """
 
-    __slots__ = ("base", "names", "slots", "frequency_columns")
+    __slots__ = ("base", "names", "slots", "idle")
 
     def __init__(
         self,
         base: PulseSchedule,
         names: Sequence[str],
         slots: list[tuple[int, str, str]],
+        idle: IdleSlot | None = None,
     ) -> None:
         self.base = base
         self.names = tuple(names)
         column = {name: j for j, name in enumerate(self.names)}
         self.slots = tuple((idx, fld, column[name]) for idx, fld, name in slots)
-        #: Columns that land in carrier-frequency fields get the same
-        #: range check legalization would apply.
-        self.frequency_columns = tuple(
-            sorted({col for _, fld, col in self.slots if fld == "frequency"})
-        )
+        self.idle = idle
 
     @property
-    def frequency_params(self) -> tuple[str, ...]:
-        return tuple(self.names[col] for col in self.frequency_columns)
+    def frequency_params(self) -> set[str]:
+        """The parameters that land in carrier-frequency fields."""
+        return {self.names[col] for _, fld, col in self.slots if fld == "frequency"}
 
     def family(self, values: np.ndarray) -> ScheduleFamily:
         """The ``(K, P)`` points *values* bound as one family."""
-        return ScheduleFamily(self.base, self.slots, values)
+        return ScheduleFamily(self.base, self.slots, values, self.idle)
+
+    def admits(self, values: np.ndarray, constraints: Any) -> bool:
+        """Whether every point of *values* binds to a legal schedule.
+
+        The base was validated when the template was traced, so this
+        checks the value columns only, each once
+        (:meth:`PulseConstraints.validate_family
+        <repro.core.constraints.PulseConstraints.validate_family>`). A
+        point this rejects takes the per-point compile, which raises
+        its typed error.
+        """
+        try:
+            constraints.validate_family(self.family(values), base=False)
+        except ReproError:
+            return False
+        return True
 
     def specialize(self, params: Mapping[str, float]) -> PulseSchedule:
         """A schedule with every scalar slot bound from *params*: the
         one member of a one-point family.
 
         Scalar finiteness (the ``__post_init__`` check the family's
-        field-for-field copy skips) is checked here; range checks for
-        frequency slots happen in the callers.
+        field-for-field copy skips) is checked here; range checks
+        happen in the callers.
         """
         row = np.zeros((1, len(self.names)))
         for _, _, col in self.slots:
@@ -108,7 +136,127 @@ class _ScheduleTemplate:
                     f"parameter {name!r} must be finite, got {value!r}"
                 )
             row[0, col] = value
-        return self.family(row).member(0)
+        return self.family(row).bound(row[0])
+
+
+def _row(template: _ScheduleTemplate, params: Mapping[str, float]) -> np.ndarray:
+    """*params* as a one-point ``(1, P)`` value matrix."""
+    return np.array([[float(params[name]) for name in template.names]])
+
+
+def _parameter_kinds(module: Any, names: Sequence[str]) -> dict[str, str] | None:
+    """What each scalar argument feeds: ``"scale"`` (a waveform's
+    amplitude operand), ``"duration"`` (a delay's length operand) or
+    ``"frame"`` (a frame-event scalar). ``None`` when one argument
+    feeds two kinds."""
+    from repro.mlir.ir import F64
+
+    kinds: dict[str, str] = {}
+    for seq in module.ops_of("pulse.sequence"):
+        entry = seq.region().entry
+        arg_names = seq.attr("pulse.args") or [a.name for a in entry.arguments]
+        by_value = {
+            arg: name
+            for arg, name in zip(entry.arguments, arg_names)
+            if arg.type == F64
+        }
+        for op in entry.operations:
+            kind = {"pulse.waveform": SCALE, "pulse.delay": DURATION}.get(
+                op.name, "frame"
+            )
+            for v in op.operands:
+                name = by_value.get(v)
+                if name is not None and kinds.setdefault(name, kind) != kind:
+                    return None
+    return {n: kinds.get(n, "frame") for n in names}
+
+
+def _trace_args(
+    names: Sequence[str], kinds: Mapping[str, str], trace: int, tau: float
+) -> dict[str, float]:
+    """Sentinel scalars of trace *trace* (0 or 1), each exactly
+    representable, distinct per argument and across the two traces.
+
+    Frame scalars are large and positive (a frequency field rejects
+    negatives at construction, and the values must map back to
+    names); amplitudes are small, so a traced waveform stays in range;
+    the one delay length is *tau*, so no trace builds a long base.
+    """
+    out: dict[str, float] = {}
+    for k, name in enumerate(names):
+        kind = kinds[name]
+        if kind == SCALE:
+            out[name] = (k + 1) / (4096.0 if trace == 0 else 2048.0)
+        elif kind == DURATION:
+            out[name] = tau
+        else:
+            out[name] = (k + 1) * 1048576.0 + (0.5 if trace == 0 else 0.25)
+    return out
+
+
+def _idle_slot(
+    column: int, traces: Sequence[PulseSchedule], taus: Sequence[int]
+) -> IdleSlot | None:
+    """The :class:`IdleSlot` of a delay column, or ``None`` when
+    binding it is not an idle insertion.
+
+    *traces* interpret the program at delay lengths *taus* = ``(0, T,
+    T + g)``, with ``T`` past the zero-length schedule's duration. An
+    item's start time is a max-plus expression of the length: convex,
+    piecewise linear with integer slopes whose breakpoints lie below
+    ``T``. So the slope over ``[T, T + g]`` is the final one, and a
+    start that moved by exactly that slope times ``T`` from 0 is
+    affine for every length. The slot is an insertion when every
+    start (and the schedule's duration) has slope 0 or 1, the items
+    that stay end by the first one that moves (the cut), and at the
+    cut a frame event that stays precedes, in insertion order, any
+    on the same frame that moves.
+    """
+    a, b, c = traces
+    span_b, span_c = taus[1] - taus[0], taus[2] - taus[1]
+
+    def slope(ta: int, tb: int, tc: int) -> int | None:
+        s, rem = divmod(tc - tb, span_c)
+        if rem or s not in (0, 1) or tb - ta != s * span_b:
+            return None
+        return s
+
+    grows = slope(a.duration, b.duration, c.duration)
+    if grows is None:
+        return None
+    shifted = []
+    for idx, (ia, ib, ic) in enumerate(zip(a._items, b._items, c._items)):
+        s = slope(ia.t0, ib.t0, ic.t0)
+        if s is None:
+            return None
+        if s:
+            shifted.append(idx)
+    if shifted and not grows:
+        return None
+    items = a._items
+    cut = min((items[i].t0 for i in shifted), default=a.duration)
+    moving = set(shifted)
+    staying_events: dict[tuple[str, str], int] = {}
+    for idx, item in enumerate(items):
+        if idx in moving:
+            continue
+        if item.t1 > cut:
+            return None
+        ins = item.instruction
+        if item.t0 == cut and type(ins) in FRAME_EVENT_FIELDS:
+            key = (ins.port.name, ins.frame.name)
+            staying_events[key] = max(staying_events.get(key, -1), item.seq)
+    for idx in shifted:
+        item, ins = items[idx], items[idx].instruction
+        if item.t0 == cut and type(ins) in FRAME_EVENT_FIELDS:
+            if item.seq < staying_events.get((ins.port.name, ins.frame.name), -1):
+                return None
+    return IdleSlot(
+        column=column,
+        cut=cut,
+        shifted=frozenset(shifted),
+        extends=bool(grows),
+    )
 
 
 def _build_template(
@@ -126,44 +274,80 @@ def _build_template(
     try:
         from repro.mlir.interp import module_to_schedule
 
-        # Sentinels must be positive (a scalar may feed a frequency
-        # field, whose instruction rejects negatives at construction),
-        # distinct per argument, distinct across the two traces, and
-        # exactly representable so the diff maps values back to names.
-        trace_a = {n: (k + 1) * 1048576.0 + 0.5 for k, n in enumerate(names)}
-        trace_b = {n: (k + 1) * 1048576.0 + 0.25 for k, n in enumerate(names)}
-        sched_a = module_to_schedule(module, device, trace_a)
-        sched_b = module_to_schedule(module, device, trace_b)
-        items_a, items_b = sched_a._items, sched_b._items
-        if len(items_a) != len(items_b):
+        kinds = _parameter_kinds(module, names)
+        if kinds is None:
             return None
-        by_value = {v: n for n, v in trace_a.items()}
+        delays = [n for n in names if kinds[n] == DURATION]
+        if len(delays) > 1:
+            return None
+        trace_a = _trace_args(names, kinds, 0, 0.0)
+        sched_a = module_to_schedule(module, device, trace_a)
+        taus = [0]
+        if delays:
+            g = constraints.granularity
+            taus = [0, (sched_a.duration // g + 1) * g]
+            taus.append(taus[1] + g)
+        traces = [sched_a] + [
+            module_to_schedule(
+                module, device, _trace_args(names, kinds, 1, float(tau))
+            )
+            for tau in taus[1:] or [0]
+        ]
+        sched_b = traces[1]
+        items_a, items_b = sched_a._items, sched_b._items
+        if any(len(t._items) != len(items_a) for t in traces):
+            return None
+        by_value = {v: n for n, v in trace_a.items() if kinds[n] != DURATION}
         slots: list[tuple[int, str, str]] = []
         for idx, (ia, ib) in enumerate(zip(items_a, items_b)):
-            if ia.t0 != ib.t0 or type(ia.instruction) is not type(ib.instruction):
+            ins_a, ins_b = ia.instruction, ib.instruction
+            if type(ins_a) is not type(ins_b) or ia.seq != ib.seq:
                 return None
+            if not delays and ia.t0 != ib.t0:
+                return None
+            if isinstance(ins_a, Delay):
+                if ins_a.duration_samples != ins_b.duration_samples:
+                    slots.append((idx, DURATION, delays[0]))
+                continue
+            if isinstance(ins_a, Play):
+                wa, wb = ins_a.waveform, ins_b.waveform
+                if isinstance(wa, ScaledWaveform) and wa.scale != getattr(
+                    wb, "scale", None
+                ):
+                    name = by_value.get(wa.scale)
+                    if name is None:
+                        return None
+                    slots.append((idx, SCALE, name))
+                continue
             for fld in _SCALAR_FIELDS:
-                va = getattr(ia.instruction, fld, None)
+                va = getattr(ins_a, fld, None)
                 if va is None:
                     continue
-                if va != getattr(ib.instruction, fld):
+                if va != getattr(ins_b, fld):
                     name = by_value.get(va)
                     if name is None:  # value was transformed: bail out
                         return None
                     slots.append((idx, fld, name))
         if not slots:
             return None
-        template = _ScheduleTemplate(sched_a, names, slots)
+        idle = None
+        if delays:
+            idle = _idle_slot(names.index(delays[0]), traces, taus)
+            if idle is None:
+                return None
+        template = _ScheduleTemplate(sched_a, names, slots, idle)
         # Validate the *static* structure once (timing grid, waveform
-        # durations/amplitudes) with neutral, in-range scalar values;
-        # a failure means legalization has real work to do, so the
-        # fast path stays off and binds run the full pipeline.
+        # durations/amplitudes) with neutral, in-range scalar values,
+        # which the template then keeps as its base; a failure means
+        # legalization has real work to do, so the fast path stays off
+        # and binds run the full pipeline.
         mid_freq = 0.5 * (constraints.min_frequency + constraints.max_frequency)
         neutral = {
             n: (mid_freq if n in template.frequency_params else 0.0)
             for n in names
         }
-        constraints.validate_schedule(template.specialize(neutral))
+        template.base = template.specialize(neutral)
+        constraints.validate_schedule(template.base)
         return template
     except ReproError:
         return None
@@ -384,8 +568,8 @@ class Executable:
 
         try:
             constraints = self.target.constraints
-            for name in template.frequency_params:
-                constraints.validate_frequency(float(self.params[name]))
+            if not template.admits(_row(template, self.params), constraints):
+                return None
             schedule = template.specialize(self.params)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
@@ -413,10 +597,9 @@ class Executable:
         needs its own schedule (service targets, a sweep
         :meth:`bind_many` rejects). Returns ``None`` whenever the fast
         path is unavailable (non-parametric program, no template,
-        out-of-range frequency, incomplete bindings) — callers then
-        fall back to :meth:`bind`, whose semantics this path matches
-        exactly (the same frequency-range check legalization would
-        apply).
+        a point :meth:`_ScheduleTemplate.admits` rejects, incomplete
+        bindings) — callers then fall back to :meth:`bind`, whose
+        compile raises the typed error for such a point.
         """
         if not self.program.is_parametric or self.target.is_detached:
             return None
@@ -431,9 +614,8 @@ class Executable:
         if set(self.program.parameters) - set(merged):
             return None
         try:
-            constraints = self.target.constraints
-            for name in template.frequency_params:
-                constraints.validate_frequency(float(merged[name]))
+            if not template.admits(_row(template, merged), self.target.constraints):
+                return None
             return template.specialize(merged)
         except (ReproError, KeyError, TypeError, ValueError):
             return None
@@ -450,8 +632,10 @@ class Executable:
         template schedule, its slots and the ``(K, P)`` matrix — no
         per-point schedule. The checks :meth:`specialize` makes per
         point run once over the matrix: calibration freshness,
-        finiteness and the carrier-frequency range of every frequency
-        column. Returns ``None`` when the template is unavailable or
+        finiteness, the carrier-frequency range of every frequency
+        column, the peak amplitude of every amplitude column and the
+        grid of every delay column (:meth:`_ScheduleTemplate.admits`).
+        Returns ``None`` when the template is unavailable or
         any point fails a check; callers then bind point by point,
         which raises wherever it always did.
         """
@@ -465,14 +649,7 @@ class Executable:
         values = np.asarray(values, dtype=np.float64).reshape(
             -1, len(template.names)
         )
-        if not np.isfinite(values).all():
-            return None
-        try:
-            constraints = self.target.constraints
-            for col in template.frequency_columns:
-                for frequency in values[:, col].tolist():
-                    constraints.validate_frequency(frequency)
-        except ReproError:
+        if not template.admits(values, self.target.constraints):
             return None
         return template.family(values)
 

@@ -29,6 +29,7 @@ from typing import Any, Sequence
 
 from repro.client.adapters import Adapter, default_adapters
 from repro.compiler.jit import CompiledProgram, JITCompiler
+from repro.core.schedule import FamilyBatch
 from repro.errors import ExecutionError, QDMIError
 from repro.qdmi.driver import QDMIDriver
 from repro.qdmi.properties import JobStatus, ProgramFormat
@@ -62,6 +63,9 @@ class ClientResult:
     job_id: int
     remote: bool
     qir_size_bytes: int = 0
+    #: The :class:`~repro.sim.executor.BatchResult` of a job that ran
+    #: a bound family batch (its per-member arrays); ``None`` otherwise.
+    batch: Any = None
 
 
 class MQSSClient:
@@ -253,7 +257,9 @@ class MQSSClient:
         *should_cancel* returns True, and raises
         :class:`~repro.errors.ExecutionError` when any job fails.
         *timings* receives the batch's ``"execute"`` wall time; every
-        result carries a copy.
+        result carries a copy. A program compiled from a bound
+        :class:`~repro.core.schedule.FamilyBatch` is one job whose
+        result carries the batch's arrays (:attr:`ClientResult.batch`).
         """
         requests = list(requests)
         if len(programs) != len(requests) or (
@@ -309,6 +315,23 @@ class MQSSClient:
         for job, name, program in zip(jobs, names, programs):
             remote = job.program_format is ProgramFormat.QIR_PULSE
             result = job.result
+            if isinstance(program.schedule, FamilyBatch):
+                results.append(
+                    ClientResult(
+                        device=name,
+                        counts={},
+                        probabilities={},
+                        shots=job.shots,
+                        duration_samples=max(
+                            int(f.durations.max()) for f in result.families
+                        ),
+                        timings_s=dict(timings) if timings is not None else {},
+                        job_id=job.job_id,
+                        remote=False,
+                        batch=result,
+                    )
+                )
+                continue
             results.append(
                 ClientResult(
                     device=name,

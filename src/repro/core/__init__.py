@@ -54,6 +54,7 @@ from repro.core.timing import (
 from repro.core.waveform import (
     ParametricWaveform,
     SampledWaveform,
+    ScaledWaveform,
     Waveform,
     constant_waveform,
     gaussian_square_waveform,
@@ -71,6 +72,7 @@ __all__ = [
     "Waveform",
     "SampledWaveform",
     "ParametricWaveform",
+    "ScaledWaveform",
     "gaussian_waveform",
     "drag_waveform",
     "gaussian_square_waveform",

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.instructions import Capture, Delay, FrameChange, Play, SetFrequency
 from repro.core.schedule import PulseSchedule
 from repro.core.timing import validate_granularity
-from repro.core.waveform import ParametricWaveform, Waveform
+from repro.core.waveform import ParametricWaveform, ScaledWaveform, Waveform
 from repro.errors import ConstraintError
 
 
@@ -100,14 +102,15 @@ class PulseConstraints:
             raise ConstraintError(
                 f"waveform peak amplitude {peak:.6g} exceeds limit {self.max_amplitude}"
             )
-        if isinstance(waveform, ParametricWaveform):
+        shape = waveform.base if isinstance(waveform, ScaledWaveform) else waveform
+        if isinstance(shape, ParametricWaveform):
             if (
                 self.supported_envelopes is not None
-                and waveform.envelope not in self.supported_envelopes
+                and shape.envelope not in self.supported_envelopes
                 and not self.supports_raw_samples
             ):
                 raise ConstraintError(
-                    f"envelope {waveform.envelope!r} unsupported and device "
+                    f"envelope {shape.envelope!r} unsupported and device "
                     "rejects raw samples"
                 )
         elif not self.supports_raw_samples:
@@ -123,7 +126,10 @@ class PulseConstraints:
 
     def requires_sampling(self, waveform: Waveform) -> bool:
         """True when the compiler must lower *waveform* to raw samples
-        because the hardware doesn't know its parametric form."""
+        because the hardware doesn't know its parametric form (a scaled
+        waveform is judged by its shape)."""
+        if isinstance(waveform, ScaledWaveform):
+            waveform = waveform.base
         if not isinstance(waveform, ParametricWaveform):
             return False
         if self.supported_envelopes is None:
@@ -131,6 +137,49 @@ class PulseConstraints:
         return waveform.envelope not in self.supported_envelopes
 
     # ---- whole-schedule check ----------------------------------------------------
+
+    def validate_family(self, family, *, base: bool = True) -> None:
+        """Validate a :class:`~repro.core.schedule.ScheduleFamily`:
+        its base schedule (unless *base* is False), then each value
+        column once — the carrier range of a frequency column,
+        ``|scale| * peak`` of an amplitude column against
+        :attr:`max_amplitude`, and the grid of a delay column, with
+        the longest member within :attr:`max_schedule_duration`.
+        """
+        from repro.core.schedule import DURATION, SCALE
+
+        if base:
+            self.validate_schedule(family.base)
+        values = family.values
+        if not np.isfinite(values).all():
+            raise ConstraintError("family values must be finite")
+        items = family.base._items
+        for idx, fld, col in family.slots:
+            column = values[:, col]
+            if fld == "frequency":
+                for frequency in column.tolist():
+                    self.validate_frequency(frequency)
+            elif fld == SCALE:
+                shape = items[idx].instruction.waveform.base
+                peak = float(np.abs(column).max(initial=0.0)) * shape.max_amplitude()
+                if peak > self.max_amplitude * (1 + 1e-9):
+                    raise ConstraintError(
+                        f"waveform peak amplitude {peak:.6g} exceeds limit "
+                        f"{self.max_amplitude}"
+                    )
+            elif fld == DURATION:
+                if (column < 0).any() or (column % self.granularity != 0).any():
+                    raise ConstraintError(
+                        "delay durations must be non-negative multiples of "
+                        f"the granularity {self.granularity}"
+                    )
+        if family.idle is not None and self.max_schedule_duration:
+            longest = family.base.duration + int(family.idle.extra(values).max())
+            if longest > self.max_schedule_duration:
+                raise ConstraintError(
+                    f"schedule duration {longest} exceeds device limit "
+                    f"{self.max_schedule_duration}"
+                )
 
     def validate_schedule(self, schedule: PulseSchedule) -> None:
         """Validate every instruction and timing in *schedule*.

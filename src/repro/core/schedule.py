@@ -43,6 +43,7 @@ from repro.core.instructions import (
     ShiftPhase,
 )
 from repro.core.port import Port
+from repro.core.waveform import ScaledWaveform
 from repro.errors import ScheduleError
 
 
@@ -316,8 +317,9 @@ class PulseSchedule:
         )
 
 
-#: The scalar fields of each frame-event type: the only fields in which
-#: the members of a :class:`ScheduleFamily` may differ.
+#: The scalar fields of each frame-event type: the fields in which the
+#: members of a :class:`ScheduleFamily` may differ, besides a ``Play``'s
+#: amplitude (:data:`SCALE`) and a ``Delay``'s length (:data:`DURATION`).
 FRAME_EVENT_FIELDS: dict[type, tuple[str, ...]] = {
     SetFrequency: ("frequency",),
     ShiftFrequency: ("delta",),
@@ -326,6 +328,43 @@ FRAME_EVENT_FIELDS: dict[type, tuple[str, ...]] = {
     FrameChange: ("frequency", "phase"),
 }
 
+#: Slot field of a ``Play`` whose waveform is a
+#: :class:`~repro.core.waveform.ScaledWaveform`: the member's scale.
+SCALE = "scale"
+#: Slot field of a ``Delay``: the member's length in samples.
+DURATION = "duration"
+
+
+@dataclass(frozen=True)
+class IdleSlot:
+    """How a family's delay column moves its schedule in time.
+
+    The base holds the slotted delays at length 0. Binding a length
+    ``tau_k`` to them is the same as inserting ``tau_k`` idle samples
+    into the base at sample :attr:`cut`: every item the base starts
+    before the cut keeps its time (and ends by the cut), every item in
+    :attr:`shifted` starts ``tau_k`` later, and nothing plays in
+    between. The template that records the slot proves this holds for
+    every length (see :func:`repro.api.executable._idle_slot`).
+    """
+
+    #: The duration column of the family's value matrix.
+    column: int
+    #: Base sample at which members insert their extra idle samples.
+    cut: int
+    #: Base item indices that start later by the inserted length.
+    shifted: frozenset[int]
+    #: Whether the schedule grows by the inserted length (False when
+    #: the delays end before other ports finish and nothing follows
+    #: them: then no member idles longer than the base).
+    extends: bool
+
+    def extra(self, values: np.ndarray) -> np.ndarray:
+        """The ``(K,)`` idle samples each member inserts at the cut."""
+        if not self.extends:
+            return np.zeros(len(values), dtype=np.int64)
+        return values[:, self.column].astype(np.int64)
+
 
 class ScheduleFamily(Sequence):
     """K one-point schedules of one template, held as a value matrix.
@@ -333,21 +372,25 @@ class ScheduleFamily(Sequence):
     *base* is the template schedule. Each slot ``(item index, field,
     column)`` says that the field of ``base``'s item at that index
     takes ``values[k, column]`` in member ``k``; everything else is
-    ``base``'s (the same timing, waveforms and ``Play`` objects). This
-    is what binding a parameter sweep produces: the pulse dialect has
-    no scalar arithmetic, so a parameter lands verbatim in frame-event
-    fields. A consumer that reads the slots (the simulator's drive
-    synthesis) never needs the K schedules; :meth:`member` builds one
-    when something asks for it.
+    ``base``'s (the same timing, waveforms and ``Play`` objects). A
+    field is a frame-event scalar (:data:`FRAME_EVENT_FIELDS`), a
+    ``Play``'s amplitude (:data:`SCALE`) or a ``Delay``'s length
+    (:data:`DURATION`, with *idle* saying how the members' later items
+    shift). This is what binding a parameter sweep produces: the pulse
+    dialect has no scalar arithmetic, so a parameter lands verbatim in
+    one of these fields. A consumer that reads the slots (the
+    simulator's drive synthesis) never needs the K schedules;
+    :meth:`member` builds one when something asks for it.
     """
 
-    __slots__ = ("base", "slots", "values", "_by_index")
+    __slots__ = ("base", "slots", "values", "idle", "_by_index")
 
     def __init__(
         self,
         base: PulseSchedule,
         slots: Iterable[tuple[int, str, int]],
         values: np.ndarray,
+        idle: IdleSlot | None = None,
     ) -> None:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
@@ -357,12 +400,27 @@ class ScheduleFamily(Sequence):
         self.base = base
         self.slots = tuple((int(i), str(f), int(c)) for i, f, c in slots)
         self.values = values
+        durations = {c for _, f, c in self.slots if f == DURATION}
+        if (idle is None) != (not durations) or (
+            idle is not None and durations != {idle.column}
+        ):
+            raise ScheduleError(
+                "a family's delay slots need one duration column and its "
+                "IdleSlot"
+            )
+        self.idle = idle
         grouped: dict[int, list[tuple[str, int]]] = {}
         for idx, fld, col in self.slots:
             grouped.setdefault(idx, []).append((fld, col))
         self._by_index = tuple(
             (idx, tuple(pairs)) for idx, pairs in sorted(grouped.items())
         )
+
+    @property
+    def frame_only(self) -> bool:
+        """Whether members differ in frame-event scalars only (no
+        amplitude or delay slot)."""
+        return all(f not in (SCALE, DURATION) for _, f, _ in self.slots)
 
     @classmethod
     def gather(cls, members: Sequence[PulseSchedule]) -> "ScheduleFamily":
@@ -399,8 +457,12 @@ class ScheduleFamily(Sequence):
         unchanged and never reads a frame scalar (pulse stretching,
         measurement twirling) commutes with binding: each slot follows
         its instruction object to its position in *schedule*, and the
-        values stay. *rows* keeps only those members.
+        values stay. *rows* keeps only those members. A family with
+        delay slots does not derive: a transform re-times the items
+        its :class:`IdleSlot` names.
         """
+        if self.idle is not None:
+            raise ScheduleError("a family with delay slots cannot be derived")
         where: dict[int, list[int]] = {}
         for pos, item in enumerate(schedule._items):
             where.setdefault(id(item.instruction), []).append(pos)
@@ -429,9 +491,16 @@ class ScheduleFamily(Sequence):
         field-for-field instead of going through
         :func:`dataclasses.replace`, whose per-call field introspection
         dominated sweep-sized binds; the values are trusted (binders
-        check finiteness and frequency range first).
+        check finiteness and ranges first). An amplitude slot scales
+        the base waveform's shape; a delay slot sets the delay's
+        length and starts the items the :class:`IdleSlot` names later.
         """
-        row = self.values[operator.index(k)]
+        return self.bound(self.values[operator.index(k)])
+
+    def bound(self, row: np.ndarray) -> PulseSchedule:
+        """The base with its slots bound from one value *row* (what
+        :meth:`member` builds for ``values[k]``; a template binds its
+        own base through it)."""
         base = self.base
         items = list(base._items)
         for idx, pairs in self._by_index:
@@ -440,12 +509,39 @@ class ScheduleFamily(Sequence):
             new_ins = object.__new__(type(ins))
             new_ins.__dict__.update(ins.__dict__)
             for fld, col in pairs:
-                new_ins.__dict__[fld] = float(row[col])
-            new_item = object.__new__(type(item))
-            new_item.__dict__.update(item.__dict__)
-            new_item.__dict__["instruction"] = new_ins
-            items[idx] = new_item
-        return base.clone_with_items(items)
+                if fld == SCALE:
+                    new_ins.__dict__["waveform"] = ScaledWaveform(
+                        ins.waveform.base, float(row[col])
+                    )
+                elif fld == DURATION:
+                    new_ins.__dict__["duration_samples"] = int(row[col])
+                else:
+                    new_ins.__dict__[fld] = float(row[col])
+            items[idx] = _moved(item, new_ins, item.t0)
+        if self.idle is None:
+            return base.clone_with_items(items)
+        shift = int(self.idle.extra(row[None, :])[0])
+        if shift:
+            for idx in self.idle.shifted:
+                item = items[idx]
+                items[idx] = _moved(item, item.instruction, item.t0 + shift)
+        out = base.clone_with_items(items)
+        out._port_free = {}
+        for item in items:
+            for p in item.instruction.ports:
+                out._port_free[p] = max(out._port_free.get(p, 0), item.t1)
+        return out
+
+
+def _moved(
+    item: ScheduledInstruction, instruction: Instruction, t0: int
+) -> ScheduledInstruction:
+    """*item* carrying *instruction* at *t0* (same insertion order)."""
+    new_item = object.__new__(type(item))
+    new_item.__dict__.update(item.__dict__)
+    new_item.__dict__["instruction"] = instruction
+    new_item.__dict__["t0"] = t0
+    return new_item
 
 
 class FamilyBatch(Sequence):

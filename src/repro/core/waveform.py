@@ -226,6 +226,42 @@ class ParametricWaveform(Waveform):
         return f"ParametricWaveform({self._name!r}, duration={self._duration}, {ps})"
 
 
+class ScaledWaveform(Waveform):
+    """A waveform times a real amplitude: *base*'s samples times *scale*.
+
+    What a ``pulse.waveform`` with an amplitude operand evaluates to.
+    Keeping the factor beside the shape (qibolab's ``Pulse`` split of
+    ``amplitude`` and ``shape``) lets a bound sweep hold one base
+    waveform and a column of scales: member ``k`` samples
+    ``base.samples() * scale_k``, the one multiply the simulator makes
+    for the whole column.
+    """
+
+    __slots__ = ("base", "scale", "_cache")
+
+    def __init__(self, base: Waveform, scale: float) -> None:
+        scale = float(scale)
+        if not np.isfinite(scale):
+            raise ValidationError(f"waveform scale must be finite, got {scale!r}")
+        self.base = base
+        self.scale = scale
+        self._cache: np.ndarray | None = None
+
+    @property
+    def duration(self) -> int:
+        return self.base.duration
+
+    def samples(self) -> np.ndarray:
+        if self._cache is None:
+            arr = self.base.samples() * self.scale
+            arr.setflags(write=False)
+            self._cache = arr
+        return self._cache
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ScaledWaveform({self.base!r}, scale={self.scale:g})"
+
+
 # ---- convenience constructors ----------------------------------------------
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.constraints import PulseConstraints
 from repro.core.frame import Frame
 from repro.core.port import Port, PortKind
-from repro.core.schedule import PulseSchedule
+from repro.core.schedule import FamilyBatch, PulseSchedule
 from repro.devices.calibrations import CalibrationSet
 from repro.errors import (
     CancelledError,
@@ -476,7 +476,10 @@ class SimulatedDevice(QDMIDevice):
         exactly the stream it would draw when submitted alone. Each
         job then completes or fails individually. A job whose
         payload does not decode or validate fails alone; an execution
-        fault fails its whole group.
+        fault fails its whole group. A job whose payload is a bound
+        :class:`~repro.core.schedule.FamilyBatch` (a served sweep) runs
+        as its own batch and completes with the whole
+        :class:`~repro.sim.executor.BatchResult`.
         """
         jobs = list(jobs)
         for job in jobs:
@@ -499,24 +502,36 @@ class SimulatedDevice(QDMIDevice):
             job.transition(JobStatus.RUNNING)
             try:
                 schedule = self._payload_to_schedule(job)
-                self.config.constraints.validate_schedule(schedule)
+                if isinstance(schedule, FamilyBatch):
+                    for family in schedule.families:
+                        self.config.constraints.validate_family(family)
+                else:
+                    self.config.constraints.validate_schedule(schedule)
                 executor = self._executor_for(job.metadata.get("decoherence"))
             except Exception as exc:  # deliberate: device must not crash the stack
                 job.fail(f"{type(exc).__name__}: {exc}")
                 continue
-            key = (id(executor), job.shots)
+            # A family batch is one job run as its own batch.
+            key = (id(executor), job.shots) + (
+                (job.job_id,) if isinstance(schedule, FamilyBatch) else ()
+            )
             groups.setdefault(key, (executor, []))[1].append((job, schedule))
         self._status = DeviceStatus.BUSY
         try:
-            for (_, shots), (executor, members) in groups.items():
+            for (_, shots, *_), (executor, members) in groups.items():
+                job0, payload = members[0]
+                if isinstance(payload, FamilyBatch):
+                    # One stream per member, all from the job's seed
+                    # (fresh entropy per member when unseeded).
+                    batch, seed = payload, job0.metadata.get("seed")
+                else:
+                    batch = [schedule for _, schedule in members]
+                    seed = [job.metadata.get("seed", job.job_id) for job, _ in members]
                 try:
                     results = executor.execute_batch(
-                        [schedule for _, schedule in members],
+                        batch,
                         shots=shots,
-                        seed=[
-                            job.metadata.get("seed", job.job_id)
-                            for job, _ in members
-                        ],
+                        seed=seed,
                         should_cancel=_batch_cancel(
                             [job.metadata.get("should_cancel") for job, _ in members]
                         ),
@@ -529,6 +544,9 @@ class SimulatedDevice(QDMIDevice):
                     for job, _ in members:
                         job.fail(f"{type(exc).__name__}: {exc}")
                     continue
+                if isinstance(payload, FamilyBatch):
+                    job0.complete(results)
+                    continue
                 for (job, _), result in zip(members, results):
                     job.complete(result)
         finally:
@@ -538,9 +556,10 @@ class SimulatedDevice(QDMIDevice):
         """Decode a job payload into an executable pulse schedule."""
         fmt = job.program_format
         if fmt is ProgramFormat.PULSE_SCHEDULE:
-            if not isinstance(job.payload, PulseSchedule):
+            if not isinstance(job.payload, (PulseSchedule, FamilyBatch)):
                 raise ConstraintError(
-                    "PULSE_SCHEDULE payload must be a PulseSchedule object"
+                    "PULSE_SCHEDULE payload must be a PulseSchedule object "
+                    "or a FamilyBatch"
                 )
             return job.payload
         if fmt is ProgramFormat.QIR_PULSE:

@@ -15,13 +15,16 @@ readout frame followed by a capture"):
     (port name per block argument, ``""`` for scalars) and
     ``pulse.args`` (human-readable argument names). Block arguments are
     typed ``!pulse.mixed_frame`` or ``f64``.
-``pulse.waveform`` -> !pulse.waveform
+``pulse.waveform(amp?)`` -> !pulse.waveform
     Waveform constant: parametric ({envelope, duration, params}) or
-    explicit ({samples = [[re, im], ...]}).
+    explicit ({samples = [[re, im], ...]}). An optional ``f64``
+    operand (or a ``scale`` attribute, what the lift writes for a
+    bound one) multiplies every sample: the amplitude a sweep binds.
 ``pulse.play(mf, wf)``
 ``pulse.frame_change(mf)`` {frequency, phase} — or SSA f64 operands.
 ``pulse.set_frequency / shift_frequency / set_phase / shift_phase``
-``pulse.delay(mf)`` {duration}
+``pulse.delay(mf, dur?)`` {duration} — or one ``f64`` SSA operand
+    holding a whole number of samples.
 ``pulse.barrier(mf...)``
 ``pulse.capture(mf) -> i1`` {slot, duration}
 ``pulse.standard_x / standard_sx (mf)`` — calibrated gate defaults
@@ -35,7 +38,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.waveform import ParametricWaveform, SampledWaveform, Waveform
+from repro.core.waveform import (
+    ParametricWaveform,
+    SampledWaveform,
+    ScaledWaveform,
+    Waveform,
+)
 from repro.errors import IRError
 from repro.mlir.context import Dialect, OpSpec
 from repro.mlir.ir import (
@@ -85,9 +93,30 @@ def _verify_sequence(op: Operation) -> None:
             )
 
 
+def _verify_scalar_operands(op: Operation, first: int) -> None:
+    """At most one ``f64`` operand after the first *first* operands."""
+    extra = op.operands[first:]
+    if len(extra) > 1:
+        raise IRError(
+            f"{op.name}: takes at most one f64 operand, got {len(extra)}"
+        )
+    for v in extra:
+        if v.type != F64:
+            raise IRError(
+                f"{op.name}: operand %{v.name} has type {v.type}, expected f64"
+            )
+
+
 def _verify_waveform(op: Operation) -> None:
     if op.result().type != WAVEFORM:
         raise IRError("pulse.waveform: result must be !pulse.waveform")
+    _verify_scalar_operands(op, 0)
+    scale = op.attr("scale")
+    if scale is not None and (op.operands or not isinstance(scale, (int, float))):
+        raise IRError(
+            "pulse.waveform: 'scale' must be a number, and not beside an "
+            "amplitude operand"
+        )
     has_env = op.attr("envelope") is not None
     has_samples = op.attr("samples") is not None
     if has_env == has_samples:
@@ -152,9 +181,24 @@ def _verify_frame_update(op: Operation) -> None:
 
 
 def _verify_delay(op: Operation) -> None:
-    _expect_types(op, MIXED_FRAME)
+    if not op.operands or op.operands[0].type != MIXED_FRAME:
+        raise IRError("pulse.delay: first operand must be !pulse.mixed_frame")
+    _verify_scalar_operands(op, 1)
+    if is_dynamic(op):
+        if op.attr("duration") is not None:
+            raise IRError(
+                "pulse.delay: give the duration as an operand or an "
+                "attribute, not both"
+            )
+        return
     if not isinstance(op.attr("duration"), int) or op.attr("duration") < 0:
         raise IRError("pulse.delay: 'duration' must be a non-negative int")
+
+
+def is_dynamic(op: Operation) -> bool:
+    """Whether a ``pulse.waveform``/``pulse.delay`` takes its amplitude
+    or duration from an SSA operand (a value known only when bound)."""
+    return len(op.operands) > (1 if op.name == "pulse.delay" else 0)
 
 
 def _verify_barrier(op: Operation) -> None:
@@ -185,14 +229,14 @@ def pulse_dialect() -> Dialect:
     d.register_op(
         OpSpec("pulse.sequence", 0, 0, has_region=True, verifier=_verify_sequence)
     )
-    d.register_op(OpSpec("pulse.waveform", 0, 1, verifier=_verify_waveform))
+    d.register_op(OpSpec("pulse.waveform", -1, 1, verifier=_verify_waveform))
     d.register_op(OpSpec("pulse.play", 2, 0, verifier=_verify_play))
     d.register_op(OpSpec("pulse.frame_change", -1, 0, verifier=_verify_frame_update))
     d.register_op(OpSpec("pulse.set_frequency", -1, 0, verifier=_verify_frame_update))
     d.register_op(OpSpec("pulse.shift_frequency", -1, 0, verifier=_verify_frame_update))
     d.register_op(OpSpec("pulse.set_phase", -1, 0, verifier=_verify_frame_update))
     d.register_op(OpSpec("pulse.shift_phase", -1, 0, verifier=_verify_frame_update))
-    d.register_op(OpSpec("pulse.delay", 1, 0, verifier=_verify_delay))
+    d.register_op(OpSpec("pulse.delay", -1, 0, verifier=_verify_delay))
     d.register_op(OpSpec("pulse.barrier", -1, 0, verifier=_verify_barrier))
     d.register_op(OpSpec("pulse.capture", 1, 1, verifier=_verify_capture))
     d.register_op(OpSpec("pulse.standard_x", 1, 0, verifier=_verify_standard_gate))
@@ -208,8 +252,11 @@ def waveform_to_attrs(waveform: Waveform) -> dict[str, Any]:
     """Encode a core waveform as pulse.waveform attributes.
 
     Parametric waveforms keep their symbolic form (envelope + params);
-    sampled waveforms are stored as explicit [re, im] pairs.
+    sampled waveforms are stored as explicit [re, im] pairs. A scaled
+    waveform is its base's attributes plus ``scale``.
     """
+    if isinstance(waveform, ScaledWaveform):
+        return {**waveform_to_attrs(waveform.base), "scale": waveform.scale}
     if isinstance(waveform, ParametricWaveform):
         return {
             "envelope": waveform.envelope,
@@ -224,6 +271,9 @@ def waveform_to_attrs(waveform: Waveform) -> dict[str, Any]:
 
 def attrs_to_waveform(attrs: dict[str, Any]) -> Waveform:
     """Decode pulse.waveform attributes back into a core waveform."""
+    if attrs.get("scale") is not None:
+        base = {k: v for k, v in attrs.items() if k != "scale"}
+        return ScaledWaveform(attrs_to_waveform(base), float(attrs["scale"]))
     if attrs.get("envelope") is not None:
         return ParametricWaveform(
             attrs["envelope"], int(attrs["duration"]), dict(attrs["params"])
@@ -281,11 +331,21 @@ class SequenceBuilder:
 
     # -- ops --------------------------------------------------------------------
 
-    def waveform(self, waveform: Waveform, name: str | None = None) -> Value:
-        """Materialize a waveform constant; returns its SSA value."""
+    def waveform(
+        self,
+        waveform: Waveform,
+        name: str | None = None,
+        *,
+        amplitude: Value | None = None,
+    ) -> Value:
+        """Materialize a waveform constant; returns its SSA value.
+
+        *amplitude*, an ``f64`` value, multiplies every sample.
+        """
         self._wf_count += 1
         op = self._builder.create(
             "pulse.waveform",
+            [] if amplitude is None else [amplitude],
             result_types=[WAVEFORM],
             attributes=waveform_to_attrs(waveform),
             result_names=[name or f"wf{self._wf_count}"],
@@ -346,8 +406,11 @@ class SequenceBuilder:
             "pulse.shift_frequency", [mixed_frame], attributes={"delta": float(delta)}
         )
 
-    def delay(self, mixed_frame: Value, duration: int) -> Operation:
-        """Idle the mixed frame for *duration* samples."""
+    def delay(self, mixed_frame: Value, duration: "Value | int") -> Operation:
+        """Idle the mixed frame for *duration* samples (an ``f64`` value
+        holding a whole number of samples, or a constant)."""
+        if isinstance(duration, Value):
+            return self._builder.create("pulse.delay", [mixed_frame, duration])
         return self._builder.create(
             "pulse.delay", [mixed_frame], attributes={"duration": int(duration)}
         )

@@ -29,7 +29,8 @@ from repro.core.instructions import (
 )
 from repro.core.port import Port
 from repro.core.schedule import PulseSchedule
-from repro.errors import IRError
+from repro.core.waveform import ScaledWaveform
+from repro.errors import IRError, ValidationError
 from repro.mlir.dialects.pulse import MIXED_FRAME, attrs_to_waveform, find_sequence
 from repro.mlir.ir import F64, Module, Operation, Value
 
@@ -122,7 +123,10 @@ def _interpret_op(
 ) -> None:
     name = op.name
     if name == "pulse.waveform":
-        env[op.result()] = attrs_to_waveform(op.attributes)
+        waveform = attrs_to_waveform(op.attributes)
+        if op.operands:
+            waveform = ScaledWaveform(waveform, float(env[op.operands[0]]))
+        env[op.result()] = waveform
     elif name == "pulse.play":
         mf = _mf(op, env)
         wf = env.get(op.operands[1])
@@ -151,7 +155,16 @@ def _interpret_op(
         schedule.append(ShiftPhase(mf.port, mf.frame, delta))
     elif name == "pulse.delay":
         mf = _mf(op, env)
-        schedule.append(Delay(mf.port, int(op.attr("duration"))))
+        if len(op.operands) > 1:
+            duration = float(env[op.operands[1]])
+            if not duration.is_integer():
+                raise ValidationError(
+                    f"pulse.delay: duration {duration!r} is not a whole "
+                    "number of samples"
+                )
+        else:
+            duration = op.attr("duration")
+        schedule.append(Delay(mf.port, int(duration)))
     elif name == "pulse.barrier":
         ports = []
         for v in op.operands:

@@ -3,7 +3,8 @@
 Rewrites that normalize pulse sequences without changing semantics:
 
 * merge consecutive ``pulse.delay`` ops on the same mixed frame,
-* drop zero-length delays,
+* drop zero-length delays (a delay whose duration is an SSA operand
+  is dynamic: never merged or dropped),
 * drop no-op frame updates (``shift_phase``/``shift_frequency`` with a
   statically-zero delta),
 * fuse an adjacent attribute-form ``set_frequency`` + ``set_phase`` on
@@ -16,12 +17,17 @@ The pass is local (per block) and runs to a fixed point.
 from __future__ import annotations
 
 from repro.mlir.context import MLIRContext
+from repro.mlir.dialects.pulse import is_dynamic
 from repro.mlir.ir import Block, Module, Operation
 from repro.mlir.passes.manager import Pass
 
 
 def _same_mf(a: Operation, b: Operation) -> bool:
     return bool(a.operands) and bool(b.operands) and a.operands[0] is b.operands[0]
+
+
+def _static_delay(op: Operation) -> bool:
+    return op.name == "pulse.delay" and not is_dynamic(op)
 
 
 class PulseCanonicalizePass(Pass):
@@ -42,7 +48,7 @@ class PulseCanonicalizePass(Pass):
         ops = block.operations
         for i, op in enumerate(ops):
             # Zero delay.
-            if op.name == "pulse.delay" and op.attr("duration") == 0:
+            if _static_delay(op) and op.attr("duration") == 0:
                 op.erase()
                 return True
             # No-op shifts (attribute form only: SSA deltas are dynamic).
@@ -57,11 +63,7 @@ class PulseCanonicalizePass(Pass):
             if nxt is None:
                 continue
             # Merge adjacent delays on the same mixed frame.
-            if (
-                op.name == "pulse.delay"
-                and nxt.name == "pulse.delay"
-                and _same_mf(op, nxt)
-            ):
+            if _static_delay(op) and _static_delay(nxt) and _same_mf(op, nxt):
                 total = int(op.attr("duration")) + int(nxt.attr("duration"))
                 op.attributes["duration"] = total
                 nxt.erase()

@@ -3,8 +3,9 @@
 Gate->pulse lowering inlines one waveform per gate instance, so a
 circuit with fifty X gates initially carries fifty identical waveform
 constants. This pass dedupes them within each block (keyed by a stable
-encoding of the op attributes) and rewires all uses to the surviving
-definition — shrinking both the IR and the eventual exchange payload.
+encoding of the op attributes and its amplitude operand, if any) and
+rewires all uses to the surviving definition — shrinking both the IR
+and the eventual exchange payload.
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ from repro.mlir.ir import Block, Module, Value
 from repro.mlir.passes.manager import Pass
 
 
-def _attr_key(attrs: dict) -> str:
-    return json.dumps(attrs, sort_keys=True, default=repr)
+def _attr_key(op) -> tuple:
+    """Attributes plus operands: two waveforms scaled by different
+    amplitude values are different waveforms."""
+    return (
+        json.dumps(op.attributes, sort_keys=True, default=repr),
+        tuple(id(v) for v in op.operands),
+    )
 
 
 class WaveformCSEPass(Pass):
@@ -34,13 +40,13 @@ class WaveformCSEPass(Pass):
         return changed
 
     def _run_on_block(self, block: Block) -> bool:
-        seen: dict[str, Value] = {}
+        seen: dict[tuple, Value] = {}
         replacements: dict[Value, Value] = {}
         dead = []
         for op in block.operations:
             if op.name != "pulse.waveform":
                 continue
-            key = _attr_key(op.attributes)
+            key = _attr_key(op)
             if key in seen:
                 replacements[op.result()] = seen[key]
                 dead.append(op)

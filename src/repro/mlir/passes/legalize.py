@@ -12,6 +12,9 @@ target —
 * parametric envelopes the hardware does not understand are lowered to
   explicit samples (when the device accepts raw samples at all),
 * ``pulse.delay`` durations are aligned up to the grid,
+* an amplitude or duration given as an SSA operand is dynamic: the
+  peak check and the delay alignment skip it (the binder range-checks
+  bound values),
 * violations that cannot be fixed by rewriting (over-amplitude pulses,
   raw samples on a parametric-only device, out-of-range frequencies)
   raise :class:`~repro.errors.ConstraintError` — the program is
@@ -22,10 +25,14 @@ from __future__ import annotations
 
 from repro.core.constraints import PulseConstraints
 from repro.core.timing import align_up
-from repro.core.waveform import ParametricWaveform, SampledWaveform
+from repro.core.waveform import ParametricWaveform, SampledWaveform, ScaledWaveform
 from repro.errors import ConstraintError
 from repro.mlir.context import MLIRContext
-from repro.mlir.dialects.pulse import attrs_to_waveform, waveform_to_attrs
+from repro.mlir.dialects.pulse import (
+    attrs_to_waveform,
+    is_dynamic,
+    waveform_to_attrs,
+)
 from repro.mlir.ir import Module, Operation
 from repro.mlir.passes.manager import Pass
 
@@ -58,9 +65,10 @@ class PulseLegalizationPass(Pass):
         wf = attrs_to_waveform(op.attributes)
         changed = False
 
-        # Amplitude can never be fixed by rewriting: reject.
+        # Amplitude can never be fixed by rewriting: reject (unless an
+        # operand scales it, which only binding knows).
         peak = wf.max_amplitude()
-        if peak > c.max_amplitude * (1 + 1e-9):
+        if not is_dynamic(op) and peak > c.max_amplitude * (1 + 1e-9):
             raise ConstraintError(
                 f"waveform peak amplitude {peak:.6g} exceeds device limit "
                 f"{c.max_amplitude}"
@@ -70,6 +78,10 @@ class PulseLegalizationPass(Pass):
                 f"waveform duration {wf.duration} exceeds device limit "
                 f"{c.max_pulse_duration}"
             )
+        # A static scale rides along: the shape is what gets legalized.
+        scale = None
+        if isinstance(wf, ScaledWaveform):
+            wf, scale = wf.base, wf.scale
 
         # Unsupported parametric envelope -> raw samples.
         if c.requires_sampling(wf):
@@ -101,12 +113,16 @@ class PulseLegalizationPass(Pass):
             changed = True
 
         if changed:
-            new_attrs = waveform_to_attrs(wf)
+            new_attrs = waveform_to_attrs(
+                wf if scale is None else ScaledWaveform(wf, scale)
+            )
             op.attributes.clear()
             op.attributes.update(new_attrs)
         return changed
 
     def _legalize_delay(self, op: Operation) -> bool:
+        if is_dynamic(op):
+            return False
         c = self.constraints
         duration = int(op.attr("duration"))
         aligned = align_up(duration, c.granularity)

@@ -5,11 +5,17 @@ measurement half and the fitting half of each experiment are separate
 tasks:
 
 * **experiment tasks** (``ramsey_scan``, ``rabi_scan``, ``drag_scan``,
-  ``readout_scan``) build schedules and measure through the
+  ``readout_scan``) build programs and measure through the
   Estimator/Sampler primitives — *all sites of a scan batch through
-  one primitive call* (one ``execute_batch`` evolution pass on direct
-  targets; on a served target one sweep for the whole scan, which the
-  service runs as one batched device execution).
+  one primitive call*. ``rabi_scan`` and ``ramsey_scan`` compile once:
+  each emits one parametric pulse-MLIR program per scan, the pulse
+  amplitude or the free-evolution delay as its sequence argument and
+  every site in the one program, and submits it as one PUB. The PUB
+  binds as one schedule family (an amplitude or a delay slot), which a
+  direct target evolves in one ``execute_batch`` and an in-process
+  service runs as one sweep of one family: one QDMI job, one
+  execution, one measurement pass. ``drag_scan`` and
+  ``readout_scan`` still build a schedule per point.
   Their recorded results carry everything the downstream fit needs
   (including the believed frequencies at scan time), which makes the
   fits pure.
@@ -66,6 +72,80 @@ def _program(schedule: PulseSchedule):
     from repro.api.program import Program
 
     return Program.from_schedule(schedule)
+
+
+class _ScanProgram:
+    """A parametric scan as one ``pulse.sequence``.
+
+    Mixed frames are declared on first use with their exact frames
+    (``pulse.argFrames``), so a detuned frame survives interpretation;
+    :meth:`measure` emits the device's own ``measure`` calibration op
+    by op, barriers included, so the interpreter's as-soon-as-possible
+    placement rebuilds it after the parametric part.
+    """
+
+    def __init__(self, name: str, device) -> None:
+        from repro.mlir.dialects.pulse import SequenceBuilder
+
+        self.device = device
+        self.sb = SequenceBuilder(name)
+        self._frames: list[list] = []
+        self._mfs: dict[tuple[str, str], Any] = {}
+        self._by_port: dict[str, Any] = {}
+
+    def scalar(self, name: str):
+        self._frames.append([])
+        return self.sb.add_scalar_arg(name)
+
+    def mf(self, port, frame=None):
+        """The mixed-frame argument of (*port*, *frame*); *frame*
+        ``None`` takes any frame already declared on the port."""
+        if frame is None:
+            known = self._by_port.get(port.name)
+            if known is not None:
+                return known
+            frame = self.device.default_frame(port)
+        key = (port.name, frame.name)
+        value = self._mfs.get(key)
+        if value is None:
+            value = self.sb.add_mixed_frame_arg(f"mf{len(self._mfs)}", port.name)
+            self._frames.append(
+                [frame.name, float(frame.frequency), float(frame.phase)]
+            )
+            self._mfs[key] = value
+            self._by_port.setdefault(port.name, value)
+        return value
+
+    def measure(self, sites: Sequence[int]) -> None:
+        """Each site's ``measure`` calibration into its slot."""
+        from repro.core.instructions import Barrier, Capture
+
+        tail = PulseSchedule("measure")
+        for slot, site in enumerate(sites):
+            self.device.calibrations.get("measure", (site,)).apply(tail, [slot])
+        for item in tail._items:
+            ins = item.instruction
+            if isinstance(ins, Barrier):
+                self.sb.barrier(*(self.mf(p) for p in ins.barrier_ports))
+            elif isinstance(ins, Play):
+                mf = self.mf(ins.port, ins.frame)
+                self.sb.play(mf, self.sb.waveform(ins.waveform))
+            elif isinstance(ins, Capture):
+                mf = self.mf(ins.port, ins.frame)
+                self.sb.capture(mf, ins.memory_slot, ins.duration_samples)
+            elif isinstance(ins, Delay):
+                self.sb.delay(self.mf(ins.port), ins.duration_samples)
+            else:
+                raise PipelineError(
+                    f"cannot emit {type(ins).__name__} of a measure calibration"
+                )
+
+    def program(self):
+        from repro.api.program import Program
+
+        self.sb.sequence.attributes["pulse.argFrames"] = self._frames
+        self.sb.ret()
+        return Program.from_mlir(self.sb.module)
 
 
 # ---- control tasks -------------------------------------------------------------------
@@ -157,28 +237,40 @@ def _half_pi_pulse(device, site: int):
     return constant_waveform(duration, amp)
 
 
-def _ramsey_schedule(
-    device, sites: Sequence[int], tau: int, artificial_detuning_hz: float, tag: str
-) -> PulseSchedule:
-    """One schedule running the Ramsey sequence on *every* site at once.
+def _ramsey_program(device, sites: Sequence[int], artificial_detuning_hz: float):
+    """The Ramsey sequence on *every* site at once, the free-evolution
+    delay (samples) as the program's one parameter ``tau``.
 
     Instruction placement is per-port, so the per-site sequences run
     simultaneously; couplers are driven-only (no always-on ZZ), so the
     joint evolution factorizes and each slot's marginal equals the
     single-site Ramsey population.
     """
-    sched = PulseSchedule(tag)
-    for slot, site in enumerate(sites):
+    scan = _ScanProgram("ramsey", device)
+    tau = scan.scalar("tau")
+    for site in sites:
         drive = device.drive_port(site)
         base = device.default_frame(drive)
         frame = Frame(base.name, base.frequency + artificial_detuning_hz, base.phase)
-        half = _half_pi_pulse(device, site)
-        sched.append(Play(drive, frame, half))
-        if tau > 0:
-            sched.append(Delay(drive, int(tau)))
-        sched.append(Play(drive, frame, half))
-    for slot, site in enumerate(sites):
-        device.calibrations.get("measure", (site,)).apply(sched, [slot])
+        mf = scan.mf(drive, frame)
+        half = scan.sb.waveform(_half_pi_pulse(device, site))
+        scan.sb.play(mf, half)
+        scan.sb.delay(mf, tau)
+        scan.sb.play(mf, half)
+    scan.measure(sites)
+    return scan.program()
+
+
+def _ramsey_schedule(
+    device, sites: Sequence[int], tau: int, artificial_detuning_hz: float, tag: str
+) -> PulseSchedule:
+    """One point of the Ramsey scan as a schedule: the program bound at
+    delay *tau* (the per-point reference of the family a scan runs)."""
+    from repro.mlir.interp import module_to_schedule
+
+    program = _ramsey_program(device, sites, artificial_detuning_hz)
+    sched = module_to_schedule(program.module, device, {"tau": float(tau)})
+    sched.name = tag
     return sched
 
 
@@ -197,24 +289,19 @@ def _ramsey_scan_run(ctx, params, seed, upstream) -> dict:
     points = int(params.get("points", 41))
     shots = int(params.get("shots", 0))
     delays = _ramsey_delays(device, max_delay, points)
-    observables = [_p1(slot) for slot in range(len(sites))]
-    pubs = [
-        (
-            _program(
-                _ramsey_schedule(device, sites, int(tau), artificial, f"ramsey-{i}")
-            ),
-            observables,
-        )
-        for i, tau in enumerate(delays)
-    ]
-    # One primitive call for the whole (delays x sites) grid: direct
-    # targets stack every schedule into a single execute_batch pass;
-    # served targets admit all 41 PUBs as one sweep, which the service
-    # queues as one entry and evolves in one batched device execution.
-    res = ctx.estimator(shots=shots, seed=seed).run(pubs)
+    # One parametric program and one PUB for the whole (delays x sites)
+    # grid: it binds as one family with a delay slot, which a direct
+    # target evolves in one execute_batch pass and an in-process
+    # service runs as one sweep of that family (one job, one batched
+    # execution).
+    pub = (
+        _ramsey_program(device, sites, artificial),
+        [[_p1(slot)] for slot in range(len(sites))],
+        {"tau": delays.astype(np.float64)},
+    )
+    evs = ctx.estimator(shots=shots, seed=seed).run([pub])[0].data.evs
     populations = {
-        str(site): [float(res[i].data.evs[slot]) for i in range(len(delays))]
-        for slot, site in enumerate(sites)
+        str(site): [float(v) for v in evs[slot]] for slot, site in enumerate(sites)
     }
     return {
         "sites": sites,
@@ -286,23 +373,21 @@ def _rabi_scan_run(ctx, params, seed, upstream) -> dict:
         amps = np.linspace(0.05, min(1.0, constraints.max_amplitude), 16)
     amps = np.asarray(amps, dtype=np.float64)
     shots = int(params.get("shots", 0))
-    observables = [_p1(slot) for slot in range(len(sites))]
-    pubs = []
-    for i, amp in enumerate(amps):
-        sched = PulseSchedule(f"rabi-{i}")
-        for slot, site in enumerate(sites):
-            drive = device.drive_port(site)
-            sched.append(
-                Play(
-                    drive,
-                    device.default_frame(drive),
-                    constant_waveform(duration, float(amp)),
-                )
-            )
-        for slot, site in enumerate(sites):
-            device.calibrations.get("measure", (site,)).apply(sched, [slot])
-        pubs.append((_program(sched), observables))
-    res = ctx.estimator(shots=shots, seed=seed).run(pubs)
+    # One program, the flat pulse's amplitude as its parameter: every
+    # site plays the unit-height pulse scaled by ``amp``.
+    scan = _ScanProgram("rabi", device)
+    amp = scan.scalar("amp")
+    unit = constant_waveform(duration, 1.0)
+    for site in sites:
+        drive = device.drive_port(site)
+        scan.sb.play(scan.mf(drive), scan.sb.waveform(unit, amplitude=amp))
+    scan.measure(sites)
+    pub = (
+        scan.program(),
+        [[_p1(slot)] for slot in range(len(sites))],
+        {"amp": amps},
+    )
+    evs = ctx.estimator(shots=shots, seed=seed).run([pub])[0].data.evs
     return {
         "sites": sites,
         "amplitudes": [float(a) for a in amps],
@@ -310,7 +395,7 @@ def _rabi_scan_run(ctx, params, seed, upstream) -> dict:
         "dt": constraints.dt,
         "shots": shots,
         "populations": {
-            str(site): [float(res[i].data.evs[slot]) for i in range(len(amps))]
+            str(site): [float(v) for v in evs[slot]]
             for slot, site in enumerate(sites)
         },
     }

@@ -21,13 +21,18 @@ and owns one dispatch decision for all its PUBs:
 * **client** — anything else (remote QDMI routing): the per-point
   ``Executable`` loop, kept as the correctness baseline.
 
-On a direct target a parametric PUB binds as one
+On a direct target, and on an in-process service over a local device,
+a parametric PUB binds as one
 :class:`~repro.core.schedule.ScheduleFamily` through
 :meth:`Executable.bind_many <repro.api.executable.Executable.bind_many>`:
 the compiled schedule template plus the PUB's ``(K, P)`` value matrix,
-which the executor writes straight into its frame timelines — no
-schedule per point. Service targets and PUBs that fail a bind check
-mint one schedule per point through
+which the executor writes straight into its frame timelines, pulse
+amplitudes and idle runs — no schedule per point. A served group of
+families travels as one :class:`~repro.core.schedule.FamilyBatch`
+request (one compile, one QDMI job, one execution) and comes back as
+the executor's :class:`~repro.sim.executor.BatchResult`. Cluster and
+HTTP targets, and PUBs that fail a bind check, mint one schedule per
+point through
 :meth:`Executable.specialize <repro.api.executable.Executable.specialize>`,
 falling back to :meth:`Executable.bind` when the template is
 unavailable, so PUB evaluation never recompiles the front-end per
@@ -59,6 +64,9 @@ class BasePrimitive:
     #: Program; optimizer loops re-submitting one Program skip the
     #: re-prepare + template re-trace entirely).
     _MAX_EXECUTABLE_MEMO = 128
+    #: Whether a parametric PUB binds as one schedule family (direct
+    #: targets, and in-process services over local devices).
+    _binds_families = True
 
     def __init__(
         self,
@@ -98,6 +106,11 @@ class BasePrimitive:
         self._target = resolved
         if resolved.is_async:
             self._mode = _SERVICE
+            # An in-process service runs bound families; detached
+            # (cluster/HTTP) and remote targets take points.
+            self._binds_families = not (
+                resolved.is_detached or resolved.is_remote
+            )
         elif resolved.direct and not resolved.is_remote:
             device = resolved.device
             if hasattr(device, "executor"):
@@ -147,7 +160,8 @@ class BasePrimitive:
         """One concrete schedule per *unique* binding point of *pub*.
 
         Compiles the PUB's program once (template for parametric
-        programs). On a direct target a parametric PUB binds as one
+        programs). On a direct or in-process service target a
+        parametric PUB binds as one
         :class:`~repro.core.schedule.ScheduleFamily`
         (:meth:`Executable.bind_many
         <repro.api.executable.Executable.bind_many>`), a sequence whose
@@ -193,7 +207,7 @@ class BasePrimitive:
             return [executable._ensure_compiled().schedule] * n_points
         schedules: list[Any] = []
         with span("specialize", points=n_points):
-            if self._mode == _DIRECT:
+            if self._mode != _CLIENT and self._binds_families:
                 family = executable.bind_many(bindings.values())
                 if family is not None:
                     return family
@@ -219,18 +233,20 @@ class BasePrimitive:
         """Execute every pub's points; returns per-pub result lists.
 
         *per_pub* entries are ``(pub, point_handles, shots)`` where the
-        handles are schedules (direct/service), a schedule family or
-        a :class:`~repro.core.schedule.FamilyBatch` (direct) or
+        handles are schedules, a schedule family or a
+        :class:`~repro.core.schedule.FamilyBatch` (direct/service) or
         executables (client). Direct and service dispatch
         both batch all points sharing a shot count, across every pub:
         direct runs each such group through one :meth:`execute_batch`
         call, service admits it as one sweep — one queue entry, one
         batched device execution — and admits every sweep before
-        collecting any ticket. A pub alone in its direct group gets the
-        batch itself back (a family's results stay arrays); pubs that
-        share a group get their slice of it, and when every one of them
-        is bound as families the group runs as one
-        :class:`~repro.core.schedule.FamilyBatch`, so the slices stay
+        collecting any ticket. A pub alone in its group gets the batch
+        itself back (a family's results stay arrays); pubs that share a
+        group get their slice of it. When every pub of a group is bound
+        as families the group runs as one
+        :class:`~repro.core.schedule.FamilyBatch` — on a service as one
+        request, whose ticket hands back the executor's
+        :class:`~repro.sim.executor.BatchResult` — so the slices stay
         arrays too.
         """
         with span("dispatch", mode=self._mode, pubs=len(per_pub)):
@@ -247,15 +263,15 @@ class BasePrimitive:
                 groups.setdefault(shots, []).append(p)
 
             def handles(members: list[int]) -> Sequence[Any]:
-                if len(members) == 1:
-                    return per_pub[members[0]][1]
                 parts = [per_pub[p][1] for p in members]
-                if self._mode == _DIRECT and all(
-                    isinstance(h, (ScheduleFamily, FamilyBatch)) for h in parts
-                ):
+                if all(isinstance(h, (ScheduleFamily, FamilyBatch)) for h in parts):
+                    if len(parts) == 1 and self._mode == _DIRECT:
+                        return parts[0]
                     return FamilyBatch(
                         f for h in parts for f in getattr(h, "families", (h,))
                     )
+                if len(members) == 1:
+                    return parts[0]
                 return [h for part in parts for h in part]
 
             if self._mode == _DIRECT:
@@ -269,17 +285,21 @@ class BasePrimitive:
                 from repro.serving.sweeps import SweepRequest
 
                 service = self._target.service
-                tickets = [
-                    service.submit_sweep(
-                        SweepRequest.from_programs(
-                            handles(members),
-                            self._target.device_name,
-                            shots=shots,
-                            seed=self._seed,
+                tickets = []
+                for shots, members in groups.items():
+                    group = handles(members)
+                    # A family batch is one program: one request.
+                    programs = [group] if isinstance(group, FamilyBatch) else group
+                    tickets.append(
+                        service.submit_sweep(
+                            SweepRequest.from_programs(
+                                programs,
+                                self._target.device_name,
+                                shots=shots,
+                                seed=self._seed,
+                            )
                         )
                     )
-                    for shots, members in groups.items()
-                ]
                 batches = [t.results(timeout) for t in tickets]
             out: list[Sequence[Any]] = [[] for _ in per_pub]
             for members, results in zip(groups.values(), batches):

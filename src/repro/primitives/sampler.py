@@ -152,9 +152,10 @@ class Sampler(BasePrimitive):
                 r_noisy = dict(r.probabilities)
                 noisy.append(r_noisy)
                 leakage.append(float(sum(r.leakage.values())))
-            else:  # ClientResult
+            else:  # ClientResult, or an ExecutionResult of a served family
                 r_counts = dict(r.counts)
-                r_probs = dict(r.probabilities)
+                # Served results report the pre-readout distribution.
+                r_probs = dict(getattr(r, "ideal_probabilities", r.probabilities))
                 r_noisy = {}
             counts.append(r_counts)
             probabilities.append(r_probs)

@@ -110,14 +110,21 @@ def _readout_models(primitive, options, result) -> list[ReadoutModel]:
 def _point_families(primitive, pub) -> list[ScheduleFamily]:
     """The PUB's binding points as schedule families, in point order.
 
-    A PUB bound through the template is its one family; a program
-    without parameters is one schedule repeated, a family with no
-    slots; per-point schedules (a bind the template could not take)
-    are one-member families.
+    A PUB bound through the template is its one family when its slots
+    are frame-event scalars; a program without parameters is one
+    schedule repeated, a family with no slots; per-point schedules (a
+    bind the template could not take, or a family with amplitude or
+    delay slots, which stretching and twirling cannot derive) are
+    one-member families.
     """
     points = primitive._point_schedules(pub)
     if isinstance(points, ScheduleFamily):
-        return [points]
+        if points.frame_only:
+            return [points]
+        # Stretching replaces a play whose amplitude is slotted, and a
+        # delay slot re-times the items a transform moves: run such a
+        # PUB's variants per point.
+        points = [points.member(k) for k in range(len(points))]
     if not len(points):
         return []
     if all(s is points[0] for s in points):

@@ -13,7 +13,9 @@ delay intrinsics so the linker's ASAP replay reconstructs the exact
 schedule; sampled waveforms become double-array globals (separate
 re/im tables), parametric waveforms stay symbolic through a JSON
 parameter string — keeping the payload small when the device can
-evaluate envelopes natively.
+evaluate envelopes natively. A scaled waveform is its shape passed
+through ``__quantum__pulse__waveform_scale__body`` with the amplitude
+as a runtime ``double``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.core.instructions import (
 )
 from repro.core.port import Port
 from repro.core.schedule import PulseSchedule
-from repro.core.waveform import ParametricWaveform
+from repro.core.waveform import ParametricWaveform, ScaledWaveform
 from repro.errors import ValidationError
 from repro.qir.module import QIRArg, QIRCall, QIRGlobal, QIRModule
 
@@ -105,6 +107,22 @@ class _Emitter:
         fp = waveform.fingerprint()
         if fp in self._waveforms:
             return self._waveforms[fp]
+        if isinstance(waveform, ScaledWaveform):
+            shape = self._waveform_value(waveform.base)
+            ssa = self._fresh("wf")
+            self.module.body.append(
+                QIRCall(
+                    "__quantum__pulse__waveform_scale__body",
+                    [
+                        QIRArg("%Waveform*", "local", shape),
+                        QIRArg("double", "literal", waveform.scale),
+                    ],
+                    result=ssa,
+                    result_type="%Waveform*",
+                )
+            )
+            self._waveforms[fp] = ssa
+            return ssa
         ssa = self._fresh("wf")
         if isinstance(waveform, ParametricWaveform):
             params_json = json.dumps(waveform.parameters, sort_keys=True)

@@ -30,7 +30,7 @@ from repro.core.instructions import (
     ShiftPhase,
 )
 from repro.core.schedule import PulseSchedule
-from repro.core.waveform import ParametricWaveform, SampledWaveform
+from repro.core.waveform import ParametricWaveform, SampledWaveform, ScaledWaveform
 from repro.errors import LinkError
 from repro.qir.module import PULSE_INTRINSICS, QIS_INTRINSICS, QIRCall, QIRModule
 from repro.qir.parser import parse_qir
@@ -122,6 +122,9 @@ class _Linker:
                 _string_global(self.module, str(self._resolve(call, 2)))
             )
             self._bind(call, ParametricWaveform(envelope, duration, params))
+        elif c == "__quantum__pulse__waveform_scale__body":
+            shape = self._resolve(call, 0)
+            self._bind(call, ScaledWaveform(shape, float(self._resolve(call, 1))))
         elif c == "__quantum__pulse__waveform_play__body":
             port, frame, wf = (self._resolve(call, i) for i in range(3))
             self.schedule.append(Play(port, frame, wf))
@@ -153,7 +156,13 @@ class _Linker:
             self.schedule.append(ShiftPhase(port, frame, float(self._resolve(call, 2))))
         elif c == "__quantum__pulse__delay__body":
             port = self._resolve(call, 0)
-            self.schedule.append(Delay(port, int(self._resolve(call, 1))))
+            # An i64 literal, or a runtime double holding whole samples.
+            duration = self._resolve(call, 1)
+            if float(duration) != int(duration):
+                raise LinkError(
+                    f"delay of {duration!r} samples is not a whole number"
+                )
+            self.schedule.append(Delay(port, int(duration)))
         elif c == "__quantum__pulse__barrier__body":
             count = int(self._resolve(call, 0))
             ports = [self._resolve(call, 1 + i) for i in range(count)]

@@ -23,6 +23,7 @@ PULSE_INTRINSICS = frozenset(
         "__quantum__pulse__frame__body",
         "__quantum__pulse__waveform__body",
         "__quantum__pulse__waveform_parametric__body",
+        "__quantum__pulse__waveform_scale__body",
         "__quantum__pulse__waveform_play__body",
         "__quantum__pulse__frame_change__body",
         "__quantum__pulse__set_frequency__body",

@@ -34,6 +34,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.client.client import ClientResult, JobRequest, MQSSClient
+from repro.core.schedule import FamilyBatch
 from repro.errors import BackpressureError, CancelledError, ServiceError
 from repro.obs.tracing import span
 from repro.serving.batching import RequestBatcher
@@ -371,6 +372,12 @@ class PulseService:
         on its own seeded stream, so identical points do not coalesce
         (see :mod:`repro.serving.sweeps`).
 
+        A sweep over one bound
+        :class:`~repro.core.schedule.FamilyBatch` is one request: one
+        admission slot, one compile of the batch, one QDMI job and one
+        execution of the families, counted as its members in
+        ``sweep_points``.
+
         A point cancelled while its chunk is queued drops out of it;
         a running chunk aborts only when every point asked to cancel.
         An admission failure partway through (backpressure with
@@ -382,7 +389,13 @@ class PulseService:
 
         requests = sweep.expand()
         self.metrics.incr("sweeps")
-        self.metrics.incr("sweep_points", len(requests))
+        self.metrics.incr(
+            "sweep_points",
+            sum(
+                len(r.program) if isinstance(r.program, FamilyBatch) else 1
+                for r in requests
+            ),
+        )
         tickets = [self._new_ticket(r) for r in requests]
         start = 0
         while start < len(requests):
@@ -511,7 +524,9 @@ class PulseService:
             self.client.select_adapter(r).to_payload(r.program, target)
             for r in entry.requests
         ]
-        if len(entry) > 1:
+        if len(entry) > 1 or isinstance(entry.request.program, FamilyBatch):
+            # Sweep points and bound families each sample their own
+            # streams: never a shot-split execution.
             entry.coalesce_key = None
             return
         request = entry.request

@@ -11,6 +11,15 @@ plus the list of parameter sets; :meth:`PulseService.submit_sweep
 queues the points as a single entry, and returns a single
 :class:`SweepTicket` aggregating the per-point tickets.
 
+A primitive's parametric PUB on an in-process service does not
+expand at all: it binds client-side into one
+:class:`~repro.core.schedule.FamilyBatch`, and a sweep over that one
+program is one request — one admission slot, one compile of the
+batch, one QDMI job, one ``execute_batch`` and one measurement pass.
+:meth:`SweepTicket.results` hands back the executor's
+:class:`~repro.sim.executor.BatchResult`, whose per-family arrays the
+Estimator folds without a per-point result.
+
 Why this is fast end to end:
 
 * the whole sweep is one queue entry and one batched device execution:
@@ -47,7 +56,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.client.client import ClientResult, JobRequest
+from repro.client.client import JobRequest
+from repro.core.schedule import FamilyBatch
 from repro.errors import ServiceError
 from repro.sim.model import DecoherenceSpec
 
@@ -216,8 +226,8 @@ class SweepTicket:
         accepted = [t.cancel() for t in self.tickets]
         return any(accepted)
 
-    def result(self, timeout: float | None = None) -> list[ClientResult]:
-        """Protocol alias of :meth:`results` (scan-ordered list)."""
+    def result(self, timeout: float | None = None) -> Sequence[Any]:
+        """Protocol alias of :meth:`results` (scan-ordered)."""
         return self.results(timeout)
 
     def to_dict(self) -> dict:
@@ -242,12 +252,20 @@ class SweepTicket:
         remaining = self._deadline(timeout)
         return all(t.wait(remaining()) for t in self.tickets)
 
-    def results(self, timeout: float | None = None) -> list[ClientResult]:
+    def results(self, timeout: float | None = None) -> Sequence[Any]:
         """Per-point results in scan order; re-raises the first failure.
 
-        *timeout* bounds the whole call, not each point.
+        A sweep of one bound
+        :class:`~repro.core.schedule.FamilyBatch` returns its one job's
+        :class:`~repro.sim.executor.BatchResult`: the members' results
+        in order, with their arrays per family. *timeout* bounds the
+        whole call, not each point.
         """
         remaining = self._deadline(timeout)
+        if len(self.tickets) == 1 and isinstance(
+            self.tickets[0].request.program, FamilyBatch
+        ):
+            return self.tickets[0].result(remaining()).batch
         return [t.result(remaining()) for t in self.tickets]
 
     def exceptions(self, timeout: float | None = None) -> list[Exception | None]:
@@ -278,7 +296,12 @@ class SweepTicket:
                 f"sweep expectations need a Hermitian observable (real "
                 f"coefficients); got {obs!r}"
             )
+        # Every served result reports the pre-readout distribution
+        # (a batched sweep's members as ``ideal_probabilities``).
         return np.array(
-            [obs.expectation(r.probabilities) for r in self.results(timeout)],
+            [
+                obs.expectation(getattr(r, "ideal_probabilities", r.probabilities))
+                for r in self.results(timeout)
+            ],
             dtype=np.float64,
         )

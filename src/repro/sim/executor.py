@@ -84,6 +84,7 @@ from repro.core.instructions import (
 from repro.core.port import Port, PortKind
 from repro.core.schedule import (
     FRAME_EVENT_FIELDS,
+    SCALE,
     FamilyBatch,
     PulseSchedule,
     ScheduleFamily,
@@ -221,8 +222,11 @@ class FamilyOutcome:
     leakage: np.ndarray
     #: Sampled counts per member; ``None`` when no shot was drawn.
     counts: list[dict[str, int]] | None
-    duration_samples: int
-    duration_seconds: float
+    #: ``(K,)`` schedule lengths in samples (members of a family with a
+    #: delay slot differ).
+    durations: np.ndarray
+    #: Sample period (s).
+    dt: float
     shots: int
 
     def __len__(self) -> int:
@@ -237,6 +241,7 @@ class FamilyOutcome:
             final_states=self.final_states[start:stop],
             leakage=self.leakage[:, start:stop],
             counts=None if self.counts is None else self.counts[start:stop],
+            durations=self.durations[start:stop],
         )
 
     def result(self, k: int, metadata: dict) -> ExecutionResult:
@@ -249,8 +254,8 @@ class FamilyOutcome:
             final_state=self.final_states[k],
             measured_sites=self.measured_sites,
             leakage=dict(enumerate(self.leakage[:, k].tolist())),
-            duration_samples=self.duration_samples,
-            duration_seconds=self.duration_seconds,
+            duration_samples=int(self.durations[k]),
+            duration_seconds=int(self.durations[k]) * self.dt,
             shots=self.shots,
             metadata=metadata,
         )
@@ -560,18 +565,62 @@ class ScheduleExecutor:
             families, streams, initial_state, should_cancel
         )
         _check_cancel(should_cancel)
+        with span("measurement", points=len(streams)):
+            return self._measure(families, finals, shots, streams)
+
+    def _measure(
+        self,
+        families: list[ScheduleFamily],
+        finals: list[np.ndarray],
+        shots: int,
+        streams: list,
+    ) -> list[FamilyOutcome]:
+        """The measurement tails of *families*, stacked.
+
+        Consecutive families that measure the same sites share one
+        :meth:`_finalize` pass over their stacked states, split back
+        into one :class:`FamilyOutcome` per family; each row keeps its
+        own schedule's length.
+        """
         outcomes: list[FamilyOutcome] = []
         start = 0
-        with span("measurement", points=len(streams)):
-            for family, states in zip(families, finals):
-                stop = start + len(family)
+        f = 0
+        while f < len(families):
+            sites = self._measured_sites(families[f].base)
+            stop = f + 1
+            while (
+                stop < len(families)
+                and finals[stop].shape[1:] == finals[f].shape[1:]
+                and self._measured_sites(families[stop].base) == sites
+            ):
+                stop += 1
+            group = families[f:stop]
+            sizes = [len(family) for family in group]
+            count = sum(sizes)
+            stacked = self._finalize(
+                sites,
+                finals[f] if stop == f + 1 else np.concatenate(finals[f:stop]),
+                shots,
+                streams[start : start + count],
+                np.concatenate([self._durations(family) for family in group]),
+            )
+            first = 0
+            for size in sizes:
                 outcomes.append(
-                    self._finalize(
-                        family.base, states, shots, streams[start:stop]
-                    )
+                    stacked if size == count else stacked.rows(first, first + size)
                 )
-                start = stop
+                first += size
+            start += count
+            f = stop
         return outcomes
+
+    @staticmethod
+    def _durations(family: ScheduleFamily) -> np.ndarray:
+        """The ``(K,)`` schedule lengths of *family*'s members."""
+        duration = family.base.duration
+        if family.idle is None:
+            return np.full(len(family), duration, dtype=np.int64)
+        return duration + family.idle.extra(family.values)
 
     def _families(self, schedules: Sequence[PulseSchedule]) -> list[ScheduleFamily]:
         """The batch as maximal runs of consecutive structural clones,
@@ -622,7 +671,7 @@ class ScheduleExecutor:
         self, family: ScheduleFamily
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """The ``(K, duration, n_channels)`` drive stack of a family,
-        and the ``(duration, n_channels)`` envelope magnitudes.
+        and the ``(1 or K, duration, n_channels)`` envelope magnitudes.
 
         One vectorized pass over the base schedule: frame timelines are
         ``(K, duration)`` arrays whose events apply to all members at
@@ -630,13 +679,23 @@ class ScheduleExecutor:
         other the base's scalar — detuning phases are one exclusive
         cumsum per (port, frame) instead of one per play per member,
         and every play lands on the whole stack with one broadcast
-        multiply.
+        multiply. An amplitude slot is one more broadcast multiply of
+        the play's shape by its column.
+
+        A delay slot (:class:`~repro.core.schedule.IdleSlot`) is
+        synthesized at the base's length: its members' extra idle
+        samples are inserted at the cut by :meth:`_final_states`. The
+        frame events that stay run before the ones that move, as in
+        every longer member, and each moved play carries the carrier
+        phase its frame accumulates over the inserted samples,
+        ``2 pi (f_frame - f_ref) extra_k dt``.
 
         The magnitudes are the drive's ``|a|`` taken from the envelope
-        before modulation — members share their plays, so one array
-        serves the family, and it is bitwise independent of the frame
-        phase (``abs`` of the modulated sample is not). Samples where
-        two plays overlap on one channel read ``-1``: their sum has no
+        before modulation — members share their plays, so one row
+        serves the family unless an amplitude slot scales it per
+        member, and it is bitwise independent of the frame phase
+        (``abs`` of the modulated sample is not). Samples where two
+        plays overlap on one channel read ``-1``: their sum has no
         single phase to factor out.
         """
         base = family.base
@@ -648,6 +707,9 @@ class ScheduleExecutor:
             (pos, fld): family.values[:, col, None]
             for pos, fld, col in family.slots
         }
+        idle = family.idle
+        moving = idle.shifted if idle is not None else frozenset()
+        window: dict[tuple[str, str], np.ndarray] | None = None
 
         def timeline(port: Port, frame: Frame) -> list[np.ndarray]:
             key = (port.name, frame.name)
@@ -675,15 +737,20 @@ class ScheduleExecutor:
                 return getattr(base._items[pos].instruction, fld)
             return column
 
-        # Pass 1: frame events, in time order.
+        # Pass 1: frame events, in time order (the ones a delay slot
+        # moves after the ones it keeps).
         order = sorted(
             range(len(base._items)),
-            key=lambda i: (base._items[i].t0, base._items[i].seq),
+            key=lambda i: (i in moving, base._items[i].t0, base._items[i].seq),
         )
         for pos in order:
             item = base._items[pos]
             ins = item.instruction
             t0 = item.t0
+            if window is None and pos in moving and duration:
+                # Carrier frequencies over the inserted idle samples.
+                at = min(idle.cut, duration - 1)
+                window = {key: tl[0][:, at].copy() for key, tl in timelines.items()}
             if isinstance(ins, SetFrequency):
                 timeline(ins.port, ins.frame)[0][:, t0:] = value(pos, "frequency")
             elif isinstance(ins, ShiftFrequency):
@@ -703,10 +770,15 @@ class ScheduleExecutor:
         drives = np.zeros(
             (k_members, duration, len(channel_names)), dtype=np.complex128
         )
-        envelope = np.zeros((duration, len(channel_names)))
+        scaled = any(fld == SCALE for _, fld, _ in family.slots)
+        envelope = np.zeros((k_members if scaled else 1, duration, len(channel_names)))
+        extra = idle.extra(family.values) if idle is not None else None
+        shifting = extra is not None and bool(extra.any())
         psis: dict[tuple[str, str, float], np.ndarray] = {}
-        for item in base.instructions_of(Play):
+        for pos, item in enumerate(base._items):
             ins = item.instruction
+            if not isinstance(ins, Play):
+                continue
             if ins.port.name not in model.channels:
                 if ins.port.kind is PortKind.READOUT:
                     # Readout stimulus tones do not enter the qubit
@@ -729,10 +801,20 @@ class ScheduleExecutor:
                 psis[psi_key] = psi
             t0, t1, c = item.t0, item.t1, col[ins.port.name]
             phase = psi[:, t0:t1] + tl[1][:, t0:t1]
-            samples = ins.waveform.samples()
-            drives[:, t0:t1, c] += samples[None, :] * np.exp(1j * phase)
-            written = envelope[t0:t1, c]
-            envelope[t0:t1, c] = np.where(written != 0, -1.0, np.abs(samples))
+            if pos in moving and shifting:
+                f_window = (window or {}).get(
+                    (ins.port.name, ins.frame.name), ins.frame.frequency
+                )
+                offset = _TWO_PI * model.dt * (f_window - ch.reference_frequency)
+                phase = phase + (offset * extra)[:, None]
+            scale = columns.get((pos, SCALE))
+            if scale is None:
+                samples = ins.waveform.samples()[None, :]
+            else:
+                samples = ins.waveform.base.samples()[None, :] * scale
+            drives[:, t0:t1, c] += samples * np.exp(1j * phase)
+            written = envelope[:, t0:t1, c]
+            envelope[:, t0:t1, c] = np.where(written != 0, -1.0, np.abs(samples))
         return drives, envelope, channel_names
 
     def _run_hamiltonians_stack(
@@ -790,7 +872,8 @@ class ScheduleExecutor:
         model = self.model
         use_dm = model.has_decoherence()
         with span("synthesize", points=len(streams)):
-            # (rows (R, K, C), magnitudes (R, C), steps (R,)) per family
+            # (rows (R, K, C), magnitudes (R, 1 or K, C), steps (R, 1
+            # or K)) per family
             plans = []
             for family in families:
                 drives, envelope, channel_names = self._synthesize_drives_family(
@@ -798,13 +881,14 @@ class ScheduleExecutor:
                 )
                 runs = segment_runs(drives.transpose(1, 0, 2))
                 starts = [start for start, _ in runs]
-                plans.append(
-                    (
-                        drives[:, starts].transpose(1, 0, 2),
-                        envelope[starts],
-                        np.array([n for _, n in runs], dtype=np.int64),
-                    )
+                plan = (
+                    drives[:, starts].transpose(1, 0, 2),
+                    envelope[:, starts].transpose(1, 0, 2),
+                    np.array([n for _, n in runs], dtype=np.int64)[:, None],
                 )
+                if family.idle is not None:
+                    plan = self._insert_idle(family, runs, *plan)
+                plans.append(plan)
         state0 = self._initial_state(initial_state, use_dm)
 
         if use_dm:
@@ -821,12 +905,17 @@ class ScheduleExecutor:
                         if not len(steps):
                             stack.append(state0)
                             continue
+                        member = steps[:, min(j, steps.shape[1] - 1)]
+                        live = member > 0
                         hs = self._run_hamiltonians_stack(
-                            rows[:, j], channel_names
+                            rows[live, j], channel_names
                         )
                         stack.append(
                             engine.evolve_trajectories(
-                                hs, steps, state0, rng=_stream(streams, start + j)
+                                hs,
+                                member[live],
+                                state0,
+                                rng=_stream(streams, start + j),
                             )
                         )
                     finals.append(np.stack(stack))
@@ -838,11 +927,30 @@ class ScheduleExecutor:
         # each position a (family, first slice, K) triple.
         rows, phases = self._canonical_rows(
             np.concatenate([r.reshape(-1, r.shape[2]) for r, _, _ in plans]),
-            np.concatenate([np.repeat(m, r.shape[1], axis=0) for r, m, _ in plans]),
+            np.concatenate(
+                [
+                    np.broadcast_to(m, r.shape).reshape(-1, r.shape[2])
+                    for r, m, _ in plans
+                ]
+            ),
         )
         # Slices whose state must rotate (a list: cheap per-position any).
         moving = phases.any(axis=1).tolist()
-        steps = np.concatenate([np.repeat(st, r.shape[1]) for r, _, st in plans])
+        steps = np.concatenate(
+            [np.broadcast_to(st, r.shape[:2]).reshape(-1) for r, _, st in plans]
+        )
+        idle_free = steps == 0
+        side = model.dimension ** (2 if use_dm else 1)
+
+        def kernel(rows_: np.ndarray, steps_: np.ndarray) -> np.ndarray:
+            if not len(steps_):
+                return np.empty((0, side, side), dtype=active_dtype().cdtype)
+            if use_dm:
+                return engine.superpropagators(
+                    self._run_hamiltonians_stack(rows_, channel_names), steps_
+                )
+            return self._closed_propagators(rows_, steps_, channel_names)
+
         if use_dm:
             limit = self._MAX_OPEN_BATCH_SLICES
         else:
@@ -851,7 +959,7 @@ class ScheduleExecutor:
         chunk: list[tuple[int, int, int]] = []
         offset = 0
         for f, family in enumerate(families):
-            for _ in range(len(plans[f][2])):
+            for _ in range(len(plans[f][0])):
                 chunk.append((f, offset, len(family)))
                 offset += len(family)
                 if offset - chunk[0][1] >= limit:
@@ -871,15 +979,15 @@ class ScheduleExecutor:
             lo = chunk[0][1]
             hi = chunk[-1][1] + chunk[-1][2]
             _check_cancel(should_cancel)
-            if use_dm:
-                props = engine.superpropagators(
-                    self._run_hamiltonians_stack(rows[lo:hi], channel_names),
-                    steps[lo:hi],
-                )
-            else:
-                props = self._closed_propagators(
-                    rows[lo:hi], steps[lo:hi], channel_names
-                )
+            live = ~idle_free[lo:hi]
+            props = kernel(rows[lo:hi][live], steps[lo:hi][live])
+            if not live.all():
+                # Zero-length runs (a delay-slot member that inserts no
+                # idle sample) evolve by the exact identity.
+                full = np.empty((hi - lo,) + props.shape[1:], dtype=props.dtype)
+                full[:] = np.eye(props.shape[1], dtype=props.dtype)
+                full[live] = props
+                props = full
             if any(moving[lo:hi]):
                 rot, unrot = self._state_rotations(phases[lo:hi], use_dm)
             for f, a, k in chunk:
@@ -902,6 +1010,36 @@ class ScheduleExecutor:
             dim = model.dimension
             return [s.reshape(-1, dim, dim) for s in states]
         return states
+
+    @staticmethod
+    def _insert_idle(family: ScheduleFamily, runs: list, rows, mags, steps):
+        """The plan ``(rows, mags, steps)`` of *family* with its delay
+        slot's idle run inserted at the cut.
+
+        The run holding the cut is split there (splitting a constant
+        run is exact up to rounding); the inserted run is drift only,
+        and its ``(K,)`` steps are each member's extra idle samples.
+        """
+        extra = family.idle.extra(family.values)
+        if not extra.any():
+            return rows, mags, steps
+        cut = family.idle.cut
+        at = len(runs)
+        for r, (start, n) in enumerate(runs):
+            if start <= cut < start + n:
+                at = r
+                if start < cut:  # split: the run's head, then its tail
+                    rows = np.insert(rows, r, rows[r], axis=0)
+                    mags = np.insert(mags, r, mags[r], axis=0)
+                    steps = np.insert(steps, r, cut - start, axis=0)
+                    steps[r + 1] = start + n - cut
+                    at = r + 1
+                break
+        k = len(family)
+        steps = np.insert(np.broadcast_to(steps, (len(steps), k)), at, extra, axis=0)
+        rows = np.insert(rows, at, 0.0, axis=0)
+        mags = np.insert(mags, at, 0.0, axis=0)
+        return rows, mags, steps
 
     def _canonical_rows(
         self, rows: np.ndarray, magnitudes: np.ndarray
@@ -952,25 +1090,8 @@ class ScheduleExecutor:
             )
         return us
 
-    def _finalize(
-        self,
-        base: PulseSchedule,
-        states: np.ndarray,
-        shots: int,
-        streams: list,
-    ) -> FamilyOutcome:
-        """Measurement tail of one family, as arrays over its members.
-
-        The members share capture structure, so site resolution and
-        the level-to-bit outcome mapping happen once. Exact
-        probabilities, readout corruption and leakage are array
-        expressions over the whole family; only shot sampling runs per
-        member, drawing from ``_stream(streams, k)``.
-        """
-        model = self.model
-        dims = model.dims
-        k_members = states.shape[0]
-        duration = base.duration
+    def _measured_sites(self, base: PulseSchedule) -> tuple[int, ...]:
+        """The site of each classical slot of *base*, in slot order."""
         captures = base.instructions_of(Capture)
         slots = sorted(
             (it.instruction.memory_slot, it.instruction) for it in captures
@@ -978,6 +1099,27 @@ class ScheduleExecutor:
         measured_sites = tuple(self._capture_site(ins) for _, ins in slots)
         if len(set(measured_sites)) != len(measured_sites):
             raise ValidationError("measured sites must be distinct")
+        return measured_sites
+
+    def _finalize(
+        self,
+        measured_sites: tuple[int, ...],
+        states: np.ndarray,
+        shots: int,
+        streams: list,
+        durations: np.ndarray,
+    ) -> FamilyOutcome:
+        """Measurement tail of stacked members, as arrays.
+
+        The members measure the same sites, so the level-to-bit
+        outcome mapping happens once. Exact probabilities, readout
+        corruption and leakage are array expressions over the whole
+        stack; only shot sampling runs per member, drawing from
+        ``_stream(streams, k)``.
+        """
+        model = self.model
+        dims = model.dims
+        k_members = states.shape[0]
         if states.ndim == 2:  # kets
             probs = np.abs(states) ** 2
         else:  # density matrices
@@ -1038,8 +1180,8 @@ class ScheduleExecutor:
             final_states=states,
             leakage=leakage,
             counts=counts,
-            duration_samples=duration,
-            duration_seconds=duration * model.dt,
+            durations=durations,
+            dt=model.dt,
             shots=shots if measured_sites else 0,
         )
 
