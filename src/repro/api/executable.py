@@ -207,7 +207,7 @@ def _idle_slot(
     ``T``. So the slope over ``[T, T + g]`` is the final one, and a
     start that moved by exactly that slope times ``T`` from 0 is
     affine for every length. The slot is an insertion when every
-    start (and the schedule's duration) has slope 0 or 1, the items
+    start has slope 0 or 1 and the schedule's duration slope 1, the items
     that stay end by the first one that moves (the cut), and at the
     cut a frame event that stays precedes, in insertion order, any
     on the same frame that moves.
@@ -221,8 +221,9 @@ def _idle_slot(
             return None
         return s
 
-    grows = slope(a.duration, b.duration, c.duration)
-    if grows is None:
+    # The slotted delay itself ends past every length-0 item, so an
+    # insertion always grows the schedule by the inserted length.
+    if slope(a.duration, b.duration, c.duration) != 1:
         return None
     shifted = []
     for idx, (ia, ib, ic) in enumerate(zip(a._items, b._items, c._items)):
@@ -231,8 +232,6 @@ def _idle_slot(
             return None
         if s:
             shifted.append(idx)
-    if shifted and not grows:
-        return None
     items = a._items
     cut = min((items[i].t0 for i in shifted), default=a.duration)
     moving = set(shifted)
@@ -251,12 +250,7 @@ def _idle_slot(
         if item.t0 == cut and type(ins) in FRAME_EVENT_FIELDS:
             if item.seq < staying_events.get((ins.port.name, ins.frame.name), -1):
                 return None
-    return IdleSlot(
-        column=column,
-        cut=cut,
-        shifted=frozenset(shifted),
-        extends=bool(grows),
-    )
+    return IdleSlot(column=column, cut=cut, shifted=frozenset(shifted))
 
 
 def _build_template(

@@ -354,15 +354,9 @@ class IdleSlot:
     cut: int
     #: Base item indices that start later by the inserted length.
     shifted: frozenset[int]
-    #: Whether the schedule grows by the inserted length (False when
-    #: the delays end before other ports finish and nothing follows
-    #: them: then no member idles longer than the base).
-    extends: bool
 
     def extra(self, values: np.ndarray) -> np.ndarray:
         """The ``(K,)`` idle samples each member inserts at the cut."""
-        if not self.extends:
-            return np.zeros(len(values), dtype=np.int64)
         return values[:, self.column].astype(np.int64)
 
 

@@ -264,13 +264,21 @@ def _ramsey_program(device, sites: Sequence[int], artificial_detuning_hz: float)
 def _ramsey_schedule(
     device, sites: Sequence[int], tau: int, artificial_detuning_hz: float, tag: str
 ) -> PulseSchedule:
-    """One point of the Ramsey scan as a schedule: the program bound at
-    delay *tau* (the per-point reference of the family a scan runs)."""
-    from repro.mlir.interp import module_to_schedule
-
-    program = _ramsey_program(device, sites, artificial_detuning_hz)
-    sched = module_to_schedule(program.module, device, {"tau": float(tau)})
-    sched.name = tag
+    """One point of the Ramsey scan, built by hand: the per-point
+    reference that :func:`_ramsey_program` bound at delay *tau* must
+    reproduce."""
+    sched = PulseSchedule(tag)
+    for site in sites:
+        drive = device.drive_port(site)
+        base = device.default_frame(drive)
+        frame = Frame(base.name, base.frequency + artificial_detuning_hz, base.phase)
+        half = _half_pi_pulse(device, site)
+        sched.append(Play(drive, frame, half))
+        if tau > 0:
+            sched.append(Delay(drive, int(tau)))
+        sched.append(Play(drive, frame, half))
+    for slot, site in enumerate(sites):
+        device.calibrations.get("measure", (site,)).apply(sched, [slot])
     return sched
 
 

@@ -507,12 +507,24 @@ class PulseService:
     def _build_entry(
         self, requests: list[JobRequest], tickets: list[JobTicket]
     ) -> ServiceEntry:
+        candidates = self.router.candidates(requests[0])
+        if isinstance(requests[0].program, FamilyBatch):
+            # A bound family batch runs only on an in-process device: a
+            # remote one takes QIR, which carries one schedule. It
+            # neither spills nor fails over to a remote device.
+            remote = [c for c in candidates if self.client.resolve_target(c)[2]]
+            if candidates[0] in remote:
+                raise ServiceError(
+                    f"a bound family batch cannot run on the remote device "
+                    f"{candidates[0]!r}"
+                )
+            candidates = [c for c in candidates if c not in remote]
         entry = ServiceEntry(
             requests,
             tickets,
             arrival=next(self._arrivals),
             enqueued_at=tickets[0].enqueued_at,
-            candidates=self.router.candidates(requests[0]),
+            candidates=candidates,
         )
         self._prepare_for_device(entry)
         return entry

@@ -19,13 +19,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_bound_batch import DEVICES, GRANULARITY
 from test_phase_covariance import PROFILE, SC, angles, programs, unit
+from test_serving import FailingDevice, SlowDevice
 
 import repro
-from repro.client import MQSSClient
+from repro.client import MQSSClient, RemoteDeviceProxy
 from repro.core import SampledWaveform, ScaledWaveform, constant_waveform
+from repro.core.instructions import Barrier, Delay
 from repro.core.schedule import FamilyBatch, ScheduleFamily
 from repro.devices import SuperconductingDevice
-from repro.errors import IRError, LinkError, PassError, ValidationError
+from repro.errors import (
+    IRError,
+    LinkError,
+    PassError,
+    ServiceError,
+    ValidationError,
+)
 from repro.mlir.context import default_context
 from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.interp import module_to_schedule
@@ -37,6 +45,11 @@ from repro.mlir.passes import (
     WaveformCSEPass,
 )
 from repro.pipeline import DAG, PipelineRunner
+from repro.pipeline.experiments import (
+    _ramsey_delays,
+    _ramsey_program,
+    _ramsey_schedule,
+)
 from repro.primitives import Estimator, Observable, Sampler
 from repro.qdmi import QDMIDriver
 from repro.qir.emitter import schedule_to_qir
@@ -353,6 +366,80 @@ def test_family_sweep_is_one_request_with_the_batch_as_its_result():
     np.testing.assert_allclose(evs, per_point, rtol=0, atol=TOL)
 
 
+def _family_stack(primary):
+    """A service over *primary*, a remote equivalent (which sorts
+    first among the candidates) and a local one, ``sc-good``."""
+    driver = QDMIDriver()
+    driver.register_device(primary)
+    driver.register_device(
+        RemoteDeviceProxy(SuperconductingDevice("sc-cloud", num_qubits=1, seed=2))
+    )
+    driver.register_device(SuperconductingDevice("sc-good", num_qubits=1, seed=2))
+    return MQSSClient(driver, persistent_sessions=True)
+
+
+def _family_sweep(service, device_name):
+    program = amplitude_program(SuperconductingDevice(num_qubits=1))
+    target = repro.Target.from_service(service, device_name)
+    family = repro.compile(program, target).bind_many(np.c_[[0.2, 0.6]])
+    return service.submit_sweep(
+        SweepRequest.from_programs([FamilyBatch([family])], device_name, shots=0)
+    )
+
+
+def test_a_family_batch_spills_to_a_local_device_only():
+    """Under backpressure a bound family batch spills past the remote
+    equivalent (which would need it as QIR) to the local one."""
+    client = _family_stack(SlowDevice("sc-a", 0.05, num_qubits=1, seed=2))
+    service = PulseService(client, per_device_pending=1, start=False)
+    try:
+        first = _family_sweep(service, "sc-a")
+        second = _family_sweep(service, "sc-a")
+        service.start()
+        assert len(first.results(30)) == len(second.results(30)) == 2
+        ticket = second.tickets[0]
+        assert ticket.result().device == "sc-good" and ticket.attempts == 1
+        assert service.metrics.get("spills") == 1
+        assert service.metrics.get("failovers") == 0
+    finally:
+        service.stop()
+        client.close()
+
+
+def test_a_family_batch_fails_over_to_a_local_device_only():
+    """After a primary fault a bound family batch fails over past the
+    remote equivalent, straight to the local one."""
+    client = _family_stack(FailingDevice("sc-bad", num_qubits=1, seed=2))
+    service = PulseService(client)
+    try:
+        sweep = _family_sweep(service, "sc-bad")
+        assert len(sweep.results(30)) == 2
+        ticket = sweep.tickets[0]
+        assert ticket.result().device == "sc-good" and ticket.attempts == 1
+        assert service.metrics.get("failovers") == 1
+    finally:
+        service.stop()
+        client.close()
+
+
+def test_a_family_batch_for_a_remote_device_is_refused():
+    client = _family_stack(SuperconductingDevice("sc-a", num_qubits=1, seed=2))
+    service = PulseService(client)
+    try:
+        program = amplitude_program(SuperconductingDevice(num_qubits=1))
+        local = repro.Target.from_service(service, "sc-a")
+        family = repro.compile(program, local).bind_many(np.c_[[0.2, 0.6]])
+        sweep = service.submit_sweep(
+            SweepRequest.from_programs(
+                [FamilyBatch([family])], "remote:sc-cloud", shots=0
+            )
+        )
+        assert isinstance(sweep.tickets[0].exception(30), ServiceError)
+    finally:
+        service.stop()
+        client.close()
+
+
 def test_served_parametric_sampler_equals_per_point_served_route():
     """Seeded counts and pre-readout probabilities of a served
     amplitude PUB equal the per-point served route's."""
@@ -447,7 +534,38 @@ def test_scans_bind_one_family_on_a_direct_target(monkeypatch):
     assert isinstance(rabi, ScheduleFamily) and isinstance(ramsey, ScheduleFamily)
     assert {f for _, f, _ in rabi.slots} == {"scale"}
     assert {f for _, f, _ in ramsey.slots} == {"duration"}
-    assert ramsey.idle is not None and ramsey.idle.extends
+    assert ramsey.idle is not None
+
+
+def _timed_events(sched):
+    """Every event but barriers and delays as ``(t0, t1, key, frame
+    frequency and phase)``: the canonical form plus the exact frames,
+    which the canonical key names only."""
+    events = []
+    for item in sched.ordered():
+        ins = item.instruction
+        if isinstance(ins, (Barrier, Delay)):
+            continue
+        frame = getattr(ins, "frame", None)
+        exact = () if frame is None else (frame.frequency, frame.phase)
+        events.append((item.t0, item.t1, sched._instruction_key(ins), exact))
+    return sorted(events)
+
+
+def test_ramsey_program_binds_to_the_hand_built_schedule():
+    """The parametric Ramsey program bound at a delay is the hand-built
+    two-site schedule: the same events at the same times on the same
+    detuned frames, with the measurement after the second pulses."""
+    device = SuperconductingDevice(num_qubits=2, seed=11)
+    sites, detuning = [0, 1], 2e6
+    program = _ramsey_program(device, sites, detuning)
+    delays = _ramsey_delays(device, 1024, 41)
+    for tau in (0, int(delays[5]), int(delays[-1])):
+        bound = module_to_schedule(program.module, device, {"tau": float(tau)})
+        reference = _ramsey_schedule(device, sites, tau, detuning, "ref")
+        assert bound.equivalent_to(reference)
+        assert bound.duration == reference.duration
+        assert _timed_events(bound) == _timed_events(reference)
 
 
 @pytest.mark.parametrize(
