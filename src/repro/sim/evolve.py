@@ -27,7 +27,9 @@ Two complementary strategies keep the Python overhead off the hot path:
   (flat-top pulses, sweeps re-visiting the same amplitudes, drift
   segments) skip the decomposition entirely.
   :meth:`PropagatorCache.propagators` combines both: cache misses are
-  deduplicated *within* the batch and diagonalized together.
+  deduplicated *within* the batch and diagonalized together, and the
+  result is a table of distinct propagators plus a per-slice index, so
+  a slice repeated across a batch is stored (and applied) once.
 
 Every stack is computed in the complex dtype of the active
 :class:`~repro.sim.precision.DtypePolicy`: complex128 by default, or
@@ -573,8 +575,9 @@ class PropagatorCache:
     :class:`~repro.sim.precision.DtypePolicy` name, so a complex64
     scope never serves (or poisons) complex128 results.
     Thread-safe; one instance can be shared across executors.
-    Entries are stored frozen read-only; :meth:`propagators` returns a
-    freshly assembled, writable stack.
+    Entries are stored frozen read-only, and :meth:`propagators` hands
+    them back as they are: a ``(table, index)`` pair of the distinct
+    entries and one table row per slice, never a per-slice copy.
 
     Hit/miss/eviction accounting lives in a
     :class:`~repro.obs.CacheStats` whose every mutation happens under
@@ -638,6 +641,13 @@ class PropagatorCache:
         steps)``; the misses are deduplicated within the batch,
         diagonalized with a single batched call, and inserted.
 
+        Returns ``(table, index)``: *table* is a tuple of the distinct
+        propagators — the frozen, read-only cache entries themselves,
+        in order of first appearance — and *index* the ``(n,)`` table
+        row of each slice. A caller that needs the per-slice stack
+        writes ``np.stack(table)[index]``; the executor and the
+        open-system engine apply ``table[index[k]]`` without one.
+
         *compute* overrides the batched computation for the misses —
         any ``(hamiltonians, dt, steps) -> stack`` callable; the
         open-system engine passes its superoperator exponentiation
@@ -650,7 +660,7 @@ class PropagatorCache:
         hs = _as_stack(policy, hamiltonians)
         n = hs.shape[0]
         if n == 0:
-            return np.copy(hs)
+            return (), np.zeros(0, dtype=np.intp)
         steps_in = np.asarray(steps)
         if np.any(steps_in != steps_in.astype(np.int64)):
             raise ValidationError(f"steps must be integral, got {steps}")
@@ -658,8 +668,8 @@ class PropagatorCache:
         # Consecutive identical (H, steps) slices — flat-top pulses,
         # segment ansatzes — collapse to one representative per run in
         # a single vectorized comparison pass; non-adjacent repeats
-        # collapse through the shared cache key. Only representatives
-        # are hashed, and the results scatter back with one gather.
+        # collapse through the shared cache key onto one table row.
+        # Only representatives are hashed.
         # The key's tag namespaces entries produced by different compute
         # functions (e.g. Lindblad superoperator propagators keyed on
         # the same Hamiltonian fingerprints) so they cannot collide
@@ -670,7 +680,7 @@ class PropagatorCache:
         )
         inverse = np.concatenate(([0], np.cumsum(changed)))
         reps = np.concatenate(([0], np.nonzero(changed)[0] + 1))
-        run_sizes = np.diff(np.concatenate((reps, [n])))
+        run_sizes = np.diff(np.concatenate((reps, [n]))).tolist()
         layout = _layout(hs[0])
         keys = [
             (
@@ -682,19 +692,27 @@ class PropagatorCache:
             )
             for k in reps
         ]
-        run_props: list = [None] * len(reps)
-        miss_runs: OrderedDict[tuple, list[int]] = OrderedDict()
+        table: list = []
+        rows: dict[tuple, int] = {}
+        run_rows = np.empty(len(reps), dtype=np.intp)
+        missing: list[int] = []  # runs whose key must be computed
         hit_count = miss_count = 0
         with self._lock:
             for i, key in enumerate(keys):
-                u = self._entries.get(key)
-                if u is not None:
-                    self._entries.move_to_end(key)
-                    hit_count += int(run_sizes[i])
-                    run_props[i] = u
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = len(table)
+                    u = self._entries.get(key)
+                    if u is not None:
+                        self._entries.move_to_end(key)
+                    else:
+                        missing.append(i)
+                    table.append(u)
+                run_rows[i] = row
+                if table[row] is None:
+                    miss_count += run_sizes[i]
                 else:
-                    miss_count += int(run_sizes[i])
-                    miss_runs.setdefault(key, []).append(i)
+                    hit_count += run_sizes[i]
             self.stats["hits"] += hit_count
             self.stats["misses"] += miss_count
         with span(
@@ -708,21 +726,20 @@ class PropagatorCache:
             _profile.cache_batch(
                 n=n, unique=len(reps), hits=hit_count, misses=miss_count
             )
-            if miss_runs:
-                sel = reps[[runs[0] for runs in miss_runs.values()]]
+            if missing:
+                sel = reps[missing]
                 fresh = (compute or batched_propagators)(
                     hs[sel], dt, steps_arr[sel]
                 )
-                for u, runs in zip(fresh, miss_runs.values()):
+                for u, i in zip(fresh, missing):
                     # Copy before storing: a row view would pin the whole
                     # (n_miss, D, D) batch in memory for the entry's LRU
                     # lifetime.
                     u = np.copy(u)
                     u.flags.writeable = False
-                    for i in runs:
-                        run_props[i] = u
-                    self._store(keys[runs[0]], u)
-            return np.stack(run_props)[inverse]
+                    table[run_rows[i]] = u
+                    self._store(keys[i], u)
+            return tuple(table), run_rows[inverse]
 
     def _store(self, key: tuple, u) -> None:
         # The caller freezes *u* first, so an accidental in-place edit
@@ -734,6 +751,17 @@ class PropagatorCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats["evictions"] += 1
+
+
+def _piecewise_table(drift, control_ops, controls, dt, cache):
+    """``(table, index)`` of the slice propagators of a piecewise control."""
+    hs = build_hamiltonians(drift, control_ops, controls)
+    if dt <= 0:
+        raise ValidationError(f"dt must be > 0, got {dt}")
+    if cache is not None:
+        return cache.propagators(hs, dt)
+    us = batched_propagators(hs, dt)
+    return us, np.arange(len(us))
 
 
 def propagator_sequence(
@@ -761,12 +789,8 @@ def propagator_sequence(
     list of ``n_steps`` unitaries ``U_k``; the total propagator is
     ``U_{n-1} ... U_1 U_0``.
     """
-    hs = build_hamiltonians(drift, control_ops, controls)
-    if dt <= 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if cache is not None:
-        return list(cache.propagators(hs, dt))
-    return list(batched_propagators(hs, dt))
+    table, index = _piecewise_table(drift, control_ops, controls, dt, cache)
+    return list(np.asarray(table)[index])
 
 
 def evolve_piecewise(
@@ -781,18 +805,20 @@ def evolve_piecewise(
     """Total propagator (or final state) of a piecewise-constant control.
 
     When *state* is given, the propagators are applied to it step by
-    step (cheaper than accumulating the full unitary for large D).
+    step (cheaper than accumulating the full unitary for large D). Each
+    step applies its table row, so a slice repeated along the control
+    is neither copied nor stacked per step.
     """
     policy = active_dtype()
-    steps = propagator_sequence(drift, control_ops, controls, dt, cache=cache)
+    table, index = _piecewise_table(drift, control_ops, controls, dt, cache)
     if state is not None:
         psi = np.asarray(state, dtype=policy.cdtype)
-        for u in steps:
-            psi = evolve_unitary(u, psi)
+        for i in index.tolist():
+            psi = evolve_unitary(table[i], psi)
         return psi
     total = np.eye(np.asarray(drift).shape[0], dtype=policy.cdtype)
-    for u in steps:
-        total = np.matmul(u, total)
+    for i in index.tolist():
+        total = np.matmul(table[i], total)
     return total
 
 

@@ -38,8 +38,10 @@ batched pipeline — a single schedule is a one-member batch:
    (:class:`~repro.sim.open_system.OpenSystemEngine`), flushed in
    bounded chunks; for large Hilbert spaces the engine's quantum-jump
    trajectories evolve each schedule with its own RNG instead. The
-   propagators then advance every family's state stack with one
-   batched product per run position. Drive phases are canonicalized
+   kernel hands back a table of distinct propagators and one row per
+   slice; every family's state stack then advances by one stacked
+   product per run position, applying the one shared row when all
+   members use it. Drive phases are canonicalized
    before the kernel: on every channel whose phase is a symmetry of
    the model (a lowering-operator drive; see
    :meth:`ScheduleExecutor._phase_generators`) a run's amplitude ``a``
@@ -864,10 +866,18 @@ class ScheduleExecutor:
         Slices are laid out family by family and, within a family,
         position-major — run r of every member, then r+1 — so runs the
         members share (state prep, fixed segments) sit consecutively
-        and collapse to one cache entry. A closed batch is one kernel
-        chunk; an open one flushes every ``_MAX_OPEN_BATCH_SLICES``
-        slices, so the materialized ``(n, D^2, D^2)`` stack stays
-        bounded while the shared cache still dedups across flushes.
+        and collapse to one cache entry. Each kernel chunk returns a
+        ``(table, index)`` pair: one propagator per distinct run and
+        the table row of every slice, so nothing is copied per slice.
+        At a run position where all K members share a row, that one
+        matrix is applied to the whole state stack; where they differ,
+        only that position's rows are gathered; a zero-step idle member
+        indexes one shared identity row. Either way the update is a
+        stacked per-member matmul, bitwise what a one-member batch
+        gives. A closed batch is one kernel chunk; an open one flushes
+        every ``_MAX_OPEN_BATCH_SLICES`` slices, which bounds the stack
+        of cold superpropagators one chunk computes, while the shared
+        cache still dedups across flushes.
         """
         model = self.model
         use_dm = model.has_decoherence()
@@ -942,9 +952,7 @@ class ScheduleExecutor:
         idle_free = steps == 0
         side = model.dimension ** (2 if use_dm else 1)
 
-        def kernel(rows_: np.ndarray, steps_: np.ndarray) -> np.ndarray:
-            if not len(steps_):
-                return np.empty((0, side, side), dtype=active_dtype().cdtype)
+        def kernel(rows_: np.ndarray, steps_: np.ndarray) -> tuple:
             if use_dm:
                 return engine.superpropagators(
                     self._run_hamiltonians_stack(rows_, channel_names), steps_
@@ -980,18 +988,19 @@ class ScheduleExecutor:
             hi = chunk[-1][1] + chunk[-1][2]
             _check_cancel(should_cancel)
             live = ~idle_free[lo:hi]
-            props = kernel(rows[lo:hi][live], steps[lo:hi][live])
+            table, index = kernel(rows[lo:hi][live], steps[lo:hi][live])
             if not live.all():
                 # Zero-length runs (a delay-slot member that inserts no
-                # idle sample) evolve by the exact identity.
-                full = np.empty((hi - lo,) + props.shape[1:], dtype=props.dtype)
-                full[:] = np.eye(props.shape[1], dtype=props.dtype)
-                full[live] = props
-                props = full
+                # idle sample) evolve by the exact identity: one row.
+                full = np.full(hi - lo, len(table), dtype=np.intp)
+                full[live] = index
+                index = full
+                table += (np.eye(side, dtype=cdtype),)
+            index = index.tolist()
             if any(moving[lo:hi]):
                 rot, unrot = self._state_rotations(phases[lo:hi], use_dm)
             for f, a, k in chunk:
-                block = props[a - lo : a - lo + k]
+                at = index[a - lo : a - lo + k]
                 state = states[f]
                 # P(a) = V P(|a|) V^dag with V diagonal: rotate the
                 # state into the phase-free frame and back.
@@ -1001,10 +1010,17 @@ class ScheduleExecutor:
                     if state.ndim == 3:  # operator-valued: V scales rows
                         out, back = out[:, :, None], back[:, :, None]
                     state = back * state
+                # One matmul per member (BLAS gemv/gemm on its own
+                # rows), never one GEMM over the stack, whose rows are
+                # not bitwise independent of K.
+                if at.count(at[0]) == k:  # the members share one row
+                    u = table[at[0]]
+                else:
+                    u = np.stack([table[i] for i in at])
                 if state.ndim == 2:  # stacked kets / vectorized rhos
-                    state = np.einsum("kij,kj->ki", block, state)
+                    state = np.matmul(u, state[..., None])[..., 0]
                 else:  # stacked matrices (operator-valued initial state)
-                    state = np.matmul(block, state)
+                    state = np.matmul(u, state)
                 states[f] = out * state if turn else state
         if use_dm:
             dim = model.dimension
@@ -1071,24 +1087,25 @@ class ScheduleExecutor:
 
     def _closed_propagators(
         self, rows: np.ndarray, steps: np.ndarray, channel_names: list[str]
-    ):
-        """Unitary run propagators: one cached batched call for the
-        driven runs, the drift eigendecomposition for drift-only runs."""
-        dim = self.model.dimension
-        us = np.empty((len(steps), dim, dim), dtype=active_dtype().cdtype)
+    ) -> tuple:
+        """Unitary run propagators as ``(table, index)``: one cached
+        batched call for the driven runs, then one row from the drift
+        eigendecomposition per distinct length of the drift-only runs."""
+        dt = self.model.dt
         drift = ~np.any(rows != 0, axis=1)
-        driven = ~drift
-        if np.any(driven):
-            us[driven] = self.propagator_cache.propagators(
+        index = np.empty(len(steps), dtype=np.intp)
+        table: tuple = ()
+        if not drift.all():
+            driven = ~drift
+            table, index[driven] = self.propagator_cache.propagators(
                 self._run_hamiltonians_stack(rows[driven], channel_names),
-                self.model.dt,
+                dt,
                 steps[driven],
             )
-        for length in np.unique(steps[drift]):
-            us[drift & (steps == length)] = free_propagator(
-                self._drift_eig, self.model.dt, int(length)
-            )
-        return us
+        lengths, which = np.unique(steps[drift], return_inverse=True)
+        index[drift] = len(table) + which
+        free = tuple(free_propagator(self._drift_eig, dt, int(n)) for n in lengths)
+        return table + free, index
 
     def _measured_sites(self, base: PulseSchedule) -> tuple[int, ...]:
         """The site of each classical slot of *base*, in slot order."""

@@ -306,7 +306,10 @@ class OpenSystemEngine:
     # ---- superoperator path ------------------------------------------------------
 
     def superpropagators(self, hamiltonians, steps=1):
-        """Cached ``exp(L_k * dt * steps_k)`` stack for the runs."""
+        """Cached ``exp(L_k * dt * steps_k)`` for the runs, as the
+        ``(table, index)`` pair of
+        :meth:`~repro.sim.evolve.PropagatorCache.propagators`: one
+        ``(D^2, D^2)`` entry per distinct run, and run *k*'s row."""
 
         def compute(hs, dt, steps_sel):
             return batched_superpropagators(
@@ -327,14 +330,16 @@ class OpenSystemEngine:
         """Exact Lindblad evolution of *rho* through the run stack.
 
         The vectorized state stays in the active dtype across the
-        whole run loop; the final density matrix is complex128.
+        whole run loop; the final density matrix is complex128. Each
+        run applies its table row, so a repeated run (an echo train)
+        is neither copied nor stacked per run.
         """
         policy = active_dtype()
         rho = as_density(rho, self.dim)
-        props = self.superpropagators(hamiltonians, steps)
+        table, index = self.superpropagators(hamiltonians, steps)
         vec = np.asarray(vectorize_density(rho), dtype=policy.cdtype)
-        for s in props:
-            vec = np.matmul(s, vec)
+        for i in index.tolist():
+            vec = np.matmul(table[i], vec)
         return unvectorize_density(vec, self.dim)
 
     # ---- trajectory path ---------------------------------------------------------

@@ -181,34 +181,39 @@ class TestPropagatorCache:
     def test_hits_and_results(self):
         cache = PropagatorCache()
         hs = random_hermitian_stack(10, 5, seed=7)
-        first = cache.propagators(hs, DT)
+        table, index = cache.propagators(hs, DT)
+        first = np.stack(table)[index]
         assert cache.misses == 10 and cache.hits == 0
-        second = cache.propagators(hs, DT)
+        table, index = cache.propagators(hs, DT)
+        second = np.stack(table)[index]
         assert cache.hits == 10
         assert np.abs(first - second).max() == 0.0
         assert np.abs(first - batched_propagators(hs, DT)).max() < 1e-12
-        # The returned stack is the caller's: editing it leaves the
-        # stored (frozen) entries intact.
+        # The table holds the frozen entries themselves; a stacked copy
+        # is the caller's: editing it leaves the entries intact.
+        with pytest.raises(ValueError):
+            table[0][:] = 0.0
         second[:] = 0.0
-        assert np.array_equal(cache.propagators(hs, DT), first)
+        table, index = cache.propagators(hs, DT)
+        assert np.array_equal(np.stack(table)[index], first)
 
     def test_flat_top_runs_dedup_within_batch(self):
         cache = PropagatorCache()
         row = random_hermitian_stack(1, 4, seed=8)[0]
         hs = np.stack([row] * 12)  # one segment held for 12 samples
-        us = cache.propagators(hs, DT)
+        table, index = cache.propagators(hs, DT)
         # One decomposition for the whole run; the rest are counted as
         # misses of the same key but computed only once.
         assert len(cache) == 1
         ref = step_propagator(row, DT)
-        for u in us:
+        for u in np.stack(table)[index]:
             assert np.abs(u - ref).max() < 1e-10
 
     def test_distinct_steps_are_distinct_entries(self):
         cache = PropagatorCache()
         h = random_hermitian_stack(1, 3, seed=9)[0]
-        u1 = cache.propagators(h[None], DT, 1)[0]
-        u2 = cache.propagators(h[None], DT, 2)[0]
+        u1 = cache.propagators(h[None], DT, 1)[0][0]
+        u2 = cache.propagators(h[None], DT, 2)[0][0]
         assert len(cache) == 2
         assert np.abs(u2 - u1 @ u1).max() < 1e-10
 

@@ -1,5 +1,4 @@
-"""Tests: extension features — readout mitigation, echo insertion,
-visualization."""
+"""Tests: extension features — readout mitigation, echo insertion."""
 
 import pytest
 
@@ -11,7 +10,6 @@ from repro.pipeline import DAG, PipelineRunner
 from repro.primitives import Observable
 from repro.qem.readout import mitigate_counts, mitigate_distribution
 from repro.sim.measurement import ReadoutModel, apply_readout_error
-from repro.visualization import render_schedule, render_waveform
 
 
 class TestReadoutMitigation:
@@ -132,26 +130,3 @@ class TestEchoInsertion:
         s.append(Play(port, dev.default_frame(port), constant_waveform(32, 0.1)))
         assert idle_fraction(s, port) == pytest.approx(1 / 3)
 
-
-class TestVisualization:
-    def test_render_schedule_structure(self, sc_device):
-        s = PulseSchedule("demo")
-        sc_device.calibrations.get("x", (0,)).apply(s, [])
-        sc_device.calibrations.get("cz", (0, 1)).apply(s, [])
-        sc_device.calibrations.get("measure", (0,)).apply(s, [0])
-        text = render_schedule(s)
-        assert "q0-drive-port" in text
-        assert "#" in text  # plays drawn
-        assert "=" in text  # capture drawn
-        lines = text.splitlines()
-        assert len(lines) == len(s.ports()) + 2  # header + lanes + axis
-
-    def test_render_empty(self):
-        assert "empty" in render_schedule(PulseSchedule())
-
-    def test_render_waveform(self):
-        from repro.core import gaussian_waveform
-
-        text = render_waveform(gaussian_waveform(64, 0.5, 12))
-        assert "*" in text
-        assert "duration=64" in text

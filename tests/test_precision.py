@@ -144,19 +144,19 @@ class TestDtypeAwareCache:
     def test_cache_namespaces_per_policy(self):
         h = hermitian_stack(n=1)[0]
         cache = PropagatorCache()
-        u128 = cache.propagators(h[None], DT)[0]
+        u128 = cache.propagators(h[None], DT)[0][0]
         assert cache.misses == 1
         with use_dtype("complex64"):
-            u64 = cache.propagators(h[None], DT)[0]
+            u64 = cache.propagators(h[None], DT)[0][0]
         # the c64 scope must not be served the c128 entry
         assert cache.misses == 2
         assert len(cache) == 2
         assert u128.dtype == np.complex128
         assert u64.dtype == np.complex64
         # both scopes hit their own entries on revisit
-        assert np.array_equal(cache.propagators(h[None], DT)[0], u128)
+        assert np.array_equal(cache.propagators(h[None], DT)[0][0], u128)
         with use_dtype("complex64"):
-            assert np.array_equal(cache.propagators(h[None], DT)[0], u64)
+            assert np.array_equal(cache.propagators(h[None], DT)[0][0], u64)
         assert cache.hits == 2
 
     def test_float64_drift_still_hits_complex_entry(self):
