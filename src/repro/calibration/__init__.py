@@ -11,6 +11,8 @@ what is built on them:
 * :mod:`repro.calibration.rabi` — the pi-amplitude fit of a Rabi sweep;
 * :mod:`repro.calibration.ramsey` — the Ramsey fringe fit behind
   frequency tracking;
+* :mod:`repro.calibration.fitting` — the separable least-squares
+  solver both fits share (ZNE's exponential fold uses it too);
 * :mod:`repro.calibration.drag` — the parabolic DRAG beta refinement;
 * :mod:`repro.calibration.campaign` — drift-tracking campaigns: the
   closed loop of drift, measurement and write-back that experiment E9

@@ -41,9 +41,10 @@ class ZNEOptions:
     ``stretch_factors`` must start at ``1.0`` (the unstretched circuit)
     and increase strictly; ``extrapolation`` picks the ``c -> 0`` fold:
     ``"linear"`` (least-squares line), ``"exponential"``
-    (``a + b*exp(-g*c)``, falling back to linear when the fit cannot
-    converge) or ``"richardson"`` (exact polynomial through all
-    factors).
+    (``a + b*exp(-g*c)``, a separable least-squares fit over ``g``,
+    falling back to linear with fewer than three factors or data no
+    exponential fits) or ``"richardson"`` (exact polynomial through
+    all factors).
     """
 
     stretch_factors: tuple[float, ...] = (1.0, 1.5, 2.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.calibration.fitting import separable_fit
 from repro.core.stretch import (  # noqa: F401 — re-exported: qem is the
     coerce_stretch_factor,  # public face of the stretch machinery
     stretch_schedule,
@@ -36,25 +37,50 @@ def _richardson(factors: np.ndarray, values: np.ndarray) -> float:
     return float(out)
 
 
+#: Decay rates ``g * span`` the exponential fold searches.
+_RATES = np.linspace(-20.0, 20.0, 161)
+#: Below this ``|g * span|`` the decay column is evaluated by its series.
+_SERIES = 1e-3
+
+
+def _decay(rates: np.ndarray, u: np.ndarray):
+    # phi = (1 - exp(-k u)) / k and its k-derivative: exp(-k u) up to an
+    # affine change of (a, b) that keeps the line (phi = u) as the k = 0
+    # member, so near-linear data stays well conditioned.
+    k = rates[:, None, None]
+    ku = k * u
+    small = np.abs(k) < _SERIES
+    kk = np.where(small, 1.0, k)
+    em1 = np.expm1(-ku)
+    phi = np.where(
+        small,
+        u * (1.0 - ku / 2.0 + ku**2 / 6.0 - ku**3 / 24.0),
+        -em1 / kk,
+    )
+    dphi = np.where(
+        small,
+        u**2 * (-0.5 + ku / 3.0 - ku**2 / 8.0 + ku**3 / 30.0),
+        (ku * (em1 + 1.0) + em1) / kk**2,
+    )
+    return phi, dphi
+
+
 def _exponential(factors: np.ndarray, values: np.ndarray) -> float:
     # v(c) = a + b * exp(-g * c); decoherence noise is exponential in
     # circuit duration, so this model is near-exact for T1/T2-limited
-    # error. Falls back to the linear fold when the fit cannot converge
-    # (degenerate data, too few points for three parameters).
-    from scipy.optimize import curve_fit
-
-    def model(c, a, b, g):
-        return a + b * np.exp(-g * c)
-
+    # error. It is linear in (a, b) for fixed g: a separable fit over
+    # k = g * span on u = (c - c_min) / span, whose k = 0 member is the
+    # line. Falls back to the linear fold on degenerate data: too few
+    # points for three parameters, or an optimum past the searched
+    # rates (data no exponential fits, which the fit chases to k -> inf).
     if len(factors) < 3:
         return _linear(factors, values)
-    slope, intercept = np.polyfit(factors, values, 1)
-    p0 = (float(values[-1]), float(values[0] - values[-1]), 0.5)
-    try:
-        params, _ = curve_fit(model, factors, values, p0=p0, maxfev=4000)
-    except (RuntimeError, ValueError):
+    lo, span = float(factors.min()), float(np.ptp(factors))
+    rate, (a, b), ssr = separable_fit((factors - lo) / span, values, _RATES, _decay)
+    if not (np.isfinite(ssr) and abs(rate) <= _RATES[-1]):
         return _linear(factors, values)
-    return float(model(0.0, *params))
+    phi0, _ = _decay(np.array([rate]), np.array([-lo / span]))
+    return float(a + b * phi0[0, 0, 0])
 
 
 _FOLDS = {

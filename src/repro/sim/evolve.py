@@ -582,7 +582,10 @@ class PropagatorCache:
     Hit/miss/eviction accounting lives in a
     :class:`~repro.obs.CacheStats` whose every mutation happens under
     the cache lock (concurrent ``compute=`` overrides used to race the
-    bare integer attributes); ``stats()`` returns the same dict shape
+    bare integer attributes). ``hits`` and ``misses`` count slices;
+    ``stats["deduped"]`` counts the missed slices an equal slice of the
+    same call served, so ``misses - deduped`` propagators were
+    computed. ``stats()`` returns the same dict shape
     as :class:`~repro.compiler.jit.JITCompiler`, and each instance
     self-registers on the global obs registry.
     """
@@ -601,6 +604,7 @@ class PropagatorCache:
             hits=0,
             misses=0,
             evictions=0,
+            deduped=0,
         )
         REGISTRY.register_cache(
             REGISTRY.autoname("propagator"), self, kind="propagator"
@@ -622,9 +626,18 @@ class PropagatorCache:
 
     @property
     def misses(self) -> int:
-        """Total slice lookups that had to be computed."""
+        """Total slice lookups that found no cache entry."""
         with self._lock:
             return self.stats["misses"]
+
+    @property
+    def deduped(self) -> int:
+        """Missed slices a repeat within the same call served.
+
+        ``misses - deduped`` is the number of propagators computed.
+        """
+        with self._lock:
+            return self.stats["deduped"]
 
     def propagators(
         self,
@@ -715,6 +728,7 @@ class PropagatorCache:
                     hit_count += run_sizes[i]
             self.stats["hits"] += hit_count
             self.stats["misses"] += miss_count
+            self.stats["deduped"] += miss_count - len(missing)
         with span(
             "cache",
             cache="propagator",
@@ -722,6 +736,7 @@ class PropagatorCache:
             unique=len(reps),
             hits=hit_count,
             misses=miss_count,
+            deduped=miss_count - len(missing),
         ):
             _profile.cache_batch(
                 n=n, unique=len(reps), hits=hit_count, misses=miss_count

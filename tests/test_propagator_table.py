@@ -316,3 +316,49 @@ def test_members_differing_at_a_position_gather_its_rows(monkeypatch):
     assert numpy.stacked == [(3, d, d), (3, d, d)]
     monkeypatch.undo()
     _assert_members_bitwise(executor, family)
+
+
+def test_deduped_counts_slices_a_repeat_in_the_same_call_served():
+    """``hits`` and ``misses`` count slices; ``deduped`` counts the
+    missed slices an equal slice of the same call served."""
+    cache = PropagatorCache(max_entries=4)
+    cache.propagators(np.zeros((2, 3, 3)), 1e-9)  # two equal slices
+    assert (cache.hits, cache.misses, cache.deduped) == (0, 2, 1)
+    a, b = np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 1.0, 3.0])
+    table, index = cache.propagators(np.stack([a, b, a]), 1e-9)
+    # The non-adjacent repeat of ``a`` shares its row: one more deduped.
+    assert (len(table), index.tolist()) == (2, [0, 1, 0])
+    assert (cache.hits, cache.misses, cache.deduped) == (0, 5, 2)
+    cache.propagators(np.stack([a, b, a]), 1e-9)
+    assert (cache.hits, cache.misses, cache.deduped) == (3, 5, 2)
+
+
+def test_misses_less_deduped_is_the_kernel_work(monkeypatch):
+    """On a calibration DAG op (the ``calibration_dag`` workload's
+    shape) the cache misses far more slices than the kernel computes;
+    ``misses - deduped`` is exactly what it computes."""
+    import repro.sim.evolve as evolve
+    from repro.pipeline import PipelineRunner, full_calibration_dag
+
+    missed, computed, kernel = [], [], []
+    real_lookup, real_kernel = PropagatorCache.propagators, evolve.batched_propagators
+
+    def lookup(self, *args, **kwargs):
+        misses, deduped = self.misses, self.deduped
+        out = real_lookup(self, *args, **kwargs)
+        missed.append(self.misses - misses)
+        computed.append(missed[-1] - (self.deduped - deduped))
+        return out
+
+    def counted_kernel(hamiltonians, *args, **kwargs):
+        kernel.append(len(hamiltonians))
+        return real_kernel(hamiltonians, *args, **kwargs)
+
+    monkeypatch.setattr(PropagatorCache, "propagators", lookup)
+    monkeypatch.setattr(evolve, "batched_propagators", counted_kernel)
+    device = SuperconductingDevice("cal-sc", num_qubits=1, seed=0, drift_rate=2e4)
+    device.advance_time(60.0)
+    run = PipelineRunner(device).run(full_calibration_dag(include_drag=False), seed=3)
+    assert run.ok, run.error
+    assert 0 < sum(kernel) < sum(missed)
+    assert sum(computed) == sum(kernel)
