@@ -18,11 +18,12 @@ happens once, and the hot-loop operations are cheap:
   into a :class:`~repro.core.schedule.ScheduleFamily` (the template
   plus the value matrix) for the simulator to synthesize as arrays.
 * :meth:`Executable.run` — execute and return a
-  :class:`~repro.client.client.ClientResult`; local device targets
-  dispatch straight to ``device.submit_job`` (the QPI-parity fast
-  path), client targets go through
-  :meth:`MQSSClient.execute_compiled`, service targets through the
-  ticket queue.
+  :class:`~repro.client.client.ClientResult`: service targets through
+  the ticket queue, every other target through
+  :meth:`MQSSClient.execute_compiled
+  <repro.client.client.MQSSClient.execute_compiled>` (a local device
+  target's client keeps one persistent session, so the QPI-parity
+  path opens none per run).
 * :meth:`Executable.run_async` / :meth:`Executable.sweep` — service
   fan-out over the same artifacts.
 
@@ -62,7 +63,7 @@ from repro.core.schedule import (
     ScheduleFamily,
 )
 from repro.core.waveform import ScaledWaveform
-from repro.errors import ExecutionError, ReproError, ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.obs.tracing import span
 
 #: Instruction fields a pulse.sequence scalar argument can feed.
@@ -586,14 +587,13 @@ class Executable:
 
         Merges *params* over the executable's bindings and specializes
         the pre-compiled schedule template — no artifact construction,
-        no cache write; the primitives tier uses this to mint one
-        schedule per PUB point at clone-and-swap cost where a point
-        needs its own schedule (service targets, a sweep
-        :meth:`bind_many` rejects). Returns ``None`` whenever the fast
-        path is unavailable (non-parametric program, no template,
-        a point :meth:`_ScheduleTemplate.admits` rejects, incomplete
-        bindings) — callers then fall back to :meth:`bind`, whose
-        compile raises the typed error for such a point.
+        no cache write: one point's member of the family
+        :meth:`bind_many` builds, at clone-and-swap cost. Returns
+        ``None`` whenever the fast path is unavailable (non-parametric
+        program, no template, a point :meth:`_ScheduleTemplate.admits`
+        rejects, incomplete bindings) — callers then fall back to
+        :meth:`bind`, whose compile raises the typed error for such a
+        point.
         """
         if not self.program.is_parametric or self.target.is_detached:
             return None
@@ -705,16 +705,10 @@ class Executable:
                 )
                 return ticket.result(timeout)
             compiled = self._ensure_compiled()
-            timings = dict(self._timings)
-            if self.target.direct and not self.target.is_remote:
-                with span("dispatch", mode="direct"):
-                    return self._run_direct(
-                        compiled, shots, seed, metadata, timings
-                    )
             request = self._as_request(shots, seed, metadata)
             with span("dispatch", mode="client"):
                 return self.target.client.execute_compiled(
-                    request, compiled, timings=timings
+                    request, compiled, timings=dict(self._timings)
                 )
 
     def run_async(
@@ -771,7 +765,10 @@ class Executable:
 
         Each point binds through the template fast path (warming the
         shared compile cache) and, on a service target, the points
-        execute concurrently through the device queues.
+        execute concurrently through the device queues; a detached
+        (cluster/HTTP) target ships each point's bindings with the raw
+        program and compiles on the service side. This is the
+        primitives' per-point path.
         """
         points: Sequence[Mapping[str, float]] = list(grid)
         bound = [self.bind(point) for point in points]
@@ -803,51 +800,6 @@ class Executable:
             scalar_args=dict(self.params),
             seed=seed,
             metadata=dict(metadata or {}),
-        )
-
-    def _run_direct(
-        self,
-        compiled: Any,
-        shots: int,
-        seed: int | None,
-        metadata: Mapping[str, Any] | None,
-        timings: dict[str, float],
-    ) -> Any:
-        """Session-free dispatch straight to the device (local targets)."""
-        from repro.client.client import ClientResult
-        from repro.qdmi.job import QDMIJob
-        from repro.qdmi.properties import JobStatus, ProgramFormat
-
-        job_metadata: dict[str, Any] = {}
-        if seed is not None:
-            job_metadata["seed"] = seed
-        if metadata and metadata.get("decoherence") is not None:
-            job_metadata["decoherence"] = metadata["decoherence"]
-        device = self.target.device
-        t0 = time.perf_counter()
-        job = QDMIJob(
-            device.name,
-            ProgramFormat.PULSE_SCHEDULE,
-            compiled.schedule,
-            shots=shots,
-            metadata=job_metadata or None,
-        )
-        device.submit_job(job)
-        timings["execute"] = time.perf_counter() - t0
-        if job.status is not JobStatus.DONE:
-            raise ExecutionError(
-                f"job {job.job_id} on {device.name!r} failed: {job.error}"
-            )
-        result = job.result
-        return ClientResult(
-            device=device.name,
-            counts=result.counts,
-            probabilities=result.ideal_probabilities,
-            shots=result.shots,
-            duration_samples=result.duration_samples,
-            timings_s=timings,
-            job_id=job.job_id,
-            remote=False,
         )
 
     # ---- introspection ---------------------------------------------------------------

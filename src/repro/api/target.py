@@ -6,9 +6,10 @@ calibration state across the three execution surfaces the stack has:
 
 * **a bare simulated device** (:meth:`Target.from_device`) — runs
   in-process through the device's own
-  :class:`~repro.sim.executor.ScheduleExecutor`; dispatch goes straight
-  to ``device.submit_job`` with no session churn (the low-overhead
-  QPI-parity path);
+  :class:`~repro.sim.executor.ScheduleExecutor`: the primitives batch
+  on it directly, and an executable dispatches through a private
+  client that keeps one session open (the low-overhead QPI-parity
+  path);
 * **a QDMI client** (:meth:`Target.from_client`) — any device in the
   client's driver registry, local or remote
   (:class:`~repro.client.remote.RemoteDeviceProxy` routes serialized
@@ -54,7 +55,8 @@ class Target:
         self.client = client
         self.device_name = device_name
         self.service = service
-        #: Dispatch straight to ``device.submit_job`` (local fast path).
+        #: A bare-device target (:meth:`from_device`): its primitives
+        #: run on the device's own executor.
         self.direct = direct
         self._capabilities: dict[str, Any] | None = None
 
@@ -65,9 +67,9 @@ class Target:
         """A local target over a bare (typically simulated) device.
 
         The device is wrapped in a private driver + client so the one
-        compile/cache path applies, but dispatch bypasses sessions and
-        goes straight to ``device.submit_job`` — the behaviour the
-        C-style ``qExecute`` had.  Targets are memoized per device
+        compile/cache path applies; the client keeps one persistent
+        session, so a run opens none — the behaviour the C-style
+        ``qExecute`` had.  Targets are memoized per device
         object, so per-iteration calls in an optimizer loop reuse one
         client.
         """

@@ -417,6 +417,11 @@ class ScheduleFamily(Sequence):
         return all(f not in (SCALE, DURATION) for _, f, _ in self.slots)
 
     @classmethod
+    def repeated(cls, schedule: PulseSchedule, rows: int) -> "ScheduleFamily":
+        """*schedule* as a slot-free family of *rows* equal members."""
+        return cls(schedule, (), np.zeros((rows, 0)))
+
+    @classmethod
     def gather(cls, members: Sequence[PulseSchedule]) -> "ScheduleFamily":
         """The family of *members*, structural clones of ``members[0]``.
 

@@ -3,40 +3,42 @@
 A primitive is constructed from any :class:`~repro.api.target.Target`
 (or a bare device, or — for in-process callers like the variational
 algorithms — directly from a :class:`~repro.sim.executor.ScheduleExecutor`)
-and owns one dispatch decision for all its PUBs:
+and runs every PUB on one of two paths, chosen once at construction
+from what the target holds:
 
-* **direct** — the target is a local simulated device (or a raw
-  executor): every PUB point across every PUB becomes one schedule,
-  and the whole batch runs through
+* **family path** — the primitive holds an executor (a direct target
+  over a local simulated device, or a raw executor) or an in-process
+  :class:`~repro.serving.service.PulseService` over a local device.
+  Every PUB becomes schedule families
+  (:class:`~repro.core.schedule.ScheduleFamily`): a parametric PUB
+  binds as one through :meth:`Executable.bind_many
+  <repro.api.executable.Executable.bind_many>` (the compiled schedule
+  template plus the PUB's ``(K, P)`` value matrix, which the executor
+  writes straight into its frame timelines, pulse amplitudes and idle
+  runs); a program without parameters is one slot-free family of K
+  rows; a PUB the template cannot take binds point by point through
+  :meth:`Executable.bind <repro.api.executable.Executable.bind>`, each
+  point a one-member family, so every bind error surfaces where the
+  per-point bind raises it. The PUBs sharing a shot count run as one
+  :class:`~repro.core.schedule.FamilyBatch`: one
   :meth:`ScheduleExecutor.execute_batch
-  <repro.sim.executor.ScheduleExecutor.execute_batch>` — one stacked
-  propagator (or Lindblad superpropagator) call instead of a
-  per-point ``run()`` loop.
-* **service** — the target dispatches through a
-  :class:`~repro.serving.service.PulseService`: the points of every
-  PUB sharing a shot count form one sweep, which the service queues
-  as one entry and runs as one batched device execution (with
-  admission control and failover), and the primitives collect the
-  tickets. Seeded results equal the direct mode's bit for bit.
-* **client** — anything else (remote QDMI routing): the per-point
-  ``Executable`` loop, kept as the correctness baseline.
+  <repro.sim.executor.ScheduleExecutor.execute_batch>` call, or one
+  served sweep request (one compile, one QDMI job, one execution) whose
+  ticket hands back the executor's
+  :class:`~repro.sim.executor.BatchResult`. The primitives read its
+  per-family ``(K, 2**m)`` arrays; no per-point result is built.
+* **per-point path** — every other target: a client target (local or
+  remote device), a service over a remote device, a
+  :class:`~repro.serving.cluster.ClusterService` or an HTTP front-end.
+  Each PUB runs through :meth:`Executable.sweep
+  <repro.api.executable.Executable.sweep>`, one bound point per
+  request, and is assembled from the
+  :class:`~repro.client.client.ClientResult` dicts. A detached target
+  (cluster/HTTP) ships the raw program with each point's scalar
+  bindings and compiles on the service side.
 
-On a direct target, and on an in-process service over a local device,
-a parametric PUB binds as one
-:class:`~repro.core.schedule.ScheduleFamily` through
-:meth:`Executable.bind_many <repro.api.executable.Executable.bind_many>`:
-the compiled schedule template plus the PUB's ``(K, P)`` value matrix,
-which the executor writes straight into its frame timelines, pulse
-amplitudes and idle runs — no schedule per point. A served group of
-families travels as one :class:`~repro.core.schedule.FamilyBatch`
-request (one compile, one QDMI job, one execution) and comes back as
-the executor's :class:`~repro.sim.executor.BatchResult`. Cluster and
-HTTP targets, and PUBs that fail a bind check, mint one schedule per
-point through
-:meth:`Executable.specialize <repro.api.executable.Executable.specialize>`,
-falling back to :meth:`Executable.bind` when the template is
-unavailable, so PUB evaluation never recompiles the front-end per
-point and every bind error surfaces where the per-point bind raises it.
+Seeded results of the two paths agree: every point samples its own
+stream seeded with the primitive's seed.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ from repro.core.schedule import FamilyBatch, ScheduleFamily
 from repro.errors import ValidationError
 from repro.obs.metrics import REGISTRY, CacheStats
 from repro.obs.tracing import span
+from repro.sim.executor import BatchResult, outcome_dict
 
-#: Dispatch modes (documented above).
+#: Dispatch modes, as reported in result metadata: an executor,
+#: a service, or a client's per-point runs.
 _DIRECT, _SERVICE, _CLIENT = "direct", "service", "client"
 
 
@@ -64,9 +68,6 @@ class BasePrimitive:
     #: Program; optimizer loops re-submitting one Program skip the
     #: re-prepare + template re-trace entirely).
     _MAX_EXECUTABLE_MEMO = 128
-    #: Whether a parametric PUB binds as one schedule family (direct
-    #: targets, and in-process services over local devices).
-    _binds_families = True
 
     def __init__(
         self,
@@ -77,6 +78,8 @@ class BasePrimitive:
     ) -> None:
         self._seed = seed
         self._executor = None
+        #: The in-process service a family batch is submitted to.
+        self._service = None
         self._target: Target | None = None
         self._executables: OrderedDict[Any, Executable] = OrderedDict()
         #: Uniform hit/miss/eviction accounting for the executable memo
@@ -106,20 +109,12 @@ class BasePrimitive:
         self._target = resolved
         if resolved.is_async:
             self._mode = _SERVICE
-            # An in-process service runs bound families; detached
-            # (cluster/HTTP) and remote targets take points.
-            self._binds_families = not (
-                resolved.is_detached or resolved.is_remote
-            )
-        elif resolved.direct and not resolved.is_remote:
-            device = resolved.device
-            if hasattr(device, "executor"):
-                self._mode = _DIRECT
-                self._executor = device.executor
-            else:  # a direct target without a simulator: client loop
-                self._mode = _CLIENT
-        else:
-            self._mode = _CLIENT
+            if not (resolved.is_detached or resolved.is_remote):
+                self._service = resolved.service
+            return
+        if resolved.direct and not resolved.is_remote:
+            self._executor = getattr(resolved.device, "executor", None)
+        self._mode = _CLIENT if self._executor is None else _DIRECT
 
     @classmethod
     def from_executor(cls, executor: Any, **kwargs: Any):
@@ -144,6 +139,11 @@ class BasePrimitive:
     def target(self) -> Target | None:
         return self._target
 
+    @property
+    def _runs_families(self) -> bool:
+        """Whether PUBs take the family path (documented above)."""
+        return self._executor is not None or self._service is not None
+
     def _device_name(self) -> str:
         if self._target is not None:
             return self._target.device_name
@@ -154,26 +154,70 @@ class BasePrimitive:
         """Per-site dimensions of the simulated system (direct only)."""
         return tuple(self._executor.model.dims)
 
-    # ---- schedule minting ------------------------------------------------------------
+    # ---- PUB execution ---------------------------------------------------------------
 
-    def _point_schedules(self, pub) -> Sequence[Any]:
-        """One concrete schedule per *unique* binding point of *pub*.
+    def _run_pubs(
+        self,
+        specs: Sequence[tuple[Any, int]],
+        *,
+        timeout: float | None = None,
+    ) -> list[Any]:
+        """Run every ``(pub, shots)`` of *specs*; one result per PUB.
 
-        Compiles the PUB's program once (template for parametric
-        programs). On a direct or in-process service target a
-        parametric PUB binds as one
-        :class:`~repro.core.schedule.ScheduleFamily`
-        (:meth:`Executable.bind_many
-        <repro.api.executable.Executable.bind_many>`), a sequence whose
-        members are built only on access; otherwise, or when a point
-        fails a bind check, it specializes per point through the fast
-        path. A program without parameters is one schedule repeated
-        per point. In executor mode the program must already be a
-        schedule.
+        On the family path a PUB's result is a
+        :class:`~repro.sim.executor.BatchResult` over its families; on
+        the per-point path a list of
+        :class:`~repro.client.client.ClientResult`, one per binding
+        point.
+        """
+        if self._runs_families:
+            return self._execute_all(
+                [(pub, self._families(pub), shots) for pub, shots in specs],
+                timeout=timeout,
+            )
+        with span("dispatch", mode=self._mode, pubs=len(specs)):
+            return [
+                self._executable(pub.program).sweep(
+                    [pub.bindings.point(i) for i in range(pub.bindings.size)],
+                    shots=shots,
+                    seed=self._seed,
+                    timeout=timeout,
+                )
+                for pub, shots in specs
+            ]
+
+    def _executable(self, program: Any) -> Executable:
+        """The memoized executable of *program* on the target (a
+        parametric one with its schedule template compiled)."""
+        executable = self._executables.get(program)
+        if executable is not None:
+            self.stats["hits"] += 1
+            self._executables.move_to_end(program)
+            return executable
+        self.stats["misses"] += 1
+        with span("compile", program=program.name):
+            executable = Executable.prepare(program, self._target)
+            if program.is_parametric:
+                executable.compile()  # the schedule template
+        self._executables[program] = executable
+        while len(self._executables) > self._MAX_EXECUTABLE_MEMO:
+            self._executables.popitem(last=False)
+            self.stats["evictions"] += 1
+        return executable
+
+    def _families(self, pub) -> list[ScheduleFamily]:
+        """The binding points of *pub* as schedule families, in point
+        order (family path only).
+
+        A parametric PUB is its one bound family; a program without
+        parameters, and an executor-backed primitive's schedule, one
+        slot-free family of K rows; a PUB the template cannot take is
+        one one-member family per point, each bound through the
+        per-point compile (which raises a bad point's typed error).
         """
         bindings = pub.bindings
         n_points = bindings.size
-        if self._executor is not None and self._target is None:
+        if self._target is None:
             if pub.program.kind != "schedule":
                 raise ValidationError(
                     "an executor-backed primitive takes pulse-schedule "
@@ -186,127 +230,75 @@ class BasePrimitive:
                     "an executor-backed primitive cannot bind parametric "
                     "programs; construct it from a Target instead"
                 )
-            return [pub.program.source] * n_points
-        executable = self._executables.get(pub.program)
-        if executable is None:
-            self.stats["misses"] += 1
-            with span("compile", program=pub.program.name):
-                executable = Executable.prepare(pub.program, self._target)
-                if pub.program.is_parametric:
-                    executable.compile()  # the schedule template
-            self._executables[pub.program] = executable
-            while len(self._executables) > self._MAX_EXECUTABLE_MEMO:
-                self._executables.popitem(last=False)
-                self.stats["evictions"] += 1
-        else:
-            self.stats["hits"] += 1
-            self._executables.move_to_end(pub.program)
+            return [ScheduleFamily.repeated(pub.program.source, n_points)]
+        executable = self._executable(pub.program)
         if not pub.program.is_parametric:
-            if self._mode == _CLIENT:
-                return [executable] * n_points
-            return [executable._ensure_compiled().schedule] * n_points
-        schedules: list[Any] = []
+            schedule = executable._ensure_compiled().schedule
+            return [ScheduleFamily.repeated(schedule, n_points)]
         with span("specialize", points=n_points):
-            if self._mode != _CLIENT and self._binds_families:
-                family = executable.bind_many(bindings.values())
-                if family is not None:
-                    return family
-            for i in range(n_points):
-                point = bindings.point(i)
-                if self._mode == _CLIENT:
-                    schedules.append(executable.bind(point))
-                    continue
-                schedule = executable.specialize(point)
-                if schedule is None:  # template unavailable: full bind
-                    schedule = executable.bind(point).schedule
-                schedules.append(schedule)
-        return schedules
-
-    # ---- batched dispatch ------------------------------------------------------------
+            family = executable.bind_many(bindings.values())
+            if family is not None:
+                return [family]
+            points = (executable.bind(bindings.point(i)) for i in range(n_points))
+            return [ScheduleFamily.repeated(p.schedule, 1) for p in points]
 
     def _execute_all(
         self,
-        per_pub: Sequence[tuple[Any, list[Any], int]],
+        per_pub: Sequence[tuple[Any, Sequence[ScheduleFamily], int]],
         *,
         timeout: float | None = None,
-    ) -> list[list[Any]]:
-        """Execute every pub's points; returns per-pub result lists.
+    ) -> list[BatchResult]:
+        """Run every PUB's families; one :class:`BatchResult` per PUB.
 
-        *per_pub* entries are ``(pub, point_handles, shots)`` where the
-        handles are schedules, a schedule family or a
-        :class:`~repro.core.schedule.FamilyBatch` (direct/service) or
-        executables (client). Direct and service dispatch
-        both batch all points sharing a shot count, across every pub:
-        direct runs each such group through one :meth:`execute_batch`
-        call, service admits it as one sweep — one queue entry, one
-        batched device execution — and admits every sweep before
-        collecting any ticket. A pub alone in its group gets the batch
-        itself back (a family's results stay arrays); pubs that share a
-        group get their slice of it. When every pub of a group is bound
-        as families the group runs as one
-        :class:`~repro.core.schedule.FamilyBatch` — on a service as one
-        request, whose ticket hands back the executor's
-        :class:`~repro.sim.executor.BatchResult` — so the slices stay
-        arrays too.
+        *per_pub* entries are ``(pub, families, shots)``. The families
+        of every PUB sharing a shot count run as one
+        :class:`~repro.core.schedule.FamilyBatch`: one
+        :meth:`execute_batch` call on an executor, or one sweep request
+        on the service — one queue entry, one batched device execution
+        — with every request admitted before any ticket is collected.
+        Each PUB gets the rows of its own families back.
         """
+        groups: dict[int, list[int]] = {}
+        for p, (_, _, shots) in enumerate(per_pub):
+            groups.setdefault(shots, []).append(p)
+        batches = {
+            shots: FamilyBatch(f for p in members for f in per_pub[p][1])
+            for shots, members in groups.items()
+        }
         with span("dispatch", mode=self._mode, pubs=len(per_pub)):
-            if self._mode == _CLIENT:
-                return [
-                    [
-                        handle.run(shots=shots, seed=self._seed, timeout=timeout)
-                        for handle in handles
-                    ]
-                    for _, handles, shots in per_pub
-                ]
-            groups: dict[int, list[int]] = {}
-            for p, (_, _, shots) in enumerate(per_pub):
-                groups.setdefault(shots, []).append(p)
-
-            def handles(members: list[int]) -> Sequence[Any]:
-                parts = [per_pub[p][1] for p in members]
-                if all(isinstance(h, (ScheduleFamily, FamilyBatch)) for h in parts):
-                    if len(parts) == 1 and self._mode == _DIRECT:
-                        return parts[0]
-                    return FamilyBatch(
-                        f for h in parts for f in getattr(h, "families", (h,))
-                    )
-                if len(members) == 1:
-                    return parts[0]
-                return [h for part in parts for h in part]
-
-            if self._mode == _DIRECT:
-                batches = [
+            if self._executor is not None:
+                # A lone family is itself a batch for the executor.
+                results = [
                     self._executor.execute_batch(
-                        handles(members), shots=shots, seed=self._seed
+                        batch.families[0] if len(batch.families) == 1 else batch,
+                        shots=shots,
+                        seed=self._seed,
                     )
-                    for shots, members in groups.items()
+                    if len(batch)
+                    else BatchResult((), {})
+                    for shots, batch in batches.items()
                 ]
             else:
                 from repro.serving.sweeps import SweepRequest
 
-                service = self._target.service
-                tickets = []
-                for shots, members in groups.items():
-                    group = handles(members)
-                    # A family batch is one program: one request.
-                    programs = [group] if isinstance(group, FamilyBatch) else group
-                    tickets.append(
-                        service.submit_sweep(
-                            SweepRequest.from_programs(
-                                programs,
-                                self._target.device_name,
-                                shots=shots,
-                                seed=self._seed,
-                            )
+                tickets = [
+                    self._service.submit_sweep(
+                        SweepRequest.from_programs(
+                            [batch],
+                            self._target.device_name,
+                            shots=shots,
+                            seed=self._seed,
                         )
                     )
-                batches = [t.results(timeout) for t in tickets]
-            out: list[Sequence[Any]] = [[] for _ in per_pub]
-            for members, results in zip(groups.values(), batches):
+                    for shots, batch in batches.items()
+                ]
+                results = [t.results(timeout) for t in tickets]
+            out: list[Any] = [None] * len(per_pub)
+            for members, result in zip(groups.values(), results):
                 start = 0
                 for p in members:
-                    stop = start + len(per_pub[p][1])
-                    out[p] = results if len(members) == 1 else results[start:stop]
+                    stop = start + sum(len(f) for f in per_pub[p][1])
+                    out[p] = result if len(members) == 1 else result[start:stop]
                     start = stop
             return out
 
@@ -314,20 +306,39 @@ class BasePrimitive:
 
     @staticmethod
     def _batch_profile(results: Sequence[Any]) -> dict | None:
-        """The shared ``metadata["profile"]`` of a result batch, if any.
+        """The ``metadata["profile"]`` of a family-path result, if any.
 
-        Present on direct-dispatch results when profiling is enabled
-        (:func:`repro.obs.enable_profiling`). A whole
-        :class:`~repro.sim.executor.BatchResult` carries it on the
-        batch, so reading it builds no result view; in a slice every
-        result carries the same summary object, so the first one wins.
+        Present when profiling is enabled
+        (:func:`repro.obs.enable_profiling`); a
+        :class:`~repro.sim.executor.BatchResult` (and each slice of
+        one) carries it on the batch, so reading it builds no result
+        view. Per-point results carry none.
         """
-        meta = getattr(results, "metadata", None)
-        if meta is None and len(results):
-            meta = getattr(results[0], "metadata", None)
-        if isinstance(meta, dict):
-            return meta.get("profile")
-        return None
+        return getattr(results, "metadata", {}).get("profile")
+
+    @staticmethod
+    def _member_dicts(families) -> tuple[list[dict], list[dict], list[dict]]:
+        """``(counts, ideal, noisy)`` per member of *families*, in order:
+        the sampled counts and the pre- and post-readout distributions
+        (non-zero outcomes only) read from each family's arrays."""
+        counts: list[dict] = []
+        ideal: list[dict] = []
+        noisy: list[dict] = []
+        for family in families:
+            m = len(family.measured_sites)
+            counts += (
+                [dict(c) for c in family.counts]
+                if family.counts is not None
+                else [{} for _ in range(len(family))]
+            )
+            ideal += [outcome_dict(row, m) for row in family.ideal_probabilities]
+            noisy += [outcome_dict(row, m) for row in family.probabilities]
+        return counts, ideal, noisy
+
+    @staticmethod
+    def _leakage(families) -> np.ndarray:
+        """``(K,)`` total leakage population per member of *families*."""
+        return np.concatenate([np.zeros(0)] + [f.leakage.sum(axis=0) for f in families])
 
     @staticmethod
     def _object_array(shape: tuple[int, ...], values: list[Any]) -> np.ndarray:

@@ -16,10 +16,12 @@ evaluates every broadcast point of every PUB and returns one
 
 Each *unique* parameter point executes once — observables fan out
 over the resulting state/distribution without re-running anything —
-and the whole batch of points dispatches through one batched
-evolution pass (:meth:`ScheduleExecutor.execute_batch`) on direct
-targets, a served sweep on service targets, or the per-point
-``Executable`` loop on remote clients.
+and the whole batch of points dispatches as schedule families through
+one batched evolution pass (:meth:`ScheduleExecutor.execute_batch`)
+on a direct target or one served request on an in-process service,
+or point by point through :meth:`Executable.sweep
+<repro.api.executable.Executable.sweep>` on every other target — see
+:mod:`repro.primitives.base`.
 
 Evaluation conventions (see :mod:`repro.primitives.observables`):
 diagonal observables on measuring programs evaluate from the exact
@@ -107,24 +109,15 @@ class Estimator(BasePrimitive):
         coerced = [EstimatorPub.coerce(p) for p in pubs]
         if not coerced:
             raise ValidationError("Estimator.run needs at least one PUB")
-        if self.options is not None:
-            from repro.qem.engine import run_mitigated_estimator
-
-            with span(
-                "estimator.run", pubs=len(coerced), mode=self.mode
-            ):
-                return run_mitigated_estimator(
-                    self, coerced, timeout=timeout
-                )
         with span("estimator.run", pubs=len(coerced), mode=self.mode):
-            per_pub = [
-                (pub, self._point_schedules(pub), 0) for pub in coerced
-            ]
-            results = self._execute_all(per_pub, timeout=timeout)
+            if self.options is not None:
+                from repro.qem.engine import run_mitigated_estimator
+
+                return run_mitigated_estimator(self, coerced, timeout=timeout)
+            results = self._run_pubs([(pub, 0) for pub in coerced], timeout=timeout)
             with span("measurement", pubs=len(coerced)):
                 pub_results = [
-                    self._assemble(pub, res)
-                    for (pub, _, _), res in zip(per_pub, results)
+                    self._assemble(pub, res) for pub, res in zip(coerced, results)
                 ]
         return PrimitiveResult(
             pub_results, metadata={"dispatch": self.mode, "seed": self._seed}
@@ -132,7 +125,7 @@ class Estimator(BasePrimitive):
 
     # ---- assembly --------------------------------------------------------------------
 
-    def _assemble(self, pub: EstimatorPub, results: Sequence[Any]) -> PubResult:
+    def _assemble(self, pub: EstimatorPub, results: Any) -> PubResult:
         shape = pub.shape
         size = pub.size
         if shape:
@@ -141,16 +134,8 @@ class Estimator(BasePrimitive):
         else:
             bind_idx = obs_idx = np.zeros(1, dtype=np.intp)
         direct = self.mode == "direct"
-        # A PUB bound as one family comes back as that family's arrays.
-        families = getattr(results, "families", ())
-        family = families[0] if len(families) == 1 else None
-        sites = None
-        if direct and size:
-            sites = (
-                family.measured_sites
-                if family is not None
-                else results[0].measured_sites
-            )
+        families = results.families if self._runs_families else ()
+        sites = families[0].measured_sites if direct and families else None
         evs = np.empty(size, dtype=np.float64)
         variances = np.zeros(size, dtype=np.float64)
         table: np.ndarray | None = None
@@ -164,11 +149,7 @@ class Estimator(BasePrimitive):
             bound = bind_idx[points]
             if direct and not (observable.is_diagonal and sites):
                 if states is None:
-                    states = (
-                        family.final_states
-                        if family is not None
-                        else [r.final_state for r in results]
-                    )
+                    states = _rows([f.final_states for f in families])
                 evs[points], variances[points] = self._state_moments(
                     observable, states, sites, bound
                 )
@@ -180,7 +161,11 @@ class Estimator(BasePrimitive):
                     f"{self.mode!r} boundary)"
                 )
             if table is None:
-                table, width = self._distributions(results, family)
+                table, width = (
+                    _family_table(families)
+                    if self._runs_families
+                    else _point_table(results)
+                )
             values = observable.outcome_values(width)
             means = table @ values
             evs[points] = means[bound]
@@ -193,12 +178,7 @@ class Estimator(BasePrimitive):
             "stds": stds.reshape(shape),
         }
         if direct:
-            if family is not None:
-                leakage = family.leakage.sum(axis=0)
-            else:
-                leakage = np.array(
-                    [sum(r.leakage.values()) for r in results], dtype=np.float64
-                )
+            leakage = self._leakage(families)
             fields["leakage"] = leakage[bind_idx].reshape(shape)
         metadata: dict[str, Any] = {
             "shots": self.shots,
@@ -209,25 +189,6 @@ class Estimator(BasePrimitive):
         if profile is not None:
             metadata["profile"] = profile
         return PubResult(DataBin(shape=shape, **fields), metadata=metadata)
-
-    def _distributions(self, results, family) -> tuple[np.ndarray, int]:
-        """The ``(K, 2**m)`` exact outcome distributions of the points
-        (pre-readout on direct targets), in binary outcome order, and
-        their width ``m``."""
-        if family is not None:
-            return family.ideal_probabilities, len(family.measured_sites)
-        if self.mode == "direct":
-            dists = [r.ideal_probabilities for r in results]
-            width = len(results[0].measured_sites)
-        else:
-            dists = [r.probabilities for r in results]
-            width = distribution_width(dists[0])
-        table = np.zeros((len(dists), 1 << width))
-        for k, dist in enumerate(dists):
-            distribution_width(dist, n_slots=width)
-            for key, p in dist.items():
-                table[k, int(key, 2)] = p
-        return table, width
 
     def _state_moments(
         self, observable, states, sites, bound: np.ndarray
@@ -250,3 +211,32 @@ class Estimator(BasePrimitive):
                 memo[b] = (float(ev), var)
         moments = np.array([memo[b] for b in bound.tolist()]).reshape(-1, 2)
         return moments[:, 0], moments[:, 1]
+
+
+def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The member rows of a PUB's families, stacked in point order."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _family_table(families) -> tuple[np.ndarray, int]:
+    """The ``(K, 2**m)`` exact pre-readout outcome distributions of a
+    PUB's families, in binary outcome order, and their width ``m``."""
+    width = len(families[0].measured_sites)
+    if any(len(f.measured_sites) != width for f in families):
+        raise ValidationError(
+            "the points of one PUB measure different numbers of slots"
+        )
+    return _rows([f.ideal_probabilities for f in families]), width
+
+
+def _point_table(results) -> tuple[np.ndarray, int]:
+    """The ``(K, 2**m)`` table of per-point results' exact outcome
+    distributions (:attr:`ClientResult.probabilities`), and ``m``."""
+    dists = [r.probabilities for r in results]
+    width = distribution_width(dists[0])
+    table = np.zeros((len(dists), 1 << width))
+    for k, dist in enumerate(dists):
+        distribution_width(dist, n_slots=width)
+        for key, p in dist.items():
+            table[k, int(key, 2)] = p
+    return table, width

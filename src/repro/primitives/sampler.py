@@ -18,17 +18,17 @@ every parameter point of every PUB and returns one
   ``noisy_probabilities`` — the ground truth the mitigation literature
   scores against — and per-point ``leakage``.
 
-All points dispatch through one batched evolution pass on direct
-targets (:meth:`ScheduleExecutor.execute_batch`), a served sweep on
-service targets, or the per-point ``Executable`` loop on remote
-clients — see :mod:`repro.primitives.base`.
+All points dispatch as schedule families through one batched
+evolution pass (:meth:`ScheduleExecutor.execute_batch`) on a direct
+target or one served request on an in-process service, or point by
+point through :meth:`Executable.sweep
+<repro.api.executable.Executable.sweep>` on every other target — see
+:mod:`repro.primitives.base`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
-
-import numpy as np
+from typing import Any, Iterable
 
 from repro.errors import ValidationError
 from repro.obs.tracing import span
@@ -102,34 +102,25 @@ class Sampler(BasePrimitive):
         coerced = [SamplerPub.coerce(p) for p in pubs]
         if not coerced:
             raise ValidationError("Sampler.run needs at least one PUB")
-        if self.options is not None:
-            from repro.qem.engine import run_mitigated_sampler
-
-            specs = [
-                (
-                    pub,
-                    pub.shots
-                    if pub.shots is not None
-                    else (self.default_shots if shots is None else int(shots)),
-                )
-                for pub in coerced
-            ]
-            with span("sampler.run", pubs=len(coerced), mode=self.mode):
-                return run_mitigated_sampler(self, specs, timeout=timeout)
+        specs = [
+            (
+                pub,
+                pub.shots
+                if pub.shots is not None
+                else (self.default_shots if shots is None else int(shots)),
+            )
+            for pub in coerced
+        ]
         with span("sampler.run", pubs=len(coerced), mode=self.mode):
-            per_pub = []
-            for pub in coerced:
-                pub_shots = (
-                    pub.shots
-                    if pub.shots is not None
-                    else (self.default_shots if shots is None else int(shots))
-                )
-                per_pub.append((pub, self._point_schedules(pub), pub_shots))
-            results = self._execute_all(per_pub, timeout=timeout)
+            if self.options is not None:
+                from repro.qem.engine import run_mitigated_sampler
+
+                return run_mitigated_sampler(self, specs, timeout=timeout)
+            results = self._run_pubs(specs, timeout=timeout)
             with span("measurement", pubs=len(coerced)):
                 pub_results = [
                     self._assemble(pub, shots_, res)
-                    for (pub, _, shots_), res in zip(per_pub, results)
+                    for (pub, shots_), res in zip(specs, results)
                 ]
         return PrimitiveResult(
             pub_results, metadata={"dispatch": self.mode, "seed": self._seed}
@@ -137,33 +128,19 @@ class Sampler(BasePrimitive):
 
     # ---- assembly --------------------------------------------------------------------
 
-    def _assemble(self, pub: SamplerPub, shots: int, results: Sequence[Any]):
+    def _assemble(self, pub: SamplerPub, shots: int, results: Any):
         shape = pub.shape
-        counts: list[dict] = []
-        probabilities: list[dict] = []
-        noisy: list[dict] = []
-        quasi: list[dict] = []
-        leakage: list[float] = []
         direct = self.mode == "direct"
-        for r in results:
-            if direct:  # ExecutionResult
-                r_counts = dict(r.counts)
-                r_probs = dict(r.ideal_probabilities)
-                r_noisy = dict(r.probabilities)
-                noisy.append(r_noisy)
-                leakage.append(float(sum(r.leakage.values())))
-            else:  # ClientResult, or an ExecutionResult of a served family
-                r_counts = dict(r.counts)
-                # Served results report the pre-readout distribution.
-                r_probs = dict(getattr(r, "ideal_probabilities", r.probabilities))
-                r_noisy = {}
-            counts.append(r_counts)
-            probabilities.append(r_probs)
-            if shots > 0 and r_counts:
-                total = sum(r_counts.values())
-                quasi.append({k: v / total for k, v in r_counts.items()})
-            else:
-                quasi.append(dict(r_noisy if direct else r_probs))
+        if self._runs_families:
+            counts, probabilities, noisy = self._member_dicts(results.families)
+        else:  # ClientResults report the pre-readout distribution
+            counts = [dict(r.counts) for r in results]
+            probabilities = [dict(r.probabilities) for r in results]
+        exact = noisy if direct else probabilities
+        quasi = [
+            _normalized(c) if shots > 0 and c else dict(p)
+            for c, p in zip(counts, exact)
+        ]
         fields: dict[str, Any] = {
             "counts": self._object_array(shape, counts),
             "quasi_dists": self._object_array(shape, quasi),
@@ -171,9 +148,7 @@ class Sampler(BasePrimitive):
         }
         if direct:
             fields["noisy_probabilities"] = self._object_array(shape, noisy)
-            fields["leakage"] = np.asarray(leakage, dtype=np.float64).reshape(
-                shape
-            )
+            fields["leakage"] = self._leakage(results.families).reshape(shape)
         metadata: dict[str, Any] = {
             "shots": shots,
             "target": self._device_name(),
@@ -184,3 +159,9 @@ class Sampler(BasePrimitive):
         if profile is not None:
             metadata["profile"] = profile
         return PubResult(DataBin(shape=shape, **fields), metadata=metadata)
+
+
+def _normalized(counts: dict) -> dict:
+    """*counts* as a quasi-distribution (each count over the total)."""
+    total = sum(counts.values())
+    return {k: v / total for k, v in counts.items()}

@@ -23,7 +23,10 @@ post-readout table, the twirl frame as a gather of the observable's
 outcome values (``values[outcome ^ flips]``), one product per row for
 the variant means, then per point the twirl average and the
 extrapolation of the stretch factors to zero noise. The Sampler's
-quasi-distributions fold per point from the same grouped batch.
+quasi-distributions fold from the same arrays: one inversion per
+twirled family's normalized counts, the twirl unflip as a gather of
+each row (``row[outcome ^ flips]``), then per point the average of
+its randomizations.
 
 Mitigated evaluation reads the **post-readout** distribution
 (``ExecutionResult.probabilities``) — the noisy quantity mitigation
@@ -41,14 +44,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.schedule import FamilyBatch, ScheduleFamily
+from repro.core.schedule import ScheduleFamily
 from repro.errors import ValidationError
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import span
 from repro.primitives.containers import DataBin, PrimitiveResult, PubResult
 from repro.qem import twirling as _twirling
-from repro.qem.readout import invert_readout, mitigate_distribution
+from repro.qem.readout import invert_readout
 from repro.qem.zne import extrapolate_to_zero, stretch_schedule
+from repro.sim.executor import outcome_dict
 from repro.sim.measurement import ReadoutModel, joint_confusion
 
 
@@ -110,26 +114,21 @@ def _readout_models(primitive, options, result) -> list[ReadoutModel]:
 def _point_families(primitive, pub) -> list[ScheduleFamily]:
     """The PUB's binding points as schedule families, in point order.
 
-    A PUB bound through the template is its one family when its slots
-    are frame-event scalars; a program without parameters is one
-    schedule repeated, a family with no slots; per-point schedules (a
-    bind the template could not take, or a family with amplitude or
-    delay slots, which stretching and twirling cannot derive) are
-    one-member families.
+    The primitive's families, except that a family with amplitude or
+    delay slots (which stretching and twirling cannot derive: stretching
+    replaces a play whose amplitude is slotted, and a delay slot
+    re-times the items a transform moves) runs its variants per point,
+    as one-member families.
     """
-    points = primitive._point_schedules(pub)
-    if isinstance(points, ScheduleFamily):
-        if points.frame_only:
-            return [points]
-        # Stretching replaces a play whose amplitude is slotted, and a
-        # delay slot re-times the items a transform moves: run such a
-        # PUB's variants per point.
-        points = [points.member(k) for k in range(len(points))]
-    if not len(points):
-        return []
-    if all(s is points[0] for s in points):
-        return [ScheduleFamily(points[0], (), np.zeros((len(points), 0)))]
-    return [ScheduleFamily(s, (), np.zeros((1, 0))) for s in points]
+    out: list[ScheduleFamily] = []
+    for family in primitive._families(pub):
+        if family.frame_only:
+            out.append(family)
+        else:
+            out += [
+                ScheduleFamily.repeated(family.member(k), 1) for k in range(len(family))
+            ]
+    return out
 
 
 def _twirl_sites(schedule) -> list[int]:
@@ -269,10 +268,9 @@ def run_mitigated_estimator(est, pubs, *, timeout=None) -> PrimitiveResult:
             for pub in pubs
         ]
     per_pub = [
-        (pub, FamilyBatch(_batch_order(plans)), 0)
-        for pub, plans in zip(pubs, all_plans)
+        (pub, _batch_order(plans), 0) for pub, plans in zip(pubs, all_plans)
     ]
-    total = sum(len(h) for _, h, _ in per_pub)
+    total = sum(len(f) for _, families, _ in per_pub for f in families)
     REGISTRY.counter(
         "repro_qem_variants_total",
         "Circuit variants executed by the mitigation engine",
@@ -475,14 +473,14 @@ def run_mitigated_sampler(sampler, specs, *, timeout=None) -> PrimitiveResult:
             for pub, _ in specs
         ]
     per_pub = [
-        (pub, FamilyBatch(_batch_order(plans)), shots)
+        (pub, _batch_order(plans), shots)
         for (pub, shots), plans in zip(specs, all_plans)
     ]
     REGISTRY.counter(
         "repro_qem_variants_total",
         "Circuit variants executed by the mitigation engine",
         {"primitive": "sampler"},
-    ).inc(sum(len(h) for _, h, _ in per_pub))
+    ).inc(sum(len(f) for _, families, _ in per_pub for f in families))
     results = sampler._execute_all(per_pub, timeout=timeout)
     with span("qem.fold", pubs=len(specs), stack=stack):
         pub_results = [
@@ -501,83 +499,85 @@ def run_mitigated_sampler(sampler, specs, *, timeout=None) -> PrimitiveResult:
     )
 
 
-def _fold_sampler_point(
-    sampler, options, shots, variants, results
-) -> tuple[dict, float]:
-    """``(quasi_distribution, condition_number)`` of one point."""
-    twirling = "twirling" in options.mitigation
-    readout = "readout" in options.mitigation
-    # the fold averages the twirl randomizations; without twirling the
-    # base execution is the single fold input (readout-only inversion)
-    fold = [
-        (v, r)
-        for v, r in zip(variants, results)
-        if (not v.is_base) == twirling
-    ]
-    condition = float("nan")
-    folded: dict[str, float] = {}
-    for variant, result in fold:
-        observed = (
-            {
-                k: v / sum(result.counts.values())
-                for k, v in result.counts.items()
-            }
-            if shots > 0 and result.counts
-            else dict(result.probabilities)
-        )
-        if not observed:
-            return {}, condition
-        if readout:
-            mitigated = mitigate_distribution(
-                observed, _readout_models(sampler, options, result)
-            )
-            observed = mitigated.distribution
-            if math.isnan(condition):  # first inversion wins
-                condition = mitigated.condition_number
-        if variant.mask is not None:
-            observed = _twirling.unflip_distribution(observed, variant.mask)
-        for key, p in observed.items():
-            folded[key] = folded.get(key, 0.0) + p / len(fold)
-    return folded, condition
+def _observed_tables(sampler, options, shots, outcomes, folded):
+    """The fold input of every batch family in *folded*, as arrays.
+
+    Returns ``({family: (K, 2**m) table}, {sites: condition number})``.
+    A family's table is its normalized counts (its post-readout
+    distribution when no shot was drawn), confusion-inverted once per
+    family under ``"readout"``, with the condition number computed once
+    per confusion matrix.
+    """
+    tables: dict[Any, np.ndarray] = {}
+    conditions: dict[tuple[int, ...], float] = {}
+    confusions: dict[tuple[int, ...], np.ndarray] = {}
+    for family, outcome in outcomes.items():
+        sites = outcome.measured_sites
+        if family not in folded or not sites:
+            continue
+        if shots > 0 and outcome.counts is not None:
+            table = np.zeros((len(outcome), 1 << len(sites)))
+            for k, counts in enumerate(outcome.counts):
+                for key, c in counts.items():
+                    table[k, int(key, 2)] = c
+            table /= table.sum(axis=1, keepdims=True)
+        else:
+            table = outcome.probabilities
+        if "readout" in options.mitigation:
+            if sites not in confusions:
+                confusions[sites] = joint_confusion(
+                    _readout_models(sampler, options, outcome)
+                )
+                conditions[sites] = float(np.linalg.cond(confusions[sites]))
+            table = invert_readout(table, confusions[sites])
+        tables[family] = table
+    return tables, conditions
 
 
 def _assemble_sampler(
     sampler, options, pub, shots, plans, results: Sequence[Any]
 ) -> PubResult:
+    """Fold one Sampler PUB from its families' arrays.
+
+    The raw base executions report ``counts``/``probabilities``; the
+    quasi-distribution of a point averages its fold variants' tables
+    (the twirl randomizations, or the base execution alone without
+    twirling), each twirled row unflipped by the index gather
+    ``row[outcome ^ flips]``.
+    """
     shape = pub.shape
-    start: dict[Any, int] = {}
-    total = 0
-    for family in _batch_order(plans):
-        start[family] = total
-        total += len(family)
-    counts: list[dict] = []
-    probabilities: list[dict] = []
-    noisy: list[dict] = []
+    twirling = "twirling" in options.mitigation
+    outcomes = dict(zip(_batch_order(plans), results.families))
+    folded = {v.family for point in plans for v in point if (not v.is_base) == twirling}
+    tables, conditions = _observed_tables(sampler, options, shots, outcomes, folded)
+    # Base families hold one member per point, in point order.
+    base = [outcomes[f] for f in dict.fromkeys(point[0].family for point in plans)]
+    counts, probabilities, noisy = sampler._member_dicts(base)
     quasi: list[dict] = []
-    conditions: list[float] = []
-    leakage: list[float] = []
+    condition_numbers: list[float] = []
     for variants in plans:
-        point_results = [results[start[v.family] + v.index] for v in variants]
-        base = point_results[0]
-        counts.append(dict(base.counts))
-        probabilities.append(dict(base.ideal_probabilities))
-        noisy.append(dict(base.probabilities))
-        leakage.append(float(sum(base.leakage.values())))
-        folded, condition = _fold_sampler_point(
-            sampler, options, shots, variants, point_results
-        )
-        quasi.append(folded)
-        conditions.append(condition)
+        fold = [v for v in variants if v.family in folded]
+        sites = outcomes[fold[0].family].measured_sites
+        condition_numbers.append(conditions.get(sites, math.nan))
+        m = len(sites)
+        total = np.zeros(1 << m)
+        for v in fold if m else ():
+            row = tables[v.family][v.index]
+            if v.mask is not None:
+                flips = sum(1 << (m - 1 - s) for s, bit in enumerate(v.mask) if bit)
+                row = row[np.arange(1 << m) ^ flips]
+            total += row / len(fold)
+        quasi.append(outcome_dict(total, m))
     fields: dict[str, Any] = {
         "counts": sampler._object_array(shape, counts),
         "quasi_dists": sampler._object_array(shape, quasi),
         "probabilities": sampler._object_array(shape, probabilities),
         "noisy_probabilities": sampler._object_array(shape, noisy),
-        "leakage": np.asarray(leakage, dtype=np.float64).reshape(shape),
+        "leakage": sampler._leakage(base).reshape(shape),
     }
     if "readout" in options.mitigation:
         fields["condition_numbers"] = np.asarray(
-            conditions, dtype=np.float64
+            condition_numbers, dtype=np.float64
         ).reshape(shape)
     metadata: dict[str, Any] = {
         "shots": shots,

@@ -11,14 +11,20 @@ plus the list of parameter sets; :meth:`PulseService.submit_sweep
 queues the points as a single entry, and returns a single
 :class:`SweepTicket` aggregating the per-point tickets.
 
-A primitive's parametric PUB on an in-process service does not
-expand at all: it binds client-side into one
-:class:`~repro.core.schedule.FamilyBatch`, and a sweep over that one
-program is one request — one admission slot, one compile of the
-batch, one QDMI job, one ``execute_batch`` and one measurement pass.
+The primitives never expand a sweep. On an in-process service over a
+local device, every shot group of PUBs binds client-side into one
+:class:`~repro.core.schedule.FamilyBatch` (a parametric PUB as its
+template family, a program without parameters as one slot-free
+family), and a sweep over that one program is one request — one
+admission slot, one compile of the batch, one QDMI job, one
+``execute_batch`` and one measurement pass.
 :meth:`SweepTicket.results` hands back the executor's
 :class:`~repro.sim.executor.BatchResult`, whose per-family arrays the
-Estimator folds without a per-point result.
+Estimator and Sampler read without a per-point result. Every other
+service target (a remote device, a cluster, an HTTP front-end) takes
+the primitives' points one request each, through
+:meth:`Executable.sweep <repro.api.executable.Executable.sweep>`; a
+served family there is still open work.
 
 Why this is fast end to end:
 

@@ -196,7 +196,7 @@ def _stream(streams: list, i: int) -> np.random.Generator:
     return rng
 
 
-def _outcome_dict(row: np.ndarray, m: int) -> dict[str, float]:
+def outcome_dict(row: np.ndarray, m: int) -> dict[str, float]:
     """The non-zero outcomes of one ``(2**m,)`` distribution row."""
     return {
         format(i, f"0{m}b"): p for i, p in enumerate(row.tolist()) if p > 0.0
@@ -251,8 +251,8 @@ class FamilyOutcome:
         m = len(self.measured_sites)
         return ExecutionResult(
             counts=self.counts[k] if self.counts is not None else {},
-            probabilities=_outcome_dict(self.probabilities[k], m),
-            ideal_probabilities=_outcome_dict(self.ideal_probabilities[k], m),
+            probabilities=outcome_dict(self.probabilities[k], m),
+            ideal_probabilities=outcome_dict(self.ideal_probabilities[k], m),
             final_state=self.final_states[k],
             measured_sites=self.measured_sites,
             leakage=dict(enumerate(self.leakage[:, k].tolist())),
@@ -1186,7 +1186,7 @@ class ScheduleExecutor:
         if m and shots:
             counts = [
                 sample_counts(
-                    _outcome_dict(noisy[k], m), shots, _stream(streams, k)
+                    outcome_dict(noisy[k], m), shots, _stream(streams, k)
                 )
                 for k in range(k_members)
             ]

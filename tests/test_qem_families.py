@@ -13,7 +13,8 @@ Generated parametric programs (the strategies of
 ``test_bound_batch``) run on a one- and a two-transmon Lindblad device
 with per-site readout confusion, in both stack orders, with balanced
 and unbalanced random twirl masks, readout-model overrides, two PUBs
-in one run and the per-point fallback route.
+in one run and the per-point fallback route. The mitigated Sampler
+folds the same arrays and equals the per-variant dict fold exactly.
 
 Evs agree to 1e-12, not bitwise, for two reasons, both in the
 simulator rather than the fold: a cold kernel call shares one scaling
@@ -43,10 +44,11 @@ from repro.core.stretch import stretch_schedule
 from repro.devices import SuperconductingDevice
 from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.ir import print_module
-from repro.primitives import Estimator, Observable
+from repro.primitives import Estimator, Observable, Sampler
 from repro.qem import (
     EstimatorOptions,
     ReadoutOptions,
+    SamplerOptions,
     TwirlingOptions,
     ZNEOptions,
     extrapolate_to_zero,
@@ -504,7 +506,6 @@ def test_workload_stack_runs_six_families_in_one_batch(monkeypatch):
     counting(monkeypatch, engine, "stretch_schedule", calls)
     counting(monkeypatch, tw, "twirl_schedule", calls)
     counting(monkeypatch, ScheduleFamily, "member", calls)
-    counting(monkeypatch, engine, "mitigate_distribution", calls)
     counting(monkeypatch, readout, "mitigate_distribution", calls)
     expanded = []
     expand = engine._expand_pub
@@ -523,3 +524,116 @@ def test_workload_stack_runs_six_families_in_one_batch(monkeypatch):
     assert batch[8].equivalent_to(batch.families[1].member(0))
     [plans] = expanded
     assert [len(point) for point in plans] == [6] * 8
+
+
+# ---- the mitigated Sampler folds the family arrays -----------------------------------
+
+
+SAMPLER_STACKS = {
+    "twirling-readout": SamplerOptions(mitigation=("twirling", "readout")),
+    "readout": SamplerOptions(mitigation=("readout",)),
+    "twirling": SamplerOptions(
+        mitigation=("twirling",),
+        twirling=TwirlingOptions(num_randomizations=3, balanced=False),
+    ),
+}
+
+
+def dict_fold(executor, options, shots, variants, results):
+    """One point's ``(quasi-distribution, condition number)``, folded
+    one variant at a time through bitstring dicts: normalize, invert
+    the confusion (``mitigate_distribution``), unflip the twirl
+    (``unflip_distribution``), average."""
+    twirling = "twirling" in options.mitigation
+    fold = [(v, r) for v, r in zip(variants, results) if (not v.is_base) == twirling]
+    condition = float("nan")
+    folded: dict[str, float] = {}
+    for variant, result in fold:
+        total = sum(result.counts.values())
+        observed = (
+            {k: c / total for k, c in result.counts.items()}
+            if shots > 0 and result.counts
+            else dict(result.probabilities)
+        )
+        if "readout" in options.mitigation:
+            models = [
+                executor.readout.get(s, ReadoutModel()) for s in result.measured_sites
+            ]
+            mitigated = mitigate_distribution(observed, models)
+            observed = mitigated.distribution
+            if np.isnan(condition):
+                condition = mitigated.condition_number
+        if variant.mask is not None:
+            observed = tw.unflip_distribution(observed, variant.mask)
+        for key, p in observed.items():
+            folded[key] = folded.get(key, 0.0) + p / len(fold)
+    return folded, condition
+
+
+def run_sampler(device, options, pub, *, seed, shots):
+    """The mitigated Sampler's DataBin plus the plans and batch it
+    folded."""
+    captured = []
+    assemble = engine._assemble_sampler
+
+    def spy(sampler, options, pub, shots, plans, results):
+        captured.append((plans, results))
+        return assemble(sampler, options, pub, shots, plans, results)
+
+    engine._assemble_sampler = spy
+    try:
+        sampler = Sampler(device, default_shots=shots, seed=seed, options=options)
+        data = sampler.run([pub])[0].data
+    finally:
+        engine._assemble_sampler = assemble
+    [(plans, results)] = captured
+    return data, plans, results
+
+
+@pytest.mark.parametrize("shots", [0, 256])
+@pytest.mark.parametrize("stack", sorted(SAMPLER_STACKS))
+@FEW
+@given(data=st.data())
+def test_sampler_fold_equals_per_variant_dict_fold(stack, shots, data):
+    device = lindblad(2)
+    program, values = data.draw(sweeps(device))
+    options = SAMPLER_STACKS[stack]
+    pub = (program, points_grid(program, as_points(program, values)))
+    got, plans, results = run_sampler(device, options, pub, seed=3, shots=shots)
+    start, total = {}, 0
+    for family in engine._batch_order(plans):
+        start[family] = total
+        total += len(family)
+    for b, variants in enumerate(plans):
+        point = [results[start[v.family] + v.index] for v in variants]
+        quasi, condition = dict_fold(device.executor, options, shots, variants, point)
+        assert got.quasi_dists.flat[b] == quasi
+        if "readout" in options.mitigation:
+            assert got.condition_numbers.flat[b] == condition
+        base = point[0]
+        assert got.counts.flat[b] == base.counts
+        assert got.probabilities.flat[b] == base.ideal_probabilities
+        assert got.noisy_probabilities.flat[b] == base.probabilities
+        assert got.leakage.flat[b] == sum(base.leakage.values())
+
+
+def test_sampler_fold_inverts_once_per_family(monkeypatch):
+    """Two qubits, twirling then readout: one confusion inversion per
+    twirled family, one condition number per PUB, no per-variant dict
+    fold."""
+    device = lindblad(2)
+    schedule = x_then_measure(device, [0, 1])
+    options = SAMPLER_STACKS["twirling-readout"]
+    calls: dict[str, int] = {}
+    counting(monkeypatch, engine, "invert_readout", calls)
+    counting(monkeypatch, readout, "mitigate_distribution", calls)
+    counting(monkeypatch, tw, "unflip_distribution", calls)
+    counting(monkeypatch, np.linalg, "cond", calls)
+    sampler = Sampler(device, default_shots=128, seed=1, options=options)
+    pubs = [(schedule,), (schedule,)]
+    result = sampler.run(pubs)
+    # Per PUB: the 4 flip patterns of 2 slots, one twirled family each,
+    # and one confusion matrix.
+    assert calls == {"invert_readout": 2 * 4, "cond": 2}
+    for pub_result in result:
+        assert sum(pub_result.data.quasi_dists[()].values()) == pytest.approx(1.0)

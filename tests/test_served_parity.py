@@ -11,7 +11,12 @@ a full calibration DAG, and equal results for a cluster sweep chunk.
 The ``served_http_cluster`` topology (an HTTP front-end over a
 ``ClusterService``) returns results bitwise equal to a direct client
 and carries cancellation, typed errors and re-attachment after a
-restart end to end.
+restart end to end. Primitives over a cluster or HTTP target run each
+point as its own request and equal a direct target: evs to 1e-12 and
+equal seeded counts, for circuit and parametric PUBs. On a direct or
+in-process service target every shot group is one family batch: no
+point is specialized, one execution runs, and a served run is one
+request.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_phase_covariance import PROFILE, SC, Case, build_schedule, programs
+from test_api import parametric_kernel
 from test_serving_cluster import FailingDevice
 
 import repro
+from repro.api.executable import Executable
 from repro.client import JobRequest, MQSSClient
 from repro.core import PulseSchedule
 from repro.devices import SuperconductingDevice
@@ -32,6 +39,7 @@ from repro.pipeline import PipelineRunner, full_calibration_dag
 from repro.primitives import Estimator, Observable, Sampler
 from repro.qdmi import QDMIDriver
 from repro.qpi import PythonicCircuit
+from repro.sim.executor import ScheduleExecutor
 from repro.serving import (
     ClusterService,
     PulseService,
@@ -318,3 +326,129 @@ def test_http_cluster_ticket_reattaches_after_restart(tmp_path):
     direct.close()
     assert drained.counts == want.counts
     assert drained.probabilities == want.probabilities
+
+
+# ---- primitives over detached targets: one request per point ------------------------
+
+
+@pytest.fixture(scope="module")
+def detached_targets(tmp_path_factory):
+    """``{"cluster": ..., "http": ...}`` targets over one 1-worker
+    cluster serving ``sc-a``; the HTTP one through a front-end."""
+    store = str(tmp_path_factory.mktemp("detached") / "jobs.sqlite3")
+    with ClusterService(make_cluster_client, store, num_workers=1) as svc:
+        frontend = serve_http(svc)
+        try:
+            yield {
+                "cluster": repro.Target.from_service(svc, "sc-a"),
+                "http": repro.Target.from_service(connect(frontend.address), "sc-a"),
+            }
+        finally:
+            frontend.stop()
+
+
+def parity_pub(kind: str, device):
+    """``(program, parameter values)``: a circuit, or a parametric
+    pulse-MLIR kernel over three points."""
+    if kind == "circuit":
+        return repro.Program.coerce(rotation(0.7)), None
+    program = repro.Program.from_mlir(parametric_kernel(device, 2))
+    return program, {"theta0": [0.1, 0.9, -1.3], "theta1": [0.4, 2.0, 0.0]}
+
+
+@pytest.mark.parametrize("transport", ["cluster", "http"])
+@pytest.mark.parametrize("kind", ["circuit", "parametric"])
+def test_detached_estimator_equals_direct(detached_targets, transport, kind):
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    program, values = parity_pub(kind, device)
+    observables = ["ZI", "IZ", "ZZ"] if kind == "circuit" else "Z"
+    pub = (program, observables) if values is None else (program, observables, values)
+    direct = Estimator(repro.Target.from_device(device)).run([pub])[0]
+    estimator = Estimator(detached_targets[transport])
+    got = estimator.run([pub], timeout=60)[0]
+    assert got.metadata["dispatch"] == "service"
+    np.testing.assert_allclose(got.data.evs, direct.data.evs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("transport", ["cluster", "http"])
+@pytest.mark.parametrize("kind", ["circuit", "parametric"])
+def test_detached_sampler_counts_equal_direct(detached_targets, transport, kind):
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    program, values = parity_pub(kind, device)
+    pub = (program,) if values is None else (program, values)
+    direct = Sampler(repro.Target.from_device(device), seed=5).run([pub], shots=128)
+    sampler = Sampler(detached_targets[transport], seed=5)
+    got = sampler.run([pub], shots=128, timeout=60)[0]
+    assert list(got.data.counts.flat) == list(direct[0].data.counts.flat)
+    for a, b in zip(got.data.probabilities.flat, direct[0].data.probabilities.flat):
+        assert a.keys() == b.keys()
+        np.testing.assert_allclose(list(a.values()), list(b.values()), atol=1e-12)
+
+
+# ---- direct and in-process service: one family batch per shot group ------------------
+
+
+def readout_pubs(device):
+    """Two schedule programs shaped like ``readout_scan``: measure |0>,
+    then x and measure."""
+    ground = PulseSchedule("confusion-0")
+    device.calibrations.get("measure", (0,)).apply(ground, [0])
+    excited = x_schedule(device)
+    return [repro.Program.from_schedule(s) for s in (ground, excited)]
+
+
+@pytest.mark.parametrize("on_service", [False, True])
+def test_pub_groups_run_as_one_family_batch(monkeypatch, on_service):
+    """A parametric PUB and a run of two schedule PUBs each specialize
+    no point and run as one execution; on a service, as one request."""
+    device = DEVICES["sc1-closed"]()
+    program = repro.Program.from_mlir(parametric_kernel(device, 2))
+    grid = {"theta0": np.linspace(-1, 1, 8), "theta1": np.linspace(0, 2, 8)}
+    specialized, batches, tickets = [], [], []
+    real_specialize = Executable.specialize
+    real_batch = ScheduleExecutor.execute_batch
+
+    def specialize(self, *args, **kwargs):
+        specialized.append(args)
+        return real_specialize(self, *args, **kwargs)
+
+    def execute_batch(self, schedules, **kwargs):
+        batches.append(schedules)
+        return real_batch(self, schedules, **kwargs)
+
+    monkeypatch.setattr(Executable, "specialize", specialize)
+    monkeypatch.setattr(ScheduleExecutor, "execute_batch", execute_batch)
+    service = client = None
+    if on_service:
+        client, service = served(device)
+        real_submit = service.submit_sweep
+
+        def submit_sweep(sweep):
+            tickets.append(real_submit(sweep))
+            return tickets[-1]
+
+        monkeypatch.setattr(service, "submit_sweep", submit_sweep)
+        target = repro.Target.from_service(service, device.name)
+    else:
+        target = repro.Target.from_device(device)
+    try:
+        runs = [
+            lambda: Estimator(target).run([(program, "Z", grid)], timeout=60),
+            lambda: Sampler(target, seed=2).run(
+                readout_pubs(device), shots=256, timeout=60
+            ),
+        ]
+        for n, run in enumerate(runs, start=1):
+            run()
+            assert specialized == []
+            assert len(batches) == n
+            assert not isinstance(batches[-1], list)
+            if on_service:
+                assert len(tickets) == n and len(tickets[-1]) == 1
+                assert service.metrics.snapshot()["execute_count"] == n
+    finally:
+        if on_service:
+            service.stop()
+            client.close()
+    assert len(batches[0]) == 8
+    assert [len(f) for f in batches[1].families] == [1, 1]
