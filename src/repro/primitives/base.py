@@ -274,8 +274,6 @@ class BasePrimitive:
                         shots=shots,
                         seed=self._seed,
                     )
-                    if len(batch)
-                    else BatchResult((), {})
                     for shots, batch in batches.items()
                 ]
             else:

@@ -38,8 +38,10 @@ complex64 inside a :func:`~repro.sim.precision.use_dtype` scope.
 Identical consecutive samples (flat-top pulses, delays) are still
 collapsed into a single propagator with the phase factor raised to the
 segment length (:func:`segment_runs`) — the vectorization/caching
-strategy recommended by the HPC guides (avoid per-sample Python work
-where the physics doesn't change).
+strategy recommended by the HPC guides (avoid per-sample work where
+the physics doesn't change). The schedule executor never builds the
+per-sample drive: it evaluates a family only at its candidate run
+starts and merges those rows with :func:`segment_runs`.
 
 Hamiltonians are given in **Hz units** (linear frequency); the ``2*pi``
 is applied here, once.

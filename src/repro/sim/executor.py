@@ -18,16 +18,23 @@ batched pipeline — a single schedule is a one-member batch:
    consecutive structural clones, each run's differing fields gathered
    into columns, and a schedule that clones nothing is a family of
    one.
-2. Drive synthesis — per family, frame timelines (carrier frequency
-   and static phase per sample, with phase-continuous frequency
-   updates matching :class:`~repro.core.frame.FrameState` semantics)
-   are ``(K, duration)`` arrays: each frame event writes its value
-   column (or the template's scalar) for all members at once. Every
-   :class:`Play`'s modulated envelope then lands on one
-   ``(K, duration, n_channels)`` complex drive stack.
-3. Segmentation — each family's stack is split into runs of constant
-   value (:func:`~repro.sim.evolve.segment_runs`) at the union of its
-   members' boundaries (splitting a constant run is exact).
+2. Run planning (:mod:`repro.sim.runs`) — per family, frame
+   timelines (carrier frequency and static phase, with
+   phase-continuous frequency updates matching
+   :class:`~repro.core.frame.FrameState` semantics) are ``(K,
+   n_breakpoints)`` piecewise-constant arrays, one breakpoint per
+   frame event: each event writes its value column (or the
+   template's scalar) for all members at once. The drive can change
+   only at a candidate start — a play's ends, a change of its shape,
+   a timeline breakpoint inside it, every sample of a detuned play —
+   so every :class:`Play`'s modulated envelope is evaluated at the
+   candidates only, as ``(K, n_candidates, n_channels)`` drive rows;
+   no per-sample drive stack is built.
+3. Runs — equal neighbouring candidate rows merge
+   (:func:`~repro.sim.evolve.segment_runs`) into runs of constant
+   drive at the union of the members' boundaries; every sample
+   between two candidates equals the one before it, so these are the
+   runs of the per-sample stack (splitting a constant run is exact).
 4. Evolution — one kernel for the whole batch. Closed systems make one
    :meth:`~repro.sim.evolve.PropagatorCache.propagators` call for every
    driven run of every family (repeated amplitudes — flat-tops,
@@ -65,7 +72,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from bisect import bisect_right
 from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass, field
@@ -73,20 +79,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.frame import Frame
-from repro.core.instructions import (
-    Capture,
-    FrameChange,
-    Play,
-    SetFrequency,
-    SetPhase,
-    ShiftFrequency,
-    ShiftPhase,
-)
-from repro.core.port import Port, PortKind
+from repro.core.instructions import Capture
 from repro.core.schedule import (
     FRAME_EVENT_FIELDS,
-    SCALE,
     FamilyBatch,
     PulseSchedule,
     ScheduleFamily,
@@ -94,11 +89,7 @@ from repro.core.schedule import (
 from repro.errors import CancelledError, ExecutionError, ValidationError
 from repro.obs import profile as _profile
 from repro.obs.tracing import span
-from repro.sim.evolve import (
-    PropagatorCache,
-    free_propagator,
-    segment_runs,
-)
+from repro.sim.evolve import PropagatorCache, free_propagator
 from repro.sim.measurement import ReadoutModel, joint_confusion, sample_counts
 from repro.sim.model import SystemModel
 from repro.sim.open_system import (
@@ -107,6 +98,7 @@ from repro.sim.open_system import (
     vectorize_density,
 )
 from repro.sim.operators import basis_state, identity
+from repro.sim.runs import drive_runs, insert_idle
 from repro.sim.precision import active_dtype
 
 
@@ -138,8 +130,6 @@ def _check_cancel(should_cancel) -> None:
         raise CancelledError(
             "execution cancelled cooperatively at a chunk boundary"
         )
-
-_TWO_PI = 2.0 * math.pi
 
 #: Relative tolerance of the phase-covariance checks: the operators
 #: involved are exact ladder/number/projector matrices, so a genuine
@@ -423,7 +413,7 @@ class ScheduleExecutor:
         :class:`~repro.core.schedule.FamilyBatch` of families (what the
         mitigation engine sends: one family per stretch factor and
         twirl mask). A family's value columns are written straight into
-        the drive synthesis' frame timelines, with no per-point
+        the run planner's frame timelines, with no per-point
         schedule.
 
         The whole batch's constant-drive runs are stacked and
@@ -469,7 +459,7 @@ class ScheduleExecutor:
             schedules = list(schedules)
         n = len(schedules)
         if not n:
-            return []
+            return BatchResult((), {})
         if seed is None or isinstance(seed, (int, np.integer)):
             streams = [seed] * n
         else:
@@ -669,159 +659,7 @@ class ScheduleExecutor:
                 return False
         return True
 
-    def _synthesize_drives_family(
-        self, family: ScheduleFamily
-    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """The ``(K, duration, n_channels)`` drive stack of a family,
-        and the ``(1 or K, duration, n_channels)`` envelope magnitudes.
-
-        One vectorized pass over the base schedule: frame timelines are
-        ``(K, duration)`` arrays whose events apply to all members at
-        once — a slotted field writes its ``values[:, column]``, any
-        other the base's scalar — detuning phases are one exclusive
-        cumsum per (port, frame) instead of one per play per member,
-        and every play lands on the whole stack with one broadcast
-        multiply. An amplitude slot is one more broadcast multiply of
-        the play's shape by its column.
-
-        A delay slot (:class:`~repro.core.schedule.IdleSlot`) is
-        synthesized at the base's length: its members' extra idle
-        samples are inserted at the cut by :meth:`_final_states`. The
-        frame events that stay run before the ones that move, as in
-        every longer member, and each moved play carries the carrier
-        phase its frame accumulates over the inserted samples,
-        ``2 pi (f_frame - f_ref) extra_k dt``.
-
-        The magnitudes are the drive's ``|a|`` taken from the envelope
-        before modulation — members share their plays, so one row
-        serves the family unless an amplitude slot scales it per
-        member, and it is bitwise independent of the frame phase
-        (``abs`` of the modulated sample is not). Samples where two
-        plays overlap on one channel read ``-1``: their sum has no
-        single phase to factor out.
-        """
-        base = family.base
-        k_members = len(family)
-        duration = base.duration
-        model = self.model
-        timelines: dict[tuple[str, str], list[np.ndarray]] = {}
-        columns = {
-            (pos, fld): family.values[:, col, None]
-            for pos, fld, col in family.slots
-        }
-        idle = family.idle
-        moving = idle.shifted if idle is not None else frozenset()
-        window: dict[tuple[str, str], np.ndarray] | None = None
-
-        def timeline(port: Port, frame: Frame) -> list[np.ndarray]:
-            key = (port.name, frame.name)
-            tl = timelines.get(key)
-            if tl is None:
-                # float64 pinned explicitly: an integer frame
-                # frequency/phase would otherwise set an integer dtype
-                # and truncate every later event.
-                tl = [
-                    np.full(
-                        (k_members, duration),
-                        frame.frequency,
-                        dtype=np.float64,
-                    ),
-                    np.full(
-                        (k_members, duration), frame.phase, dtype=np.float64
-                    ),
-                ]
-                timelines[key] = tl
-            return tl
-
-        def value(pos: int, fld: str):
-            column = columns.get((pos, fld))
-            if column is None:
-                return getattr(base._items[pos].instruction, fld)
-            return column
-
-        # Pass 1: frame events, in time order (the ones a delay slot
-        # moves after the ones it keeps).
-        order = sorted(
-            range(len(base._items)),
-            key=lambda i: (i in moving, base._items[i].t0, base._items[i].seq),
-        )
-        for pos in order:
-            item = base._items[pos]
-            ins = item.instruction
-            t0 = item.t0
-            if window is None and pos in moving and duration:
-                # Carrier frequencies over the inserted idle samples.
-                at = min(idle.cut, duration - 1)
-                window = {key: tl[0][:, at].copy() for key, tl in timelines.items()}
-            if isinstance(ins, SetFrequency):
-                timeline(ins.port, ins.frame)[0][:, t0:] = value(pos, "frequency")
-            elif isinstance(ins, ShiftFrequency):
-                timeline(ins.port, ins.frame)[0][:, t0:] += value(pos, "delta")
-            elif isinstance(ins, SetPhase):
-                timeline(ins.port, ins.frame)[1][:, t0:] = value(pos, "phase")
-            elif isinstance(ins, ShiftPhase):
-                timeline(ins.port, ins.frame)[1][:, t0:] += value(pos, "delta")
-            elif isinstance(ins, FrameChange):
-                tl = timeline(ins.port, ins.frame)
-                tl[0][:, t0:] = value(pos, "frequency")
-                tl[1][:, t0:] = value(pos, "phase")
-
-        # Pass 2: plays, modulated by their frame timeline.
-        channel_names = self._channel_names
-        col = {name: j for j, name in enumerate(channel_names)}
-        drives = np.zeros(
-            (k_members, duration, len(channel_names)), dtype=np.complex128
-        )
-        scaled = any(fld == SCALE for _, fld, _ in family.slots)
-        envelope = np.zeros((k_members if scaled else 1, duration, len(channel_names)))
-        extra = idle.extra(family.values) if idle is not None else None
-        shifting = extra is not None and bool(extra.any())
-        psis: dict[tuple[str, str, float], np.ndarray] = {}
-        for pos, item in enumerate(base._items):
-            ins = item.instruction
-            if not isinstance(ins, Play):
-                continue
-            if ins.port.name not in model.channels:
-                if ins.port.kind is PortKind.READOUT:
-                    # Readout stimulus tones do not enter the qubit
-                    # Hamiltonian; their effect is the measurement model.
-                    continue
-                raise ExecutionError(
-                    f"schedule plays on port {ins.port.name!r} which has no "
-                    f"channel coupling in the system model"
-                )
-            ch = model.channels[ins.port.name]
-            tl = timeline(ins.port, ins.frame)
-            psi_key = (ins.port.name, ins.frame.name, ch.reference_frequency)
-            psi = psis.get(psi_key)
-            if psi is None:
-                # Accumulated carrier phase of the detuning.
-                detuning = tl[0] - ch.reference_frequency
-                psi = np.cumsum(detuning, axis=1)
-                psi -= detuning  # exclusive: phase *before* sample t
-                psi *= _TWO_PI * model.dt
-                psis[psi_key] = psi
-            t0, t1, c = item.t0, item.t1, col[ins.port.name]
-            phase = psi[:, t0:t1] + tl[1][:, t0:t1]
-            if pos in moving and shifting:
-                f_window = (window or {}).get(
-                    (ins.port.name, ins.frame.name), ins.frame.frequency
-                )
-                offset = _TWO_PI * model.dt * (f_window - ch.reference_frequency)
-                phase = phase + (offset * extra)[:, None]
-            scale = columns.get((pos, SCALE))
-            if scale is None:
-                samples = ins.waveform.samples()[None, :]
-            else:
-                samples = ins.waveform.base.samples()[None, :] * scale
-            drives[:, t0:t1, c] += samples * np.exp(1j * phase)
-            written = envelope[:, t0:t1, c]
-            envelope[:, t0:t1, c] = np.where(written != 0, -1.0, np.abs(samples))
-        return drives, envelope, channel_names
-
-    def _run_hamiltonians_stack(
-        self, rows: np.ndarray, channel_names: list[str]
-    ) -> np.ndarray:
+    def _run_hamiltonians_stack(self, rows: np.ndarray) -> np.ndarray:
         """Total Hamiltonians (Hz) of a ``(N, C)`` stack of drive rows.
 
         Channel terms apply through masked broadcast multiplies, one
@@ -831,7 +669,7 @@ class ScheduleExecutor:
         model = self.model
         n = rows.shape[0]
         hs = np.repeat(model.drift[None, :, :], n, axis=0)
-        for j, name in enumerate(channel_names):
+        for j, name in enumerate(self._channel_names):
             a = rows[:, j]
             nz = a != 0
             if not np.any(nz):
@@ -863,10 +701,16 @@ class ScheduleExecutor:
         Kets for a closed system (matrices for an operator-valued
         initial state), density matrices with decoherence.
 
-        Slices are laid out family by family and, within a family,
-        position-major — run r of every member, then r+1 — so runs the
-        members share (state prep, fixed segments) sit consecutively
-        and collapse to one cache entry. Each kernel chunk returns a
+        Each family's runs come from
+        :func:`~repro.sim.runs.drive_runs`, its delay slot's idle run
+        from :func:`~repro.sim.runs.insert_idle`. Slices are laid out
+        family by family and, within a family, position-major — run r
+        of every member, then r+1 — so runs the members share (state
+        prep, fixed segments, phase-free rows of a phase sweep) sit
+        consecutively: before each kernel chunk, consecutive slices of
+        one canonical row and length collapse to one, so one
+        Hamiltonian is built and looked up per distinct run and the
+        slices index its row. Each kernel chunk returns a
         ``(table, index)`` pair: one propagator per distinct run and
         the table row of every slice, so nothing is copied per slice.
         At a run position where all K members share a row, that one
@@ -881,24 +725,26 @@ class ScheduleExecutor:
         """
         model = self.model
         use_dm = model.has_decoherence()
-        with span("synthesize", points=len(streams)):
+        with span("synthesize", points=len(streams)) as sp:
             # (rows (R, K, C), magnitudes (R, 1 or K, C), steps (R, 1
             # or K)) per family
             plans = []
+            evaluated = samples = 0
             for family in families:
-                drives, envelope, channel_names = self._synthesize_drives_family(
-                    family
+                runs, rows, mags, n = drive_runs(
+                    family, self.model, self._channel_names
                 )
-                runs = segment_runs(drives.transpose(1, 0, 2))
-                starts = [start for start, _ in runs]
                 plan = (
-                    drives[:, starts].transpose(1, 0, 2),
-                    envelope[:, starts].transpose(1, 0, 2),
+                    rows,
+                    mags,
                     np.array([n for _, n in runs], dtype=np.int64)[:, None],
                 )
                 if family.idle is not None:
-                    plan = self._insert_idle(family, runs, *plan)
+                    plan = insert_idle(family, runs, *plan)
                 plans.append(plan)
+                evaluated += n
+                samples += len(family) * sum(n for _, n in runs)
+            sp.annotate(rows=evaluated, samples=samples)
         state0 = self._initial_state(initial_state, use_dm)
 
         if use_dm:
@@ -917,9 +763,7 @@ class ScheduleExecutor:
                             continue
                         member = steps[:, min(j, steps.shape[1] - 1)]
                         live = member > 0
-                        hs = self._run_hamiltonians_stack(
-                            rows[live, j], channel_names
-                        )
+                        hs = self._run_hamiltonians_stack(rows[live, j])
                         stack.append(
                             engine.evolve_trajectories(
                                 hs,
@@ -955,9 +799,9 @@ class ScheduleExecutor:
         def kernel(rows_: np.ndarray, steps_: np.ndarray) -> tuple:
             if use_dm:
                 return engine.superpropagators(
-                    self._run_hamiltonians_stack(rows_, channel_names), steps_
+                    self._run_hamiltonians_stack(rows_), steps_
                 )
-            return self._closed_propagators(rows_, steps_, channel_names)
+            return self._closed_propagators(rows_, steps_)
 
         if use_dm:
             limit = self._MAX_OPEN_BATCH_SLICES
@@ -967,6 +811,8 @@ class ScheduleExecutor:
         chunk: list[tuple[int, int, int]] = []
         offset = 0
         for f, family in enumerate(families):
+            if not len(family):  # a zero-point PUB: no slices
+                continue
             for _ in range(len(plans[f][0])):
                 chunk.append((f, offset, len(family)))
                 offset += len(family)
@@ -988,7 +834,17 @@ class ScheduleExecutor:
             hi = chunk[-1][1] + chunk[-1][2]
             _check_cancel(should_cancel)
             live = ~idle_free[lo:hi]
-            table, index = kernel(rows[lo:hi][live], steps[lo:hi][live])
+            live_rows, live_steps = rows[lo:hi][live], steps[lo:hi][live]
+            # Consecutive slices of one row and length (the members'
+            # copies of a shared run) take one Hamiltonian and one
+            # lookup: the kernel sees the distinct runs in the order
+            # the cache would have computed them.
+            first = np.ones(len(live_steps), dtype=bool)
+            first[1:] = np.any(live_rows[1:] != live_rows[:-1], axis=1) | (
+                live_steps[1:] != live_steps[:-1]
+            )
+            table, index = kernel(live_rows[first], live_steps[first])
+            index = index[np.cumsum(first) - 1]
             if not live.all():
                 # Zero-length runs (a delay-slot member that inserts no
                 # idle sample) evolve by the exact identity: one row.
@@ -1027,36 +883,6 @@ class ScheduleExecutor:
             return [s.reshape(-1, dim, dim) for s in states]
         return states
 
-    @staticmethod
-    def _insert_idle(family: ScheduleFamily, runs: list, rows, mags, steps):
-        """The plan ``(rows, mags, steps)`` of *family* with its delay
-        slot's idle run inserted at the cut.
-
-        The run holding the cut is split there (splitting a constant
-        run is exact up to rounding); the inserted run is drift only,
-        and its ``(K,)`` steps are each member's extra idle samples.
-        """
-        extra = family.idle.extra(family.values)
-        if not extra.any():
-            return rows, mags, steps
-        cut = family.idle.cut
-        at = len(runs)
-        for r, (start, n) in enumerate(runs):
-            if start <= cut < start + n:
-                at = r
-                if start < cut:  # split: the run's head, then its tail
-                    rows = np.insert(rows, r, rows[r], axis=0)
-                    mags = np.insert(mags, r, mags[r], axis=0)
-                    steps = np.insert(steps, r, cut - start, axis=0)
-                    steps[r + 1] = start + n - cut
-                    at = r + 1
-                break
-        k = len(family)
-        steps = np.insert(np.broadcast_to(steps, (len(steps), k)), at, extra, axis=0)
-        rows = np.insert(rows, at, 0.0, axis=0)
-        mags = np.insert(mags, at, 0.0, axis=0)
-        return rows, mags, steps
-
     def _canonical_rows(
         self, rows: np.ndarray, magnitudes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1085,9 +911,7 @@ class ScheduleExecutor:
         cdtype = active_dtype().cdtype
         return tuple(np.asarray(r, dtype=cdtype) for r in (rot, rot.conj()))
 
-    def _closed_propagators(
-        self, rows: np.ndarray, steps: np.ndarray, channel_names: list[str]
-    ) -> tuple:
+    def _closed_propagators(self, rows: np.ndarray, steps: np.ndarray) -> tuple:
         """Unitary run propagators as ``(table, index)``: one cached
         batched call for the driven runs, then one row from the drift
         eigendecomposition per distinct length of the drift-only runs."""
@@ -1098,7 +922,7 @@ class ScheduleExecutor:
         if not drift.all():
             driven = ~drift
             table, index[driven] = self.propagator_cache.propagators(
-                self._run_hamiltonians_stack(rows[driven], channel_names),
+                self._run_hamiltonians_stack(rows[driven]),
                 dt,
                 steps[driven],
             )

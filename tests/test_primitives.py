@@ -264,13 +264,38 @@ class TestExecuteBatch:
             )
 
     def test_empty_and_degenerate(self, sc_device_1q):
-        assert sc_device_1q.executor.execute_batch([]) == []
+        r = sc_device_1q.executor.execute_batch([])
+        assert len(r) == 0 and r.families == ()
         from repro.core import PulseSchedule
 
         [r] = sc_device_1q.executor.execute_batch(
             [PulseSchedule("empty")], shots=0
         )
         assert r.duration_samples == 0 and r.counts == {}
+
+
+    def test_zero_point_pub_is_empty(self, sc_device_1q):
+        """A zero-point PUB gives empty evs and an empty Sampler result
+        on a direct target, alone and beside a PUB with points, which
+        it leaves as that PUB gives alone."""
+        program = repro.Program.from_mlir(parametric_kernel(sc_device_1q, 2))
+        target = repro.Target.from_device(sc_device_1q)
+        empty = {"theta0": np.zeros(0), "theta1": np.zeros(0)}
+        points = grid_for(program, 3)
+        [alone] = Estimator(target).run([(program, "Z", empty)])
+        assert alone.data.evs.shape == (0,)
+        zero, full = Estimator(target).run(
+            [(program, "Z", empty), (program, "Z", points)]
+        )
+        [ref] = Estimator(target).run([(program, "Z", points)])
+        assert zero.data.evs.shape == (0,)
+        np.testing.assert_array_equal(full.data.evs, ref.data.evs)
+        for pubs in ([(program, empty)], [(program, points), (program, empty)]):
+            result = Sampler(target, seed=5).run(pubs)
+            assert result[-1].data.shape == (0,)
+            assert result[-1].data.counts.shape == (0,)
+        [counts] = Sampler(target, seed=5).run([(program, points)])
+        assert list(result[0].data.counts) == list(counts.data.counts)
 
 
 # ---- Sampler / Estimator vs the direct run loop --------------------------------------

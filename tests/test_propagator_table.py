@@ -35,7 +35,8 @@ from repro.devices import SuperconductingDevice
 from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.ir import print_module
 from repro.primitives import Estimator
-from repro.sim.evolve import PropagatorCache, segment_runs
+from repro.sim.evolve import PropagatorCache
+from repro.sim.runs import drive_runs
 
 #: Phase values away from 0 (mod 2 pi), amplitude scales away from 0,
 #: detunings away from 0: none makes a member's drive constant across
@@ -92,8 +93,9 @@ def mixed_sweeps(draw, device, k=4):
 
 
 def _segments(executor, family):
-    drives, _, _ = executor._synthesize_drives_family(family)
-    return segment_runs(drives.transpose(1, 0, 2))
+    model = executor.model
+    runs, _, _, _ = drive_runs(family, model, sorted(model.channels))
+    return runs
 
 
 def _own_runs_agree(executor, family) -> bool:
@@ -267,19 +269,50 @@ def test_lindblad_pub_applies_one_row_per_distinct_run(monkeypatch):
         return estimator.run([(program, "Z", grid)])[0].data.evs
 
     run(1)
-    # 21 run positions x 8 members: one kernel chunk, one lookup whose
-    # table holds the 21 distinct superpropagators. The cache's hits
-    # and misses count slices.
-    assert lookups == [(168, 21, 168)]
-    assert (cache.stats["hits"], cache.stats["misses"], len(cache)) == (0, 168, 21)
+    # 21 run positions x 8 members: one kernel chunk. The 8 members
+    # share every position's phase-free row, so the executor hands the
+    # cache one slice per position: one lookup of 21 slices whose table
+    # holds the 21 distinct superpropagators. The cache's hits and
+    # misses count the slices it is handed.
+    assert lookups == [(21, 21, 21)]
+    assert (cache.stats["hits"], cache.stats["misses"], len(cache)) == (0, 21, 21)
     # A frame phase rotates the state, not the propagator: all members
     # share every position's row, so no rows are gathered.
     assert numpy.stacked == []
     lookups.clear()
     run(2)
-    assert lookups == [(168, 21, 168)]
-    assert (cache.stats["hits"], cache.stats["misses"]) == (168, 168)
+    assert lookups == [(21, 21, 21)]
+    assert (cache.stats["hits"], cache.stats["misses"]) == (21, 21)
     assert numpy.stacked == []
+
+
+def test_closed_pub_builds_one_hamiltonian_per_driven_position(monkeypatch):
+    """A 64-point closed ansatz PUB: the members share every run
+    position's phase-free row, so the executor builds one Hamiltonian
+    per driven position (20 of the 21; the capture tail is drift
+    only), not one per slice (1,280)."""
+    device = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
+    program = _ansatz(device)
+    estimator = Estimator(repro.Target.from_device(device))
+    executor = device.executor
+    built = []
+    real = executor_module.ScheduleExecutor._run_hamiltonians_stack
+
+    def spy(self, rows):
+        built.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(
+        executor_module.ScheduleExecutor, "_run_hamiltonians_stack", spy
+    )
+    rng = np.random.default_rng(0)
+    grid = {f"theta{k}": rng.uniform(-np.pi, np.pi, 64) for k in range(8)}
+    for _ in range(2):
+        estimator.run([(program, "Z", grid)])
+        assert built == [20]
+        built.clear()
+    cache = executor.propagator_cache
+    assert (cache.stats["hits"], cache.stats["misses"], len(cache)) == (20, 20, 20)
 
 
 def test_members_differing_at_a_position_gather_its_rows(monkeypatch):

@@ -24,6 +24,7 @@ from repro.errors import ExecutionError, ValidationError
 from repro.sim import DecoherenceSpec, ReadoutModel, ScheduleExecutor
 from repro.sim.evolve import segment_runs
 from repro.sim.model import transmon_model
+from repro.sim.runs import drive_runs
 
 RABI = 50e6  # Hz
 DT = 1e-9
@@ -307,24 +308,26 @@ class TestSegmentRuns:
         return dev.executor, sched
 
     def test_long_flat_pulse_is_one_run(self):
-        """A 4096-sample ion flat-top costs one propagator, not 4096."""
+        """A 4096-sample ion flat-top costs one propagator, not 4096,
+        and its runs are planned from at most 3 candidate rows."""
         executor, sched = self.ion_flat_top(4096)
-        [drives], _, _ = executor._synthesize_drives_family(
-            ScheduleFamily.gather([sched])
+        model = executor.model
+        runs, rows, _, evaluated = drive_runs(
+            ScheduleFamily.gather([sched]), model, sorted(model.channels)
         )
-        assert drives.shape[0] == 4096
-        assert segment_runs(drives) == [(0, 4096)]
+        assert runs == [(0, 4096)] and rows.shape[:2] == (1, 1)
+        assert evaluated <= 3
 
     def test_run_merging_matches_per_sample_stepping(self):
         from repro.sim.evolve import step_propagator
 
         executor, sched = self.ion_flat_top(1024)
-        [drives], _, names = executor._synthesize_drives_family(
-            ScheduleFamily.gather([sched])
-        )
-        naive = np.eye(executor.model.dimension, dtype=np.complex128)
-        for h in executor._run_hamiltonians_stack(drives, names):
-            naive = step_propagator(h, executor.model.dt) @ naive
+        model = executor.model
+        drives, names = reference_drives(model, sched)
+        naive = np.eye(model.dimension, dtype=np.complex128)
+        for row in drives:
+            h = reference_hamiltonian(model, row, names)
+            naive = step_propagator(h, model.dt) @ naive
         assert np.abs(executor.unitary(sched) - naive).max() < 1e-8
 
 
