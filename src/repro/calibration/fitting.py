@@ -85,7 +85,9 @@ def frequency_grid(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     above the Nyquist limit.
     """
     span = float(np.ptp(x))
-    top = min(hi, (np.unique(x).size - 1) / (2.0 * span))
+    # An index output keeps unique off NumPy's lazy numpy.ma import.
+    distinct = np.unique(x, return_index=True)[0].size
+    top = min(hi, (distinct - 1) / (2.0 * span))
     if top < lo:
         return np.empty(0)
     return np.linspace(lo, top, int(np.ceil((top - lo) * 4.0 * span)) + 1)

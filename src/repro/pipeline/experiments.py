@@ -216,9 +216,11 @@ register_task("verify_calibration", "verify")(_verify_run)
 
 def _ramsey_delays(device, max_delay_samples: int, points: int) -> np.ndarray:
     g = device.config.constraints.granularity
+    # An index output keeps unique off NumPy's lazy numpy.ma import.
     return np.unique(
-        (np.linspace(0, max_delay_samples, points) / g).astype(int) * g
-    )
+        (np.linspace(0, max_delay_samples, points) / g).astype(int) * g,
+        return_index=True,
+    )[0]
 
 
 def _half_pi_pulse(device, site: int):

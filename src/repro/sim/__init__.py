@@ -48,6 +48,7 @@ from repro.sim.evolve import (
     evolve_piecewise,
     evolve_unitary,
     free_propagator,
+    free_propagators,
     hamiltonian_fingerprint,
     propagator_sequence,
     step_propagator,
@@ -90,6 +91,7 @@ __all__ = [
     "evolve_unitary",
     "step_propagator",
     "free_propagator",
+    "free_propagators",
     "propagator_sequence",
     "build_hamiltonians",
     "batched_propagators",

@@ -99,11 +99,24 @@ def free_propagator(drift_eig: tuple, dt: float, steps: int):
 
     *drift_eig* is the ``(evals, evecs)`` pair from ``eigh``.
     """
+    return free_propagators(drift_eig, dt, [steps])[0]
+
+
+def free_propagators(drift_eig: tuple, dt: float, steps):
+    """``(n, D, D)`` drift propagators for the *steps* lengths at once.
+
+    One stacked multiply ``evecs * exp(-2 pi i lambda dt n) @
+    evecs^dag`` over the lengths; each row is bitwise the one-length
+    :func:`free_propagator`.
+    """
     policy = active_dtype()
     evals, evecs = drift_eig
     evecs = np.asarray(evecs, dtype=policy.cdtype)
-    phases = np.exp(np.asarray(-1j * _TWO_PI * evals * dt * steps, dtype=policy.cdtype))
-    return np.matmul(evecs * phases, _adjoint(evecs))
+    lengths = np.asarray(steps)[:, None]
+    phases = np.exp(
+        np.asarray(-1j * _TWO_PI * evals * dt * lengths, dtype=policy.cdtype)
+    )
+    return np.matmul(evecs * phases[:, None, :], _adjoint(evecs))
 
 
 def evolve_unitary(unitary, state):
@@ -365,7 +378,9 @@ def _expm_stack(policy: DtypePolicy, a, coeff, mu, far_level: int, far, kernel: 
     shift = coeff * mu
     top = 0
     chunk = _expm_chunk(m)
-    for level in np.unique(levels[~routed]):
+    # Asking unique for an index output keeps NumPy off its lazy
+    # numpy.ma import (a masked-array check made only without one).
+    for level in np.unique(levels[~routed], return_index=True)[0]:
         sel = np.nonzero(levels == level)[0]
         for lo in range(0, sel.size, chunk):
             idx = sel[lo : lo + chunk]

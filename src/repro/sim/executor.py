@@ -48,7 +48,10 @@ batched pipeline — a single schedule is a one-member batch:
    kernel hands back a table of distinct propagators and one row per
    slice; every family's state stack then advances by one stacked
    product per run position, applying the one shared row when all
-   members use it. Drive phases are canonicalized
+   members use it. A constant play on a detuned frame, whose every
+   sample is a run, merges into one chirped run: one cached
+   one-sample propagator raised to its length by repeated squaring
+   (:meth:`ScheduleExecutor._chirps`). Drive phases are canonicalized
    before the kernel: on every channel whose phase is a symmetry of
    the model (a lowering-operator drive; see
    :meth:`ScheduleExecutor._phase_generators`) a run's amplitude ``a``
@@ -89,7 +92,7 @@ from repro.core.schedule import (
 from repro.errors import CancelledError, ExecutionError, ValidationError
 from repro.obs import profile as _profile
 from repro.obs.tracing import span
-from repro.sim.evolve import PropagatorCache, free_propagator
+from repro.sim.evolve import PropagatorCache, free_propagators
 from repro.sim.measurement import ReadoutModel, joint_confusion, sample_counts
 from repro.sim.model import SystemModel
 from repro.sim.open_system import (
@@ -100,6 +103,8 @@ from repro.sim.open_system import (
 from repro.sim.operators import basis_state, identity
 from repro.sim.runs import drive_runs, insert_idle
 from repro.sim.precision import active_dtype
+
+_TWO_PI = 2.0 * np.pi
 
 
 def _eigen_commutator(
@@ -118,6 +123,48 @@ def _eigen_commutator(
         eigenvalue = np.vdot(op, comm) / scale**2
     residual = float(np.linalg.norm(comm - eigenvalue * op))
     return residual <= _COVARIANCE_RTOL * (1.0 + float(np.abs(w).max())) * scale
+
+
+def _distinct(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the rows of the ``(n, w)`` *columns*,
+    read side by side.
+
+    *first* holds the first row of every distinct row, in order of
+    first appearance, and *inverse* each row's place in it. Equal
+    neighbours (the members' copies of a shared run) collapse in one
+    comparison pass first; the rest dedup by their bytes.
+    """
+    changed = np.any(columns[0][1:] != columns[0][:-1], axis=1)
+    for column in columns[1:]:
+        changed |= np.any(column[1:] != column[:-1], axis=1)
+    head = np.ones(len(columns[0]), dtype=bool)
+    head[1:] = changed
+    reps = np.flatnonzero(head)
+    key = np.concatenate([column[reps] for column in columns], axis=1)
+    raw = key.tobytes()
+    width = key.shape[1] * key.itemsize
+    seen: dict[bytes, int] = {}
+    first: list[int] = []
+    label: list[int] = []
+    for i in range(len(reps)):
+        g = seen.setdefault(raw[i * width : (i + 1) * width], len(seen))
+        if g == len(first):
+            first.append(i)
+        label.append(g)
+    return reps[first], np.array(label, dtype=np.intp)[np.cumsum(head) - 1]
+
+
+def _matrix_powers(a: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``a_k ** e_k`` for an ``(n, m, m)`` stack: one repeated squaring
+    of the stack per distinct exponent."""
+    distinct = set(exponents.tolist())
+    if len(distinct) == 1:
+        return np.linalg.matrix_power(a, distinct.pop())
+    out = np.empty_like(a)
+    for e in distinct:
+        at = exponents == e
+        out[at] = np.linalg.matrix_power(a[at], e)
+    return out
 
 
 def _check_cancel(should_cancel) -> None:
@@ -705,20 +752,24 @@ class ScheduleExecutor:
         :func:`~repro.sim.runs.drive_runs`, its delay slot's idle run
         from :func:`~repro.sim.runs.insert_idle`. Slices are laid out
         family by family and, within a family, position-major — run r
-        of every member, then r+1 — so runs the members share (state
-        prep, fixed segments, phase-free rows of a phase sweep) sit
-        consecutively: before each kernel chunk, consecutive slices of
-        one canonical row and length collapse to one, so one
-        Hamiltonian is built and looked up per distinct run and the
-        slices index its row. Each kernel chunk returns a
-        ``(table, index)`` pair: one propagator per distinct run and
-        the table row of every slice, so nothing is copied per slice.
-        At a run position where all K members share a row, that one
-        matrix is applied to the whole state stack; where they differ,
-        only that position's rows are gathered; a zero-step idle member
-        indexes one shared identity row. Either way the update is a
-        stacked per-member matmul, bitwise what a one-member batch
-        gives. A closed batch is one kernel chunk; an open one flushes
+        of every member, then r+1. After phase canonicalization the
+        per-sample positions of a detuned constant play merge into one
+        chirped run (:meth:`_chirps`), whose propagator is one cached
+        one-sample propagator and one matrix power (:meth:`_chirped`);
+        the quantum-jump fallback above steps the unmerged runs. Before
+        each kernel chunk, slices of one canonical row, length and
+        chirp ``(N, Delta)`` collapse to one wherever they sit (the
+        members' copies of a shared run, a run repeated later), so one
+        Hamiltonian is built and looked up per distinct run, in order
+        of first appearance, and the slices index its row. Each kernel
+        chunk returns a ``(table, index)`` pair: one propagator per
+        distinct run and the table row of every slice, so nothing is
+        copied per slice. At a run position where all K members share
+        a row, that one matrix is applied to the whole state stack;
+        where they differ, only that position's rows are gathered; a
+        zero-step idle member indexes one shared identity row. Either
+        way the update is a stacked per-member matmul, bitwise what a
+        one-member batch gives. A closed batch is one kernel chunk; an open one flushes
         every ``_MAX_OPEN_BATCH_SLICES`` slices, which bounds the stack
         of cold superpropagators one chunk computes, while the shared
         cache still dedups across flushes.
@@ -779,7 +830,7 @@ class ScheduleExecutor:
 
         # Flat slice table, and kernel chunks of whole run positions,
         # each position a (family, first slice, K) triple.
-        rows, phases = self._canonical_rows(
+        rows, phases, angles = self._canonical_rows(
             np.concatenate([r.reshape(-1, r.shape[2]) for r, _, _ in plans]),
             np.concatenate(
                 [
@@ -788,11 +839,19 @@ class ScheduleExecutor:
                 ]
             ),
         )
-        # Slices whose state must rotate (a list: cheap per-position any).
-        moving = phases.any(axis=1).tolist()
         steps = np.concatenate(
             [np.broadcast_to(st, r.shape[:2]).reshape(-1) for r, _, st in plans]
         )
+        positions = [len(r) for r, _, _ in plans]
+        # Chirped runs: (N, Delta) per slice, or None when none merged.
+        chirps = self._chirps(families, positions, rows, angles, steps)
+        if chirps is not None:
+            keep, positions, counts, deltas, covered = chirps
+            rows, phases, steps = rows[keep], phases[keep], steps[keep]
+            steps[covered] = 0
+            phases[covered] = 0.0
+        # Slices whose state must rotate (a list: cheap per-position any).
+        moving = phases.any(axis=1).tolist()
         idle_free = steps == 0
         side = model.dimension ** (2 if use_dm else 1)
 
@@ -813,7 +872,7 @@ class ScheduleExecutor:
         for f, family in enumerate(families):
             if not len(family):  # a zero-point PUB: no slices
                 continue
-            for _ in range(len(plans[f][0])):
+            for _ in range(positions[f]):
                 chunk.append((f, offset, len(family)))
                 offset += len(family)
                 if offset - chunk[0][1] >= limit:
@@ -835,19 +894,27 @@ class ScheduleExecutor:
             _check_cancel(should_cancel)
             live = ~idle_free[lo:hi]
             live_rows, live_steps = rows[lo:hi][live], steps[lo:hi][live]
-            # Consecutive slices of one row and length (the members'
-            # copies of a shared run) take one Hamiltonian and one
-            # lookup: the kernel sees the distinct runs in the order
-            # the cache would have computed them.
-            first = np.ones(len(live_steps), dtype=bool)
-            first[1:] = np.any(live_rows[1:] != live_rows[:-1], axis=1) | (
-                live_steps[1:] != live_steps[:-1]
-            )
+            # Slices of one row, length and chirp (the members' copies
+            # of a shared run, a run repeated at another position) take
+            # one Hamiltonian and one lookup: the kernel sees the
+            # distinct runs in the order the cache would have computed
+            # them.
+            columns = [live_rows, live_steps[:, None]]
+            if chirps is not None:
+                live_counts = counts[lo:hi][live]
+                live_deltas = deltas[lo:hi][live]
+                columns += [live_counts[:, None], live_deltas]
+            first, inverse = _distinct(columns)
             table, index = kernel(live_rows[first], live_steps[first])
-            index = index[np.cumsum(first) - 1]
+            if chirps is not None:
+                table, index = self._chirped(
+                    table, index, live_counts[first], live_deltas[first], use_dm
+                )
+            index = index[inverse]
             if not live.all():
                 # Zero-length runs (a delay-slot member that inserts no
-                # idle sample) evolve by the exact identity: one row.
+                # idle sample, a position a member's chirp covers)
+                # evolve by the exact identity: one row.
                 full = np.full(hi - lo, len(table), dtype=np.intp)
                 full[live] = index
                 index = full
@@ -885,8 +952,9 @@ class ScheduleExecutor:
 
     def _canonical_rows(
         self, rows: np.ndarray, magnitudes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase-free ``(N, C)`` drive rows and their ``(N, D)`` phases.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase-free ``(N, C)`` drive rows, their ``(N, D)`` phases and
+        the ``(N, C)`` channel angles those sum.
 
         Every covariant channel's amplitude ``a`` becomes ``|a|`` (the
         envelope magnitude, so it is bitwise the same whatever the
@@ -894,11 +962,166 @@ class ScheduleExecutor:
         diagonal of ``V`` that puts the phase back. Runs differing only
         in frame phase then share one Hamiltonian fingerprint — one
         cache entry — and other channels keep their value with zero
-        phase.
+        phase (and zero angle).
         """
         lifted = self._phase_channels & (magnitudes > 0)
-        phases = np.where(lifted, np.angle(rows), 0.0) @ self._phase_gen
-        return np.where(lifted, magnitudes, rows), phases
+        angles = np.where(lifted, np.angle(rows), 0.0)
+        return np.where(lifted, magnitudes, rows), angles @ self._phase_gen, angles
+
+    def _chirps(
+        self,
+        families: list[ScheduleFamily],
+        positions: list[int],
+        rows: np.ndarray,
+        angles: np.ndarray,
+        steps: np.ndarray,
+    ):
+        """Merge every detuned constant play into one chirped run.
+
+        A play on a frame detuned from its channel is one run per
+        sample, and sample ``k`` has propagator ``V_k P V_k^dag``: one
+        phase-free ``P`` (its row is ``|a|``) and phases advancing by
+        the same diagonal ``Delta`` each sample. So a member's N
+        consecutive run positions merge when each has steps 1, their
+        phase-free rows are equal and the wrapped channel angles
+        advance by the same increment into every one (equal to 12
+        decimals, as :func:`~repro.sim.evolve.segment_runs` merges
+        samples). Overlapping plays and channels whose phase is no
+        symmetry keep their complex rows, which differ per sample; a
+        frame event inside a play changes the increment, and the chirp
+        after it starts one position later. The merged run sits at its
+        first position, with that position's phase; :meth:`_chirped`
+        gives its phase-free propagator.
+
+        Every member merges on its own rows alone, so a member's runs
+        are the ones it has run alone: at a position a chirp covers,
+        the member takes the exact identity (steps 0, phase 0), and a
+        position every member's chirp covers is dropped.
+
+        Returns ``None`` when nothing merges, else ``(keep, positions,
+        counts, deltas, covered)``: the kept slices, each family's run
+        positions after merging, and per kept slice its N (1 off
+        chirps), its ``(D,)`` increment ``Delta = sum_j dtheta_j W_j``
+        (the mean over its chirp) and whether a chirp covers it.
+        """
+        if not (steps == 1).any():
+            return None
+        plans = []
+        offset = 0
+        for family, r in zip(families, positions):
+            k = len(family)
+            part = slice(offset, offset + r * k)
+            offset += r * k
+            plans.append(None)
+            if r < 2 or not k:
+                continue
+            unit = steps[part].reshape(r, k) == 1
+            link = unit[1:] & unit[:-1]  # link j joins positions j, j+1
+            if not link.any():
+                continue
+            block = rows[part].reshape(r, k, -1)
+            link &= (block[1:] == block[:-1]).all(axis=2)
+            if not link.any():
+                continue
+            turn = np.diff(angles[part].reshape(r, k, -1), axis=0)
+            turn -= _TWO_PI * np.round(turn / _TWO_PI)
+            key = np.round(turn, 12)
+            # A link continues the one before when both advance alike;
+            # one that starts a new increment right after another link
+            # would share that link's last position, so it is dropped.
+            same = np.zeros_like(link)
+            same[1:] = link[1:] & link[:-1] & (key[1:] == key[:-1]).all(axis=2)
+            late = link & ~same
+            late[0] = False
+            late[1:] &= link[:-1]
+            usable = link & ~late
+            cont = np.zeros_like(link)
+            cont[1:] = same[1:] & usable[:-1]
+            carried = np.zeros_like(link)  # the next link continues
+            carried[:-1] = cont[1:]
+            ends = usable & ~carried
+            # Member-major, so the chirps' first and last links pair up.
+            firsts = np.flatnonzero((usable & ~cont).T)
+            lasts = np.flatnonzero(ends.T)
+            member, a = np.divmod(firsts, r - 1)
+            b = lasts % (r - 1)
+            total = np.cumsum(turn, axis=0)
+            total = np.concatenate([np.zeros_like(total[:1]), total])
+            mean = (total[b + 1, member] - total[a, member]) / (b + 1 - a)[:, None]
+            counts = np.ones((r, k), dtype=np.int64)
+            counts[a, member] = b + 2 - a
+            deltas = np.zeros((r, k, self._phase_gen.shape[1]))
+            # Channel by channel, not one GEMM: a BLAS row depends on
+            # how many rows share the call, and a member's increment
+            # must not.
+            deltas[a, member] = sum(
+                mean[:, j, None] * w for j, w in enumerate(self._phase_gen)
+            )
+            covered = np.zeros((r, k), dtype=bool)
+            covered[1:] = usable  # a link's chirp covers its second position
+            plans[-1] = (counts, deltas, covered)
+        if not any(plan is not None for plan in plans):
+            return None
+        positions = list(positions)
+        parts: list[list[np.ndarray]] = [[], [], [], []]
+        dim = self._phase_gen.shape[1]
+        for f, (family, r, plan) in enumerate(zip(families, positions, plans)):
+            k = len(family)
+            if plan is None:
+                plan = (
+                    np.ones((r, k), dtype=np.int64),
+                    np.zeros((r, k, dim)),
+                    np.zeros((r, k), dtype=bool),
+                )
+            counts, deltas, covered = plan
+            kept = ~covered.all(axis=1)
+            positions[f] = int(np.count_nonzero(kept))
+            parts[0].append(np.repeat(kept, k))
+            parts[1].append(counts[kept].reshape(-1))
+            parts[2].append(deltas[kept].reshape(-1, dim))
+            parts[3].append(covered[kept].reshape(-1))
+        keep, counts, deltas, covered = (
+            p[0] if len(p) == 1 else np.concatenate(p) for p in parts
+        )
+        return keep, positions, counts, deltas, covered
+
+    def _chirped(
+        self,
+        table: tuple,
+        index: np.ndarray,
+        counts: np.ndarray,
+        deltas: np.ndarray,
+        use_dm: bool,
+    ) -> tuple:
+        """``(table, index)`` with each chirped run's propagator.
+
+        Entry ``e`` with ``N = counts[e] > 1`` indexes its one-sample
+        propagator ``U0``; the run's samples multiply to ``V_{N-1} U0
+        V_{N-1}^dag ... V_0 U0 V_0^dag`` with ``V_{k+1} = V_k
+        e^{i Delta}``, which the executor's rotation at the first
+        phase ``V_0`` gives from the phase-free ``Q = e^{i (N-1)
+        Delta} U0 (E U0)^{N-1}``, ``E = e^{-i Delta}``. The powers are
+        one repeated squaring over the stack. A vectorized density
+        matrix takes the rotations of :meth:`_state_rotations`, which
+        holds wherever the dissipator is phase-covariant — the only
+        channels whose angles are nonzero. A wrapped angle changes
+        ``Delta`` by ``2 pi`` times an integer spacing of ``W``: a
+        global phase, which cancels between ``e^{i (N-1) Delta}`` and
+        ``E^{N-1}``.
+        """
+        chirped = np.flatnonzero(counts > 1)
+        if not chirped.size:
+            return table, index
+        u0 = np.stack([table[i] for i in index[chirped].tolist()])
+        n = counts[chirped] - 1
+        delta = deltas[chirped]
+        _, step = self._state_rotations(delta, use_dm)
+        ahead, _ = self._state_rotations(n[:, None] * delta, use_dm)
+        q = np.matmul(u0, _matrix_powers(step[:, :, None] * u0, n))
+        q *= ahead[:, :, None]
+        index = index.copy()
+        index[chirped] = len(table) + np.arange(chirped.size)
+        return table + tuple(q), index
 
     @staticmethod
     def _state_rotations(phases: np.ndarray, use_dm: bool):
@@ -913,8 +1136,9 @@ class ScheduleExecutor:
 
     def _closed_propagators(self, rows: np.ndarray, steps: np.ndarray) -> tuple:
         """Unitary run propagators as ``(table, index)``: one cached
-        batched call for the driven runs, then one row from the drift
-        eigendecomposition per distinct length of the drift-only runs."""
+        batched call for the driven runs, then one stacked multiply of
+        the drift eigendecomposition for every distinct length of the
+        drift-only runs."""
         dt = self.model.dt
         drift = ~np.any(rows != 0, axis=1)
         index = np.empty(len(steps), dtype=np.intp)
@@ -926,10 +1150,11 @@ class ScheduleExecutor:
                 dt,
                 steps[driven],
             )
-        lengths, which = np.unique(steps[drift], return_inverse=True)
-        index[drift] = len(table) + which
-        free = tuple(free_propagator(self._drift_eig, dt, int(n)) for n in lengths)
-        return table + free, index
+        if drift.any():
+            lengths, which = np.unique(steps[drift], return_inverse=True)
+            index[drift] = len(table) + which
+            table += tuple(free_propagators(self._drift_eig, dt, lengths))
+        return table, index
 
     def _measured_sites(self, base: PulseSchedule) -> tuple[int, ...]:
         """The site of each classical slot of *base*, in slot order."""

@@ -13,7 +13,10 @@ slot's idle run, whose length differs per member.
 
 Every value is computed with the operations a per-sample evaluation
 would take, so the runs and their rows are bitwise what segmenting the
-whole per-sample ``(K, T, n_channels)`` drive stack gives.
+whole per-sample ``(K, T, n_channels)`` drive stack gives. A play on a
+detuned frame is one run per sample here; the executor merges those
+runs into one chirped run after it strips their phases
+(:meth:`~repro.sim.executor.ScheduleExecutor._chirps`).
 """
 
 from __future__ import annotations
