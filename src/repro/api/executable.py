@@ -16,7 +16,8 @@ happens once, and the hot-loop operations are cheap:
   factorize once, solve per query.
 * :meth:`Executable.bind_many` — bind a whole ``(K, P)`` sweep at once
   into a :class:`~repro.core.schedule.ScheduleFamily` (the template
-  plus the value matrix) for the simulator to synthesize as arrays.
+  plus the value matrix) for the simulator to synthesize as arrays;
+  :meth:`Executable.families` binds a PUB wherever the device is.
 * :meth:`Executable.run` — execute and return a
   :class:`~repro.client.client.ClientResult`: service targets through
   the ticket queue, every other target through
@@ -25,7 +26,7 @@ happens once, and the hot-loop operations are cheap:
   target's client keeps one persistent session, so the QPI-parity
   path opens none per run).
 * :meth:`Executable.run_async` / :meth:`Executable.sweep` — service
-  fan-out over the same artifacts.
+  fan-out over the same artifacts, one request per point.
 
 The schedule-template trick is sound because the pulse dialect has no
 scalar arithmetic: an ``f64`` block argument flows *verbatim* into
@@ -44,7 +45,6 @@ the semantics never depend on the optimization.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -58,6 +58,7 @@ from repro.core.schedule import (
     DURATION,
     FRAME_EVENT_FIELDS,
     SCALE,
+    FamilyBatch,
     IdleSlot,
     PulseSchedule,
     ScheduleFamily,
@@ -119,25 +120,6 @@ class _ScheduleTemplate:
         except ReproError:
             return False
         return True
-
-    def specialize(self, params: Mapping[str, float]) -> PulseSchedule:
-        """A schedule with every scalar slot bound from *params*: the
-        one member of a one-point family.
-
-        Scalar finiteness (the ``__post_init__`` check the family's
-        field-for-field copy skips) is checked here; range checks
-        happen in the callers.
-        """
-        row = np.zeros((1, len(self.names)))
-        for _, _, col in self.slots:
-            name = self.names[col]
-            value = float(params[name])
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"parameter {name!r} must be finite, got {value!r}"
-                )
-            row[0, col] = value
-        return self.family(row).bound(row[0])
 
 
 def _row(template: _ScheduleTemplate, params: Mapping[str, float]) -> np.ndarray:
@@ -341,7 +323,8 @@ def _build_template(
             n: (mid_freq if n in template.frequency_params else 0.0)
             for n in names
         }
-        template.base = template.specialize(neutral)
+        row = _row(template, neutral)
+        template.base = template.family(row).bound(row[0])
         constraints.validate_schedule(template.base)
         return template
     except ReproError:
@@ -563,9 +546,10 @@ class Executable:
 
         try:
             constraints = self.target.constraints
-            if not template.admits(_row(template, self.params), constraints):
+            row = _row(template, self.params)
+            if not template.admits(row, constraints):
                 return None
-            schedule = template.specialize(self.params)
+            schedule = template.family(row).bound(row[0])
         except (ReproError, KeyError, TypeError, ValueError):
             return None
         return CompiledProgram.from_schedule(
@@ -585,34 +569,21 @@ class Executable:
     ) -> PulseSchedule | None:
         """The bound schedule via the template fast path *only*.
 
-        Merges *params* over the executable's bindings and specializes
-        the pre-compiled schedule template — no artifact construction,
-        no cache write: one point's member of the family
-        :meth:`bind_many` builds, at clone-and-swap cost. Returns
-        ``None`` whenever the fast path is unavailable (non-parametric
-        program, no template, a point :meth:`_ScheduleTemplate.admits`
-        rejects, incomplete bindings) — callers then fall back to
+        The one member of the family :meth:`bind_many` builds from the
+        executable's bindings merged with *params*: no artifact, no
+        cache write. Returns ``None`` whenever the fast path is
+        unavailable (non-parametric program, no template, a rejected
+        point, incomplete bindings); callers then fall back to
         :meth:`bind`, whose compile raises the typed error for such a
         point.
         """
-        if not self.program.is_parametric or self.target.is_detached:
-            return None
-        self._refresh_if_recalibrated()
-        self._ensure_payload()
-        template = self._ensure_template()
-        if template is None:
-            return None
         merged = dict(self.params)
-        if params:
-            merged.update({str(k): float(v) for k, v in dict(params).items()})
-        if set(self.program.parameters) - set(merged):
+        merged.update({str(k): float(v) for k, v in dict(params or {}).items()})
+        names = self.program.parameters
+        if set(names) - set(merged):
             return None
-        try:
-            if not template.admits(_row(template, merged), self.target.constraints):
-                return None
-            return template.specialize(merged)
-        except (ReproError, KeyError, TypeError, ValueError):
-            return None
+        family = self.bind_many(np.array([[merged[name] for name in names]]))
+        return None if family is None else family.member(0)
 
     def bind_many(self, values: np.ndarray) -> ScheduleFamily | None:
         """A whole sweep bound through the template fast path at once.
@@ -646,6 +617,30 @@ class Executable:
         if not template.admits(values, self.target.constraints):
             return None
         return template.family(values)
+
+    def families(self, values: np.ndarray) -> list[ScheduleFamily]:
+        """The ``(K, P)`` points *values* (columns in
+        :attr:`Program.parameters <repro.api.program.Program.parameters>`
+        order) bound as schedule families, wherever the device is.
+
+        A parametric program is its one bound family (:meth:`bind_many`),
+        one without parameters a slot-free family of K rows; points the
+        template rejects bind one by one through :meth:`bind`, which
+        raises a bad point's typed error.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not self.program.is_parametric:
+            schedule = self._ensure_compiled().schedule
+            return [ScheduleFamily.repeated(schedule, len(values))]
+        with span("specialize", points=len(values)):
+            family = self.bind_many(values)
+            if family is not None:
+                return [family]
+            names = self.program.parameters
+            return [
+                ScheduleFamily.repeated(self.bind(dict(zip(names, row))).schedule, 1)
+                for row in values.tolist()
+            ]
 
     def bind(
         self, params: Mapping[str, float] | None = None, **kwargs: float
@@ -764,11 +759,12 @@ class Executable:
         """Bind + run every parameter point; results in grid order.
 
         Each point binds through the template fast path (warming the
-        shared compile cache) and, on a service target, the points
-        execute concurrently through the device queues; a detached
-        (cluster/HTTP) target ships each point's bindings with the raw
-        program and compiles on the service side. This is the
-        primitives' per-point path.
+        shared compile cache) and is one request: on a service target,
+        the points execute concurrently through the device queues; a
+        detached (cluster/HTTP) target ships each point's bindings with
+        the raw program and compiles on the service side. The
+        primitives instead run a PUB as one family
+        (:meth:`families`).
         """
         points: Sequence[Mapping[str, float]] = list(grid)
         bound = [self.bind(point) for point in points]
@@ -831,4 +827,29 @@ class Executable:
         return (
             f"Executable({self.program.name!r} @ {self.target.device_name!r}, "
             f"{state}, params={self.params})"
+        )
+
+
+class ProgramBatch:
+    """A shot group's programs with their ``(K, P)`` value matrices
+    (columns in :attr:`Program.parameters
+    <repro.api.program.Program.parameters>` order), not yet bound: what
+    a detached (cluster/HTTP) target's request carries. The serving
+    side binds it where the device is (:meth:`bind`), into one
+    :class:`~repro.core.schedule.FamilyBatch` run as one job.
+    """
+
+    def __init__(self, pubs: Iterable[tuple[Program, np.ndarray]]) -> None:
+        self.pubs = tuple(pubs)
+
+    def __len__(self) -> int:
+        return sum(len(values) for _, values in self.pubs)
+
+    def bind(self, client: Any, device_name: str) -> FamilyBatch:
+        """Every program's points bound for a device of *client*."""
+        target = Target.from_client(client, device_name)
+        return FamilyBatch(
+            family
+            for program, values in self.pubs
+            for family in Executable.prepare(program, target).families(values)
         )

@@ -104,7 +104,8 @@ class Target:
         ``http(s)://`` address of a running front-end (resolved via
         :func:`repro.serving.connect`).  Transports without a local
         client (cluster, HTTP) produce a *detached* target: requests
-        carry the raw program and scalar args, and compilation happens
+        carry the raw program and its scalar args (a primitive's, its
+        ``(K, P)`` value matrix), and binding and compilation happen
         service-side against the service's own compiler.
         """
         if isinstance(service, str):

@@ -9,8 +9,9 @@ Per-stage timings are recorded for the architecture benchmark (E3).
 The submission pipeline is split into two reusable halves so the
 serving layer (:mod:`repro.serving`) can interpose between them:
 
-* :meth:`MQSSClient.compile_request` — adapter selection + JIT
-  compilation through the client compiler's memo;
+* :meth:`MQSSClient.compile_request` — the payload
+  (:meth:`MQSSClient.to_payload`) + JIT compilation through the client
+  compiler's memo;
 * :meth:`MQSSClient.execute_compiled_batch` — session lease + format
   routing + one batched device submission + result assembly
   (:meth:`MQSSClient.execute_compiled` is its one-member case).
@@ -34,6 +35,7 @@ from repro.errors import ExecutionError, QDMIError
 from repro.qdmi.driver import QDMIDriver
 from repro.qdmi.properties import JobStatus, ProgramFormat
 from repro.qdmi.session import QDMISession
+from repro.qir.emitter import schedule_to_qir
 
 
 @dataclass
@@ -174,6 +176,28 @@ class MQSSClient:
 
     # ---- submission ------------------------------------------------------------------
 
+    def to_payload(
+        self,
+        request: JobRequest,
+        device_name: str | None = None,
+        *,
+        timings: dict[str, float] | None = None,
+    ) -> Any:
+        """*request*'s compiler payload for a device (default: its own):
+        a :class:`~repro.api.executable.ProgramBatch` binds here, where
+        the device is, into one family batch; any other program goes
+        through its adapter."""
+        from repro.api.core import adapter_payload
+        from repro.api.executable import ProgramBatch
+
+        name = device_name or request.device
+        if isinstance(request.program, ProgramBatch):
+            return request.program.bind(self, name)
+        _, target, _ = self.resolve_target(name)
+        return adapter_payload(
+            self, request.program, target, adapter=request.adapter, timings=timings
+        )
+
     def compile_request(
         self,
         request: JobRequest,
@@ -181,25 +205,18 @@ class MQSSClient:
         device_name: str | None = None,
         timings: dict[str, float] | None = None,
     ) -> CompiledProgram:
-        """Adapter -> JIT compile *request* for a device (default: its own).
+        """Payload -> JIT compile *request* for a device (default: its own).
 
         Routes through the unified compile/cache core
         (:mod:`repro.api.core`) shared with the serving workers and the
         two-phase ``Executable`` API.
         """
-        from repro.api.core import adapter_payload, compile_payload
+        from repro.api.core import compile_payload
 
         _, target, _ = self.resolve_target(device_name or request.device)
-        payload = adapter_payload(
-            self,
-            request.program,
-            target,
-            adapter=request.adapter,
-            timings=timings,
-        )
         return compile_payload(
             self.compiler,
-            payload,
+            self.to_payload(request, device_name, timings=timings),
             target,
             scalar_args=request.scalar_args or None,
             timings=timings,
@@ -260,6 +277,8 @@ class MQSSClient:
         result carries a copy. A program compiled from a bound
         :class:`~repro.core.schedule.FamilyBatch` is one job whose
         result carries the batch's arrays (:attr:`ClientResult.batch`).
+        A remote device takes one QIR job per member instead, each on
+        the member's stream, and the results stack into the arrays.
         """
         requests = list(requests)
         if len(programs) != len(requests) or (
@@ -273,11 +292,13 @@ class MQSSClient:
         by_device: dict[str, list[int]] = {}
         for i, name in enumerate(names):
             by_device.setdefault(name, []).append(i)
-        jobs: list[Any] = [None] * len(requests)
+        # Each request's QDMI jobs: one, or one per remote family member.
+        jobs: list[list[Any]] = [[] for _ in requests]
+        remote = {name: self.resolve_target(name)[2] for name in by_device}
         t0 = time.perf_counter()
         for name, members in by_device.items():
-            _, _, remote = self.resolve_target(name)
-            fmt = ProgramFormat.QIR_PULSE if remote else ProgramFormat.PULSE_SCHEDULE
+            qir = remote[name]
+            fmt = ProgramFormat.QIR_PULSE if qir else ProgramFormat.PULSE_SCHEDULE
             session, close_after = self._lease_session(name)
             try:
                 batch = []
@@ -293,59 +314,90 @@ class MQSSClient:
                         metadata["decoherence"] = decoherence
                     if should_cancel is not None:
                         metadata["should_cancel"] = should_cancel
-                    jobs[i] = session.create_job(
-                        fmt,
-                        program.qir if remote else program.schedule,
-                        shots=request.shots if shots is None else shots[i],
-                        metadata=metadata or None,
-                    )
-                    batch.append(jobs[i])
+                    if not qir:
+                        payloads = [program.schedule]
+                    elif isinstance(program.schedule, FamilyBatch):
+                        payloads = [schedule_to_qir(s) for s in program.schedule]
+                    else:
+                        payloads = [program.qir]
+                    jobs[i] = [
+                        session.create_job(
+                            fmt,
+                            payload,
+                            shots=request.shots if shots is None else shots[i],
+                            metadata=metadata or None,
+                        )
+                        for payload in payloads
+                    ]
+                    batch += jobs[i]
                 session.submit_jobs(batch)
             finally:
                 if close_after:
                     session.close()
         if timings is not None:
             timings["execute"] = time.perf_counter() - t0
-        for job, name in zip(jobs, names):
-            if job.status is not JobStatus.DONE:
-                raise ExecutionError(
-                    f"job {job.job_id} on {name!r} failed: {job.error}"
-                )
+        for request_jobs, name in zip(jobs, names):
+            for job in request_jobs:
+                if job.status is not JobStatus.DONE:
+                    raise ExecutionError(
+                        f"job {job.job_id} on {name!r} failed: {job.error}"
+                    )
         results = []
-        for job, name, program in zip(jobs, names, programs):
-            remote = job.program_format is ProgramFormat.QIR_PULSE
-            result = job.result
-            if isinstance(program.schedule, FamilyBatch):
+        for i, (request_jobs, name, program) in enumerate(zip(jobs, names, programs)):
+            # Serialization cost is only paid (and only meaningful) on
+            # the remote path; the local fast path skips it.
+            qir_bytes = 0
+            if remote[name]:
+                qir_bytes = sum(len(job.payload.encode()) for job in request_jobs)
+            if not isinstance(program.schedule, FamilyBatch):
+                (job,) = request_jobs
+                result = job.result
                 results.append(
                     ClientResult(
                         device=name,
-                        counts={},
-                        probabilities={},
-                        shots=job.shots,
-                        duration_samples=max(
-                            int(f.durations.max()) for f in result.families
-                        ),
+                        counts=result.counts,
+                        probabilities=result.ideal_probabilities,
+                        shots=result.shots,
+                        duration_samples=result.duration_samples,
                         timings_s=dict(timings) if timings is not None else {},
                         job_id=job.job_id,
-                        remote=False,
-                        batch=result,
+                        remote=remote[name],
+                        qir_size_bytes=qir_bytes,
                     )
                 )
                 continue
+            batch = _family_result(program, request_jobs, remote[name])
+            durations = [int(f.durations.max()) for f in batch.families if len(f)]
             results.append(
                 ClientResult(
                     device=name,
-                    counts=result.counts,
-                    probabilities=result.ideal_probabilities,
-                    shots=result.shots,
-                    duration_samples=result.duration_samples,
+                    counts={},
+                    probabilities={},
+                    shots=requests[i].shots if shots is None else shots[i],
+                    duration_samples=max(durations, default=0),
                     timings_s=dict(timings) if timings is not None else {},
-                    job_id=job.job_id,
-                    remote=remote,
-                    # Serialization cost is only paid (and only
-                    # meaningful) on the remote path; the local fast
-                    # path skips it.
-                    qir_size_bytes=len(program.qir.encode()) if remote else 0,
+                    job_id=request_jobs[0].job_id if request_jobs else -1,
+                    remote=remote[name],
+                    qir_size_bytes=qir_bytes,
+                    batch=batch,
                 )
             )
         return results
+
+
+def _family_result(program: CompiledProgram, jobs: Sequence[Any], remote: bool):
+    """The :class:`~repro.sim.executor.BatchResult` of a family batch
+    job: the device's own, or the remote members' results stacked per
+    family."""
+    if not remote:
+        return jobs[0].result
+    from repro.sim.executor import BatchResult, FamilyOutcome
+
+    results = [job.result for job in jobs]
+    outcomes, start = [], 0
+    for family in program.schedule.families:
+        members = results[start : start + len(family)]
+        start += len(family)
+        if members:
+            outcomes.append(FamilyOutcome.stack(members, program.metadata["dt"]))
+    return BatchResult(outcomes, {})

@@ -20,7 +20,6 @@ from repro.compiler.lowering import (
     schedule_to_pulse_module,
 )
 from repro.compiler.jit import CompiledProgram, JITCompiler
-from repro.compiler.analysis import ScheduleProfile, compare_profiles, profile_schedule
 from repro.compiler.transforms import idle_fraction, insert_echo_sequences
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "mlir_pulse_to_schedule",
     "JITCompiler",
     "CompiledProgram",
-    "profile_schedule",
-    "compare_profiles",
-    "ScheduleProfile",
     "insert_echo_sequences",
     "idle_fraction",
 ]

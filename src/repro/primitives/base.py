@@ -3,42 +3,35 @@
 A primitive is constructed from any :class:`~repro.api.target.Target`
 (or a bare device, or — for in-process callers like the variational
 algorithms — directly from a :class:`~repro.sim.executor.ScheduleExecutor`)
-and runs every PUB on one of two paths, chosen once at construction
-from what the target holds:
+and runs every PUB on one path, whatever the target: the PUBs sharing
+a shot count are one shot group, and a shot group is one
+:class:`~repro.core.schedule.FamilyBatch` run as one unit of work.
 
-* **family path** — the primitive holds an executor (a direct target
-  over a local simulated device, or a raw executor) or an in-process
-  :class:`~repro.serving.service.PulseService` over a local device.
-  Every PUB becomes schedule families
-  (:class:`~repro.core.schedule.ScheduleFamily`): a parametric PUB
-  binds as one through :meth:`Executable.bind_many
-  <repro.api.executable.Executable.bind_many>` (the compiled schedule
-  template plus the PUB's ``(K, P)`` value matrix, which the executor
-  writes straight into its frame timelines, pulse amplitudes and idle
-  runs); a program without parameters is one slot-free family of K
-  rows; a PUB the template cannot take binds point by point through
-  :meth:`Executable.bind <repro.api.executable.Executable.bind>`, each
-  point a one-member family, so every bind error surfaces where the
-  per-point bind raises it. The PUBs sharing a shot count run as one
-  :class:`~repro.core.schedule.FamilyBatch`: one
+A PUB binds where the device is, through one function,
+:meth:`Executable.families
+<repro.api.executable.Executable.families>`: a parametric PUB is one
+family (the schedule template plus the PUB's ``(K, P)`` value
+matrix), a program without parameters one slot-free family of K rows,
+and a PUB the template cannot take one one-member family per point,
+bound where the per-point bind raises its typed error.
+
+* An executor (a direct target over a local simulated device, or a
+  raw executor) runs the batch as one
   :meth:`ScheduleExecutor.execute_batch
-  <repro.sim.executor.ScheduleExecutor.execute_batch>` call, or one
-  served sweep request (one compile, one QDMI job, one execution) whose
-  ticket hands back the executor's
-  :class:`~repro.sim.executor.BatchResult`. The primitives read its
-  per-family ``(K, 2**m)`` arrays; no per-point result is built.
-* **per-point path** — every other target: a client target (local or
-  remote device), a service over a remote device, a
-  :class:`~repro.serving.cluster.ClusterService` or an HTTP front-end.
-  Each PUB runs through :meth:`Executable.sweep
-  <repro.api.executable.Executable.sweep>`, one bound point per
-  request, and is assembled from the
-  :class:`~repro.client.client.ClientResult` dicts. A detached target
-  (cluster/HTTP) ships the raw program with each point's scalar
-  bindings and compiles on the service side.
+  <repro.sim.executor.ScheduleExecutor.execute_batch>` call.
+* A client target (local or remote device) or an in-process
+  :class:`~repro.serving.service.PulseService` binds here and sends
+  the batch as one request: one compile, one QDMI job (one QIR job per
+  member on a remote device), one execution.
+* A detached target (:class:`~repro.serving.cluster.ClusterService`
+  or an HTTP front-end) sends each program with its value matrix
+  (:class:`~repro.api.executable.ProgramBatch`) as one request, and
+  the serving side binds it.
 
-Seeded results of the two paths agree: every point samples its own
-stream seeded with the primitive's seed.
+Every path hands back a :class:`~repro.sim.executor.BatchResult`
+whose per-family ``(K, 2**m)`` arrays the primitives read; no
+per-point result is built. Seeded results agree across targets: every
+point samples its own stream seeded with the primitive's seed.
 """
 
 from __future__ import annotations
@@ -48,16 +41,17 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.api.executable import Executable
+from repro.api.executable import Executable, ProgramBatch
 from repro.api.target import Target
+from repro.client.client import JobRequest
 from repro.core.schedule import FamilyBatch, ScheduleFamily
 from repro.errors import ValidationError
 from repro.obs.metrics import REGISTRY, CacheStats
 from repro.obs.tracing import span
 from repro.sim.executor import BatchResult, outcome_dict
 
-#: Dispatch modes, as reported in result metadata: an executor,
-#: a service, or a client's per-point runs.
+#: Dispatch modes, as reported in result metadata: an executor, a
+#: service, or a client.
 _DIRECT, _SERVICE, _CLIENT = "direct", "service", "client"
 
 
@@ -78,8 +72,6 @@ class BasePrimitive:
     ) -> None:
         self._seed = seed
         self._executor = None
-        #: The in-process service a family batch is submitted to.
-        self._service = None
         self._target: Target | None = None
         self._executables: OrderedDict[Any, Executable] = OrderedDict()
         #: Uniform hit/miss/eviction accounting for the executable memo
@@ -109,8 +101,6 @@ class BasePrimitive:
         self._target = resolved
         if resolved.is_async:
             self._mode = _SERVICE
-            if not (resolved.is_detached or resolved.is_remote):
-                self._service = resolved.service
             return
         if resolved.direct and not resolved.is_remote:
             self._executor = getattr(resolved.device, "executor", None)
@@ -139,11 +129,6 @@ class BasePrimitive:
     def target(self) -> Target | None:
         return self._target
 
-    @property
-    def _runs_families(self) -> bool:
-        """Whether PUBs take the family path (documented above)."""
-        return self._executor is not None or self._service is not None
-
     def _device_name(self) -> str:
         if self._target is not None:
             return self._target.device_name
@@ -161,30 +146,67 @@ class BasePrimitive:
         specs: Sequence[tuple[Any, int]],
         *,
         timeout: float | None = None,
-    ) -> list[Any]:
-        """Run every ``(pub, shots)`` of *specs*; one result per PUB.
-
-        On the family path a PUB's result is a
-        :class:`~repro.sim.executor.BatchResult` over its families; on
-        the per-point path a list of
-        :class:`~repro.client.client.ClientResult`, one per binding
-        point.
+        families: Sequence[Sequence[ScheduleFamily]] | None = None,
+    ) -> list[BatchResult]:
+        """Run every ``(pub, shots)`` of *specs*, one shot group per shot
+        count, all admitted before any result is collected; one
+        :class:`~repro.sim.executor.BatchResult` per PUB. *families*
+        holds each PUB's families when the caller bound them (the
+        mitigation engine's variants).
         """
-        if self._runs_families:
-            return self._execute_all(
-                [(pub, self._families(pub), shots) for pub, shots in specs],
-                timeout=timeout,
-            )
+        detached = self._target is not None and self._target.is_detached
+        if families is None and not detached:
+            families = [self._families(pub) for pub, _ in specs]
+        # Each PUB's part of its group's batch: its families, or on a
+        # detached target its program and value matrix.
+        batch: Any = FamilyBatch if families is not None else ProgramBatch
+        parts = families
+        if parts is None:
+            parts = [[(pub.program, _matrix(pub.bindings))] for pub, _ in specs]
+        groups: dict[int, list[int]] = {}
+        for p, (_, shots) in enumerate(specs):
+            groups.setdefault(shots, []).append(p)
         with span("dispatch", mode=self._mode, pubs=len(specs)):
-            return [
-                self._executable(pub.program).sweep(
-                    [pub.bindings.point(i) for i in range(pub.bindings.size)],
-                    shots=shots,
-                    seed=self._seed,
-                    timeout=timeout,
-                )
-                for pub, shots in specs
+            pending = [
+                self._dispatch(batch(x for p in members for x in parts[p]), shots)
+                for shots, members in groups.items()
             ]
+            out: list[Any] = [None] * len(specs)
+            for members, collect in zip(groups.values(), pending):
+                result = collect(timeout)
+                start = 0
+                for p in members:
+                    stop = start + len(batch(parts[p]))
+                    out[p] = result if len(members) == 1 else result[start:stop]
+                    start = stop
+            return out
+
+    def _dispatch(self, program: FamilyBatch | ProgramBatch, shots: int):
+        """Start one shot group's batch; returns ``collect(timeout)``,
+        which gives its :class:`~repro.sim.executor.BatchResult`."""
+        if self._executor is not None:
+            # A lone family is itself a batch for the executor.
+            result = self._executor.execute_batch(
+                program.families[0] if len(program.families) == 1 else program,
+                shots=shots,
+                seed=self._seed,
+            )
+            return lambda timeout: result
+        target = self._target
+        if target.service is None:
+            client = target.client
+            request = JobRequest(
+                program, target.device_name, shots=shots, seed=self._seed
+            )
+            result = client.execute_compiled(request, client.compile_request(request))
+            return lambda timeout: result.batch
+        from repro.serving.sweeps import SweepRequest
+
+        return target.service.submit_sweep(
+            SweepRequest.from_programs(
+                [program], target.device_name, shots=shots, seed=self._seed
+            )
+        ).results
 
     def _executable(self, program: Any) -> Executable:
         """The memoized executable of *program* on the target (a
@@ -206,113 +228,34 @@ class BasePrimitive:
         return executable
 
     def _families(self, pub) -> list[ScheduleFamily]:
-        """The binding points of *pub* as schedule families, in point
-        order (family path only).
-
-        A parametric PUB is its one bound family; a program without
-        parameters, and an executor-backed primitive's schedule, one
-        slot-free family of K rows; a PUB the template cannot take is
-        one one-member family per point, each bound through the
-        per-point compile (which raises a bad point's typed error).
-        """
+        """*pub*'s points as schedule families (:meth:`Executable.families
+        <repro.api.executable.Executable.families>`); an executor-backed
+        primitive's schedule is one slot-free family of K rows."""
         bindings = pub.bindings
-        n_points = bindings.size
-        if self._target is None:
-            if pub.program.kind != "schedule":
-                raise ValidationError(
-                    "an executor-backed primitive takes pulse-schedule "
-                    f"programs only, got kind {pub.program.kind!r}; "
-                    "construct the primitive from a Target to compile "
-                    "other front ends"
-                )
-            if bindings.num_parameters:
-                raise ValidationError(
-                    "an executor-backed primitive cannot bind parametric "
-                    "programs; construct it from a Target instead"
-                )
-            return [ScheduleFamily.repeated(pub.program.source, n_points)]
-        executable = self._executable(pub.program)
-        if not pub.program.is_parametric:
-            schedule = executable._ensure_compiled().schedule
-            return [ScheduleFamily.repeated(schedule, n_points)]
-        with span("specialize", points=n_points):
-            family = executable.bind_many(bindings.values())
-            if family is not None:
-                return [family]
-            points = (executable.bind(bindings.point(i)) for i in range(n_points))
-            return [ScheduleFamily.repeated(p.schedule, 1) for p in points]
-
-    def _execute_all(
-        self,
-        per_pub: Sequence[tuple[Any, Sequence[ScheduleFamily], int]],
-        *,
-        timeout: float | None = None,
-    ) -> list[BatchResult]:
-        """Run every PUB's families; one :class:`BatchResult` per PUB.
-
-        *per_pub* entries are ``(pub, families, shots)``. The families
-        of every PUB sharing a shot count run as one
-        :class:`~repro.core.schedule.FamilyBatch`: one
-        :meth:`execute_batch` call on an executor, or one sweep request
-        on the service — one queue entry, one batched device execution
-        — with every request admitted before any ticket is collected.
-        Each PUB gets the rows of its own families back.
-        """
-        groups: dict[int, list[int]] = {}
-        for p, (_, _, shots) in enumerate(per_pub):
-            groups.setdefault(shots, []).append(p)
-        batches = {
-            shots: FamilyBatch(f for p in members for f in per_pub[p][1])
-            for shots, members in groups.items()
-        }
-        with span("dispatch", mode=self._mode, pubs=len(per_pub)):
-            if self._executor is not None:
-                # A lone family is itself a batch for the executor.
-                results = [
-                    self._executor.execute_batch(
-                        batch.families[0] if len(batch.families) == 1 else batch,
-                        shots=shots,
-                        seed=self._seed,
-                    )
-                    for shots, batch in batches.items()
-                ]
-            else:
-                from repro.serving.sweeps import SweepRequest
-
-                tickets = [
-                    self._service.submit_sweep(
-                        SweepRequest.from_programs(
-                            [batch],
-                            self._target.device_name,
-                            shots=shots,
-                            seed=self._seed,
-                        )
-                    )
-                    for shots, batch in batches.items()
-                ]
-                results = [t.results(timeout) for t in tickets]
-            out: list[Any] = [None] * len(per_pub)
-            for members, result in zip(groups.values(), results):
-                start = 0
-                for p in members:
-                    stop = start + sum(len(f) for f in per_pub[p][1])
-                    out[p] = result if len(members) == 1 else result[start:stop]
-                    start = stop
-            return out
+        if self._target is not None:
+            return self._executable(pub.program).families(_matrix(bindings))
+        if pub.program.kind != "schedule":
+            raise ValidationError(
+                "an executor-backed primitive takes pulse-schedule "
+                f"programs only, got kind {pub.program.kind!r}; "
+                "construct the primitive from a Target to compile "
+                "other front ends"
+            )
+        if bindings.num_parameters:
+            raise ValidationError(
+                "an executor-backed primitive cannot bind parametric "
+                "programs; construct it from a Target instead"
+            )
+        return [ScheduleFamily.repeated(pub.program.source, bindings.size)]
 
     # ---- result-shape helpers --------------------------------------------------------
 
     @staticmethod
-    def _batch_profile(results: Sequence[Any]) -> dict | None:
-        """The ``metadata["profile"]`` of a family-path result, if any.
-
-        Present when profiling is enabled
-        (:func:`repro.obs.enable_profiling`); a
-        :class:`~repro.sim.executor.BatchResult` (and each slice of
-        one) carries it on the batch, so reading it builds no result
-        view. Per-point results carry none.
-        """
-        return getattr(results, "metadata", {}).get("profile")
+    def _batch_profile(results: BatchResult) -> dict:
+        """``{"profile": summary}`` when profiling is enabled
+        (:func:`repro.obs.enable_profiling`) on an in-process executor,
+        read off the batch without building a result view; else ``{}``."""
+        return {k: v for k, v in results.metadata.items() if k == "profile"}
 
     @staticmethod
     def _member_dicts(families) -> tuple[list[dict], list[dict], list[dict]]:
@@ -349,3 +292,9 @@ class BasePrimitive:
         else:
             out[()] = values[0]
         return out
+
+
+def _matrix(bindings) -> np.ndarray:
+    """A PUB's points as the ``(K, P)`` value matrix, one row per point
+    in flat order and one column per parameter."""
+    return bindings.values().reshape(bindings.size, bindings.num_parameters)

@@ -16,11 +16,9 @@ evaluates every broadcast point of every PUB and returns one
 
 Each *unique* parameter point executes once — observables fan out
 over the resulting state/distribution without re-running anything —
-and the whole batch of points dispatches as schedule families through
-one batched evolution pass (:meth:`ScheduleExecutor.execute_batch`)
-on a direct target or one served request on an in-process service,
-or point by point through :meth:`Executable.sweep
-<repro.api.executable.Executable.sweep>` on every other target — see
+and the whole batch of points dispatches as schedule families: one
+batched evolution pass (:meth:`ScheduleExecutor.execute_batch`) on a
+direct target, one request on every other target — see
 :mod:`repro.primitives.base`.
 
 Evaluation conventions (see :mod:`repro.primitives.observables`):
@@ -31,7 +29,7 @@ values) — bit-for-bit the quantity
 ``Executable.run`` results report (``ClientResult.probabilities`` is
 the ideal distribution; ``ExecutionResult.probabilities`` differs
 when a readout-error model is configured, since it is the
-post-readout distribution). Non-diagonal observables (and
+post-readout distribution), on every target. Non-diagonal observables (and
 capture-less programs) evaluate from the simulator state through the
 computational-subspace embedding, which is what the variational
 algorithms score. Non-diagonal observables therefore need a direct
@@ -44,7 +42,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.distributions import distribution_width
 from repro.errors import ValidationError
 from repro.obs.tracing import span
 from repro.primitives.base import BasePrimitive
@@ -134,7 +131,7 @@ class Estimator(BasePrimitive):
         else:
             bind_idx = obs_idx = np.zeros(1, dtype=np.intp)
         direct = self.mode == "direct"
-        families = results.families if self._runs_families else ()
+        families = results.families
         sites = families[0].measured_sites if direct and families else None
         evs = np.empty(size, dtype=np.float64)
         variances = np.zeros(size, dtype=np.float64)
@@ -161,11 +158,7 @@ class Estimator(BasePrimitive):
                     f"{self.mode!r} boundary)"
                 )
             if table is None:
-                table, width = (
-                    _family_table(families)
-                    if self._runs_families
-                    else _point_table(results)
-                )
+                table, width = _family_table(families)
             values = observable.outcome_values(width)
             means = table @ values
             evs[points] = means[bound]
@@ -184,10 +177,8 @@ class Estimator(BasePrimitive):
             "shots": self.shots,
             "target": self._device_name(),
             "dispatch": self.mode,
+            **self._batch_profile(results),
         }
-        profile = self._batch_profile(results)
-        if profile is not None:
-            metadata["profile"] = profile
         return PubResult(DataBin(shape=shape, **fields), metadata=metadata)
 
     def _state_moments(
@@ -228,15 +219,3 @@ def _family_table(families) -> tuple[np.ndarray, int]:
         )
     return _rows([f.ideal_probabilities for f in families]), width
 
-
-def _point_table(results) -> tuple[np.ndarray, int]:
-    """The ``(K, 2**m)`` table of per-point results' exact outcome
-    distributions (:attr:`ClientResult.probabilities`), and ``m``."""
-    dists = [r.probabilities for r in results]
-    width = distribution_width(dists[0])
-    table = np.zeros((len(dists), 1 << width))
-    for k, dist in enumerate(dists):
-        distribution_width(dist, n_slots=width)
-        for key, p in dist.items():
-            table[k, int(key, 2)] = p
-    return table, width

@@ -18,12 +18,9 @@ every parameter point of every PUB and returns one
   ``noisy_probabilities`` — the ground truth the mitigation literature
   scores against — and per-point ``leakage``.
 
-All points dispatch as schedule families through one batched
-evolution pass (:meth:`ScheduleExecutor.execute_batch`) on a direct
-target or one served request on an in-process service, or point by
-point through :meth:`Executable.sweep
-<repro.api.executable.Executable.sweep>` on every other target — see
-:mod:`repro.primitives.base`.
+All points dispatch as schedule families: one batched evolution pass
+(:meth:`ScheduleExecutor.execute_batch`) on a direct target, one
+request on every other target — see :mod:`repro.primitives.base`.
 """
 
 from __future__ import annotations
@@ -131,11 +128,9 @@ class Sampler(BasePrimitive):
     def _assemble(self, pub: SamplerPub, shots: int, results: Any):
         shape = pub.shape
         direct = self.mode == "direct"
-        if self._runs_families:
-            counts, probabilities, noisy = self._member_dicts(results.families)
-        else:  # ClientResults report the pre-readout distribution
-            counts = [dict(r.counts) for r in results]
-            probabilities = [dict(r.probabilities) for r in results]
+        counts, probabilities, noisy = self._member_dicts(results.families)
+        # Off a direct target, the pre-readout distribution stands in
+        # for the exact one when no shot was drawn.
         exact = noisy if direct else probabilities
         quasi = [
             _normalized(c) if shots > 0 and c else dict(p)
@@ -154,10 +149,8 @@ class Sampler(BasePrimitive):
             "target": self._device_name(),
             "dispatch": self.mode,
             "mitigated": False,
+            **self._batch_profile(results),
         }
-        profile = self._batch_profile(results)
-        if profile is not None:
-            metadata["profile"] = profile
         return PubResult(DataBin(shape=shape, **fields), metadata=metadata)
 
 

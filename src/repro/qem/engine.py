@@ -267,16 +267,15 @@ def run_mitigated_estimator(est, pubs, *, timeout=None) -> PrimitiveResult:
             _expand_pub(est, pub, options, rng, pub.bindings.size)
             for pub in pubs
         ]
-    per_pub = [
-        (pub, _batch_order(plans), 0) for pub, plans in zip(pubs, all_plans)
-    ]
-    total = sum(len(f) for _, families, _ in per_pub for f in families)
+    families = [_batch_order(plans) for plans in all_plans]
     REGISTRY.counter(
         "repro_qem_variants_total",
         "Circuit variants executed by the mitigation engine",
         {"primitive": "estimator"},
-    ).inc(total)
-    results = est._execute_all(per_pub, timeout=timeout)
+    ).inc(sum(len(f) for fams in families for f in fams))
+    results = est._run_pubs(
+        [(pub, 0) for pub in pubs], families=families, timeout=timeout
+    )
     with span("qem.fold", pubs=len(pubs), stack=stack):
         pub_results = [
             _assemble_estimator(est, options, pub, plans, res)
@@ -411,10 +410,8 @@ def _assemble_estimator(
         "target": est._device_name(),
         "dispatch": est.mode,
         "qem": _qem_metadata(options, plans),
+        **est._batch_profile(results),
     }
-    profile = est._batch_profile(results)
-    if profile is not None:
-        metadata["profile"] = profile
     return PubResult(
         DataBin(shape=shape, evs=evs.reshape(shape), stds=stds.reshape(shape)),
         metadata=metadata,
@@ -472,16 +469,13 @@ def run_mitigated_sampler(sampler, specs, *, timeout=None) -> PrimitiveResult:
             _expand_sampler_pub(sampler, pub, options, rng)
             for pub, _ in specs
         ]
-    per_pub = [
-        (pub, _batch_order(plans), shots)
-        for (pub, shots), plans in zip(specs, all_plans)
-    ]
+    families = [_batch_order(plans) for plans in all_plans]
     REGISTRY.counter(
         "repro_qem_variants_total",
         "Circuit variants executed by the mitigation engine",
         {"primitive": "sampler"},
-    ).inc(sum(len(f) for _, families, _ in per_pub for f in families))
-    results = sampler._execute_all(per_pub, timeout=timeout)
+    ).inc(sum(len(f) for fams in families for f in fams))
+    results = sampler._run_pubs(specs, families=families, timeout=timeout)
     with span("qem.fold", pubs=len(specs), stack=stack):
         pub_results = [
             _assemble_sampler(sampler, options, pub, shots, plans, res)
@@ -585,8 +579,6 @@ def _assemble_sampler(
         "dispatch": sampler.mode,
         "mitigated": True,
         "qem": _qem_metadata(options, plans),
+        **sampler._batch_profile(results),
     }
-    profile = sampler._batch_profile(results)
-    if profile is not None:
-        metadata["profile"] = profile
     return PubResult(DataBin(shape=shape, **fields), metadata=metadata)

@@ -51,6 +51,7 @@ votes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -78,7 +79,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #
 # Scalars and outcome labels travel as JSON in the store row; the
 # numeric vectors of the whole chunk concatenate into two flat arrays
-# shipped through one shared-memory segment.
+# shipped through one shared-memory segment, and a family job's
+# outcome arrays ride the same segment, one entry each.
 
 
 def split_results(results: Sequence[ClientResult]) -> tuple[dict, dict]:
@@ -88,18 +90,26 @@ def split_results(results: Sequence[ClientResult]) -> tuple[dict, dict]:
     meta = []
     probs: list[float] = []
     counts: list[int] = []
-    for result in results:
-        encoded = wire.encode_result(result)
+    outcomes: dict = {}
+    for i, result in enumerate(results):
+        batch = result.batch
+        encoded = wire.encode_result(
+            result if batch is None else dataclasses.replace(result, batch=None)
+        )
         pkeys = sorted(encoded.pop("probabilities"))
         ckeys = sorted(encoded.pop("counts"))
         probs.extend(result.probabilities[k] for k in pkeys)
         counts.extend(result.counts[k] for k in ckeys)
         encoded["prob_keys"] = pkeys
         encoded["count_keys"] = ckeys
+        if batch is not None:
+            encoded["batch"], parts = wire.batch_parts(batch)
+            outcomes.update((f"{i}:{key}", a) for key, a in parts.items())
         meta.append(encoded)
     arrays = {
         "probs": np.asarray(probs, dtype=np.float64),
         "counts": np.asarray(counts, dtype=np.int64),
+        **outcomes,
     }
     return {"results": meta}, arrays
 
@@ -110,7 +120,7 @@ def join_results(meta: dict, arrays: dict) -> list[dict]:
     counts = arrays["counts"]
     out = []
     p = c = 0
-    for encoded in meta["results"]:
+    for i, encoded in enumerate(meta["results"]):
         entry = dict(encoded)
         pkeys = entry.pop("prob_keys")
         ckeys = entry.pop("count_keys")
@@ -122,6 +132,15 @@ def join_results(meta: dict, arrays: dict) -> list[dict]:
         }
         p += len(pkeys)
         c += len(ckeys)
+        if "batch" in entry:
+            entry["batch"] = {
+                "families": entry["batch"],
+                "arrays": {
+                    key.partition(":")[2]: a.tolist()
+                    for key, a in arrays.items()
+                    if key.startswith(f"{i}:")
+                },
+            }
         out.append(entry)
     return out
 

@@ -33,6 +33,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.api.executable import ProgramBatch
 from repro.client.client import ClientResult, JobRequest, MQSSClient
 from repro.core.schedule import FamilyBatch
 from repro.errors import BackpressureError, CancelledError, ServiceError
@@ -373,9 +374,11 @@ class PulseService:
         (see :mod:`repro.serving.sweeps`).
 
         A sweep over one bound
-        :class:`~repro.core.schedule.FamilyBatch` is one request: one
-        admission slot, one compile of the batch, one QDMI job and one
-        execution of the families, counted as its members in
+        :class:`~repro.core.schedule.FamilyBatch` (or one
+        :class:`~repro.api.executable.ProgramBatch`, bound here at
+        admission) is one request: one admission slot, one compile of
+        the batch, one QDMI job (one per member on a remote device) and
+        one execution of the families, counted as its members in
         ``sweep_points``.
 
         A point cancelled while its chunk is queued drops out of it;
@@ -388,11 +391,12 @@ class PulseService:
         from repro.serving.sweeps import SweepTicket
 
         requests = sweep.expand()
+        batches = (FamilyBatch, ProgramBatch)
         self.metrics.incr("sweeps")
         self.metrics.incr(
             "sweep_points",
             sum(
-                len(r.program) if isinstance(r.program, FamilyBatch) else 1
+                len(r.program) if isinstance(r.program, batches) else 1
                 for r in requests
             ),
         )
@@ -507,36 +511,22 @@ class PulseService:
     def _build_entry(
         self, requests: list[JobRequest], tickets: list[JobTicket]
     ) -> ServiceEntry:
-        candidates = self.router.candidates(requests[0])
-        if isinstance(requests[0].program, FamilyBatch):
-            # A bound family batch runs only on an in-process device: a
-            # remote one takes QIR, which carries one schedule. It
-            # neither spills nor fails over to a remote device.
-            remote = [c for c in candidates if self.client.resolve_target(c)[2]]
-            if candidates[0] in remote:
-                raise ServiceError(
-                    f"a bound family batch cannot run on the remote device "
-                    f"{candidates[0]!r}"
-                )
-            candidates = [c for c in candidates if c not in remote]
         entry = ServiceEntry(
             requests,
             tickets,
             arrival=next(self._arrivals),
             enqueued_at=tickets[0].enqueued_at,
-            candidates=candidates,
+            candidates=self.router.candidates(requests[0]),
         )
         self._prepare_for_device(entry)
         return entry
 
     def _prepare_for_device(self, entry: ServiceEntry) -> None:
-        """(Re)generate the adapter payloads for the entry's current device."""
-        _, target, _ = self.client.resolve_target(entry.device)
+        """(Re)generate the payloads for the entry's current device."""
         entry.payloads = [
-            self.client.select_adapter(r).to_payload(r.program, target)
-            for r in entry.requests
+            self.client.to_payload(r, entry.device) for r in entry.requests
         ]
-        if len(entry) > 1 or isinstance(entry.request.program, FamilyBatch):
+        if len(entry) > 1 or isinstance(entry.payloads[0], FamilyBatch):
             # Sweep points and bound families each sample their own
             # streams: never a shot-split execution.
             entry.coalesce_key = None

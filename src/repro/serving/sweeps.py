@@ -11,20 +11,17 @@ plus the list of parameter sets; :meth:`PulseService.submit_sweep
 queues the points as a single entry, and returns a single
 :class:`SweepTicket` aggregating the per-point tickets.
 
-The primitives never expand a sweep. On an in-process service over a
-local device, every shot group of PUBs binds client-side into one
-:class:`~repro.core.schedule.FamilyBatch` (a parametric PUB as its
-template family, a program without parameters as one slot-free
-family), and a sweep over that one program is one request — one
-admission slot, one compile of the batch, one QDMI job, one
-``execute_batch`` and one measurement pass.
-:meth:`SweepTicket.results` hands back the executor's
+The primitives never expand a sweep: every shot group of PUBs is a
+sweep over one program, so one request — one admission slot, one
+compile of the batch, one QDMI job (one QIR job per member on a
+remote device), one ``execute_batch`` and one measurement pass. The
+program is the :class:`~repro.core.schedule.FamilyBatch` the caller
+bound, or on a detached cluster or HTTP target a
+:class:`~repro.api.executable.ProgramBatch` (programs with their
+``(K, P)`` value matrices) the serving side binds.
+:meth:`SweepTicket.results` hands back the
 :class:`~repro.sim.executor.BatchResult`, whose per-family arrays the
-Estimator and Sampler read without a per-point result. Every other
-service target (a remote device, a cluster, an HTTP front-end) takes
-the primitives' points one request each, through
-:meth:`Executable.sweep <repro.api.executable.Executable.sweep>`; a
-served family there is still open work.
+Estimator and Sampler read without a per-point result.
 
 Why this is fast end to end:
 
@@ -63,7 +60,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.client.client import JobRequest
-from repro.core.schedule import FamilyBatch
 from repro.errors import ServiceError
 from repro.sim.model import DecoherenceSpec
 
@@ -261,18 +257,16 @@ class SweepTicket:
     def results(self, timeout: float | None = None) -> Sequence[Any]:
         """Per-point results in scan order; re-raises the first failure.
 
-        A sweep of one bound
-        :class:`~repro.core.schedule.FamilyBatch` returns its one job's
+        A sweep of one family batch returns its one job's
         :class:`~repro.sim.executor.BatchResult`: the members' results
         in order, with their arrays per family. *timeout* bounds the
         whole call, not each point.
         """
         remaining = self._deadline(timeout)
-        if len(self.tickets) == 1 and isinstance(
-            self.tickets[0].request.program, FamilyBatch
-        ):
-            return self.tickets[0].result(remaining()).batch
-        return [t.result(remaining()) for t in self.tickets]
+        results = [t.result(remaining()) for t in self.tickets]
+        if len(results) == 1 and results[0].batch is not None:
+            return results[0].batch
+        return results
 
     def exceptions(self, timeout: float | None = None) -> list[Exception | None]:
         """Per-point failures (None on success), in scan order.

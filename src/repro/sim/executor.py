@@ -255,8 +255,9 @@ class FamilyOutcome:
     ideal_probabilities: np.ndarray
     #: ``(K, 2**m)`` exact outcome distributions after readout error.
     probabilities: np.ndarray
-    #: ``(K, ...)`` final kets or density matrices.
-    final_states: np.ndarray
+    #: ``(K, ...)`` final kets or density matrices; ``None`` on a
+    #: result that crossed a process or the wire (the arrays only).
+    final_states: np.ndarray | None
     #: ``(n_sites, K)`` population of levels >= 2.
     leakage: np.ndarray
     #: Sampled counts per member; ``None`` when no shot was drawn.
@@ -269,15 +270,42 @@ class FamilyOutcome:
     shots: int
 
     def __len__(self) -> int:
-        return len(self.final_states)
+        return len(self.durations)
+
+    @classmethod
+    def stack(cls, results: Sequence[ExecutionResult], dt: float) -> "FamilyOutcome":
+        """The arrays of a family whose members ran one by one, as
+        *results* (a remote device's per-member jobs)."""
+        first = results[0]
+        m = len(first.measured_sites)
+
+        def table(field: str) -> np.ndarray:
+            out = np.zeros((len(results), 1 << m if m else 0))
+            for k, result in enumerate(results):
+                for bits, p in getattr(result, field).items():
+                    out[k, int(bits, 2)] = p
+            return out
+
+        return cls(
+            measured_sites=first.measured_sites,
+            ideal_probabilities=table("ideal_probabilities"),
+            probabilities=table("probabilities"),
+            final_states=np.stack([r.final_state for r in results]),
+            leakage=np.array([list(r.leakage.values()) for r in results]).T,
+            counts=[r.counts for r in results] if m and first.shots else None,
+            durations=np.array([r.duration_samples for r in results]),
+            dt=dt,
+            shots=first.shots,
+        )
 
     def rows(self, start: int, stop: int) -> "FamilyOutcome":
         """Members ``start:stop`` as their own outcome."""
+        states = self.final_states
         return dataclasses.replace(
             self,
             ideal_probabilities=self.ideal_probabilities[start:stop],
             probabilities=self.probabilities[start:stop],
-            final_states=self.final_states[start:stop],
+            final_states=None if states is None else states[start:stop],
             leakage=self.leakage[:, start:stop],
             counts=None if self.counts is None else self.counts[start:stop],
             durations=self.durations[start:stop],
@@ -290,7 +318,7 @@ class FamilyOutcome:
             counts=self.counts[k] if self.counts is not None else {},
             probabilities=outcome_dict(self.probabilities[k], m),
             ideal_probabilities=outcome_dict(self.ideal_probabilities[k], m),
-            final_state=self.final_states[k],
+            final_state=None if self.final_states is None else self.final_states[k],
             measured_sites=self.measured_sites,
             leakage=dict(enumerate(self.leakage[:, k].tolist())),
             duration_samples=int(self.durations[k]),
@@ -966,7 +994,12 @@ class ScheduleExecutor:
         """
         lifted = self._phase_channels & (magnitudes > 0)
         angles = np.where(lifted, np.angle(rows), 0.0)
-        return np.where(lifted, magnitudes, rows), angles @ self._phase_gen, angles
+        # Channel by channel, not one GEMM (as for a chirp's increment):
+        # a member's phases must not depend on the rows sharing its call.
+        phases = np.zeros((len(rows), self._phase_gen.shape[1]))
+        for j, w in enumerate(self._phase_gen):
+            phases += angles[:, j, None] * w
+        return np.where(lifted, magnitudes, rows), phases, angles
 
     def _chirps(
         self,

@@ -1,67 +1,13 @@
-"""Tests: schedule profiling and 3-qubit stress paths."""
+"""Tests: 3-qubit stress paths."""
 
 import numpy as np
 import pytest
 
 from repro.compiler import JITCompiler, quantum_module_to_schedule
-from repro.compiler.analysis import compare_profiles, profile_schedule
-from repro.core import Delay, Play, PulseSchedule, constant_waveform
+from repro.core import Play
 from repro.devices import SuperconductingDevice, TrappedIonDevice
 from repro.mlir.dialects.quantum import CircuitBuilder
 from repro.qir import link_qir_to_schedule, schedule_to_qir
-
-
-class TestScheduleProfile:
-    def test_basic_metrics(self, sc_device):
-        cb = CircuitBuilder("c", 2)
-        cb.x(0).x(1).cz(0, 1).measure(0, 0).measure(1, 1)
-        s = quantum_module_to_schedule(cb.module, sc_device)
-        prof = profile_schedule(s)
-        assert prof.duration_samples == s.duration
-        assert prof.n_timed + prof.n_virtual == len(s)
-        assert prof.instruction_histogram["Play"] >= 4
-        assert prof.critical_port
-        assert 0 < prof.parallelism
-        assert prof.total_played_samples > 0
-
-    def test_utilization_bounds(self, sc_device):
-        cb = CircuitBuilder("c", 2)
-        cb.x(0).cz(0, 1)
-        prof = profile_schedule(quantum_module_to_schedule(cb.module, sc_device))
-        for util in prof.per_port_utilization.values():
-            assert 0 <= util <= 1
-
-    def test_empty_schedule(self):
-        prof = profile_schedule(PulseSchedule("empty"))
-        assert prof.duration_samples == 0
-        assert prof.parallelism == 0.0
-
-    def test_delays_not_busy(self, sc_device):
-        s = PulseSchedule()
-        p = sc_device.drive_port(0)
-        s.append(Play(p, sc_device.default_frame(p), constant_waveform(32, 0.2)))
-        s.append(Delay(p, 32))
-        prof = profile_schedule(s)
-        assert prof.per_port_busy[p.name] == 32
-        assert prof.per_port_utilization[p.name] == pytest.approx(0.5)
-
-    def test_compare_profiles(self, sc_device):
-        cb1 = CircuitBuilder("a", 2)
-        cb1.x(0)
-        cb2 = CircuitBuilder("b", 2)
-        cb2.x(0).x(0)
-        pa = profile_schedule(quantum_module_to_schedule(cb1.module, sc_device))
-        pb = profile_schedule(quantum_module_to_schedule(cb2.module, sc_device))
-        cmp = compare_profiles(pa, pb)
-        assert cmp["duration_ratio"] == pytest.approx(2.0)
-        assert cmp["played_ratio"] == pytest.approx(2.0)
-
-    def test_rows_renderable(self, sc_device):
-        cb = CircuitBuilder("c", 2)
-        cb.x(0).measure(0, 0)
-        prof = profile_schedule(quantum_module_to_schedule(cb.module, sc_device))
-        rows = prof.rows()
-        assert any("critical port" in str(r[0]) for r in rows)
 
 
 class TestThreeQubitPaths:

@@ -301,3 +301,40 @@ def test_collapse_check_accepts_ladder_and_rejects_mixtures():
     assert _eigen_commutator(w, np.diag([1.0, -1.0, -1.0]))
     assert not _eigen_commutator(w, a + a.conj().T)
     assert not _eigen_commutator(w[:2], pauli("x"))
+
+
+def test_canonical_phases_do_not_depend_on_the_batch():
+    """A slice's phases are its own: each row of a table's phases is
+    bitwise the row computed alone, on the two-transmon model (two
+    covariant drives and a coupler, D = 9)."""
+    executor = SuperconductingDevice(num_qubits=2, drift_rate=0.0).executor
+    rng = np.random.default_rng(7)
+    channels = executor._phase_gen.shape[0]
+    for n in (2, 3, 4, 5, 8, 17, 64):
+        for _ in range(10):
+            rows = rng.normal(size=(n, channels)) + 1j * rng.normal(size=(n, channels))
+            magnitudes = np.abs(rows)
+            _, phases, _ = executor._canonical_rows(rows, magnitudes)
+            for i in range(n):
+                _, alone, _ = executor._canonical_rows(
+                    rows[i : i + 1], magnitudes[i : i + 1]
+                )
+                assert phases[i].tobytes() == alone[0].tobytes()
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_batched_member_state_equals_the_member_alone(data):
+    """A member of a batch of generated two-transmon schedules ends in
+    bitwise the state ``execute`` gives it alone."""
+    case = CASES[1]
+    _, ports = case.build()
+    device = SuperconductingDevice(num_qubits=2, drift_rate=0.0)
+    schedules = [
+        build_schedule(ports, data.draw(programs(len(ports), case.max_len)), case)
+        for _ in range(data.draw(st.integers(2, 8)))
+    ]
+    batch = device.executor.execute_batch(schedules, shots=0)
+    for schedule, result in zip(schedules, batch):
+        alone = device.executor.execute(schedule, shots=0)
+        assert result.final_state.tobytes() == alone.final_state.tobytes()

@@ -11,12 +11,14 @@ a full calibration DAG, and equal results for a cluster sweep chunk.
 The ``served_http_cluster`` topology (an HTTP front-end over a
 ``ClusterService``) returns results bitwise equal to a direct client
 and carries cancellation, typed errors and re-attachment after a
-restart end to end. Primitives over a cluster or HTTP target run each
-point as its own request and equal a direct target: evs to 1e-12 and
-equal seeded counts, for circuit and parametric PUBs. On a direct or
-in-process service target every shot group is one family batch: no
-point is specialized, one execution runs, and a served run is one
-request.
+restart end to end. On every target a primitive's shot group is one
+family batch: no point is specialized, one execution runs, and a
+served run is one request. A cluster or HTTP target sends the programs
+with their value matrices, the worker binds them as one family, and
+the evs (at ``shots=0``) and seeded counts equal a direct target's bit
+for bit, for circuit and parametric PUBs; a bad point raises the
+direct target's typed error. A remote (QIR) client target runs one job
+per member and matches direct to 1e-12 with equal seeded counts.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from hypothesis import strategies as st
 from test_phase_covariance import PROFILE, SC, Case, build_schedule, programs
 from test_api import parametric_kernel
 from test_serving_cluster import FailingDevice
+from test_slotted_families import amplitude_program, delay_program
 
 import repro
 from repro.api.executable import Executable
-from repro.client import JobRequest, MQSSClient
+from repro.client import JobRequest, MQSSClient, RemoteDeviceProxy
 from repro.core import PulseSchedule
 from repro.devices import SuperconductingDevice
-from repro.errors import CancelledError, ExecutionError
+from repro.errors import CancelledError, ExecutionError, PassError, ValidationError
 from repro.pipeline import PipelineRunner, full_calibration_dag
 from repro.primitives import Estimator, Observable, Sampler
 from repro.qdmi import QDMIDriver
@@ -328,7 +331,7 @@ def test_http_cluster_ticket_reattaches_after_restart(tmp_path):
     assert drained.probabilities == want.probabilities
 
 
-# ---- primitives over detached targets: one request per point ------------------------
+# ---- primitives over detached targets: one request per shot group -------------------
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +370,7 @@ def test_detached_estimator_equals_direct(detached_targets, transport, kind):
     estimator = Estimator(detached_targets[transport])
     got = estimator.run([pub], timeout=60)[0]
     assert got.metadata["dispatch"] == "service"
-    np.testing.assert_allclose(got.data.evs, direct.data.evs, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got.data.evs, direct.data.evs)
 
 
 @pytest.mark.parametrize("transport", ["cluster", "http"])
@@ -380,9 +383,188 @@ def test_detached_sampler_counts_equal_direct(detached_targets, transport, kind)
     sampler = Sampler(detached_targets[transport], seed=5)
     got = sampler.run([pub], shots=128, timeout=60)[0]
     assert list(got.data.counts.flat) == list(direct[0].data.counts.flat)
-    for a, b in zip(got.data.probabilities.flat, direct[0].data.probabilities.flat):
-        assert a.keys() == b.keys()
-        np.testing.assert_allclose(list(a.values()), list(b.values()), atol=1e-12)
+    assert list(got.data.probabilities.flat) == list(direct[0].data.probabilities.flat)
+
+
+@pytest.mark.parametrize(
+    ("kind", "values", "error"),
+    [
+        ("amplitude", [0.5, 1.5], PassError),
+        ("delay", [40.0, -40.0], ValidationError),
+        ("delay", [40.0, 41.5], ValidationError),
+    ],
+    ids=["over-amplitude", "negative-delay", "fractional-delay"],
+)
+@pytest.mark.parametrize("transport", ["cluster", "http"])
+def test_detached_bad_point_raises_the_direct_error(
+    detached_targets, transport, kind, values, error
+):
+    """A point the template rejects sends the worker down the per-point
+    bind, whose typed error crosses the cluster and HTTP as on a direct
+    target."""
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    program = (amplitude_program if kind == "amplitude" else delay_program)(device)
+    pub = (program, "Z", {program.parameters[0]: values})
+    direct = repro.Target.from_device(device)
+    assert repro.compile(program, direct).bind_many(np.c_[values]) is None
+    with pytest.raises(error) as want:
+        Estimator(direct).run([pub])
+    with pytest.raises(error) as got:
+        Estimator(detached_targets[transport]).run([pub], timeout=60)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("transport", ["cluster", "http"])
+def test_detached_zero_point_pub_beside_a_full_one(detached_targets, transport):
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    program = repro.Program.from_mlir(parametric_kernel(device, 2))
+    pubs = [
+        (program, "Z", {"theta0": np.zeros(0), "theta1": np.zeros(0)}),
+        (program, "Z", {"theta0": [0.1, 0.9], "theta1": [0.4, 2.0]}),
+    ]
+    direct = Estimator(repro.Target.from_device(device)).run(pubs)
+    got = Estimator(detached_targets[transport]).run(pubs, timeout=60)
+    assert got[0].data.evs.shape == (0,)
+    for a, b in zip(got, direct):
+        np.testing.assert_array_equal(a.data.evs, b.data.evs)
+
+
+# ---- a remote (QIR) device: one job per member, stacked into the family --------------
+
+
+def make_remote_client() -> MQSSClient:
+    driver = QDMIDriver()
+    driver.register_device(
+        RemoteDeviceProxy(
+            SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0), latency_s=0.0
+        )
+    )
+    return MQSSClient(driver, persistent_sessions=True)
+
+
+@pytest.mark.parametrize("kind", ["circuit", "parametric"])
+def test_remote_client_target_equals_direct(kind):
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    program, values = parity_pub(kind, device)
+    client = make_remote_client()
+    remote = repro.Target.from_client(client, "remote:sc-a")
+    direct = repro.Target.from_device(device)
+    observables = ["ZI", "IZ", "ZZ"] if kind == "circuit" else "Z"
+    pub = (program, observables) if values is None else (program, observables, values)
+    got = Estimator(remote).run([pub])[0]
+    want = Estimator(direct).run([pub])[0]
+    assert got.metadata["dispatch"] == "client"
+    np.testing.assert_allclose(got.data.evs, want.data.evs, rtol=0, atol=1e-12)
+    pub = (program,) if values is None else (program, values)
+    got = Sampler(remote, seed=5).run([pub], shots=128)[0]
+    want = Sampler(direct, seed=5).run([pub], shots=128)[0]
+    assert list(got.data.counts.flat) == list(want.data.counts.flat)
+    client.close()
+
+
+# ---- one 64-point parametric PUB: one bound family on every target -------------------
+
+
+@pytest.fixture
+def call_log(tmp_path, monkeypatch):
+    """Spies on the bind, compile and execute steps. Each call appends
+    a line to a file, so cluster workers forked after this fixture
+    report theirs too; the fixture returns a reader of the counts."""
+    import collections
+
+    import repro.api.executable as executable_module
+    from repro.compiler.jit import JITCompiler
+    from repro.core.schedule import ScheduleFamily
+
+    path = tmp_path / "calls.log"
+
+    def spy(owner, name, tag):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            with open(path, "a") as log:
+                log.write(tag(*args) + "\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(executable_module, "_build_template", lambda *a: "trace")
+    spy(JITCompiler, "_compile_cold", lambda *a: "cold")
+    spy(Executable, "bind", lambda *a: "bind")
+    spy(ScheduleFamily, "member", lambda *a: "member")
+
+    def batch_tag(self, schedules):
+        families = getattr(schedules, "families", [schedules])
+        return f"execute:{len(families)}x{len(schedules)}"
+
+    spy(ScheduleExecutor, "execute_batch", batch_tag)
+    return lambda: collections.Counter(
+        path.read_text().split() if path.exists() else []
+    )
+
+
+def sweep_pub(device, offset):
+    """A 64-point parametric PUB; *offset* makes its points fresh."""
+    program = repro.Program.from_mlir(parametric_kernel(device, 2))
+    theta = np.linspace(-1.0, 1.0, 64) + offset
+    return (program, "Z", {"theta0": theta, "theta1": 0.5 * theta})
+
+
+def test_a_parametric_pub_is_one_family_on_every_target(call_log, tmp_path):
+    """A 64-point PUB binds once and runs as one family of 64 on every
+    target: one template trace, one execution of one family, no member
+    schedule, and evs bitwise equal to a direct target's. Every target
+    but the executor compiles the bound batch once (the JIT's one cold
+    compile); a cluster or HTTP target is one store row and one worker
+    request; a remote device runs 64 QIR jobs and binds no point."""
+    device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
+    client = make_cluster_client()
+    service = PulseService(client)
+    cluster = ClusterService(
+        make_cluster_client, str(tmp_path / "jobs.sqlite3"), num_workers=1
+    )
+    frontend = serve_http(cluster)
+    remote_client = make_remote_client()
+    targets = {
+        "direct": repro.Target.from_device(device),
+        "client": repro.Target.from_client(client, "sc-a"),
+        "service": repro.Target.from_service(service, "sc-a"),
+        "cluster": repro.Target.from_service(cluster, "sc-a"),
+        "http": repro.Target.from_service(connect(frontend.address), "sc-a"),
+    }
+    try:
+        reference = Estimator(repro.Target.from_device(DEVICES["sc2-closed"]()))
+        for offset, (name, target) in enumerate(targets.items()):
+            want = reference.run([sweep_pub(device, offset)])[0].data.evs
+            before = call_log()
+            rows = len(cluster.store.jobs(("done",)))
+            requests = sum(
+                m["requests_done"] for m in cluster.store.worker_metrics().values()
+            )
+            evs = Estimator(target).run([sweep_pub(device, offset)], timeout=60)
+            calls = call_log() - before
+            assert calls == {
+                "trace": 1,
+                "execute:1x64": 1,
+                **({} if name == "direct" else {"cold": 1}),
+            }, name
+            if name in ("cluster", "http"):
+                assert len(cluster.store.jobs(("done",))) == rows + 1
+                done = cluster.store.worker_metrics().values()
+                assert sum(m["requests_done"] for m in done) == requests + 1
+            np.testing.assert_array_equal(evs[0].data.evs, want)
+        remote = repro.Target.from_client(remote_client, "remote:sc-a")
+        before = call_log()
+        Estimator(remote).run([sweep_pub(device, 0.0)])
+        calls = call_log() - before
+        assert remote_client.driver.get_device("remote:sc-a").telemetry["jobs"] == 64
+        assert calls["bind"] == 0 and calls["trace"] == 1 and calls["cold"] == 1
+    finally:
+        frontend.stop()
+        cluster.stop()
+        service.stop()
+        client.close()
+        remote_client.close()
 
 
 # ---- direct and in-process service: one family batch per shot group ------------------

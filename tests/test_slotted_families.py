@@ -379,62 +379,74 @@ def _family_stack(primary):
 
 
 def _family_sweep(service, device_name):
+    """A sweep over one two-member amplitude family bound on
+    *device_name*; returns ``(ticket, family)``."""
     program = amplitude_program(SuperconductingDevice(num_qubits=1))
     target = repro.Target.from_service(service, device_name)
     family = repro.compile(program, target).bind_many(np.c_[[0.2, 0.6]])
-    return service.submit_sweep(
+    ticket = service.submit_sweep(
         SweepRequest.from_programs([FamilyBatch([family])], device_name, shots=0)
     )
+    return ticket, family
 
 
-def test_a_family_batch_spills_to_a_local_device_only():
-    """Under backpressure a bound family batch spills past the remote
-    equivalent (which would need it as QIR) to the local one."""
+def _assert_ran_remotely(client, ticket, family):
+    """The family ran on the remote device as one QIR job per member,
+    and its stacked arrays equal the family run directly."""
+    [got] = ticket.results(30).families
+    result = ticket.tickets[0].result()
+    assert result.device == "remote:sc-cloud" and result.remote
+    remote = client.driver.get_device("remote:sc-cloud")
+    assert remote.telemetry["jobs"] == len(family)
+    direct = SuperconductingDevice(num_qubits=1, seed=2).executor
+    [want] = direct.execute_batch(family, shots=0).families
+    np.testing.assert_allclose(
+        got.ideal_probabilities, want.ideal_probabilities, rtol=0, atol=1e-12
+    )
+    np.testing.assert_array_equal(got.durations, want.durations)
+
+
+def test_a_family_batch_spills_to_the_remote_device():
+    """Under backpressure a bound family batch spills to the first
+    equivalent device, the remote one, and runs there."""
     client = _family_stack(SlowDevice("sc-a", 0.05, num_qubits=1, seed=2))
     service = PulseService(client, per_device_pending=1, start=False)
     try:
-        first = _family_sweep(service, "sc-a")
-        second = _family_sweep(service, "sc-a")
+        first, _ = _family_sweep(service, "sc-a")
+        second, family = _family_sweep(service, "sc-a")
         service.start()
         assert len(first.results(30)) == len(second.results(30)) == 2
-        ticket = second.tickets[0]
-        assert ticket.result().device == "sc-good" and ticket.attempts == 1
+        assert second.tickets[0].attempts == 1
         assert service.metrics.get("spills") == 1
         assert service.metrics.get("failovers") == 0
+        _assert_ran_remotely(client, second, family)
     finally:
         service.stop()
         client.close()
 
 
-def test_a_family_batch_fails_over_to_a_local_device_only():
-    """After a primary fault a bound family batch fails over past the
-    remote equivalent, straight to the local one."""
+def test_a_family_batch_fails_over_to_the_remote_device():
+    """After a primary fault a bound family batch fails over to the
+    first equivalent device, the remote one, and runs there."""
     client = _family_stack(FailingDevice("sc-bad", num_qubits=1, seed=2))
     service = PulseService(client)
     try:
-        sweep = _family_sweep(service, "sc-bad")
+        sweep, family = _family_sweep(service, "sc-bad")
         assert len(sweep.results(30)) == 2
-        ticket = sweep.tickets[0]
-        assert ticket.result().device == "sc-good" and ticket.attempts == 1
+        assert sweep.tickets[0].attempts == 1
         assert service.metrics.get("failovers") == 1
+        _assert_ran_remotely(client, sweep, family)
     finally:
         service.stop()
         client.close()
 
 
-def test_a_family_batch_for_a_remote_device_is_refused():
+def test_a_family_batch_runs_on_a_remote_device():
     client = _family_stack(SuperconductingDevice("sc-a", num_qubits=1, seed=2))
     service = PulseService(client)
     try:
-        program = amplitude_program(SuperconductingDevice(num_qubits=1))
-        local = repro.Target.from_service(service, "sc-a")
-        family = repro.compile(program, local).bind_many(np.c_[[0.2, 0.6]])
-        sweep = service.submit_sweep(
-            SweepRequest.from_programs(
-                [FamilyBatch([family])], "remote:sc-cloud", shots=0
-            )
-        )
-        assert isinstance(sweep.tickets[0].exception(30), ServiceError)
+        sweep, family = _family_sweep(service, "remote:sc-cloud")
+        _assert_ran_remotely(client, sweep, family)
     finally:
         service.stop()
         client.close()
