@@ -38,7 +38,7 @@ Layering (bottom to top)::
     pipeline    durable DAG-orchestrated closed-loop calibration:
                 typed task graphs (experiment -> fit -> write-back ->
                 verify), SQLite-WAL run persistence with resume,
-                drift/staleness triggers, a runner over any surface
+                a drift-budget trigger, a runner over any surface
     obs         cross-cutting observability: structured tracing,
                 the process-wide metrics registry, profiling hooks
     qem         composable error mitigation & characterization on the

@@ -99,31 +99,37 @@ class RemoteDeviceProxy(QDMIDevice):
     # ---- job interface ---------------------------------------------------------------
 
     def submit_job(self, job: QDMIJob) -> None:
-        """Ship a serialized job across the simulated network."""
+        """Ship one serialized job across the simulated network."""
+        self.submit_jobs([job])
+
+    def submit_jobs(self, jobs: Sequence[QDMIJob]) -> None:
+        """Ship a batch of serialized jobs; the inner device runs the
+        accepted ones as one batch, each on its own seed."""
+        accepted = [job for job in jobs if self._accept(job)]
+        if accepted:
+            # The same job objects reach the inner device; from the
+            # FSM's perspective the network hop is invisible.
+            self._inner.submit_jobs(accepted)
+
+    def _accept(self, job: QDMIJob) -> bool:
+        """Account *job*'s transfer, or fail it if it is not text."""
         if job.program_format not in _TEXT_FORMATS:
-            if job.status is JobStatus.CREATED:
-                job.transition(JobStatus.SUBMITTED)
-            job.fail(
+            error = (
                 f"remote device {self._name!r} only accepts serialized "
                 f"formats {[f.value for f in _TEXT_FORMATS]}, got "
                 f"{job.program_format.value!r}"
             )
-            return
-        if not isinstance(job.payload, str):
-            if job.status is JobStatus.CREATED:
-                job.transition(JobStatus.SUBMITTED)
-            job.fail("remote payloads must be serialized text")
-            return
-        payload_bytes = len(job.payload.encode())
-        self.telemetry["jobs"] += 1
-        self.telemetry["bytes_sent"] += payload_bytes
-        self.telemetry["simulated_transfer_s"] += (
-            self.latency_s + payload_bytes / self.bandwidth
-        )
-        # Hand the same job object to the inner device; from the FSM's
-        # perspective the network hop is invisible.
-        inner_job = job
-        self._forward(inner_job)
-
-    def _forward(self, job: QDMIJob) -> None:
-        self._inner.submit_job(job)
+        elif not isinstance(job.payload, str):
+            error = "remote payloads must be serialized text"
+        else:
+            payload_bytes = len(job.payload.encode())
+            self.telemetry["jobs"] += 1
+            self.telemetry["bytes_sent"] += payload_bytes
+            self.telemetry["simulated_transfer_s"] += (
+                self.latency_s + payload_bytes / self.bandwidth
+            )
+            return True
+        if job.status is JobStatus.CREATED:
+            job.transition(JobStatus.SUBMITTED)
+        job.fail(error)
+        return False

@@ -12,8 +12,8 @@ Optimal-Control" and "Pulse-level VQEs").
 * :mod:`repro.control.ctrl_vqe` — pulse-level VQE (ctrl-VQE): the
   variational parameters are pulse amplitudes played through the QPI,
   bypassing gate decomposition, with shorter total schedule duration;
-* :mod:`repro.control.robustness` — fidelity scans under detuning,
-  amplitude and decoherence (T1/T2) errors (shaped-pulse robustness).
+* :mod:`repro.control.robustness` — fidelity scans under detuning
+  and amplitude errors (shaped-pulse robustness).
 """
 
 from repro.control.grape import GrapeOptimizer, GrapeResult
@@ -27,9 +27,7 @@ from repro.control.vqe import GateVQE, VQEResult
 from repro.control.ctrl_vqe import CtrlVQE, CtrlVQEResult
 from repro.control.robustness import (
     amplitude_scan,
-    decoherence_scan,
     detuning_scan,
-    estimator_scan,
 )
 
 __all__ = [
@@ -46,6 +44,4 @@ __all__ = [
     "CtrlVQEResult",
     "detuning_scan",
     "amplitude_scan",
-    "decoherence_scan",
-    "estimator_scan",
 ]

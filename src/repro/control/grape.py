@@ -21,8 +21,6 @@ the climbing.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -96,12 +94,6 @@ class GrapeOptimizer:
         )
         if self.n_steps < 1:
             raise OptimizationError("n_steps must be >= 1")
-        # Engines (with their superpropagator caches) per collapse-op
-        # set, for the noisy objective; tiny LRU — an optimizer rarely
-        # sees more than one noise model.
-        self._noisy_engines: OrderedDict[bytes, OpenSystemEngine] = (
-            OrderedDict()
-        )
         d_target = self.target.shape[0]
         d_full = self.drift.shape[0]
         if self.subspace is None and d_target != d_full:
@@ -175,38 +167,6 @@ class GrapeOptimizer:
 
     # ---- open-system (noisy) objective -----------------------------------------------
 
-    def _noisy_engine(self, collapse_ops: Sequence[np.ndarray]) -> OpenSystemEngine:
-        """Memoized open-system engine for one collapse-operator set.
-
-        The engine's propagator cache is what makes the
-        finite-difference gradients of :meth:`optimize_noisy` cheap:
-        each probe differs from the base point in a single slice, so
-        every other slice's superpropagator is a cache hit.
-        """
-        stacked = np.ascontiguousarray(
-            np.stack(
-                [np.asarray(c, dtype=np.complex128) for c in collapse_ops]
-            )
-            if len(collapse_ops)
-            else np.zeros((0,), dtype=np.complex128)
-        )
-        key = hashlib.blake2b(stacked.tobytes(), digest_size=8).digest()
-        engine = self._noisy_engines.get(key)
-        if engine is not None:
-            self._noisy_engines.move_to_end(key)
-        else:
-            dim = self.drift.shape[0]
-            engine = OpenSystemEngine(
-                (dim,),
-                [],
-                self.dt,
-                collapse_ops=collapse_ops,
-            )
-            self._noisy_engines[key] = engine
-            while len(self._noisy_engines) > 4:
-                self._noisy_engines.popitem(last=False)
-        return engine
-
     def noisy_infidelity(
         self,
         controls: np.ndarray,
@@ -221,8 +181,7 @@ class GrapeOptimizer:
         becomes a Lindblad superoperator (``collapse_ops`` carrying the
         T1/T2 rates, e.g. from
         :func:`~repro.sim.open_system.collapse_operators`), the stack
-        is exponentiated through the batched engine (with its
-        fingerprint-keyed cache), and the cost is
+        is exponentiated through the batched engine, and the cost is
         ``1 - <target| rho_final |target>``. Unlike the closed-system
         objective this is sensitive to *when* the pulse parks
         population in lossy states — the quantity noise-aware control
@@ -233,63 +192,12 @@ class GrapeOptimizer:
         psi_t = np.asarray(target_state, dtype=np.complex128)
         psi_t = psi_t / np.linalg.norm(psi_t)
         hs = build_hamiltonians(self.drift, self.control_ops, controls)
-        rho_final = self._noisy_engine(collapse_ops).evolve_density_matrix(
-            hs, 1, initial_state
+        engine = OpenSystemEngine(
+            (self.drift.shape[0],), [], self.dt, collapse_ops=collapse_ops
         )
+        rho_final = engine.evolve_density_matrix(hs, 1, initial_state)
         fid = float(np.real(psi_t.conj() @ rho_final @ psi_t))
         return 1.0 - fid
-
-    def optimize_noisy(
-        self,
-        *,
-        collapse_ops: Sequence[np.ndarray],
-        initial_state: np.ndarray,
-        target_state: np.ndarray,
-        initial: np.ndarray | None = None,
-        maxiter: int = 60,
-        target_infidelity: float = 1e-4,
-        seed: int = 0,
-    ) -> GrapeResult:
-        """L-BFGS-B on the noisy state-transfer objective.
-
-        Gradients are finite-differenced (the Daleckii-Krein trick does
-        not extend to the non-normal superoperators), so this is meant
-        for the small slice counts of segment-style ansatzes; warm-start
-        it with a closed-system :meth:`optimize` result via *initial*.
-        The engine cache keeps the probes cheap: each one re-uses every
-        unperturbed slice's superpropagator.
-        """
-        n, m = self.n_steps, len(self.control_ops)
-        if initial is None:
-            initial = self.optimize(maxiter=maxiter, seed=seed).controls
-        scale = float(self.max_control) if self.max_control else 1e7
-        x0 = np.asarray(initial, dtype=np.float64).reshape(n * m) / scale
-
-        def cost(x: np.ndarray) -> float:
-            return self.noisy_infidelity(
-                x * scale,
-                collapse_ops=collapse_ops,
-                initial_state=initial_state,
-                target_state=target_state,
-            )
-
-        res, cost_evaluations, iterate_history = self._run_lbfgs(
-            cost,
-            x0,
-            jac=False,
-            options={"maxiter": maxiter, "ftol": 1e-12},
-        )
-        controls = res.x.reshape(n, m) * scale
-        final_inf = cost(res.x)
-        return GrapeResult(
-            controls=controls,
-            fidelity=1.0 - final_inf,
-            infidelity_history=iterate_history,
-            cost_evaluations=cost_evaluations,
-            iterations=int(res.nit),
-            converged=final_inf <= target_infidelity,
-            final_unitary=None,
-        )
 
     # ---- optimization ----------------------------------------------------------------
 

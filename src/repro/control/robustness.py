@@ -1,26 +1,23 @@
-"""Robustness scans: fidelity under detuning, amplitude and T1/T2 errors.
+"""Robustness scans: fidelity under detuning and amplitude errors.
 
 Shaped pulses are "typically engineered to be robust against
 experimental noise, such as amplitude fluctuations and frequency
 detuning" (paper §2.1). These scans quantify that: evolve the same
 control under a perturbed Hamiltonian and report fidelity to the target
-across the error range. The optimal-control benchmark (E10) uses them
-to show GRAPE pulses holding a wider plateau than the square baseline.
+across the error range. The optimal-control example uses them to show
+GRAPE pulses holding a wider plateau than the square baseline.
 
-All scans run on the batched engines: the slice Hamiltonians (or
-Lindblad superoperators, for :func:`decoherence_scan`) of many scan
-points are stacked into ``(points_per_chunk * n_steps, D, D)`` arrays
-and exponentiated in a handful of vectorized calls — a 101-point scan
-costs a few batched passes rather than 101 per-slice Python loops,
+Both scans run on the batched engine: the slice Hamiltonians of many
+scan points are stacked into ``(points_per_chunk * n_steps, D, D)``
+arrays and exponentiated in a handful of vectorized calls — a 101-point
+scan costs a few batched passes rather than 101 per-slice Python loops,
 with the chunking keeping peak memory bounded for large scans.
 
-:func:`decoherence_scan` extends the family to open-system offsets:
-the scan axis is a sequence of per-site :class:`DecoherenceSpec`
-settings (T1/T2 grids, pessimistic-coherence margins), and the
-reported figure is the state-transfer fidelity under the exact
-Lindblad dynamics of :mod:`repro.sim.open_system` — the Hamiltonian
-part of the superoperator stack is shared across every scan point, so
-each point only pays for its own dissipator and exponentials.
+A scan over a compiled program's parameters is one
+:class:`~repro.primitives.Estimator` PUB, and fidelity under T1/T2 is
+the executor's Lindblad path (or
+:meth:`~repro.control.grape.GrapeOptimizer.noisy_infidelity` for a
+GRAPE pulse).
 """
 
 from __future__ import annotations
@@ -29,57 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.evolve import batched_expm, batched_propagators, build_hamiltonians
-from repro.sim.fidelity import process_fidelity, state_fidelity, unitary_fidelity
-from repro.sim.model import DecoherenceSpec
-from repro.sim.open_system import (
-    as_density,
-    collapse_operators,
-    dissipator_superoperator,
-    hamiltonian_superoperators,
-    unvectorize_density,
-    vectorize_density,
-)
+from repro.sim.evolve import batched_propagators, build_hamiltonians
+from repro.sim.fidelity import process_fidelity, unitary_fidelity
 
 
 def _lift(target: np.ndarray, subspace: np.ndarray) -> np.ndarray:
     """Lift a subspace target to full dimension (zero elsewhere)."""
     return subspace @ target @ subspace.conj().T
-
-
-def estimator_scan(
-    program,
-    target,
-    observable,
-    parameter_values,
-    *,
-    seed: int | None = None,
-    timeout: float | None = None,
-) -> np.ndarray:
-    """Observable curve over a parameter grid — one broadcast PUB.
-
-    The primitives-tier robustness entry point: where the
-    matrix-level scans above perturb Hamiltonians directly, this scans
-    a *compiled program's* declared parameters (detuning knobs,
-    amplitude scale factors, phase offsets — whatever the parametric
-    MLIR kernel exposes) and reports the observable's expectation per
-    point. *program*/*target* are anything
-    :func:`repro.compile` accepts; *parameter_values* is a
-    ``{name: array}`` mapping or an array with a trailing parameter
-    axis; the whole scan executes as a single
-    :class:`~repro.primitives.Estimator` PUB — one compile, one
-    batched evolution (or served sweep), no per-point run loop.
-
-    Returns the expectation values shaped like the scan's broadcast
-    shape.
-    """
-    from repro.primitives import Estimator
-
-    estimator = Estimator(target, seed=seed)
-    result = estimator.run(
-        [(program, observable, parameter_values)], timeout=timeout
-    )
-    return result[0].data.evs
 
 
 # Bound on slices materialized at once by a scan: chunking over scan
@@ -208,63 +161,3 @@ def amplitude_scan(
     return _scan_fidelities(
         chunk_hamiltonians, len(scale_arr), base.shape[0], dt, target, subspace
     )
-
-
-# Superoperator slices are D^2 x D^2 — sixteen times the footprint of
-# their unitary counterparts at D=2 doubling per site — so the
-# open-system scan chunks to a smaller slice budget.
-_MAX_OPEN_SLICES = 512
-
-
-def decoherence_scan(
-    drift: np.ndarray,
-    control_ops: Sequence[np.ndarray],
-    controls: np.ndarray,
-    dt: float,
-    target_state: np.ndarray,
-    *,
-    initial_state: np.ndarray,
-    dims: Sequence[int],
-    specs: Sequence[Sequence[DecoherenceSpec]],
-) -> np.ndarray:
-    """State-transfer fidelity vs. decoherence offsets.
-
-    Each scan point is one full per-site decoherence assignment
-    (``specs[p][site]``), so T1/T2 grids, single-site offsets and
-    correlated pessimistic margins all fit the same axis. The pulse's
-    slice Hamiltonians are built once; per point only the dissipator
-    differs, the slice superoperators are exponentiated through the
-    batched engine, composed with a log-depth pairwise reduction, and
-    applied to *initial_state* (ket or density matrix). Fidelity is
-    against *target_state* (a ket), via
-    :func:`~repro.sim.fidelity.state_fidelity`.
-    """
-    controls = np.asarray(controls, dtype=np.float64)
-    base = build_hamiltonians(drift, control_ops, controls)  # (n_steps, D, D)
-    n_steps, dim = base.shape[0], base.shape[1]
-    l_h = hamiltonian_superoperators(base)  # shared across scan points
-    vec0 = vectorize_density(as_density(initial_state, dim))
-    target = np.asarray(target_state, dtype=np.complex128)
-
-    n_points = len(specs)
-    out = np.empty(n_points, dtype=np.float64)
-    chunk = max(1, _MAX_OPEN_SLICES // max(1, n_steps))
-    for start in range(0, n_points, chunk):
-        stop = min(start + chunk, n_points)
-        stacked = np.concatenate(
-            [
-                l_h
-                + dissipator_superoperator(
-                    collapse_operators(dims, specs[p]), dim
-                )[None]
-                for p in range(start, stop)
-            ]
-        )
-        props = batched_expm(stacked, scale=dt).reshape(
-            stop - start, n_steps, dim * dim, dim * dim
-        )
-        totals = _pairwise_totals(props)
-        for i, total in enumerate(totals):
-            rho = unvectorize_density(total @ vec0, dim)
-            out[start + i] = state_fidelity(target, rho)
-    return out

@@ -20,9 +20,6 @@ limits and by the compiler to legalize programs against them.
 from repro.core.constraints import PulseConstraints
 from repro.core.envelopes import (
     EnvelopeRegistry,
-    available_envelopes,
-    evaluate_envelope,
-    register_envelope,
 )
 from repro.core.frame import Frame, FrameState, MixedFrame
 from repro.core.instructions import (
@@ -45,10 +42,7 @@ from repro.core.schedule import (
     ScheduleFamily,
 )
 from repro.core.timing import (
-    align_down,
     align_up,
-    samples_to_seconds,
-    seconds_to_samples,
     validate_granularity,
 )
 from repro.core.waveform import (
@@ -78,9 +72,6 @@ __all__ = [
     "gaussian_square_waveform",
     "constant_waveform",
     "EnvelopeRegistry",
-    "register_envelope",
-    "evaluate_envelope",
-    "available_envelopes",
     "Instruction",
     "Play",
     "Delay",
@@ -97,8 +88,5 @@ __all__ = [
     "ScheduledInstruction",
     "PulseConstraints",
     "align_up",
-    "align_down",
-    "seconds_to_samples",
-    "samples_to_seconds",
     "validate_granularity",
 ]

@@ -229,20 +229,3 @@ DEFAULT_REGISTRY = EnvelopeRegistry(
         "blackman": blackman,
     }
 )
-
-
-def register_envelope(name: str, fn: EnvelopeFn, *, overwrite: bool = False) -> None:
-    """Register an envelope in the default registry."""
-    DEFAULT_REGISTRY.register(name, fn, overwrite=overwrite)
-
-
-def evaluate_envelope(
-    name: str, duration: int, params: Mapping[str, float]
-) -> np.ndarray:
-    """Evaluate an envelope from the default registry."""
-    return DEFAULT_REGISTRY.evaluate(name, duration, params)
-
-
-def available_envelopes() -> list[str]:
-    """Names available in the default registry."""
-    return list(DEFAULT_REGISTRY.names())

@@ -10,9 +10,8 @@ Two objects model this split between *declaration* and *execution*:
 * :class:`Frame` — the immutable declaration (name + initial carrier
   frequency/phase). This is what programs, IR modules and QDMI queries
   reference.
-* :class:`FrameState` — the mutable runtime state (current frequency,
-  accumulated phase, elapsed samples) used by interpreters/simulators
-  while executing a schedule.
+* :class:`FrameState` — the mutable runtime state (current frequency
+  and phase offset) a declaration starts from.
 
 A :class:`MixedFrame` pairs a frame with the port it is played on,
 mirroring the ``!pulse.mixed_frame`` type of the MLIR pulse dialect in
@@ -22,7 +21,7 @@ the paper's Listing 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.port import Port
 from repro.errors import ValidationError
@@ -96,33 +95,19 @@ class MixedFrame:
 
 @dataclass
 class FrameState:
-    """Mutable runtime state of a frame during schedule execution.
+    """Mutable runtime state of a frame: the current carrier frequency
+    (Hz) and the static phase offset (radians, wrapped).
 
-    Tracks the current carrier frequency (Hz), the accumulated phase
-    (radians, wrapped), and the elapsed time in samples. The *phase at
-    time t* combines the static accumulated phase with the carrier
-    advance ``2*pi*f*t`` — virtual Z rotations are therefore free, as on
-    real control electronics.
+    Virtual Z rotations only move the phase offset, so they are free,
+    as on real control electronics. The executor keeps the same books
+    per sample in its frame timelines (:func:`repro.sim.runs.drive_runs`).
     """
 
     frequency: float = 0.0
     phase: float = 0.0
-    elapsed_samples: int = 0
-    #: Phase accumulated by carrier evolution at past frequency values;
-    #: updated whenever the frequency changes so phase stays continuous.
-    _carrier_phase: float = field(default=0.0, repr=False)
-
-    def advance(self, samples: int, dt: float) -> None:
-        """Advance the frame clock by *samples* steps of size *dt* s."""
-        if samples < 0:
-            raise ValidationError(f"cannot advance frame by {samples} samples")
-        self.elapsed_samples += samples
-        self._carrier_phase = _wrap_phase(
-            self._carrier_phase + _TWO_PI * self.frequency * samples * dt
-        )
 
     def set_frequency(self, frequency: float) -> None:
-        """Set the carrier frequency, preserving phase continuity."""
+        """Set the carrier frequency."""
         if not math.isfinite(frequency) or frequency < 0.0:
             raise ValidationError(f"invalid frame frequency {frequency!r}")
         self.frequency = frequency
@@ -143,26 +128,6 @@ class FrameState:
             raise ValidationError(f"invalid frame phase shift {delta!r}")
         self.phase = _wrap_phase(self.phase + delta)
 
-    def phase_at(self, sample: int, dt: float) -> float:
-        """Total carrier phase at absolute time ``sample * dt``.
-
-        Combines the static (virtual) phase, the phase accumulated at
-        previous frequencies, and the advance at the current frequency
-        since the last clock update.
-        """
-        pending = sample - self.elapsed_samples
-        return _wrap_phase(
-            self.phase
-            + self._carrier_phase
-            + _TWO_PI * self.frequency * pending * dt
-        )
-
     def copy(self) -> "FrameState":
         """Return an independent copy of this state."""
-        out = FrameState(
-            frequency=self.frequency,
-            phase=self.phase,
-            elapsed_samples=self.elapsed_samples,
-        )
-        out._carrier_phase = self._carrier_phase
-        return out
+        return FrameState(frequency=self.frequency, phase=self.phase)

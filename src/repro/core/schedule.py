@@ -25,7 +25,7 @@ import hashlib
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -212,28 +212,9 @@ class PulseSchedule:
                 seen.add(frame)
         return sorted(seen, key=lambda f: f.name)
 
-    def port_occupancy(self, port: Port) -> int:
-        """Total busy samples on *port* (sum of timed durations)."""
-        return sum(
-            it.instruction.duration
-            for it in self._items
-            if port in it.instruction.ports
-        )
-
     def instructions_of(self, kind: type) -> list[ScheduledInstruction]:
         """All scheduled instructions of the given class."""
         return [it for it in self.ordered() if isinstance(it.instruction, kind)]
-
-    def filter(
-        self, predicate: Callable[[ScheduledInstruction], bool]
-    ) -> "PulseSchedule":
-        """New schedule keeping only items where *predicate* holds,
-        preserving absolute times."""
-        out = PulseSchedule(self.name)
-        for item in self.ordered():
-            if predicate(item):
-                out._place(item.t0, item.instruction)
-        return out
 
     # ---- canonicalization / equality ------------------------------------------
 
@@ -564,14 +545,3 @@ class FamilyBatch(Sequence):
         i = range(len(self))[operator.index(i)]
         f = int(np.searchsorted(self._starts, i, side="right")) - 1
         return self.families[f].member(i - int(self._starts[f]))
-
-
-def merge_schedules(
-    schedules: Iterable[PulseSchedule], name: str = "merged"
-) -> PulseSchedule:
-    """Overlay multiple schedules at time zero (parallel composition)."""
-    out = PulseSchedule(name)
-    for sched in schedules:
-        out = out.union(sched)
-    out.name = name
-    return out

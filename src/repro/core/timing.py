@@ -10,8 +10,6 @@ snap schedules onto the grid.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ValidationError
 
 
@@ -30,14 +28,6 @@ def align_up(value: int, granularity: int) -> int:
     return ((value + granularity - 1) // granularity) * granularity
 
 
-def align_down(value: int, granularity: int) -> int:
-    """Largest multiple of *granularity* that is <= *value*."""
-    _check_granularity(granularity)
-    if value < 0:
-        raise ValidationError(f"cannot align negative value {value}")
-    return (value // granularity) * granularity
-
-
 def validate_granularity(value: int, granularity: int, what: str = "value") -> None:
     """Raise :class:`ValidationError` unless *value* sits on the grid."""
     _check_granularity(granularity)
@@ -45,25 +35,3 @@ def validate_granularity(value: int, granularity: int, what: str = "value") -> N
         raise ValidationError(
             f"{what} {value} is not a multiple of granularity {granularity}"
         )
-
-
-def seconds_to_samples(seconds: float, dt: float, *, round_up: bool = True) -> int:
-    """Convert physical seconds to an integer number of samples.
-
-    Rounds up by default so requested durations are never shortened.
-    """
-    if dt <= 0 or not math.isfinite(dt):
-        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if seconds < 0 or not math.isfinite(seconds):
-        raise ValidationError(f"seconds must be >= 0 and finite, got {seconds!r}")
-    exact = seconds / dt
-    return int(math.ceil(exact - 1e-12)) if round_up else int(math.floor(exact + 1e-12))
-
-
-def samples_to_seconds(samples: int, dt: float) -> float:
-    """Convert a sample count to physical seconds."""
-    if dt <= 0 or not math.isfinite(dt):
-        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples!r}")
-    return samples * dt

@@ -99,10 +99,6 @@ class Waveform:
             )
         )
 
-    def concatenated(self, other: "Waveform") -> "SampledWaveform":
-        """This waveform followed immediately by *other*."""
-        return SampledWaveform(np.concatenate([self.samples(), other.samples()]))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Waveform):
             return NotImplemented
@@ -155,30 +151,24 @@ class SampledWaveform(Waveform):
 class ParametricWaveform(Waveform):
     """A waveform described by an envelope name + parameters.
 
-    Evaluation happens through an :class:`EnvelopeRegistry` (the default
-    one unless a restricted registry is supplied) and is cached — the
+    Evaluation happens through the default
+    :class:`~repro.core.envelopes.EnvelopeRegistry` and is cached — the
     first call to :meth:`samples` pays the vector evaluation, subsequent
     calls are free. The symbolic (name, params) description is retained
     so IR printers and the exchange format can keep pulses parametric.
     """
 
-    __slots__ = ("_name", "_duration", "_params", "_registry", "_cache")
+    __slots__ = ("_name", "_duration", "_params", "_cache")
 
-    def __init__(
-        self,
-        name: str,
-        duration: int,
-        params: Mapping[str, float],
-        registry: "_env.EnvelopeRegistry | None" = None,
-    ) -> None:
+    def __init__(self, name: str, duration: int, params: Mapping[str, float]) -> None:
         if not isinstance(duration, (int, np.integer)) or duration <= 0:
             raise ValidationError(
                 f"waveform duration must be a positive int, got {duration!r}"
             )
-        self._registry = registry if registry is not None else _env.DEFAULT_REGISTRY
-        if name not in self._registry:
+        if name not in _env.DEFAULT_REGISTRY:
             raise ValidationError(
-                f"unknown envelope {name!r}; available: {list(self._registry.names())}"
+                f"unknown envelope {name!r}; "
+                f"available: {list(_env.DEFAULT_REGISTRY.names())}"
             )
         self._name = name
         self._duration = int(duration)
@@ -204,7 +194,9 @@ class ParametricWaveform(Waveform):
 
     def samples(self) -> np.ndarray:
         if self._cache is None:
-            arr = self._registry.evaluate(self._name, self._duration, self._params)
+            arr = _env.DEFAULT_REGISTRY.evaluate(
+                self._name, self._duration, self._params
+            )
             arr = np.ascontiguousarray(arr, dtype=np.complex128)
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValidationError(
@@ -213,13 +205,6 @@ class ParametricWaveform(Waveform):
             arr.setflags(write=False)
             self._cache = arr
         return self._cache
-
-    def with_parameters(self, **updates: float) -> "ParametricWaveform":
-        """New waveform with some parameters replaced (used heavily by
-        calibration loops that sweep one knob)."""
-        params = dict(self._params)
-        params.update({k: float(v) for k, v in updates.items()})
-        return ParametricWaveform(self._name, self._duration, params, self._registry)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ps = ", ".join(f"{k}={v:g}" for k, v in self._params.items())

@@ -117,10 +117,6 @@ class CalibrationSet:
         """All entries, deterministically ordered."""
         return [self._entries[k] for k in sorted(self._entries)]
 
-    def site_tuples(self, operation: str) -> list[tuple[int, ...]]:
-        """Site tuples for which *operation* is calibrated."""
-        return sorted(s for op, s in self._entries if op == operation)
-
     def register_custom_gate(
         self,
         name: str,

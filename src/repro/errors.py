@@ -78,10 +78,6 @@ class BackpressureError(ServiceError):
     """Admission control refused a request: the service queue is full."""
 
 
-class RoutingError(ServiceError):
-    """No capable device is available to execute a request."""
-
-
 class CancelledError(ServiceError):
     """A ticket was cancelled before (or while) its job executed.
 

@@ -82,20 +82,6 @@ class MLIRContext:
                 f"dialect {name!r} not loaded; loaded: {sorted(self._dialects)}"
             ) from None
 
-    def has_dialect(self, name: str) -> bool:
-        return name in self._dialects
-
-    def loaded_dialects(self) -> list[str]:
-        return sorted(self._dialects)
-
-    def op_spec(self, op_name: str) -> OpSpec | None:
-        """Spec for *op_name* if its dialect is loaded and defines it."""
-        dialect_name = op_name.split(".", 1)[0]
-        d = self._dialects.get(dialect_name)
-        if d is None:
-            return None
-        return d.ops.get(op_name)
-
     def verify_op(self, op: Operation) -> None:
         """Run structural + registered verification for one op.
 

@@ -434,10 +434,6 @@ class SequenceBuilder:
         """Calibrated X gate on the mixed frame's site (Listing 2 step 1)."""
         return self._builder.create("pulse.standard_x", [mixed_frame])
 
-    def standard_sx(self, mixed_frame: Value) -> Operation:
-        """Calibrated sqrt(X) gate on the mixed frame's site."""
-        return self._builder.create("pulse.standard_sx", [mixed_frame])
-
     def ret(self, *bits: Value) -> Operation:
         """Terminate the sequence, returning the captured bits."""
         return self._builder.create("pulse.return", list(bits))

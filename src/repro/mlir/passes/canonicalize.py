@@ -103,12 +103,3 @@ class PulseCanonicalizePass(Pass):
                 op.erase()
                 return True
         return False
-
-
-def count_pulse_ops(module: Module) -> dict[str, int]:
-    """Histogram of pulse-dialect op names (test/bench helper)."""
-    out: dict[str, int] = {}
-    for op in module.walk():
-        if op.dialect == "pulse":
-            out[op.name] = out.get(op.name, 0) + 1
-    return out

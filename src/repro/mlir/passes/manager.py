@@ -69,27 +69,18 @@ class PipelineReport:
     def skipped(self) -> list[str]:
         return [r.name for r in self.results if r.skipped]
 
-    @property
-    def total_runtime_s(self) -> float:
-        return sum(r.runtime_s for r in self.results)
-
 
 class PassManager:
     """Orders and runs passes over a module."""
 
-    def __init__(self, context: MLIRContext, *, verify_each: bool = True) -> None:
+    def __init__(self, context: MLIRContext) -> None:
         self.context = context
-        self.verify_each = verify_each
         self._passes: list[Pass] = []
 
     def add(self, pass_: Pass) -> "PassManager":
         """Append *pass_* to the pipeline (fluent)."""
         self._passes.append(pass_)
         return self
-
-    @property
-    def passes(self) -> tuple[Pass, ...]:
-        return tuple(self._passes)
 
     def run(self, module: Module) -> PipelineReport:
         """Run the pipeline on *module* in place."""
@@ -107,6 +98,6 @@ class PassManager:
                 raise PassError(f"pass {p.name!r} failed: {exc}") from exc
             dt = time.perf_counter() - t0
             report.results.append(PassResult(p.name, bool(changed), False, dt))
-            if self.verify_each and changed:
+            if changed:
                 verify_module(module, self.context)
         return report

@@ -38,10 +38,7 @@ from repro.obs.profile import (
 from repro.obs.tracing import (
     Span,
     Trace,
-    current_span,
     current_trace,
-    disable_tracing,
-    enable_tracing,
     span,
     trace,
     tracing_enabled,
@@ -52,10 +49,7 @@ __all__ = [
     "Trace",
     "span",
     "trace",
-    "enable_tracing",
-    "disable_tracing",
     "tracing_enabled",
-    "current_span",
     "current_trace",
     "Counter",
     "Gauge",

@@ -1,7 +1,6 @@
 """Structured tracing: spans, thread-local context, Chrome export.
 
-One :func:`trace` block (or an explicit :func:`enable_tracing` /
-:func:`disable_tracing` pair) captures every :func:`span` opened
+One :func:`trace` block captures every :func:`span` opened
 anywhere in the process — across threads — into a single
 :class:`Trace`. A span records wall-clock start/stop via
 ``time.perf_counter`` plus arbitrary attributes, and nests under
@@ -36,10 +35,7 @@ __all__ = [
     "Trace",
     "span",
     "trace",
-    "enable_tracing",
-    "disable_tracing",
     "tracing_enabled",
-    "current_span",
     "current_trace",
 ]
 
@@ -158,12 +154,6 @@ def span(name: str, **attrs: Any) -> Any:
     return Span(name, attrs)
 
 
-def current_span() -> Span | None:
-    """The innermost open :class:`Span` on this thread, if any."""
-    stack = getattr(_tls, "stack", None)
-    return stack[-1] if stack else None
-
-
 class Trace:
     """A collection of root spans captured while tracing was on."""
 
@@ -250,31 +240,6 @@ def tracing_enabled() -> bool:
 def current_trace() -> Trace | None:
     """The :class:`Trace` currently receiving spans, if any."""
     return _active_trace
-
-
-def enable_tracing() -> Trace:
-    """Start recording spans into a fresh :class:`Trace`.
-
-    Returns the new active trace. Any previously active trace stops
-    receiving spans (spans already open keep reporting to the trace
-    they were created under).
-    """
-    global _enabled, _active_trace
-    with _state_lock:
-        tr = Trace()
-        _active_trace = tr
-        _enabled = True
-        return tr
-
-
-def disable_tracing() -> Trace | None:
-    """Stop recording spans; returns the trace that was active."""
-    global _enabled, _active_trace
-    with _state_lock:
-        tr = _active_trace
-        _enabled = False
-        _active_trace = None
-        return tr
 
 
 @contextmanager

@@ -2,12 +2,11 @@
 
 Calibration as a first-class scheduled workload: typed task DAGs
 (experiment -> fit -> write-back -> verify), a durable SQLite-WAL run
-store so interrupted runs resume from their completed tasks, triggers
-that decide *when* a DAG runs (interval, predictive drift budget,
-calibration-key staleness), and a runner that executes against any
-serving surface — a local device, a :class:`~repro.serving.service
-.PulseService`, or anything :func:`repro.serving.connect.connect`
-accepts.
+store so interrupted runs resume from their completed tasks, a
+predictive drift-budget trigger that decides *when* a DAG runs, and a
+runner that executes against any serving surface — a local device, a
+:class:`~repro.serving.service.PulseService`, or anything
+:func:`repro.serving.connect.connect` accepts.
 
 >>> from repro.pipeline import PipelineRunner, frequency_tracking_dag
 >>> runner = PipelineRunner(device, store=PipelineStore("runs.db"))
@@ -37,22 +36,16 @@ from repro.pipeline.runner import (
     TaskContext,
     derive_task_seeds,
 )
-from repro.pipeline.triggers import (
-    DriftBudgetTrigger,
-    IntervalTrigger,
-    StalenessTrigger,
-)
+from repro.pipeline.triggers import DriftBudgetTrigger
 
 __all__ = [
     "ARTIFICIAL_DETUNING_HZ",
     "CATEGORIES",
     "DAG",
     "DriftBudgetTrigger",
-    "IntervalTrigger",
     "PipelineRun",
     "PipelineRunner",
     "PipelineStore",
-    "StalenessTrigger",
     "TaskContext",
     "TaskSpec",
     "TaskType",

@@ -157,10 +157,6 @@ class PipelineStore(SQLiteStore):
             ).fetchall()
         return [dict(r) for r in rows]
 
-    def unfinished_runs(self) -> list[str]:
-        """Ids of runs a restarted runner should resume."""
-        return [r["id"] for r in self.runs(("pending", "running"))]
-
     # ---- tasks -----------------------------------------------------------------------
 
     def tasks(self, run_id: str) -> dict[str, dict]:

@@ -17,10 +17,11 @@ Two evaluation paths, chosen by what the backend can provide:
   eigenvalue, exactly like the sampled counts it must stay consistent
   with. ``Observable.z(slot).expectation(result.probabilities)`` is
   the one way to read ``<Z>`` off any result type.
-* **state path** (:meth:`Observable.expectation_from_state`) — for
-  arbitrary observables against an exact simulator state (ket or
-  density matrix). The Pauli-string matrix is lifted into the device
-  dimensions through :func:`repro.control.hamiltonians.embed_qubit_operator`,
+* **state path** (:meth:`Observable.matrix`) — for arbitrary
+  observables against an exact simulator state (ket or density
+  matrix): the Estimator takes the moments of this matrix, lifted into
+  the device dimensions through
+  :func:`repro.control.hamiltonians.embed_qubit_operator`,
   i.e. the *computational-subspace* convention: the operator is zero
   on leakage levels. This matches how the variational algorithms
   (GateVQE, CtrlVQE) have always scored their ansatz states.
@@ -374,13 +375,6 @@ class Observable:
 
     # ---- state path ------------------------------------------------------------------
 
-    def qubit_matrix(self, width: int | None = None) -> np.ndarray:
-        """The dense ``2^w x 2^w`` matrix on *width* qubit slots."""
-        from repro.control.hamiltonians import pauli_sum
-
-        width = max(self.num_slots, 1) if width is None else int(width)
-        return pauli_sum(self.labels(width), width)
-
     def matrix(
         self,
         dims: Sequence[int],
@@ -420,15 +414,3 @@ class Observable:
             label = "".join(chars)
             site_terms[label] = site_terms.get(label, 0.0) + coeff
         return embed_qubit_operator(pauli_sum(site_terms, n), dims)
-
-    def expectation_from_state(
-        self,
-        state: np.ndarray,
-        dims: Sequence[int],
-        sites: Sequence[int] | None = None,
-    ) -> float:
-        """``<psi|O|psi>`` / ``tr(rho O)`` in the full device space."""
-        from repro.control.hamiltonians import expectation
-
-        value = expectation(state, self.matrix(dims, sites))
-        return value

@@ -39,7 +39,6 @@ from repro.qem.options import (
 from repro.qem.readout import (
     MitigatedResult,
     MitigationValidation,
-    mitigate_counts,
     mitigate_distribution,
     total_variation_distance,
     validate_readout_mitigation,
@@ -69,7 +68,6 @@ __all__ = [
     "exact_distribution",
     "exact_expectation",
     "extrapolate_to_zero",
-    "mitigate_counts",
     "mitigate_distribution",
     "noiseless_twin",
     "readout",

@@ -98,18 +98,6 @@ def mitigate_distribution(
     )
 
 
-def mitigate_counts(
-    counts: Mapping[str, int],
-    models: Sequence[ReadoutModel],
-) -> MitigatedResult:
-    """Mitigate raw shot counts (normalizes internally)."""
-    total = sum(counts.values())
-    if total <= 0:
-        raise ValidationError("cannot mitigate zero counts")
-    distribution = {k: v / total for k, v in counts.items()}
-    return mitigate_distribution(distribution, models)
-
-
 def total_variation_distance(
     p: Mapping[str, float], q: Mapping[str, float]
 ) -> float:

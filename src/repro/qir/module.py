@@ -154,9 +154,6 @@ class QIRModule:
         """The declared profile name ('pulse', 'base', ...)."""
         return self.attributes.get("qir_profiles", "base")
 
-    def uses_pulse_intrinsics(self) -> bool:
-        return bool(self.callees() & PULSE_INTRINSICS)
-
     def render(self) -> str:
         """Emit the textual LLVM-like form."""
         lines: list[str] = [f"; ModuleID = '{self.module_id}'"]

@@ -30,20 +30,17 @@ class RequestBatcher:
     enabled:
         When false, every request executes individually (the scheduler
         compatibility mode).
-    max_batch:
-        Largest number of requests coalesced into one execution.
-    seed:
-        Seed for the shot-splitting RNG (deterministic splits).
+
+    Shot splits draw from an RNG seeded with 0, so they are
+    deterministic.
     """
 
-    def __init__(
-        self, *, enabled: bool = True, max_batch: int = 32, seed: int = 0
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    #: Largest number of requests coalesced into one execution.
+    max_batch = 32
+
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_batch = max_batch
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
         self._rng_lock = threading.Lock()
 
     @staticmethod

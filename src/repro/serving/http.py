@@ -401,9 +401,3 @@ class HttpServiceClient(ServiceClient):
 
     def metrics_text(self) -> str:
         return self._request("GET", "/metrics")[1]
-
-    def healthy(self) -> bool:
-        try:
-            return bool(self._get_json("/healthz").get("ok"))
-        except ServiceError:
-            return False

@@ -4,7 +4,8 @@ The paper's calibration use case assumes HPC centers operating QC
 services under sustained multi-tenant demand (§2.1); operating such a
 service requires observability. :class:`ServingMetrics` aggregates the
 counters every worker thread emits plus a latency histogram per
-pipeline stage (queue wait, compile, execute, end-to-end).
+pipeline stage (queue wait, compile, execute, end-to-end). A caller
+times a stage itself and records it with :meth:`ServingMetrics.observe`.
 
 Each event is a plain registry :class:`repro.obs.Counter` and each
 stage a :class:`repro.obs.Histogram` on the default time buckets (2 us
@@ -18,8 +19,6 @@ labelled by ``service``) alongside caches and sim kernels.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 
 from repro.obs.metrics import REGISTRY, Counter, Histogram
 
@@ -84,15 +83,6 @@ class ServingMetrics:
     def observe(self, stage: str, seconds: float) -> None:
         """Record a latency sample for *stage*."""
         self.histogram(stage).observe(seconds)
-
-    @contextmanager
-    def timer(self, stage: str):
-        """Time a block and :meth:`observe` it under *stage*."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(stage, time.perf_counter() - t0)
 
     # ---- export --------------------------------------------------------------------
 

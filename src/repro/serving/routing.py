@@ -12,7 +12,6 @@ failure (failover) and on admission (load spill).
 from __future__ import annotations
 
 from repro.client.client import JobRequest
-from repro.errors import RoutingError
 from repro.qdmi.driver import QDMIDriver
 from repro.qdmi.properties import DeviceProperty, ProgramFormat, PulseSupportLevel
 
@@ -37,24 +36,14 @@ class CapabilityRouter:
         The device registry to route over.
     allow_failover:
         When false, every request is pinned to its requested device.
-    max_candidates:
-        Upper bound on the candidate list length (primary included).
     """
 
-    def __init__(
-        self,
-        driver: QDMIDriver,
-        *,
-        allow_failover: bool = True,
-        max_candidates: int = 3,
-    ) -> None:
-        if max_candidates < 1:
-            raise RoutingError(
-                f"max_candidates must be >= 1, got {max_candidates}"
-            )
+    #: Upper bound on the candidate list length (primary included).
+    max_candidates = 3
+
+    def __init__(self, driver: QDMIDriver, *, allow_failover: bool = True) -> None:
         self.driver = driver
         self.allow_failover = allow_failover
-        self.max_candidates = max_candidates
 
     # ---- capability model ----------------------------------------------------------
 

@@ -268,14 +268,6 @@ class SweepTicket:
             return results[0].batch
         return results
 
-    def exceptions(self, timeout: float | None = None) -> list[Exception | None]:
-        """Per-point failures (None on success), in scan order.
-
-        *timeout* bounds the whole call, not each point.
-        """
-        remaining = self._deadline(timeout)
-        return [t.exception(remaining()) for t in self.tickets]
-
     def expectations(
         self, observable, timeout: float | None = None
     ) -> np.ndarray:

@@ -10,8 +10,8 @@ this simulator instead. It implements:
   dimensions (qubits or qutrits — the |2> level matters for DRAG and
   ctrl-VQE experiments),
 * piecewise-constant Schrodinger evolution in the rotating frame, with
-  frame-aware carrier modulation (detuning + phase from
-  :class:`~repro.core.frame.FrameState`),
+  frame-aware carrier modulation (detuning and phase from the frame
+  timelines of :mod:`repro.sim.runs`),
 * exact open-system (Lindblad) evolution with finite T1/T2 through the
   batched superoperator engine of :mod:`repro.sim.open_system` (T1
   amplitude damping, T2 pure dephasing; the Hilbert dimension decides

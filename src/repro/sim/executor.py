@@ -20,9 +20,8 @@ batched pipeline — a single schedule is a one-member batch:
    one.
 2. Run planning (:mod:`repro.sim.runs`) — per family, frame
    timelines (carrier frequency and static phase, with
-   phase-continuous frequency updates matching
-   :class:`~repro.core.frame.FrameState` semantics) are ``(K,
-   n_breakpoints)`` piecewise-constant arrays, one breakpoint per
+   phase-continuous frequency updates) are ``(K, n_breakpoints)``
+   piecewise-constant arrays, one breakpoint per
    frame event: each event writes its value column (or the
    template's scalar) for all members at once. The drive can change
    only at a candidate start — a play's ends, a change of its shape,
@@ -452,6 +451,11 @@ class ScheduleExecutor:
         when omitted, built only if it is used) drives the schedule's
         trajectory sampling, if any, and then its shot sampling.
 
+        *initial_state* (default: every site in ``|0>``) is a finite,
+        non-zero ``(D,)`` ket, or a ``(D, D)`` density matrix on a
+        model with decoherence; anything else raises
+        :class:`~repro.errors.ValidationError`.
+
         The evolution runs in the ambient dtype policy
         (:func:`repro.sim.precision.use_dtype`).
 
@@ -621,6 +625,8 @@ class ScheduleExecutor:
     ) -> list[FamilyOutcome]:
         """Evolve and measure *batch*, member i drawing from
         ``_stream(streams, i)``."""
+        if initial_state is not None:
+            self._check_initial_state(initial_state)
         _check_cancel(should_cancel)
         if isinstance(batch, ScheduleFamily):
             families = [batch]
@@ -1300,6 +1306,30 @@ class ScheduleExecutor:
         if use_dm and psi.ndim == 1:
             return np.outer(psi, psi.conj())
         return psi.copy()
+
+    def _check_initial_state(self, state) -> None:
+        """Refuse a caller's initial state that is not a finite,
+        non-zero ``(D,)`` ket, or ``(D, D)`` density matrix when the
+        model decoheres."""
+        d = self.model.dimension
+        use_dm = self.model.has_decoherence()
+        state = np.asarray(state)
+        if state.shape == (d,):
+            weight = np.vdot(state, state).real
+        elif use_dm and state.shape == (d, d):
+            weight = np.trace(state).real
+        else:
+            shapes = f"a ({d},) ket"
+            if use_dm:
+                shapes += f" or a ({d}, {d}) density matrix"
+            raise ValidationError(
+                f"initial_state must be {shapes}, got shape {state.shape}"
+            )
+        if not np.all(np.isfinite(state)):
+            raise ValidationError("initial_state has a non-finite entry")
+        if not weight > 0:
+            kind = "norm" if state.ndim == 1 else "trace"
+            raise ValidationError(f"initial_state has zero {kind}")
 
     def _capture_site(self, capture: Capture) -> int:
         targets = capture.port.targets

@@ -1,13 +1,16 @@
-"""Measurement: projective readout, assignment errors, shot sampling.
+"""Measurement pieces: readout (assignment) errors and shot sampling.
 
 Captures in a pulse schedule mark which sites are read out and into
-which classical memory slot. This module turns a final quantum state
-into (a) exact outcome probabilities over the measured sites and (b)
-seeded shot counts after applying a per-site readout (assignment) error
-model. Leakage levels (|2> on qutrits) are reported as ``1`` by the
-discriminator — the standard behaviour of threshold-based dispersive
-readout — but their exact populations are preserved separately so the
-ctrl-VQE and DRAG experiments can track leakage.
+which classical memory slot. The executor's measurement tail
+(:meth:`ScheduleExecutor._finalize
+<repro.sim.executor.ScheduleExecutor._finalize>`) turns final states
+into exact outcome probabilities over the measured sites, pushes them
+through the per-site :class:`ReadoutModel` confusion matrices
+(:func:`joint_confusion`) and draws seeded shot counts
+(:func:`sample_counts`). Leakage levels (|2> on qutrits) read as ``1``
+— the standard behaviour of threshold-based dispersive readout — and
+their exact populations are reported separately so the ctrl-VQE and
+DRAG experiments can track leakage.
 """
 
 from __future__ import annotations
@@ -44,75 +47,6 @@ class ReadoutModel:
         )
 
 
-def state_probabilities(state: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Probability of each full product-basis label, shape ``dims``.
-
-    *state* may be a ket or a density matrix.
-    """
-    state = np.asarray(state, dtype=np.complex128)
-    total = int(np.prod(dims))
-    if state.ndim == 1:
-        if state.shape != (total,):
-            raise ValidationError(
-                f"ket length {state.shape} does not match dims {tuple(dims)}"
-            )
-        probs = np.abs(state) ** 2
-    elif state.ndim == 2:
-        if state.shape != (total, total):
-            raise ValidationError(
-                f"density matrix shape {state.shape} does not match dims {tuple(dims)}"
-            )
-        probs = np.real(np.diag(state)).copy()
-    else:
-        raise ValidationError("state must be a ket or a density matrix")
-    probs = np.clip(probs, 0.0, None)
-    s = probs.sum()
-    if s <= 0:
-        raise ValidationError("state has zero norm")
-    return (probs / s).reshape(tuple(dims))
-
-
-def measured_bit_distribution(
-    state: np.ndarray,
-    dims: Sequence[int],
-    measured_sites: Sequence[int],
-) -> dict[str, float]:
-    """Joint distribution of *bit* outcomes over *measured_sites*.
-
-    Levels >= 1 on a site are discriminated as bit 1. Unmeasured sites
-    are traced out. Keys are bitstrings ordered like *measured_sites*
-    (first listed site = leftmost character).
-    """
-    if len(set(measured_sites)) != len(measured_sites):
-        raise ValidationError("measured sites must be distinct")
-    probs = state_probabilities(state, dims)
-    n = len(dims)
-    # Trace out unmeasured sites.
-    keep = list(measured_sites)
-    others = [s for s in range(n) if s not in keep]
-    marg = probs.sum(axis=tuple(others)) if others else probs
-    # Collapse each remaining axis to two bins — level 0 vs. levels
-    # >= 1 — so the enumeration below runs over 2^m bit patterns, not
-    # the full prod(dims) level grid.
-    for ax in range(marg.ndim):
-        zero = np.take(marg, [0], axis=ax)
-        rest = np.take(marg, range(1, marg.shape[ax]), axis=ax).sum(
-            axis=ax, keepdims=True
-        )
-        marg = np.concatenate([zero, rest], axis=ax)
-    # Axes of marg follow ascending site index; permute to the
-    # caller's measured-site order, then flatten (C order = leftmost
-    # site is the most significant bit of the key).
-    sorted_keep = sorted(keep)
-    marg = marg.transpose([sorted_keep.index(s) for s in keep])
-    m = len(keep)
-    return {
-        format(i, f"0{m}b"): float(p)
-        for i, p in enumerate(marg.reshape(-1))
-        if p != 0.0
-    }
-
-
 def joint_confusion(models: Sequence[ReadoutModel]) -> np.ndarray:
     """``M[observed, actual]`` over bitstrings: the kron of the per-site
     confusion matrices, the first model's bit most significant."""
@@ -120,37 +54,6 @@ def joint_confusion(models: Sequence[ReadoutModel]) -> np.ndarray:
     for model in models[1:]:
         joint = np.kron(joint, model.confusion_matrix())
     return joint
-
-
-def apply_readout_error(
-    distribution: Mapping[str, float],
-    models: Sequence[ReadoutModel],
-) -> dict[str, float]:
-    """Push a joint bit distribution through per-site confusion matrices.
-
-    *models* must align with the bit positions of the keys.
-    """
-    if not distribution:
-        return {}
-    n_bits = len(next(iter(distribution)))
-    if len(models) != n_bits:
-        raise ValidationError(
-            f"{len(models)} readout models for {n_bits}-bit outcomes"
-        )
-    # One (2^n, 2^n) matvec replaces the per-string enumeration — tiny
-    # for the bit counts seen here and O(4^n) either way.
-    joint = joint_confusion(models)
-    actual_vec = np.zeros(2**n_bits, dtype=np.float64)
-    for actual, p in distribution.items():
-        if len(actual) != n_bits:
-            raise ValidationError("inconsistent bitstring lengths in distribution")
-        actual_vec[int(actual, 2)] += p
-    observed_vec = joint @ actual_vec
-    return {
-        format(i, f"0{n_bits}b"): float(w)
-        for i, w in enumerate(observed_vec)
-        if w > 0.0
-    }
 
 
 def sample_counts(
@@ -169,19 +72,3 @@ def sample_counts(
     probs /= probs.sum()
     draws = rng.multinomial(shots, probs)
     return {k: int(c) for k, c in zip(keys, draws) if c > 0}
-
-
-def leakage_populations(
-    state: np.ndarray, dims: Sequence[int]
-) -> dict[int, float]:
-    """Per-site probability of occupying levels >= 2 (leakage)."""
-    probs = state_probabilities(state, dims)
-    out: dict[int, float] = {}
-    for site, d in enumerate(dims):
-        if d <= 2:
-            out[site] = 0.0
-            continue
-        axes = tuple(a for a in range(len(dims)) if a != site)
-        marginal = probs.sum(axis=axes)
-        out[site] = float(marginal[2:].sum())
-    return out

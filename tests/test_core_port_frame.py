@@ -77,7 +77,6 @@ class TestFrame:
         st = Frame("f", 2e6, 0.5).initial_state()
         assert st.frequency == 2e6
         assert st.phase == 0.5
-        assert st.elapsed_samples == 0
 
 
 class TestFrameState:
@@ -99,30 +98,13 @@ class TestFrameState:
         with pytest.raises(ValidationError):
             st.set_frequency(-5.0)
 
-    def test_advance_accumulates_carrier_phase(self):
-        st = FrameState(frequency=1e6)
-        st.advance(1000, 1e-9)  # 1 us at 1 MHz -> 2*pi*1e-3... small
-        expected = (2 * math.pi * 1e6 * 1000e-9 + math.pi) % (2 * math.pi) - math.pi
-        assert st.phase_at(1000, 1e-9) == pytest.approx(expected, abs=1e-9)
-
-    def test_phase_continuity_across_frequency_change(self):
-        st = FrameState(frequency=1e6)
-        st.advance(500, 1e-9)
-        phase_before = st.phase_at(500, 1e-9)
-        st.set_frequency(2e6)
-        assert st.phase_at(500, 1e-9) == pytest.approx(phase_before, abs=1e-12)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValidationError):
-            FrameState().advance(-1, 1e-9)
-
     def test_copy_is_independent(self):
         st = FrameState(frequency=1e6)
-        st.advance(10, 1e-9)
         cp = st.copy()
         cp.shift_phase(1.0)
+        cp.set_frequency(2e6)
         assert st.phase != cp.phase
-        assert cp.elapsed_samples == st.elapsed_samples
+        assert st.frequency == 1e6
 
 
 class TestMixedFrame:

@@ -11,7 +11,6 @@ from repro.core import (
     Port,
     PulseSchedule,
     SampledWaveform,
-    align_down,
     align_up,
 )
 from repro.core.instructions import Delay, ShiftPhase
@@ -51,11 +50,6 @@ class TestWaveformProperties:
         assert padded.duration == w.duration + left + right
         assert abs(padded.energy() - w.energy()) < 1e-9
 
-    @given(waveforms(), waveforms())
-    @settings(max_examples=50, deadline=None)
-    def test_concat_duration_additive(self, a, b):
-        assert a.concatenated(b).duration == a.duration + b.duration
-
     @given(waveforms())
     @settings(max_examples=50, deadline=None)
     def test_fingerprint_stable(self, w):
@@ -75,13 +69,6 @@ class TestAlignmentProperties:
         assert up >= value
         assert up % g == 0
         assert up - value < g
-
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_align_down_properties(self, value, g):
-        down = align_down(value, g)
-        assert down <= value
-        assert down % g == 0
-        assert value - down < g
 
 
 class TestFrameStateProperties:

@@ -15,15 +15,11 @@ from repro.core import (
     SetFrequency,
     SetPhase,
     ShiftPhase,
-    align_down,
     align_up,
     constant_waveform,
     gaussian_waveform,
-    samples_to_seconds,
-    seconds_to_samples,
     validate_granularity,
 )
-from repro.core.schedule import merge_schedules
 from repro.errors import ConstraintError, ScheduleError, ValidationError
 
 P0 = Port.drive(0)
@@ -40,7 +36,6 @@ class TestTiming:
     def test_align_up_down(self):
         assert align_up(13, 8) == 16
         assert align_up(16, 8) == 16
-        assert align_down(13, 8) == 8
 
     def test_validate_granularity(self):
         validate_granularity(24, 8)
@@ -50,19 +45,6 @@ class TestTiming:
     def test_bad_granularity(self):
         with pytest.raises(ValidationError):
             align_up(4, 0)
-
-    def test_seconds_samples_roundtrip(self):
-        n = seconds_to_samples(1e-6, 1e-9)
-        assert n == 1000
-        assert samples_to_seconds(n, 1e-9) == pytest.approx(1e-6)
-
-    def test_seconds_rounds_up(self):
-        assert seconds_to_samples(10.4e-9, 1e-9) == 11
-        assert seconds_to_samples(10.4e-9, 1e-9, round_up=False) == 10
-
-    def test_invalid_dt(self):
-        with pytest.raises(ValidationError):
-            seconds_to_samples(1.0, 0.0)
 
 
 class TestInstructions:
@@ -199,24 +181,11 @@ class TestScheduleComposition:
         assert len(merged) == 2
         assert merged.duration == 32
 
-    def test_merge_schedules(self):
-        a = self._simple()
-        b = PulseSchedule("b")
-        b.append(Play(P1, F1, W16))
-        m = merge_schedules([a, b])
-        assert len(m) == 2
-
     def test_copy_independent(self):
         a = self._simple()
         b = a.copy()
         b.append(Play(P0, F0, W16))
         assert len(a) == 1 and len(b) == 2
-
-    def test_filter(self):
-        s = self._simple()
-        s.append(ShiftPhase(P0, F0, 0.3))
-        only_plays = s.filter(lambda it: isinstance(it.instruction, Play))
-        assert len(only_plays) == 1
 
 
 class TestCanonicalEquivalence:
@@ -262,13 +231,6 @@ class TestCanonicalEquivalence:
             [P0.name, P1.name, ACQ.name]
         )
         assert {f.name for f in s.frames()} == {"d0", "d1", "a0"}
-
-    def test_port_occupancy(self):
-        s = PulseSchedule()
-        s.append(Play(P0, F0, W32))
-        s.append(Play(P0, F0, W16))
-        assert s.port_occupancy(P0) == 48
-        assert s.port_occupancy(P1) == 0
 
 
 class TestConstraints:

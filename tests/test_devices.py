@@ -70,7 +70,7 @@ class TestCalibrationSet:
     def test_operations_inventory(self, sc_device):
         ops = sc_device.calibrations.operations()
         assert ops == ["cz", "measure", "rz", "sx", "x"]
-        assert sc_device.calibrations.site_tuples("cz") == [(0, 1)]
+        assert sc_device.calibrations.get("cz", (0, 1)) is not None
 
     def test_register_custom_gate(self, sc_device):
         port = sc_device.drive_port(0)

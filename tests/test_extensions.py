@@ -1,5 +1,6 @@
 """Tests: extension features — readout mitigation, echo insertion."""
 
+import numpy as np
 import pytest
 
 from repro.compiler.transforms import idle_fraction, insert_echo_sequences
@@ -8,15 +9,26 @@ from repro.devices import SuperconductingDevice
 from repro.errors import ValidationError
 from repro.pipeline import DAG, PipelineRunner
 from repro.primitives import Observable
-from repro.qem.readout import mitigate_counts, mitigate_distribution
-from repro.sim.measurement import ReadoutModel, apply_readout_error
+from repro.qem.readout import mitigate_distribution
+from repro.sim.measurement import ReadoutModel, joint_confusion
+
+
+def corrupt(true, models):
+    """*true* pushed through the joint confusion matrix, as the
+    executor's measurement tail applies it."""
+    n = len(models)
+    actual = np.zeros(2**n)
+    for key, p in true.items():
+        actual[int(key, 2)] = p
+    observed = joint_confusion(models) @ actual
+    return {format(i, f"0{n}b"): float(w) for i, w in enumerate(observed) if w > 0}
 
 
 class TestReadoutMitigation:
     def test_exact_inversion_of_model(self):
         models = [ReadoutModel(p01=0.02, p10=0.05)]
         true = {"0": 0.3, "1": 0.7}
-        observed = apply_readout_error(true, models)
+        observed = corrupt(true, models)
         recovered = mitigate_distribution(observed, models).distribution
         assert recovered["0"] == pytest.approx(0.3, abs=1e-12)
         assert recovered["1"] == pytest.approx(0.7, abs=1e-12)
@@ -24,16 +36,10 @@ class TestReadoutMitigation:
     def test_two_qubit_inversion(self):
         models = [ReadoutModel(p01=0.03, p10=0.06), ReadoutModel(p01=0.01, p10=0.02)]
         true = {"00": 0.4, "11": 0.5, "01": 0.1}
-        observed = apply_readout_error(true, models)
+        observed = corrupt(true, models)
         recovered = mitigate_distribution(observed, models).distribution
         for key, p in true.items():
             assert recovered.get(key, 0.0) == pytest.approx(p, abs=1e-10)
-
-    def test_counts_interface(self):
-        models = [ReadoutModel(p01=0.05, p10=0.05)]
-        res = mitigate_counts({"0": 60, "1": 940}, models)
-        assert res.distribution["1"] > 940 / 1000
-        assert res.condition_number > 1.0
 
     def test_expectation_improves_on_device(self):
         """End-to-end: calibrate confusion on the device, mitigate a
@@ -52,7 +58,8 @@ class TestReadoutMitigation:
         raw_z = sum(
             (1.0 if k == "0" else -1.0) * v / 8192 for k, v in r.counts.items()
         )
-        mitigated = mitigate_counts(r.counts, models)
+        observed = {k: v / 8192 for k, v in r.counts.items()}
+        mitigated = mitigate_distribution(observed, models)
         mitigated_z = Observable.z(0).expectation(mitigated.distribution)
         assert abs(mitigated_z - (-1.0)) < abs(raw_z - (-1.0))
 
@@ -61,8 +68,6 @@ class TestReadoutMitigation:
             mitigate_distribution({}, [])
         with pytest.raises(ValidationError):
             mitigate_distribution({"00": 1.0}, [ReadoutModel()])
-        with pytest.raises(ValidationError):
-            mitigate_counts({"0": 0}, [ReadoutModel()])
 
 
 class TestEchoInsertion:
@@ -129,4 +134,3 @@ class TestEchoInsertion:
         s.append(Delay(port, 32))
         s.append(Play(port, dev.default_frame(port), constant_waveform(32, 0.1)))
         assert idle_fraction(s, port) == pytest.approx(1 / 3)
-

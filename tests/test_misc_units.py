@@ -4,9 +4,10 @@ client result helpers, envelope parity."""
 import numpy as np
 import pytest
 
+from repro.core.envelopes import DEFAULT_REGISTRY
 from repro.errors import IRError, ValidationError
 from repro.mlir.context import Dialect, MLIRContext, OpSpec
-from repro.mlir.ir import Operation
+from repro.mlir.ir import F64, Operation
 from repro.qir.module import QIRArg, QIRCall, QIRGlobal, QIRModule
 
 
@@ -38,11 +39,14 @@ class TestDialectRegistration:
         spec = OpSpec("foo.op", num_operands=2)
         d.register_op(spec)
         ctx.load_dialect(d)
-        assert ctx.op_spec("foo.op") is spec
-        assert ctx.op_spec("foo.unknown") is None
-        assert ctx.op_spec("other.op") is None
-        assert ctx.has_dialect("foo")
-        assert ctx.loaded_dialects() == ["foo"]
+        assert ctx.dialect("foo").ops["foo.op"] is spec
+        a = Operation("t.make", result_types=[F64]).result()
+        ctx.verify_op(Operation("foo.op", [a, a]))
+        with pytest.raises(IRError, match="expected 2 operands"):
+            ctx.verify_op(Operation("foo.op", [a]))
+        with pytest.raises(IRError, match="unknown operation"):
+            ctx.verify_op(Operation("foo.unknown"))
+        ctx.verify_op(Operation("other.op"))  # unloaded dialect: unverified
 
     def test_unknown_dialect_lookup(self):
         with pytest.raises(IRError):
@@ -102,7 +106,6 @@ class TestQIRPrimitives:
             )
         )
         assert m.profile() == "pulse"
-        assert m.uses_pulse_intrinsics()
         assert "__quantum__pulse__delay__body" in m.callees()
         with pytest.raises(ValidationError):
             m.global_named("missing")
@@ -138,16 +141,12 @@ class TestClientResultHelpers:
 
 class TestEnvelopeParity:
     def test_square_equals_constant(self):
-        from repro.core import evaluate_envelope
-
-        a = evaluate_envelope("constant", 16, {"amp": 0.4})
-        b = evaluate_envelope("square", 16, {"amp": 0.4})
+        a = DEFAULT_REGISTRY.evaluate("constant", 16, {"amp": 0.4})
+        b = DEFAULT_REGISTRY.evaluate("square", 16, {"amp": 0.4})
         assert np.array_equal(a, b)
 
     def test_gaussian_square_zero_width_is_gaussianish(self):
-        from repro.core import evaluate_envelope
-
-        s = evaluate_envelope(
+        s = DEFAULT_REGISTRY.evaluate(
             "gaussian_square", 64, {"amp": 1.0, "sigma": 8.0, "width": 0.0}
         )
         # Peak in the middle, decaying edges.
@@ -155,8 +154,6 @@ class TestEnvelopeParity:
         assert np.real(s)[0] < 0.01
 
     def test_envelope_peak_never_exceeds_amp(self):
-        from repro.core import available_envelopes, evaluate_envelope
-
         params_by_name = {
             "constant": {"amp": 0.7},
             "square": {"amp": 0.7},
@@ -168,10 +165,10 @@ class TestEnvelopeParity:
             "triangle": {"amp": 0.7},
             "blackman": {"amp": 0.7},
         }
-        for name in available_envelopes():
+        for name in DEFAULT_REGISTRY.names():
             if name == "drag":
                 continue  # quadrature may exceed the in-phase amp
-            s = evaluate_envelope(name, 64, params_by_name[name])
+            s = DEFAULT_REGISTRY.evaluate(name, 64, params_by_name[name])
             assert np.abs(s).max() <= 0.7 + 1e-9
 
 

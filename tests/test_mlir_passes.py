@@ -17,7 +17,6 @@ from repro.mlir.passes import (
     PulseLegalizationPass,
     WaveformCSEPass,
 )
-from repro.mlir.passes.canonicalize import count_pulse_ops
 
 
 def pulse_module_with(build):
@@ -105,8 +104,8 @@ class TestPassManager:
     def test_report_runtime_recorded(self):
         pm = PassManager(default_context()).add(PulseCanonicalizePass())
         report = pm.run(pulse_module_with(lambda sb, mf: sb.delay(mf, 8)))
-        assert report.total_runtime_s >= 0
         assert len(report.results) == 1
+        assert report.results[0].runtime_s >= 0
 
 
 class TestCanonicalize:
@@ -116,7 +115,7 @@ class TestCanonicalize:
     def test_zero_delay_removed(self):
         m = pulse_module_with(lambda sb, mf: sb.delay(mf, 0))
         assert self.run_pass(m)
-        assert count_pulse_ops(m).get("pulse.delay", 0) == 0
+        assert not [op for op in m.walk() if op.name == "pulse.delay"]
 
     def test_adjacent_delays_merged(self):
         def build(sb, mf):

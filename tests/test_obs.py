@@ -204,7 +204,7 @@ class TestRegistry:
         g = MetricsRegistry().gauge("repro_test_gauge")
         g.set(5)
         g.inc(2)
-        g.dec(3)
+        g.inc(-3)
         assert g.value == 4.0
 
     def test_label_escaping(self):

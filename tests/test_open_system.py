@@ -558,54 +558,30 @@ class TestGrapeNoisyObjective:
         assert noisy > 1e-4  # decoherence must cost something
         assert noisy < 0.05
 
-    def test_optimize_noisy_improves_objective(self):
-        opt = self._optimizer()
-        warm = opt.optimize(maxiter=150, seed=1)
-        cops = collapse_operators((2,), [DecoherenceSpec(t1=3e-6, t2=4e-6)])
-        psi0 = np.array([1.0, 0.0], dtype=np.complex128)
-        psi1 = np.array([0.0, 1.0], dtype=np.complex128)
-        before = opt.noisy_infidelity(
-            warm.controls,
-            collapse_ops=cops,
-            initial_state=psi0,
-            target_state=psi1,
-        )
-        res = opt.optimize_noisy(
-            collapse_ops=cops,
-            initial_state=psi0,
-            target_state=psi1,
-            initial=warm.controls,
-            maxiter=20,
-        )
-        assert 1.0 - res.fidelity <= before + 1e-12
-        assert len(res.infidelity_history) == res.iterations + 1
-
     def test_decoherence_scan_monotone(self):
-        from repro.control.robustness import decoherence_scan
-        from repro.sim.operators import pauli
-
+        """The noisy objective over a T1/T2 grid: the noiseless point is
+        the closed-system infidelity, and shorter T1/T2 cost more."""
         opt = self._optimizer()
         res = opt.optimize(maxiter=150, seed=1)
         psi0 = np.array([1.0, 0.0], dtype=np.complex128)
         psi1 = np.array([0.0, 1.0], dtype=np.complex128)
         specs = [
-            [DecoherenceSpec()],  # noiseless reference point
-            [DecoherenceSpec(t1=50e-6, t2=60e-6)],
-            [DecoherenceSpec(t1=5e-6, t2=6e-6)],
-            [DecoherenceSpec(t1=1e-6, t2=1.2e-6)],
+            DecoherenceSpec(),  # noiseless reference point
+            DecoherenceSpec(t1=50e-6, t2=60e-6),
+            DecoherenceSpec(t1=5e-6, t2=6e-6),
+            DecoherenceSpec(t1=1e-6, t2=1.2e-6),
         ]
-        fids = decoherence_scan(
-            np.zeros((2, 2), dtype=np.complex128),
-            [0.5 * pauli("x"), 0.5 * pauli("y")],
-            res.controls,
-            2e-9,
-            psi1,
-            initial_state=psi0,
-            dims=(2,),
-            specs=specs,
-        )
-        assert fids[0] == pytest.approx(res.fidelity, abs=1e-9)
-        assert np.all(np.diff(fids) < 0)
+        infidelities = [
+            opt.noisy_infidelity(
+                res.controls,
+                collapse_ops=collapse_operators((2,), [spec]),
+                initial_state=psi0,
+                target_state=psi1,
+            )
+            for spec in specs
+        ]
+        assert 1.0 - infidelities[0] == pytest.approx(res.fidelity, abs=1e-9)
+        assert np.all(np.diff(infidelities) > 0)
 
 
 class TestServingNoiseSweep:

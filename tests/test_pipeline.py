@@ -31,10 +31,8 @@ from repro.obs.metrics import REGISTRY
 from repro.pipeline import (
     DAG,
     DriftBudgetTrigger,
-    IntervalTrigger,
     PipelineRunner,
     PipelineStore,
-    StalenessTrigger,
     campaign_dag,
     commit_writeback,
     derive_task_seeds,
@@ -209,7 +207,7 @@ class TestStore:
         assert store.load_dag("r1").topological_order() == dag.topological_order()
         rows = store.tasks("r1")
         assert rows["a"]["seed"] == 11 and rows["b"]["seed"] == 22
-        assert store.unfinished_runs() == ["r1"]
+        assert [r["id"] for r in store.runs(("pending", "running"))] == ["r1"]
 
     def test_task_lifecycle(self, store):
         self.make_run(store)
@@ -223,7 +221,7 @@ class TestStore:
         assert rows["b"]["state"] == "failed" and rows["b"]["error"] == "boom"
         assert store.counts_by_state("r1") == {"done": 1, "failed": 1}
         store.set_run_state("r1", "failed", error="task b failed")
-        assert store.unfinished_runs() == []
+        assert store.runs(("pending", "running")) == []
 
     def test_duplicate_run_rejected(self, store):
         dag = self.make_run(store)
@@ -872,16 +870,6 @@ class TestStalenessEndToEnd:
 
 
 class TestTriggers:
-    def test_interval_trigger(self):
-        trig = IntervalTrigger(120.0)
-        assert not trig.note_elapsed(60.0)
-        assert trig.note_elapsed(60.0)  # inclusive boundary
-        trig.reset()
-        assert trig.elapsed_s == 0.0
-        assert not trig.note_elapsed(119.9)
-        with pytest.raises(ValidationError):
-            IntervalTrigger(0.0)
-
     def test_drift_budget_trigger(self):
         device = sc(drift_rate=1e4)
         budget = 1e4 * (30.0**0.5) - 1  # fires on the third 10 s job
@@ -904,24 +892,14 @@ class TestTriggers:
         assert trig.clock == {}  # clock untouched, matching the old
         # scheduler's "no entries for non-drifting devices" contract
 
-    def test_staleness_trigger(self):
-        trig = StalenessTrigger(100.0)
-        assert not trig.observe("sc", "key-a", 0.0)
-        assert not trig.observe("sc", "key-a", 50.0)
-        assert trig.observe("sc", "key-a", 100.0)  # stale: fires once
-        assert not trig.observe("sc", "key-a", 200.0)  # already fired
-        assert not trig.observe("sc", "key-b", 300.0)  # key moved: reset
-        assert trig.age_s("sc", 350.0) == pytest.approx(50.0)
-        with pytest.raises(ValidationError):
-            StalenessTrigger(-1.0)
-
     def test_trigger_firings_are_counted(self):
         counter = REGISTRY.counter(
             "repro_pipeline_triggers_total",
             "Calibration trigger firings by kind",
-            {"trigger": "interval"},
+            {"trigger": "drift_budget"},
         )
         before = counter.value
-        trig = IntervalTrigger(1.0)
-        trig.note_elapsed(2.0)
+        trig = DriftBudgetTrigger(1.0)
+        assert not trig.note_elapsed("stable", sc(drift_rate=0.0), 1e9)
+        assert trig.note_elapsed("sc", sc(drift_rate=1e4), 10.0)
         assert counter.value == before + 1

@@ -105,7 +105,7 @@ class TestObservable:
         h = h2_hamiltonian()
         obs = Observable.from_matrix(h)
         assert not obs.is_diagonal  # the XX term
-        np.testing.assert_allclose(obs.qubit_matrix(2), h, atol=1e-12)
+        np.testing.assert_allclose(obs.matrix((2, 2)), h, atol=1e-12)
         with pytest.raises(ValidationError):
             Observable.from_matrix(np.eye(3))
 
@@ -272,7 +272,6 @@ class TestExecuteBatch:
             [PulseSchedule("empty")], shots=0
         )
         assert r.duration_samples == 0 and r.counts == {}
-
 
     def test_zero_point_pub_is_empty(self, sc_device_1q):
         """A zero-point PUB gives empty evs and an empty Sampler result
@@ -654,18 +653,6 @@ class TestVQEThroughEstimator:
         batched = cv.energies(points)
         singles = np.array([cv.energy(p) for p in points])
         np.testing.assert_allclose(batched, singles, atol=1e-10)
-
-
-class TestRobustnessEstimatorScan:
-    def test_scan_matches_run_loop(self, sc_device_1q):
-        from repro.control import estimator_scan
-
-        target = repro.Target.from_device(sc_device_1q)
-        program = repro.Program.from_mlir(parametric_kernel(sc_device_1q, 2))
-        grid = grid_for(program, 5)
-        curve = estimator_scan(program, target, "Z", grid)
-        expected = loop_expectations(repro.compile(program, target), grid)
-        np.testing.assert_allclose(curve, expected, atol=1e-10)
 
 
 class TestSweepTicketExpectations:

@@ -85,7 +85,6 @@ class TestParsing:
         module = parse_qir(schedule_to_qir(simple_schedule(sc_device)))
         assert module.entry_name == "kernel"
         assert module.profile() == "pulse"
-        assert module.uses_pulse_intrinsics()
         assert "__quantum__pulse__capture__body" in module.callees()
 
     def test_parse_rejects_garbage(self):

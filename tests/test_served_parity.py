@@ -516,7 +516,8 @@ def test_a_parametric_pub_is_one_family_on_every_target(call_log, tmp_path):
     schedule, and evs bitwise equal to a direct target's. Every target
     but the executor compiles the bound batch once (the JIT's one cold
     compile); a cluster or HTTP target is one store row and one worker
-    request; a remote device runs 64 QIR jobs and binds no point."""
+    request; a remote device runs 64 QIR jobs, binds no point and
+    evolves them as one batched pass."""
     device = SuperconductingDevice("sc-a", num_qubits=2, drift_rate=0.0)
     client = make_cluster_client()
     service = PulseService(client)
@@ -559,6 +560,8 @@ def test_a_parametric_pub_is_one_family_on_every_target(call_log, tmp_path):
         calls = call_log() - before
         assert remote_client.driver.get_device("remote:sc-a").telemetry["jobs"] == 64
         assert calls["bind"] == 0 and calls["trace"] == 1 and calls["cold"] == 1
+        executions = {k: n for k, n in calls.items() if k.startswith("execute:")}
+        assert executions == {"execute:1x64": 1}
     finally:
         frontend.stop()
         cluster.stop()

@@ -368,7 +368,7 @@ class TestFailover:
             SuperconductingDevice("sc-1q", num_qubits=1),
             TrappedIonDevice("ion", num_qubits=2),
         )
-        router = CapabilityRouter(driver, max_candidates=5)
+        router = CapabilityRouter(driver)
         # Different technology and fewer sites are both disqualifying.
         assert router.candidates(JobRequest(None, "sc-2q")) == ["sc-2q"]
         # A bigger same-technology device can stand in for a smaller one.

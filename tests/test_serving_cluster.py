@@ -16,6 +16,7 @@ import os
 import signal
 import socket
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -593,7 +594,8 @@ class TestHttpTier:
     def test_round_trip_is_bit_identical(self, frontend):
         fe, local = frontend
         http = connect(fe.address)
-        assert http.healthy()
+        with urllib.request.urlopen(fe.address + "/healthz", timeout=30) as reply:
+            assert json.loads(reply.read()) == {"ok": True}
         via_local = local.result(local.submit(request(seed=13, shots=64)), 30)
         ticket = http.submit(request(seed=13, shots=64))
         via_http = ticket.result(30)
