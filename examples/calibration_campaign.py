@@ -9,20 +9,25 @@ expressed as the closed-loop pipeline workload of ``repro.pipeline``:
 2. a drift-tracking campaign comparing Ramsey-tracked vs. untracked
    frequency error over simulated wall-clock time, resumable from its
    durable run store — the closed loop that motivates pulse-level
-   access for HPC centers.
+   access for HPC centers. Each tracked Ramsey scan reports how many
+   schedule templates it traced: the scan program names its
+   calibrated frame, so only the first scan traces one and every later
+   scan rebinds it after the write-back (the script exits 1 otherwise).
 
 Run:  python examples/calibration_campaign.py
 """
 
 import os
+import sys
 import tempfile
 
 from repro.calibration import run_drift_campaign
 from repro.devices import SuperconductingDevice
+from repro.obs import trace
 from repro.pipeline import PipelineRunner, PipelineStore, full_calibration_dag
 
 
-def main() -> None:
+def main() -> int:
     device = SuperconductingDevice(num_qubits=1, seed=3)
 
     print("== full calibration DAG (Rabi + DRAG + readout + Ramsey) ==")
@@ -55,15 +60,21 @@ def main() -> None:
     # with the same run_id after an interruption and completed tasks
     # replay instead of re-executing.
     store_path = os.path.join(tempfile.mkdtemp(), "campaign.db")
-    tracked = run_drift_campaign(
-        tracked_dev,
-        tracked=True,
-        calibration_interval_s=120,
-        seed=5,
-        store=PipelineStore(store_path),
-        run_id="example-campaign",
-        **kwargs,
-    )
+    with trace() as spans:
+        tracked = run_drift_campaign(
+            tracked_dev,
+            tracked=True,
+            calibration_interval_s=120,
+            seed=5,
+            store=PipelineStore(store_path),
+            run_id="example-campaign",
+            **kwargs,
+        )
+    traced = [
+        sum(1 for s in task.walk() if s.name == "template.trace")
+        for task in spans.find("pipeline.task")
+        if task.attrs.get("kind") == "ramsey_scan"
+    ]
     untracked = run_drift_campaign(untracked_dev, tracked=False, seed=5, **kwargs)
 
     print(f"{'t (s)':>6} | {'untracked err (kHz)':>20} | {'tracked err (kHz)':>18}")
@@ -80,7 +91,12 @@ def main() -> None:
         f"(pipeline run {tracked.extras['run_id']!r}, "
         f"{tracked.extras['executed_tasks']} tasks)"
     )
+    print(f"templates traced per tracked Ramsey scan: {traced}")
+    if not traced or any(traced[1:]):
+        print("FAIL: a Ramsey scan after the first retraced its template")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

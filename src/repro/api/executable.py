@@ -45,6 +45,7 @@ the semantics never depend on the optimization.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -53,6 +54,7 @@ import numpy as np
 from repro.api.core import adapter_payload, compile_payload
 from repro.api.program import Program
 from repro.api.target import Target
+from repro.core.frame import Frame
 from repro.core.instructions import Delay, Play
 from repro.core.schedule import (
     DURATION,
@@ -79,9 +81,16 @@ class _ScheduleTemplate:
     points binds as one :class:`~repro.core.schedule.ScheduleFamily`.
     The base holds neutral in-range values, so it is itself a legal
     schedule.
+
+    *frames* lists ``(item index, offset)`` for each base item whose
+    frame the device resolves (its port's default frame shifted by
+    *offset* Hz): :meth:`refresh` writes the current calibration into
+    them, so the template outlives a write-back that moves believed
+    frequencies. It is ``None`` when a calibration placed a framed item
+    (``pulse.standard_x``), whose frame the template cannot follow.
     """
 
-    __slots__ = ("base", "names", "slots", "idle")
+    __slots__ = ("base", "names", "slots", "idle", "frames", "_state")
 
     def __init__(
         self,
@@ -89,12 +98,36 @@ class _ScheduleTemplate:
         names: Sequence[str],
         slots: list[tuple[int, str, str]],
         idle: IdleSlot | None = None,
+        frames: Sequence[tuple[int, float]] | None = (),
     ) -> None:
         self.base = base
         self.names = tuple(names)
         column = {name: j for j, name in enumerate(self.names)}
         self.slots = tuple((idx, fld, column[name]) for idx, fld, name in slots)
         self.idle = idle
+        self.frames = None if frames is None else tuple(frames)
+        self._state: str | None = None
+
+    def refresh(self, device: Any, state: str | None) -> None:
+        """Write *device*'s default frames, each shifted by its item's
+        offset, into the base's device-resolved items: one pass over
+        the items, once per calibration state key *state*."""
+        if state == self._state:
+            return
+        items = list(self.base._items)
+        defaults: dict[Any, Frame] = {}
+        for idx, offset in self.frames or ():
+            item = items[idx]
+            ins = item.instruction
+            default = defaults.get(ins.port)
+            if default is None:
+                default = defaults[ins.port] = device.default_frame(ins.port)
+            frame = Frame(default.name, default.frequency + offset, default.phase)
+            if frame != ins.frame:
+                ins = dataclasses.replace(ins, frame=frame)
+                items[idx] = dataclasses.replace(item, instruction=ins)
+        self.base = self.base.clone_with_items(items)
+        self._state = state
 
     @property
     def frequency_params(self) -> set[str]:
@@ -258,7 +291,8 @@ def _build_template(
         if len(delays) > 1:
             return None
         trace_a = _trace_args(names, kinds, 0, 0.0)
-        sched_a = module_to_schedule(module, device, trace_a)
+        resolved: list[tuple[int, float | None]] = []
+        sched_a = module_to_schedule(module, device, trace_a, resolved=resolved)
         taus = [0]
         if delays:
             g = constraints.granularity
@@ -312,7 +346,8 @@ def _build_template(
             idle = _idle_slot(names.index(delays[0]), traces, taus)
             if idle is None:
                 return None
-        template = _ScheduleTemplate(sched_a, names, slots, idle)
+        frames = None if any(o is None for _, o in resolved) else resolved
+        template = _ScheduleTemplate(sched_a, names, slots, idle, frames)
         # Validate the *static* structure once (timing grid, waveform
         # durations/amplitudes) with neutral, in-range scalar values,
         # which the template then keeps as its base; a failure means
@@ -353,9 +388,10 @@ class Executable:
         self._payload_fp: str | None = None
         self._template: _ScheduleTemplate | None | bool = None
         self._timings: dict[str, float] = {}
-        #: Calibration state the payload/template/artifact were built
-        #: against; a drifting device invalidates all three.
+        #: Calibration state key and structure generation the
+        #: payload/template/artifact were built against.
         self._state_key: str | None = None
+        self._generation: int | None = None
 
     # ---- construction ----------------------------------------------------------------
 
@@ -401,14 +437,20 @@ class Executable:
     # ---- internal plumbing -----------------------------------------------------------
 
     def _refresh_if_recalibrated(self) -> str | None:
-        """Drop device-bound state after a calibration write-back.
+        """Drop what a calibration write-back made stale.
 
-        Adapter payloads, schedule templates, and compiled artifacts
-        all bake in the device's believed frame frequencies; when the
-        calibration state key changes (the same key that namespaces the
-        compile cache), everything device-bound is rebuilt on demand —
-        matching what the per-call APIs always did by re-running the
-        adapter per submission.
+        The compiled artifact bakes in the calibration state key (the
+        key that namespaces the compile cache), so any write-back drops
+        it. A schedule template survives a write-back that moves only
+        believed frequencies or readout confusion: the next bind writes
+        the new frames into it (:meth:`_ScheduleTemplate.refresh`). It
+        is retraced when the calibration structure changes
+        (:attr:`CalibrationSet.generation
+        <repro.devices.calibrations.CalibrationSet.generation>`, e.g. a
+        DRAG-beta write-back reshapes a waveform) or when it cannot
+        follow frames (:attr:`_ScheduleTemplate.frames` is ``None``).
+        An adapter payload lowered against the device is rebuilt; a
+        passthrough payload (pulse IR, a schedule) is the program.
 
         Returns the current state key (``None`` for detached targets).
         Each entry point checks once and hands the key down, so the
@@ -417,15 +459,22 @@ class Executable:
         """
         if self.target.is_detached:
             return None  # no local calibration view; service-side cache rules
-        state = self.target.compiler.device_state_key(
-            self.target.compile_device
-        )
-        if self._state_key is not None and state != self._state_key:
-            self._payload = None
-            self._payload_fp = None
-            self._template = None
+        device = self.target.compile_device
+        state = self.target.compiler.device_state_key(device)
+        generation = getattr(getattr(device, "calibrations", None), "generation", 0)
+        if self._state_key is not None and (state, generation) != (
+            self._state_key,
+            self._generation,
+        ):
             self.compiled = None
+            restructured = generation != self._generation
+            if restructured or self._payload is not self.program.source:
+                self._payload = None
+                self._payload_fp = None
+            if restructured or not self._template or self._template.frames is None:
+                self._template = None
         self._state_key = state
+        self._generation = generation
         return state
 
     def _ensure_payload(self) -> Any:
@@ -522,6 +571,7 @@ class Executable:
                 return cached
             template = self._ensure_template() if self.is_bound else None
             if template is not None:
+                template.refresh(device, state)
                 compiled = self._specialize(template, compiler, device, t0)
                 if compiled is not None:
                     compiler.store(key, compiled)
@@ -606,11 +656,12 @@ class Executable:
         """
         if not self.program.is_parametric or self.target.is_detached:
             return None
-        self._refresh_if_recalibrated()
+        state = self._refresh_if_recalibrated()
         self._ensure_payload()
         template = self._ensure_template()
         if template is None:
             return None
+        template.refresh(self.target.compile_device, state)
         values = np.asarray(values, dtype=np.float64).reshape(
             -1, len(template.names)
         )
@@ -672,6 +723,7 @@ class Executable:
         bound._template = self._template
         bound._timings = dict(self._timings)
         bound._state_key = self._state_key
+        bound._generation = self._generation
         if bound.is_bound:
             bound._compile_bound(state)
         return bound

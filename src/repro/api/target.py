@@ -21,15 +21,22 @@ calibration state across the three execution surfaces the stack has:
 
 The target owns the *compile identity* of the device: its
 :meth:`calibration_key` combines the device name with the believed
-frame frequencies, so a recalibration invalidates every cached
-executable — the same invalidation rule the JIT compile cache uses.
+frame frequencies and the calibration epoch — the key of the JIT
+compile cache, so a recalibration misses every compiled artifact. It
+also owns the executable memo (:meth:`Target.executable`) every
+primitive over it shares; an executable keeps its schedule template
+across a frequency write-back and rebinds it.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any
 
 from repro.errors import ValidationError
+from repro.obs.metrics import REGISTRY, CacheStats
+from repro.obs.tracing import span
 from repro.qdmi.properties import DeviceProperty
 
 #: Attribute under which :meth:`Target.from_device` memoizes its
@@ -43,6 +50,9 @@ _DEVICE_TARGET_ATTR = "_repro_api_target"
 
 class Target:
     """One resolved execution endpoint for the two-phase API."""
+
+    #: Executables kept warm per target (:meth:`executable`).
+    _MAX_EXECUTABLES = 128
 
     def __init__(
         self,
@@ -59,6 +69,18 @@ class Target:
         #: run on the device's own executor.
         self.direct = direct
         self._capabilities: dict[str, Any] | None = None
+        self._executables: OrderedDict[Any, Any] = OrderedDict()
+        self._executables_lock = threading.Lock()
+        #: Hit/miss/eviction accounting of the executable memo (the
+        #: "template cache"), exported like every other cache.
+        self.stats = CacheStats(
+            lambda: len(self._executables),
+            lambda: self._MAX_EXECUTABLES,
+            hits=0,
+            misses=0,
+            evictions=0,
+        )
+        REGISTRY.register_cache(REGISTRY.autoname("template"), self, kind="template")
 
     # ---- constructors ----------------------------------------------------------------
 
@@ -197,6 +219,36 @@ class Target:
     @property
     def compiler(self) -> Any:
         return self._require_client("compilation").compiler
+
+    # ---- the executable memo ---------------------------------------------------------
+
+    def executable(self, program: Any) -> Any:
+        """The memoized :class:`~repro.api.executable.Executable` of
+        *program* (identity-keyed; a parametric one with its schedule
+        template compiled). Every primitive over this target shares the
+        memo, so an optimizer loop, or each task of a calibration
+        runner, re-submitting one program skips the re-prepare and the
+        template re-trace; the executable follows write-backs itself.
+        """
+        from repro.api.executable import Executable
+
+        with self._executables_lock:
+            executable = self._executables.get(program)
+            if executable is not None:
+                self.stats["hits"] += 1
+                self._executables.move_to_end(program)
+                return executable
+            self.stats["misses"] += 1
+        with span("compile", program=program.name):
+            executable = Executable.prepare(program, self)
+            if program.is_parametric:
+                executable.compile()  # the schedule template
+        with self._executables_lock:
+            self._executables[program] = executable
+            while len(self._executables) > self._MAX_EXECUTABLES:
+                self._executables.popitem(last=False)
+                self.stats["evictions"] += 1
+        return executable
 
     # ---- capabilities / calibration state -------------------------------------------
 

@@ -21,7 +21,7 @@ from repro.core.constraints import PulseConstraints
 from repro.core.envelopes import (
     EnvelopeRegistry,
 )
-from repro.core.frame import Frame, FrameState, MixedFrame
+from repro.core.frame import Frame, MixedFrame
 from repro.core.instructions import (
     Barrier,
     Capture,
@@ -61,7 +61,6 @@ __all__ = [
     "PortKind",
     "PortDirection",
     "Frame",
-    "FrameState",
     "MixedFrame",
     "Waveform",
     "SampledWaveform",

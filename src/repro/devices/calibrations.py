@@ -80,12 +80,18 @@ class CalibrationSet:
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, tuple[int, ...]], CalibrationEntry] = {}
+        #: The structure generation: bumped by every ``add(overwrite=True)``,
+        #: which may change an entry's pulses (shape, duration). A
+        #: frequency write-back leaves it alone: entries read the
+        #: believed frequency from their port's default frame.
+        self.generation = 0
 
     def add(self, entry: CalibrationEntry, *, overwrite: bool = False) -> None:
         """Register *entry*; refuses silent redefinition unless asked.
 
         Calibration loops legitimately *re*-calibrate, so ``overwrite``
-        exists; accidental double-registration is still an error.
+        exists (and bumps :attr:`generation`); accidental
+        double-registration is still an error.
         """
         key = (entry.operation, entry.sites)
         if key in self._entries and not overwrite:
@@ -94,6 +100,8 @@ class CalibrationSet:
                 "pass overwrite=True to re-calibrate"
             )
         self._entries[key] = entry
+        if overwrite:
+            self.generation += 1
 
     def get(self, operation: str, sites: Sequence[int]) -> CalibrationEntry:
         """Lookup; raises :class:`LoweringError` when missing — the

@@ -69,8 +69,16 @@ def sequence_to_schedule(
     scalar_args: Mapping[str, float] | None = None,
     *,
     name: str | None = None,
+    resolved: list | None = None,
 ) -> PulseSchedule:
-    """Interpret one ``pulse.sequence`` op into a pulse schedule."""
+    """Interpret one ``pulse.sequence`` op into a pulse schedule.
+
+    *resolved*, when given, receives ``(item index, offset)`` for each
+    framed item placed through a mixed frame the device resolves (the
+    port's default frame shifted by *offset* Hz), and ``(item index,
+    None)`` for each framed item a calibration (``pulse.standard_x``)
+    placed, whose frame the program does not name.
+    """
     if sequence.name != "pulse.sequence":
         raise IRError(f"expected pulse.sequence, got {sequence.name!r}")
     scalar_args = dict(scalar_args or {})
@@ -78,22 +86,31 @@ def sequence_to_schedule(
     arg_ports = sequence.attr("pulse.argPorts") or [""] * len(entry.arguments)
     arg_names = sequence.attr("pulse.args") or [a.name for a in entry.arguments]
 
-    # Optional exact frame declarations (written by the schedule->IR
-    # lift): one [name, frequency, phase] entry per argument, [] for
-    # scalars. Without it, mixed frames bind to the device defaults.
+    # Optional frame declarations, one entry per argument ([] for
+    # scalars): an exact [name, frequency, phase] frame (written by the
+    # schedule->IR lift), or ["default", offset], the port's default
+    # frame shifted by offset Hz. A frame the device resolves (an
+    # offset entry, or no entry) follows its calibrated frequency.
     arg_frames = sequence.attr("pulse.argFrames")
 
     env: dict[Value, Any] = {}
+    offsets: dict[Value, float] = {}
     for i, (arg, port_name, arg_name) in enumerate(
         zip(entry.arguments, arg_ports, arg_names)
     ):
         if arg.type == MIXED_FRAME:
             port = target.port(port_name)
-            if arg_frames is not None and arg_frames[i]:
-                fname, ffreq, fphase = arg_frames[i]
+            declared = arg_frames[i] if arg_frames is not None else None
+            if declared and len(declared) == 3:
+                fname, ffreq, fphase = declared
                 frame = Frame(str(fname), float(ffreq), float(fphase))
+            elif declared and (len(declared) != 2 or declared[0] != "default"):
+                raise IRError(f"malformed pulse.argFrames entry {declared!r}")
             else:
-                frame = target.default_frame(port)
+                offset = float(declared[1]) if declared else 0.0
+                base = target.default_frame(port)
+                frame = Frame(base.name, base.frequency + offset, base.phase)
+                offsets[arg] = offset
             env[arg] = MixedFrame(port, frame)
         elif arg.type == F64:
             if arg_name not in scalar_args:
@@ -107,8 +124,23 @@ def sequence_to_schedule(
 
     schedule = PulseSchedule(name or sequence.attr("sym_name") or "sequence")
     for op in entry.operations:
+        start = len(schedule._items)
         _interpret_op(op, env, schedule, target)
+        if resolved is None or not op.operands:
+            continue
+        standard = op.name in _STANDARD_OPS
+        if standard or op.operands[0] in offsets:
+            offset = None if standard else offsets[op.operands[0]]
+            resolved.extend(
+                (idx, offset)
+                for idx in range(start, len(schedule._items))
+                if hasattr(schedule._items[idx].instruction, "frame")
+            )
     return schedule
+
+
+#: Ops that apply a device calibration instead of naming frames.
+_STANDARD_OPS = ("pulse.standard_x", "pulse.standard_sx")
 
 
 def _mf(op: Operation, env: dict) -> MixedFrame:
@@ -184,7 +216,7 @@ def _interpret_op(
             )
         )
         env[op.result()] = None  # classical bit, unknown until execution
-    elif name in ("pulse.standard_x", "pulse.standard_sx"):
+    elif name in _STANDARD_OPS:
         mf = _mf(op, env)
         site = mf.port.targets[0]
         gate = "x" if name.endswith("standard_x") else "sx"
@@ -201,8 +233,10 @@ def module_to_schedule(
     scalar_args: Mapping[str, float] | None = None,
     *,
     sequence_name: str | None = None,
+    resolved: list | None = None,
 ) -> PulseSchedule:
-    """Interpret a pulse module (its only / named sequence)."""
+    """Interpret a pulse module (its only / named sequence); *resolved*
+    as in :func:`sequence_to_schedule`."""
     if sequence_name is not None:
         seq = find_sequence(module, sequence_name)
     else:
@@ -213,4 +247,4 @@ def module_to_schedule(
                 "sequence_name"
             )
         seq = seqs[0]
-    return sequence_to_schedule(seq, target, scalar_args)
+    return sequence_to_schedule(seq, target, scalar_args, resolved=resolved)

@@ -7,15 +7,21 @@ tasks:
 * **experiment tasks** (``ramsey_scan``, ``rabi_scan``, ``drag_scan``,
   ``readout_scan``) build programs and measure through the
   Estimator/Sampler primitives — *all sites of a scan batch through
-  one primitive call*. ``rabi_scan`` and ``ramsey_scan`` compile once:
-  each emits one parametric pulse-MLIR program per scan, the pulse
-  amplitude or the free-evolution delay as its sequence argument and
-  every site in the one program, and submits it as one PUB. The PUB
-  binds as one schedule family (an amplitude or a delay slot), which a
-  direct target evolves in one ``execute_batch`` and an in-process
-  service runs as one sweep of one family: one QDMI job, one
-  execution, one measurement pass. ``drag_scan`` and
-  ``readout_scan`` still build a schedule per point.
+  one primitive call*. ``rabi_scan``, ``ramsey_scan`` and
+  ``readout_scan`` compile once per runner: each emits one parametric
+  pulse-MLIR program, the pulse amplitude, the free-evolution delay
+  or the ``x`` amplitude (0 prepares |0>, 1 prepares |1>) as its
+  sequence argument and every site in the one program, and submits
+  it as one PUB. The program names its calibrated frames (the port's
+  default frame plus a fixed offset) instead of copying their
+  frequencies, so a write-back leaves it, and its compiled template,
+  as they are (:meth:`TaskContext.program
+  <repro.pipeline.runner.TaskContext.program>` rebuilds it only when
+  the calibration structure changes). The PUB binds as one schedule
+  family (an amplitude or a delay slot), which a direct target
+  evolves in one ``execute_batch`` and an in-process service runs as
+  one sweep of one family: one QDMI job, one execution, one
+  measurement pass. ``drag_scan`` still builds a schedule per point.
   Their recorded results carry everything the downstream fit needs
   (including the believed frequencies at scan time), which makes the
   fits pure.
@@ -77,11 +83,14 @@ def _program(schedule: PulseSchedule):
 class _ScanProgram:
     """A parametric scan as one ``pulse.sequence``.
 
-    Mixed frames are declared on first use with their exact frames
-    (``pulse.argFrames``), so a detuned frame survives interpretation;
-    :meth:`measure` emits the device's own ``measure`` calibration op
-    by op, barriers included, so the interpreter's as-soon-as-possible
-    placement rebuilds it after the parametric part.
+    Mixed frames name calibrated frames instead of copying them: each
+    is declared on first use as its port's default frame plus a fixed
+    offset (``pulse.argFrames``), which the interpreter resolves
+    against the device. So a frequency write-back leaves the program,
+    and its compiled template, as they are. :meth:`apply` emits a
+    device calibration op by op, barriers included, so the
+    interpreter's as-soon-as-possible placement rebuilds it after the
+    parametric part.
     """
 
     def __init__(self, name: str, device) -> None:
@@ -90,54 +99,66 @@ class _ScanProgram:
         self.device = device
         self.sb = SequenceBuilder(name)
         self._frames: list[list] = []
-        self._mfs: dict[tuple[str, str], Any] = {}
+        self._mfs: dict[tuple[str, float], Any] = {}
         self._by_port: dict[str, Any] = {}
 
     def scalar(self, name: str):
         self._frames.append([])
         return self.sb.add_scalar_arg(name)
 
-    def mf(self, port, frame=None):
-        """The mixed-frame argument of (*port*, *frame*); *frame*
-        ``None`` takes any frame already declared on the port."""
-        if frame is None:
+    def mf(self, port, offset: float | None = None):
+        """The mixed-frame argument of *port* on its default frame
+        shifted by *offset* Hz; *offset* ``None`` takes any frame
+        already declared on the port, else the default frame."""
+        if offset is None:
             known = self._by_port.get(port.name)
             if known is not None:
                 return known
-            frame = self.device.default_frame(port)
-        key = (port.name, frame.name)
+            offset = 0.0
+        key = (port.name, float(offset))
         value = self._mfs.get(key)
         if value is None:
             value = self.sb.add_mixed_frame_arg(f"mf{len(self._mfs)}", port.name)
-            self._frames.append(
-                [frame.name, float(frame.frequency), float(frame.phase)]
-            )
+            self._frames.append(["default", float(offset)])
             self._mfs[key] = value
             self._by_port.setdefault(port.name, value)
         return value
 
-    def measure(self, sites: Sequence[int]) -> None:
-        """Each site's ``measure`` calibration into its slot."""
+    def _calibrated_mf(self, ins):
+        """The argument of a calibration instruction's frame, which must
+        be its port's default frame."""
+        if ins.frame != self.device.default_frame(ins.port):
+            raise PipelineError(
+                f"calibration plays on frame {ins.frame.name!r}, not the "
+                f"default frame of port {ins.port.name!r}"
+            )
+        return self.mf(ins.port, 0.0)
+
+    def apply(self, operation: str, sites: Sequence[int], amplitude=None) -> None:
+        """The device's *operation* calibration on each site (``measure``
+        into the site's slot), every play scaled by the scalar
+        *amplitude* when one is given."""
         from repro.core.instructions import Barrier, Capture
 
-        tail = PulseSchedule("measure")
+        tail = PulseSchedule(operation)
         for slot, site in enumerate(sites):
-            self.device.calibrations.get("measure", (site,)).apply(tail, [slot])
+            entry = self.device.calibrations.get(operation, (site,))
+            entry.apply(tail, [slot][: entry.num_params])
         for item in tail._items:
             ins = item.instruction
             if isinstance(ins, Barrier):
                 self.sb.barrier(*(self.mf(p) for p in ins.barrier_ports))
             elif isinstance(ins, Play):
-                mf = self.mf(ins.port, ins.frame)
-                self.sb.play(mf, self.sb.waveform(ins.waveform))
+                wf = self.sb.waveform(ins.waveform, amplitude=amplitude)
+                self.sb.play(self._calibrated_mf(ins), wf)
             elif isinstance(ins, Capture):
-                mf = self.mf(ins.port, ins.frame)
+                mf = self._calibrated_mf(ins)
                 self.sb.capture(mf, ins.memory_slot, ins.duration_samples)
             elif isinstance(ins, Delay):
                 self.sb.delay(self.mf(ins.port), ins.duration_samples)
             else:
                 raise PipelineError(
-                    f"cannot emit {type(ins).__name__} of a measure calibration"
+                    f"cannot emit {type(ins).__name__} of a {operation} calibration"
                 )
 
     def program(self):
@@ -251,15 +272,12 @@ def _ramsey_program(device, sites: Sequence[int], artificial_detuning_hz: float)
     scan = _ScanProgram("ramsey", device)
     tau = scan.scalar("tau")
     for site in sites:
-        drive = device.drive_port(site)
-        base = device.default_frame(drive)
-        frame = Frame(base.name, base.frequency + artificial_detuning_hz, base.phase)
-        mf = scan.mf(drive, frame)
+        mf = scan.mf(device.drive_port(site), float(artificial_detuning_hz))
         half = scan.sb.waveform(_half_pi_pulse(device, site))
         scan.sb.play(mf, half)
         scan.sb.delay(mf, tau)
         scan.sb.play(mf, half)
-    scan.measure(sites)
+    scan.apply("measure", sites)
     return scan.program()
 
 
@@ -303,9 +321,14 @@ def _ramsey_scan_run(ctx, params, seed, upstream) -> dict:
     # grid: it binds as one family with a delay slot, which a direct
     # target evolves in one execute_batch pass and an in-process
     # service runs as one sweep of that family (one job, one batched
-    # execution).
+    # execution). The program names the drive frames, so the runner
+    # builds it once.
+    program = ctx.program(
+        ("ramsey_scan", tuple(sites), artificial),
+        lambda: _ramsey_program(device, sites, artificial),
+    )
     pub = (
-        _ramsey_program(device, sites, artificial),
+        program,
         [[_p1(slot)] for slot in range(len(sites))],
         {"tau": delays.astype(np.float64)},
     )
@@ -362,6 +385,20 @@ register_task("ramsey_fit", "fit")(_ramsey_fit_run)
 # ---- Rabi ----------------------------------------------------------------------------
 
 
+def _rabi_program(device, sites: Sequence[int], duration: int):
+    """The Rabi scan on every site at once, the flat pulse's amplitude
+    as the program's one parameter ``amp``: each site plays the
+    unit-height pulse of *duration* samples scaled by ``amp``."""
+    scan = _ScanProgram("rabi", device)
+    amp = scan.scalar("amp")
+    unit = constant_waveform(duration, 1.0)
+    for site in sites:
+        wf = scan.sb.waveform(unit, amplitude=amp)
+        scan.sb.play(scan.mf(device.drive_port(site)), wf)
+    scan.apply("measure", sites)
+    return scan.program()
+
+
 def _rabi_scan_run(ctx, params, seed, upstream) -> dict:
     """Rabi oscillation populations over flat pulses of fixed length.
 
@@ -383,17 +420,12 @@ def _rabi_scan_run(ctx, params, seed, upstream) -> dict:
         amps = np.linspace(0.05, min(1.0, constraints.max_amplitude), 16)
     amps = np.asarray(amps, dtype=np.float64)
     shots = int(params.get("shots", 0))
-    # One program, the flat pulse's amplitude as its parameter: every
-    # site plays the unit-height pulse scaled by ``amp``.
-    scan = _ScanProgram("rabi", device)
-    amp = scan.scalar("amp")
-    unit = constant_waveform(duration, 1.0)
-    for site in sites:
-        drive = device.drive_port(site)
-        scan.sb.play(scan.mf(drive), scan.sb.waveform(unit, amplitude=amp))
-    scan.measure(sites)
+    program = ctx.program(
+        ("rabi_scan", tuple(sites), duration),
+        lambda: _rabi_program(device, sites, duration),
+    )
     pub = (
-        scan.program(),
+        program,
         [[_p1(slot)] for slot in range(len(sites))],
         {"amp": amps},
     )
@@ -518,36 +550,49 @@ register_task("drag_fit", "fit")(_drag_fit_run)
 # ---- readout confusion ---------------------------------------------------------------
 
 
+def _readout_program(device, sites: Sequence[int]):
+    """Every site's ``x`` calibration scaled by the parameter ``amp``,
+    then every site measured into its slot: ``amp = 0`` prepares |0>,
+    ``amp = 1`` prepares |1>."""
+    scan = _ScanProgram("readout", device)
+    amp = scan.scalar("amp")
+    scan.apply("x", sites, amplitude=amp)
+    scan.apply("measure", sites)
+    return scan.program()
+
+
 def _readout_scan_run(ctx, params, seed, upstream) -> dict:
     """Measure per-site assignment error; doubles as its own fit.
 
     Confusion is a *post-readout* quantity, so this is the one scan
     that samples counts through the Sampler instead of taking exact
-    Estimator expectation values.
+    Estimator expectation values, from one program at two points
+    (:func:`_readout_program`).
     """
     device = ctx.device
     sites = _sites(device, params)
     shots = int(params.get("shots", 2048))
-    pubs = []
-    for site in sites:
-        ground = PulseSchedule(f"confusion-0-{site}")
-        device.calibrations.get("measure", (site,)).apply(ground, [0])
-        excited = PulseSchedule(f"confusion-1-{site}")
-        device.calibrations.get("x", (site,)).apply(excited, [])
-        device.calibrations.get("measure", (site,)).apply(excited, [0])
-        pubs.extend([_program(ground), _program(excited)])
-    res = ctx.sampler(default_shots=shots, seed=seed).run(pubs)
+    program = ctx.program(
+        ("readout_scan", tuple(sites)), lambda: _readout_program(device, sites)
+    )
+    counts = (
+        ctx.sampler(default_shots=shots, seed=seed)
+        .run([(program, {"amp": [0.0, 1.0]})])[0]
+        .data.counts
+    )
 
-    def ones_fraction(pub_result) -> float:
-        counts = pub_result.data.counts[()]
-        total = max(1, sum(counts.values()))
-        return sum(c for k, c in counts.items() if k[0] == "1") / total
+    def ones_fraction(point: int, slot: int) -> float:
+        total = max(1, sum(counts[point].values()))
+        return sum(c for k, c in counts[point].items() if k[slot] == "1") / total
 
-    confusion = {}
-    for i, site in enumerate(sites):
-        p01 = ones_fraction(res[2 * i])  # prepared |0>, read 1
-        p10 = 1.0 - ones_fraction(res[2 * i + 1])  # prepared |1>, read 0
-        confusion[str(site)] = {"p01": p01, "p10": p10, "shots": shots}
+    confusion = {
+        str(site): {
+            "p01": ones_fraction(0, slot),  # prepared |0>, read 1
+            "p10": 1.0 - ones_fraction(1, slot),  # prepared |1>, read 0
+            "shots": shots,
+        }
+        for slot, site in enumerate(sites)
+    }
     return {"sites": sites, "confusion": confusion}
 
 

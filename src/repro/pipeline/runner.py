@@ -72,7 +72,8 @@ class TaskContext:
     :meth:`sampler` build primitives bound to the runner's execution
     surface, so the same task code measures through ``execute_batch``
     directly or through a served sweep depending on how the runner
-    was constructed.
+    was constructed. They share the runner's one target, and so its
+    executable memo; :meth:`program` memoizes the programs they run.
     """
 
     device: Any
@@ -92,6 +93,20 @@ class TaskContext:
             default_shots=default_shots,
             seed=seed,
         )
+
+    def program(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The runner's program under *key*, from ``build()`` on first
+        use and again after the device's calibration structure
+        (:attr:`CalibrationSet.generation
+        <repro.devices.calibrations.CalibrationSet.generation>`)
+        changes. A program that names its calibrated frames instead of
+        copying their frequencies is the same program after a
+        frequency write-back, so its executable keeps its template."""
+        generation = self.device.calibrations.generation
+        known = self.runner._programs.get(key)
+        if known is None or known[0] != generation:
+            known = self.runner._programs[key] = (generation, build())
+        return known[1]
 
 
 @dataclass
@@ -135,6 +150,10 @@ class PipelineRunner:
         self.store = store if store is not None else PipelineStore()
         self.extras = dict(extras or {})
         self._service = None  # PulseService for sweep dispatch, if any
+        self._target = None  # built on first use by primitive_target()
+        #: Scan programs by key, with the calibration generation each
+        #: was built at (:meth:`TaskContext.program`).
+        self._programs: dict[Any, tuple[int, Any]] = {}
         self.client = None
         if hasattr(surface, "executor") and hasattr(surface, "config"):
             # A bare simulated device: everything runs in-process.
@@ -177,12 +196,16 @@ class PipelineRunner:
     # ---- surface plumbing ------------------------------------------------------------
 
     def primitive_target(self) -> Any:
-        """What primitives built by task contexts should bind to."""
-        if self._service is not None:
+        """The one target primitives built by task contexts bind to."""
+        if self._target is None:
             from repro.api.target import Target
 
-            return Target.from_service(self._service, self.device_name)
-        return self.device
+            self._target = (
+                Target.from_service(self._service, self.device_name)
+                if self._service is not None
+                else Target.from_device(self.device)
+            )
+        return self._target
 
     @property
     def dispatch(self) -> str:

@@ -1,15 +1,22 @@
-"""Atomic calibration write-back with cache invalidation.
+"""Atomic calibration write-back.
 
 :func:`commit_writeback` is the single device-mutation point of the
 pipeline: it applies every fitted field of a calibration round — frame
 frequencies, DRAG beta, refreshed readout confusion — and guarantees
 the device's ``calibration_epoch`` advances at least once, so every
-cache keyed on :meth:`~repro.compiler.jit.JITCompiler.device_state_key`
-(compile cache, payload/template/artifact caches) misses cleanly on
-the next lookup.  In-flight work observes the staleness transition the
-way the serving layer defines it: a job whose compile finished before
-the commit executes its already-compiled (old-state) artifact to
-completion; every job compiled after the commit sees the new key.
+compiled artifact keyed on
+:meth:`~repro.compiler.jit.JITCompiler.device_state_key` misses
+cleanly on the next lookup.  A write-back rebinds, it does not
+recompile: a schedule template survives one that moves only believed
+frequencies or readout confusion (the next bind writes the new frames
+into it), and only a change of the calibration structure (a DRAG beta
+reshapes the ``x`` waveform, bumping
+:attr:`CalibrationSet.generation
+<repro.devices.calibrations.CalibrationSet.generation>`) retraces it.
+In-flight work observes the staleness transition the way the serving
+layer defines it: a job whose compile finished before the commit
+executes its already-compiled (old-state) artifact to completion;
+every job compiled after the commit sees the new key.
 
 The ``writeback`` task kind wraps the same commit for DAG use.  Its
 recorded result is the exact field set it applied, which makes resume
@@ -59,7 +66,7 @@ def commit_writeback(
         # Refreshed assignment matrices live in the device's published
         # extras (mitigation reads them from there); this write-back
         # moves no pulse parameter, so the epoch bump below is what
-        # invalidates dependent caches.
+        # changes the compile-cache key.
         device.config.extra["readout_confusion"] = {
             str(site): dict(entry) for site, entry in confusion.items()
         }

@@ -36,17 +36,15 @@ point samples its own stream seeded with the primitive's seed.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.api.executable import Executable, ProgramBatch
+from repro.api.executable import ProgramBatch
 from repro.api.target import Target
 from repro.client.client import JobRequest
 from repro.core.schedule import FamilyBatch, ScheduleFamily
 from repro.errors import ValidationError
-from repro.obs.metrics import REGISTRY, CacheStats
 from repro.obs.tracing import span
 from repro.sim.executor import BatchResult, outcome_dict
 
@@ -58,11 +56,6 @@ _DIRECT, _SERVICE, _CLIENT = "direct", "service", "client"
 class BasePrimitive:
     """Target resolution + batched PUB execution shared by primitives."""
 
-    #: Compiled executables kept warm per primitive (identity-keyed by
-    #: Program; optimizer loops re-submitting one Program skip the
-    #: re-prepare + template re-trace entirely).
-    _MAX_EXECUTABLE_MEMO = 128
-
     def __init__(
         self,
         target: Any = None,
@@ -73,20 +66,6 @@ class BasePrimitive:
         self._seed = seed
         self._executor = None
         self._target: Target | None = None
-        self._executables: OrderedDict[Any, Executable] = OrderedDict()
-        #: Uniform hit/miss/eviction accounting for the executable memo
-        #: (the "template cache"), exported to the metrics registry like
-        #: every other cache in the stack.
-        self.stats = CacheStats(
-            lambda: len(self._executables),
-            lambda: self._MAX_EXECUTABLE_MEMO,
-            hits=0,
-            misses=0,
-            evictions=0,
-        )
-        REGISTRY.register_cache(
-            REGISTRY.autoname("template"), self, kind="template"
-        )
         if executor is not None:
             if target is not None:
                 raise ValidationError(
@@ -208,32 +187,13 @@ class BasePrimitive:
             )
         ).results
 
-    def _executable(self, program: Any) -> Executable:
-        """The memoized executable of *program* on the target (a
-        parametric one with its schedule template compiled)."""
-        executable = self._executables.get(program)
-        if executable is not None:
-            self.stats["hits"] += 1
-            self._executables.move_to_end(program)
-            return executable
-        self.stats["misses"] += 1
-        with span("compile", program=program.name):
-            executable = Executable.prepare(program, self._target)
-            if program.is_parametric:
-                executable.compile()  # the schedule template
-        self._executables[program] = executable
-        while len(self._executables) > self._MAX_EXECUTABLE_MEMO:
-            self._executables.popitem(last=False)
-            self.stats["evictions"] += 1
-        return executable
-
     def _families(self, pub) -> list[ScheduleFamily]:
         """*pub*'s points as schedule families (:meth:`Executable.families
         <repro.api.executable.Executable.families>`); an executor-backed
         primitive's schedule is one slot-free family of K rows."""
         bindings = pub.bindings
         if self._target is not None:
-            return self._executable(pub.program).families(_matrix(bindings))
+            return self._target.executable(pub.program).families(_matrix(bindings))
         if pub.program.kind != "schedule":
             raise ValidationError(
                 "an executor-backed primitive takes pulse-schedule "

@@ -206,13 +206,7 @@ def _worker_main(
         except OSError:
             pass  # the service stopped listening; the row is durable
 
-    def publish() -> None:
-        try:
-            store.publish_worker_metrics(worker_id, counters)
-        except Exception:
-            pass
-
-    publish()
+    _publish(store, worker_id, counters)
     try:
         while not stopping.value:
             # A store error ends the worker; the lease tick respawns it.
@@ -221,12 +215,19 @@ def _worker_main(
                 wake.acquire()  # a submit, recovery, re-lease or stop
                 continue
             _run_leased_job(store, client, worker_id, row, lease_s, counters, report)
-            publish()
     finally:
         hb_stop.set()
-        publish()
+        _publish(store, worker_id, counters)
         store.close()
         conn.close()
+
+
+def _publish(store: JobStore, worker_id: str, counters: dict) -> None:
+    """Publish *counters* as the worker's metrics row (best effort)."""
+    try:
+        store.publish_worker_metrics(worker_id, counters)
+    except Exception:
+        pass
 
 
 def _run_leased_job(
@@ -261,11 +262,18 @@ def _run_leased_job(
         counters["execute_seconds"] += time.perf_counter() - t0
         meta, arrays = split_results(results)
         spec = _shm.pack_arrays(arrays)
+        # The counters with this job counted commit with its done row.
+        done = dict(counters)
+        done["jobs_done"] += 1
+        done["requests_done"] += len(results)
         if store.complete(
-            job_id, worker_id, result_meta=json.dumps(meta), shm_spec=spec
+            job_id,
+            worker_id,
+            result_meta=json.dumps(meta),
+            shm_spec=spec,
+            metrics=done,
         ):
-            counters["jobs_done"] += 1
-            counters["requests_done"] += len(results)
+            counters.update(done)
             report(job_id, TicketState.DONE)
         else:
             # Lease lost (we were presumed dead and the job was
@@ -273,10 +281,12 @@ def _run_leased_job(
             _shm.unlink(spec)
     except CancelledError:
         counters["jobs_cancelled"] += 1
+        _publish(store, worker_id, counters)
         if store.mark_cancelled(job_id, worker_id):
             report(job_id, TicketState.CANCELLED)
     except Exception as exc:
         counters["jobs_failed"] += 1
+        _publish(store, worker_id, counters)
         try:
             if store.fail(job_id, worker_id, json.dumps(wire.encode_error(exc))):
                 report(job_id, TicketState.FAILED)

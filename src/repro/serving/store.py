@@ -173,28 +173,36 @@ class JobStore(SQLiteStore):
         *,
         result_meta: str,
         shm_spec: dict | None,
+        metrics: dict | None = None,
     ) -> bool:
         """Record a finished execution (result header + shm spec).
 
         Guarded on the lease: a zombie worker whose job was re-leased
         after a missed heartbeat cannot clobber the re-execution.
+        *metrics*, the worker's counters with this job counted, commit
+        in the same transaction as the ``done`` row, so a reader that
+        sees the result also sees them.
         """
         now = time.time()
-        cur = self._connect().execute(
-            "UPDATE jobs SET state = 'done', result_meta = ?, shm = ?, "
-            "error = NULL, updated_at = ?, completed_at = ? "
-            "WHERE id = ? AND lease_owner = ? "
-            "AND state IN ('dispatched', 'running')",
-            (
-                result_meta,
-                json.dumps(shm_spec) if shm_spec is not None else None,
-                now,
-                now,
-                job_id,
-                worker,
-            ),
-        )
-        return cur.rowcount == 1
+        with self._transaction() as conn:
+            cur = conn.execute(
+                "UPDATE jobs SET state = 'done', result_meta = ?, shm = ?, "
+                "error = NULL, updated_at = ?, completed_at = ? "
+                "WHERE id = ? AND lease_owner = ? "
+                "AND state IN ('dispatched', 'running')",
+                (
+                    result_meta,
+                    json.dumps(shm_spec) if shm_spec is not None else None,
+                    now,
+                    now,
+                    job_id,
+                    worker,
+                ),
+            )
+            done = cur.rowcount == 1
+            if done and metrics is not None:
+                self._upsert_worker_metrics(conn, worker, metrics, now)
+        return done
 
     def fail(self, job_id: str, worker: str, error_json: str) -> bool:
         now = time.time()
@@ -418,11 +426,15 @@ class JobStore(SQLiteStore):
     # ---- metrics channel -------------------------------------------------------------
 
     def publish_worker_metrics(self, worker: str, payload: dict) -> None:
-        self._connect().execute(
+        self._upsert_worker_metrics(self._connect(), worker, payload, time.time())
+
+    @staticmethod
+    def _upsert_worker_metrics(conn, worker: str, payload: dict, now: float) -> None:
+        conn.execute(
             "INSERT INTO worker_metrics (worker, payload, updated_at) "
             "VALUES (?, ?, ?) ON CONFLICT(worker) DO UPDATE SET "
             "payload = excluded.payload, updated_at = excluded.updated_at",
-            (worker, json.dumps(payload), time.time()),
+            (worker, json.dumps(payload), now),
         )
 
     def worker_metrics(self) -> dict[str, dict]:

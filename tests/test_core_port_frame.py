@@ -1,10 +1,8 @@
 """Unit tests: ports and frames (paper §4 abstractions)."""
 
-import math
-
 import pytest
 
-from repro.core import Frame, FrameState, MixedFrame, Port, PortDirection, PortKind
+from repro.core import Frame, MixedFrame, Port, PortDirection, PortKind
 from repro.errors import ValidationError
 
 
@@ -72,39 +70,6 @@ class TestFrame:
     def test_empty_name_rejected(self):
         with pytest.raises(ValidationError):
             Frame("")
-
-    def test_initial_state(self):
-        st = Frame("f", 2e6, 0.5).initial_state()
-        assert st.frequency == 2e6
-        assert st.phase == 0.5
-
-
-class TestFrameState:
-    def test_phase_wraps(self):
-        st = FrameState()
-        st.shift_phase(3 * math.pi)
-        assert -math.pi <= st.phase < math.pi
-        expected = -math.pi + (3 * math.pi - 2 * math.pi) + 0.0
-        assert st.phase == pytest.approx(expected, abs=1e-9) or True
-
-    def test_shift_phase_accumulates(self):
-        st = FrameState()
-        st.shift_phase(0.3)
-        st.shift_phase(0.4)
-        assert st.phase == pytest.approx(0.7)
-
-    def test_set_frequency_validates(self):
-        st = FrameState()
-        with pytest.raises(ValidationError):
-            st.set_frequency(-5.0)
-
-    def test_copy_is_independent(self):
-        st = FrameState(frequency=1e6)
-        cp = st.copy()
-        cp.shift_phase(1.0)
-        cp.set_frequency(2e6)
-        assert st.phase != cp.phase
-        assert st.frequency == 1e6
 
 
 class TestMixedFrame:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Frame,
-    FrameState,
     Play,
     Port,
     PulseSchedule,
@@ -69,15 +68,6 @@ class TestAlignmentProperties:
         assert up >= value
         assert up % g == 0
         assert up - value < g
-
-
-class TestFrameStateProperties:
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), max_size=20))
-    def test_phase_always_wrapped(self, shifts):
-        st_ = FrameState()
-        for s in shifts:
-            st_.shift_phase(s)
-        assert -np.pi <= st_.phase < np.pi
 
 
 @st.composite

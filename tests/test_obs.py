@@ -374,7 +374,8 @@ class TestCacheIntegration:
         caches = [
             JITCompiler(max_cache_entries=4),
             PropagatorCache(max_entries=4),
-            Estimator(SuperconductingDevice(num_qubits=1)),
+            # The executable memo ("template" cache) lives on the target.
+            Estimator(SuperconductingDevice(num_qubits=1)).target,
         ]
         for cache in caches:
             shape = cache.stats()

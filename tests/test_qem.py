@@ -287,7 +287,7 @@ class TestStretchedVariants:
         exe = repro.compile(program, repro.Target.resolve(dev))
         exe._template = False  # force the template-miss path
         est = Estimator(dev, options=opts)
-        est._executables[program] = exe
+        est.target._executables[program] = exe  # the memo lives on the target
         fallback = est.run([pub])[0].data.evs
         [(_, template_stretched), families] = seen
         # One bound schedule per point, each its own family, stretched

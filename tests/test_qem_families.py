@@ -307,7 +307,7 @@ def test_fallback_route_equals_per_variant_reference(data):
     exe = repro.compile(program, target)
     exe._template = False  # the template is unavailable
     est = Estimator(device, options=options, seed=1, shots=0)
-    est._executables[program] = exe
+    est.target._executables[program] = exe  # the memo lives on the target
     pubs = [(program, observables_for(2), as_points(program, values))]
 
     def bind(program, point):

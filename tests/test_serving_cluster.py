@@ -297,6 +297,44 @@ class TestJobStore:
         assert swept["reexecuted"] == 1
         assert store.state("j") is TicketState.PENDING  # back in backlog
 
+    def test_worker_counters_commit_with_the_done_row(self, store_path):
+        """A reader woken by a job's done report already sees the job
+        counted in the worker's metrics: the counters commit in the
+        same transaction as the done row."""
+        from repro.serving.cluster import _run_leased_job
+
+        client = make_client()
+        requests = [request(seed=1), request(seed=2)]
+        results = [
+            client.execute_compiled(r, client.compile_request(r)) for r in requests
+        ]
+
+        class StubClient:
+            def compile_request(self, req):
+                return None
+
+            def execute_compiled_batch(self, reqs, programs, should_cancel=None):
+                return results
+
+        store = JobStore(store_path)
+        blob = json.dumps([wire.encode_request(r) for r in requests]).encode()
+        store.put("j", blob)
+        row = store.lease("w", 5.0)
+        counters = dict.fromkeys(
+            ("jobs_done", "jobs_failed", "jobs_cancelled", "requests_done"), 0
+        )
+        counters["execute_seconds"] = 0.0
+        seen = []
+
+        def report(job_id, state):
+            if state is TicketState.DONE:
+                seen.append(store.worker_metrics()["w"])
+
+        _run_leased_job(store, StubClient(), "w", row, 5.0, counters, report)
+        shm_mod.unlink(json.loads(store.get("j")["shm"]))
+        assert [(m["jobs_done"], m["requests_done"]) for m in seen] == [(1, 2)]
+        assert counters["requests_done"] == 2
+
 
 # ---- ticket protocol -----------------------------------------------------------------
 
