@@ -8,7 +8,8 @@ here:
   the client's adapter registry (the only place adapters are invoked);
 * :func:`compile_payload` — payload -> :class:`CompiledProgram` through
   the JIT compiler and its content-addressed memo (the only place
-  compilation is triggered).
+  compilation is triggered); a bound family batch is checked against
+  the device's constraints and passed through uncompiled.
 
 Dispatch stays :meth:`MQSSClient.execute_compiled` (sessions, format
 routing, result assembly); :class:`repro.api.executable.Executable`
@@ -25,7 +26,9 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
+from repro.core.schedule import FamilyBatch
 from repro.obs.tracing import span
+from repro.qdmi.properties import DeviceProperty
 
 
 def adapter_payload(
@@ -70,13 +73,24 @@ def compile_payload(
     workers, ``Executable`` binds — passes through this function, so
     they all share the client's one compile cache. *key* is the memo
     key when the caller has already composed it.
+    A bound :class:`~repro.core.schedule.FamilyBatch` is not compiled:
+    it is returned as it stands once each family passes the constraints
+    *device* reports (a :class:`~repro.errors.ConstraintError` if not).
     """
     t0 = time.perf_counter()
     with span("compile", device=device.name) as sp:
-        program = compiler.compile(
-            payload, device, scalar_args=scalar_args, key=key
-        )
-        sp.annotate(cache_hit=program.cache_hit)
+        if isinstance(payload, FamilyBatch):
+            constraints = device.query_device_property(
+                DeviceProperty.PULSE_CONSTRAINTS
+            )
+            for family in payload.families:
+                constraints.validate_family(family)
+            program = payload
+        else:
+            program = compiler.compile(
+                payload, device, scalar_args=scalar_args, key=key
+            )
+            sp.annotate(cache_hit=program.cache_hit)
     if timings is not None:
         timings["compile"] = time.perf_counter() - t0
     return program

@@ -569,48 +569,29 @@ class Executable:
                 self._timings["compile"] = time.perf_counter() - t0
                 sp.annotate(path="cache-hit")
                 return cached
-            template = self._ensure_template() if self.is_bound else None
-            if template is not None:
-                template.refresh(device, state)
-                compiled = self._specialize(template, compiler, device, t0)
-                if compiled is not None:
-                    compiler.store(key, compiled)
-                    self.compiled = compiled
-                    self._timings["compile"] = time.perf_counter() - t0
-                    sp.annotate(path="template")
-                    return compiled
+            # The point bound through the template is legal by
+            # construction, so it is an artifact the way a legal
+            # schedule payload is in the JIT.
+            schedule = self.specialize()
+            if schedule is not None:
+                from repro.compiler.jit import CompiledProgram
+
+                compiled = CompiledProgram.from_schedule(
+                    device.name,
+                    schedule,
+                    self.target.constraints,
+                    started=t0,
+                    context=compiler.context,
+                    bound_template=True,
+                    parameters=dict(self.params),
+                )
+                compiler.store(key, compiled)
+                self.compiled = compiled
+                self._timings["compile"] = time.perf_counter() - t0
+                sp.annotate(path="template")
+                return compiled
             sp.annotate(path="jit")
             return self._ensure_compiled(state)
-
-    def _specialize(
-        self, template: _ScheduleTemplate, compiler: Any, device: Any, t0: float
-    ) -> Any | None:
-        """Bind the schedule template; ``None`` defers to the compiler.
-
-        The bound schedule is legal by construction (the template's
-        static structure was validated, the frequency slots are range
-        checked here), so it becomes an artifact the way a legal
-        schedule payload does in the JIT.
-        """
-        from repro.compiler.jit import CompiledProgram
-
-        try:
-            constraints = self.target.constraints
-            row = _row(template, self.params)
-            if not template.admits(row, constraints):
-                return None
-            schedule = template.family(row).bound(row[0])
-        except (ReproError, KeyError, TypeError, ValueError):
-            return None
-        return CompiledProgram.from_schedule(
-            device.name,
-            schedule,
-            constraints,
-            started=t0,
-            context=compiler.context,
-            bound_template=True,
-            parameters=dict(self.params),
-        )
 
     # ---- the two-phase hot loop ------------------------------------------------------
 

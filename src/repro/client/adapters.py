@@ -13,7 +13,7 @@ import re
 from typing import Any
 
 from repro.core.instructions import Play
-from repro.core.schedule import FamilyBatch, PulseSchedule
+from repro.core.schedule import PulseSchedule
 from repro.core.waveform import ParametricWaveform
 from repro.errors import ParseError
 from repro.mlir.ir import Module
@@ -269,8 +269,8 @@ class QIRAdapter(Adapter):
 
 
 class PulseIRAdapter(Adapter):
-    """Adapter for compiler-ready payloads: executable schedules, bound
-    schedule families, pulse MLIR modules, and pulse MLIR text.
+    """Adapter for compiler-ready payloads: executable schedules, pulse
+    MLIR modules, and pulse MLIR text.
 
     The JIT compiler understands these natively; the adapter is a
     passthrough that lets them travel the same client/serving/API route
@@ -281,7 +281,7 @@ class PulseIRAdapter(Adapter):
     name = "pulse-ir"
 
     def accepts(self, program: Any) -> bool:
-        if isinstance(program, (PulseSchedule, FamilyBatch)):
+        if isinstance(program, PulseSchedule):
             return True
         if isinstance(program, Module):
             return "pulse" in program.dialects_used()

@@ -33,7 +33,7 @@ from repro.compiler.jit import CompiledProgram, JITCompiler
 from repro.core.schedule import FamilyBatch
 from repro.errors import ExecutionError, QDMIError
 from repro.qdmi.driver import QDMIDriver
-from repro.qdmi.properties import JobStatus, ProgramFormat
+from repro.qdmi.properties import DeviceProperty, JobStatus, ProgramFormat
 from repro.qdmi.session import QDMISession
 from repro.qir.emitter import schedule_to_qir
 
@@ -184,13 +184,16 @@ class MQSSClient:
         timings: dict[str, float] | None = None,
     ) -> Any:
         """*request*'s compiler payload for a device (default: its own):
-        a :class:`~repro.api.executable.ProgramBatch` binds here, where
-        the device is, into one family batch; any other program goes
+        a bound :class:`~repro.core.schedule.FamilyBatch` is its own
+        payload, a :class:`~repro.api.executable.ProgramBatch` binds
+        here, where the device is, into one; any other program goes
         through its adapter."""
         from repro.api.core import adapter_payload
         from repro.api.executable import ProgramBatch
 
         name = device_name or request.device
+        if isinstance(request.program, FamilyBatch):
+            return request.program
         if isinstance(request.program, ProgramBatch):
             return request.program.bind(self, name)
         _, target, _ = self.resolve_target(name)
@@ -204,12 +207,13 @@ class MQSSClient:
         *,
         device_name: str | None = None,
         timings: dict[str, float] | None = None,
-    ) -> CompiledProgram:
+    ) -> CompiledProgram | FamilyBatch:
         """Payload -> JIT compile *request* for a device (default: its own).
 
         Routes through the unified compile/cache core
         (:mod:`repro.api.core`) shared with the serving workers and the
-        two-phase ``Executable`` API.
+        two-phase ``Executable`` API (a bound family batch is checked,
+        not compiled).
         """
         from repro.api.core import compile_payload
 
@@ -225,7 +229,7 @@ class MQSSClient:
     def execute_compiled(
         self,
         request: JobRequest,
-        program: CompiledProgram,
+        program: CompiledProgram | FamilyBatch,
         *,
         device_name: str | None = None,
         shots: int | None = None,
@@ -253,7 +257,7 @@ class MQSSClient:
     def execute_compiled_batch(
         self,
         requests: Sequence[JobRequest],
-        programs: Sequence[CompiledProgram],
+        programs: Sequence[CompiledProgram | FamilyBatch],
         *,
         device_name: str | None = None,
         shots: Sequence[int] | None = None,
@@ -274,7 +278,7 @@ class MQSSClient:
         *should_cancel* returns True, and raises
         :class:`~repro.errors.ExecutionError` when any job fails.
         *timings* receives the batch's ``"execute"`` wall time; every
-        result carries a copy. A program compiled from a bound
+        result carries a copy. A bound (uncompiled)
         :class:`~repro.core.schedule.FamilyBatch` is one job whose
         result carries the batch's arrays (:attr:`ClientResult.batch`).
         A remote device takes one QIR job per member instead, each on
@@ -314,12 +318,12 @@ class MQSSClient:
                         metadata["decoherence"] = decoherence
                     if should_cancel is not None:
                         metadata["should_cancel"] = should_cancel
-                    if not qir:
-                        payloads = [program.schedule]
-                    elif isinstance(program.schedule, FamilyBatch):
-                        payloads = [schedule_to_qir(s) for s in program.schedule]
+                    if isinstance(program, FamilyBatch):
+                        payloads = (
+                            [schedule_to_qir(s) for s in program] if qir else [program]
+                        )
                     else:
-                        payloads = [program.qir]
+                        payloads = [program.qir if qir else program.schedule]
                     jobs[i] = [
                         session.create_job(
                             fmt,
@@ -349,7 +353,7 @@ class MQSSClient:
             qir_bytes = 0
             if remote[name]:
                 qir_bytes = sum(len(job.payload.encode()) for job in request_jobs)
-            if not isinstance(program.schedule, FamilyBatch):
+            if not isinstance(program, FamilyBatch):
                 (job,) = request_jobs
                 result = job.result
                 results.append(
@@ -366,7 +370,11 @@ class MQSSClient:
                     )
                 )
                 continue
-            batch = _family_result(program, request_jobs, remote[name])
+            batch = (
+                _stacked(program, request_jobs, self.resolve_target(name)[1])
+                if remote[name]
+                else request_jobs[0].result
+            )
             durations = [int(f.durations.max()) for f in batch.families if len(f)]
             results.append(
                 ClientResult(
@@ -385,19 +393,18 @@ class MQSSClient:
         return results
 
 
-def _family_result(program: CompiledProgram, jobs: Sequence[Any], remote: bool):
-    """The :class:`~repro.sim.executor.BatchResult` of a family batch
-    job: the device's own, or the remote members' results stacked per
-    family."""
-    if not remote:
-        return jobs[0].result
+def _stacked(batch: FamilyBatch, jobs: Sequence[Any], device: Any):
+    """The :class:`~repro.sim.executor.BatchResult` of *batch* run as
+    one remote job per member: the members' results stacked per family
+    at the ``dt`` *device* (the execution target) reports."""
     from repro.sim.executor import BatchResult, FamilyOutcome
 
+    dt = device.query_device_property(DeviceProperty.PULSE_CONSTRAINTS).dt
     results = [job.result for job in jobs]
     outcomes, start = [], 0
-    for family in program.schedule.families:
+    for family in batch.families:
         members = results[start : start + len(family)]
         start += len(family)
         if members:
-            outcomes.append(FamilyOutcome.stack(members, program.metadata["dt"]))
+            outcomes.append(FamilyOutcome.stack(members, dt))
     return BatchResult(outcomes, {})

@@ -44,7 +44,7 @@ from repro.core.instructions import (
     ShiftFrequency,
     ShiftPhase,
 )
-from repro.core.schedule import FamilyBatch, PulseSchedule
+from repro.core.schedule import PulseSchedule
 from repro.errors import CompilationError, ConstraintError, ReproError
 from repro.compiler.lowering import (
     mlir_pulse_to_schedule,
@@ -293,13 +293,6 @@ class JITCompiler:
         """
         if isinstance(payload, PulseSchedule):
             base = payload.fingerprint()
-        elif isinstance(payload, FamilyBatch):
-            h = hashlib.sha256()
-            for family in payload.families:
-                h.update(family.base.fingerprint().encode())
-                h.update(repr((family.slots, family.idle)).encode())
-                h.update(family.values.tobytes())
-            base = h.hexdigest()[:16]
         elif isinstance(payload, Module):
             base = hashlib.sha256(print_module(payload).encode()).hexdigest()[:16]
         elif isinstance(payload, str):
@@ -390,9 +383,9 @@ class JITCompiler:
         """Compile *payload* for *device*; returns a CompiledProgram.
 
         Payload kinds: a gate-level MLIR module (``quantum.circuit``),
-        a pulse MLIR module or its text, a :class:`PulseSchedule`, or a
-        bound :class:`~repro.core.schedule.FamilyBatch` (validated,
-        then executed as one job).
+        a pulse MLIR module or its text, or a :class:`PulseSchedule`.
+        A bound family batch is not a payload: it is checked and run
+        as it stands (:func:`repro.api.core.compile_payload`).
         *key*, when given, must be the :meth:`cache_key` of the same
         inputs (``Executable`` composes it from its cached payload
         fingerprint).
@@ -425,16 +418,6 @@ class JITCompiler:
         constraints = device.query_device_property(
             DeviceProperty.PULSE_CONSTRAINTS
         )
-
-        # A bound family batch (a served sweep) is legal when every
-        # family's base is and every value column is in range; it is
-        # executed as it stands.
-        if isinstance(payload, FamilyBatch):
-            for family in payload.families:
-                constraints.validate_family(family)
-            return CompiledProgram.from_schedule(
-                device.name, payload, constraints, started=t0, context=self.context
-            )
 
         # A schedule payload the pipeline would not change is the
         # compiled program as it stands (a copy: the caller's schedule

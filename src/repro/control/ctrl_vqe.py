@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.hamiltonians import (
-    embed_qubit_operator,
-    exact_ground_energy,
-    expectation,
-)
+from repro.control.hamiltonians import exact_ground_energy
 from repro.control.parametric import ParametricOptimizer
 from repro.control.vqe import VQEResult
 from repro.errors import OptimizationError
@@ -87,8 +83,6 @@ class CtrlVQE:
         self.max_amplitude = float(max_amplitude)
         self.leakage_penalty = float(leakage_penalty)
         self.initial_x = initial_x
-        self._dims = device.model.dims
-        self._h_embedded = embed_qubit_operator(self.hamiltonian, self._dims)
         self._executor = device.executor
         self._last_duration = 0
         self._last_leakage = 0.0
@@ -150,14 +144,9 @@ class CtrlVQE:
     # ---- energy ----------------------------------------------------------------------
 
     def energy(self, params: np.ndarray) -> float:
-        """Penalized ansatz energy (exact estimator)."""
-        schedule = self.build_schedule(params)
-        self._last_duration = schedule.duration
-        result = self._executor.execute(schedule, shots=0)
-        e = expectation(result.final_state, self._h_embedded)
-        leak = sum(result.leakage.values())
-        self._last_leakage = leak
-        return e + self.leakage_penalty * leak
+        """Penalized ansatz energy (exact estimator): the one-point
+        case of :meth:`energies`."""
+        return float(self.energies(params)[0])
 
     def energies(self, param_sets: np.ndarray) -> np.ndarray:
         """Penalized energies for a batch of parameter vectors.
@@ -170,10 +159,8 @@ class CtrlVQE:
         <repro.sim.executor.ScheduleExecutor.execute_batch>`) sharing
         the executor's :class:`~repro.sim.evolve.PropagatorCache`, the
         Hamiltonian scores every final state through the Observable
-        engine (the same embedding :meth:`energy` uses), and the
-        leakage penalty reads the Estimator's per-point ``leakage``
-        field — so the batch agrees with a per-point :meth:`energy`
-        loop to numerical precision at a fraction of the cost.
+        engine, and the leakage penalty reads the Estimator's
+        per-point ``leakage`` field.
         """
         from repro.primitives import Estimator, Observable
 

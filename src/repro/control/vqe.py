@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.control.hamiltonians import (
-    embed_qubit_operator,
-    exact_ground_energy,
-    expectation,
-)
+from repro.control.hamiltonians import exact_ground_energy
 from repro.control.parametric import ParametricOptimizer
 from repro.compiler.lowering import quantum_module_to_schedule
 from repro.errors import OptimizationError
@@ -61,8 +57,6 @@ class GateVQE:
         self.device = device
         self.hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
         self.layers = int(layers)
-        self._dims = device.model.dims
-        self._h_embedded = embed_qubit_operator(self.hamiltonian, self._dims)
         self._executor = device.executor
         self._last_duration = 0
         self._observable = None  # Pauli decomposition, built on first use
@@ -90,12 +84,9 @@ class GateVQE:
         return cb
 
     def energy(self, params: np.ndarray) -> float:
-        """Exact ansatz energy through the full lowering pipeline."""
-        cb = self.build_circuit(params)
-        schedule = quantum_module_to_schedule(cb.module, self.device)
-        self._last_duration = schedule.duration
-        result = self._executor.execute(schedule, shots=0)
-        return expectation(result.final_state, self._h_embedded)
+        """Exact ansatz energy through the full lowering pipeline: the
+        one-point case of :meth:`energies`."""
+        return float(self.energies(params)[0])
 
     def energies(self, param_sets: np.ndarray) -> np.ndarray:
         """Ansatz energies for a batch of parameter vectors.
@@ -105,8 +96,7 @@ class GateVQE:
         evolution pass (:meth:`ScheduleExecutor.execute_batch
         <repro.sim.executor.ScheduleExecutor.execute_batch>`) and the
         Hamiltonian scores each final state through the Observable
-        engine — the same embedding :meth:`energy` uses, so the two
-        agree to numerical precision.
+        engine.
         """
         from repro.primitives import Estimator, Observable
 

@@ -221,7 +221,12 @@ class PulseSchedule:
     def _instruction_key(self, ins: Instruction) -> tuple:
         """A stable, hashable description of one instruction."""
         if isinstance(ins, Play):
-            return ("play", ins.port.name, ins.frame.name, ins.waveform.fingerprint())
+            return (
+                "play",
+                ins.port.name,
+                *_frame_key(ins.frame),
+                ins.waveform.fingerprint(),
+            )
         if isinstance(ins, Delay):
             return ("delay", ins.port.name, ins.duration_samples)
         if isinstance(ins, Barrier):
@@ -230,7 +235,7 @@ class PulseSchedule:
             return (
                 "capture",
                 ins.port.name,
-                ins.frame.name,
+                *_frame_key(ins.frame),
                 ins.memory_slot,
                 ins.duration_samples,
             )
@@ -296,6 +301,12 @@ class PulseSchedule:
             f"PulseSchedule({self.name!r}, n={len(self._items)}, "
             f"duration={self.duration}, ports={len(self.ports())})"
         )
+
+
+def _frame_key(frame: Frame) -> tuple:
+    """A frame as an instruction key part: name, frequency and phase,
+    rounded the way a ``FrameChange`` key rounds them."""
+    return (frame.name, round(frame.frequency, 9), round(frame.phase, 12))
 
 
 #: The scalar fields of each frame-event type: the fields in which the

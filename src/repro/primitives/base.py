@@ -21,12 +21,13 @@ bound where the per-point bind raises its typed error.
   <repro.sim.executor.ScheduleExecutor.execute_batch>` call.
 * A client target (local or remote device) or an in-process
   :class:`~repro.serving.service.PulseService` binds here and sends
-  the batch as one request: one compile, one QDMI job (one QIR job per
+  the batch as one request: no compile (the families are checked
+  against the device's constraints), one QDMI job (one QIR job per
   member on a remote device), one execution.
 * A detached target (:class:`~repro.serving.cluster.ClusterService`
   or an HTTP front-end) sends each program with its value matrix
   (:class:`~repro.api.executable.ProgramBatch`) as one request, and
-  the serving side binds it.
+  the serving side binds it and runs it the same way.
 
 Every path hands back a :class:`~repro.sim.executor.BatchResult`
 whose per-family ``(K, 2**m)`` arrays the primitives read; no

@@ -526,10 +526,17 @@ class ClusterService:
         return ticket
 
     def ticket(self, ticket_id: str) -> JobTicket:
-        """Re-attach to a durable ticket by id (survives restarts)."""
-        row_id, _, index = ticket_id.partition("#")
+        """Re-attach to a durable ticket by id (survives restarts): the
+        live ticket while its row is unsettled, else a new one that the
+        store's row resolves."""
+        row_id, _, member = ticket_id.partition("#")
+        index = int(member or 0)
+        with self._settled:
+            for i, live in self._live.get(row_id, ()):
+                if i == index:
+                    return live
         row = self.store.get(row_id)  # raises ServiceError when unknown
-        ticket = self._attach(row_id, int(index or 0), int(row["size"]))
+        ticket = self._attach(row_id, index, int(row["size"]))
         self._settle(row_id)  # a finished row resolves it at once
         return ticket
 

@@ -116,16 +116,18 @@ class InProcessClient(ServiceClient):
     Works for both :class:`~repro.serving.service.PulseService`
     (thread pool) and :class:`~repro.serving.cluster.ClusterService`
     (process pool + durable store); both hand out
-    :class:`~repro.serving.service.JobTicket`\\ s, which are kept in a
-    registry so :meth:`ticket` resolves ids — cluster ids additionally
-    re-attach straight from the durable store, surviving registry loss
-    across restarts.
+    :class:`~repro.serving.service.JobTicket`\\ s. A cluster
+    re-attaches a ticket by id from its durable store (surviving
+    restarts), so only its sweep aggregates, which have no store row,
+    are kept in the registry :meth:`ticket` reads; a ``PulseService``
+    has no store, so every ticket it hands out is kept.
     """
 
     def __init__(self, service: Any) -> None:
         self.service = service
         self._tickets: dict[str, Ticket] = {}
         self._lock = threading.Lock()
+        self._reattach = getattr(service, "ticket", None)
 
     # expose the underlying client when the service has one, so
     # Target.from_service(connect(service), dev) keeps local compile.
@@ -133,9 +135,12 @@ class InProcessClient(ServiceClient):
     def client(self):
         return getattr(self.service, "client", None)
 
-    def _remember(self, ticket: Ticket) -> Ticket:
-        with self._lock:
-            self._tickets[ticket.id] = ticket
+    def _remember(self, ticket: Ticket, *, durable: bool = True) -> Ticket:
+        """Keep *ticket* for :meth:`ticket`, unless it is *durable* and
+        the service re-attaches it by id."""
+        if not durable or self._reattach is None:
+            with self._lock:
+                self._tickets[ticket.id] = ticket
         return ticket
 
     def submit(self, request: JobRequest) -> Ticket:
@@ -151,17 +156,15 @@ class InProcessClient(ServiceClient):
         aggregate = self.service.submit_sweep(sweep)
         for t in aggregate.tickets:
             self._remember(t)
-        self._remember(aggregate)
-        return aggregate
+        return self._remember(aggregate, durable=False)
 
     def ticket(self, ticket_id: str) -> Ticket:
         with self._lock:
             ticket = self._tickets.get(ticket_id)
         if ticket is not None:
             return ticket
-        lookup = getattr(self.service, "ticket", None)
-        if lookup is not None:  # durable store lookup (cluster)
-            return lookup(ticket_id)
+        if self._reattach is not None:  # durable store lookup (cluster)
+            return self._reattach(ticket_id)
         raise ServiceError(f"unknown ticket {ticket_id!r}")
 
     def devices(self) -> list[str]:

@@ -376,9 +376,10 @@ class PulseService:
         A sweep over one bound
         :class:`~repro.core.schedule.FamilyBatch` (or one
         :class:`~repro.api.executable.ProgramBatch`, bound here at
-        admission) is one request: one admission slot, one compile of
-        the batch, one QDMI job (one per member on a remote device) and
-        one execution of the families, counted as its members in
+        admission) is one request: one admission slot, one check of
+        its families against the device's constraints (no compile),
+        one QDMI job (one per member on a remote device) and one
+        execution of the families, counted as its members in
         ``sweep_points``.
 
         A point cancelled while its chunk is queued drops out of it;
@@ -609,8 +610,9 @@ class PulseService:
         *group* is either one entry (a single request or a sweep
         chunk: one execution unit per point) or several coalesced
         single-request entries (one unit, run with the summed shots
-        and split back). Every unit compiles through the shared cache,
-        then all of them execute in one
+        and split back). Every unit compiles through the shared cache
+        (a bound family batch is checked, not compiled), then all of
+        them execute in one
         :meth:`MQSSClient.execute_compiled_batch` call under the
         device's ``exec_lock``.
         """
@@ -684,9 +686,10 @@ class PulseService:
                         timings=timings,
                     )
                     self.metrics.observe("compile", timings["compile"])
-                    self.metrics.incr(
-                        "cache_hits" if program.cache_hit else "cache_misses"
-                    )
+                    if not isinstance(program, FamilyBatch):
+                        self.metrics.incr(
+                            "cache_hits" if program.cache_hit else "cache_misses"
+                        )
                     programs.append(program)
                     compile_s.append(timings["compile"])
                 for ticket in tickets:

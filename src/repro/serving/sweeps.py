@@ -13,8 +13,9 @@ queues the points as a single entry, and returns a single
 
 The primitives never expand a sweep: every shot group of PUBs is a
 sweep over one program, so one request — one admission slot, one
-compile of the batch, one QDMI job (one QIR job per member on a
-remote device), one ``execute_batch`` and one measurement pass. The
+check of the bound families against the device's constraints (a
+bound batch is not compiled), one QDMI job (one QIR job per member on
+a remote device), one ``execute_batch`` and one measurement pass. The
 program is the :class:`~repro.core.schedule.FamilyBatch` the caller
 bound, or on a detached cluster or HTTP target a
 :class:`~repro.api.executable.ProgramBatch` (programs with their

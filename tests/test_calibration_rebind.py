@@ -193,8 +193,9 @@ def test_a_warm_calibration_op_builds_traces_and_compiles_nothing_new(
 ):
     """The second of two calibration DAG ops on one runner through a
     ``PulseService`` (the first op's write-back between them) builds no
-    scan program, traces no template and compiles nothing on the
-    client: the service validates each scan's new bound family once."""
+    scan program, traces no template and compiles nothing on either
+    side: the service checks each scan's new bound family against the
+    device's constraints without compiling it."""
     device = SuperconductingDevice("cal", num_qubits=1, seed=5, drift_rate=2e4)
     driver = QDMIDriver()
     driver.register_device(device)
@@ -232,7 +233,7 @@ def test_a_warm_calibration_op_builds_traces_and_compiles_nothing_new(
             assert run.ok, run.error
             epochs.append(device.calibration_epoch)
         assert epochs[1] > epochs[0] > 0  # each op wrote back
-        assert calls == [("service", "FamilyBatch")] * 3
+        assert calls == []
     finally:
         service.stop()
         client.close()

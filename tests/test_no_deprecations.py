@@ -107,9 +107,9 @@ def test_one_calibration_experiment_path():
 
 
 # Packages that may run a schedule on a simulator executor directly:
-# the simulator itself, the devices that own one, and the optimal-control
-# energy callbacks.  Everything else measures through the primitives.
-EXECUTOR_OWNERS = ("sim", "devices", "control")
+# the simulator itself and the devices that own one.  Everything else
+# (the VQE energy callbacks included) measures through the primitives.
+EXECUTOR_OWNERS = ("sim", "devices")
 
 
 def _executor_execute_calls(tree) -> list[int]:
@@ -146,7 +146,7 @@ def test_executor_execute_stays_in_the_simulator_layers():
         for lineno in lines
     ]
     assert offenders == []
-    # The matcher does see the owners' own calls (plain and private
-    # ``executor`` receivers alike), so an empty list means something.
+    # The matcher does see the owners' own calls, so an empty list
+    # means something; the independent reference is the only caller.
     owners = {str(path) for path, lines in calls.items() if lines}
-    assert {"sim/ground_truth.py", "control/vqe.py"} <= owners
+    assert owners == {"sim/ground_truth.py"}

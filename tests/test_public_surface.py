@@ -75,9 +75,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.api.program:Program.from_qir": "front-end constructor",
     "repro.api.program:Program.from_qasm3": "front-end constructor",
     # Named from outside Python code.
-    "repro.api.executable:Executable.specialize": (
-        "benchmarks/harness/layers.py wraps it by a string target"
-    ),
     "repro.serving.http:_Handler.do_GET": "http.server dispatches it by name",
     "repro.serving.http:_Handler.do_POST": "http.server dispatches it by name",
     "repro.serving.http:_Handler.log_message": "http.server logging hook",
@@ -89,9 +86,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.metrics:Histogram.max_value": "largest observation of a histogram",
     "repro.api.target:Target.calibration_key": (
         "device x calibration key that invalidates compiled programs"
-    ),
-    "repro.control.ctrl_vqe:CtrlVQE.energies": (
-        "one-request batch of energies, as GateVQE.energies"
     ),
     "repro.pipeline.runner:PipelineRunner.resume": (
         "resumes an interrupted run from its store"
