@@ -28,6 +28,10 @@ request coalescing):
 
     PYTHONPATH=src python benchmarks/bench_serving_throughput.py --quick
 
+The quick mode also gates coalescing by count, which does not move
+with host load: the service queues the whole workload before it
+starts, so it must run exactly one execution per (device, program).
+
 This file is intentionally named ``bench_*`` so tier-1 pytest does not
 collect it; the speedup and round-trip checks live in :func:`main`,
 which exits 1 on a failure.
@@ -254,6 +258,13 @@ def main(argv: list[str] | None = None) -> int:
     failed = False
     if speedup < required:
         print(f"FAIL: speedup {speedup:.2f}x below required {required}x")
+        failed = True
+    expected_execs = min(per_device, len(programs())) * len(DEVICES)
+    if args.quick and service_execs != expected_execs:
+        print(
+            f"FAIL: {service_execs} service executions, expected "
+            f"{expected_execs} (one per device and program)"
+        )
         failed = True
     if cluster_required is not None and cluster_speedup < cluster_required:
         print(

@@ -683,9 +683,10 @@ def full_calibration_dag(
 ) -> DAG:
     """The full bring-up pass: Rabi, DRAG, readout, Ramsey, write-back.
 
-    Scans are mutually independent (they fan out in the ready set);
-    one write-back commits every fitted field atomically, then a
-    verify task scores the tracked frequencies.
+    Scans are mutually independent: they share the first ready set,
+    which :class:`~repro.pipeline.runner.PipelineRunner` runs one task
+    at a time, in insertion order. One write-back commits every fitted field
+    atomically, then a verify task scores the tracked frequencies.
     """
     dag = DAG(name)
     site_list = None if sites is None else [int(s) for s in sites]

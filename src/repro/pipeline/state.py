@@ -175,15 +175,11 @@ class PipelineStore(SQLiteStore):
         """pending/failed -> running; returns the new attempt count."""
         now = time.time()
         with self._transaction() as conn:
-            conn.execute(
+            row = conn.execute(
                 "UPDATE tasks SET state = 'running', "
                 "attempts = attempts + 1, updated_at = ? "
-                "WHERE run_id = ? AND name = ?",
+                "WHERE run_id = ? AND name = ? RETURNING attempts",
                 (now, run_id, name),
-            )
-            row = conn.execute(
-                "SELECT attempts FROM tasks WHERE run_id = ? AND name = ?",
-                (run_id, name),
             ).fetchone()
         if row is None:
             raise PipelineError(f"unknown task {name!r} in run {run_id!r}")

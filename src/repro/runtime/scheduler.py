@@ -18,8 +18,10 @@ subclass depends on.
 per device — wall-clock since last calibration times the device's drift
 rate — and interleaves a calibration callback whenever the predicted
 frequency error crosses a threshold, amortizing it before batches
-rather than mid-stream. The hook runs on the device's worker thread,
-serialized per device by the worker pool.
+rather than mid-stream. The hook runs on the thread that executes the
+job — the device's worker, or the draining caller when the job heads
+an idle queue — serialized per device by the pool's one execution
+slot.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ class SecondLevelScheduler:
     def _before_dispatch(self, job: ScheduledJob, report: SchedulerReport) -> None:
         """Hook for subclasses (calibration interleaving).
 
-        Called on the worker thread of the job's device, immediately
-        before the job executes; calls are serialized per device (and
-        globally serialized by the drain-wide hook lock)."""
+        Called on the thread that executes the job (its device's
+        worker, or the draining caller), immediately before the job
+        executes; calls are serialized per device (and globally
+        serialized by the drain-wide hook lock)."""
 
     def _make_service(self, capacity: int):
         """The PulseService drain() executes through (one per drain)."""

@@ -14,7 +14,8 @@ synchronous client stack into that service:
   repeat programs skip the pass pipeline;
 * :mod:`repro.serving.workers` — per-device worker pools so
   independent devices execute in parallel while each device's queue
-  drains FIFO-within-priority;
+  drains FIFO-within-priority; a caller blocked on a ticket whose
+  entry heads an idle queue runs it on its own thread;
 * :mod:`repro.serving.routing` — :class:`CapabilityRouter`: failover
   and load-spill onto capability-equivalent devices;
 * :mod:`repro.serving.batching` — :class:`RequestBatcher`: coalesces

@@ -12,10 +12,20 @@ Pipeline per queue entry (one request, or the points of a sweep)::
     submit ──▶ admission control (bounded in-flight requests)
            ──▶ routing (capability candidates, load spill)
            ──▶ device queue (priority + FIFO)
-    worker ──▶ coalesce mates ──▶ compile cache (per point)
+    waiting caller (entry at the queue head) or worker
+           ──▶ coalesce mates ──▶ compile cache (per point)
            ──▶ one batched execution (serialized per device)
            ──▶ shot split ──▶ resolve tickets
     failure ──▶ failover to the next equivalent device, else fail tickets
+
+An unbounded wait on a ticket (``result()``, ``exception()``,
+``wait()``) runs the ticket's entry on the waiting thread when a
+worker would pop it next: the pool is started and not stopping, the
+entry heads its queue, and fewer than ``workers_per_device`` groups
+of the pool are running. The caller pops the entry with its
+coalescing mates, exactly as a worker would, and runs the same
+:meth:`PulseService._execute_group`, so a closed loop of submit then
+wait pays no thread handoff. A bounded wait never runs work.
 
 Failure semantics: *flow control* problems (service or device queue
 full and not asked to block) raise
@@ -28,6 +38,7 @@ exhausted) are carried by the ticket and re-raised from
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import threading
 import time
@@ -57,10 +68,13 @@ class JobTicket:
     :class:`PulseService` and
     :class:`~repro.serving.cluster.ClusterService` both hand it out,
     and :class:`~repro.serving.http.HttpTicket` proxies it over the
-    wire.  The owning service resolves it and sets ``_cancel_hook``.
-    All terminal transitions go through one idempotent
-    :meth:`_finalize` — exactly one of resolve / fail / cancel wins,
-    late arrivals are dropped — which wakes every waiter at once.
+    wire.  The owning service resolves it and sets ``_cancel_hook``;
+    a :class:`PulseService` also sets ``_run_hook``, which an
+    unbounded wait calls to run the ticket's queued entry on the
+    waiting thread.  All terminal transitions go through one
+    idempotent :meth:`_finalize` — exactly one of resolve / fail /
+    cancel wins, late arrivals are dropped — which wakes every waiter
+    at once.
     """
 
     def __init__(self, request: JobRequest | None) -> None:
@@ -81,6 +95,9 @@ class JobTicket:
         #: Set by the admitting service; lets ``cancel()`` drop still-
         #: queued entries immediately instead of waiting for dispatch.
         self._cancel_hook: Callable[["JobTicket"], None] | None = None
+        #: Set by a PulseService: runs the ticket's entry on the calling
+        #: thread if its pool lets it; returns whether it ran.
+        self._run_hook: Callable[[], bool] | None = None
 
     # ---- caller API ----------------------------------------------------------------
 
@@ -92,11 +109,27 @@ class JobTicket:
         return self._event.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
+        """Block until terminal; False when *timeout* elapses first.
+
+        With ``timeout=None`` the waiting thread first runs the
+        ticket's entry itself while its pool lets it (see
+        :mod:`repro.serving.service`), again after each failover
+        re-offer; a bounded wait only waits.
+        """
+        if timeout is None:
+            while not self._event.is_set():
+                hook = self._run_hook
+                if hook is None or not hook():
+                    break
         return self._event.wait(timeout)
 
     def result(self, timeout: float | None = None) -> ClientResult:
-        """The execution result; blocks, re-raises the failure if any."""
-        if not self._event.wait(timeout):
+        """The execution result; blocks, re-raises the failure if any.
+
+        ``result()`` without a timeout may run the request on the
+        calling thread (see :meth:`wait`); the result is the same.
+        """
+        if not self.wait(timeout):
             raise ServiceError(
                 f"ticket {self.id} not done within {timeout}s"
             )
@@ -107,7 +140,7 @@ class JobTicket:
 
     def exception(self, timeout: float | None = None) -> Exception | None:
         """The failure, or None on success; blocks like :meth:`result`."""
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             raise ServiceError(
                 f"ticket {self.id} not done within {timeout}s"
             )
@@ -200,6 +233,7 @@ class JobTicket:
             if result is not None:
                 self.device = result.device
             self.completed_at = time.perf_counter()
+            self._run_hook = None  # drops the ticket -> entry cycle
         self._event.set()
         return True
 
@@ -235,9 +269,10 @@ class PulseService:
         Bound per device queue (None = unbounded). A full device queue
         spills to an equivalent device when failover is allowed.
     workers_per_device:
-        Threads per device pool. Device execution is serialized by the
-        pool's exec lock regardless; extra workers overlap compilation
-        with execution.
+        Threads per device pool, and the cap on the pool's groups
+        running at once, counting those a waiting caller runs. Device
+        execution is serialized by the pool's exec lock regardless;
+        extra workers overlap compilation with execution.
     start:
         Start worker threads immediately. With ``start=False``,
         requests queue up until :meth:`start` — useful to maximize
@@ -265,8 +300,9 @@ class PulseService:
         self.max_pending = max_pending
         self.per_device_pending = per_device_pending
         self.workers_per_device = workers_per_device
-        #: Optional hook called in the worker thread right before each
-        #: entry executes (serialized per device) — the calibration-
+        #: Optional hook called on the thread that runs each entry (a
+        #: worker or a waiting caller) right before it executes,
+        #: serialized per device with one worker — the calibration-
         #: aware scheduler interleaves drift tracking through it.
         self.before_execute: Callable[[ServiceEntry], None] | None = None
         self._pools: dict[str, DevicePool] = {}
@@ -402,6 +438,10 @@ class PulseService:
             ),
         )
         tickets = [self._new_ticket(r) for r in requests]
+        # Built before admission: its id's ``os.urandom`` releases the
+        # GIL, which after the last offer would let the woken worker pop
+        # the entry before the caller's wait could run it.
+        sweep_ticket = SweepTicket(sweep, tickets)
         start = 0
         while start < len(requests):
             try:
@@ -422,7 +462,7 @@ class PulseService:
                 for ticket in tickets[start:stop]:
                     ticket._fail(exc)
             start = stop
-        return SweepTicket(sweep, tickets)
+        return sweep_ticket
 
     def _new_ticket(self, request: JobRequest) -> JobTicket:
         ticket = JobTicket(request)
@@ -520,6 +560,9 @@ class PulseService:
             candidates=self.router.candidates(requests[0]),
         )
         self._prepare_for_device(entry)
+        run_here = functools.partial(self._run_here, entry)
+        for ticket in tickets:
+            ticket._run_hook = run_here
         return entry
 
     def _prepare_for_device(self, entry: ServiceEntry) -> None:
@@ -602,7 +645,14 @@ class PulseService:
                     self.metrics.incr("cancelled")
                 self._release()
 
-    # ---- execution (worker threads) ------------------------------------------------
+    # ---- execution (worker threads and waiting callers) ----------------------------
+
+    def _run_here(self, entry: ServiceEntry) -> bool:
+        """Ticket run hook: run *entry* on the waiting thread if its
+        pool lets it (see :meth:`DevicePool.run_here`)."""
+        with self._pools_lock:
+            pool = self._pools.get(entry.device)
+        return pool is not None and pool.run_here(entry)
 
     def _execute_group(self, pool: DevicePool, group: list[ServiceEntry]) -> None:
         """Run one popped group as one batched device execution.

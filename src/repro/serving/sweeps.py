@@ -26,6 +26,12 @@ Estimator and Sampler read without a per-point result.
 
 Why this is fast end to end:
 
+* a closed loop pays no thread handoff: a caller blocked in
+  :meth:`SweepTicket.results` (no timeout) on a sweep whose entry
+  heads an idle device queue runs the entry on its own thread through
+  the same ``PulseService._execute_group`` a worker would (see
+  :mod:`repro.serving.service`), instead of waking a worker and
+  sleeping until the worker wakes it back,
 * the whole sweep is one queue entry and one batched device execution:
   every point compiles through the shared compile cache, then all of
   them evolve in one :meth:`ScheduleExecutor.execute_batch
@@ -261,7 +267,9 @@ class SweepTicket:
         A sweep of one family batch returns its one job's
         :class:`~repro.sim.executor.BatchResult`: the members' results
         in order, with their arrays per family. *timeout* bounds the
-        whole call, not each point.
+        whole call, not each point; without one, the calling thread
+        may run the sweep itself (:meth:`JobTicket.result
+        <repro.serving.service.JobTicket.result>`).
         """
         remaining = self._deadline(timeout)
         results = [t.result(remaining()) for t in self.tickets]

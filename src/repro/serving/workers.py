@@ -7,10 +7,17 @@ single device's hardware access stays serialized through the pool's
 ``exec_lock`` (the simulated QPUs, like real ones, run one program at
 a time). With more than one worker per device, compilation of the next
 job overlaps with execution of the current one.
+
+A thread that blocks on a ticket whose entry heads the queue runs the
+entry itself (:meth:`DevicePool.run_here`) instead of waking a worker
+and sleeping until it finishes. Workers and callers pop through the
+same :meth:`DevicePool._pop_group_locked` and share one cap: at most
+``num_workers`` groups of a pool run at a time, whoever runs them.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import threading
 from typing import TYPE_CHECKING, Any
@@ -93,7 +100,13 @@ class ServiceEntry:
 
 
 class DevicePool:
-    """Queue + worker threads for one device."""
+    """Queue + worker threads for one device.
+
+    A group runs on a worker thread, or on a caller blocked on one of
+    its tickets (:meth:`run_here`); either way it counts against
+    ``num_workers``, so one worker per device still means one group
+    (before-execute hook plus execution) at a time, in queue order.
+    """
 
     def __init__(
         self,
@@ -114,6 +127,7 @@ class DevicePool:
         self._threads: list[threading.Thread] = []
         self._stopping = False
         self._started = False
+        self._running = 0  # groups popped and not yet finished
 
     # ---- lifecycle -----------------------------------------------------------------
 
@@ -241,15 +255,52 @@ class DevicePool:
                 group.extend(sorted(mates, key=ServiceEntry.sort_key))
         return group
 
-    # ---- worker loop ---------------------------------------------------------------
+    def _take_locked(self) -> list[ServiceEntry]:
+        group = self._pop_group_locked()
+        self._running += 1
+        self._cond.notify_all()  # queue space freed; unblock offers
+        return group
+
+    def _execute(self, group: list[ServiceEntry]) -> None:
+        """Run a taken group, then free its slot under the cap."""
+        try:
+            # A fresh context, as on a worker thread: a caller's
+            # ``use_dtype`` scope never reaches served work.
+            contextvars.Context().run(self.service._execute_group, self, group)
+        finally:
+            with self._cond:
+                self._running -= 1
+                self._cond.notify_all()
+
+    # ---- execution -----------------------------------------------------------------
+
+    def run_here(self, entry: ServiceEntry) -> bool:
+        """Run *entry*'s group on the calling thread; whether it ran.
+
+        Only the entry a worker would pop next is taken, only while
+        the pool is started and not stopping, and only below the
+        ``num_workers`` cap. Otherwise the caller leaves the entry to
+        the workers.
+        """
+        with self._cond:
+            if (
+                not self._started
+                or self._stopping
+                or self._running >= self.num_workers
+                or not self._entries
+                or self._entries[0] is not entry
+            ):
+                return False
+            group = self._take_locked()
+        self._execute(group)
+        return True
 
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._entries and not self._stopping:
+                while not self._entries or self._running >= self.num_workers:
+                    if self._stopping and not self._entries:
+                        return
                     self._cond.wait()
-                if not self._entries and self._stopping:
-                    return
-                group = self._pop_group_locked()
-                self._cond.notify_all()  # queue space freed; unblock offers
-            self.service._execute_group(self, group)
+                group = self._take_locked()
+            self._execute(group)
