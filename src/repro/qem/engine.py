@@ -12,9 +12,12 @@ schedule per variant. The PUB binds once into its template family
 re-insert every frame-event instruction unchanged and never read a
 frame scalar, so they commute with binding: the template is stretched
 once per factor and twirled once per distinct mask (masks are still
-drawn per point), and the points carrying each (factor, mask) run as
-the members of one derived family
-(:meth:`~repro.core.schedule.ScheduleFamily.derive`). A PUB the
+drawn per point) — once per template and calibration state, since
+:data:`VARIANTS` keeps the derived schedules across runs — and the
+points carrying each (factor, mask) run as the members of one derived
+family (:meth:`~repro.core.schedule.ScheduleFamily.derive`). A warm
+run derives nothing, and the executor reuses each variant's drive
+plan. A PUB the
 template cannot take, or a plain schedule, expands the same way from
 one-member or slot-free families. All families of all PUBs run in one
 batched dispatch, and the results fold back in reverse declared order
@@ -40,13 +43,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Sequence
+import threading
+import weakref
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.schedule import ScheduleFamily
 from repro.errors import ValidationError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CacheStats
 from repro.obs.tracing import span
 from repro.primitives.containers import DataBin, PrimitiveResult, PubResult
 from repro.qem import twirling as _twirling
@@ -74,6 +79,95 @@ class _Variant:
         self.twirl_index = twirl_index
         self.mask = mask
         self.is_base = is_base
+
+
+class VariantMemo:
+    """The stretched and twirled variants of each source schedule.
+
+    Keyed weakly on the source (a refreshed template is a new base, so
+    its variants go with the old one) and held for one stamp: the
+    source's ``_seq`` and the calibration state of the device the
+    variants read (its state key and calibration generation). A new
+    stamp drops the source's variants. The variants keep the source's
+    instruction objects, so a family over the source derives onto
+    them, and each variant is a stable base the executor's plan memo
+    reuses. Thread-safe; ``stats()`` has the uniform cache shape.
+    """
+
+    def __init__(self) -> None:
+        self._variants: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+        self.stats = CacheStats(
+            self.__len__, lambda: None, hits=0, misses=0, evictions=0
+        )
+        REGISTRY.register_cache(
+            REGISTRY.autoname("qem-variant"), self, kind="qem-variant"
+        )
+
+    def __len__(self) -> int:
+        with self._lock:
+            return sum(len(held) for _, held in self._variants.values())
+
+    def variant(self, source, stamp, key, build: Callable[[], Any]):
+        """The variant *key* of *source* under *stamp*, built by
+        *build* on a miss. The variant must not hold *source*."""
+        stamp = (source._seq, stamp)
+        with self._lock:
+            held_stamp, held = self._variants.get(source, (None, {}))
+            out = held.get(key) if held_stamp == stamp else None
+            if out is not None:
+                self.stats["hits"] += 1
+                return out
+        out = build()
+        with self._lock:
+            self.stats["misses"] += 1
+            held_stamp, held = self._variants.get(source, (None, {}))
+            if held_stamp != stamp:
+                self.stats["evictions"] += len(held)
+                held = {}
+                self._variants[source] = (stamp, held)
+            held[key] = out
+        return out
+
+
+#: The process's variant memo, shared by every mitigated primitive.
+VARIANTS = VariantMemo()
+
+
+def _calibration_stamp(primitive):
+    """The calibration state a variant of *primitive*'s schedules reads:
+    the device's state key and calibration generation (``None`` for an
+    executor-backed primitive, which has no device)."""
+    target = primitive.target
+    if target is None:
+        return None
+    device = target.compile_device
+    generation = getattr(getattr(device, "calibrations", None), "generation", 0)
+    return target.calibration_key(), generation
+
+
+def _stretched(schedule, factor, constraints, stamp):
+    """*schedule* stretched by *factor*, memoised in :data:`VARIANTS`."""
+    if factor == 1.0:
+        return schedule
+    return VARIANTS.variant(
+        schedule,
+        stamp,
+        ("stretch", factor, constraints),
+        lambda: stretch_schedule(schedule, factor, constraints=constraints),
+    )
+
+
+def _twirled(schedule, mask, device, sites, stamp):
+    """*schedule* twirled by *mask*, memoised in :data:`VARIANTS`."""
+    if mask is None or not any(mask):
+        return schedule
+    return VARIANTS.variant(
+        schedule,
+        stamp,
+        ("twirl", tuple(mask), tuple(sites)),
+        lambda: _twirling.twirl_schedule(schedule, mask, device, sites),
+    )
 
 
 def _require_direct(primitive, what: str) -> None:
@@ -173,10 +267,11 @@ def _batch_order(plans) -> list[ScheduleFamily]:
 def _expand_pub(est, pub, options, rng, n_points) -> list[list[_Variant]]:
     """The variant grid of one Estimator PUB, per binding point.
 
-    The points' source families are stretched once per factor and
-    twirled once per distinct mask (in declared order); the variants
-    sharing a (factor, mask) then run as members of one derived family.
-    Masks are drawn per point, in point order.
+    The points' source families are stretched per factor and twirled
+    per distinct mask (in declared order), each variant once per source
+    and calibration state (:data:`VARIANTS`); the variants sharing a
+    (factor, mask) then run as members of one derived family. Masks are
+    drawn per point, in point order.
     """
     stack = options.mitigation
     zne_opt = options.zne if "zne" in stack else None
@@ -214,29 +309,17 @@ def _expand_pub(est, pub, options, rng, n_points) -> list[list[_Variant]]:
                 ]
             )
 
-    def stretched(schedule, fi):
-        if factors[fi] == 1.0:
-            return schedule
-        return stretch_schedule(schedule, factors[fi], constraints=constraints)
-
-    def twirled(schedule, mask, s):
-        if mask is None or not any(mask):
-            return schedule
-        return _twirling.twirl_schedule(schedule, mask, device, sites[s])
-
-    # _group derives each (source, key) once; the inner step is shared
-    # by the keys of one factor (zne first) or one mask (twirl first).
-    inner: dict[tuple, Any] = {}
+    stamp = _calibration_stamp(est)
 
     def derive(s, key):
         fi, mask = key
+        factor = factors[fi]
+        base = sources[s].base
         if zne_outer:
-            if (s, fi) not in inner:
-                inner[s, fi] = stretched(sources[s].base, fi)
-            return twirled(inner[s, fi], mask, s)
-        if (s, mask) not in inner:
-            inner[s, mask] = twirled(sources[s].base, mask, s)
-        return stretched(inner[s, mask], fi)
+            base = _stretched(base, factor, constraints, stamp)
+            return _twirled(base, mask, device, sites[s], stamp)
+        base = _twirled(base, mask, device, sites[s], stamp)
+        return _stretched(base, factor, constraints, stamp)
 
     _group(plans, sources, derive)
     return plans
@@ -446,11 +529,10 @@ def _expand_sampler_pub(sampler, pub, options, rng):
                 ]
             plans.append(variants)
 
+    stamp = _calibration_stamp(sampler)
+
     def derive(s, mask):
-        base = sources[s].base
-        if mask is None or not any(mask):
-            return base
-        return _twirling.twirl_schedule(base, mask, device, sites[s])
+        return _twirled(sources[s].base, mask, device, sites[s], stamp)
 
     _group(plans, sources, derive)
     return plans

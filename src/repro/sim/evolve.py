@@ -874,6 +874,5 @@ def segment_runs(samples, decimals: int = 12) -> list[tuple[int, int]]:
     changed = np.any(
         rounded[1:] != rounded[:-1], axis=tuple(range(1, rounded.ndim))
     )
-    starts = np.concatenate(([0], np.nonzero(changed)[0] + 1))
-    ends = np.concatenate((starts[1:], [n]))
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+    bounds = [0, *(np.nonzero(changed)[0] + 1).tolist(), n]
+    return [(s, e - s) for s, e in zip(bounds, bounds[1:])]

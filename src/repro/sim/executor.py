@@ -28,7 +28,11 @@ batched pipeline — a single schedule is a one-member batch:
    a timeline breakpoint inside it, every sample of a detuned play —
    so every :class:`Play`'s modulated envelope is evaluated at the
    candidates only, as ``(K, n_candidates, n_channels)`` drive rows;
-   no per-sample drive stack is built.
+   no per-sample drive stack is built. Everything that reads no value
+   (timeline events, candidates, shape samples, fixed timelines and
+   drive terms) is a plan built once per template base and memoised
+   (:attr:`ScheduleExecutor.drive_plans`); a call binds its value
+   matrix against it.
 3. Runs — equal neighbouring candidate rows merge
    (:func:`~repro.sim.evolve.segment_runs`) into runs of constant
    drive at the union of the members' boundaries; every sample
@@ -100,7 +104,7 @@ from repro.sim.open_system import (
     vectorize_density,
 )
 from repro.sim.operators import basis_state, identity
-from repro.sim.runs import drive_runs, insert_idle
+from repro.sim.runs import DrivePlans, drive_runs, insert_idle
 from repro.sim.precision import active_dtype
 
 _TWO_PI = 2.0 * np.pi
@@ -419,6 +423,9 @@ class ScheduleExecutor:
             propagator_cache if propagator_cache is not None else PropagatorCache()
         )
         self._open_engine: "OpenSystemEngine | None" = None
+        #: Each template's value-free drive plan (:mod:`repro.sim.runs`):
+        #: a family of a base planned before binds its values only.
+        self.drive_plans = DrivePlans()
 
     @property
     def open_system(self) -> "OpenSystemEngine":
@@ -783,8 +790,11 @@ class ScheduleExecutor:
         initial state), density matrices with decoherence.
 
         Each family's runs come from
-        :func:`~repro.sim.runs.drive_runs`, its delay slot's idle run
-        from :func:`~repro.sim.runs.insert_idle`. Slices are laid out
+        :func:`~repro.sim.runs.drive_runs`, which binds the family's
+        values against its template's plan, built once per base and
+        held in :attr:`drive_plans` (a sweep's next call and a
+        mitigation variant's next run plan nothing); its delay slot's
+        idle run comes from :func:`~repro.sim.runs.insert_idle`. Slices are laid out
         family by family and, within a family, position-major — run r
         of every member, then r+1. After phase canonicalization the
         per-sample positions of a detuned constant play merge into one
@@ -817,7 +827,7 @@ class ScheduleExecutor:
             evaluated = samples = 0
             for family in families:
                 runs, rows, mags, n = drive_runs(
-                    family, self.model, self._channel_names
+                    family, self.model, self._channel_names, self.drive_plans
                 )
                 plan = (
                     rows,

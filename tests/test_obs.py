@@ -369,6 +369,7 @@ class TestRegistry:
 class TestCacheIntegration:
     def test_uniform_stats_shape_across_all_caches(self):
         from repro.compiler.jit import JITCompiler
+        from repro.qem.engine import VARIANTS
         from repro.sim.evolve import PropagatorCache
 
         caches = [
@@ -376,6 +377,9 @@ class TestCacheIntegration:
             PropagatorCache(max_entries=4),
             # The executable memo ("template" cache) lives on the target.
             Estimator(SuperconductingDevice(num_qubits=1)).target,
+            # Drive plans per template, and mitigation variants.
+            SuperconductingDevice(num_qubits=1).executor.drive_plans,
+            VARIANTS,
         ]
         for cache in caches:
             shape = cache.stats()

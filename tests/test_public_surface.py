@@ -84,9 +84,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.tracing:current_trace": "the trace a span reports to, if any",
     "repro.obs.metrics:MetricsRegistry.gauge": "the registry's gauge instrument",
     "repro.obs.metrics:Histogram.max_value": "largest observation of a histogram",
-    "repro.api.target:Target.calibration_key": (
-        "device x calibration key that invalidates compiled programs"
-    ),
     "repro.pipeline.runner:PipelineRunner.resume": (
         "resumes an interrupted run from its store"
     ),

@@ -29,6 +29,9 @@ bitwise equal.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,9 +42,11 @@ from test_phase_covariance import PROFILE
 import repro
 import repro.qem.engine as engine
 import repro.qem.readout as readout
+from repro.core import Play
 from repro.core.schedule import PulseSchedule, ScheduleFamily
 from repro.core.stretch import stretch_schedule
 from repro.devices import SuperconductingDevice
+from repro.devices.calibrations import CalibrationEntry
 from repro.mlir.dialects.pulse import SequenceBuilder
 from repro.mlir.ir import print_module
 from repro.primitives import Estimator, Observable, Sampler
@@ -487,14 +492,19 @@ def counting(monkeypatch, owner, name, calls):
 
 def test_workload_stack_runs_six_families_in_one_batch(monkeypatch):
     """8 points x 3 stretch factors x 2 twirl masks: one batch of 48
-    members in 6 families of 8, 2 stretches, 3 twirls, and no member
-    schedule or per-variant inversion."""
+    members in 6 families of 8, and no member schedule or per-variant
+    inversion. The first run stretches twice and twirls three times;
+    the warm run derives no variant again."""
     device = qem_device()
     program = ansatz(device)
     est = Estimator(device, options=STACKS["zne-twirl-readout"], seed=0)
     grid = {f"theta{k}": np.linspace(-1, 1, 8) + k for k in range(4)}
-    est.run([(program, Observable.z(0), grid)])  # warm: compile the template
     calls: dict[str, int] = {}
+    counting(monkeypatch, engine, "stretch_schedule", calls)
+    counting(monkeypatch, tw, "twirl_schedule", calls)
+    est.run([(program, Observable.z(0), grid)])  # first: compile the template
+    assert calls == {"stretch_schedule": 2, "twirl_schedule": 3}
+    calls.clear()
     batches = []
     original = ScheduleExecutor.execute_batch
 
@@ -503,8 +513,6 @@ def test_workload_stack_runs_six_families_in_one_batch(monkeypatch):
         return original(self, schedules, **kwargs)
 
     monkeypatch.setattr(ScheduleExecutor, "execute_batch", execute_batch)
-    counting(monkeypatch, engine, "stretch_schedule", calls)
-    counting(monkeypatch, tw, "twirl_schedule", calls)
     counting(monkeypatch, ScheduleFamily, "member", calls)
     counting(monkeypatch, readout, "mitigate_distribution", calls)
     expanded = []
@@ -519,11 +527,79 @@ def test_workload_stack_runs_six_families_in_one_batch(monkeypatch):
     [batch] = batches
     assert len(batch) == 48
     assert [len(f) for f in batch.families] == [8] * 6
-    assert calls == {"stretch_schedule": 2, "twirl_schedule": 3}
+    assert calls == {}
     # the batch is still a sequence of its members, in family order
     assert batch[8].equivalent_to(batch.families[1].member(0))
     [plans] = expanded
     assert [len(point) for point in plans] == [6] * 8
+
+
+def x_writeback(device, how: str) -> None:
+    """Write back a new ``x`` calibration: a DRAG beta, or a pi
+    amplitude 2% larger."""
+    if how == "drag-beta":
+        device.set_drag_beta(0.5)
+        return
+    port = device.drive_port(0)
+    wave = device.x_waveform(1.02)
+
+    def builder(schedule, params):
+        schedule.append(Play(port, device.default_frame(port), wave))
+
+    entry = CalibrationEntry("x", (0,), builder, device.X_DURATION)
+    device.calibrations.add(entry, overwrite=True)
+
+
+@pytest.mark.parametrize("how", ["drag-beta", "pi-amplitude"])
+def test_an_x_writeback_derives_the_variants_again(monkeypatch, how):
+    """Between two mitigated runs a new ``x`` calibration lands: the
+    second run stretches and twirls again, and its evs are a fresh
+    Estimator's, bit for bit."""
+    device = qem_device()
+    program = ansatz(device)
+    grid = {f"theta{k}": np.linspace(-1, 1, 4) + k for k in range(4)}
+    pub = [(program, Observable.z(0), grid)]
+    options = STACKS["zne-twirl-readout"]
+    est = Estimator(device, options=options, seed=0)
+    before = est.run(pub)[0].data.evs
+    x_writeback(device, how)
+    calls: dict[str, int] = {}
+    counting(monkeypatch, engine, "stretch_schedule", calls)
+    counting(monkeypatch, tw, "twirl_schedule", calls)
+    after = est.run(pub)[0].data.evs
+    assert calls == {"stretch_schedule": 2, "twirl_schedule": 3}
+    fresh = Estimator(device, options=options, seed=0).run(pub)[0].data.evs
+    assert after.tobytes() == fresh.tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_the_memos_stay_bounded_on_a_drifting_device():
+    """50 mitigated runs on a drifting device, each after a frequency
+    write-back (so each binds a refreshed template), with time passing
+    every 10 runs (so each executor runs 10 of them): the variant memo
+    holds one template's variants and the live executor one plan per
+    family."""
+    device = SuperconductingDevice(
+        "sc-drift", 1, with_decoherence=True, t1=30e-6, t2=20e-6,
+        drift_rate=2e4, seed=7,
+    )
+    program = ansatz(device)
+    grid = {f"theta{k}": np.linspace(-1, 1, 2) + k for k in range(4)}
+    pub = [(program, Observable.z(0), grid)]
+    options = STACKS["zne-twirl-readout"]
+    gc.collect()
+    variants = len(engine.VARIANTS)
+    executors = []
+    for i in range(50):
+        if i % 10 == 0:
+            device.advance_time(1e-3)
+        device.set_frame_frequency(0, device.true_frequency(0))
+        Estimator(device, options=options, seed=i).run(pub)
+        executors.append(weakref.ref(device.executor))
+    gc.collect()
+    [live] = {ref() for ref in executors} - {None}
+    assert len(live.drive_plans) == 6  # 3 factors x 2 masks
+    assert len(engine.VARIANTS) <= variants + 5  # 2 stretches, 3 twirls
 
 
 # ---- the mitigated Sampler folds the family arrays -----------------------------------

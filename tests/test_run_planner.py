@@ -10,6 +10,12 @@ walker ``reference_drives`` for every member of hand-built families:
 slotted frame events (``ShiftPhase``, ``SetPhase``, ``ShiftFrequency``,
 ``SetFrequency``), plays scaled by an amplitude column, two plays
 overlapping on one channel, a readout play and a delay slot.
+
+A plan is value-free: the executor memoises it per template
+(``DrivePlans``) and binds each call's value matrix against it. The
+reuse tests bind a memoised plan with a second value matrix and hold
+the result, bit for bit, against a cold plan of a fresh copy of the
+base; placing an item on a planned base plans it again.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from repro.core import (
 )
 from repro.core.instructions import Delay
 from repro.core.schedule import DURATION, SCALE, IdleSlot, ScheduleFamily
-from repro.sim.runs import drive_runs, insert_idle
+from repro.devices import SuperconductingDevice
+from repro.primitives import Estimator
+from repro.sim.runs import DrivePlans, drive_runs, insert_idle
 
 PROFILE = settings(derandomize=True, max_examples=12, deadline=None, database=None)
 
@@ -178,3 +186,146 @@ def test_runs_repeat_to_every_members_per_sample_drive(name, data):
         member = np.repeat(rows[:, j], steps[:, min(j, steps.shape[1] - 1)], axis=0)
         assert member.shape == reference.shape
         assert np.abs(member - reference).max(initial=0.0) < TOL
+
+
+# ---- a memoised plan binds what a cold plan gives ------------------------------------
+
+
+@st.composite
+def value_matrices(draw, family, device):
+    """A second ``(k, P)`` value matrix for *family*'s slots, of 1 to 5
+    rows: each column drawn the way ``planned_families`` draws it, and
+    a slotted carrier frequency sometimes left at its frame's value."""
+    k = draw(st.integers(1, 5))
+    values = np.zeros((k, family.values.shape[1]))
+    detuning = SC["detuning"]
+    for pos, fld, col in family.slots:
+        ins = family.base._items[pos].instruction
+        if fld == DURATION:
+            ticks = [draw(st.integers(0, 4)) for _ in range(k)]
+            values[:, col] = [GRANULARITY * t for t in ticks]
+        elif fld == SCALE:
+            values[:, col] = [draw(unit) for _ in range(k)]
+        elif isinstance(ins, (ShiftPhase, SetPhase)):
+            values[:, col] = [draw(angles) for _ in range(k)]
+        elif draw(st.booleans()):  # at the frame's frequency
+            values[:, col] = 0.0 if fld == "delta" else ins.frame.frequency
+        else:
+            offset = 0.0 if fld == "delta" else ins.frame.frequency
+            values[:, col] = [offset + detuning * draw(unit) for _ in range(k)]
+    return values
+
+
+def assert_bitwise(got, want) -> None:
+    (runs, rows, mags, evaluated), (runs0, rows0, mags0, evaluated0) = got, want
+    assert runs == runs0 and evaluated == evaluated0
+    assert rows.shape == rows0.shape and rows.tobytes() == rows0.tobytes()
+    assert mags.shape == mags0.shape and mags.tobytes() == mags0.tobytes()
+
+
+def cold_runs(family, model, plans):
+    """*family*'s runs from a fresh copy of its base, which *plans*
+    has never seen."""
+    base = family.base.clone_with_items(list(family.base._items))
+    fresh = ScheduleFamily(base, family.slots, family.values, family.idle)
+    return drive_runs(fresh, model, sorted(model.channels), plans)
+
+
+def assert_reuse(family, values, model) -> None:
+    """Plan *family*, bind the memoised plan with *values*, and hold it
+    against a cold plan of a copy of the base bound with them."""
+    channels = sorted(model.channels)
+    plans = DrivePlans()
+    drive_runs(family, model, channels, plans)
+    again = ScheduleFamily(family.base, family.slots, values, family.idle)
+    reused = drive_runs(again, model, channels, plans)
+    assert plans.stats() == {
+        "hits": 1, "misses": 1, "evictions": 0, "size": 1, "capacity": None
+    }
+    assert_bitwise(reused, cold_runs(again, model, plans))
+    assert plans.stats["misses"] == 2  # the copy planned again
+
+
+@pytest.mark.parametrize("name", sorted(DEVICES))
+@PROFILE
+@given(data=st.data())
+def test_a_memoised_plan_binds_a_second_matrix_as_a_cold_plan(name, data):
+    device = DEVICES[name]()
+    family = data.draw(planned_families(device))
+    assert_reuse(family, data.draw(value_matrices(family, device)), device.model)
+
+
+def every_feature(device) -> ScheduleFamily:
+    """A template with every slot and play arrangement the planner
+    handles: a readout play, a slotted ``ShiftPhase`` and
+    ``SetFrequency``, a play scaled by an amplitude column, a play
+    overlapping it, and after a barrier a delay slot followed by a
+    slotted ``ShiftFrequency`` and a play. Its one-row value matrix
+    is all neutral."""
+    port, readout = device.drive_port(0), device.readout_port(0)
+    frame = device.default_frame(port)
+    base = PulseSchedule("every-feature")
+    base.append(Play(readout, device.default_frame(readout), constant_waveform(12, 0.3)))
+    base.append(ShiftPhase(port, frame, 0.0))
+    base.append(SetFrequency(port, frame, frame.frequency))
+    shape = SampledWaveform(0.4 * np.hanning(8) + 0.1j)
+    scaled = base.append(Play(port, frame, ScaledWaveform(shape, 1.0)))
+    base._place(scaled.t0 + 3, Play(port, frame, constant_waveform(8, 0.2)))
+    base.barrier(port, readout)
+    delay = base.append(Delay(port, 0))
+    base.append(ShiftFrequency(port, frame, 0.0))
+    base.append(Play(port, frame, constant_waveform(8, 0.3)))
+    slots = [(1, "delta", 0), (2, "frequency", 1), (3, SCALE, 2)]
+    slots += [(6, DURATION, 3), (7, "delta", 4)]
+    idle = IdleSlot(3, delay.t0, frozenset({7, 8}))
+    values = np.array([[0.0, frame.frequency, 1.0, 0.0, 0.0]])
+    return ScheduleFamily(base, slots, values, idle)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("detuned", [False, True])
+def test_every_feature_binds_a_second_matrix_as_a_cold_plan(k, detuned):
+    device = DEVICES["sc1-closed"]()
+    family = every_feature(device)
+    frequency = family.values[0, 1]
+    rng = np.random.default_rng(k)
+    detunings = SC["detuning"] * rng.uniform(-1, 1, (2, k)) * detuned
+    values = np.column_stack(
+        [
+            rng.uniform(-np.pi, np.pi, k),
+            frequency + detunings[0],
+            rng.uniform(-1, 1, k),
+            GRANULARITY * rng.integers(0, 4, k),
+            detunings[1],
+        ]
+    )
+    assert_reuse(family, values, device.model)
+
+
+def test_placing_an_item_on_a_planned_base_plans_it_again():
+    device = DEVICES["sc1-closed"]()
+    model, channels = device.model, sorted(device.model.channels)
+    family = every_feature(device)
+    plans = DrivePlans()
+    before = drive_runs(family, model, channels, plans)
+    port = device.drive_port(0)
+    end = family.base.duration
+    family.base._place(end, Play(port, device.default_frame(port), constant_waveform(8, 0.1)))
+    after = drive_runs(family, model, channels, plans)
+    assert plans.stats["misses"] == 2 and plans.stats["evictions"] == 1
+    assert sum(n for _, n in after[0]) == sum(n for _, n in before[0]) + 8
+    assert_bitwise(after, cold_runs(family, model, plans))
+
+
+def test_two_runs_of_one_parametric_pub_build_one_plan():
+    from test_qem_families import ansatz
+
+    device = SuperconductingDevice(num_qubits=1, drift_rate=0.0)
+    estimator = Estimator(device)
+    program = ansatz(device)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        grid = {f"theta{k}": rng.uniform(-np.pi, np.pi, 5) for k in range(4)}
+        estimator.run([(program, "Z", grid)])
+    stats = device.executor.drive_plans.stats()
+    assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
