@@ -83,7 +83,6 @@ class CtrlVQE:
         self.max_amplitude = float(max_amplitude)
         self.leakage_penalty = float(leakage_penalty)
         self.initial_x = initial_x
-        self._executor = device.executor
         self._last_duration = 0
         self._last_leakage = 0.0
         self._observable = None  # Pauli decomposition, built on first use
@@ -168,7 +167,7 @@ class CtrlVQE:
         if self._observable is None:  # 4^n decomposition: pay once
             self._observable = Observable.from_matrix(self.hamiltonian)
         observable = self._observable
-        estimator = Estimator.from_executor(self._executor)
+        estimator = Estimator.from_executor(self.device.executor)
         pubs = []
         for p in param_sets:
             schedule = self.build_schedule(p)

@@ -57,7 +57,6 @@ class GateVQE:
         self.device = device
         self.hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
         self.layers = int(layers)
-        self._executor = device.executor
         self._last_duration = 0
         self._observable = None  # Pauli decomposition, built on first use
 
@@ -104,7 +103,7 @@ class GateVQE:
         if self._observable is None:  # 4^n decomposition: pay once
             self._observable = Observable.from_matrix(self.hamiltonian)
         observable = self._observable
-        estimator = Estimator.from_executor(self._executor)
+        estimator = Estimator.from_executor(self.device.executor)
         pubs = []
         for p in param_sets:
             schedule = quantum_module_to_schedule(

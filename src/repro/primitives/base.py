@@ -65,14 +65,16 @@ class BasePrimitive:
         seed: int | None = None,
     ) -> None:
         self._seed = seed
-        self._executor = None
+        self._held = None
+        #: A local device whose current executor runs direct work.
+        self._device = None
         self._target: Target | None = None
         if executor is not None:
             if target is not None:
                 raise ValidationError(
                     "pass either a target or an executor, not both"
                 )
-            self._executor = executor
+            self._held = executor
             self._mode = _DIRECT
             return
         if target is None:
@@ -82,9 +84,17 @@ class BasePrimitive:
         if resolved.is_async:
             self._mode = _SERVICE
             return
-        if resolved.direct and not resolved.is_remote:
-            self._executor = getattr(resolved.device, "executor", None)
-        self._mode = _CLIENT if self._executor is None else _DIRECT
+        direct = resolved.direct and not resolved.is_remote
+        if direct and getattr(resolved.device, "executor", None) is not None:
+            self._device = resolved.device
+        self._mode = _CLIENT if self._device is None else _DIRECT
+
+    @property
+    def _executor(self):
+        """The executor direct work runs on, or ``None``: the one
+        passed in, else the device's current one, read at each use
+        (a drift step replaces it with one for the new model)."""
+        return self._held if self._device is None else self._device.executor
 
     @classmethod
     def from_executor(cls, executor: Any, **kwargs: Any):
@@ -164,9 +174,10 @@ class BasePrimitive:
     def _dispatch(self, program: FamilyBatch | ProgramBatch, shots: int):
         """Start one shot group's batch; returns ``collect(timeout)``,
         which gives its :class:`~repro.sim.executor.BatchResult`."""
-        if self._executor is not None:
+        executor = self._executor
+        if executor is not None:
             # A lone family is itself a batch for the executor.
-            result = self._executor.execute_batch(
+            result = executor.execute_batch(
                 program.families[0] if len(program.families) == 1 else program,
                 shots=shots,
                 seed=self._seed,

@@ -794,11 +794,25 @@ class ScheduleExecutor:
         values against its template's plan, built once per base and
         held in :attr:`drive_plans` (a sweep's next call and a
         mitigation variant's next run plan nothing); its delay slot's
-        idle run comes from :func:`~repro.sim.runs.insert_idle`. Slices are laid out
-        family by family and, within a family, position-major — run r
-        of every member, then r+1. After phase canonicalization the
-        per-sample positions of a detuned constant play merge into one
-        chirped run (:meth:`_chirps`), whose propagator is one cached
+        idle run comes from :func:`~repro.sim.runs.insert_idle`.
+
+        A plan's prefix (:meth:`DrivePlan.leading
+        <repro.sim.runs.DrivePlan.leading>`) is its leading runs that
+        no value can change. The first call that evolves them keeps
+        the state they leave on the plan, per working dtype and apart
+        for a one-member family, when every member shares it; a later
+        call whose first runs are the prefix starts every member from
+        that state, and its prefix runs take no slice at all (no
+        canonical rows, chirp merge, dedup, kernel or apply). A slot-free
+        family's runs are all its prefix. A family whose runs differ
+        from the prefix (a value merged the first slotted run into the
+        last prefix run), a caller's *initial_state* and the
+        quantum-jump fallback evolve from the start and keep nothing.
+
+        Slices are laid out family by family and, within a family,
+        position-major — run r of every member, then r+1. After phase
+        canonicalization the per-sample positions of a detuned constant
+        play merge into one chirped run (:meth:`_chirps`), whose propagator is one cached
         one-sample propagator and one matrix power (:meth:`_chirped`);
         the quantum-jump fallback above steps the unmerged runs. Before
         each kernel chunk, slices of one canonical row, length and
@@ -820,57 +834,78 @@ class ScheduleExecutor:
         """
         model = self.model
         use_dm = model.has_decoherence()
+        # Large-D fallback: quantum jumps consume each schedule's own
+        # RNG during evolution.
+        jumps = use_dm and self.open_system.dim > self._MAX_SUPEROP_DIM
+        cdtype = active_dtype().cdtype
+        memo = self.drive_plans
         with span("synthesize", points=len(streams)) as sp:
             # (rows (R, K, C), magnitudes (R, 1 or K, C), steps (R, 1
-            # or K)) per family
+            # or K)) per family, and its prefix: None, or (P, plan,
+            # key, what the plan holds for it or None).
             plans = []
+            heads = []
             evaluated = samples = 0
             for family in families:
                 runs, rows, mags, n = drive_runs(
-                    family, self.model, self._channel_names, self.drive_plans
+                    family, model, self._channel_names, memo
                 )
-                plan = (
-                    rows,
-                    mags,
-                    np.array([n for _, n in runs], dtype=np.int64)[:, None],
-                )
+                head = None
+                if initial_state is None and not jumps:
+                    key = (cdtype, len(family) == 1)
+                    plan, p, held = memo.prefix(
+                        family, self._channel_names, runs, key
+                    )
+                    if p:
+                        head = (p, plan, key, held)
+                heads.append(head)
+                steps = np.array([n for _, n in runs], dtype=np.int64)[:, None]
                 if family.idle is not None:
-                    plan = insert_idle(family, runs, *plan)
-                plans.append(plan)
+                    rows, mags, steps = insert_idle(family, runs, rows, mags, steps)
+                plans.append((rows, mags, steps))
                 evaluated += n
                 samples += len(family) * sum(n for _, n in runs)
             sp.annotate(rows=evaluated, samples=samples)
         state0 = self._initial_state(initial_state, use_dm)
 
+        if jumps:
+            engine = self.open_system
+            finals = []
+            start = 0
+            for family, (rows, _, steps) in zip(families, plans):
+                stack = []
+                for j in range(len(family)):
+                    _check_cancel(should_cancel)
+                    if not len(steps):
+                        stack.append(state0)
+                        continue
+                    member = steps[:, min(j, steps.shape[1] - 1)]
+                    live = member > 0
+                    hs = self._run_hamiltonians_stack(rows[live, j])
+                    stack.append(
+                        engine.evolve_trajectories(
+                            hs,
+                            member[live],
+                            state0,
+                            rng=_stream(streams, start + j),
+                        )
+                    )
+                finals.append(np.stack(stack))
+                start += len(family)
+            return finals
         if use_dm:
             engine = self.open_system
-            if engine.dim > self._MAX_SUPEROP_DIM:
-                # Large-D fallback: quantum jumps consume each
-                # schedule's own RNG during evolution.
-                finals = []
-                start = 0
-                for family, (rows, _, steps) in zip(families, plans):
-                    stack = []
-                    for j in range(len(family)):
-                        _check_cancel(should_cancel)
-                        if not len(steps):
-                            stack.append(state0)
-                            continue
-                        member = steps[:, min(j, steps.shape[1] - 1)]
-                        live = member > 0
-                        hs = self._run_hamiltonians_stack(rows[live, j])
-                        stack.append(
-                            engine.evolve_trajectories(
-                                hs,
-                                member[live],
-                                state0,
-                                rng=_stream(streams, start + j),
-                            )
-                        )
-                    finals.append(np.stack(stack))
-                    start += len(family)
-                return finals
             state0 = vectorize_density(state0)
+
+        # A held prefix: the family starts from its state, past its
+        # runs, and hands _chirps the carry of its last run.
+        initial = [state0] * len(families)
+        seeds: list = [None] * len(families)
+        for f, head in enumerate(heads):
+            if head and head[3] is not None:
+                p, _, _, (initial[f], *seed) = head
+                plans[f] = tuple(part[p:] for part in plans[f])
+                seeds[f] = seed
 
         # Flat slice table, and kernel chunks of whole run positions,
         # each position a (family, first slice, K) triple.
@@ -887,8 +922,19 @@ class ScheduleExecutor:
             [np.broadcast_to(st, r.shape[:2]).reshape(-1) for r, _, st in plans]
         )
         positions = [len(r) for r, _, _ in plans]
+        # The prefixes this call evolves and keeps: family -> (its
+        # first slice, P, carry).
+        keeping = {}
+        offset = 0
+        for f, (family, head) in enumerate(zip(families, heads)):
+            k = len(family)
+            if head and head[3] is None:  # a miss
+                p = head[0]
+                carry = self._carry(angles[offset : offset + p * k : k])
+                keeping[f] = (offset, p, carry)
+            offset += positions[f] * k
         # Chirped runs: (N, Delta) per slice, or None when none merged.
-        chirps = self._chirps(families, positions, rows, angles, steps)
+        chirps = self._chirps(families, positions, rows, angles, steps, seeds)
         if chirps is not None:
             keep, positions, counts, deltas, covered = chirps
             rows, phases, steps = rows[keep], phases[keep], steps[keep]
@@ -912,10 +958,18 @@ class ScheduleExecutor:
             limit = max(1, self._MAX_CLOSED_BATCH_ENTRIES // model.dimension**2)
         chunks: list[list[tuple[int, int, int]]] = []
         chunk: list[tuple[int, int, int]] = []
+        # The slice after which a kept prefix's state is read.
+        ends = {}
         offset = 0
         for f, family in enumerate(families):
             if not len(family):  # a zero-point PUB: no slices
                 continue
+            if f in keeping:
+                first, p, _ = keeping[f]
+                if chirps is not None:  # the prefix's positions a chirp kept
+                    kept = keep[first : first + p * len(family)]
+                    p = int(np.count_nonzero(kept)) // len(family)
+                ends[f] = offset + p * len(family)
             for _ in range(positions[f]):
                 chunk.append((f, offset, len(family)))
                 offset += len(family)
@@ -925,12 +979,9 @@ class ScheduleExecutor:
         if chunk:
             chunks.append(chunk)
 
-        cdtype = active_dtype().cdtype
         states = [
-            np.asarray(
-                np.repeat(state0[None], len(family), axis=0), dtype=cdtype
-            )
-            for family in families
+            np.asarray(np.repeat(start[None], len(family), axis=0), dtype=cdtype)
+            for start, family in zip(initial, families)
         ]
         for chunk in chunks:
             lo = chunk[0][1]
@@ -989,6 +1040,14 @@ class ScheduleExecutor:
                 else:  # stacked matrices (operator-valued initial state)
                     state = np.matmul(u, state)
                 states[f] = out * state if turn else state
+                if ends.get(f) == a + k:
+                    _, plan, key, _ = heads[f]
+                    state = states[f]
+                    # Held only when every member shares it, as the
+                    # prefix's shared rows give.
+                    if (state == state[0]).all():
+                        held = (state[0].copy(), *keeping[f][2])
+                        memo.keep(plan, key, held)
         if use_dm:
             dim = model.dimension
             return [s.reshape(-1, dim, dim) for s in states]
@@ -1017,6 +1076,17 @@ class ScheduleExecutor:
             phases += angles[:, j, None] * w
         return np.where(lifted, magnitudes, rows), phases, angles
 
+    @staticmethod
+    def _carry(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What :meth:`_chirps` reads of a prefix of ``(P, C)`` channel
+        *angles*: the last row, and the running sum of the wrapped
+        turns into it, as its ``total`` holds it there."""
+        turn = np.diff(angles, axis=0)
+        turn -= _TWO_PI * np.round(turn / _TWO_PI)
+        if not len(turn):
+            return angles[-1].copy(), np.zeros(angles.shape[1])
+        return angles[-1].copy(), np.cumsum(turn, axis=0)[-1]
+
     def _chirps(
         self,
         families: list[ScheduleFamily],
@@ -1024,6 +1094,7 @@ class ScheduleExecutor:
         rows: np.ndarray,
         angles: np.ndarray,
         steps: np.ndarray,
+        seeds: list,
     ):
         """Merge every detuned constant play into one chirped run.
 
@@ -1047,6 +1118,12 @@ class ScheduleExecutor:
         the member takes the exact identity (steps 0, phase 0), and a
         position every member's chirp covers is dropped.
 
+        A family whose held prefix state skips its first runs has a
+        *seed*, that prefix's :meth:`_carry`: its turns and their running
+        sum go on from the skipped runs', as if they were there (no
+        chirp crosses a prefix's end). *seeds* holds one per family, or
+        ``None``.
+
         Returns ``None`` when nothing merges, else ``(keep, positions,
         counts, deltas, covered)``: the kept slices, each family's run
         positions after merging, and per kept slice its N (1 off
@@ -1057,7 +1134,7 @@ class ScheduleExecutor:
             return None
         plans = []
         offset = 0
-        for family, r in zip(families, positions):
+        for family, r, seed in zip(families, positions, seeds):
             k = len(family)
             part = slice(offset, offset + r * k)
             offset += r * k
@@ -1072,8 +1149,19 @@ class ScheduleExecutor:
             link &= (block[1:] == block[:-1]).all(axis=2)
             if not link.any():
                 continue
-            turn = np.diff(angles[part].reshape(r, k, -1), axis=0)
+            turned = angles[part].reshape(r, k, -1)
+            if seed is not None:  # from the skipped prefix's last run
+                first = np.broadcast_to(seed[0], turned[:1].shape)
+                turned = np.concatenate([first, turned])
+            turn = np.diff(turned, axis=0)
             turn -= _TWO_PI * np.round(turn / _TWO_PI)
+            if seed is None:
+                total = np.cumsum(turn, axis=0)
+                total = np.concatenate([np.zeros_like(total[:1]), total])
+            else:  # summed on from the prefix's running sum
+                first = np.broadcast_to(seed[1], turn[:1].shape)
+                total = np.cumsum(np.concatenate([first, turn]), axis=0)[1:]
+                turn = turn[1:]
             key = np.round(turn, 12)
             # A link continues the one before when both advance alike;
             # one that starts a new increment right after another link
@@ -1094,8 +1182,6 @@ class ScheduleExecutor:
             lasts = np.flatnonzero(ends.T)
             member, a = np.divmod(firsts, r - 1)
             b = lasts % (r - 1)
-            total = np.cumsum(turn, axis=0)
-            total = np.concatenate([np.zeros_like(total[:1]), total])
             mean = (total[b + 1, member] - total[a, member]) / (b + 1 - a)[:, None]
             counts = np.ones((r, k), dtype=np.int64)
             counts[a, member] = b + 2 - a

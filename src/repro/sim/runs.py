@@ -14,7 +14,9 @@ those starts, and whatever part of the drive no slot touches. It is
 built once per template: :class:`DrivePlans` memoises it per base
 schedule. :meth:`DrivePlan.bind` then evaluates one value matrix
 against it per call. :func:`insert_idle` adds a delay slot's idle
-run, whose length differs per member.
+run, whose length differs per member. The runs before the first slot
+are the plan's prefix: the executor evolves them once and keeps, on
+the plan, the state they leave.
 
 Every value is computed with the operations a per-sample evaluation
 would take, so the runs and their rows are bitwise what segmenting the
@@ -251,6 +253,14 @@ class DrivePlan:
     Built from the base schedule, its slots, its delay slot and the
     model; it reads no value. Its arrays are read-only, so one plan
     serves every thread that binds it.
+
+    Its *prefix* is the runs before :attr:`head`, the first candidate
+    a slot can move (a slotted frame event or play, or the delay cut),
+    ending after its last run longer than one sample. Every call has
+    these runs unless a value merges the first slotted run into the
+    last of them, which :meth:`leading` checks per call. The first bind
+    finds them; :attr:`states` holds what the executor keeps of their
+    evolution (see :class:`DrivePlans`).
     """
 
     __slots__ = (
@@ -263,6 +273,9 @@ class DrivePlan:
         "idle",
         "dt",
         "brought",
+        "head",
+        "prefix",
+        "states",
     )
 
     def __init__(
@@ -387,6 +400,15 @@ class DrivePlan:
         starts = sorted(starts)
         self.starts = starts = starts[: bisect_left(starts, duration)]
         candidates = np.array(starts, dtype=np.int64)
+        # The first candidate a slot can move: a slotted frame event or
+        # play, or the delay cut. The drive before it reads no value.
+        moves = [items[pos].t0 for pos, _, _ in family.slots]
+        if idle is not None:
+            moves.append(idle.cut)
+        self.head = bisect_left(starts, min(moves, default=duration))
+        self.prefix: list[tuple[int, int]] | None = None  # set by the first bind
+        #: The state the prefix leaves, per key (see :class:`DrivePlans`).
+        self.states: dict = {}
         # Which candidates each member-set brings, for a one-member
         # family (see _single_products): at the reference, and per
         # timeline a slot may detune.
@@ -567,12 +589,56 @@ class DrivePlan:
         merged = [first for first, _ in segment_runs(drives.transpose(1, 0, 2))]
         bounds = [self.starts[i] for i in merged] + [self.duration]
         runs = [(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        if self.prefix is None:
+            self.prefix = self._prefix(merged)
         return (
             runs,
             drives[:, merged].transpose(1, 0, 2),
             envelope[:, merged].transpose(1, 0, 2),
             k * m,
         )
+
+    def _prefix(self, merged: list[int]) -> list[tuple[int, int]]:
+        """The value-free prefix: the runs of the candidates before
+        :attr:`head`, given one call's first candidate of each run.
+
+        Equal neighbours merge by value, so the runs before the head
+        are every call's; only whether the last of them merges with
+        the first slotted one varies, and the prefix ends at the head
+        regardless. It then ends after its last run longer than one
+        sample: two one-sample runs may merge into one chirped run
+        (:meth:`~repro.sim.executor.ScheduleExecutor._chirps`), so no
+        chirp crosses the prefix's end.
+        """
+        head = self.head
+        p = bisect_left(merged, head)
+        end = self.starts[head] if head < len(self.starts) else self.duration
+        bounds = [self.starts[i] for i in merged[:p]] + [end]
+        prefix = [(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        while prefix and prefix[-1][1] == 1:
+            prefix.pop()
+        return prefix
+
+    def leading(self, runs: list[tuple[int, int]], k: int) -> int:
+        """How many of a *k*-member call's leading *runs* the prefix
+        stands for: its length, or 0 when the call's runs differ from
+        it (a value merged the first slotted run into the last prefix
+        run) or a one-member family has a slotted frequency (its
+        one-candidate plays then take values-dependent products, see
+        :meth:`_singles`)."""
+        p = len(self.prefix or ())
+        if not p or not k or (k == 1 and self.brought is not None):
+            return 0
+        return p if runs[:p] == self.prefix else 0
+
+
+class _Counters:
+    """A ``stats`` holder that :data:`REGISTRY` can reference weakly."""
+
+    __slots__ = ("stats", "__weakref__")
+
+    def __init__(self, size) -> None:
+        self.stats = CacheStats(size, lambda: None, hits=0, misses=0, evictions=0)
 
 
 class DrivePlans:
@@ -583,6 +649,12 @@ class DrivePlans:
     an item on it (which bumps ``_seq``) plans it again. Bases are held
     weakly, so a template that is refreshed or dropped takes its plans
     with it. Thread-safe; ``stats()`` has the uniform cache shape.
+
+    Each plan also holds the state its prefix leaves (:meth:`state`,
+    :meth:`keep`), read-only, under the same lock; it goes with its
+    plan. ``snapshots.stats()`` counts those lookups in the same shape:
+    ``hits``, ``misses``, ``evictions`` (states dropped with their
+    plans when ``_seq`` moved) and ``size`` (states held).
     """
 
     def __init__(self) -> None:
@@ -591,13 +663,58 @@ class DrivePlans:
         self.stats = CacheStats(
             self.__len__, lambda: None, hits=0, misses=0, evictions=0
         )
+        self.snapshots = _Counters(self._held)
         REGISTRY.register_cache(
             REGISTRY.autoname("drive-plan"), self, kind="drive-plan"
+        )
+        REGISTRY.register_cache(
+            REGISTRY.autoname("drive-prefix"), self.snapshots, kind="drive-prefix"
         )
 
     def __len__(self) -> int:
         with self._lock:
             return sum(len(plans) for _, plans in self._plans.values())
+
+    def _held(self) -> int:
+        with self._lock:
+            return sum(
+                len(plan.states)
+                for _, plans in self._plans.values()
+                for plan in plans.values()
+            )
+
+    def _find(self, family: ScheduleFamily, channels: Sequence[str]):
+        """*family*'s memoised plan, or ``None``; under the lock."""
+        base = family.base
+        seq, plans = self._plans.get(base, (None, {}))
+        if seq != base._seq:
+            return None
+        return plans.get((family.slots, family.idle, tuple(channels)))
+
+    def prefix(
+        self, family: ScheduleFamily, channels: Sequence[str], runs: list, key
+    ) -> tuple:
+        """``(plan, p, held)`` for a call of *family* whose runs are
+        *runs*: its memoised plan, how many of the runs its prefix
+        stands for (:meth:`DrivePlan.leading`), and the state those
+        runs leave under *key*, or ``None``. When *p* is 0 no state is
+        looked up or counted."""
+        with self._lock:
+            plan = self._find(family, channels)
+            p = 0 if plan is None else plan.leading(runs, len(family))
+            held = None
+            if p:
+                held = plan.states.get(key)
+                self.snapshots.stats["misses" if held is None else "hits"] += 1
+        return plan, p, held
+
+    def keep(self, plan: DrivePlan, key, held: tuple) -> None:
+        """Hold *held*, a tuple of arrays (frozen here), for *plan*'s
+        prefix under *key*."""
+        for array in held:
+            _frozen(array)
+        with self._lock:
+            plan.states.setdefault(key, held)
 
     def plan(
         self, family: ScheduleFamily, model: SystemModel, channels: Sequence[str]
@@ -606,8 +723,7 @@ class DrivePlans:
         base = family.base
         key = (family.slots, family.idle, tuple(channels))
         with self._lock:
-            seq, plans = self._plans.get(base, (None, {}))
-            plan = plans.get(key) if seq == base._seq else None
+            plan = self._find(family, channels)
             if plan is not None:
                 self.stats["hits"] += 1
                 return plan
@@ -617,6 +733,9 @@ class DrivePlans:
             seq, plans = self._plans.get(base, (None, {}))
             if seq != base._seq:
                 self.stats["evictions"] += len(plans)
+                self.snapshots.stats["evictions"] += sum(
+                    len(old.states) for old in plans.values()
+                )
                 plans = {}
                 self._plans[base] = (base._seq, plans)
             plans[key] = plan
@@ -675,6 +794,11 @@ def drive_runs(
     longer member, and each moved play carries the carrier phase
     its frame accumulates over the inserted samples, ``2 pi
     (f_frame - f_ref) extra_k dt``.
+
+    The runs before the first candidate a slot can move read no value:
+    they are the plan's prefix (:meth:`DrivePlan.leading`), whose
+    evolved state the executor keeps on the plan (:class:`DrivePlans`),
+    so a later call starts past them.
 
     The magnitudes are the drive's ``|a|`` taken from the envelope
     before modulation — members share their plays, so one row

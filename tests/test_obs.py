@@ -377,8 +377,10 @@ class TestCacheIntegration:
             PropagatorCache(max_entries=4),
             # The executable memo ("template" cache) lives on the target.
             Estimator(SuperconductingDevice(num_qubits=1)).target,
-            # Drive plans per template, and mitigation variants.
+            # Drive plans per template, the states their prefixes
+            # leave, and mitigation variants.
             SuperconductingDevice(num_qubits=1).executor.drive_plans,
+            SuperconductingDevice(num_qubits=1).executor.drive_plans.snapshots,
             VARIANTS,
         ]
         for cache in caches:

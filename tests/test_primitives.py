@@ -687,3 +687,44 @@ class TestSweepTicketExpectations:
             [(repro.Program.from_schedule(s), Observable.z(0)) for s in schedules]
         )
         np.testing.assert_allclose(z, [float(r.data.evs) for r in direct], atol=1e-12)
+
+
+def test_a_held_primitive_runs_the_drifted_model():
+    """A direct primitive reads the device's executor at each run: after
+    a drift step a held Estimator equals a fresh one bitwise, and a
+    held VQE's energy reads the drifted model."""
+    from repro.control import CtrlVQE, GateVQE
+    from repro.control.hamiltonians import h2_hamiltonian
+
+    device = SuperconductingDevice(num_qubits=2, drift_rate=2e4, seed=5)
+    sb = SequenceBuilder("drifting")
+    drive = sb.add_mixed_frame_arg("f0", device.drive_port(0).name)
+    acquire = sb.add_mixed_frame_arg("a0", device.acquire_port(0).name)
+    theta = sb.add_scalar_arg("theta")
+    sb.play(drive, sb.waveform(ParametricWaveform("square", 64, {"amp": 0.2})))
+    sb.shift_phase(drive, theta)
+    sb.play(drive, sb.waveform(ParametricWaveform("square", 64, {"amp": 0.2})))
+    sb.barrier(drive, acquire)
+    sb.capture(acquire, 0, 8)
+    sb.ret()
+    program = repro.Program.from_mlir(print_module(sb.module))
+    pub = (program, "Z", {"theta": [0.3, 1.9]})
+    held = Estimator(device)
+    gate = GateVQE(device, h2_hamiltonian(), layers=1)
+    ctrl = CtrlVQE(device, h2_hamiltonian(), segments=2, segment_samples=16)
+    params = np.linspace(0.1, 1.0, gate.num_parameters)
+    controls = np.linspace(-0.2, 0.2, ctrl.num_parameters)
+    before = held.run([pub])[0].data.evs
+    energies = gate.energy(params), ctrl.energy(controls)
+    device.advance_time(600.0)
+    after = held.run([pub])[0].data.evs
+    assert after.tobytes() == Estimator(device).run([pub])[0].data.evs.tobytes()
+    assert not np.allclose(after, before)
+    drifted = (
+        GateVQE(device, h2_hamiltonian(), layers=1).energy(params),
+        CtrlVQE(device, h2_hamiltonian(), segments=2, segment_samples=16).energy(
+            controls
+        ),
+    )
+    assert (gate.energy(params), ctrl.energy(controls)) == drifted
+    assert drifted != energies

@@ -281,8 +281,11 @@ def test_lindblad_pub_applies_one_row_per_distinct_run(monkeypatch):
     assert numpy.stacked == []
     lookups.clear()
     run(2)
-    assert lookups == [(21, 21, 21)]
-    assert (cache.stats["hits"], cache.stats["misses"]) == (21, 21)
+    # The first 12 positions are the template's value-free prefix: the
+    # warm call starts every member from the state they left, and looks
+    # up the other 9.
+    assert lookups == [(9, 9, 9)]
+    assert (cache.stats["hits"], cache.stats["misses"]) == (9, 21)
     assert numpy.stacked == []
 
 
@@ -307,12 +310,14 @@ def test_closed_pub_builds_one_hamiltonian_per_driven_position(monkeypatch):
     )
     rng = np.random.default_rng(0)
     grid = {f"theta{k}": rng.uniform(-np.pi, np.pi, 64) for k in range(8)}
-    for _ in range(2):
+    # The warm call starts from the state the 12-position value-free
+    # prefix left, and builds the other 8 driven positions.
+    for expected in ([20], [8]):
         estimator.run([(program, "Z", grid)])
-        assert built == [20]
+        assert built == expected
         built.clear()
     cache = executor.propagator_cache
-    assert (cache.stats["hits"], cache.stats["misses"], len(cache)) == (20, 20, 20)
+    assert (cache.stats["hits"], cache.stats["misses"], len(cache)) == (8, 20, 20)
 
 
 def test_members_differing_at_a_position_gather_its_rows(monkeypatch):
@@ -395,3 +400,52 @@ def test_misses_less_deduped_is_the_kernel_work(monkeypatch):
     assert run.ok, run.error
     assert 0 < sum(kernel) < sum(missed)
     assert sum(computed) == sum(kernel)
+
+
+def test_a_family_slotted_at_its_start_looks_up_no_prefix_state():
+    """The mitigated workload's variants open with a slotted phase
+    shift: their plans have no prefix, so no call looks a state up."""
+    from test_qem_families import STACKS, ansatz, qem_device
+
+    device = qem_device()
+    estimator = Estimator(device, options=STACKS["zne-twirl-readout"], seed=0)
+    program = ansatz(device)
+    grid = {f"theta{k}": np.linspace(-1, 1, 8) + k for k in range(4)}
+    for _ in range(2):
+        estimator.run([(program, "Z", grid)])
+    assert device.executor.drive_plans.stats()["hits"] == 6
+    stats = device.executor.drive_plans.snapshots.stats()
+    assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
+
+
+def test_the_first_call_after_a_drift_step_misses_the_prefix_state():
+    """A drift step replaces the executor: the held Estimator's next
+    call runs on the new model and evolves its prefix (an idle head,
+    which the drift leaves one run) again."""
+    device = SuperconductingDevice(num_qubits=1, drift_rate=2e4, seed=3)
+    sb = SequenceBuilder("idle-head")
+    drive = sb.add_mixed_frame_arg("f0", device.drive_port(0).name)
+    acquire = sb.add_mixed_frame_arg("a0", device.acquire_port(0).name)
+    thetas = [sb.add_scalar_arg(f"theta{k}") for k in range(2)]
+    sb.delay(drive, 64)
+    for theta in thetas:
+        sb.shift_phase(drive, theta)
+        sb.play(drive, sb.waveform(constant_waveform(16, 0.2)))
+    sb.barrier(drive, acquire)
+    sb.capture(acquire, 0, 8)
+    sb.ret()
+    program = repro.Program.from_mlir(print_module(sb.module))
+    estimator = Estimator(repro.Target.from_device(device))
+    rng = np.random.default_rng(0)
+    grid = {f"theta{k}": rng.uniform(-np.pi, np.pi, 4) for k in range(2)}
+
+    def snapshots():
+        stats = device.executor.drive_plans.snapshots.stats()
+        return stats["hits"], stats["misses"], stats["size"]
+
+    for _ in range(2):
+        estimator.run([(program, "Z", grid)])
+    assert snapshots() == (1, 1, 1)
+    device.advance_time(600.0)
+    estimator.run([(program, "Z", grid)])
+    assert snapshots() == (0, 1, 1)
