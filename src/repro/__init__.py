@@ -29,8 +29,8 @@ Layering (bottom to top)::
                 Observable expectation engine — the workload tier
                 batching whole parameter grids through the fast paths
     runtime     second-level scheduler and resource management
-    serving     asynchronous execution service over client + runtime:
-                per-device worker pools, content-addressed compile
+    serving     asynchronous execution service over the client:
+                one worker per device, content-addressed compile
                 cache, identical-program coalescing with
                 shot-splitting, capability failover, latency metrics
     control     GRAPE, parametric optimization, ctrl-VQE
@@ -49,9 +49,10 @@ Layering (bottom to top)::
 
 The serving layer sits above ``client`` and beside ``runtime``: the
 scheduler's :meth:`~repro.runtime.scheduler.SecondLevelScheduler.drain`
-executes through a :class:`~repro.serving.service.PulseService`, while
-applications needing asynchronous submission talk to the service
-directly (see ``examples/serving_quickstart.py``).
+runs its queue through the client itself, one lane per device, while
+applications needing asynchronous submission talk to a
+:class:`~repro.serving.service.PulseService` (see
+``examples/serving_quickstart.py``).
 """
 
 from repro import obs, pipeline, qem

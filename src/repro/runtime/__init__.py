@@ -3,8 +3,8 @@ scheduler" inside the Quantum Resource Manager & Compiler
 Infrastructure).
 
 * :mod:`repro.runtime.scheduler` — a priority/FIFO second-level
-  scheduler over multiple QDMI devices (drained through the
-  :mod:`repro.serving` worker pools, so independent devices execute
+  scheduler over multiple QDMI devices (drained through the client on
+  one lane per device, so independent devices execute
   concurrently), plus the calibration-aware variant that implements
   §2.1's "resource-aware calibration planning": it watches each
   device's drift budget and interleaves calibration runs with user

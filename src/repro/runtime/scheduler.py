@@ -6,30 +6,28 @@ providers, like HPC centers ... dynamically schedule calibrations based
 on anticipated demand", enabling "resource-aware calibration planning".
 
 :class:`SecondLevelScheduler` orders queued jobs by (priority, arrival)
-and drains them through the serving layer: :meth:`drain` builds a
-:class:`~repro.serving.service.PulseService` over the client, so
-independent devices execute concurrently while each device's queue
-keeps priority+FIFO order. Request coalescing and failover are
-disabled in this mode — the scheduler promises one device execution
-per queued job, in schedule order, which the calibration-aware
-subclass depends on.
+and :meth:`~SecondLevelScheduler.drain` runs them through the client:
+each device's jobs run in that order on one lane, and independent
+devices' lanes run concurrently (the draining thread runs one, each
+further device gets its own thread). The scheduler promises one device
+execution per queued job, on its requested device, in schedule order,
+which the calibration-aware subclass depends on.
 
 :class:`CalibrationAwareScheduler` additionally tracks a drift budget
 per device — wall-clock since last calibration times the device's drift
 rate — and interleaves a calibration callback whenever the predicted
 frequency error crosses a threshold, amortizing it before batches
-rather than mid-stream. The hook runs on the thread that executes the
-job — the device's worker, or the draining caller when the job heads
-an idle queue — serialized per device by the pool's one execution
-slot.
+rather than mid-stream. The hook runs on the job's lane, right before
+the job, under the drain-wide lock.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.client.client import ClientResult, JobRequest, MQSSClient
 
@@ -90,74 +88,62 @@ class SecondLevelScheduler:
     def _before_dispatch(self, job: ScheduledJob, report: SchedulerReport) -> None:
         """Hook for subclasses (calibration interleaving).
 
-        Called on the thread that executes the job (its device's
-        worker, or the draining caller), immediately before the job
-        executes; calls are serialized per device (and globally
-        serialized by the drain-wide hook lock)."""
-
-    def _make_service(self, capacity: int):
-        """The PulseService drain() executes through (one per drain)."""
-        from repro.serving import (
-            CapabilityRouter,
-            PulseService,
-            RequestBatcher,
-        )
-
-        return PulseService(
-            self.client,
-            router=CapabilityRouter(self.client.driver, allow_failover=False),
-            batcher=RequestBatcher(enabled=False),
-            max_pending=max(1, capacity),
-            per_device_pending=None,
-            # One worker per device: the _before_dispatch contract
-            # (hook + execution serialized per device, schedule order
-            # preserved) requires it.
-            workers_per_device=1,
-            start=False,
-        )
+        Called on the job's lane immediately before the job compiles
+        and executes, under the drain-wide lock; an exception fails
+        the job."""
 
     def drain(self) -> SchedulerReport:
-        """Run every queued job to completion, in schedule order."""
+        """Run every queued job to completion, in schedule order.
+
+        Jobs are split into one lane per requested device, each in
+        (priority, arrival) order. The calling thread runs the first
+        lane and each further lane runs on its own thread, so
+        independent devices execute concurrently. Every lane runs in a
+        copy of the caller's context (a ``use_dtype`` scope around
+        ``drain()`` reaches every job).
+        """
         report = SchedulerReport()
         t_start = time.perf_counter()
         queue = sorted(self._queue)
         self._queue.clear()
-
-        service = self._make_service(len(queue))
-        jobs_by_ticket: dict[Any, ScheduledJob] = {}
-        hook_lock = threading.Lock()
-
-        def hook(entry) -> None:
-            job = jobs_by_ticket[entry.tickets[0]]
-            with hook_lock:
-                self._before_dispatch(job, report)
-
-        service.before_execute = hook
-
-        # Queue everything before the workers start, so each device
-        # pool sees the full (priority, arrival) order up front.
-        pairs = []
+        lanes: dict[str, list[ScheduledJob]] = {}
         for job in queue:
-            ticket = service.submit(job.request)
-            jobs_by_ticket[ticket] = job
-            pairs.append((job, ticket))
-        service.start()
-        try:
-            for job, ticket in pairs:
-                error = ticket.exception()
-                if error is None:
-                    job.result = ticket.result()
+            lanes.setdefault(job.request.device, []).append(job)
+        lock = threading.Lock()
+
+        def run_lane(jobs: list[ScheduledJob]) -> None:
+            for job in jobs:
+                job.wait_s = max(0.0, time.perf_counter() - job.enqueued_at)
+                try:
+                    with lock:
+                        self._before_dispatch(job, report)
+                    program = self.client.compile_request(job.request)
+                    job.result = self.client.execute_compiled(job.request, program)
+                except Exception:
+                    with lock:
+                        report.failed += 1
+                    continue
+                with lock:
                     report.completed += 1
-                    dev = job.result.device
-                    report.per_device_jobs[dev] = (
-                        report.per_device_jobs.get(dev, 0) + 1
+                    device = job.result.device
+                    report.per_device_jobs[device] = (
+                        report.per_device_jobs.get(device, 0) + 1
                     )
-                else:
-                    report.failed += 1
-                if ticket.dispatched_at is not None:
-                    job.wait_s = max(0.0, ticket.dispatched_at - job.enqueued_at)
-        finally:
-            service.stop()
+
+        first, *rest = list(lanes.values()) or [[]]
+        threads = [
+            threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(run_lane, jobs),
+                name=f"drain-{jobs[0].request.device}",
+            )
+            for jobs in rest
+        ]
+        for thread in threads:
+            thread.start()
+        run_lane(first)
+        for thread in threads:
+            thread.join()
 
         report.total_wall_s = time.perf_counter() - t_start
         waits = [j.wait_s for j in queue]

@@ -12,12 +12,12 @@ synchronous client stack into that service:
   workers compile through the client's JIT compiler, whose
   content-addressed memo (payload x device calibration state) lets
   repeat programs skip the pass pipeline;
-* :mod:`repro.serving.workers` — per-device worker pools so
-  independent devices execute in parallel while each device's queue
-  drains FIFO-within-priority; a caller blocked on a ticket whose
-  entry heads an idle queue runs it on its own thread;
+* :mod:`repro.serving.workers` — one queue and one worker thread per
+  device, so independent devices execute in parallel while each
+  device's queue drains FIFO-within-priority; a caller blocked on a
+  ticket whose entry heads an idle queue runs it on its own thread;
 * :mod:`repro.serving.routing` — :class:`CapabilityRouter`: failover
-  and load-spill onto capability-equivalent devices;
+  onto capability-equivalent devices;
 * :mod:`repro.serving.batching` — :class:`RequestBatcher`: coalesces
   identical-program requests into one execution and splits the
   sampled shots back per request;

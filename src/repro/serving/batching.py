@@ -25,12 +25,6 @@ import numpy as np
 class RequestBatcher:
     """Coalescing policy + shot-splitting for identical-program requests.
 
-    Parameters
-    ----------
-    enabled:
-        When false, every request executes individually (the scheduler
-        compatibility mode).
-
     Shot splits draw from an RNG seeded with 0, so they are
     deterministic.
     """
@@ -38,8 +32,7 @@ class RequestBatcher:
     #: Largest number of requests coalesced into one execution.
     max_batch = 32
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._rng = np.random.default_rng(0)
         self._rng_lock = threading.Lock()
 

@@ -1,12 +1,11 @@
 """Capability-based routing and failover for the serving layer.
 
 The driver's registry (paper Fig. 2) holds heterogeneous QDMI devices;
-when the requested device fails mid-job or its queue is saturated, a
-capable stand-in can often serve the request instead — the same
-technology, at least as many sites, pulse access no weaker, and an
-executable program format in common. :class:`CapabilityRouter` ranks
-those equivalents per request; :class:`PulseService` walks the list on
-failure (failover) and on admission (load spill).
+when the requested device fails mid-job, a capable stand-in can often
+serve the request instead — the same technology, at least as many
+sites, pulse access no weaker, and an executable program format in
+common. :class:`CapabilityRouter` ranks those equivalents per request;
+:class:`PulseService` walks the list on failure (failover).
 """
 
 from __future__ import annotations
@@ -34,16 +33,13 @@ class CapabilityRouter:
     ----------
     driver:
         The device registry to route over.
-    allow_failover:
-        When false, every request is pinned to its requested device.
     """
 
     #: Upper bound on the candidate list length (primary included).
     max_candidates = 3
 
-    def __init__(self, driver: QDMIDriver, *, allow_failover: bool = True) -> None:
+    def __init__(self, driver: QDMIDriver) -> None:
         self.driver = driver
-        self.allow_failover = allow_failover
 
     # ---- capability model ----------------------------------------------------------
 
@@ -79,8 +75,6 @@ class CapabilityRouter:
         """
         primary = request.device
         self.driver.get_device(primary)  # existence check, raises QDMIError
-        if not self.allow_failover:
-            return [primary]
         out = [primary]
         for name in self.driver.device_names():
             if name != primary and self.equivalent(primary, name):

@@ -10,29 +10,28 @@ coalescing, and capability failover.
 Pipeline per queue entry (one request, or the points of a sweep)::
 
     submit ──▶ admission control (bounded in-flight requests)
-           ──▶ routing (capability candidates, load spill)
+           ──▶ routing (capability candidates)
            ──▶ device queue (priority + FIFO)
-    waiting caller (entry at the queue head) or worker
+    waiting caller (entry at the queue head) or the device's worker
            ──▶ coalesce mates ──▶ compile cache (per point)
-           ──▶ one batched execution (serialized per device)
+           ──▶ one batched execution (one group per device at a time)
            ──▶ shot split ──▶ resolve tickets
     failure ──▶ failover to the next equivalent device, else fail tickets
 
-An unbounded wait on a ticket (``result()``, ``exception()``,
-``wait()``) runs the ticket's entry on the waiting thread when a
-worker would pop it next: the pool is started and not stopping, the
-entry heads its queue, and fewer than ``workers_per_device`` groups
-of the pool are running. The caller pops the entry with its
-coalescing mates, exactly as a worker would, and runs the same
-:meth:`PulseService._execute_group`, so a closed loop of submit then
-wait pays no thread handoff. A bounded wait never runs work.
+An unbounded wait on a ticket (``result()`` or ``wait()``) runs the
+ticket's entry on the waiting thread when the worker would pop it
+next: the pool is started and not stopping, the entry heads its
+queue, and no group of the pool is running. The caller pops the entry
+with its coalescing mates, exactly as the worker would, and runs the
+same :meth:`PulseService._execute_group`, so a closed loop of submit
+then wait pays no thread handoff. A bounded wait never runs work.
 
-Failure semantics: *flow control* problems (service or device queue
-full and not asked to block) raise
-:class:`~repro.errors.BackpressureError` at ``submit``; *request*
-problems (unknown device/adapter, execution failure after failover is
-exhausted) are carried by the ticket and re-raised from
-``ticket.result()``.
+Failure semantics: a full service (``max_pending`` requests in flight,
+and not asked to block) raises :class:`~repro.errors.BackpressureError`
+at ``submit``; a stopped service raises
+:class:`~repro.errors.ServiceError`; *request* problems (unknown
+device/adapter, execution failure after failover is exhausted) are
+carried by the ticket and re-raised from ``ticket.result()``.
 """
 
 from __future__ import annotations
@@ -137,14 +136,6 @@ class JobTicket:
             raise self._error
         assert self._result is not None
         return self._result
-
-    def exception(self, timeout: float | None = None) -> Exception | None:
-        """The failure, or None on success; blocks like :meth:`result`."""
-        if not self.wait(timeout):
-            raise ServiceError(
-                f"ticket {self.id} not done within {timeout}s"
-            )
-        return self._error
 
     def cancel(self) -> bool:
         """Request cancellation; False once the ticket is terminal.
@@ -254,63 +245,44 @@ class PulseService:
 
     Parameters
     ----------
+    Each device gets one queue and one worker thread; identical
+    requests coalesce and a failed execution fails over to a
+    capability-equivalent device (:class:`CapabilityRouter`).
+    Compilation goes through ``client.compiler``, whose memo is the
+    compile cache the service shares with every other path over the
+    client.
+
+    Parameters
+    ----------
     client:
         The client whose compile/execute halves do the actual work.
         Give it ``persistent_sessions=True`` to avoid per-job session
         churn under load.
-    router / batcher / metrics:
-        Policy objects; sensible defaults are constructed when omitted.
-        Compilation goes through ``client.compiler``, whose memo is
-        the compile cache the workers share with every other path
-        over the client.
     max_pending:
         Bound on requests in flight service-wide — admission control.
-    per_device_pending:
-        Bound per device queue (None = unbounded). A full device queue
-        spills to an equivalent device when failover is allowed.
-    workers_per_device:
-        Threads per device pool, and the cap on the pool's groups
-        running at once, counting those a waiting caller runs. Device
-        execution is serialized by the pool's exec lock regardless;
-        extra workers overlap compilation with execution.
     start:
-        Start worker threads immediately. With ``start=False``,
+        Start the worker threads immediately. With ``start=False``,
         requests queue up until :meth:`start` — useful to maximize
         coalescing for a known batch.
     """
 
     def __init__(
-        self,
-        client: MQSSClient,
-        *,
-        router: CapabilityRouter | None = None,
-        batcher: RequestBatcher | None = None,
-        metrics: ServingMetrics | None = None,
-        max_pending: int = 1024,
-        per_device_pending: int | None = 64,
-        workers_per_device: int = 1,
-        start: bool = True,
+        self, client: MQSSClient, *, max_pending: int = 1024, start: bool = True
     ) -> None:
         if max_pending < 1:
             raise ServiceError(f"max_pending must be >= 1, got {max_pending}")
         self.client = client
-        self.router = router if router is not None else CapabilityRouter(client.driver)
-        self.batcher = batcher if batcher is not None else RequestBatcher()
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.router = CapabilityRouter(client.driver)
+        self.batcher = RequestBatcher()
+        self.metrics = ServingMetrics()
         self.max_pending = max_pending
-        self.per_device_pending = per_device_pending
-        self.workers_per_device = workers_per_device
-        #: Optional hook called on the thread that runs each entry (a
-        #: worker or a waiting caller) right before it executes,
-        #: serialized per device with one worker — the calibration-
-        #: aware scheduler interleaves drift tracking through it.
-        self.before_execute: Callable[[ServiceEntry], None] | None = None
         self._pools: dict[str, DevicePool] = {}
         self._pools_lock = threading.RLock()
         self._admit = threading.Condition()
         self._in_flight = 0
         self._arrivals = itertools.count()
         self._started = False
+        self._stopped = False
         if start:
             self.start()
 
@@ -320,14 +292,20 @@ class PulseService:
         """Start (or resume) draining the device queues."""
         with self._pools_lock:
             self._started = True
+            self._stopped = False
             for pool in self._pools.values():
                 pool.start()
         return self
 
     def stop(self, wait: bool = True) -> None:
-        """Drain queued work and stop the worker threads."""
+        """Drain queued work and stop the worker threads.
+
+        Submissions raise :class:`~repro.errors.ServiceError` until
+        :meth:`start` resumes the service.
+        """
         with self._pools_lock:
             self._started = False
+            self._stopped = True
             pools = list(self._pools.values())
         for pool in pools:
             pool.stop(wait=wait)
@@ -361,21 +339,20 @@ class PulseService:
         """Admit *request*; returns its ticket immediately.
 
         Raises :class:`~repro.errors.BackpressureError` when the
-        service (or the request's device queue, with failover off) is
-        full — unless *block*, which waits up to *timeout* for space.
-        Request-level errors (unknown device/adapter…) do not raise:
-        they come back on the ticket.
+        service is full — unless *block*, which waits up to *timeout*
+        for space — and :class:`~repro.errors.ServiceError` when it is
+        stopped. Request-level errors (unknown device/adapter…) do not
+        raise: they come back on the ticket.
 
-        ``submit_many``, ``Executable.run_async`` on a service target
-        (``repro.compile(program, Target.from_service(service,
-        device)).run_async()``) and the second-level scheduler all
-        admit through it; ``submit_sweep`` admits its points through
-        the same slot reservation and placement, as multi-point
-        entries.
+        ``submit_many`` and ``Executable.run_async`` on a service
+        target (``repro.compile(program, Target.from_service(service,
+        device)).run_async()``) admit through it; ``submit_sweep``
+        admits its points through the same slot reservation and
+        placement, as multi-point entries.
         """
         ticket = self._new_ticket(request)
         self._reserve(1, block=block, timeout=timeout)
-        self._enqueue([request], [ticket], block=block, timeout=timeout)
+        self._enqueue([request], [ticket])
         return ticket
 
     def submit_many(
@@ -400,9 +377,8 @@ class PulseService:
         :class:`JobTicket`) per scan point and returns a
         :class:`~repro.serving.sweeps.SweepTicket` over them. The
         points queue as a single entry — split into chunks only when
-        the sweep exceeds the free admission slots (``max_pending``)
-        or the device queue's room (``per_device_pending``) — and a
-        worker runs each chunk as one batched device execution: every
+        the sweep exceeds the free admission slots (``max_pending``) —
+        and each chunk runs as one batched device execution: every
         point compiles through the shared compile cache, then all of
         them evolve in one :meth:`ScheduleExecutor.execute_batch
         <repro.sim.executor.ScheduleExecutor.execute_batch>` pass, each
@@ -421,9 +397,10 @@ class PulseService:
         A point cancelled while its chunk is queued drops out of it;
         a running chunk aborts only when every point asked to cancel.
         An admission failure partway through (backpressure with
-        ``block=False``) never orphans the points already admitted:
-        the failed points' tickets carry the error and the returned
-        :class:`SweepTicket` stays complete and scan-ordered.
+        ``block=False``, or a stopped service) never orphans the points
+        already admitted: the failed points' tickets carry the error
+        and the returned :class:`SweepTicket` stays complete and
+        scan-ordered.
         """
         from repro.serving.sweeps import SweepTicket
 
@@ -450,14 +427,9 @@ class PulseService:
                 tickets[start]._fail(exc)
                 start += 1
                 continue
-            room = self._queue_room(requests[start].device)
-            if room is not None and room < size:
-                keep = room if room > 0 else min(size, self.per_device_pending)
-                self._release(size - keep)
-                size = keep
             stop = start + size
             try:
-                self._enqueue(requests[start:stop], tickets[start:stop], block=block)
+                self._enqueue(requests[start:stop], tickets[start:stop])
             except Exception as exc:
                 for ticket in tickets[start:stop]:
                     ticket._fail(exc)
@@ -472,6 +444,8 @@ class PulseService:
     def _reserve(self, want: int, *, block: bool, timeout: float | None) -> int:
         """Take up to *want* admission slots (at least one); the count."""
         with self._admit:
+            if self._stopped:
+                raise ServiceError("service is stopped: start() it to submit")
             if self._in_flight >= self.max_pending:
                 if not block:
                     self.metrics.incr("rejected_backpressure")
@@ -500,22 +474,7 @@ class PulseService:
             self._in_flight += granted
             return granted
 
-    def _queue_room(self, device_name: str) -> int | None:
-        """Free points in *device_name*'s queue (None when unbounded)."""
-        if self.per_device_pending is None:
-            return None
-        with self._pools_lock:
-            pool = self._pools.get(device_name)
-        return self.per_device_pending - (pool.pending if pool else 0)
-
-    def _enqueue(
-        self,
-        requests: list[JobRequest],
-        tickets: list[JobTicket],
-        *,
-        block: bool,
-        timeout: float | None = None,
-    ) -> None:
+    def _enqueue(self, requests: list[JobRequest], tickets: list[JobTicket]) -> None:
         """Queue admitted points as one entry (slots already reserved)."""
         try:
             entry = self._build_entry(requests, tickets)
@@ -525,11 +484,10 @@ class PulseService:
             for ticket in tickets:
                 ticket._fail(exc)
             return
-        try:
-            self._place(entry, block=block, timeout=timeout)
-        except BaseException:
+        if not self._pool(entry.device).offer(entry):
+            # stop() ran after admission: no worker is left to drain it.
             self._release(len(tickets))
-            raise
+            raise ServiceError("service is stopped: start() it to submit")
         self.metrics.incr("submitted", len(tickets))
 
     # ---- routing / placement -------------------------------------------------------
@@ -538,12 +496,7 @@ class PulseService:
         with self._pools_lock:
             pool = self._pools.get(device_name)
             if pool is None:
-                pool = DevicePool(
-                    self,
-                    device_name,
-                    num_workers=self.workers_per_device,
-                    max_pending=self.per_device_pending,
-                )
+                pool = DevicePool(self, device_name)
                 self._pools[device_name] = pool
                 if self._started:
                     pool.start()
@@ -584,42 +537,6 @@ class PulseService:
             ),
             request.seed,
             variant=repr(decoherence) if decoherence is not None else "",
-        )
-
-    def _place(
-        self,
-        entry: ServiceEntry,
-        *,
-        block: bool = False,
-        timeout: float | None = None,
-    ) -> None:
-        if self._pool(entry.device).offer(entry):
-            return
-        # Primary queue saturated: spill to an equivalent device.
-        for i in range(entry.attempt + 1, len(entry.candidates)):
-            pool = self._pool(entry.candidates[i])
-            if not pool.fits(len(entry)):
-                continue
-            entry.attempt = i
-            for ticket in entry.tickets:
-                ticket.attempts = i
-            try:
-                self._prepare_for_device(entry)
-            except Exception:
-                continue
-            if pool.offer(entry):
-                self.metrics.incr("spills")
-                return
-        entry.attempt = 0
-        self._prepare_for_device(entry)
-        if block and self._pool(entry.device).offer(
-            entry, block=True, timeout=timeout
-        ):
-            return
-        self.metrics.incr("rejected_backpressure")
-        raise BackpressureError(
-            f"device queue for {entry.device!r} is full "
-            f"(per_device_pending={self.per_device_pending})"
         )
 
     # ---- cancellation --------------------------------------------------------------
@@ -663,8 +580,7 @@ class PulseService:
         and split back). Every unit compiles through the shared cache
         (a bound family batch is checked, not compiled), then all of
         them execute in one
-        :meth:`MQSSClient.execute_compiled_batch` call under the
-        device's ``exec_lock``.
+        :meth:`MQSSClient.execute_compiled_batch` call.
         """
         for entry in group:
             # Points cancelled between queue and pop never execute.
@@ -718,10 +634,6 @@ class PulseService:
                 device=pool.device_name,
                 group=len(tickets),
             ):
-                hook = self.before_execute
-                if hook is not None:
-                    for entry in group:
-                        hook(entry)
                 from repro.api.core import compile_payload
 
                 _, target, _ = self.client.resolve_target(pool.device_name)
@@ -745,15 +657,14 @@ class PulseService:
                 for ticket in tickets:
                     ticket._mark_running()
                 batch_timings: dict[str, float] = {}
-                with pool.exec_lock:
-                    results = self.client.execute_compiled_batch(
-                        [unit[0] for unit in units],
-                        programs,
-                        device_name=pool.device_name,
-                        shots=[unit[2] for unit in units],
-                        timings=batch_timings,
-                        should_cancel=_group_cancelled,
-                    )
+                results = self.client.execute_compiled_batch(
+                    [unit[0] for unit in units],
+                    programs,
+                    device_name=pool.device_name,
+                    shots=[unit[2] for unit in units],
+                    timings=batch_timings,
+                    should_cancel=_group_cancelled,
+                )
                 self.metrics.observe("execute", batch_timings["execute"])
                 for result, seconds in zip(results, compile_s):
                     result.timings_s["compile"] = seconds
@@ -802,13 +713,9 @@ class PulseService:
         for entry in group:
             nxt = entry.attempt + 1
             # No failover while the service is stopping: a re-enqueued
-            # entry could land on a pool whose workers already exited
+            # entry could land on a pool whose worker already exited
             # and strand its tickets forever.
-            if (
-                self.router.allow_failover
-                and nxt < len(entry.candidates)
-                and self._started
-            ):
+            if nxt < len(entry.candidates) and self._started:
                 entry.attempt = nxt
                 for ticket in entry.tickets:
                     ticket.attempts = nxt
@@ -817,9 +724,7 @@ class PulseService:
                 except Exception as prep_exc:
                     self._fail_entry(entry, prep_exc)
                     continue
-                # Entry was already admitted; bypass the queue bound so
-                # failover cannot deadlock on a full fallback queue.
-                if self._pool(entry.device).offer(entry, force=True):
+                if self._pool(entry.device).offer(entry):
                     self.metrics.incr("failovers")
                 else:  # fallback pool already stopped
                     self._fail_entry(entry, exc)

@@ -1,18 +1,17 @@
-"""Per-device worker pools: queue entries + execution threads.
+"""Per-device pools: one queue and one worker thread per device.
 
 Each registered device gets its own :class:`DevicePool` — a priority
-queue (FIFO within equal priority) drained by one or more worker
-threads. Independent devices therefore execute concurrently, while a
-single device's hardware access stays serialized through the pool's
-``exec_lock`` (the simulated QPUs, like real ones, run one program at
-a time). With more than one worker per device, compilation of the next
-job overlaps with execution of the current one.
+queue (FIFO within equal priority) drained by one worker thread.
+Independent devices therefore execute concurrently, while a device
+runs one group at a time (the simulated QPUs, like real ones, run one
+program at a time).
 
 A thread that blocks on a ticket whose entry heads the queue runs the
-entry itself (:meth:`DevicePool.run_here`) instead of waking a worker
-and sleeping until it finishes. Workers and callers pop through the
-same :meth:`DevicePool._pop_group_locked` and share one cap: at most
-``num_workers`` groups of a pool run at a time, whoever runs them.
+entry itself (:meth:`DevicePool.run_here`) instead of waking the
+worker and sleeping until it finishes. The worker and callers pop
+through the same :meth:`DevicePool._pop_group_locked` and share one
+slot: a group runs only while no other group of the pool does,
+whoever runs it.
 """
 
 from __future__ import annotations
@@ -100,34 +99,22 @@ class ServiceEntry:
 
 
 class DevicePool:
-    """Queue + worker threads for one device.
+    """Queue + worker thread for one device.
 
-    A group runs on a worker thread, or on a caller blocked on one of
-    its tickets (:meth:`run_here`); either way it counts against
-    ``num_workers``, so one worker per device still means one group
-    (before-execute hook plus execution) at a time, in queue order.
+    A group runs on the worker thread, or on a caller blocked on one
+    of its tickets (:meth:`run_here`); either way it holds the pool's
+    one slot, so the device runs one group at a time, in queue order.
     """
 
-    def __init__(
-        self,
-        service: "PulseService",
-        device_name: str,
-        *,
-        num_workers: int = 1,
-        max_pending: int | None = None,
-    ) -> None:
+    def __init__(self, service: "PulseService", device_name: str) -> None:
         self.service = service
         self.device_name = device_name
-        self.num_workers = max(1, num_workers)
-        self.max_pending = max_pending
-        #: Serializes hardware access; compile/split work stays outside.
-        self.exec_lock = threading.Lock()
         self._entries: list[ServiceEntry] = []
         self._cond = threading.Condition()
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._stopping = False
         self._started = False
-        self._running = 0  # groups popped and not yet finished
+        self._busy = False  # a popped group has not finished yet
 
     # ---- lifecycle -----------------------------------------------------------------
 
@@ -137,24 +124,19 @@ class DevicePool:
                 return
             self._started = True
             self._stopping = False
-        for i in range(self.num_workers):
-            t = threading.Thread(
-                target=self._run,
-                name=f"serve-{self.device_name}-{i}",
-                daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+        self._thread = threading.Thread(
+            target=self._run, name=f"serve-{self.device_name}", daemon=True
+        )
+        self._thread.start()
 
     def stop(self, wait: bool = True) -> None:
-        """Ask workers to exit after draining the queue."""
+        """Ask the worker to exit after draining the queue."""
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-        if wait:
-            for t in self._threads:
-                t.join()
-        self._threads.clear()
+        if wait and self._thread is not None:
+            self._thread.join()
+        self._thread = None
         with self._cond:
             self._started = False
 
@@ -162,53 +144,16 @@ class DevicePool:
     def pending(self) -> int:
         """Requests queued here (a sweep entry counts all its points)."""
         with self._cond:
-            return self._points_locked()
-
-    def _points_locked(self) -> int:
-        return sum(len(entry) for entry in self._entries)
-
-    def _fits_locked(self, points: int) -> bool:
-        if self.max_pending is None:
-            return True
-        queued = self._points_locked()
-        return queued == 0 or queued + points <= self.max_pending
-
-    def fits(self, points: int) -> bool:
-        """Whether an entry of *points* would be queued without waiting."""
-        with self._cond:
-            return self._fits_locked(points)
+            return sum(len(entry) for entry in self._entries)
 
     # ---- queue ---------------------------------------------------------------------
 
-    def offer(
-        self,
-        entry: ServiceEntry,
-        *,
-        force: bool = False,
-        block: bool = False,
-        timeout: float | None = None,
-    ) -> bool:
-        """Queue *entry*; False when full (unless *force* or *block*).
-
-        The queue bound counts points: an entry fits while the queued
-        points plus its own stay within ``max_pending`` (an entry
-        larger than the bound waits for an empty queue). Also False
-        once the pool has stopped and no worker is left to drain the
-        queue — accepting then would strand the entry.
-        """
-        size = len(entry)
+    def offer(self, entry: ServiceEntry) -> bool:
+        """Queue *entry*; False once the pool has stopped and no worker
+        is left to drain the queue — accepting then would strand it."""
         with self._cond:
-            if self._stopping and not any(t.is_alive() for t in self._threads):
+            if self._stopping and not (self._thread and self._thread.is_alive()):
                 return False
-            if not force and self.max_pending is not None:
-                if block:
-                    ok = self._cond.wait_for(
-                        lambda: self._fits_locked(size) or self._stopping, timeout
-                    )
-                    if not ok or self._stopping:
-                        return False
-                elif not self._fits_locked(size):
-                    return False
             heapq.heappush(self._entries, entry)
             self._cond.notify_all()
             return True
@@ -217,11 +162,10 @@ class DevicePool:
         """Drop still-queued points whose ticket matches *predicate*.
 
         Used by ticket cancellation: a cancelled point that has not
-        been popped by a worker yet is dropped here, so it never
-        executes; an entry left without points leaves the queue.
-        Points already popped are beyond the queue's reach (the
-        cooperative cancel flag covers them). Returns the dropped
-        tickets.
+        been popped yet is dropped here, so it never executes; an
+        entry left without points leaves the queue. Points already
+        popped are beyond the queue's reach (the cooperative cancel
+        flag covers them). Returns the dropped tickets.
         """
         with self._cond:
             removed: list["JobTicket"] = []
@@ -230,21 +174,20 @@ class DevicePool:
             if removed:
                 self._entries[:] = [e for e in self._entries if len(e)]
                 heapq.heapify(self._entries)
-                self._cond.notify_all()  # queue space freed
             return removed
 
     def _pop_group_locked(self) -> list[ServiceEntry]:
         """Head entry + any coalescable mates currently queued."""
         head = heapq.heappop(self._entries)
         group = [head]
-        batcher = self.service.batcher
-        if batcher.enabled and self._entries and head.coalesce_key is not None:
+        if self._entries and head.coalesce_key is not None:
+            max_batch = self.service.batcher.max_batch
             mates: list[ServiceEntry] = []
             rest: list[ServiceEntry] = []
             for entry in self._entries:
                 if (
                     entry.coalesce_key == head.coalesce_key
-                    and len(group) + len(mates) < batcher.max_batch
+                    and len(group) + len(mates) < max_batch
                 ):
                     mates.append(entry)
                 else:
@@ -257,19 +200,18 @@ class DevicePool:
 
     def _take_locked(self) -> list[ServiceEntry]:
         group = self._pop_group_locked()
-        self._running += 1
-        self._cond.notify_all()  # queue space freed; unblock offers
+        self._busy = True
         return group
 
     def _execute(self, group: list[ServiceEntry]) -> None:
-        """Run a taken group, then free its slot under the cap."""
+        """Run a taken group, then free the pool's slot."""
         try:
             # A fresh context, as on a worker thread: a caller's
             # ``use_dtype`` scope never reaches served work.
             contextvars.Context().run(self.service._execute_group, self, group)
         finally:
             with self._cond:
-                self._running -= 1
+                self._busy = False
                 self._cond.notify_all()
 
     # ---- execution -----------------------------------------------------------------
@@ -277,16 +219,15 @@ class DevicePool:
     def run_here(self, entry: ServiceEntry) -> bool:
         """Run *entry*'s group on the calling thread; whether it ran.
 
-        Only the entry a worker would pop next is taken, only while
-        the pool is started and not stopping, and only below the
-        ``num_workers`` cap. Otherwise the caller leaves the entry to
-        the workers.
+        Only the entry the worker would pop next is taken, only while
+        the pool is started, not stopping and not running a group.
+        Otherwise the caller leaves the entry to the worker.
         """
         with self._cond:
             if (
                 not self._started
                 or self._stopping
-                or self._running >= self.num_workers
+                or self._busy
                 or not self._entries
                 or self._entries[0] is not entry
             ):
@@ -298,7 +239,7 @@ class DevicePool:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._entries or self._running >= self.num_workers:
+                while not self._entries or self._busy:
                     if self._stopping and not self._entries:
                         return
                     self._cond.wait()

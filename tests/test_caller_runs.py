@@ -1,11 +1,11 @@
 """Tests: a thread blocked on a PulseService ticket runs the entry itself.
 
-An unbounded wait (``result()``, ``exception()``, ``wait()``) on a
-ticket whose entry heads its started pool's queue, below the pool's
-``workers_per_device`` cap, pops the entry with its coalescing mates
-and runs ``PulseService._execute_group`` on the waiting thread. A
-bounded wait, a pool that is not started, or a busy pool leaves the
-entry to the workers.
+An unbounded wait (``result()`` or ``wait()``) on a
+ticket whose entry heads its started pool's queue, while no group of
+the pool runs, pops the entry with its coalescing mates and runs
+``PulseService._execute_group`` on the waiting thread. A bounded
+wait, a pool that is not started, or a busy pool leaves the entry to
+the worker.
 
 Whether the caller or the woken worker reaches an entry first is a GIL
 race that the caller wins unless it loses the GIL between the offer
@@ -30,7 +30,6 @@ from repro.pipeline import PipelineRunner, full_calibration_dag
 from repro.qdmi import QDMIDriver
 from repro.qdmi.properties import JobStatus
 from repro.qpi import PythonicCircuit
-from repro.runtime import SecondLevelScheduler
 from repro.serving import PulseService, TicketState
 from repro.sim.precision import use_dtype
 
@@ -166,14 +165,11 @@ class TestWhereWorkRuns:
 
 
 class TestOneGroupPerDevice:
-    def test_drain_with_a_busy_worker_keeps_hooks_and_executions_in_order(
-        self, monkeypatch
-    ):
+    def test_a_busy_worker_keeps_executions_in_queue_order(self, monkeypatch):
         """Each group holds its pool's one slot for a while after it
-        resolves its ticket, so the draining caller, woken by that
-        ticket, finds its next job at the queue head while the worker
-        is still busy: it must wait, not run the hook beside the
-        worker."""
+        resolves its ticket, so the caller, woken by that ticket, finds
+        its next entry at the queue head while the worker is still
+        busy: it must wait, not run the entry beside the worker."""
         from repro.serving.workers import DevicePool
 
         events: list[tuple[str, int]] = []
@@ -194,7 +190,7 @@ class TestOneGroupPerDevice:
             note("end", i)
 
         def spy_run_here(self, entry):
-            busy = self._running >= self.num_workers
+            busy = self._busy
             ran = run_here(self, entry)
             if busy:
                 tried_while_busy.append(ran)
@@ -203,25 +199,27 @@ class TestOneGroupPerDevice:
         monkeypatch.setattr(PulseService, "_execute_group", slow_execute)
         monkeypatch.setattr(DevicePool, "run_here", spy_run_here)
 
-        class Recording(SecondLevelScheduler):
-            def _before_dispatch(self, job, report):
-                note("hook", job.request.metadata["i"])
-
-        sched = Recording(make_stack(SuperconductingDevice("sc-a", num_qubits=2)))
+        client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
+        service = PulseService(client, start=False)
         priorities = [0, 2, 1, 2, 0, 1]
-        for i, priority in enumerate(priorities):
-            sched.enqueue(
+        tickets = [
+            service.submit(
                 JobRequest(
                     x_program(), "sc-a", shots=8, seed=i, priority=priority,
                     metadata={"i": i},
                 )
             )
-        report = sched.drain()
-        assert report.completed == len(priorities)
-        order = sorted(range(len(priorities)), key=lambda i: (-priorities[i], i))
-        assert events == [
-            (kind, i) for i in order for kind in ("start", "hook", "end")
+            for i, priority in enumerate(priorities)
         ]
+        order = sorted(range(len(priorities)), key=lambda i: (-priorities[i], i))
+        service.start()
+        try:
+            for i in order:
+                assert tickets[i].result().shots == 8
+        finally:
+            service.stop()
+            client.close()
+        assert events == [(kind, i) for i in order for kind in ("start", "end")]
         # The caller did try while the worker held the slot, and waited.
         assert False in tried_while_busy
 

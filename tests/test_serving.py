@@ -101,7 +101,8 @@ class TestTickets:
         _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
         with PulseService(client) as svc:
             ticket = svc.submit(JobRequest(x_program(), "nope", shots=8))
-            assert isinstance(ticket.exception(timeout=10), QDMIError)
+            with pytest.raises(QDMIError):
+                ticket.result(timeout=10)
             assert ticket.state is TicketState.FAILED
 
     def test_result_timeout_raises_service_error(self):
@@ -133,10 +134,11 @@ class TestConcurrency:
 
     def test_device_queue_preserves_priority_then_fifo(self):
         _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
-        svc = PulseService(client, batcher=RequestBatcher(enabled=False), start=False)
+        svc = PulseService(client, start=False)
+        # Distinct seeds: the two requests must not coalesce.
         low = svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1))
         high = svc.submit(
-            JobRequest(x_program(), "sc-a", shots=8, priority=5, seed=1)
+            JobRequest(x_program(), "sc-a", shots=8, priority=5, seed=2)
         )
         svc.start()
         assert svc.flush(timeout=30)
@@ -317,20 +319,45 @@ class TestBackpressure:
             )
             assert first.result(30) and second.result(30)
 
-    def test_full_device_queue_spills_to_equivalent(self):
-        sc_a = SlowDevice("sc-a", 0.05, num_qubits=2)
-        sc_b = SuperconductingDevice("sc-b", num_qubits=2)
-        _, client = make_stack(sc_a, sc_b)
-        svc = PulseService(client, per_device_pending=1, start=False)
-        t1 = svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1))
-        t2 = svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1))
-        svc.start()
-        assert svc.flush(timeout=30)
-        svc.stop()
-        assert svc.metrics.get("spills") == 1
-        devices = {t1.result().device, t2.result().device}
-        assert devices == {"sc-a", "sc-b"}
+    def test_unstarted_submit_many_past_a_device_queue_returns(self):
+        """Regression: 65 requests for one device on an unstarted
+        service once blocked forever on a 64-point device queue bound."""
+        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
+        svc = PulseService(client, start=False)
+        requests = [
+            JobRequest(x_program(), "sc-a", shots=8, seed=i) for i in range(65)
+        ]
+        tickets = []
+        submitter = threading.Thread(
+            target=lambda: tickets.extend(svc.submit_many(requests))
+        )
+        submitter.start()
+        submitter.join(10)
+        try:
+            assert not submitter.is_alive(), "submit_many never returned"
+            assert len(tickets) == svc.pending == 65
+            svc.start()
+            assert all(t.result(timeout=30).shots == 8 for t in tickets)
+        finally:
+            svc.stop()
 
+    def test_submit_after_stop_raises_service_error(self):
+        _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
+        svc = PulseService(client)
+        svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1)).result(30)
+        svc.stop()
+        with pytest.raises(ServiceError, match="stopped") as info:
+            svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1))
+        assert not isinstance(info.value, BackpressureError)
+        sweep = svc.submit_sweep(angle_sweep(n=3, shots=8, seed=1))
+        for ticket in sweep.tickets:
+            with pytest.raises(ServiceError, match="stopped"):
+                ticket.result(timeout=0)
+        assert svc.metrics.get("rejected_backpressure") == 0
+        assert svc.pending == 0
+        svc.start()  # a restarted service admits again
+        assert svc.submit(JobRequest(x_program(), "sc-a", shots=8, seed=1)).result(30)
+        svc.stop()
 
 class TestFailover:
     def test_failed_device_retries_on_equivalent(self):
@@ -350,17 +377,8 @@ class TestFailover:
         _, client = make_stack(FailingDevice("sc-bad", num_qubits=2))
         with PulseService(client) as svc:
             ticket = svc.submit(JobRequest(x_program(), "sc-bad", shots=8, seed=1))
-            assert isinstance(ticket.exception(timeout=30), ExecutionError)
-
-    def test_failover_disabled_pins_the_device(self):
-        driver, client = make_stack(
-            FailingDevice("sc-bad", num_qubits=2),
-            SuperconductingDevice("sc-good", num_qubits=2),
-        )
-        router = CapabilityRouter(driver, allow_failover=False)
-        with PulseService(client, router=router) as svc:
-            ticket = svc.submit(JobRequest(x_program(), "sc-bad", shots=8, seed=1))
-            assert isinstance(ticket.exception(timeout=30), ExecutionError)
+            with pytest.raises(ExecutionError):
+                ticket.result(timeout=30)
 
     def test_router_requires_matching_capabilities(self):
         driver, _ = make_stack(
@@ -516,6 +534,43 @@ class TestSchedulerWaitRegression:
         assert report.total_wall_s < 2 * delay * 0.9
 
 
+class TestSchedulerContract:
+    def test_identical_jobs_each_execute_once_in_schedule_order(self):
+        """Identical requests (same program, same seed) drain as one
+        device execution and one ``_before_dispatch`` call each, in
+        (priority, arrival) order: the scheduler never coalesces."""
+        events: list[tuple[str, int]] = []
+
+        class CountingDevice(SuperconductingDevice):
+            def submit_jobs(self, jobs) -> None:
+                events.append(("execute", len(jobs)))
+                super().submit_jobs(jobs)
+
+        class Recording(SecondLevelScheduler):
+            def _before_dispatch(self, job, report):
+                events.append(("dispatch", job.arrival))
+
+        device = CountingDevice("sc-a", num_qubits=2)
+        _, client = make_stack(device)
+        sched = Recording(client)
+        priorities = [0, 2, 1, 2, 0, 1]
+        jobs = [
+            sched.enqueue(
+                JobRequest(x_program(), "sc-a", shots=8, seed=7, priority=p)
+            )
+            for p in priorities
+        ]
+        report = sched.drain()
+        order = sorted(range(len(jobs)), key=lambda i: (-priorities[i], i))
+        assert report.completed == len(jobs)
+        assert len(device.executed_jobs) == len(jobs)
+        assert events == [
+            event for i in order for event in (("dispatch", i), ("execute", 1))
+        ]
+        ids = [jobs[i].result.job_id for i in order]
+        assert ids == sorted(ids)
+
+
 class CancellingDevice(SuperconductingDevice):
     """Runs a hook (the test's cancels) as each batch reaches the device."""
 
@@ -635,31 +690,11 @@ class TestBatchedSweeps:
         # Admitted in chunks of at most max_pending points.
         assert svc.metrics.snapshot()["execute_count"] >= 3
 
-    def test_device_queue_bound_counts_points(self):
-        device = SuperconductingDevice("sc-a", num_qubits=2)
-        _, client = make_stack(device)
-        svc = PulseService(client, per_device_pending=4, start=False)
-        ticket = svc.submit_sweep(angle_sweep(n=4, shots=16, seed=2))
-        assert svc.pending == 4
-        with pytest.raises(BackpressureError):
-            svc.submit(JobRequest(x_program(), "sc-a", shots=8), block=False)
-        svc.start()
-        assert len(ticket.results(30)) == 4
-        svc.stop()
-
-    def test_sweep_chunks_to_the_device_queue_room(self):
-        device = SuperconductingDevice("sc-a", num_qubits=2)
-        _, client = make_stack(device)
-        with PulseService(client, per_device_pending=2) as svc:
-            results = svc.submit_sweep(angle_sweep(n=5, shots=16, seed=2)).results(60)
-        assert len(results) == 5
-        assert svc.metrics.snapshot()["execute_count"] == 3
-
     def test_concurrent_sweeps_and_cancels_balance_admission(self):
         import sys
 
         _, client = make_stack(SuperconductingDevice("sc-a", num_qubits=2))
-        svc = PulseService(client, max_pending=8, workers_per_device=3)
+        svc = PulseService(client, max_pending=8)
         sweeps = []
         lock = threading.Lock()
 

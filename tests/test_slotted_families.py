@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_bound_batch import DEVICES, GRANULARITY
 from test_phase_covariance import PROFILE, SC, angles, programs, unit
-from test_serving import FailingDevice, SlowDevice
+from test_serving import FailingDevice
 
 import repro
 from repro.client import MQSSClient, RemoteDeviceProxy
@@ -404,25 +404,6 @@ def _assert_ran_remotely(client, ticket, family):
         got.ideal_probabilities, want.ideal_probabilities, rtol=0, atol=1e-12
     )
     np.testing.assert_array_equal(got.durations, want.durations)
-
-
-def test_a_family_batch_spills_to_the_remote_device():
-    """Under backpressure a bound family batch spills to the first
-    equivalent device, the remote one, and runs there."""
-    client = _family_stack(SlowDevice("sc-a", 0.05, num_qubits=1, seed=2))
-    service = PulseService(client, per_device_pending=1, start=False)
-    try:
-        first, _ = _family_sweep(service, "sc-a")
-        second, family = _family_sweep(service, "sc-a")
-        service.start()
-        assert len(first.results(30)) == len(second.results(30)) == 2
-        assert second.tickets[0].attempts == 1
-        assert service.metrics.get("spills") == 1
-        assert service.metrics.get("failovers") == 0
-        _assert_ran_remotely(client, second, family)
-    finally:
-        service.stop()
-        client.close()
 
 
 def test_a_family_batch_fails_over_to_the_remote_device():
